@@ -85,12 +85,27 @@ class ClassPolyResult:
 
 
 def singular_values(
-    n: int, group: str, disc: int, prec: int, data_dir=None
+    n: int,
+    group: str,
+    disc: int,
+    prec: int,
+    data_dir=None,
+    *,
+    spec=None,
+    class_group: ClassGroup | None = None,
+    reps: list[EllipticElement] | None = None,
 ) -> SingularValueSet:
-    """Evaluate the catalog principal modulus at every class representative."""
-    spec = catalog_lookup(n, group, data_dir)
-    cg = enumerate_class_group(disc)
-    reps = enumerate_representatives(n, disc, cg)
+    """Evaluate the catalog principal modulus at every class representative.
+
+    `spec`, `class_group` and `reps` let a caller that evaluates the same
+    (level, group, disc) at several precisions look each of them up once;
+    any left out is computed here.
+    """
+    if spec is None:
+        spec = catalog_lookup(n, group, data_dir)
+    cg = class_group if class_group is not None else enumerate_class_group(disc)
+    if reps is None:
+        reps = enumerate_representatives(n, disc, cg)
     entries = []
     for cls, alpha in zip(cg.classes, reps):
         tau = fixed_point(alpha)
@@ -110,17 +125,22 @@ def ring_class_polynomial(
 
     Runs the pipeline at doubling precisions until two consecutive rounds
     produce the same integer polynomial within the rounding tolerance, then
-    returns the higher-precision result.
+    returns the higher-precision result.  The catalog entry, the class group
+    and the representatives are computed once, before the first round.
     """
     policy = policy or PrecisionPolicy()
     cg = enumerate_class_group(disc)
+    spec = catalog_lookup(n, group, data_dir)
+    reps = enumerate_representatives(n, disc, cg)
     degree = cg.class_number
     prec = policy.initial_bits(degree)
     history: list[str] = []
     previous: tuple[IntPoly, ClassPolyResult] | None = None
     while prec <= policy.max_bits:
         try:
-            vals = singular_values(n, group, disc, prec, data_dir)
+            vals = singular_values(
+                n, group, disc, prec, data_dir, spec=spec, class_group=cg, reps=reps
+            )
             coeffs = poly_from_roots(vals.values())
             poly, residual = round_to_int_poly(coeffs, policy.tolerance(prec))
         except RoundingFailureError as exc:

@@ -16,6 +16,7 @@ floating-point quantities rendered as decimal strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -48,7 +49,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process; every build leaves formatter reference cycles
     parser = _Parser(prog="cfq", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

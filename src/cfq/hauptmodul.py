@@ -11,9 +11,11 @@ Three kinds of entry, each normalized so the q-expansion is q^-1 + 0 + O(q):
     ships the level-71 series and the level-1 modular invariant).
 
 Evaluation of a q-series entry first ascends through translations and the
-Fricke flip (`fricke_reduce`), then sums the series with an empirical tail
-criterion; eta-quotient entries are valid anywhere because eta itself
-reduces its argument.
+Fricke flip (`fricke_reduce`), then sums the series in fixed-point integer
+arithmetic, at a width that bounds the rounding error of the summed terms by
+2^-(prec+guard), until an empirical tail criterion holds (32 consecutive
+terms below 2^-(prec+8)); eta-quotient entries are valid anywhere because
+eta itself reduces its argument.
 """
 
 from __future__ import annotations
@@ -152,39 +154,39 @@ def load_qseries(path) -> QSeriesHaupt:
     decimal integer; the first is the coefficient of q^-1.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("#"):
-        raise QSeriesFormatError("header", f"{path}: missing header line")
-    fields = {}
-    for token in lines[0][1:].split():
-        if "=" not in token:
-            raise QSeriesFormatError("header", f"{path}: bad header token {token!r}")
-        key, _, value = token.partition("=")
-        fields[key] = value
-    for key in ("label", "level", "group", "q_min"):
-        if key not in fields:
-            raise QSeriesFormatError("header", f"{path}: header lacks {key}=")
-    try:
-        level = int(fields["level"])
-        q_min = int(fields["q_min"])
-    except ValueError as exc:
-        raise QSeriesFormatError("header", f"{path}: non-integer header field") from exc
-    if fields["group"] not in ("gamma0", "fricke"):
-        raise QSeriesFormatError("header", f"{path}: group must be gamma0|fricke")
-    if q_min != -1:
-        raise QSeriesFormatError("q_min", f"{path}: q_min must be -1, got {q_min}")
-    coeffs = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    with path.open(encoding="utf-8") as lines:
+        header = next(lines, "")
+        if not header.startswith("#"):
+            raise QSeriesFormatError("header", f"{path}: missing header line")
+        fields = {}
+        for token in header[1:].split():
+            if "=" not in token:
+                raise QSeriesFormatError("header", f"{path}: bad header token {token!r}")
+            key, _, value = token.partition("=")
+            fields[key] = value
+        for key in ("label", "level", "group", "q_min"):
+            if key not in fields:
+                raise QSeriesFormatError("header", f"{path}: header lacks {key}=")
         try:
-            coeffs.append(int(line))
+            level = int(fields["level"])
+            q_min = int(fields["q_min"])
         except ValueError as exc:
-            raise QSeriesFormatError(
-                "coefficient", f"{path}:{lineno}: not an integer: {line!r}"
-            ) from exc
+            raise QSeriesFormatError("header", f"{path}: non-integer header field") from exc
+        if fields["group"] not in ("gamma0", "fricke"):
+            raise QSeriesFormatError("header", f"{path}: group must be gamma0|fricke")
+        if q_min != -1:
+            raise QSeriesFormatError("q_min", f"{path}: q_min must be -1, got {q_min}")
+        coeffs = []
+        for lineno, raw in enumerate(lines, start=2):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                coeffs.append(int(line))
+            except ValueError as exc:
+                raise QSeriesFormatError(
+                    "coefficient", f"{path}:{lineno}: not an integer: {line!r}"
+                ) from exc
     if len(coeffs) < 64:
         raise QSeriesFormatError(
             "too_few", f"{path}: only {len(coeffs)} coefficients, need at least 64"
@@ -302,16 +304,6 @@ def fricke_reduce(tau: BigComplex, n: int) -> BigComplex:
     return BigComplex.from_mpc(z, prec)
 
 
-def _coeff_cache(series: QSeriesHaupt, prec: int):
-    cache = getattr(series, "_mpf_cache", None)
-    if cache is not None and cache[0] == prec:
-        return cache[1]
-    with mp.workprec(prec):
-        values = [mp.mpf(c) for c in series.coeffs]
-    object.__setattr__(series, "_mpf_cache", (prec, values))
-    return values
-
-
 def evaluate(spec, tau, prec: int) -> BigComplex:
     """Value of a principal modulus at tau (a CMPoint or BigComplex)."""
     if isinstance(tau, CMPoint):
@@ -343,7 +335,14 @@ def _evaluate_qseries(series: QSeriesHaupt, z: BigComplex, prec: int) -> BigComp
     # series is too, because the flip is then an ordinary modular substitution
     if series.group == "fricke" or series.n == 1:
         z = fricke_reduce(z, series.n)
-    coeffs = _coeff_cache(series, prec + _GUARD)
+    coeffs = series.coeffs
+    # Fixed point at scale 2^w.  q is truncated to integers (error < 2^-w per
+    # component), and each step q^j -> q^(j+1) truncates again, so the
+    # computed power p_j satisfies |p_j - q^j| < 4j * 2^-w while |q| < 1.
+    # Summing |c_j| |p_j - q^j| with |c_j| < 2^b over j < n < 2^l gives at
+    # most 2^(b+1) n^2 2^-w <= 2^-(prec+_GUARD) for w as chosen below.
+    b = max(map(abs, coeffs)).bit_length()
+    w = prec + _GUARD + b + 2 * len(coeffs).bit_length() + 2
     with mp.workprec(prec + _GUARD):
         zc = z.to_mpc()
         if zc.imag <= 0:
@@ -353,26 +352,32 @@ def _evaluate_qseries(series: QSeriesHaupt, z: BigComplex, prec: int) -> BigComp
             if k:
                 zc -= k
         q = mp.exp(2j * mp.pi * zc)
-        absq = abs(q)
-        tail_tol = mp.mpf(2) ** (-prec - 8)
-        total = coeffs[0] / q
-        qk = mp.mpc(1)
+        qr, qi = int(mp.ldexp(q.real, w)), int(mp.ldexp(q.imag, w))
+        # a term is quiet when both components are below 2^-(prec+9), so
+        # its modulus is below 2^-(prec+8)
+        quiet_bits = w - prec - 9
+        pr, pi = 1 << w, 0
+        acc_r = acc_i = 0
         quiet = 0
         for k in range(1, len(coeffs)):
-            # index k holds the coefficient of q^(k-1)
+            # index k holds the coefficient of q^(k-1); (pr, pi) is q^(k-1)
             c = coeffs[k]
             if c:
-                term = c * qk
-                total += term
-                magnitude = abs(term)
+                tr, ti = c * pr, c * pi
+                acc_r += tr
+                acc_i += ti
             else:
-                magnitude = abs(qk)
-            qk *= q
-            if magnitude < tail_tol:
+                tr, ti = pr, pi
+            pr, pi = (pr * qr - pi * qi) >> w, (pr * qi + pi * qr) >> w
+            if tr.bit_length() <= quiet_bits and ti.bit_length() <= quiet_bits:
                 quiet += 1
                 if quiet >= 32:
-                    return BigComplex.from_mpc(total, prec)
+                    acc = mp.mpc(mp.ldexp(acc_r, -w), mp.ldexp(acc_i, -w))
+                    return BigComplex.from_mpc(coeffs[0] / q + acc, prec)
             else:
                 quiet = 0
-        needed = int((prec + 8) * mp.log(2) / -mp.log(absq)) + 64
-        raise InsufficientDataError(mp.nstr(absq, 8), len(series.coeffs), needed)
+        # a term among the last 32 was at least 2^-(prec+9) with |c| < 2^b,
+        # so |q|^(have-33) > 2^-(prec+9+b) and this estimate exceeds have
+        absq = abs(q)
+        needed = int((prec + 9 + b) * mp.log(2) / -mp.log(absq)) + 64
+        raise InsufficientDataError(mp.nstr(absq, 8), len(coeffs), needed)

@@ -92,10 +92,12 @@ class BigComplex:
             )
 
     def __neg__(self) -> BigComplex:
-        return BigComplex(-self.re, -self.im, self.prec)
+        with mp.workprec(self.prec):
+            return BigComplex(-self.re, -self.im, self.prec)
 
     def conjugate(self) -> BigComplex:
-        return BigComplex(self.re, -self.im, self.prec)
+        with mp.workprec(self.prec):
+            return BigComplex(self.re, -self.im, self.prec)
 
     def abs(self) -> mpmath.mpf:
         with mp.workprec(self.prec):

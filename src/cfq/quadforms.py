@@ -206,31 +206,6 @@ def principal_form(d: int) -> QuadForm:
     return QuadForm(1, b, (b * b - d) // 4)
 
 
-def _coprime_value_transform(f: QuadForm, modulus: int, column: int) -> SL2Matrix:
-    """Unimodular u placing a value of f coprime to `modulus` in slot `column`.
-
-    column 0 targets the leading coefficient, column 1 the trailing one.
-    The (x, y) search is bounded by 16 in each coordinate, which is ample for
-    the discriminants this package handles.
-    """
-    pairs = sorted(
-        ((x, y) for x in range(-16, 17) for y in range(-16, 17)),
-        key=lambda p: (max(abs(p[0]), abs(p[1])), abs(p[0]) + abs(p[1])),
-    )
-    for x, y in pairs:
-        if gcd(x, y) != 1:
-            continue
-        if gcd(f(x, y), modulus) == 1:
-            g, u, v = _extgcd(x, y)
-            assert g == 1
-            if column == 0:
-                return SL2Matrix(x, -v, y, u)
-            return SL2Matrix(v, x, -u, y)
-    raise SearchFailureError(
-        f"no value of {f} coprime to {modulus} with coordinates up to 16"
-    )
-
-
 def _extgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, u, v) with u*a + v*b = g = gcd(a, b)."""
     old_r, r = a, b
@@ -244,6 +219,35 @@ def _extgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_u, old_v = -old_r, -old_u, -old_v
     return old_r, old_u, old_v
+
+
+# Coprime (x, y) with |x|, |y| <= 16, nearest the origin first, each with
+# (u, v) such that u*x + v*y = 1.
+_COPRIME_PAIRS = tuple(
+    (x, y) + _extgcd(x, y)[1:]
+    for x, y in sorted(
+        ((x, y) for x in range(-16, 17) for y in range(-16, 17)),
+        key=lambda p: (max(abs(p[0]), abs(p[1])), abs(p[0]) + abs(p[1])),
+    )
+    if gcd(x, y) == 1
+)
+
+
+def _coprime_value_transform(f: QuadForm, modulus: int, column: int) -> SL2Matrix:
+    """Unimodular u placing a value of f coprime to `modulus` in slot `column`.
+
+    column 0 targets the leading coefficient, column 1 the trailing one.
+    The (x, y) search is bounded by 16 in each coordinate, which is ample for
+    the discriminants this package handles.
+    """
+    for x, y, u, v in _COPRIME_PAIRS:
+        if gcd(f(x, y), modulus) == 1:
+            if column == 0:
+                return SL2Matrix(x, -v, y, u)
+            return SL2Matrix(v, x, -u, y)
+    raise SearchFailureError(
+        f"no value of {f} coprime to {modulus} with coordinates up to 16"
+    )
 
 
 def compose(f: IdealClass, g: IdealClass) -> IdealClass:

@@ -1,5 +1,7 @@
 """Pipeline tests: singular values, class polynomials, Galois permutations."""
 
+from collections import Counter
+
 import pytest
 from mpmath import mp
 
@@ -88,6 +90,36 @@ class TestRingClassPolynomial:
         swapped = [deep] + vals.values()[1:]
         poly, _ = round_to_int_poly(poly_from_roots(swapped), mp.mpf(2) ** -32)
         assert poly == H71
+
+    def test_lookups_once_per_request(self, monkeypatch):
+        import cfq.classfield
+        import cfq.elliptic
+        import cfq.hauptmodul
+        import cfq.quadforms
+
+        calls = Counter()
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        wrapped = counted(cfq.quadforms, "enumerate_class_group")
+        for module in (cfq.classfield, cfq.elliptic, cfq.quadforms):
+            monkeypatch.setattr(module, "enumerate_class_group", wrapped)
+        monkeypatch.setattr(cfq.hauptmodul, "load_qseries",
+                            counted(cfq.hauptmodul, "load_qseries"))
+        monkeypatch.setattr(cfq.classfield, "singular_values",
+                            counted(cfq.classfield, "singular_values"))
+        result = ring_class_polynomial(71, "fricke", -284)
+        assert result.poly == H284
+        assert calls == Counter(
+            enumerate_class_group=1, load_qseries=1, singular_values=2
+        )
 
     def test_escalation_failure_reports_history(self):
         policy = PrecisionPolicy(start_bits=640, max_bits=1280)

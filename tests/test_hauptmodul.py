@@ -1,12 +1,13 @@
 """Catalog lookups, q-series files, Fricke reduction, and evaluation."""
 
+import functools
 import random
 
 import pytest
 from mpmath import mp
 
 from conftest import bc, mobius, random_gamma0
-from cfq.elliptic import CMPoint, EllipticElement, fixed_point
+from cfq.elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
 from cfq.errors import (
     DataFileMissingError,
     DomainError,
@@ -29,6 +30,7 @@ from cfq.hauptmodul import (
     load_qseries,
 )
 from cfq.numerics import BigComplex
+from cfq.quadforms import enumerate_class_group
 
 H284 = IntPoly([-11, 4, 18, 5, -11, -7, 0, 1])
 
@@ -111,6 +113,7 @@ class TestLoadQSeries:
         with pytest.raises(QSeriesFormatError) as exc:
             load_qseries(self._write(tmp_path, body))
         assert exc.value.reason == "coefficient"
+        assert ":42:" in str(exc.value)
 
     def test_too_few_coefficients(self, tmp_path):
         body = "# label=T level=2 group=fricke q_min=-1\n" + "1\n" * 40
@@ -234,6 +237,68 @@ class TestEvaluate:
         entry = catalog_lookup(2, "gamma0")
         with pytest.raises(DomainError):
             evaluate(entry, bc(0, -1, PREC), PREC)
+
+
+# the 14 level-71 representatives of discs -71 and -284, at each precision
+# the data supports: at 448 bits the four with C = 8 need more coefficients
+LEVEL71_CASES = [
+    (alpha, prec)
+    for disc in (-71, -284)
+    for alpha in enumerate_representatives(71, disc, enumerate_class_group(disc))
+    for prec in (128, 256, 448)
+    if not (prec == 448 and alpha.C == 8)
+]
+REF_PREC = 448 + 64
+
+
+@functools.cache
+def _reference_sum(level, group, tau):
+    """Every coefficient of the series summed in plain mpc arithmetic."""
+    coeffs = catalog_lookup(level, group).coeffs
+    with mp.workprec(REF_PREC):
+        z = (tau.u + mp.sqrt(tau.n) * mp.mpc(0, tau.v)) / tau.w
+        q = mp.exp(2j * mp.pi * z)
+        total = coeffs[0] / q
+        qk = mp.mpc(1)
+        for c in coeffs[1:]:
+            total += c * qk
+            qk *= q
+        return total
+
+
+def _check_against_reference(level, group, tau, prec):
+    entry = catalog_lookup(level, group)
+    got = evaluate(entry, tau, prec).to_mpc()
+    ref = _reference_sum(level, group, tau)
+    with mp.workprec(REF_PREC):
+        assert abs(got - ref) <= mp.mpf(2) ** -(prec - 8) * max(1, abs(ref))
+
+
+class TestQSeriesKernel:
+    """The fixed-point summation against an independent reference sum."""
+
+    @pytest.mark.parametrize(
+        "alpha,prec", LEVEL71_CASES, ids=[f"{a.text()}@{p}" for a, p in LEVEL71_CASES]
+    )
+    def test_level71_representatives(self, alpha, prec):
+        # the Fricke flip leaves the point alone (71|tau|^2 = -B/C >= 1), so
+        # the reference may take q at tau itself
+        assert -alpha.B >= alpha.C
+        _check_against_reference(71, "fricke", fixed_point(alpha), prec)
+
+    @pytest.mark.parametrize("prec", [128, 256, 448])
+    @pytest.mark.parametrize("tau", [CMPoint(0, 1, 1, 1), CMPoint(-1, 1, 2, 3)],
+                             ids=["i", "rho"])
+    def test_level1(self, tau, prec):
+        _check_against_reference(1, "gamma0", tau, prec)
+
+    def test_data_ceiling_at_c8(self):
+        entry = catalog_lookup(71, "fricke")
+        tau = fixed_point(EllipticElement(71, 1, -9, 8))
+        with pytest.raises(InsufficientDataError) as exc:
+            evaluate(entry, tau, 448)
+        assert exc.value.have == len(entry.coeffs)
+        assert exc.value.needed > exc.value.have
 
 
 def _evaluate_at(entry, z, prec):

@@ -32,6 +32,13 @@ class TestBigComplex:
         with pytest.raises(ZeroDivisionError):
             x / bc(0, 0, 128)
 
+    def test_negation_and_conjugate_keep_precision(self):
+        with mp.workprec(256):
+            z = BigComplex.from_mpc(mp.mpc(1, 2) / 3, 256)
+        # sums, not negations, so the check itself cannot round to 53 bits
+        assert (-z).re + z.re == 0 and (-z).im + z.im == 0
+        assert z.conjugate().re == z.re and z.conjugate().im + z.im == 0
+
     def test_exact_small_integers(self):
         v = BigComplex.from_int(7, 96)
         assert v.re == 7 and v.im == 0 and v.prec == 96
