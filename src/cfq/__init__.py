@@ -59,13 +59,7 @@ from .hauptmodul import (
     fricke_reduce,
     load_qseries,
 )
-from .numerics import (
-    BigComplex,
-    PrecisionPolicy,
-    find_roots,
-    poly_from_roots,
-    round_to_int_poly,
-)
+from .numerics import PrecisionPolicy, find_roots, poly_from_roots, round_to_int_poly
 from .quadforms import (
     ClassGroup,
     Discriminant,

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .exactpoly import IntPoly
 from .hauptmodul import catalog_lookup, evaluate
-from .numerics import BigComplex, PrecisionPolicy, poly_from_roots, round_to_int_poly
+from .numerics import PrecisionPolicy, poly_from_roots, round_to_int_poly
 from .quadforms import ClassGroup, IdealClass, enumerate_class_group
 
 __all__ = [
@@ -43,11 +43,11 @@ class SingularValueSet:
     n: int
     group: str
     disc: int
-    entries: tuple[tuple[IdealClass, EllipticElement, CMPoint, BigComplex], ...]
+    entries: tuple[tuple[IdealClass, EllipticElement, CMPoint, mpmath.mpc], ...]
     prec: int
     class_group: ClassGroup
 
-    def values(self) -> list[BigComplex]:
+    def values(self) -> list[mpmath.mpc]:
         return [entry[3] for entry in self.entries]
 
 
@@ -68,8 +68,8 @@ class ClassPolyResult:
                 {
                     "class": cls.rep.text(),
                     "element": alpha.text(),
-                    "value_re": mpmath.nstr(value.re, dps),
-                    "value_im": mpmath.nstr(value.im, dps),
+                    "value_re": mpmath.nstr(value.real, dps),
+                    "value_im": mpmath.nstr(value.imag, dps),
                 }
             )
         return {
@@ -141,8 +141,8 @@ def ring_class_polynomial(
             vals = singular_values(
                 n, group, disc, prec, data_dir, spec=spec, class_group=cg, reps=reps
             )
-            coeffs = poly_from_roots(vals.values())
-            poly, residual = round_to_int_poly(coeffs, policy.tolerance(prec))
+            coeffs = poly_from_roots(vals.values(), prec)
+            poly, residual = round_to_int_poly(coeffs, policy.tolerance(prec), prec)
         except RoundingFailureError as exc:
             history.append(f"{prec} bits: rounding failed, residual {exc.residual}")
             previous = None

@@ -23,7 +23,7 @@ import sys
 import mpmath
 
 from .classfield import ring_class_polynomial
-from .elliptic import EllipticElement, fixed_point, order_of
+from .elliptic import EllipticElement, enumerate_representatives, fixed_point, order_of
 from .errors import CfqError, EscalationFailureError
 from .exactpoly import IntPoly, LaurentExpr, verify_root_relation
 from .hauptmodul import catalog_entries, catalog_lookup, evaluate
@@ -138,8 +138,6 @@ def _cmd_class_group(args, out) -> int:
 def _cmd_reps(args, out) -> int:
     reps_list = []
     cg = enumerate_class_group(args.disc)
-    from .elliptic import enumerate_representatives
-
     for cls, alpha in zip(cg.classes, enumerate_representatives(args.level, args.disc, cg)):
         tau = fixed_point(alpha)
         reps_list.append((cls, alpha, tau))
@@ -181,12 +179,12 @@ def _cmd_eval(args, out) -> int:
             "element": alpha.text(),
             "disc": order_of(alpha).disc,
             "prec_bits": prec,
-            "value_re": mpmath.nstr(value.re, dps),
-            "value_im": mpmath.nstr(value.im, dps),
+            "value_re": mpmath.nstr(value.real, dps),
+            "value_im": mpmath.nstr(value.imag, dps),
         }
         out.write(_emit_json(obj) + "\n")
     else:
-        out.write(f"{mpmath.nstr(value.re, dps)} {mpmath.nstr(value.im, dps)}\n")
+        out.write(f"{mpmath.nstr(value.real, dps)} {mpmath.nstr(value.imag, dps)}\n")
     return 0
 
 

@@ -25,7 +25,6 @@ import mpmath
 from mpmath import mp
 
 from .errors import DomainError
-from .numerics import BigComplex
 
 __all__ = ["EtaQuotientSpec", "dedekind_sum", "eta", "eta_quotient"]
 
@@ -140,22 +139,22 @@ def _eta_mpc(tau):
     return value_f / (eps * mp.sqrt(c * tau + d))
 
 
-def eta(tau: BigComplex, prec: int | None = None) -> BigComplex:
-    """Dedekind eta at tau, relative error at most 2^(-prec+8)."""
-    prec = prec if prec is not None else tau.prec
+def eta(tau, prec: int) -> mpmath.mpc:
+    """Dedekind eta at tau, relative error at most 2^(-prec+8), rounded to prec bits."""
     with mp.workprec(prec + _GUARD):
-        value = _eta_mpc(tau.to_mpc())
-    return BigComplex.from_mpc(value, prec)
+        value = _eta_mpc(mp.mpc(tau))
+    with mp.workprec(prec):
+        return +value
 
 
-def eta_quotient(spec: EtaQuotientSpec, tau: BigComplex, prec: int | None = None) -> BigComplex:
+def eta_quotient(spec: EtaQuotientSpec, tau, prec: int) -> mpmath.mpc:
     """prod eta(d*tau)^r_d, each factor through the reduced evaluation path."""
-    prec = prec if prec is not None else tau.prec
     with mp.workprec(prec + _GUARD):
-        t = tau.to_mpc()
+        t = mp.mpc(tau)
         if t.imag <= 0:
             raise DomainError("eta quotient requires Im(tau) > 0")
         value = mp.mpc(1)
         for d, r in spec.terms:
             value *= _eta_mpc(d * t) ** r
-    return BigComplex.from_mpc(value, prec)
+    with mp.workprec(prec):
+        return +value

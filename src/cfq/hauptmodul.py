@@ -26,6 +26,7 @@ from fractions import Fraction
 from math import isqrt
 from pathlib import Path
 
+import mpmath
 from mpmath import mp
 
 from .elliptic import CMPoint
@@ -37,7 +38,6 @@ from .errors import (
     QSeriesFormatError,
 )
 from .eta import EtaQuotientSpec, eta_quotient
-from .numerics import BigComplex
 
 __all__ = [
     "EtaQuotientHaupt",
@@ -279,15 +279,15 @@ def _available(n: int, group: str, data_dir) -> bool:
     return any((d / name).is_file() for d in _data_dirs(data_dir))
 
 
-def fricke_reduce(tau: BigComplex, n: int) -> BigComplex:
+def fricke_reduce(tau, n: int, prec: int) -> mpmath.mpc:
     """Ascend under tau -> tau+1 and tau -> -1/(n tau) until stable.
 
-    The output has |Re| <= 1/2 + 2^-20 and n|tau|^2 >= 1 - 2^-20, and its
+    Works at prec + guard bits and rounds the result to prec bits.  The
+    output has |Re| <= 1/2 + 2^-20 and n|tau|^2 >= 1 - 2^-20, and its
     imaginary part is never below the input's.
     """
-    prec = tau.prec
     with mp.workprec(prec + _GUARD):
-        z = tau.to_mpc()
+        z = mp.mpc(tau)
         if z.imag <= 0:
             raise DomainError("point must lie in the upper half plane")
         eps = mp.mpf(2) ** -24
@@ -301,40 +301,42 @@ def fricke_reduce(tau: BigComplex, n: int) -> BigComplex:
                 break
         else:
             raise DomainError("Fricke reduction did not terminate")
-    return BigComplex.from_mpc(z, prec)
+    with mp.workprec(prec):
+        return +z
 
 
-def evaluate(spec, tau, prec: int) -> BigComplex:
-    """Value of a principal modulus at tau (a CMPoint or BigComplex)."""
-    if isinstance(tau, CMPoint):
-        with mp.workprec(prec + _GUARD):
-            z = BigComplex.from_mpc(
-                (tau.u + mp.sqrt(tau.n) * mp.mpc(0, tau.v)) / tau.w, prec + _GUARD
-            )
-    else:
-        z = tau
-    if isinstance(spec, EtaQuotientHaupt):
-        with mp.workprec(prec + _GUARD):
-            t = eta_quotient(spec.spec, z, prec + _GUARD)
-            value = t.to_mpc() + spec.const_shift
-        return BigComplex.from_mpc(value, prec)
-    if isinstance(spec, FrickeSymHaupt):
-        with mp.workprec(prec + _GUARD):
-            t = eta_quotient(spec.base, z, prec + _GUARD).to_mpc()
+def evaluate(spec, tau, prec: int) -> mpmath.mpc:
+    """Value of a principal modulus at tau, rounded to prec bits.
+
+    tau is a CMPoint or any complex number in the upper half plane; the
+    value is computed at prec + guard bits.
+    """
+    with mp.workprec(prec + _GUARD):
+        if isinstance(tau, CMPoint):
+            z = (tau.u + mp.sqrt(tau.n) * mp.mpc(0, tau.v)) / tau.w
+        else:
+            z = tau
+        if isinstance(spec, EtaQuotientHaupt):
+            value = eta_quotient(spec.spec, z, prec + _GUARD) + spec.const_shift
+        elif isinstance(spec, FrickeSymHaupt):
+            t = eta_quotient(spec.base, z, prec + _GUARD)
             if t == 0:
                 raise DomainError("eta quotient vanished at the evaluation point")
             value = t + spec.kappa / t + spec.const_shift
-        return BigComplex.from_mpc(value, prec)
-    if isinstance(spec, QSeriesHaupt):
-        return _evaluate_qseries(spec, z, prec)
-    raise DomainError(f"unknown principal-modulus description {spec!r}")
+        elif isinstance(spec, QSeriesHaupt):
+            value = _evaluate_qseries(spec, z, prec)
+        else:
+            raise DomainError(f"unknown principal-modulus description {spec!r}")
+    with mp.workprec(prec):
+        return +value
 
 
-def _evaluate_qseries(series: QSeriesHaupt, z: BigComplex, prec: int) -> BigComplex:
+def _evaluate_qseries(series: QSeriesHaupt, z, prec: int) -> mpmath.mpc:
+    """The series at z, at the working precision evaluate sets (prec + guard)."""
     # a Fricke-group function is invariant under the full ascent; a level-1
     # series is too, because the flip is then an ordinary modular substitution
     if series.group == "fricke" or series.n == 1:
-        z = fricke_reduce(z, series.n)
+        z = fricke_reduce(z, series.n, prec + _GUARD)
     coeffs = series.coeffs
     # Fixed point at scale 2^w.  q is truncated to integers (error < 2^-w per
     # component), and each step q^j -> q^(j+1) truncates again, so the
@@ -343,41 +345,40 @@ def _evaluate_qseries(series: QSeriesHaupt, z: BigComplex, prec: int) -> BigComp
     # most 2^(b+1) n^2 2^-w <= 2^-(prec+_GUARD) for w as chosen below.
     b = max(map(abs, coeffs)).bit_length()
     w = prec + _GUARD + b + 2 * len(coeffs).bit_length() + 2
-    with mp.workprec(prec + _GUARD):
-        zc = z.to_mpc()
-        if zc.imag <= 0:
-            raise DomainError("point must lie in the upper half plane")
-        if series.group == "gamma0" and series.n != 1:
-            k = int(mp.nint(zc.real))
-            if k:
-                zc -= k
-        q = mp.exp(2j * mp.pi * zc)
-        qr, qi = int(mp.ldexp(q.real, w)), int(mp.ldexp(q.imag, w))
-        # a term is quiet when both components are below 2^-(prec+9), so
-        # its modulus is below 2^-(prec+8)
-        quiet_bits = w - prec - 9
-        pr, pi = 1 << w, 0
-        acc_r = acc_i = 0
-        quiet = 0
-        for k in range(1, len(coeffs)):
-            # index k holds the coefficient of q^(k-1); (pr, pi) is q^(k-1)
-            c = coeffs[k]
-            if c:
-                tr, ti = c * pr, c * pi
-                acc_r += tr
-                acc_i += ti
-            else:
-                tr, ti = pr, pi
-            pr, pi = (pr * qr - pi * qi) >> w, (pr * qi + pi * qr) >> w
-            if tr.bit_length() <= quiet_bits and ti.bit_length() <= quiet_bits:
-                quiet += 1
-                if quiet >= 32:
-                    acc = mp.mpc(mp.ldexp(acc_r, -w), mp.ldexp(acc_i, -w))
-                    return BigComplex.from_mpc(coeffs[0] / q + acc, prec)
-            else:
-                quiet = 0
-        # a term among the last 32 was at least 2^-(prec+9) with |c| < 2^b,
-        # so |q|^(have-33) > 2^-(prec+9+b) and this estimate exceeds have
-        absq = abs(q)
-        needed = int((prec + 9 + b) * mp.log(2) / -mp.log(absq)) + 64
-        raise InsufficientDataError(mp.nstr(absq, 8), len(coeffs), needed)
+    zc = mp.mpc(z)
+    if zc.imag <= 0:
+        raise DomainError("point must lie in the upper half plane")
+    if series.group == "gamma0" and series.n != 1:
+        k = int(mp.nint(zc.real))
+        if k:
+            zc -= k
+    q = mp.exp(2j * mp.pi * zc)
+    qr, qi = int(mp.ldexp(q.real, w)), int(mp.ldexp(q.imag, w))
+    # a term is quiet when both components are below 2^-(prec+9), so
+    # its modulus is below 2^-(prec+8)
+    quiet_bits = w - prec - 9
+    pr, pi = 1 << w, 0
+    acc_r = acc_i = 0
+    quiet = 0
+    for k in range(1, len(coeffs)):
+        # index k holds the coefficient of q^(k-1); (pr, pi) is q^(k-1)
+        c = coeffs[k]
+        if c:
+            tr, ti = c * pr, c * pi
+            acc_r += tr
+            acc_i += ti
+        else:
+            tr, ti = pr, pi
+        pr, pi = (pr * qr - pi * qi) >> w, (pr * qi + pi * qr) >> w
+        if tr.bit_length() <= quiet_bits and ti.bit_length() <= quiet_bits:
+            quiet += 1
+            if quiet >= 32:
+                acc = mp.mpc(mp.ldexp(acc_r, -w), mp.ldexp(acc_i, -w))
+                return coeffs[0] / q + acc
+        else:
+            quiet = 0
+    # a term among the last 32 was at least 2^-(prec+9) with |c| < 2^b,
+    # so |q|^(have-33) > 2^-(prec+9+b) and this estimate exceeds have
+    absq = abs(q)
+    needed = int((prec + 9 + b) * mp.log(2) / -mp.log(absq)) + 64
+    raise InsufficientDataError(mp.nstr(absq, 8), len(coeffs), needed)

@@ -1,17 +1,18 @@
-"""Arbitrary-precision complex arithmetic and certified integer rounding.
+"""Polynomials from complex roots and certified rounding to integers.
 
-`BigComplex` wraps a pair of mpmath floats together with the precision (in
-bits) they were produced at; arithmetic runs at the maximum precision of the
-operands.  On top of it sit polynomial construction from roots, rounding of
-near-integer coefficient vectors with a certified residual, and an
-Aberth-Ehrlich simultaneous root finder used to double-check class
-polynomials numerically.
+Values are plain `mpmath.mpc` numbers.  Every function takes the working
+precision in bits as an explicit `prec` argument and returns values rounded
+to it; arithmetic on a returned value outside an `mp.workprec` block runs at
+mpmath's global precision (53 bits by default).  The module builds monic
+polynomials from their roots, rounds near-integer coefficient vectors with a
+certified residual, and finds the roots of an integer polynomial by
+Aberth-Ehrlich simultaneous iteration, which double-checks class polynomials
+numerically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 from mpmath import mp
@@ -20,88 +21,11 @@ from .errors import ConvergenceError, DomainError, RoundingFailureError
 from .exactpoly import IntPoly, RatPoly
 
 __all__ = [
-    "BigComplex",
     "PrecisionPolicy",
     "poly_from_roots",
     "round_to_int_poly",
     "find_roots",
 ]
-
-
-@dataclass(frozen=True)
-class BigComplex:
-    """Immutable complex value with explicit binary precision."""
-
-    re: mpmath.mpf
-    im: mpmath.mpf
-    prec: int
-
-    @classmethod
-    def from_mpc(cls, z, prec: int) -> BigComplex:
-        with mp.workprec(prec):
-            return cls(mp.mpf(z.real) + 0, mp.mpf(z.imag) + 0, prec)
-
-    @classmethod
-    def from_int(cls, n: int, prec: int) -> BigComplex:
-        with mp.workprec(prec):
-            return cls(mp.mpf(n), mp.mpf(0), prec)
-
-    @classmethod
-    def from_fraction(cls, fr: Fraction, prec: int, imag: Fraction = Fraction(0)) -> BigComplex:
-        with mp.workprec(prec):
-            re = mp.mpf(fr.numerator) / fr.denominator
-            im = mp.mpf(imag.numerator) / imag.denominator
-            return cls(re, im, prec)
-
-    def to_mpc(self) -> mpmath.mpc:
-        with mp.workprec(self.prec):
-            return mpmath.mpc(self.re, self.im)
-
-    def _binary(self, other: BigComplex):
-        return max(self.prec, other.prec)
-
-    def __add__(self, other: BigComplex) -> BigComplex:
-        p = self._binary(other)
-        with mp.workprec(p):
-            return BigComplex(self.re + other.re, self.im + other.im, p)
-
-    def __sub__(self, other: BigComplex) -> BigComplex:
-        p = self._binary(other)
-        with mp.workprec(p):
-            return BigComplex(self.re - other.re, self.im - other.im, p)
-
-    def __mul__(self, other: BigComplex) -> BigComplex:
-        p = self._binary(other)
-        with mp.workprec(p):
-            return BigComplex(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-                p,
-            )
-
-    def __truediv__(self, other: BigComplex) -> BigComplex:
-        p = self._binary(other)
-        with mp.workprec(p):
-            den = other.re * other.re + other.im * other.im
-            if den == 0:
-                raise ZeroDivisionError("division by zero BigComplex")
-            return BigComplex(
-                (self.re * other.re + self.im * other.im) / den,
-                (self.im * other.re - self.re * other.im) / den,
-                p,
-            )
-
-    def __neg__(self) -> BigComplex:
-        with mp.workprec(self.prec):
-            return BigComplex(-self.re, -self.im, self.prec)
-
-    def conjugate(self) -> BigComplex:
-        with mp.workprec(self.prec):
-            return BigComplex(self.re, -self.im, self.prec)
-
-    def abs(self) -> mpmath.mpf:
-        with mp.workprec(self.prec):
-            return mp.hypot(self.re, self.im)
 
 
 @dataclass(frozen=True)
@@ -135,36 +59,34 @@ class PrecisionPolicy:
             return mp.mpf(2) ** (-self.tol_log2)
 
 
-def poly_from_roots(values: list[BigComplex]) -> list[BigComplex]:
-    """Monic polynomial with the given roots; coefficients lowest degree first."""
+def poly_from_roots(values, prec: int) -> list[mpmath.mpc]:
+    """Monic polynomial with the given roots, lowest degree first, at prec bits."""
     if not values:
         raise DomainError("need at least one root")
-    prec = max(v.prec for v in values)
-    one = BigComplex.from_int(1, prec)
-    zero = BigComplex.from_int(0, prec)
-    coeffs = [one]
-    for r in values:
-        nxt = [zero] + coeffs
-        coeffs = [nxt[k] - (coeffs[k] * r if k < len(coeffs) else zero) for k in range(len(nxt))]
+    with mp.workprec(prec):
+        coeffs = [mp.mpc(1)]
+        for r in values:
+            # multiply by (x - r): c'_k = c_(k-1) - r * c_k
+            nxt = [mp.mpc(0)] + coeffs
+            coeffs = [nxt[k] - coeffs[k] * r for k in range(len(coeffs))] + [nxt[-1]]
     return coeffs
 
 
-def round_to_int_poly(coeffs: list[BigComplex], tol) -> tuple[IntPoly, mpmath.mpf]:
+def round_to_int_poly(coeffs, tol, prec: int) -> tuple[IntPoly, mpmath.mpf]:
     """Round coefficients to nearest integers; fail if any is off by >= tol.
 
     The residual is the largest complex distance from a coefficient to its
-    rounded value (imaginary parts count in full).
+    rounded value (imaginary parts count in full), computed at prec + 8 bits.
     """
     tol = mpmath.mpf(tol)
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    prec = max(c.prec for c in coeffs)
     rounded = []
     with mp.workprec(prec + 8):
         residual = mp.mpf(0)
         for c in coeffs:
-            n = int(mpmath.nint(c.re))
-            residual = max(residual, mp.hypot(c.re - n, c.im))
+            n = int(mpmath.nint(c.real))
+            residual = max(residual, mp.hypot(c.real - n, c.imag))
             rounded.append(n)
     if residual >= tol:
         raise RoundingFailureError(residual, tol)
@@ -183,12 +105,13 @@ def _fujiwara_bound(p: IntPoly, prec: int) -> mpmath.mpf:
         return 2 * bound if bound > 0 else mp.mpf(1)
 
 
-def find_roots(p: IntPoly, prec: int) -> list[BigComplex]:
+def find_roots(p: IntPoly, prec: int) -> list[mpmath.mpc]:
     """All roots of a square-free integer polynomial, Aberth-Ehrlich iteration.
 
     Initial points sit on a circle of Fujiwara-bound radius, rotated by a
     fixed irrational angle so no initial point hits a symmetry axis.  Each
-    returned root r satisfies |p(r)| < 2^(-prec/2) * max|coeff|.
+    returned root r satisfies |p(r)| < 2^(-prec/2) * max|coeff| and is
+    rounded to prec bits.
     """
     n = p.degree
     if n < 1:
@@ -236,7 +159,8 @@ def find_roots(p: IntPoly, prec: int) -> list[BigComplex]:
                 raise ConvergenceError(
                     f"root residual {abs(_horner(p, zi))} above {limit}"
                 )
-    return [BigComplex.from_mpc(zi, prec) for zi in z]
+    with mp.workprec(prec):
+        return [+zi for zi in z]
 
 
 def _horner(p: IntPoly, x):

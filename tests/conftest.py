@@ -5,14 +5,22 @@ from __future__ import annotations
 import random
 from math import gcd
 
+import mpmath
 from mpmath import mp
 
-from cfq.numerics import BigComplex
+from cfq.quadforms import _extgcd
 
 
-def bc(re, im, prec) -> BigComplex:
+def cpx(re, im, prec) -> mpmath.mpc:
+    """re + i*im, parsed and rounded at prec bits."""
     with mp.workprec(prec):
-        return BigComplex(mp.mpf(re), mp.mpf(im), prec)
+        return mp.mpc(re, im)
+
+
+def rounded(z, prec) -> mpmath.mpc:
+    """The complex number z rounded to prec bits."""
+    with mp.workprec(prec):
+        return +z
 
 
 def brute_force_class_count(d: int) -> int:
@@ -64,20 +72,6 @@ def random_gamma0(rng: random.Random, n: int):
         if g != 1:
             continue
         return u, v, c, d
-
-
-def _extgcd(a: int, b: int):
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
 
 
 def mobius(m, tau):

@@ -1,5 +1,6 @@
 """Pipeline tests: singular values, class polynomials, Galois permutations."""
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -19,26 +20,38 @@ class TestSingularValues:
     def test_disc_71_root_sum(self):
         vals = singular_values(71, "fricke", -71, 256)
         assert len(vals.entries) == 7
-        total = vals.values()[0]
-        for v in vals.values()[1:]:
-            total = total + v
         # degree-6 coefficient of the published polynomial is 4
-        assert abs(total.to_mpc() + 4) < mp.mpf(2) ** -64
+        with mp.workprec(256):
+            total = sum(vals.values())
+            assert abs(total + 4) < mp.mpf(2) ** -64
 
     def test_disc_284_root_product(self):
         vals = singular_values(71, "fricke", -284, 256)
-        prod = vals.values()[0]
-        for v in vals.values()[1:]:
-            prod = prod * v
         # constant term -11 at odd degree 7: product of roots is +11
-        assert abs(prod.to_mpc() - 11) < mp.mpf(2) ** -64
+        with mp.workprec(256):
+            prod = mp.fprod(vals.values())
+            assert abs(prod - 11) < mp.mpf(2) ** -64
 
     def test_level2_value(self):
         vals = singular_values(2, "gamma0", -8, 128)
         assert len(vals.entries) == 1
         # eta fixed-point identity gives 64 for the raw quotient; the catalog
         # normalization adds the constant shift 24
-        assert abs(vals.values()[0].to_mpc() - 88) < mp.mpf(2) ** -96
+        assert abs(vals.values()[0] - 88) < mp.mpf(2) ** -96
+
+    def test_level71_values_bit_identical(self):
+        # sha256 over sign, mantissa and exponent of the real and imaginary
+        # parts of all 14 values: any change to a working precision or to
+        # where a value is rounded shows here
+        digest = hashlib.sha256()
+        for disc in (-71, -284):
+            for value in singular_values(71, "fricke", disc, 256).values():
+                for x in (value.real, value.imag):
+                    sign, man, exp, _ = x._mpf_
+                    digest.update(f"{sign} {man} {exp};".encode())
+        assert digest.hexdigest() == (
+            "1973ec36cb69537547ee9ab913b762c7c6d2c9fd312c954f2bb6e7b1e54cd0a4"
+        )
 
     def test_classes_pairwise_distinct(self):
         vals = singular_values(71, "fricke", -284, 128)
@@ -84,11 +97,12 @@ class TestRingClassPolynomial:
         entry = catalog_lookup(71, "fricke")
         shallow = evaluate(entry, fixed_point(EllipticElement(71, 1, -36, 2)), 160)
         deep = evaluate(entry, fixed_point(EllipticElement(71, 1, -2, 36)), 160)
-        assert (shallow - deep).abs() < mp.mpf(2) ** -32
+        with mp.workprec(160):
+            assert abs(shallow - deep) < mp.mpf(2) ** -32
         # substituting the conjugate value leaves the rounded polynomial alone
         vals = singular_values(71, "fricke", -71, 160)
         swapped = [deep] + vals.values()[1:]
-        poly, _ = round_to_int_poly(poly_from_roots(swapped), mp.mpf(2) ** -32)
+        poly, _ = round_to_int_poly(poly_from_roots(swapped, 160), mp.mpf(2) ** -32, 160)
         assert poly == H71
 
     def test_lookups_once_per_request(self, monkeypatch):
@@ -167,8 +181,8 @@ class TestGaloisPermutation:
         vals = singular_values(71, "fricke", -284, 128)
         beta = vals.class_group.classes[3]
         perm = galois_permutation(beta, vals)
-        original = sorted(str(v.to_mpc()) for v in vals.values())
-        permuted = sorted(str(vals.values()[perm[k]].to_mpc()) for k in range(7))
+        original = sorted(str(v) for v in vals.values())
+        permuted = sorted(str(vals.values()[perm[k]]) for k in range(7))
         assert original == permuted
 
     def test_disc_mismatch(self):

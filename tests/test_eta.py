@@ -8,10 +8,9 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from conftest import bc, eta_direct_series, mobius, random_sl2
+from conftest import cpx, eta_direct_series, mobius, random_sl2, rounded
 from cfq.errors import DomainError
 from cfq.eta import EtaQuotientSpec, dedekind_sum, eta, eta_quotient
-from cfq.numerics import BigComplex
 
 
 def dedekind_sum_by_definition(h: int, k: int) -> Fraction:
@@ -67,13 +66,13 @@ PREC = 128
 
 class TestEta:
     def test_translation_law(self):
-        t0 = eta(bc(0, 2, PREC), PREC).to_mpc()
-        t1 = eta(bc(1, 2, PREC), PREC).to_mpc()
+        t0 = eta(cpx(0, 2, PREC), PREC)
+        t1 = eta(cpx(1, 2, PREC), PREC)
         with mp.workprec(PREC + 16):
             assert abs(t1 / t0 - mp.exp(mp.mpc(0, 1) * mp.pi / 12)) < mp.mpf(2) ** (-PREC + 8)
 
     def test_value_at_i_against_direct_series(self):
-        got = eta(bc(0, 1, PREC), PREC).to_mpc()
+        got = eta(cpx(0, 1, PREC), PREC)
         with mp.workprec(PREC + 16):
             want = eta_direct_series(mp.mpc(0, 1), PREC)
             assert abs(got - want) < mp.mpf(2) ** (-PREC + 8)
@@ -84,15 +83,13 @@ class TestEta:
     def test_inversion_law(self):
         with mp.workprec(PREC + 16):
             tau = mp.mpc(0.5, 2)
-            lhs = eta(BigComplex.from_mpc(-1 / tau, PREC), PREC).to_mpc()
-            rhs = mp.sqrt(mp.mpc(0, -1) * tau) * eta(
-                BigComplex.from_mpc(tau, PREC), PREC
-            ).to_mpc()
+            lhs = eta(rounded(-1 / tau, PREC), PREC)
+            rhs = mp.sqrt(mp.mpc(0, -1) * tau) * eta(rounded(tau, PREC), PREC)
             assert abs(lhs - rhs) < mp.mpf(2) ** (-PREC + 10)
 
     def test_rejects_lower_half_plane(self):
         with pytest.raises(DomainError):
-            eta(bc(0, -1, PREC), PREC)
+            eta(cpx(0, -1, PREC), PREC)
 
     def test_transformation_law_500_pairs(self):
         rng = random.Random(987654)
@@ -101,8 +98,8 @@ class TestEta:
             for _ in range(500):
                 a, b, c, d = random_sl2(rng)
                 tau = mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.4, 1.8))
-                lhs = eta(BigComplex.from_mpc(mobius((a, b, c, d), tau), PREC), PREC)
-                rhs0 = eta(BigComplex.from_mpc(tau, PREC), PREC).to_mpc()
+                lhs = eta(rounded(mobius((a, b, c, d), tau), PREC), PREC)
+                rhs0 = eta(rounded(tau, PREC), PREC)
                 if c == 0:
                     factor = mp.exp(mp.mpc(0, 1) * mp.pi * (b * d) / 12)
                     rhs = factor * rhs0
@@ -112,7 +109,7 @@ class TestEta:
                     r = Fraction(a * (1 if c > 0 else -1) + dd, 12 * cc) - s - Fraction(1, 4)
                     eps = mp.exp(mp.mpc(0, 1) * mp.pi * r.numerator / r.denominator)
                     rhs = eps * mp.sqrt(cc * tau + dd) * rhs0
-                assert abs(lhs.to_mpc() - rhs) < tol
+                assert abs(lhs - rhs) < tol
 
     def test_periodicity_multiplier_chain(self):
         # 24 unit translations multiply the value by exp(24 * pi i / 12) = 1
@@ -120,10 +117,10 @@ class TestEta:
             total = mp.exp(mp.mpc(0, 1) * mp.pi * 24 / 12)
             assert abs(total - 1) < mp.mpf(2) ** (-PREC + 4)
             re0 = mp.mpf(3) / 10
-            tau0 = BigComplex(re0, mp.mpf(9) / 10, PREC)
-            tau24 = BigComplex(re0 + 24, mp.mpf(9) / 10, PREC)
-        v0 = eta(tau0, PREC).to_mpc()
-        v24 = eta(tau24, PREC).to_mpc()
+            tau0 = mp.mpc(re0, mp.mpf(9) / 10)
+            tau24 = mp.mpc(re0 + 24, mp.mpf(9) / 10)
+        v0 = eta(tau0, PREC)
+        v24 = eta(tau24, PREC)
         assert abs(v0 - v24) < mp.mpf(2) ** (-PREC + 10)
 
     def test_doubling_precision_halves_error(self):
@@ -132,8 +129,8 @@ class TestEta:
             tau_re = rng.uniform(-0.5, 0.5)
             tau_im = rng.uniform(0.3, 2.0)
             for p in (96, 128, 192):
-                lo = eta(bc(tau_re, tau_im, p), p).to_mpc()
-                hi = eta(bc(tau_re, tau_im, 2 * p), 2 * p).to_mpc()
+                lo = eta(cpx(tau_re, tau_im, p), p)
+                hi = eta(cpx(tau_re, tau_im, 2 * p), 2 * p)
                 with mp.workprec(2 * p):
                     assert abs(lo - hi) < mp.mpf(2) ** (-p + 10)
 
@@ -141,13 +138,13 @@ class TestEta:
 class TestEtaQuotient:
     def test_single_factor_equals_eta(self):
         spec = EtaQuotientSpec([(1, 1)])
-        tau = bc(0.2, 1.1, PREC)
-        assert eta_quotient(spec, tau, PREC).to_mpc() == eta(tau, PREC).to_mpc()
+        tau = cpx(0.2, 1.1, PREC)
+        assert eta_quotient(spec, tau, PREC) == eta(tau, PREC)
 
     def test_level2_against_product_oracle(self):
         spec = EtaQuotientSpec([(1, 24), (2, -24)])
-        tau = bc(0, 3, PREC)
-        got = eta_quotient(spec, tau, PREC).to_mpc()
+        tau = cpx(0, 3, PREC)
+        got = eta_quotient(spec, tau, PREC)
         with mp.workprec(PREC + 32):
             q = mp.exp(2j * mp.pi * mp.mpc(0, 3))
             prod = mp.mpf(1)
@@ -164,8 +161,8 @@ class TestEtaQuotient:
     def test_fricke_fixed_point_value(self):
         spec = EtaQuotientSpec([(1, 24), (2, -24)])
         with mp.workprec(PREC):
-            tau = BigComplex.from_mpc(mp.mpc(0, 1) / mp.sqrt(2), PREC)
-        got = eta_quotient(spec, tau, PREC).to_mpc()
+            tau = mp.mpc(0, 1) / mp.sqrt(2)
+        got = eta_quotient(spec, tau, PREC)
         assert abs(got - 64) < mp.mpf(2) ** (-PREC + 16)
 
     def test_spec_validation(self):

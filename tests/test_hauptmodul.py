@@ -6,7 +6,7 @@ import random
 import pytest
 from mpmath import mp
 
-from conftest import bc, mobius, random_gamma0
+from conftest import cpx, mobius, random_gamma0, rounded
 from cfq.elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
 from cfq.errors import (
     DataFileMissingError,
@@ -29,7 +29,6 @@ from cfq.hauptmodul import (
     fricke_reduce,
     load_qseries,
 )
-from cfq.numerics import BigComplex
 from cfq.quadforms import enumerate_class_group
 
 H284 = IntPoly([-11, 4, 18, 5, -11, -7, 0, 1])
@@ -148,34 +147,32 @@ class TestFrickeReduce:
     def test_fixed_point_is_stable(self):
         for n in (2, 5, 71):
             with mp.workprec(160):
-                tau = BigComplex.from_mpc(mp.mpc(0, 1) / mp.sqrt(n), 160)
-            out = fricke_reduce(tau, n)
-            assert abs(out.to_mpc() - tau.to_mpc()) < mp.mpf(2) ** -140
+                tau = mp.mpc(0, 1) / mp.sqrt(n)
+            out = fricke_reduce(tau, n, 160)
+            assert abs(out - tau) < mp.mpf(2) ** -140
 
     def test_translation_then_stable(self):
         n = 5
         with mp.workprec(160):
-            tau = BigComplex.from_mpc(3 + mp.mpc(0, 1) / mp.sqrt(n), 160)
+            tau = 3 + mp.mpc(0, 1) / mp.sqrt(n)
             want = mp.mpc(0, 1) / mp.sqrt(n)
-        out = fricke_reduce(tau, n)
-        assert abs(out.to_mpc() - want) < mp.mpf(2) ** -140
+        out = fricke_reduce(tau, n, 160)
+        assert abs(out - want) < mp.mpf(2) ** -140
 
     def test_monotone_ascent_from_deep_point(self):
         with mp.workprec(192):
-            tau = BigComplex.from_mpc((-71 + mp.sqrt(71) * mp.mpc(0, 1)) / 2556, 192)
-        out = fricke_reduce(tau, 71)
-        assert out.to_mpc().imag > tau.to_mpc().imag
+            tau = (-71 + mp.sqrt(71) * mp.mpc(0, 1)) / 2556
+        out = fricke_reduce(tau, 71, 192)
+        assert out.imag > tau.imag
 
     def test_output_window(self):
         rng = random.Random(5150)
         n = 7
         with mp.workprec(160):
             for _ in range(40):
-                tau = BigComplex.from_mpc(
-                    mp.mpc(rng.uniform(-3, 3), rng.uniform(0.01, 2)), 160
-                )
-                out = fricke_reduce(tau, n).to_mpc()
-                assert out.imag >= tau.to_mpc().imag - mp.mpf(2) ** -100
+                tau = mp.mpc(rng.uniform(-3, 3), rng.uniform(0.01, 2))
+                out = fricke_reduce(tau, n, 160)
+                assert out.imag >= tau.imag - mp.mpf(2) ** -100
                 assert abs(out.real) <= 0.5 + mp.mpf(2) ** -20
                 assert n * (out.real**2 + out.imag**2) >= 1 - mp.mpf(2) ** -20
 
@@ -187,15 +184,15 @@ class TestEvaluate:
     def test_fricke_sym_level2_fixed_point(self):
         entry = catalog_lookup(2, "fricke")
         with mp.workprec(PREC):
-            tau = BigComplex.from_mpc(mp.mpc(0, 1) / mp.sqrt(2), PREC)
-        value = evaluate(entry, tau, PREC).to_mpc()
+            tau = mp.mpc(0, 1) / mp.sqrt(2)
+        value = evaluate(entry, tau, PREC)
         assert abs(value - 152) < mp.mpf(2) ** (-PREC + 24)
 
     def test_eta_quotient_normalized_expansion(self):
         # at tau = 4i the shifted level-2 entry equals q^-1 + 276 q + O(q^2)
         entry = catalog_lookup(2, "gamma0")
-        tau = bc(0, 4, PREC)
-        value = evaluate(entry, tau, PREC).to_mpc()
+        tau = cpx(0, 4, PREC)
+        value = evaluate(entry, tau, PREC)
         with mp.workprec(PREC + 16):
             q = mp.exp(-8 * mp.pi)
             assert abs(value - (1 / q + 276 * q)) < 3000 * q * q
@@ -204,17 +201,17 @@ class TestEvaluate:
         entry = catalog_lookup(71, "fricke")
         value = evaluate(entry, fixed_point(EllipticElement(71, 0, -1, 1)), 128)
         with mp.workprec(160):
-            x = value.to_mpc()
             acc = mp.mpc(0)
             for c in reversed(H284.coeffs):
-                acc = acc * x + c
+                acc = acc * value + c
             assert abs(acc) < mp.mpf(2) ** -40
 
     def test_qseries_invariance_at_conjugate_points(self):
         entry = catalog_lookup(71, "fricke")
         v_small = evaluate(entry, fixed_point(EllipticElement(71, 1, -36, 2)), 128)
         v_deep = evaluate(entry, fixed_point(EllipticElement(71, 1, -2, 36)), 128)
-        assert (v_small - v_deep).abs() < mp.mpf(2) ** -32
+        with mp.workprec(128):
+            assert abs(v_small - v_deep) < mp.mpf(2) ** -32
 
     def test_qseries_insufficient_data(self, tmp_path):
         body = "\n".join(["# label=SHORT level=71 group=fricke q_min=-1"]
@@ -230,13 +227,13 @@ class TestEvaluate:
 
     def test_level1_series_at_i(self):
         entry = catalog_lookup(1, "gamma0")
-        value = evaluate(entry, CMPoint(0, 1, 1, 1), PREC).to_mpc()
+        value = evaluate(entry, CMPoint(0, 1, 1, 1), PREC)
         assert abs(value - 984) < mp.mpf(2) ** (-PREC + 40)
 
     def test_rejects_lower_half_plane(self):
         entry = catalog_lookup(2, "gamma0")
         with pytest.raises(DomainError):
-            evaluate(entry, bc(0, -1, PREC), PREC)
+            evaluate(entry, cpx(0, -1, PREC), PREC)
 
 
 # the 14 level-71 representatives of discs -71 and -284, at each precision
@@ -268,7 +265,7 @@ def _reference_sum(level, group, tau):
 
 def _check_against_reference(level, group, tau, prec):
     entry = catalog_lookup(level, group)
-    got = evaluate(entry, tau, prec).to_mpc()
+    got = evaluate(entry, tau, prec)
     ref = _reference_sum(level, group, tau)
     with mp.workprec(REF_PREC):
         assert abs(got - ref) <= mp.mpf(2) ** -(prec - 8) * max(1, abs(ref))
@@ -303,7 +300,7 @@ class TestQSeriesKernel:
 
 def _evaluate_at(entry, z, prec):
     # extra input bits keep the point rounding below the comparison tolerance
-    return evaluate(entry, BigComplex.from_mpc(z, prec + 32), prec).to_mpc()
+    return evaluate(entry, rounded(z, prec + 32), prec)
 
 
 class TestCatalogValidation:
@@ -348,8 +345,6 @@ class TestCatalogValidation:
         with mp.workprec(PREC + 32):
             for _ in range(20):
                 tau = mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.7, 1.8))
-                t1 = eta_quotient(entry.base, BigComplex.from_mpc(tau, PREC), PREC).to_mpc()
-                t2 = eta_quotient(
-                    entry.base, BigComplex.from_mpc(-1 / (n * tau), PREC), PREC
-                ).to_mpc()
+                t1 = eta_quotient(entry.base, rounded(tau, PREC), PREC)
+                t2 = eta_quotient(entry.base, rounded(-1 / (n * tau), PREC), PREC)
                 assert abs(t1 * t2 - entry.kappa) < tol * entry.kappa

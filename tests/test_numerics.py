@@ -1,13 +1,15 @@
-"""BigComplex arithmetic, polynomial assembly, rounding, root finding."""
+"""Polynomial assembly, rounding, root finding, and the precision contract."""
 
 import pytest
 from mpmath import mp
 
-from conftest import bc
+from conftest import cpx
+from cfq.elliptic import EllipticElement, fixed_point
 from cfq.errors import DomainError, RoundingFailureError
+from cfq.eta import EtaQuotientSpec, eta, eta_quotient
 from cfq.exactpoly import IntPoly, LaurentExpr, verify_root_relation
+from cfq.hauptmodul import catalog_lookup, evaluate, fricke_reduce
 from cfq.numerics import (
-    BigComplex,
     PrecisionPolicy,
     find_roots,
     poly_from_roots,
@@ -18,81 +20,55 @@ H284 = IntPoly([-11, 4, 18, 5, -11, -7, 0, 1])
 WEBER = IntPoly([-1, -1, 1, 1, 1, -1, -2, 1])
 
 
-class TestBigComplex:
-    def test_operations_at_max_precision(self):
-        x = bc(1.5, 0, 128)
-        y = bc(2, 1, 256)
-        assert (x + y).prec == 256
-        assert (x * y).prec == 256
-
-    def test_division(self):
-        x = bc(1, 1, 128)
-        q = x / x
-        assert abs(q.re - 1) < mp.mpf(2) ** -120 and abs(q.im) < mp.mpf(2) ** -120
-        with pytest.raises(ZeroDivisionError):
-            x / bc(0, 0, 128)
-
-    def test_negation_and_conjugate_keep_precision(self):
-        with mp.workprec(256):
-            z = BigComplex.from_mpc(mp.mpc(1, 2) / 3, 256)
-        # sums, not negations, so the check itself cannot round to 53 bits
-        assert (-z).re + z.re == 0 and (-z).im + z.im == 0
-        assert z.conjugate().re == z.re and z.conjugate().im + z.im == 0
-
-    def test_exact_small_integers(self):
-        v = BigComplex.from_int(7, 96)
-        assert v.re == 7 and v.im == 0 and v.prec == 96
-
-
 class TestPolyFromRoots:
     def test_two_real_roots(self):
-        coeffs = poly_from_roots([bc(1, 0, 128), bc(2, 0, 128)])
-        vals = [c.re for c in coeffs]
+        coeffs = poly_from_roots([cpx(1, 0, 128), cpx(2, 0, 128)], 128)
+        vals = [c.real for c in coeffs]
         assert [int(round(float(v))) for v in vals] == [2, -3, 1]
 
     def test_conjugate_pair(self):
-        coeffs = poly_from_roots([bc(0, 1, 128), bc(0, -1, 128)])
-        rounded, residual = round_to_int_poly(coeffs, mp.mpf(2) ** -32)
-        assert rounded == IntPoly([1, 0, 1])
+        coeffs = poly_from_roots([cpx(0, 1, 128), cpx(0, -1, 128)], 128)
+        poly, residual = round_to_int_poly(coeffs, mp.mpf(2) ** -32, 128)
+        assert poly == IntPoly([1, 0, 1])
         assert residual < mp.mpf(2) ** -120
 
     def test_conjugation_closed_imag_bound(self):
         prec = 160
-        roots = [bc(0.5, 1.25, prec), bc(0.5, -1.25, prec),
-                 bc(-2, 0.75, prec), bc(-2, -0.75, prec), bc(3, 0, prec)]
-        coeffs = poly_from_roots(roots)
+        roots = [cpx(0.5, 1.25, prec), cpx(0.5, -1.25, prec),
+                 cpx(-2, 0.75, prec), cpx(-2, -0.75, prec), cpx(3, 0, prec)]
+        coeffs = poly_from_roots(roots, prec)
         bound = mp.mpf(2) ** (-prec + 3 + 4)
-        assert all(abs(c.im) < bound for c in coeffs)
+        assert all(abs(c.imag) < bound for c in coeffs)
 
 
 class TestRoundToIntPoly:
     def test_near_integers(self):
-        coeffs = [bc("2.0000000001", 0, 128), bc("-3.0000000002", 0, 128)]
-        poly, residual = round_to_int_poly(coeffs, 1e-6)
+        coeffs = [cpx("2.0000000001", 0, 128), cpx("-3.0000000002", 0, 128)]
+        poly, residual = round_to_int_poly(coeffs, 1e-6, 128)
         assert poly == IntPoly([2, -3])
         assert mp.mpf("0.9e-10") < residual < mp.mpf("3e-10")
 
     def test_failure_carries_residual(self):
         with pytest.raises(RoundingFailureError) as exc:
-            round_to_int_poly([bc(0.5, 0, 128), bc(1, 0, 128)], 1e-6)
+            round_to_int_poly([cpx(0.5, 0, 128), cpx(1, 0, 128)], 1e-6, 128)
         assert abs(exc.value.residual - mp.mpf("0.5")) < 1e-12
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(DomainError):
-            round_to_int_poly([bc(1, 0, 128)], 0)
+            round_to_int_poly([cpx(1, 0, 128)], 0, 128)
 
 
 class TestFindRoots:
     def test_quadratic(self):
         roots = find_roots(IntPoly([1, 0, 1]), 128)
-        got = sorted((float(r.re), float(r.im)) for r in roots)
+        got = sorted((float(r.real), float(r.imag)) for r in roots)
         assert abs(got[0][1] + 1) < 1e-30 and abs(got[1][1] - 1) < 1e-30
 
     def test_cube_roots_of_unity(self):
         roots = find_roots(IntPoly([-1, 0, 0, 1]), 128)
         with mp.workprec(160):
             for r in roots:
-                assert abs(r.to_mpc() ** 3 - 1) < mp.mpf(2) ** -60
+                assert abs(r**3 - 1) < mp.mpf(2) ** -60
 
     def test_rejects_repeated_roots(self):
         with pytest.raises(DomainError):
@@ -102,7 +78,7 @@ class TestFindRoots:
         prec = 128
         roots = find_roots(WEBER, prec)
         with mp.workprec(prec + 16):
-            for beta in (r.to_mpc() for r in roots):
+            for beta in roots:
                 image = beta**2 - 1 - 1 / beta
                 value = mp.mpc(0)
                 for c in reversed(H284.coeffs):
@@ -114,8 +90,8 @@ class TestFindRoots:
     def test_roots_then_reassembly(self):
         prec = 160
         roots = find_roots(H284, prec)
-        coeffs = poly_from_roots(roots)
-        poly, residual = round_to_int_poly(coeffs, mp.mpf(2) ** -32)
+        coeffs = poly_from_roots(roots, prec)
+        poly, residual = round_to_int_poly(coeffs, mp.mpf(2) ** -32, prec)
         assert poly == H284
         assert residual < mp.mpf(2) ** (-prec // 2)
         # successful rounding implies the integer polynomial nearly vanishes
@@ -125,7 +101,7 @@ class TestFindRoots:
             for r in roots:
                 value = mp.mpc(0)
                 for c in reversed(poly.coeffs):
-                    value = value * r.to_mpc() + c
+                    value = value * r + c
                 assert abs(value) < mp.mpf(2) ** (-prec // 4) * norm
 
 
@@ -143,3 +119,51 @@ class TestPrecisionPolicy:
 
     def test_tolerance(self):
         assert PrecisionPolicy().tolerance(128) == mp.mpf(2) ** -32
+
+
+PRECS = (128, 256, 448)
+
+
+def _assert_rounded(value, prec):
+    for x in (value.real, value.imag):
+        assert x._mpf_[3] <= prec, (x, prec)
+
+
+class TestPrecisionContract:
+    """Each value-returning function rounds its result to the prec it is given.
+
+    Inputs carry more bits than the requested precision, so a function that
+    forgot to round would return them.
+    """
+
+    @pytest.mark.parametrize("prec", PRECS)
+    def test_evaluate_level71(self, prec):
+        # the C = 2 point: the shipped data supports 448 bits there
+        tau = fixed_point(EllipticElement(71, 1, -36, 2))
+        _assert_rounded(evaluate(catalog_lookup(71, "fricke"), tau, prec), prec)
+
+    @pytest.mark.parametrize("prec", PRECS)
+    def test_evaluate_at_complex_point(self, prec):
+        tau = cpx("0.1", "1.3", 2 * prec)
+        for level, group in [(2, "gamma0"), (2, "fricke"), (1, "gamma0")]:
+            _assert_rounded(evaluate(catalog_lookup(level, group), tau, prec), prec)
+
+    @pytest.mark.parametrize("prec", PRECS)
+    def test_eta_and_eta_quotient(self, prec):
+        tau = cpx("0.1", "1.3", 2 * prec)
+        _assert_rounded(eta(tau, prec), prec)
+        _assert_rounded(eta_quotient(EtaQuotientSpec([(1, 6), (5, -6)]), tau, prec), prec)
+
+    @pytest.mark.parametrize("prec", PRECS)
+    def test_fricke_reduce(self, prec):
+        with mp.workprec(2 * prec):
+            tau = (-71 + mp.sqrt(71) * mp.mpc(0, 1)) / 2556
+        _assert_rounded(fricke_reduce(tau, 71, prec), prec)
+
+    @pytest.mark.parametrize("prec", PRECS)
+    def test_find_roots_and_poly_from_roots(self, prec):
+        roots = find_roots(H284, prec)
+        for r in roots:
+            _assert_rounded(r, prec)
+        for c in poly_from_roots(roots, prec):
+            _assert_rounded(c, prec)

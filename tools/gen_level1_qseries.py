@@ -9,41 +9,13 @@ known values.
 
 from pathlib import Path
 
+from gen_fricke71_qseries import conv, pentagonal_unit
+
 N_COEFFS = 512
 LEN = N_COEFFS + 4
 
 HERE = Path(__file__).resolve().parent
 OUT = HERE.parent / "src" / "cfq" / "data" / "gamma0_1.qseries"
-
-
-def conv(a, b, length):
-    out = [0] * length
-    for i, ai in enumerate(a):
-        if not ai or i >= length:
-            continue
-        top = min(len(b), length - i)
-        for j in range(top):
-            if b[j]:
-                out[i + j] += ai * b[j]
-    return out
-
-
-def pentagonal_unit(length):
-    out = [0] * length
-    out[0] = 1
-    k = 1
-    while True:
-        e1 = k * (3 * k - 1) // 2
-        e2 = k * (3 * k + 1) // 2
-        if e1 >= length and e2 >= length:
-            break
-        s = -1 if k % 2 else 1
-        if e1 < length:
-            out[e1] = s
-        if e2 < length:
-            out[e2] = s
-        k += 1
-    return out
 
 
 def main():
