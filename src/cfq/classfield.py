@@ -1,12 +1,17 @@
 """End-to-end pipeline: singular values, class polynomials, Galois action.
 
 `singular_values` evaluates a catalog principal modulus at one elliptic fixed
-point per ideal class; `ring_class_polynomial` multiplies out the monic
-polynomial with those roots and rounds it to integers under a precision
-escalation contract (double the working precision until two consecutive
-precisions round to the same integer polynomial).  The Galois side of the
-theory is realized combinatorially: `galois_permutation` translates the class
-list by a fixed class through form composition.
+point per ideal class.  Every catalog q-expansion has rational coefficients,
+so t(1 - conj(tau)) = conj(t(tau)); when the representatives of a class and
+of its inverse fix such a mirror pair of points (up to a translation), only
+the first is evaluated and the second gets the exact conjugate, so a class
+group with few ambiguous classes costs about half its h evaluations.
+`ring_class_polynomial` multiplies out the monic polynomial with those roots
+and rounds it to integers under a precision escalation contract (double the
+working precision until two consecutive precisions round to the same integer
+polynomial).  The Galois side of the theory is realized combinatorially:
+`galois_permutation` translates the class list by a fixed class through form
+composition.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import mpmath
+from mpmath import mp
 
 from .elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
 from .errors import (
@@ -100,6 +106,12 @@ def singular_values(
     `spec`, `class_group` and `reps` let a caller that evaluates the same
     (level, group, disc) at several precisions look each of them up once;
     any left out is computed here.
+
+    A class whose inverse comes earlier in the list reuses the inverse's
+    value, conjugated, when the two representatives are mirror images: the
+    same C and A + A' = 0 mod C, so that the fixed points differ by
+    1 - conj(tau) up to an integer translation.  Any other pair of
+    representatives is evaluated directly.
     """
     if spec is None:
         spec = catalog_lookup(n, group, data_dir)
@@ -107,9 +119,16 @@ def singular_values(
     if reps is None:
         reps = enumerate_representatives(n, disc, cg)
     entries = []
-    for cls, alpha in zip(cg.classes, reps):
+    for i, (cls, alpha) in enumerate(zip(cg.classes, reps)):
         tau = fixed_point(alpha)
-        value = evaluate(spec, tau, prec)
+        j = cg.inverse_idx(i)
+        mirror = reps[j]
+        if j < i and mirror.C == alpha.C and (alpha.A + mirror.A) % alpha.C == 0:
+            # conjugating outside workprec would round to mpmath's global 53 bits
+            with mp.workprec(prec):
+                value = mp.conj(entries[j][3])
+        else:
+            value = evaluate(spec, tau, prec)
         entries.append((cls, alpha, tau, value))
     return SingularValueSet(n, group, disc, tuple(entries), prec, cg)
 

@@ -5,14 +5,16 @@ Arbitrary-magnitude integers are Python ints and rationals are
 the two scalar types carry their invariants for free.  Polynomials are dense,
 lowest degree first, with a nonzero leading coefficient unless zero.
 
-The residue-ring operations (`polymod_reduce`, `polymod_invert`,
-`verify_root_relation`) work over the rationals by exact long division and
-the extended Euclidean algorithm; there is no rounding anywhere in this
-module.
+The residue-ring operations `polymod_reduce` and `polymod_invert` work over
+the rationals by exact long division and the extended Euclidean algorithm.
+`verify_root_relation` works in integers only: it makes the modulus monic by
+scaling the variable, and carries one common denominator.  There is no
+rounding anywhere in this module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -232,31 +234,64 @@ def polymod_invert(g: RatPoly, m: RatPoly) -> RatPoly:
     return polymod_reduce(inv, m)
 
 
+def _mulmod(f: list[int], g: list[int], m: list[int]) -> list[int]:
+    """f * g reduced modulo the monic x^d + m[d-1] x^(d-1) + ... + m[0]."""
+    d = len(m)
+    out = [0] * max(d, len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    for top in range(len(out) - 1, d - 1, -1):
+        c = out[top]
+        if c:
+            base = top - d
+            for j, mj in enumerate(m):
+                out[base + j] -= c * mj
+    del out[d:]
+    return out
+
+
 def verify_root_relation(expr: LaurentExpr, target: IntPoly, modulus: IntPoly) -> bool:
     """Decide whether expr(beta) is a root of target, for beta a root of modulus.
 
-    The expression is evaluated in Q[x]/(modulus) with negative powers of beta
-    interpreted through `polymod_invert`, then substituted into target; the
-    relation holds iff the final residue is exactly zero.
+    Works in Z[y]/(m~) for the monic m~(y) = a^(d-1) modulus(y/a), where a is
+    the leading coefficient and d the degree, so that y = a*beta.  Then
+    beta = y/a and beta^-1 = a*u/m~(0) with u = -(m~ - m~(0))/y, and
+    expr(beta) = N/D for an integer residue N and one integer D != 0.  The
+    relation holds iff D^deg(target) * target(N/D), summed by homogeneous
+    Horner, is the zero residue.
     """
-    m = modulus.to_rat()
-    _require_modulus(m)
-    x = RatPoly([0, 1])
-    if expr.min_exponent() < 0:
-        if modulus[0] == 0:
-            raise NonInvertibleError(
-                "modulus has zero constant term; negative powers are undefined"
-            )
-        xinv = polymod_invert(x, m)
-    value = RatPoly(())
+    _require_modulus(modulus)
+    d = modulus.degree
+    a = modulus.coeffs[-1]
+    # m~ without its leading 1, lowest degree first
+    mt = [c * a ** (d - 1 - k) for k, c in enumerate(modulus.coeffs[:-1])]
+    pos = max([0] + [e for e, _ in expr.terms])
+    neg = max(0, -expr.min_exponent())
+    if neg and mt[0] == 0:
+        raise NonInvertibleError(
+            "modulus has zero constant term; negative powers are undefined"
+        )
+    y = _mulmod([1], [0, 1], mt)
+    u = [-c for c in mt[1:]] + [-1]
+    lcm = math.lcm(*(c.denominator for _, c in expr.terms))
+    # D = lcm * a^pos * m~(0)^neg, and c*beta^e*D is the integer
+    # c*lcm * a^(pos-e) * m~(0)^(neg-k) times y^e (e >= 0) or u^k (k = -e > 0)
+    den = lcm * a**pos * mt[0] ** neg
+    num = [0] * d
     for e, c in expr.terms:
-        base, k = (x, e) if e >= 0 else (xinv, -e)
-        power = RatPoly([1])
-        for _ in range(k):
-            power = polymod_reduce(power * base, m)
-        value = value + power.scale(c)
-    value = polymod_reduce(value, m)
-    acc = RatPoly(())
+        k = max(0, -e)
+        scale = c.numerator * (lcm // c.denominator) * a ** (pos - e) * mt[0] ** (neg - k)
+        power = [1]
+        for _ in range(abs(e)):
+            power = _mulmod(power, y if e > 0 else u, mt)
+        for i, p in enumerate(power):
+            num[i] += scale * p
+    acc: list[int] = []
+    den_power = 1
     for c in reversed(target.coeffs):
-        acc = polymod_reduce(acc * value, m) + RatPoly([Fraction(c)])
-    return polymod_reduce(acc, m).is_zero()
+        acc = _mulmod(acc, num, mt)
+        acc[0] += c * den_power
+        den_power *= den
+    return not any(acc)

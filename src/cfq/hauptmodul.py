@@ -21,8 +21,9 @@ eta itself reduces its argument.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from pathlib import Path
 
@@ -114,6 +115,12 @@ class QSeriesHaupt:
     group: str
     q_min: int
     coeffs: tuple[int, ...]
+    # bit length of the largest |coefficient|, which sizes the fixed-point sum
+    coeff_bits: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        bits = max(map(abs, self.coeffs), default=0).bit_length()
+        object.__setattr__(self, "coeff_bits", bits)
 
 
 def _kappa(n: int, terms) -> int:
@@ -151,42 +158,50 @@ def load_qseries(path) -> QSeriesHaupt:
 
     Line 1: "# label=<text> level=<int> group=<gamma0|fricke> q_min=-1".
     Every further non-blank line that does not start with '#' holds one
-    decimal integer; the first is the coefficient of q^-1.
+    decimal integer; the first is the coefficient of q^-1.  The file is read
+    on every call, and parsed once per process for each content.
     """
     path = Path(path)
-    with path.open(encoding="utf-8") as lines:
-        header = next(lines, "")
-        if not header.startswith("#"):
-            raise QSeriesFormatError("header", f"{path}: missing header line")
-        fields = {}
-        for token in header[1:].split():
-            if "=" not in token:
-                raise QSeriesFormatError("header", f"{path}: bad header token {token!r}")
-            key, _, value = token.partition("=")
-            fields[key] = value
-        for key in ("label", "level", "group", "q_min"):
-            if key not in fields:
-                raise QSeriesFormatError("header", f"{path}: header lacks {key}=")
+    return _parse_qseries(str(path), path.read_text(encoding="utf-8"))
+
+
+# Keyed on the file's content, not on its mtime, so a rewrite that keeps the
+# size and lands within the timestamp granularity is never served stale.
+@lru_cache(maxsize=8)
+def _parse_qseries(path: str, text: str) -> QSeriesHaupt:
+    lines = text.split("\n")
+    header = lines[0]
+    if not header.startswith("#"):
+        raise QSeriesFormatError("header", f"{path}: missing header line")
+    fields = {}
+    for token in header[1:].split():
+        if "=" not in token:
+            raise QSeriesFormatError("header", f"{path}: bad header token {token!r}")
+        key, _, value = token.partition("=")
+        fields[key] = value
+    for key in ("label", "level", "group", "q_min"):
+        if key not in fields:
+            raise QSeriesFormatError("header", f"{path}: header lacks {key}=")
+    try:
+        level = int(fields["level"])
+        q_min = int(fields["q_min"])
+    except ValueError as exc:
+        raise QSeriesFormatError("header", f"{path}: non-integer header field") from exc
+    if fields["group"] not in ("gamma0", "fricke"):
+        raise QSeriesFormatError("header", f"{path}: group must be gamma0|fricke")
+    if q_min != -1:
+        raise QSeriesFormatError("q_min", f"{path}: q_min must be -1, got {q_min}")
+    coeffs = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
         try:
-            level = int(fields["level"])
-            q_min = int(fields["q_min"])
+            coeffs.append(int(line))
         except ValueError as exc:
-            raise QSeriesFormatError("header", f"{path}: non-integer header field") from exc
-        if fields["group"] not in ("gamma0", "fricke"):
-            raise QSeriesFormatError("header", f"{path}: group must be gamma0|fricke")
-        if q_min != -1:
-            raise QSeriesFormatError("q_min", f"{path}: q_min must be -1, got {q_min}")
-        coeffs = []
-        for lineno, raw in enumerate(lines, start=2):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                coeffs.append(int(line))
-            except ValueError as exc:
-                raise QSeriesFormatError(
-                    "coefficient", f"{path}:{lineno}: not an integer: {line!r}"
-                ) from exc
+            raise QSeriesFormatError(
+                "coefficient", f"{path}:{lineno}: not an integer: {line!r}"
+            ) from exc
     if len(coeffs) < 64:
         raise QSeriesFormatError(
             "too_few", f"{path}: only {len(coeffs)} coefficients, need at least 64"
@@ -343,7 +358,7 @@ def _evaluate_qseries(series: QSeriesHaupt, z, prec: int) -> mpmath.mpc:
     # computed power p_j satisfies |p_j - q^j| < 4j * 2^-w while |q| < 1.
     # Summing |c_j| |p_j - q^j| with |c_j| < 2^b over j < n < 2^l gives at
     # most 2^(b+1) n^2 2^-w <= 2^-(prec+_GUARD) for w as chosen below.
-    b = max(map(abs, coeffs)).bit_length()
+    b = series.coeff_bits
     w = prec + _GUARD + b + 2 * len(coeffs).bit_length() + 2
     zc = mp.mpc(z)
     if zc.imag <= 0:

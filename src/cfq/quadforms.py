@@ -2,14 +2,15 @@
 
 Covers Gauss reduction with transformation tracking, SL2(Z)-equivalence,
 composition of ideal classes by the united-forms method, brute-force class
-group enumeration, and the transformation of a form into "Fricke shape"
-(level dividing the outer coefficients) used to read off order-2 elliptic
-elements.
+group enumeration (the Cayley table is composed only when first read), and
+the transformation of a form into "Fricke shape" (level dividing the outer
+coefficients) used to read off order-2 elliptic elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, isqrt
 
 from .errors import DomainError, SearchFailureError
@@ -277,7 +278,22 @@ class ClassGroup:
 
     disc: int
     classes: tuple[IdealClass, ...]
-    table: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def _index(self) -> dict[QuadForm, int]:
+        return {cls.rep: k for k, cls in enumerate(self.classes)}
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """Cayley table by index, built by h^2 compositions on first use."""
+        index = self._index
+        table = tuple(
+            tuple(index[compose(x, y).rep] for y in self.classes) for x in self.classes
+        )
+        for i in range(len(self.classes)):
+            assert table[0][i] == i and table[i][0] == i
+            assert sorted(table[i]) == list(range(len(self.classes)))
+        return table
 
     @property
     def class_number(self) -> int:
@@ -294,7 +310,9 @@ class ClassGroup:
         return self.table[i][j]
 
     def inverse_idx(self, i: int) -> int:
-        return self.index_of(self.classes[i].inverse())
+        # the inverse of a reduced (a, b, c) is (a, -b, c), itself reduced
+        # unless the class is ambiguous, and then the class is its own inverse
+        return self._index.get(self.classes[i].rep.inverse(), i)
 
 
 def enumerate_class_group(d: int | Discriminant) -> ClassGroup:
@@ -319,15 +337,7 @@ def enumerate_class_group(d: int | Discriminant) -> ClassGroup:
                 forms.append(form)
     forms.sort(key=lambda f: (f.a, abs(f.b), 0 if f.b >= 0 else 1))
     assert forms[0] == principal_form(d)
-    classes = tuple(IdealClass(f) for f in forms)
-    index = {cls.rep: k for k, cls in enumerate(classes)}
-    table = tuple(
-        tuple(index[compose(x, y).rep] for y in classes) for x in classes
-    )
-    for i in range(len(classes)):
-        assert table[0][i] == i and table[i][0] == i
-        assert sorted(table[i]) == list(range(len(classes)))
-    return ClassGroup(d, classes, table)
+    return ClassGroup(d, tuple(IdealClass(f) for f in forms))
 
 
 def to_fricke_shape(g: QuadForm, n: int) -> QuadForm:

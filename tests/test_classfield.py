@@ -7,10 +7,12 @@ import pytest
 from mpmath import mp
 
 from cfq.classfield import galois_permutation, ring_class_polynomial, singular_values
+from cfq.elliptic import EllipticElement, enumerate_representatives, fixed_point
 from cfq.errors import DomainError, EscalationFailureError
 from cfq.exactpoly import IntPoly
-from cfq.numerics import PrecisionPolicy
-from cfq.quadforms import IdealClass, QuadForm, enumerate_class_group
+from cfq.hauptmodul import catalog_lookup, evaluate
+from cfq.numerics import PrecisionPolicy, poly_from_roots, round_to_int_poly
+from cfq.quadforms import IdealClass, QuadForm, enumerate_class_group, reduce_form
 
 H71 = IntPoly([1, 0, -2, -3, 1, 5, 4, 1])
 H284 = IntPoly([-11, 4, 18, 5, -11, -7, 0, 1])
@@ -57,6 +59,76 @@ class TestSingularValues:
         vals = singular_values(71, "fricke", -284, 128)
         reps = [cls.rep for cls, _, _, _ in vals.entries]
         assert len(set(reps)) == len(reps)
+
+
+def _same_bits(x, y) -> bool:
+    return x.real._mpf_ == y.real._mpf_ and x.imag._mpf_ == y.imag._mpf_
+
+
+@pytest.fixture
+def evaluate_calls(monkeypatch):
+    """A list that grows by one entry per evaluate call singular_values makes."""
+    import cfq.classfield
+
+    calls = []
+    original = cfq.classfield.evaluate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cfq.classfield, "evaluate", counted)
+    return calls
+
+
+class TestInversePairs:
+    """One evaluation per {class, inverse} pair, the other value conjugated."""
+
+    @pytest.mark.parametrize("disc", [-71, -284])
+    def test_four_evaluations_for_seven_classes(self, disc, evaluate_calls):
+        singular_values(71, "fricke", disc, 256)
+        # the principal class and one class of each of the three pairs
+        assert len(evaluate_calls) == 4
+
+    @pytest.mark.parametrize("prec", [128, 256])
+    @pytest.mark.parametrize("disc", [-71, -284])
+    def test_conjugates_bit_identical_to_evaluation(self, disc, prec):
+        vals = singular_values(71, "fricke", disc, prec)
+        spec = catalog_lookup(71, "fricke")
+        cg = vals.class_group
+        conjugated = 0
+        for i, (_cls, _alpha, tau, value) in enumerate(vals.entries):
+            if cg.inverse_idx(i) < i:
+                conjugated += 1
+                assert _same_bits(value, evaluate(spec, tau, prec)), i
+        assert conjugated == 3
+
+    def test_non_mirror_representative_is_evaluated(self, evaluate_calls):
+        cg = enumerate_class_group(-71)
+        reps = enumerate_representatives(71, -71, cg)
+        k = next(i for i in range(7) if cg.inverse_idx(i) < i)
+        # a deeper element of the same class, so no longer the mirror image
+        # of its inverse's representative
+        deeper = (
+            EllipticElement(71, a, -(1 + 71 * a * a) // c, c)
+            for c in range(reps[k].C + 1, 400)
+            for a in range(c)
+            if (1 + 71 * a * a) % c == 0
+        )
+        other = next(
+            el for el in deeper
+            if reduce_form(el.primitive_form())[0] == cg.classes[k].rep
+        )
+        mixed = reps[:k] + [other] + reps[k + 1:]
+        vals = singular_values(71, "fricke", -71, 256, class_group=cg, reps=mixed)
+        assert len(evaluate_calls) == 5
+        assert vals.entries[k][1] == other
+        direct = evaluate(catalog_lookup(71, "fricke"), fixed_point(other), 256)
+        assert _same_bits(vals.values()[k], direct)
+        poly, _ = round_to_int_poly(
+            poly_from_roots(vals.values(), 256), mp.mpf(2) ** -32, 256
+        )
+        assert poly == H71
 
 
 class TestRingClassPolynomial:

@@ -12,6 +12,7 @@ from cfq.elliptic import (
     order_of,
 )
 from cfq.errors import DomainError
+from cfq.hauptmodul import FRICKE_LEVELS, GAMMA0_LEVELS
 from cfq.quadforms import QuadForm, enumerate_class_group, reduce_form
 
 
@@ -152,6 +153,27 @@ class TestEnumerateRepresentatives:
             assert reduce_form(el.primitive_form())[0] == cg.classes[i].rep
             for j in range(i):
                 assert not conjugate_in_fricke(reps[j], el)
+
+    def test_inverse_classes_are_mirror_images(self):
+        # singular_values saves an evaluation only on a mirror pair; the
+        # minimal-C search gives one for every class that is not its own
+        # inverse, at every catalog level
+        pairs = 0
+        for n in sorted(GAMMA0_LEVELS | FRICKE_LEVELS):
+            for disc in [-4 * n] + ([-n] if n % 4 == 3 else []):
+                cg = enumerate_class_group(disc)
+                if cg.class_number > 50:
+                    continue
+                reps = enumerate_representatives(n, disc, cg)
+                for i, el in enumerate(reps):
+                    j = cg.inverse_idx(i)
+                    if j == i:
+                        continue
+                    mirror = reps[j]
+                    assert mirror.C == el.C, (n, disc, i)
+                    assert (el.A + mirror.A) % el.C == 0, (n, disc, i)
+                    pairs += 1
+        assert pairs == 82
 
     def test_invalid_disc(self):
         with pytest.raises(DomainError):

@@ -1,9 +1,10 @@
 """Exact polynomial algebra: residue rings and the level-71 root relations."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfq.errors import InvalidModulusError, NonInvertibleError
@@ -126,6 +127,85 @@ class TestProperties:
         x = Fraction(a, b)
         assert x * (1 / x) == 1
         assert Fraction(x.numerator, x.denominator) == x
+
+
+def reference_root_relation(expr, target, modulus):
+    """target(expr(beta)) in Q[x]/(modulus) by long division and inversion."""
+    m = modulus.to_rat()
+    x = RatPoly([0, 1])
+    value = RatPoly(())
+    for e, c in expr.terms:
+        base = x if e >= 0 else polymod_invert(x, m)
+        power = RatPoly([1])
+        for _ in range(abs(e)):
+            power = polymod_reduce(power * base, m)
+        value = value + power.scale(c)
+    acc = RatPoly(())
+    for c in reversed(target.coeffs):
+        acc = polymod_reduce(acc * value, m) + RatPoly([c])
+    return polymod_reduce(acc, m).is_zero()
+
+
+def vanishing_modulus(expr, target) -> IntPoly:
+    """x^(k deg) * target(expr(x)) with denominators cleared, k = -min exponent.
+
+    It has beta as a root, so target(expr(beta)) = 0 modulo it.
+    """
+    k = max(0, -expr.min_exponent())
+    numer = RatPoly(())                      # x^k * expr(x)
+    for e, c in expr.terms:
+        numer = numer + RatPoly([0] * (e + k) + [c])
+    acc = RatPoly(())
+    xk = RatPoly([0] * k + [1])
+    xpow = RatPoly([1])
+    for c in reversed(target.coeffs):        # homogeneous Horner in x^k
+        acc = acc * numer + xpow.scale(c)
+        xpow = xpow * xk
+    scale = lcm(*(c.denominator for c in acc.coeffs))
+    return IntPoly(c * scale for c in acc.coeffs)
+
+
+laurent = st.dictionaries(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    min_size=1,
+    max_size=4,
+).map(LaurentExpr)
+intpoly = st.lists(coeff, min_size=1, max_size=4).map(IntPoly)
+intmodulus = st.lists(coeff, min_size=2, max_size=5).map(
+    lambda cs: IntPoly(cs[:-1] + [cs[-1] or 3])
+)
+
+
+class TestVerifyRootRelationIntegers:
+    """The integer algorithm against the rational reference above."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(expr=laurent, target=intpoly, m=intmodulus)
+    def test_matches_reference(self, expr, target, m):
+        if expr.min_exponent() < 0 and m[0] == 0:
+            with pytest.raises(NonInvertibleError):
+                verify_root_relation(expr, target, m)
+            return
+        assert verify_root_relation(expr, target, m) == reference_root_relation(
+            expr, target, m
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        expr=laurent,
+        target=st.lists(coeff, min_size=2, max_size=4).map(IntPoly),
+        shift=coeff.filter(bool),
+    )
+    def test_true_and_false_relations(self, expr, target, shift):
+        m = vanishing_modulus(expr, target)
+        assume(m.degree >= 1)
+        assert verify_root_relation(expr, target, m)
+        assert reference_root_relation(expr, target, m)
+        # target(v) + shift = shift, a nonzero constant modulo m
+        false_target = target + IntPoly([shift])
+        assert not verify_root_relation(expr, false_target, m)
+        assert not reference_root_relation(expr, false_target, m)
 
 
 class TestIntPoly:

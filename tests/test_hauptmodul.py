@@ -1,6 +1,7 @@
 """Catalog lookups, q-series files, Fricke reduction, and evaluation."""
 
 import functools
+import os
 import random
 
 import pytest
@@ -125,6 +126,30 @@ class TestLoadQSeries:
                 + "1\n\n# interior comment\n" + "2\n" * 70)
         series = load_qseries(self._write(tmp_path, body))
         assert series.coeffs[0] == 1 and series.coeffs[1] == 2
+
+    def test_same_text_parsed_once(self, tmp_path):
+        from cfq.hauptmodul import _parse_qseries
+
+        body = "\n".join(["# label=ONCE level=2 group=fricke q_min=-1"]
+                         + ["1", "0", "-7"] + ["5"] * 80)
+        p = self._write(tmp_path, body)
+        before = _parse_qseries.cache_info()
+        first = load_qseries(p)
+        assert load_qseries(p) is first
+        after = _parse_qseries.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+        assert first.coeff_bits == 3     # |-7| < 2^3
+
+    def test_rewritten_file_reparsed(self, tmp_path):
+        head = "# label=EDIT level=2 group=fricke q_min=-1\n1\n0\n"
+        p = self._write(tmp_path, head + "4\n" * 80)
+        stamp = p.stat().st_mtime_ns
+        assert load_qseries(p).coeffs[2] == 4
+        # same size and same mtime: only the content tells the two apart
+        p.write_text(head + "9\n" + "4\n" * 79)
+        os.utime(p, ns=(stamp, stamp))
+        series = load_qseries(p)
+        assert series.coeffs[2] == 9 and series.coeff_bits == 4
 
     def test_data_dir_override(self, tmp_path):
         body = "\n".join(["# label=SYN level=14 group=fricke q_min=-1", "1", "0"]

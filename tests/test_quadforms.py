@@ -199,6 +199,30 @@ class TestEnumerate:
                 for k in range(n):
                     assert t[t[i][j]][k] == t[i][t[j][k]]
 
+    def test_table_built_on_first_use(self, monkeypatch):
+        import cfq.quadforms
+
+        calls = []
+        original = cfq.quadforms.compose
+
+        def counted(f, g):
+            calls.append((f, g))
+            return original(f, g)
+
+        monkeypatch.setattr(cfq.quadforms, "compose", counted)
+        cg = enumerate_class_group(-284)
+        assert calls == []
+        table = cg.table
+        assert len(calls) == 49
+        assert cg.table is table and len(calls) == 49
+        assert cg.compose_idx(1, cg.inverse_idx(1)) == cg.principal_index
+
+    @pytest.mark.parametrize("d", GROUP_DISCS + [-56, -104, -200, -3, -4])
+    def test_inverse_idx_matches_inverse_class(self, d):
+        cg = enumerate_class_group(d)
+        for i, cls in enumerate(cg.classes):
+            assert cg.inverse_idx(i) == cg.index_of(cls.inverse())
+
     def test_imprimitive_rejected_loudly(self):
         with pytest.raises(DomainError):
             IdealClass(QuadForm(2, 2, 36))
