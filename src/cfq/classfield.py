@@ -7,9 +7,14 @@ of its inverse fix such a mirror pair of points (up to a translation), only
 the first is evaluated and the second gets the exact conjugate, so a class
 group with few ambiguous classes costs about half its h evaluations.
 `ring_class_polynomial` multiplies out the monic polynomial with those roots
-and rounds it to integers under a precision escalation contract (double the
-working precision until two consecutive precisions round to the same integer
-polynomial).  The Galois side of the theory is realized combinatorially:
+and rounds it to integers with a proof: each value is within the documented
+bound of `evaluate` (2^(ERROR_BITS - prec) * max(1, |t|)), so each computed
+coefficient lies in a ball around the true integer one, and the round is
+accepted when every ball contains exactly one integer (`certify_int_poly`).
+Otherwise the working precision doubles, up to the policy's ceiling; with
+the default policy the level-71 polynomials and the degree-law sweep are
+accepted in their first round.
+The Galois side of the theory is realized combinatorially:
 `galois_permutation` translates the class list by a fixed class through form
 composition.
 """
@@ -29,8 +34,8 @@ from .errors import (
     RoundingFailureError,
 )
 from .exactpoly import IntPoly
-from .hauptmodul import catalog_lookup, evaluate
-from .numerics import PrecisionPolicy, poly_from_roots, round_to_int_poly
+from .hauptmodul import ERROR_BITS, catalog_lookup, evaluate
+from .numerics import PrecisionPolicy, certify_int_poly
 from .quadforms import ClassGroup, IdealClass, enumerate_class_group
 
 __all__ = [
@@ -59,12 +64,18 @@ class SingularValueSet:
 
 @dataclass(frozen=True)
 class ClassPolyResult:
-    """Accepted integer class polynomial with its rounding diagnostics."""
+    """Accepted integer class polynomial with its rounding diagnostics.
+
+    `r_max` is the largest coefficient radius of the accepted round and
+    `history` has one line per round, the accepted one last.
+    """
 
     poly: IntPoly
     residual: mpmath.mpf
     prec_bits: int
     points: SingularValueSet
+    r_max: mpmath.mpf
+    history: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
         dps = max(17, int(self.prec_bits * 0.302) + 2)
@@ -85,7 +96,9 @@ class ClassPolyResult:
             "class_number": self.points.class_group.class_number,
             "poly": [str(c) for c in self.poly.coeffs],
             "residual": mpmath.nstr(self.residual, 10),
+            "r_max": mpmath.nstr(self.r_max, 10),
             "prec_bits": self.prec_bits,
+            "history": list(self.history),
             "points": points,
         }
 
@@ -142,29 +155,37 @@ def ring_class_polynomial(
 ) -> ClassPolyResult:
     """Class polynomial under the escalation contract.
 
-    Runs the pipeline at doubling precisions until two consecutive rounds
-    produce the same integer polynomial within the rounding tolerance, then
-    returns the higher-precision result.  The catalog entry, the class group
-    and the representatives are computed once, before the first round.
+    Evaluates one value per class and accepts the first round whose
+    coefficient balls each contain exactly one integer; otherwise the
+    precision doubles, up to policy.max_bits.  The catalog entry, the class
+    group and the representatives are computed once, before the first round.
     """
     policy = policy or PrecisionPolicy()
     cg = enumerate_class_group(disc)
-    spec = catalog_lookup(n, group, data_dir)
-    reps = enumerate_representatives(n, disc, cg)
     degree = cg.class_number
     prec = policy.initial_bits(degree)
+    if prec > policy.max_bits:
+        raise DomainError(
+            f"starting precision {prec} bits exceeds max_bits {policy.max_bits}"
+        )
+    spec = catalog_lookup(n, group, data_dir)
+    reps = enumerate_representatives(n, disc, cg)
     history: list[str] = []
-    previous: tuple[IntPoly, ClassPolyResult] | None = None
     while prec <= policy.max_bits:
         try:
             vals = singular_values(
                 n, group, disc, prec, data_dir, spec=spec, class_group=cg, reps=reps
             )
-            coeffs = poly_from_roots(vals.values(), prec)
-            poly, residual = round_to_int_poly(coeffs, policy.tolerance(prec), prec)
+            # each value is within 2^(ERROR_BITS - prec) max(1, |t|) of t,
+            # so within 2^(ERROR_BITS + 1 - prec) max(1, |value|)
+            poly, residual, r_max = certify_int_poly(
+                vals.values(), ERROR_BITS + 1 - prec, prec
+            )
         except RoundingFailureError as exc:
-            history.append(f"{prec} bits: rounding failed, residual {exc.residual}")
-            previous = None
+            history.append(
+                f"{prec} bits: rounding failed, residual {mpmath.nstr(exc.residual, 10)}"
+                f" not below {mpmath.nstr(exc.tol, 10)}"
+            )
             prec *= 2
             continue
         except InsufficientDataError as exc:
@@ -174,15 +195,14 @@ def ring_class_polynomial(
                 f"(level {n}, {group}, disc {disc})",
                 history,
             ) from exc
-        result = ClassPolyResult(poly, residual, prec, vals)
-        if previous is not None and previous[0] == poly:
-            assert poly.is_monic() and poly.degree == degree
-            return result
-        history.append(f"{prec} bits: rounded to {poly.text()}")
-        previous = (poly, result)
-        prec *= 2
+        assert poly.is_monic() and poly.degree == degree
+        history.append(
+            f"{prec} bits: accepted {poly.text()}, residual "
+            f"{mpmath.nstr(residual, 10)} + radius {mpmath.nstr(r_max, 10)} < 1/2"
+        )
+        return ClassPolyResult(poly, residual, prec, vals, r_max, tuple(history))
     raise EscalationFailureError(
-        f"no stable integer polynomial up to {policy.max_bits} bits for "
+        f"no certified integer polynomial up to {policy.max_bits} bits for "
         f"(level {n}, {group}, disc {disc})",
         history,
     )

@@ -102,7 +102,7 @@ def _emit_json(obj) -> str:
 def _policy(prec_bits: int | None) -> PrecisionPolicy:
     if prec_bits is None:
         return PrecisionPolicy()
-    return PrecisionPolicy(start_bits=max(64, prec_bits))
+    return PrecisionPolicy(start_bits=prec_bits)
 
 
 def _cmd_class_poly(args, out) -> int:
@@ -167,7 +167,7 @@ def _cmd_reps(args, out) -> int:
 def _cmd_eval(args, out) -> int:
     prec = args.prec_bits if args.prec_bits is not None else 256
     if prec < 64:
-        raise CfqError("precision must be at least 64 bits")
+        raise CfqError(f"precision must be at least 64 bits, got {prec}")
     alpha = EllipticElement.from_text(args.element, args.level)
     spec = catalog_lookup(args.level, args.group, args.data_dir)
     value = evaluate(spec, fixed_point(alpha), prec)

@@ -31,7 +31,7 @@ class RoundingFailureError(CfqError):
 
 
 class ConvergenceError(CfqError):
-    """An iterative numerical method failed to converge."""
+    """A numerical method failed to converge or to meet its error bound."""
 
 
 class NotGenusZeroError(DomainError):
@@ -54,15 +54,18 @@ class DataFileMissingError(CfqError, FileNotFoundError):
 
 
 class InsufficientDataError(CfqError):
-    """A q-series ran out of coefficients before the tail criterion was met."""
+    """A q-series file stops before the index its envelope's tail bound needs.
+
+    `needed` is that index plus one, found before any term is summed.
+    """
 
     def __init__(self, abs_q, have, needed):
         self.abs_q = abs_q
         self.have = have
         self.needed = needed
         super().__init__(
-            f"q-series exhausted: |q| = {abs_q}, {have} coefficients available, "
-            f"roughly {needed} needed"
+            f"q-series too short: |q| = {abs_q}, {have} coefficients available, "
+            f"{needed} needed by the envelope's tail bound"
         )
 
 

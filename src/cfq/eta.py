@@ -13,10 +13,28 @@ For gamma = [[a, b], [c, d]] with c > 0:
 
 with the principal square root; c = 0 gives the pure translation factor
 exp(pi*i*b/12).
+
+Error model.  At working precision W, every mpmath operation (arithmetic,
+sqrt, exp) is assumed to return its result on its rounded inputs with
+relative error at most u = 2^(1-W): mpmath rounds arithmetic correctly and
+evaluates sqrt and exp to within an ulp.  `eta_quotient_error` propagates
+these errors to first order through one evaluation:
+
+  * the reduction: a flip tau -> -1/tau scales an absolute error and Im(tau)
+    alike and a translation changes neither, so error / Im(tau) grows only
+    by the rounding of each step, at most 2u |tau| / Im(tau) per step;
+  * the reduced point: |d log eta / d tau| = (pi/12) |E2(tau)| <= 0.3 where
+    Im(tau) >= sqrt(3)/2;
+  * the pentagonal series stops at the first term below 2^-(W+8).  There
+    |q| <= e^(-pi*sqrt(3)) < 2^-7.8 and the exponents grow by at least 4, so
+    the terms left out sum to less than 2^-(W+38): a geometric tail;
+  * the multiplier exp(pi*i*r), the square root of c*tau + d and the
+    integer powers of the quotient, counted operation by operation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -26,7 +44,13 @@ from mpmath import mp
 
 from .errors import DomainError
 
-__all__ = ["EtaQuotientSpec", "dedekind_sum", "eta", "eta_quotient"]
+__all__ = [
+    "EtaQuotientSpec",
+    "dedekind_sum",
+    "eta",
+    "eta_quotient",
+    "eta_quotient_error",
+]
 
 _GUARD = 32
 
@@ -158,3 +182,60 @@ def eta_quotient(spec: EtaQuotientSpec, tau, prec: int) -> mpmath.mpc:
             value *= _eta_mpc(d * t) ** r
     with mp.workprec(prec):
         return +value
+
+
+def eta_quotient_error(spec: EtaQuotientSpec, tau, prec: int, tau_ulps: float) -> float:
+    """Bound on the relative error of eta_quotient(spec, tau, prec), in units of 2^-prec.
+
+    tau may lie up to tau_ulps * 2^-prec * |tau| from the point meant.  The
+    bound follows the error model in the module docstring; it is computed
+    in double precision from a replay of each factor's reduction.
+    """
+    z = complex(tau)
+    w = prec + _GUARD
+    # in units of 2^-w: the caller's error plus the rounding to w bits
+    dz = (tau_ulps * 2.0 ** _GUARD + 1) * abs(z)
+    total = 2.0 ** _GUARD  # the final rounding to prec bits
+    for d, r in spec.terms:
+        # x^r takes at most 2 log2|r| + 1 operations, then one product
+        ops = 2 * abs(r).bit_length() + 2
+        total += abs(r) * _eta_error(d * z, d * dz, w) + 2 * ops
+    return total / 2.0 ** _GUARD
+
+
+def _eta_error(x: complex, dx: float, w: int) -> float:
+    """Relative error of _eta_mpc at x, given dx off; both in units of 2^-w."""
+    x0, y0 = x, x.imag
+    a, c, steps = 1, 0, 0
+    # a replay of _reduce_to_fundamental, tracking the matrix's lower-left
+    # entry; a step more or less at the boundary is covered by the two
+    # extra steps counted below
+    for _ in range(100000):
+        k = round(x.real)
+        if k:
+            x -= k
+            a -= k * c
+            steps += 1
+        if abs(x) >= 1:
+            break
+        x = -1 / x
+        a, c = -c, a
+        steps += 1
+    else:
+        return math.inf
+    # error / Im(tau) after the reduction, then the reduced point's error,
+    # with 8|x| for the rounding of the exp argument pi*i*tau/12
+    rho = dx / y0 + 4 * (steps + 2) * (1 / (2 * y0) + 1)
+    delta = rho * x.imag + 8 * abs(x)
+    # terms summed: e1(k) = k(3k-1)/2 >= k^2 until |q|^e1 < 2^-(w+8)
+    terms = math.isqrt(int((w + 8) / (2 * math.pi * x.imag * math.log2(math.e)))) + 2
+    # exp, q24^24, two additions a term, the tail and q24 * total; then the
+    # multiplier, an exp of an argument of modulus <= 2 pi rounded 3 times
+    err = 0.3 * delta + 2 * (2 * terms + 12) + 2 * (6 * math.pi + 1)
+    if c:
+        # c x + d rounded twice, |c x + d|^2 = Im(x) / Im(x reduced); its
+        # square root halves the relative error; the sqrt, the product with
+        # the multiplier and the division round once each
+        cxd = math.sqrt(y0 / x.imag)
+        err += (abs(c) * dx + 2 * (abs(c * x0) + cxd)) / (2 * cxd) + 6
+    return err

@@ -10,16 +10,41 @@ Three kinds of entry, each normalized so the q-expansion is q^-1 + 0 + O(q):
   * ingested q-series coefficient files for Fricke-only levels (the package
     ships the level-71 series and the level-1 modular invariant).
 
-Evaluation of a q-series entry first ascends through translations and the
-Fricke flip (`fricke_reduce`), then sums the series in fixed-point integer
-arithmetic, at a width that bounds the rounding error of the summed terms by
-2^-(prec+guard), until an empirical tail criterion holds (32 consecutive
-terms below 2^-(prec+8)); eta-quotient entries are valid anywhere because
-eta itself reduces its argument.
+`evaluate(spec, tau, prec)` returns t(tau) rounded to prec bits with
+
+    |evaluate(spec, tau, prec) - t(tau)| <= 2^(ERROR_BITS - prec) * max(1, |t(tau)|),
+
+ERROR_BITS = 3.  It works at prec + 48 bits, estimates the error of the
+unrounded value and raises ConvergenceError, instead of returning, when the
+estimate exceeds 2^(ERROR_BITS - 1 - prec) * max(1, |value|); the final
+rounding then keeps the sum within the bound.  The estimate rests on two
+stated assumptions:
+
+  * the operation-error model of `cfq.eta` at the working precision, which
+    also prices the cancellation in t + kappa/t;
+  * for a q-series, the coefficient envelope |c_e| <= A exp(4 pi sqrt(e/N))
+    for e >= 1, N the level.  A is fitted to the file when it is parsed
+    (`QSeriesHaupt.envelope_a`, about 0.225 for level 71 and 0.687 for
+    level 1), so the envelope holds on the data by construction and is
+    assumed beyond it.
+
+A q-series is evaluated after an ascent through translations and the Fricke
+flip (`fricke_reduce`).  Before summing, K* is found: the first exponent at
+which a closed-form bound on the envelope's tail,
+sum_{e >= K*} A exp(4 pi sqrt(e/N)) |q|^e, is at most 2^(ERROR_BITS-2-prec);
+if the file stops before K*, InsufficientDataError is raised before any term
+is summed.  The sum runs in fixed-point integers, whose rounding error is at
+most 2^-(prec + 48), and stops at the first index at or past K* that closes
+a run of 32 quiet terms, or at the end of the data (the quiet rule only
+keeps values bit-identical to earlier releases).  The remaining parts of the
+estimate are the error in q, carried through the derivative of the series,
+and the rounding of the last operations.  Eta-quotient entries are valid
+anywhere because eta itself reduces its argument.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,13 +57,14 @@ from mpmath import mp
 
 from .elliptic import CMPoint
 from .errors import (
+    ConvergenceError,
     DataFileMissingError,
     DomainError,
     InsufficientDataError,
     NotGenusZeroError,
     QSeriesFormatError,
 )
-from .eta import EtaQuotientSpec, eta_quotient
+from .eta import EtaQuotientSpec, eta_quotient, eta_quotient_error
 
 __all__ = [
     "EtaQuotientHaupt",
@@ -51,8 +77,11 @@ __all__ = [
     "load_qseries",
     "fricke_reduce",
     "evaluate",
+    "ERROR_BITS",
 ]
 
+# evaluate(spec, tau, prec) is within 2^(ERROR_BITS - prec) * max(1, |t(tau)|)
+ERROR_BITS = 3
 _GUARD = 48
 _PACKAGED_DATA = Path(__file__).resolve().parent / "data"
 
@@ -117,10 +146,23 @@ class QSeriesHaupt:
     coeffs: tuple[int, ...]
     # bit length of the largest |coefficient|, which sizes the fixed-point sum
     coeff_bits: int = field(init=False, repr=False, compare=False)
+    # the least A with |c_e| <= A exp(4 pi sqrt(e/n)) for every e >= 1 in the
+    # file, which the tail and error bounds of evaluate assume for all e
+    envelope_a: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bits = max(map(abs, self.coeffs), default=0).bit_length()
         object.__setattr__(self, "coeff_bits", bits)
+        a = 4 * math.pi / math.sqrt(self.n)
+        # index k holds the coefficient of q^(k-1)
+        best = max(
+            (math.log(abs(c)) - a * math.sqrt(k - 1)
+             for k, c in enumerate(self.coeffs) if k >= 2 and c),
+            default=None,
+        )
+        # a relative margin of 2^-40 covers the double-precision fit
+        envelope = 0.0 if best is None else math.exp(best) * (1 + 2.0**-40)
+        object.__setattr__(self, "envelope_a", envelope)
 
 
 def _kappa(n: int, terms) -> int:
@@ -323,31 +365,102 @@ def fricke_reduce(tau, n: int, prec: int) -> mpmath.mpc:
 def evaluate(spec, tau, prec: int) -> mpmath.mpc:
     """Value of a principal modulus at tau, rounded to prec bits.
 
-    tau is a CMPoint or any complex number in the upper half plane; the
-    value is computed at prec + guard bits.
+    tau is a CMPoint or any complex number in the upper half plane.  The
+    result is within 2^(ERROR_BITS - prec) * max(1, |t(tau)|) of the true
+    value, under the assumptions stated in the module docstring; where the
+    error estimate cannot meet that, ConvergenceError is raised instead.
     """
-    with mp.workprec(prec + _GUARD):
+    wp = prec + _GUARD
+    with mp.workprec(wp):
         if isinstance(tau, CMPoint):
             z = (tau.u + mp.sqrt(tau.n) * mp.mpc(0, tau.v)) / tau.w
         else:
             z = tau
+        # Errors in units of 2^-wp * max(1, |value|), 2 units of its result
+        # per operation (the model of cfq.eta); z is within 4 units of |z|
+        # of the point.
         if isinstance(spec, EtaQuotientHaupt):
-            value = eta_quotient(spec.spec, z, prec + _GUARD) + spec.const_shift
+            t = eta_quotient(spec.spec, z, wp)
+            value = t + spec.const_shift
+            scale = max(1, abs(value))
+            err = eta_quotient_error(spec.spec, z, wp, 4) * _rel(t, scale) + 2
         elif isinstance(spec, FrickeSymHaupt):
-            t = eta_quotient(spec.base, z, prec + _GUARD)
+            t = eta_quotient(spec.base, z, wp)
             if t == 0:
                 raise DomainError("eta quotient vanished at the evaluation point")
-            value = t + spec.kappa / t + spec.const_shift
+            inv = spec.kappa / t
+            value = t + inv + spec.const_shift
+            scale = max(1, abs(value))
+            # kappa/t, t + kappa/t and the shift round once each; all of t's
+            # error passes into both terms, whatever cancels between them
+            terms = _rel(t, scale) + _rel(inv, scale)
+            err = (eta_quotient_error(spec.base, z, wp, 4) * terms
+                   + 2 * (_rel(inv, scale) + _rel(t + inv, scale) + 1))
         elif isinstance(spec, QSeriesHaupt):
-            value = _evaluate_qseries(spec, z, prec)
+            value, err = _evaluate_qseries(spec, z, prec)
         else:
             raise DomainError(f"unknown principal-modulus description {spec!r}")
+    # in units of 2^-prec * max(1, |value|); the final rounding adds 1
+    err /= 2.0**_GUARD
+    if not err <= 2.0 ** (ERROR_BITS - 1):
+        raise ConvergenceError(
+            f"error estimate {err:.3g} * 2^-{prec} * max(1, |t|) exceeds the "
+            f"bound 2^({ERROR_BITS - 1} - {prec}) * max(1, |t|) at this point"
+        )
     with mp.workprec(prec):
         return +value
 
 
-def _evaluate_qseries(series: QSeriesHaupt, z, prec: int) -> mpmath.mpc:
-    """The series at z, at the working precision evaluate sets (prec + guard)."""
+def _rel(x, scale) -> float:
+    """|x| / scale in double precision, for a scale >= 1 of any size."""
+    return float(abs(x) / scale)
+
+
+def _log_tail(series: QSeriesHaupt, ell: float, k: int) -> float:
+    """ln of a bound on sum_{e >= k} A exp(a sqrt e) r^e, r = e^-ell, a = 4 pi/sqrt(N).
+
+    On e >= k, sqrt(e) lies below its tangent at k, which leaves a geometric
+    series with ratio r exp(a / (2 sqrt k)); the bound is infinite when that
+    ratio is not below 1.
+    """
+    a = 4 * math.pi / math.sqrt(series.n)
+    ratio = a / (2 * math.sqrt(k)) - ell
+    if ratio >= 0:
+        return math.inf
+    return (math.log(series.envelope_a) + a * math.sqrt(k) - ell * k
+            - math.log(-math.expm1(ratio)))
+
+
+def _tail_index(series: QSeriesHaupt, ell: float, prec: int) -> tuple[int, float]:
+    """(K*, ln of its tail bound): the first k >= 1 with tail <= 2^(ERROR_BITS-2-prec).
+
+    The bound is infinite up to some k and decreasing after it, so a
+    doubling search and a bisection find K* in a few dozen float operations.
+    """
+    if series.envelope_a == 0:
+        return 1, -math.inf
+    target = (ERROR_BITS - 2 - prec) * math.log(2)
+    hi = 1
+    while _log_tail(series, ell, hi) > target:
+        if hi > 1 << 40:
+            return hi, math.inf
+        hi *= 2
+    lo = hi // 2  # the bound exceeds the target at lo, or lo = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _log_tail(series, ell, mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return hi, _log_tail(series, ell, hi)
+
+
+def _evaluate_qseries(series: QSeriesHaupt, z, prec: int) -> tuple[mpmath.mpc, float]:
+    """The series at z and its error bound in units of 2^-(prec+guard) max(1, |value|).
+
+    Runs at the working precision evaluate sets (prec + guard).
+    """
+    z0 = complex(z)
     # a Fricke-group function is invariant under the full ascent; a level-1
     # series is too, because the flip is then an ordinary modular substitution
     if series.group == "fricke" or series.n == 1:
@@ -368,6 +481,11 @@ def _evaluate_qseries(series: QSeriesHaupt, z, prec: int) -> mpmath.mpc:
         if k:
             zc -= k
     q = mp.exp(2j * mp.pi * zc)
+    # -ln|q|, shaded down so that the tail bound is not shaded down with it
+    ell = 2 * math.pi * float(zc.imag) * (1 - 2.0**-40)
+    kstar, log_tail = _tail_index(series, ell, prec)
+    if kstar >= len(coeffs):
+        raise InsufficientDataError(mp.nstr(abs(q), 8), len(coeffs), kstar + 1)
     qr, qi = int(mp.ldexp(q.real, w)), int(mp.ldexp(q.imag, w))
     # a term is quiet when both components are below 2^-(prec+9), so
     # its modulus is below 2^-(prec+8)
@@ -387,13 +505,32 @@ def _evaluate_qseries(series: QSeriesHaupt, z, prec: int) -> mpmath.mpc:
         pr, pi = (pr * qr - pi * qi) >> w, (pr * qi + pi * qr) >> w
         if tr.bit_length() <= quiet_bits and ti.bit_length() <= quiet_bits:
             quiet += 1
-            if quiet >= 32:
-                acc = mp.mpc(mp.ldexp(acc_r, -w), mp.ldexp(acc_i, -w))
-                return coeffs[0] / q + acc
+            # exponents 0 .. k-1 are summed, so the tail starts at k
+            if quiet >= 32 and k >= kstar:
+                break
         else:
             quiet = 0
-    # a term among the last 32 was at least 2^-(prec+9) with |c| < 2^b,
-    # so |q|^(have-33) > 2^-(prec+9+b) and this estimate exceeds have
-    absq = abs(q)
-    needed = int((prec + 9 + b) * mp.log(2) / -mp.log(absq)) + 64
-    raise InsufficientDataError(mp.nstr(absq, 8), len(coeffs), needed)
+    acc = mp.mpc(mp.ldexp(acc_r, -w), mp.ldexp(acc_i, -w))
+    pole = coeffs[0] / q
+    value = pole + acc
+    scale = max(1, abs(value))
+    # Error in units of 2^-(prec+_GUARD) max(1, |value|); every operation
+    # rounds within 2 units of its result (the model of cfq.eta).  The
+    # point: z carries 4 units of |z|, and error / Im(z) survives the
+    # ascent, whose own roundings run 48 bits lower and at most double it;
+    # the exp argument and the translation round 8 units of |z|.  A
+    # relative error eps_q in q moves the sum by eps_q (|c_-1 / q| +
+    # sum e |c_e| |q|^e), and the envelope bounds that sum by
+    # A e^(a^2 / (2 ell)) sqrt(r) / (1 - sqrt(r))^2, since
+    # a sqrt(e) <= a^2 / (2 ell) + ell e / 2.  The last operations, 1/q,
+    # the conversion of the sum and the addition, round once each.
+    a = 4 * math.pi / math.sqrt(series.n)
+    delta = 8 * abs(z0) / z0.imag * float(zc.imag) + 8 * float(abs(zc))
+    eps_q = 2 * math.pi * delta + 2
+    slope = series.envelope_a * math.exp(
+        min(a * a / (2 * ell) - ell / 2 - 2 * math.log(-math.expm1(-ell / 2)), 709.0)
+    )
+    tail = math.exp(min(log_tail + (prec + _GUARD) * math.log(2), 709.0))
+    err = (1 + (tail + slope * eps_q) / float(scale) + (eps_q + 2) * _rel(pole, scale)
+           + 2 * (_rel(acc, scale) + 1))
+    return value, err

@@ -4,18 +4,33 @@ Values are plain `mpmath.mpc` numbers.  Every function takes the working
 precision in bits as an explicit `prec` argument and returns values rounded
 to it; arithmetic on a returned value outside an `mp.workprec` block runs at
 mpmath's global precision (53 bits by default).  The module builds monic
-polynomials from their roots, rounds near-integer coefficient vectors with a
-certified residual, and finds the roots of an integer polynomial by
-Aberth-Ehrlich simultaneous iteration, which double-checks class polynomials
-numerically.
+polynomials from their roots, rounds near-integer coefficient vectors, and
+finds the roots of an integer polynomial by Aberth-Ehrlich simultaneous
+iteration, which double-checks class polynomials numerically.
+
+`certify_int_poly` turns roots known within radii into an integer
+polynomial with a proof: if each true root t_i lies within
+eps_i = 2^radius_log2 * max(1, |v_i|) of the computed v_i, every true
+coefficient lies within R_k of the computed one, where R_k is the degree-k
+coefficient of
+
+    prod(x + |v_i| + eps_i) - prod(x + |v_i|) + 8h 2^-prec prod(x + |v_i|),
+
+the second term bounding the rounding inside `poly_from_roots` (h roots, 2h
+roundings of at most 2^(1-prec) each along every product).  These are
+evaluated in integers with every rounding directed upward, plus 2^-prec for
+the rounding of the residual.  A coefficient ball of radius R_max around a
+value within 1/2 - R_max of an integer holds that integer and no other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from .errors import ConvergenceError, DomainError, RoundingFailureError
 from .exactpoly import IntPoly, RatPoly
@@ -24,6 +39,7 @@ __all__ = [
     "PrecisionPolicy",
     "poly_from_roots",
     "round_to_int_poly",
+    "certify_int_poly",
     "find_roots",
 ]
 
@@ -32,20 +48,21 @@ __all__ = [
 class PrecisionPolicy:
     """Escalation contract for assembling integer polynomials.
 
-    Start at `start_bits` (defaulting to max(128, 10*degree + 32)), double on
-    rounding failure or instability up to `max_bits`, and accept only when
-    two consecutive precisions round to the same integer polynomial below
-    2^-tol_log2.
+    Start at `start_bits` (defaulting to max(128, 10*degree + 32)) and
+    accept the first round whose every coefficient ball, built from the
+    error bound of each root, contains exactly one integer
+    (`certify_int_poly`); otherwise double the precision, up to `max_bits`.
     """
 
     start_bits: int | None = None
     max_bits: int = 16384
-    tol_log2: int = 32
 
     def __post_init__(self):
         if self.start_bits is not None:
             if self.start_bits < 64:
-                raise DomainError("start_bits must be at least 64")
+                raise DomainError(
+                    f"precision must be at least 64 bits, got {self.start_bits}"
+                )
             if self.max_bits < self.start_bits:
                 raise DomainError("max_bits must be at least start_bits")
 
@@ -53,10 +70,6 @@ class PrecisionPolicy:
         if self.start_bits is not None:
             return self.start_bits
         return max(128, 10 * degree + 32)
-
-    def tolerance(self, prec: int) -> mpmath.mpf:
-        with mp.workprec(prec):
-            return mp.mpf(2) ** (-self.tol_log2)
 
 
 def poly_from_roots(values, prec: int) -> list[mpmath.mpc]:
@@ -91,6 +104,72 @@ def round_to_int_poly(coeffs, tol, prec: int) -> tuple[IntPoly, mpmath.mpf]:
     if residual >= tol:
         raise RoundingFailureError(residual, tol)
     return IntPoly(rounded), residual
+
+
+def certify_int_poly(
+    values, radius_log2: int, prec: int
+) -> tuple[IntPoly, mpmath.mpf, mpmath.mpf]:
+    """The integer polynomial prod(x - t_i), given v_i within eps_i of t_i.
+
+    eps_i = 2^radius_log2 * max(1, |values[i]|).  Returns (poly, residual,
+    R_max): the residual of `round_to_int_poly` and the largest coefficient
+    radius (module docstring), an exact binary fraction.  Raises
+    RoundingFailureError unless the residual is below 1/2 - R_max, so that
+    every coefficient ball contains exactly one integer.
+    """
+    coeffs = poly_from_roots(values, prec)
+    poly, residual = round_to_int_poly(coeffs, 0.5, prec)
+    r_max = _coefficient_radius(values, radius_log2, prec)
+    tol = mp.fsub(0.5, r_max, exact=True)
+    if residual >= tol:
+        raise RoundingFailureError(residual, tol)
+    return poly, residual, r_max
+
+
+def _coefficient_radius(values, radius_log2: int, prec: int) -> mpmath.mpf:
+    """R_max of the module docstring, rounded up to a multiple of 2^-s."""
+    s = prec + 8
+    low, high, plain = [], [], []
+    for v in values:
+        re_lo, re_hi = _scaled(v.real, s)
+        im_lo, im_hi = _scaled(v.imag, s)
+        lo = isqrt(re_lo * re_lo + im_lo * im_lo)     # <= |v| 2^s
+        hi = isqrt(re_hi * re_hi + im_hi * im_hi) + 1  # >= |v| 2^s
+        eps = _shift_up(max(1 << s, hi), radius_log2)  # >= eps 2^s
+        low.append(lo)
+        high.append(hi + eps)
+        plain.append(hi)
+    h = len(values)
+    # coefficient k of prod(x + a_i 2^s) carries the scale 2^(s(h-k))
+    perturbed, base, upper = _expand(high), _expand(low), _expand(plain)
+    r_max = 0
+    for k in range(h):
+        radius = perturbed[k] - base[k] + _shift_up(8 * h * upper[k], -prec)
+        r_max = max(r_max, _shift_up(radius, -s * (h - k - 1)))
+    # plus the residual's own rounding
+    return mp.make_mpf(from_man_exp(r_max + (1 << (s - prec)), -s))
+
+
+def _scaled(x: mpmath.mpf, s: int) -> tuple[int, int]:
+    """floor and ceiling of |x| * 2^s, exactly."""
+    _sign, man, exp, _bc = x._mpf_
+    shift = exp + s
+    if shift >= 0:
+        return man << shift, man << shift
+    return man >> -shift, -(-man >> -shift)
+
+
+def _shift_up(n: int, k: int) -> int:
+    """ceiling of n * 2^k for n >= 0."""
+    return n << k if k >= 0 else -(-n >> -k)
+
+
+def _expand(roots: list[int]) -> list[int]:
+    """Coefficients of prod(x + r), lowest degree first, in integers."""
+    coeffs = [1]
+    for r in roots:
+        coeffs = [a * r + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
 
 
 def _fujiwara_bound(p: IntPoly, prec: int) -> mpmath.mpf:

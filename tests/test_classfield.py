@@ -8,7 +8,7 @@ from mpmath import mp
 
 from cfq.classfield import galois_permutation, ring_class_polynomial, singular_values
 from cfq.elliptic import EllipticElement, enumerate_representatives, fixed_point
-from cfq.errors import DomainError, EscalationFailureError
+from cfq.errors import DomainError, EscalationFailureError, RoundingFailureError
 from cfq.exactpoly import IntPoly
 from cfq.hauptmodul import catalog_lookup, evaluate
 from cfq.numerics import PrecisionPolicy, poly_from_roots, round_to_int_poly
@@ -204,8 +204,47 @@ class TestRingClassPolynomial:
         result = ring_class_polynomial(71, "fricke", -284)
         assert result.poly == H284
         assert calls == Counter(
-            enumerate_class_group=1, load_qseries=1, singular_values=2
+            enumerate_class_group=1, load_qseries=1, singular_values=1
         )
+
+    def test_one_certified_round(self):
+        for disc, published in [(-71, H71), (-284, H284)]:
+            result = ring_class_polynomial(71, "fricke", disc)
+            assert result.poly == published
+            assert result.prec_bits == 128
+            assert result.history == (
+                f"128 bits: accepted {published.text()}, residual "
+                f"{mp.nstr(result.residual, 10)} + radius "
+                f"{mp.nstr(result.r_max, 10)} < 1/2",
+            )
+            assert 0 < result.r_max < mp.mpf(2) ** -100
+            assert result.residual + result.r_max < mp.mpf(0.5)
+
+    def test_history_keeps_failed_rounds(self, monkeypatch):
+        import cfq.classfield
+
+        rounds = []
+        original = cfq.classfield.certify_int_poly
+
+        def refuse_first(values, radius_log2, prec):
+            rounds.append(prec)
+            if len(rounds) == 1:
+                raise RoundingFailureError(mp.mpf(0.25), mp.mpf(0.125))
+            return original(values, radius_log2, prec)
+
+        monkeypatch.setattr(cfq.classfield, "certify_int_poly", refuse_first)
+        result = ring_class_polynomial(2, "gamma0", -8)
+        assert rounds == [128, 256] and result.prec_bits == 256
+        assert len(result.history) == 2
+        assert result.history[0] == (
+            "128 bits: rounding failed, residual 0.25 not below 0.125"
+        )
+        assert result.history[1].startswith("256 bits: accepted -88,1,")
+
+    def test_start_above_ceiling_is_refused_before_work(self, evaluate_calls):
+        with pytest.raises(DomainError, match="128 bits exceeds max_bits 100"):
+            ring_class_polynomial(2, "gamma0", -8, PrecisionPolicy(max_bits=100))
+        assert evaluate_calls == []
 
     def test_escalation_failure_reports_history(self):
         policy = PrecisionPolicy(start_bits=640, max_bits=1280)
@@ -220,6 +259,9 @@ class TestRingClassPolynomial:
         assert obj["poly"] == [str(c) for c in H284.coeffs]
         assert len(obj["points"]) == 7
         assert all(isinstance(p["value_re"], str) for p in obj["points"])
+        assert obj["r_max"] == mp.nstr(result.r_max, 10)
+        assert obj["history"] == list(result.history)
+        assert obj["prec_bits"] == 128
 
 
 class TestGaloisPermutation:

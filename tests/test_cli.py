@@ -46,6 +46,23 @@ class TestClassPoly:
         assert code == 2
         assert "escalation" in err
 
+    def test_precision_below_64_bits_refused(self):
+        # the same failure as `cfq eval --prec-bits 10`, not a silent 64
+        for argv in (["class-poly", "-n", "2", "--group", "gamma0", "-D", "-8"],
+                     ["eval", "-n", "2", "--group", "gamma0", "--element", "0,-1,1"]):
+            code, out, err = invoke(argv + ["--prec-bits", "10"])
+            assert code == 1 and out == ""
+            assert err == "cfq: error: precision must be at least 64 bits, got 10\n"
+
+    def test_json_history_and_radius(self):
+        code, out, _ = invoke(
+            ["class-poly", "-n", "71", "--group", "fricke", "-D", "-71", "--json"]
+        )
+        obj = json.loads(out)
+        assert obj["prec_bits"] == 128 and len(obj["history"]) == 1
+        assert obj["history"][0].startswith("128 bits: accepted 1,0,-2,-3,1,5,4,1,")
+        assert 0 < float(obj["r_max"]) < 2.0 ** -100
+
     def test_missing_data_exit_code(self):
         code, _, err = invoke(["class-poly", "-n", "59", "--group", "fricke", "-D", "-59"])
         assert code == 1

@@ -7,9 +7,10 @@ import random
 import pytest
 from mpmath import mp
 
-from conftest import cpx, mobius, random_gamma0, rounded
+from conftest import cpx, eta_direct_series, mobius, random_gamma0, rounded
 from cfq.elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
 from cfq.errors import (
+    ConvergenceError,
     DataFileMissingError,
     DomainError,
     InsufficientDataError,
@@ -19,6 +20,7 @@ from cfq.errors import (
 from cfq.eta import EtaQuotientSpec
 from cfq.exactpoly import IntPoly
 from cfq.hauptmodul import (
+    ERROR_BITS,
     FRICKE_LEVELS,
     GAMMA0_LEVELS,
     EtaQuotientHaupt,
@@ -321,6 +323,136 @@ class TestQSeriesKernel:
             evaluate(entry, tau, 448)
         assert exc.value.have == len(entry.coeffs)
         assert exc.value.needed > exc.value.have
+
+    def test_data_ceiling_found_before_summing(self):
+        class CountingCoeffs(tuple):
+            reads = 0
+
+            def __getitem__(self, k):
+                CountingCoeffs.reads += 1
+                return tuple.__getitem__(self, k)
+
+        entry = catalog_lookup(71, "fricke")
+        series = QSeriesHaupt(entry.label, entry.n, entry.group, entry.q_min,
+                              CountingCoeffs(entry.coeffs))
+        tau = fixed_point(EllipticElement(71, 1, -9, 8))
+        CountingCoeffs.reads = 0
+        with pytest.raises(InsufficientDataError) as exc:
+            evaluate(series, tau, 448)
+        assert CountingCoeffs.reads == 0
+        # K* + 1 coefficients: the envelope tail from K* is below 2^-447
+        assert 4300 < exc.value.needed < 4500
+        # the same series sums at 256 bits, reading no coefficient past K*
+        value = evaluate(series, tau, 256)
+        assert 2000 < CountingCoeffs.reads < exc.value.have
+        assert value == evaluate(entry, tau, 256)
+
+
+def _level_keys():
+    """(level, group, disc) of the degree-law sweep: h <= 2 at every key."""
+    discs = {n: [-4 * n] + ([-n] if n % 4 == 3 else []) for n in GAMMA0_LEVELS}
+    return [(n, group, d)
+            for group in ("gamma0", "fricke")
+            for n in sorted(GAMMA0_LEVELS) if group == "gamma0" or n > 1
+            for d in discs[n]]
+
+
+def _series_reference(entry, tau, prec):
+    """Every coefficient of a q-series entry summed in plain mpc at prec bits.
+
+    The tau used here needs no reduction, and the envelope tail past the
+    data is checked to be negligible.
+    """
+    with mp.workprec(prec):
+        z = (tau.u + mp.sqrt(tau.n) * mp.mpc(0, tau.v)) / tau.w
+        q = mp.exp(2j * mp.pi * z)
+        total = entry.coeffs[0] / q
+        qk = mp.mpc(1)
+        for c in entry.coeffs[1:]:
+            total += c * qk
+            qk *= q
+        a = 4 * mp.pi / mp.sqrt(entry.n)
+        e = len(entry.coeffs) - 1
+        tail = entry.envelope_a * mp.exp(a * mp.sqrt(e)) * abs(q) ** e
+        assert tail < mp.mpf(2) ** -(prec - 200)
+        return total
+
+
+def _eta_reference(entry, tau, prec):
+    """An eta-quotient or Fricke-symmetrized entry from unreduced eta series."""
+    spec = entry.spec if isinstance(entry, EtaQuotientHaupt) else entry.base
+    with mp.workprec(prec):
+        z = (tau.u + mp.sqrt(tau.n) * mp.mpc(0, tau.v)) / tau.w
+        t = mp.fprod(eta_direct_series(d * z, prec) ** r for d, r in spec.terms)
+        if isinstance(entry, FrickeSymHaupt):
+            t += entry.kappa / t
+        return t + entry.const_shift
+
+
+def _check_documented_bound(entry, tau, prec):
+    got = evaluate(entry, tau, prec)
+    reference = _series_reference if isinstance(entry, QSeriesHaupt) else _eta_reference
+    ref = reference(entry, tau, prec + 256)
+    with mp.workprec(prec + 256):
+        bound = mp.mpf(2) ** (ERROR_BITS - prec) * max(1, abs(ref))
+        assert abs(got - ref) <= bound
+
+
+class TestDocumentedBound:
+    """|evaluate - t(tau)| <= 2^(ERROR_BITS - prec) max(1, |t(tau)|)."""
+
+    @pytest.mark.parametrize(
+        "alpha,prec", LEVEL71_CASES, ids=[f"{a.text()}@{p}" for a, p in LEVEL71_CASES]
+    )
+    def test_level71_representatives(self, alpha, prec):
+        _check_documented_bound(catalog_lookup(71, "fricke"), fixed_point(alpha), prec)
+
+    @pytest.mark.parametrize("prec", [128, 256, 448])
+    @pytest.mark.parametrize("tau", [CMPoint(0, 1, 1, 1), CMPoint(-1, 1, 2, 3)],
+                             ids=["i", "rho"])
+    def test_level1(self, tau, prec):
+        _check_documented_bound(catalog_lookup(1, "gamma0"), tau, prec)
+
+    @pytest.mark.parametrize("prec", [128, 256])
+    @pytest.mark.parametrize("key", _level_keys(), ids=lambda k: "%d-%s%d" % k)
+    def test_sweep_points(self, key, prec):
+        n, group, disc = key
+        entry = catalog_lookup(n, group)
+        for alpha in enumerate_representatives(n, disc, enumerate_class_group(disc)):
+            _check_documented_bound(entry, fixed_point(alpha), prec)
+
+
+    @pytest.mark.parametrize("im", ["1e-3", "1e-6", "3e-8"])
+    @pytest.mark.parametrize("level,group", [(2, "gamma0"), (2, "fricke"), (1, "gamma0")])
+    def test_near_the_real_axis(self, level, group, im):
+        # values far beyond the range of a double, where the bound is relative;
+        # the reference is a 256-bit-deeper evaluation of the same given tau
+        entry = catalog_lookup(level, group)
+        tau = cpx("0.3", im, 600)
+        got = evaluate(entry, tau, 128)
+        ref = evaluate(entry, tau, 128 + 256)
+        with mp.workprec(128 + 256):
+            assert abs(got - ref) <= mp.mpf(2) ** (ERROR_BITS - 128) * max(1, abs(ref))
+
+    def test_ill_conditioned_point_refused(self):
+        # d log t / d tau grows like Im(tau)^-2: at 1e-9 the 48 guard bits
+        # cannot keep the error within the bound, so no value is returned
+        with pytest.raises(ConvergenceError, match="exceeds the bound"):
+            evaluate(catalog_lookup(2, "gamma0"), cpx("0.3", "1e-9", 600), 128)
+
+
+class TestEnvelope:
+    """The stated growth bound |c_e| <= A exp(4 pi sqrt(e/N)), e >= 1."""
+
+    @pytest.mark.parametrize("level,group,fitted", [(71, "fricke", 0.2251),
+                                                    (1, "gamma0", 0.6866)])
+    def test_every_coefficient_within_envelope(self, level, group, fitted):
+        entry = catalog_lookup(level, group)
+        assert abs(entry.envelope_a - fitted) < 1e-4
+        a = 4 * mp.pi / mp.sqrt(level)
+        with mp.workprec(64):
+            for e, c in enumerate(entry.coeffs[2:], start=1):
+                assert abs(c) <= entry.envelope_a * mp.exp(a * mp.sqrt(e)), e
 
 
 def _evaluate_at(entry, z, prec):

@@ -1,5 +1,7 @@
 """Polynomial assembly, rounding, root finding, and the precision contract."""
 
+import random
+
 import pytest
 from mpmath import mp
 
@@ -11,6 +13,8 @@ from cfq.exactpoly import IntPoly, LaurentExpr, verify_root_relation
 from cfq.hauptmodul import catalog_lookup, evaluate, fricke_reduce
 from cfq.numerics import (
     PrecisionPolicy,
+    _coefficient_radius,
+    certify_int_poly,
     find_roots,
     poly_from_roots,
     round_to_int_poly,
@@ -117,8 +121,55 @@ class TestPrecisionPolicy:
         with pytest.raises(DomainError):
             PrecisionPolicy(start_bits=256, max_bits=128)
 
-    def test_tolerance(self):
-        assert PrecisionPolicy().tolerance(128) == mp.mpf(2) ** -32
+
+class TestCertifyIntPoly:
+    def test_exact_roots(self):
+        roots = [cpx(1, 0, 128), cpx(-2, 0, 128), cpx(0, 3, 128), cpx(0, -3, 128)]
+        poly, residual, r_max = certify_int_poly(roots, -120, 128)
+        assert poly == IntPoly([-18, 9, 7, 1, 1])     # (x-1)(x+2)(x^2+9)
+        assert residual == 0
+        # the x coefficient of (x + 1 + e)(x + 2 + 2e)(x + 3 + 3e)^2 -
+        # (x + 1)(x + 2)(x + 3)^2 is 117e to first order, e = 2^-120; the
+        # rounding term adds 32 * 39 * 2^-128
+        assert mp.mpf(2) ** -120 * 117 < r_max < mp.mpf(2) ** -120 * 125
+
+    def test_rejects_ball_holding_two_integers(self):
+        # the computed coefficients are exact integers, but with the roots 1
+        # and 2 known only to within a quarter of their size the constant
+        # term's ball has radius 1.25 * 2.5 - 2 = 9/8 and holds three integers
+        with pytest.raises(RoundingFailureError) as exc:
+            certify_int_poly([cpx(1, 0, 64), cpx(2, 0, 64)], -2, 64)
+        assert exc.value.residual == 0 and exc.value.tol < 0
+
+    def test_residual_and_radius_share_one_half(self):
+        # residual 0.2: a radius of 0.1 certifies -3, one of 0.4 does not,
+        # because the ball around -3.2 then reaches -3.6, nearer to -4
+        roots = [cpx("3.2", 0, 64)]
+        poly, residual, r_max = certify_int_poly(roots, -5, 64)
+        assert poly == IntPoly([-3, 1]) and residual + r_max < mp.mpf(0.5)
+        with pytest.raises(RoundingFailureError):
+            certify_int_poly(roots, -3, 64)
+
+    def test_radius_covers_perturbed_roots(self):
+        # random complex roots and true roots on the boundary of each one's
+        # disc: every computed coefficient within R_max of the true one
+        rng = random.Random(4242)
+        prec, radius_log2 = 96, -70
+        for _ in range(30):
+            values = [cpx(rng.uniform(-40, 40), rng.uniform(-40, 40), prec)
+                      for _ in range(rng.randint(1, 8))]
+            computed = poly_from_roots(values, prec)
+            r_max = _coefficient_radius(values, radius_log2, prec)
+            with mp.workprec(4 * prec):
+                true_roots = [
+                    v + mp.ldexp(max(1, abs(v)), radius_log2) * mp.expj(rng.uniform(0, 7))
+                    for v in values
+                ]
+                exact = poly_from_roots(true_roots, 4 * prec)
+                slack = max(abs(c - e) / r_max for c, e in zip(computed, exact))
+            assert slack <= 1
+            # and the radius is not loose by more than the degree's factor
+            assert slack > 2.0 ** -8
 
 
 PRECS = (128, 256, 448)
