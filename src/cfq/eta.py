@@ -25,11 +25,17 @@ these errors to first order through one evaluation:
     by the rounding of each step, at most 2u |tau| / Im(tau) per step;
   * the reduced point: |d log eta / d tau| = (pi/12) |E2(tau)| <= 0.3 where
     Im(tau) >= sqrt(3)/2;
-  * the pentagonal series stops at the first term below 2^-(W+8).  There
-    |q| <= e^(-pi*sqrt(3)) < 2^-7.8 and the exponents grow by at least 4, so
-    the terms left out sum to less than 2^-(W+38): a geometric tail;
-  * the multiplier exp(pi*i*r), the square root of c*tau + d and the
-    integer powers of the quotient, counted operation by operation.
+  * the pentagonal series, a proven fixed-point bound: one exp gives
+    q^(1/24), and q = (q^(1/24))^24 and the series are summed in integers at
+    scale 2^W by `numerics._fixed_series`, whose rounding bound is charged as
+    it states it.  The number of terms is fixed from Im(tau) before summing
+    (`_pentagonal_count`): the first exponent e with |q|^e <= 2^-(W+1), so
+    the terms left out, whose exponents are distinct integers >= e and
+    |q| <= e^(-pi*sqrt(3)), sum to below 2^-W;
+  * the multiplier exp(pi*i*r), an exact 24th root of unity (12r is an
+    integer) rounded once, from a per-precision table; the square root of
+    c*tau + d and the integer powers of the quotient, counted operation by
+    operation.
 """
 
 from __future__ import annotations
@@ -37,12 +43,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, lru_cache
 from math import gcd
 
 import mpmath
 from mpmath import mp
 
 from .errors import DomainError
+from .numerics import _GUARD, _fixed_series, _series_bound, _to_fixed
 
 __all__ = [
     "EtaQuotientSpec",
@@ -51,8 +59,6 @@ __all__ = [
     "eta_quotient",
     "eta_quotient_error",
 ]
-
-_GUARD = 32
 
 
 @dataclass(frozen=True)
@@ -114,30 +120,58 @@ def _reduce_to_fundamental(tau):
     raise DomainError("fundamental-domain reduction did not terminate")
 
 
+def _pentagonal_exponent(j: int) -> int:
+    """The j-th exponent, in increasing order, of prod (1 - q^k) = sum (-1)^k q^(k(3k-1)/2)."""
+    k = (j + 1) // 2
+    return k * (3 * k - 1) // 2 if j % 2 else k * (3 * k + 1) // 2
+
+
+@cache
+def _pentagonal(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The first n exponents of the pentagonal series and their signs."""
+    return (tuple(map(_pentagonal_exponent, range(n))),
+            tuple(-1 if (j + 1) // 2 % 2 else 1 for j in range(n)))
+
+
+def _pentagonal_count(y: float, w: int) -> int:
+    """Terms of the pentagonal series summed at Im(tau) = y, scale 2^w.
+
+    The first n whose exponent e_n, the first one left out, has
+    |q|^e_n = e^(-2 pi y e_n) <= 2^-(w+1).
+    """
+    need = (w + 1) * math.log(2) / (2 * math.pi * y)
+    n = 1
+    while _pentagonal_exponent(n) < need:
+        n += 1
+    return n
+
+
 def _eta_series(tau):
-    """Pentagonal series at a point of the fundamental domain."""
+    """q^(1/24) times the pentagonal series, at a point of the fundamental domain."""
+    w = mp.prec
     q24 = mp.exp(mp.mpc(0, 1) * mp.pi * tau / 12)
-    q = q24 ** 24
-    cutoff = mp.mpf(2) ** (-mp.prec - 8)
-    total = mp.mpc(1)
-    k = 1
-    while True:
-        e1 = k * (3 * k - 1) // 2
-        e2 = k * (3 * k + 1) // 2
-        t1 = q ** e1
-        t2 = q ** e2
-        term = t1 + t2
-        total = total - term if k % 2 else total + term
-        if abs(t1) < cutoff:
-            break
-        k += 1
-    return q24 * total
+    qr, qi, _ = _fixed_series((_to_fixed(q24.real, w), _to_fixed(q24.imag, w)),
+                              (24,), (1,), 0, w)
+    exps, signs = _pentagonal(_pentagonal_count(float(tau.imag), w))
+    sr, si, _ = _fixed_series((qr, qi), exps, signs, 0, w)
+    return q24 * mp.mpc(mp.ldexp(sr, -w), mp.ldexp(si, -w))
 
 
-def _multiplier(gamma) -> tuple[Fraction, tuple[int, int]]:
-    """exp(pi*i*r) factor data for eta(gamma tau) = eps * (c tau + d)^(1/2) eta(tau).
+@lru_cache(maxsize=8)
+def _roots_of_unity(prec: int) -> tuple[mpmath.mpc, ...]:
+    """exp(2 pi i k / 24) for k = 0 .. 23, each rounded once to prec bits."""
+    with mp.workprec(prec + 16):
+        roots = [mp.mpc(mp.cospi(mp.mpf(k) / 12), mp.sinpi(mp.mpf(k) / 12))
+                 for k in range(24)]
+    with mp.workprec(prec):
+        return tuple(+z for z in roots)
 
-    Returns (r, (c, d)) with eps = exp(pi*i*r); r is reduced mod 2.
+
+def _multiplier(gamma) -> tuple[int, tuple[int, int]]:
+    """Factor data for eta(gamma tau) = eps * (c tau + d)^(1/2) eta(tau).
+
+    Returns (k, (c, d)) with eps = exp(pi*i*k/12), a 24th root of unity;
+    k is reduced mod 24.
     """
     a, b, c, d = gamma
     if c < 0 or (c == 0 and d < 0):
@@ -147,7 +181,9 @@ def _multiplier(gamma) -> tuple[Fraction, tuple[int, int]]:
         r = Fraction(b, 12)
     else:
         r = Fraction(a + d, 12 * c) - dedekind_sum(d, c) - Fraction(1, 4)
-    return Fraction(r.numerator % (2 * r.denominator), r.denominator), (c, d)
+    k = 12 * r
+    assert k.denominator == 1, "the eta multiplier is a 24th root of unity"
+    return int(k) % 24, (c, d)
 
 
 def _eta_mpc(tau):
@@ -156,11 +192,12 @@ def _eta_mpc(tau):
         raise DomainError("eta requires Im(tau) > 0")
     tau_f, gamma = _reduce_to_fundamental(mp.mpc(tau))
     value_f = _eta_series(tau_f)
-    r, (c, d) = _multiplier(gamma)
-    eps = mp.exp(mp.mpc(0, 1) * mp.pi * r.numerator / r.denominator)
+    k, (c, d) = _multiplier(gamma)
+    # dividing by eps is multiplying by its conjugate, the root of index -k
+    value = value_f * _roots_of_unity(mp.prec)[-k % 24]
     if c == 0:
-        return value_f / eps
-    return value_f / (eps * mp.sqrt(c * tau + d))
+        return value
+    return value / mp.sqrt(c * tau + d)
 
 
 def eta(tau, prec: int) -> mpmath.mpc:
@@ -223,19 +260,27 @@ def _eta_error(x: complex, dx: float, w: int) -> float:
         steps += 1
     else:
         return math.inf
-    # error / Im(tau) after the reduction, then the reduced point's error,
-    # with 8|x| for the rounding of the exp argument pi*i*tau/12
+    # error / Im(tau) after the reduction, then the reduced point's error.
+    # Everything up to q^(1/24) = exp(pi i x / 12) acts as an error in the
+    # point: the argument's roundings within 8|x| and the exp's within 8,
+    # as 12/pi times its relative 2 units.
     rho = dx / y0 + 4 * (steps + 2) * (1 / (2 * y0) + 1)
-    delta = rho * x.imag + 8 * abs(x)
-    # terms summed: e1(k) = k(3k-1)/2 >= k^2 until |q|^e1 < 2^-(w+8)
-    terms = math.isqrt(int((w + 8) / (2 * math.pi * x.imag * math.log2(math.e)))) + 2
-    # exp, q24^24, two additions a term, the tail and q24 * total; then the
-    # multiplier, an exp of an argument of modulus <= 2 pi rounded 3 times
-    err = 0.3 * delta + 2 * (2 * terms + 12) + 2 * (6 * math.pi + 1)
+    delta = rho * x.imag + 8 * abs(x) + 8
+    # The series, in units of 2^-w: the truncated q^(1/24) is within sqrt(2)
+    # and its 24th power moves that by 24 |q^(1/24)|^23 sqrt(2) < 1, plus the
+    # kernel's 36; the series has derivative below 1.01 and modulus above
+    # 0.99 where |q| <= e^(-pi sqrt(3)); the tail is below 1.  The count
+    # takes Im shaded down by 2^-20, so it never falls short of the one
+    # the evaluation, with its own Im, sums.
+    exps = _pentagonal(_pentagonal_count(x.imag * (1 - 2.0**-20), w))[0]
+    series = _series_bound(exps, 0) + 1 + 1.01 * (_series_bound((24,), 0) + 1)
+    # the conversion of the sum, the product with q^(1/24), the root of
+    # unity and the product with it round once each
+    err = 0.3 * delta + series / 0.99 + 8
     if c:
         # c x + d rounded twice, |c x + d|^2 = Im(x) / Im(x reduced); its
-        # square root halves the relative error; the sqrt, the product with
-        # the multiplier and the division round once each
+        # square root halves the relative error; the sqrt and the division
+        # round once each
         cxd = math.sqrt(y0 / x.imag)
-        err += (abs(c) * dx + 2 * (abs(c * x0) + cxd)) / (2 * cxd) + 6
+        err += (abs(c) * dx + 2 * (abs(c * x0) + cxd)) / (2 * cxd) + 4
     return err

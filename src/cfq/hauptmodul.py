@@ -33,13 +33,12 @@ flip (`fricke_reduce`).  Before summing, K* is found: the first exponent at
 which a closed-form bound on the envelope's tail,
 sum_{e >= K*} A exp(4 pi sqrt(e/N)) |q|^e, is at most 2^(ERROR_BITS-2-prec);
 if the file stops before K*, InsufficientDataError is raised before any term
-is summed.  The sum runs in fixed-point integers, whose rounding error is at
-most 2^-(prec + 48), and stops at the first index at or past K* that closes
-a run of 32 quiet terms, or at the end of the data (the quiet rule only
-keeps values bit-identical to earlier releases).  The remaining parts of the
-estimate are the error in q, carried through the derivative of the series,
-and the rounding of the last operations.  Eta-quotient entries are valid
-anywhere because eta itself reduces its argument.
+is summed.  Exactly the exponents 0 .. K*-1 are summed, in fixed-point
+integers by `numerics._fixed_series`, whose proven rounding bound is charged
+in full.  The remaining parts of the estimate are the error in q, carried
+through the derivative of the series, with the roundings of each step of
+the ascent counted, and the rounding of the last operations.  Eta-quotient
+entries are valid anywhere because eta itself reduces its argument.
 """
 
 from __future__ import annotations
@@ -65,6 +64,7 @@ from .errors import (
     QSeriesFormatError,
 )
 from .eta import EtaQuotientSpec, eta_quotient, eta_quotient_error
+from .numerics import _GUARD, _fixed_series, _to_fixed
 
 __all__ = [
     "EtaQuotientHaupt",
@@ -82,7 +82,6 @@ __all__ = [
 
 # evaluate(spec, tau, prec) is within 2^(ERROR_BITS - prec) * max(1, |t(tau)|)
 ERROR_BITS = 3
-_GUARD = 48
 _PACKAGED_DATA = Path(__file__).resolve().parent / "data"
 
 GAMMA0_LEVELS = frozenset([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 25])
@@ -344,22 +343,31 @@ def fricke_reduce(tau, n: int, prec: int) -> mpmath.mpc:
     imaginary part is never below the input's.
     """
     with mp.workprec(prec + _GUARD):
-        z = mp.mpc(tau)
-        if z.imag <= 0:
-            raise DomainError("point must lie in the upper half plane")
-        eps = mp.mpf(2) ** -24
-        for _ in range(100000):
-            k = int(mp.nint(z.real))
-            if k:
-                z -= k
-            if n * (z.real**2 + z.imag**2) < 1 - eps:
-                z = -1 / (n * z)
-            else:
-                break
-        else:
-            raise DomainError("Fricke reduction did not terminate")
+        z, _steps = _fricke_ascent(mp.mpc(tau), n)
     with mp.workprec(prec):
         return +z
+
+
+def _fricke_ascent(z, n: int) -> tuple[mpmath.mpc, int]:
+    """The ascent of `fricke_reduce` at the working precision: (point, steps).
+
+    Each translation and each flip counts as one step.
+    """
+    if z.imag <= 0:
+        raise DomainError("point must lie in the upper half plane")
+    eps = mp.mpf(2) ** -24
+    steps = 0
+    for _ in range(100000):
+        k = int(mp.nint(z.real))
+        if k:
+            z -= k
+            steps += 1
+        if n * (z.real**2 + z.imag**2) < 1 - eps:
+            z = -1 / (n * z)
+            steps += 1
+        else:
+            return z, steps
+    raise DomainError("Fricke reduction did not terminate")
 
 
 def evaluate(spec, tau, prec: int) -> mpmath.mpc:
@@ -461,76 +469,57 @@ def _evaluate_qseries(series: QSeriesHaupt, z, prec: int) -> tuple[mpmath.mpc, f
     Runs at the working precision evaluate sets (prec + guard).
     """
     z0 = complex(z)
-    # a Fricke-group function is invariant under the full ascent; a level-1
-    # series is too, because the flip is then an ordinary modular substitution
-    if series.group == "fricke" or series.n == 1:
-        z = fricke_reduce(z, series.n, prec + _GUARD)
-    coeffs = series.coeffs
-    # Fixed point at scale 2^w.  q is truncated to integers (error < 2^-w per
-    # component), and each step q^j -> q^(j+1) truncates again, so the
-    # computed power p_j satisfies |p_j - q^j| < 4j * 2^-w while |q| < 1.
-    # Summing |c_j| |p_j - q^j| with |c_j| < 2^b over j < n < 2^l gives at
-    # most 2^(b+1) n^2 2^-w <= 2^-(prec+_GUARD) for w as chosen below.
-    b = series.coeff_bits
-    w = prec + _GUARD + b + 2 * len(coeffs).bit_length() + 2
     zc = mp.mpc(z)
     if zc.imag <= 0:
         raise DomainError("point must lie in the upper half plane")
-    if series.group == "gamma0" and series.n != 1:
-        k = int(mp.nint(zc.real))
-        if k:
-            zc -= k
+    # a Fricke-group function is invariant under the full ascent; a level-1
+    # series is too, because the flip is then an ordinary modular substitution
+    if series.group == "fricke" or series.n == 1:
+        zc, steps = _fricke_ascent(zc, series.n)
+    else:
+        zc -= int(mp.nint(zc.real))
+        steps = 0
+    coeffs = series.coeffs
     q = mp.exp(2j * mp.pi * zc)
     # -ln|q|, shaded down so that the tail bound is not shaded down with it
     ell = 2 * math.pi * float(zc.imag) * (1 - 2.0**-40)
     kstar, log_tail = _tail_index(series, ell, prec)
     if kstar >= len(coeffs):
         raise InsufficientDataError(mp.nstr(abs(q), 8), len(coeffs), kstar + 1)
-    qr, qi = int(mp.ldexp(q.real, w)), int(mp.ldexp(q.imag, w))
-    # a term is quiet when both components are below 2^-(prec+9), so
-    # its modulus is below 2^-(prec+8)
-    quiet_bits = w - prec - 9
-    pr, pi = 1 << w, 0
-    acc_r = acc_i = 0
-    quiet = 0
-    for k in range(1, len(coeffs)):
-        # index k holds the coefficient of q^(k-1); (pr, pi) is q^(k-1)
-        c = coeffs[k]
-        if c:
-            tr, ti = c * pr, c * pi
-            acc_r += tr
-            acc_i += ti
-        else:
-            tr, ti = pr, pi
-        pr, pi = (pr * qr - pi * qi) >> w, (pr * qi + pi * qr) >> w
-        if tr.bit_length() <= quiet_bits and ti.bit_length() <= quiet_bits:
-            quiet += 1
-            # exponents 0 .. k-1 are summed, so the tail starts at k
-            if quiet >= 32 and k >= kstar:
-                break
-        else:
-            quiet = 0
+    # Exponents 0 .. K*-1, index k holding the coefficient of q^(k-1), summed
+    # at scale 2^w.  The kernel's bound, 1.5 * 2^b * K*(K*-1)/2 with
+    # |c| <= 2^b, and as much again for the truncation of q, stay below
+    # 1.5 * 2^(w - prec - _GUARD) for this w.
+    b = series.coeff_bits
+    w = prec + _GUARD + b + 2 * kstar.bit_length()
+    acc_r, acc_i, rounding = _fixed_series(
+        (_to_fixed(q.real, w), _to_fixed(q.imag, w)), range(kstar),
+        [coeffs[k] for k in range(1, kstar + 1)], b, w)
     acc = mp.mpc(mp.ldexp(acc_r, -w), mp.ldexp(acc_i, -w))
     pole = coeffs[0] / q
     value = pole + acc
     scale = max(1, abs(value))
     # Error in units of 2^-(prec+_GUARD) max(1, |value|); every operation
     # rounds within 2 units of its result (the model of cfq.eta).  The
-    # point: z carries 4 units of |z|, and error / Im(z) survives the
-    # ascent, whose own roundings run 48 bits lower and at most double it;
-    # the exp argument and the translation round 8 units of |z|.  A
-    # relative error eps_q in q moves the sum by eps_q (|c_-1 / q| +
-    # sum e |c_e| |q|^e), and the envelope bounds that sum by
-    # A e^(a^2 / (2 ell)) sqrt(r) / (1 - sqrt(r))^2, since
-    # a sqrt(e) <= a^2 / (2 ell) + ell e / 2.  The last operations, 1/q,
-    # the conversion of the sum and the addition, round once each.
+    # point: z carries 4 units of |z|, and error / Im(z) survives each step
+    # of the ascent, which adds its two roundings, 4 units of |z| / Im(z) <=
+    # 1/(2 Im z0) + 1 at each step's result; the exp argument and a gamma0
+    # translation round 8 units of |z|.  A relative error eps_q in q moves
+    # the sum by eps_q (|c_-1 / q| + sum e |c_e| |q|^e), and the envelope
+    # bounds that sum by A e^(a^2 / (2 ell)) sqrt(r) / (1 - sqrt(r))^2,
+    # since a sqrt(e) <= a^2 / (2 ell) + ell e / 2.  Truncating q to the
+    # scale moves each q^e by at most sqrt(2) e 2^-w, as much again as the
+    # kernel's rounding bound.  The last operations, 1/q, the conversion
+    # of the sum and the addition, round once each.
     a = 4 * math.pi / math.sqrt(series.n)
-    delta = 8 * abs(z0) / z0.imag * float(zc.imag) + 8 * float(abs(zc))
+    rho = 4 * abs(z0) / z0.imag + 4 * steps * (1 / (2 * z0.imag) + 1)
+    delta = rho * float(zc.imag) + 8 * float(abs(zc))
     eps_q = 2 * math.pi * delta + 2
     slope = series.envelope_a * math.exp(
         min(a * a / (2 * ell) - ell / 2 - 2 * math.log(-math.expm1(-ell / 2)), 709.0)
     )
     tail = math.exp(min(log_tail + (prec + _GUARD) * math.log(2), 709.0))
-    err = (1 + (tail + slope * eps_q) / float(scale) + (eps_q + 2) * _rel(pole, scale)
-           + 2 * (_rel(acc, scale) + 1))
+    rounding *= 2.0 ** (prec + _GUARD + 1 - w)
+    err = (1 + (tail + rounding + slope * eps_q) / float(scale)
+           + (eps_q + 2) * _rel(pole, scale) + 2 * (_rel(acc, scale) + 1))
     return value, err

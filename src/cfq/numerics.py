@@ -21,12 +21,18 @@ roundings of at most 2^(1-prec) each along every product).  These are
 evaluated in integers with every rounding directed upward, plus 2^-prec for
 the rounding of the residual.  A coefficient ball of radius R_max around a
 value within 1/2 - R_max of an integer holds that integer and no other.
+
+`_fixed_series` is the one series-summation loop of the package: the eta
+pentagonal series and the q-series of a principal modulus are both summed by
+it, in integers at scale 2^w, with a proven bound on its rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import isqrt
+from operator import sub
 
 import mpmath
 from mpmath import mp
@@ -34,6 +40,9 @@ from mpmath.libmp import from_man_exp
 
 from .errors import ConvergenceError, DomainError, RoundingFailureError
 from .exactpoly import IntPoly, RatPoly
+
+# guard bits above the requested precision, for eta and for evaluate
+_GUARD = 48
 
 __all__ = [
     "PrecisionPolicy",
@@ -170,6 +179,79 @@ def _expand(roots: list[int]) -> list[int]:
     for r in roots:
         coeffs = [a * r + b for a, b in zip(coeffs + [0], [0] + coeffs)]
     return coeffs
+
+
+def _to_fixed(x: mpmath.mpf, w: int) -> int:
+    """x * 2^w truncated toward zero: within 1 of it."""
+    sign, man, exp, _bc = x._mpf_
+    shift = exp + w
+    n = man << shift if shift >= 0 else man >> -shift
+    return -n if sign else n
+
+
+def _fixed_series(q, exponents, coeffs, coeff_bits: int, w: int) -> tuple[int, int, float]:
+    """sum_j coeffs[j] q^exponents[j] in integers at scale 2^w, and its rounding bound.
+
+    q = (qr + i qi) 2^-w is given by its scaled components (qr, qi).
+    exponents is a nondecreasing sequence of integers >= 0 (a range for a
+    dense series); coeffs yields one integer of modulus at most
+    2^coeff_bits per exponent.  Returns (sr, si, bound) with
+
+        |(sr + i si) 2^-w - sum_j coeffs[j] q^exponents[j]| <= bound 2^-w,
+
+    the sum taken at q exactly.  The caller adds its truncation tail and the
+    error in q.
+
+    Each power is the previous one times q^(e_{j+1} - e_j), and each such
+    difference power q^n is q^(n//2) q^(n - n//2), kept once built: an
+    addition sequence.  Every product is truncated toward -infinity, within
+    sqrt(2) of its value.  If approximations of x and y, |x|, |y| <= 1, are
+    within a and b, their product is within a|y| + b|x| + ab, which is at
+    most a + b when |q| + b 2^-w <= 1.  By induction along the sequence the
+    computed q^e is then within sqrt(2) (e - 1) of the true one (e >= 1;
+    q^0 = 1 and the products with it are exact), so the sum is within
+    sqrt(2) sum_j |c_j| e_j, below `_series_bound`.  The premise holds
+    because |q| <= 1 - 2 e_max 2^-w, which is checked in integers before
+    any term is summed.
+    """
+    n = len(exponents)
+    if not n:
+        return 0, 0, 0.0
+    qr, qi = q
+    one = 1 << w
+    e_max = exponents[-1]
+    if not (exponents[0] >= 0 and 2 * e_max < one
+            and qr * qr + qi * qi <= (one - 2 * e_max) ** 2):
+        raise DomainError("series point or exponents outside the kernel's range")
+    table = {0: (one, 0), 1: (qr, qi)}
+
+    def power(k):
+        # q^k, built from halves; a negative k is a decreasing exponent
+        p = table.get(k)
+        if p is None:
+            if k < 0:
+                raise DomainError("series exponents must be nondecreasing")
+            (ar, ai), (br, bi) = power(k // 2), power(k - k // 2)
+            p = table[k] = ((ar * br - ai * bi) >> w, (ar * bi + ai * br) >> w)
+        return p
+
+    if isinstance(exponents, range):
+        steps = chain((power(exponents.start),), repeat(power(exponents.step), n - 1))
+    else:
+        steps = [power(k) for k in map(sub, exponents, chain((0,), exponents))]
+    pr, pi = one, 0
+    acc_r = acc_i = 0
+    for c, (dr, di) in zip(coeffs, steps):
+        pr, pi = (pr * dr - pi * di) >> w, (pr * di + pi * dr) >> w
+        if c:
+            acc_r += c * pr
+            acc_i += c * pi
+    return acc_r, acc_i, _series_bound(exponents, coeff_bits)
+
+
+def _series_bound(exponents, coeff_bits: int) -> float:
+    """The rounding bound of `_fixed_series`, in units of 2^-w: 1.5 * 2^coeff_bits * sum e_j."""
+    return 1.5 * 2.0**coeff_bits * sum(exponents)
 
 
 def _fujiwara_bound(p: IntPoly, prec: int) -> mpmath.mpf:

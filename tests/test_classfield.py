@@ -52,7 +52,7 @@ class TestSingularValues:
                     sign, man, exp, _ = x._mpf_
                     digest.update(f"{sign} {man} {exp};".encode())
         assert digest.hexdigest() == (
-            "1973ec36cb69537547ee9ab913b762c7c6d2c9fd312c954f2bb6e7b1e54cd0a4"
+            "087591aa5ac639667815c4bcd2b70baf3a2864c333763a223150f38af29ba220"
         )
 
     def test_classes_pairwise_distinct(self):

@@ -1,5 +1,6 @@
 """Eta engine: Dedekind sums, transformation law, quotients."""
 
+import importlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -9,8 +10,11 @@ import pytest
 from mpmath import mp
 
 from conftest import cpx, eta_direct_series, mobius, random_sl2, rounded
+from cfq.elliptic import enumerate_representatives, fixed_point
 from cfq.errors import DomainError
-from cfq.eta import EtaQuotientSpec, dedekind_sum, eta, eta_quotient
+from cfq.eta import EtaQuotientSpec, dedekind_sum, eta, eta_quotient, eta_quotient_error
+from cfq.hauptmodul import catalog_lookup
+from cfq.quadforms import enumerate_class_group
 
 
 def dedekind_sum_by_definition(h: int, k: int) -> Fraction:
@@ -172,3 +176,43 @@ class TestEtaQuotient:
             EtaQuotientSpec([(1, 0)])
         with pytest.raises(DomainError):
             EtaQuotientSpec([(0, 3)])
+
+
+class TestEtaSeriesKernel:
+    """The pentagonal series summed by the fixed-point kernel."""
+
+    @pytest.mark.parametrize("prec", [128, 256, 1056])
+    def test_against_direct_series(self, prec):
+        # translations, flips and nontrivial multipliers, against the series
+        # summed at the unreduced point
+        rng = random.Random(prec)
+        for _ in range(12):
+            tau = cpx(rng.uniform(-3, 3), rng.uniform(0.35, 2.5), prec)
+            got = eta(tau, prec)
+            with mp.workprec(prec + 16):
+                want = eta_direct_series(tau, prec + 16)
+                assert abs(got - want) <= mp.mpf(2) ** (-prec + 8) * abs(want)
+
+    @pytest.mark.parametrize("prec", [128, 256, 1024])
+    def test_term_count_matches_error_model(self, prec, monkeypatch):
+        # the package re-exports the function eta as cfq.eta
+        module = importlib.import_module("cfq.eta")
+        counts = []
+        original = module._pentagonal
+        monkeypatch.setattr(module, "_pentagonal", lambda n: counts.append(n) or original(n))
+        checked = 0
+        for n in (2, 6, 12, 18, 25):
+            spec = catalog_lookup(n, "gamma0").spec
+            for alpha in enumerate_representatives(n, -4 * n, enumerate_class_group(-4 * n)):
+                tau = fixed_point(alpha)
+                with mp.workprec(prec):
+                    z = (tau.u + mp.sqrt(tau.n) * mp.mpc(0, tau.v)) / tau.w
+                counts.clear()
+                eta_quotient(spec, z, prec)
+                used = list(counts)
+                counts.clear()
+                eta_quotient_error(spec, z, prec, 4)
+                assert used == counts
+                assert len(used) == len(spec.terms)
+                checked += 1
+        assert checked >= 5

@@ -1,6 +1,7 @@
 """Catalog lookups, q-series files, Fricke reduction, and evaluation."""
 
 import functools
+import math
 import os
 import random
 
@@ -17,7 +18,7 @@ from cfq.errors import (
     NotGenusZeroError,
     QSeriesFormatError,
 )
-from cfq.eta import EtaQuotientSpec
+from cfq.eta import EtaQuotientSpec, _reduce_to_fundamental
 from cfq.exactpoly import IntPoly
 from cfq.hauptmodul import (
     ERROR_BITS,
@@ -28,10 +29,14 @@ from cfq.hauptmodul import (
     QSeriesHaupt,
     catalog_entries,
     catalog_lookup,
+    _fricke_ascent,
+    _log_tail,
+    _tail_index,
     evaluate,
     fricke_reduce,
     load_qseries,
 )
+from cfq.numerics import _GUARD
 from cfq.quadforms import enumerate_class_group
 
 H284 = IntPoly([-11, 4, 18, 5, -11, -7, 0, 1])
@@ -203,6 +208,25 @@ class TestFrickeReduce:
                 assert abs(out.real) <= 0.5 + mp.mpf(2) ** -20
                 assert n * (out.real**2 + out.imag**2) >= 1 - mp.mpf(2) ** -20
 
+    def test_deep_level1_point_charges_its_steps(self):
+        # the ascent of a point 1e-6 above the real axis takes many steps,
+        # each of which the error estimate charges; the reference reduces
+        # with the eta module's SL2(Z) reduction and sums the whole series
+        prec = 128
+        tau = cpx("0.41421356237", "1e-6", 600)
+        with mp.workprec(prec + _GUARD):
+            _point, steps = _fricke_ascent(mp.mpc(tau), 1)
+        assert steps > 2
+        entry = catalog_lookup(1, "gamma0")
+        got = evaluate(entry, tau, prec)
+        with mp.workprec(prec + 256):
+            z, _gamma = _reduce_to_fundamental(mp.mpc(tau))
+            assert z.imag > 0.8
+            q = mp.exp(2j * mp.pi * z)
+            ref = entry.coeffs[0] / q + mp.fsum(c * q**e for e, c in enumerate(entry.coeffs[1:]))
+            bound = mp.mpf(2) ** (ERROR_BITS - prec) * max(1, abs(ref))
+            assert abs(got - ref) <= bound
+
 
 PREC = 160
 
@@ -315,6 +339,33 @@ class TestQSeriesKernel:
                              ids=["i", "rho"])
     def test_level1(self, tau, prec):
         _check_against_reference(1, "gamma0", tau, prec)
+
+    @pytest.mark.parametrize("prec", [128, 256, 448])
+    def test_sums_exponents_below_kstar(self, prec):
+        # indices read: the pole and exponents 0 .. K*-1 (index k holds the
+        # coefficient of q^(k-1)), where K* is the first exponent whose
+        # envelope tail meets the target: the tail starts where the sum stops
+        read = set()
+
+        class RecordingCoeffs(tuple):
+            def __getitem__(self, k):
+                read.add(k)
+                return tuple.__getitem__(self, k)
+
+        entry = catalog_lookup(71, "fricke")
+        series = QSeriesHaupt(entry.label, entry.n, entry.group, entry.q_min,
+                              RecordingCoeffs(entry.coeffs))
+        tau = fixed_point(enumerate_representatives(71, -71, enumerate_class_group(-71))[0])
+        value = evaluate(series, tau, prec)
+        assert value == evaluate(entry, tau, prec)
+        with mp.workprec(prec + _GUARD):
+            z = (tau.u + mp.sqrt(tau.n) * mp.mpc(0, tau.v)) / tau.w
+            z, _steps = _fricke_ascent(z, 71)
+        ell = 2 * math.pi * float(z.imag) * (1 - 2.0**-40)
+        kstar, _ = _tail_index(series, ell, prec)
+        assert read == set(range(kstar + 1))
+        target = (ERROR_BITS - 2 - prec) * math.log(2)
+        assert _log_tail(series, ell, kstar) <= target < _log_tail(series, ell, kstar - 1)
 
     def test_data_ceiling_at_c8(self):
         entry = catalog_lookup(71, "fricke")

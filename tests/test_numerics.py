@@ -1,8 +1,11 @@
 """Polynomial assembly, rounding, root finding, and the precision contract."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from conftest import cpx
@@ -14,6 +17,7 @@ from cfq.hauptmodul import catalog_lookup, evaluate, fricke_reduce
 from cfq.numerics import (
     PrecisionPolicy,
     _coefficient_radius,
+    _fixed_series,
     certify_int_poly,
     find_roots,
     poly_from_roots,
@@ -22,6 +26,66 @@ from cfq.numerics import (
 
 H284 = IntPoly([-11, 4, 18, 5, -11, -7, 0, 1])
 WEBER = IntPoly([-1, -1, 1, 1, 1, -1, -2, 1])
+
+
+@st.composite
+def series_cases(draw):
+    """(q, exponents, coeffs, coeff_bits, w): |q| <= 0.95, dense or sparse exponents."""
+    w = draw(st.integers(min_value=64, max_value=1100))
+    r = draw(st.floats(min_value=0, max_value=0.95))
+    theta = draw(st.floats(min_value=0, max_value=2 * math.pi))
+    # 52 bits from the double, then arbitrary low bits below them
+    q = [int(r * f(theta) * 2**52) << (w - 52) | draw(st.integers(0, (1 << (w - 53)) - 1))
+         for f in (math.cos, math.sin)]
+    if draw(st.booleans()):
+        start = draw(st.integers(min_value=0, max_value=5))
+        exponents = range(start, start + draw(st.integers(min_value=0, max_value=60)))
+    else:
+        exponents = sorted(draw(st.lists(st.integers(min_value=0, max_value=400), max_size=40)))
+    coeffs = draw(st.lists(st.integers(min_value=-(2**64), max_value=2**64),
+                           min_size=len(exponents), max_size=len(exponents)))
+    bits = max((abs(c).bit_length() for c in coeffs), default=0)
+    return tuple(q), exponents, coeffs, bits, w
+
+
+class TestFixedSeries:
+    """The one summation kernel against a plain mpmath sum at the same q."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=series_cases())
+    def test_within_stated_bound(self, case):
+        q, exponents, coeffs, bits, w = case
+        sr, si, bound = _fixed_series(q, exponents, coeffs, bits, w)
+        with mp.workprec(w + 300):
+            scale = mp.mpf(2) ** w
+            x = mp.mpc(*q) / scale
+            want = mp.fsum(c * x**e for e, c in zip(exponents, coeffs))
+            assert abs(mp.mpc(sr, si) - want * scale) <= bound
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=series_cases())
+    def test_range_and_list_agree(self, case):
+        q, exponents, coeffs, bits, w = case
+        assert (_fixed_series(q, exponents, coeffs, bits, w)
+                == _fixed_series(q, list(exponents), coeffs, bits, w))
+
+    def test_sparse_powers_exact_for_q_of_two(self):
+        # q = 1/2 has exact powers above 2^-w, so the sum is exact
+        w = 128
+        exponents = [0, 1, 2, 5, 7, 12, 15, 22, 26, 35, 40]
+        coeffs = [1, -1, -1, 1, 1, -1, -1, 1, 1, -1, -1]
+        sr, si, _ = _fixed_series((1 << (w - 1), 0), exponents, coeffs, 0, w)
+        assert si == 0
+        assert sr == sum(c << (w - e) for e, c in zip(exponents, coeffs))
+
+    def test_rejects_decreasing_exponents(self):
+        with pytest.raises(DomainError):
+            _fixed_series((1 << 62, 0), [0, 3, 2], [1, 1, 1], 0, 64)
+
+    def test_rejects_point_too_near_the_unit_circle(self):
+        w = 64
+        with pytest.raises(DomainError):
+            _fixed_series(((1 << w) - 4, 0), range(10), [1] * 10, 0, w)
 
 
 class TestPolyFromRoots:
