@@ -2,8 +2,8 @@
 
 The package computes, in arbitrary precision with exact integer rounding,
 the class polynomials generated by values of genus-zero principal moduli
-(eta quotients, their Fricke symmetrizations, and ingested q-series such as
-the level-71 series) at order-2 elliptic points of Fricke groups, together
+(Laurent polynomials in eta quotients, and ingested q-series such as the
+level-71 series) at order-2 elliptic points of Fricke groups, together
 with the binary-quadratic-form machinery behind them.
 """
 
@@ -51,7 +51,6 @@ from .hauptmodul import (
     FRICKE_LEVELS,
     GAMMA0_LEVELS,
     EtaQuotientHaupt,
-    FrickeSymHaupt,
     QSeriesHaupt,
     catalog_entries,
     catalog_lookup,

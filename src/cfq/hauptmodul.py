@@ -1,14 +1,14 @@
 """Catalog and evaluation of principal moduli for genus-zero levels.
 
-Three kinds of entry, each normalized so the q-expansion is q^-1 + 0 + O(q):
+Two kinds of entry, each normalized so the q-expansion is q^-1 + 0 + O(q):
 
-  * eta quotients for the levels where the congruence group itself has genus
-    zero (built-in exponent tables, validated by the test suite rather than
-    trusted);
-  * Fricke symmetrizations t + kappa/t of those quotients, which are
-    principal moduli for the corresponding Fricke groups;
-  * ingested q-series coefficient files for Fricke-only levels (the package
-    ships the level-71 series and the level-1 modular invariant).
+  * `EtaQuotientHaupt`: sum_e c_e t^e, integer c_e, t an eta quotient:
+    t + shift for a genus-zero congruence level, t + shift + kappa/t for its
+    Fricke group, and j - 744 = h + 24 + 196608/h + 16777216/h^2 in the
+    level-2 quotient h for level 1 (built-in tables, validated by the test
+    suite rather than trusted);
+  * `QSeriesHaupt`: an ingested q-series coefficient file for a Fricke-only
+    level (the package ships the level-71 series).
 
 `evaluate(spec, tau, prec)` returns t(tau) rounded to prec bits with
 
@@ -21,12 +21,11 @@ rounding then keeps the sum within the bound.  The estimate rests on two
 stated assumptions:
 
   * the operation-error model of `cfq.eta` at the working precision, which
-    also prices the cancellation in t + kappa/t;
+    also prices the cancellation between the terms of sum_e c_e t^e;
   * for a q-series, the coefficient envelope |c_e| <= A exp(4 pi sqrt(e/N))
     for e >= 1, N the level.  A is fitted to the file when it is parsed
-    (`QSeriesHaupt.envelope_a`, about 0.225 for level 71 and 0.687 for
-    level 1), so the envelope holds on the data by construction and is
-    assumed beyond it.
+    (`QSeriesHaupt.envelope_a`, about 0.225 for level 71), so the envelope
+    holds on the data by construction and is assumed beyond it.
 
 A q-series is evaluated after an ascent through translations and the Fricke
 flip (`fricke_reduce`).  Before summing, K* is found: the first exponent at
@@ -34,11 +33,12 @@ which a closed-form bound on the envelope's tail,
 sum_{e >= K*} A exp(4 pi sqrt(e/N)) |q|^e, is at most 2^(ERROR_BITS-2-prec);
 if the file stops before K*, InsufficientDataError is raised before any term
 is summed.  Exactly the exponents 0 .. K*-1 are summed, in fixed-point
-integers by `numerics._fixed_series`, whose proven rounding bound is charged
-in full.  The remaining parts of the estimate are the error in q, carried
-through the derivative of the series, with the roundings of each step of
-the ascent counted, and the rounding of the last operations.  Eta-quotient
-entries are valid anywhere because eta itself reduces its argument.
+integers by `numerics._fixed_series`, at a scale sized by the envelope at
+K*, and the kernel's proven rounding bound is charged in full.  The
+remaining parts of the estimate are the error in q, carried through the
+derivative of the series, with the roundings of each step of the ascent
+counted, and the rounding of the last operations.  Eta-quotient entries are
+valid anywhere because eta itself reduces its argument.
 """
 
 from __future__ import annotations
@@ -64,11 +64,11 @@ from .errors import (
     QSeriesFormatError,
 )
 from .eta import EtaQuotientSpec, eta_quotient, eta_quotient_error
+from .exactpoly import LaurentExpr
 from .numerics import _GUARD, _fixed_series, _to_fixed
 
 __all__ = [
     "EtaQuotientHaupt",
-    "FrickeSymHaupt",
     "QSeriesHaupt",
     "GAMMA0_LEVELS",
     "FRICKE_LEVELS",
@@ -113,45 +113,32 @@ _ETA_TABLE: dict[int, tuple[tuple[int, int], ...]] = {
 
 @dataclass(frozen=True)
 class EtaQuotientHaupt:
-    """Principal modulus given by an eta quotient plus a constant shift."""
+    """Principal modulus sum_e c_e t^e, t the eta quotient `spec`, c_e integers."""
 
     level: int
     spec: EtaQuotientSpec
-    const_shift: int
-
-
-@dataclass(frozen=True)
-class FrickeSymHaupt:
-    """Principal modulus t + kappa/t + shift for a Fricke group."""
-
-    level: int
-    base: EtaQuotientSpec
-    kappa: int
-    const_shift: int
+    laurent: LaurentExpr
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise DomainError("kappa must be positive")
+        terms = self.laurent.terms
+        if not terms or any(c.denominator != 1 for _, c in terms):
+            raise DomainError("Laurent coefficients must be integers, not all zero")
 
 
 @dataclass(frozen=True)
 class QSeriesHaupt:
-    """Principal modulus known through its q-expansion coefficients."""
+    """Principal modulus of a Fricke group known through its q-expansion coefficients."""
 
     label: str
     n: int
     group: str
     q_min: int
     coeffs: tuple[int, ...]
-    # bit length of the largest |coefficient|, which sizes the fixed-point sum
-    coeff_bits: int = field(init=False, repr=False, compare=False)
     # the least A with |c_e| <= A exp(4 pi sqrt(e/n)) for every e >= 1 in the
     # file, which the tail and error bounds of evaluate assume for all e
     envelope_a: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bits = max(map(abs, self.coeffs), default=0).bit_length()
-        object.__setattr__(self, "coeff_bits", bits)
         a = 4 * math.pi / math.sqrt(self.n)
         # index k holds the coefficient of q^(k-1)
         best = max(
@@ -174,12 +161,14 @@ def _kappa(n: int, terms) -> int:
     return root
 
 
-def _const_shift(terms) -> int:
-    # q-expansion of the quotient is q^-1 - r_1 + O(q)
-    for d, r in terms:
-        if d == 1:
-            return r
-    return 0
+# (quotient, Laurent coefficients) of each congruence-group entry: t + r_1,
+# as t = q^-1 - r_1 + O(q).  Level 1 is j - 744 in the level-2 quotient h,
+# from j = (h + 256)^3 / h^2, the 2B relation of Conway and Norton,
+# "Monstrous Moonshine" (1979).
+_GAMMA0_ENTRIES = {
+    1: (_ETA_TABLE[2], {1: 1, 0: 24, -1: 196608, -2: 16777216}),
+    **{n: (terms, {1: 1, 0: dict(terms)[1]}) for n, terms in _ETA_TABLE.items()},
+}
 
 
 def _data_dirs(data_dir) -> list[Path]:
@@ -197,7 +186,7 @@ def _data_dirs(data_dir) -> list[Path]:
 def load_qseries(path) -> QSeriesHaupt:
     """Parse a q-series coefficient file.
 
-    Line 1: "# label=<text> level=<int> group=<gamma0|fricke> q_min=-1".
+    Line 1: "# label=<text> level=<int> group=fricke q_min=-1".
     Every further non-blank line that does not start with '#' holds one
     decimal integer; the first is the coefficient of q^-1.  The file is read
     on every call, and parsed once per process for each content.
@@ -228,8 +217,8 @@ def _parse_qseries(path: str, text: str) -> QSeriesHaupt:
         q_min = int(fields["q_min"])
     except ValueError as exc:
         raise QSeriesFormatError("header", f"{path}: non-integer header field") from exc
-    if fields["group"] not in ("gamma0", "fricke"):
-        raise QSeriesFormatError("header", f"{path}: group must be gamma0|fricke")
+    if fields["group"] != "fricke":
+        raise QSeriesFormatError("header", f"{path}: group must be fricke")
     if q_min != -1:
         raise QSeriesFormatError("q_min", f"{path}: q_min must be -1, got {q_min}")
     coeffs = []
@@ -260,10 +249,6 @@ def _parse_qseries(path: str, text: str) -> QSeriesHaupt:
     )
 
 
-def _qseries_filename(n: int, group: str) -> str:
-    return f"{group}_{n}.qseries"
-
-
 def catalog_lookup(n: int, group: str, data_dir=None):
     """The principal-modulus description for (level, group).
 
@@ -276,35 +261,32 @@ def catalog_lookup(n: int, group: str, data_dir=None):
             raise NotGenusZeroError(
                 f"level {n} is not in the genus-zero list for the congruence group"
             )
-        if n == 1:
-            return _load_from_dirs(n, group, data_dir)
-        terms = _ETA_TABLE[n]
-        return EtaQuotientHaupt(n, EtaQuotientSpec(terms), _const_shift(terms))
-    if group == "fricke":
+        terms, laurent = _GAMMA0_ENTRIES[n]
+    elif group == "fricke":
         if n not in FRICKE_LEVELS:
             raise NotGenusZeroError(
                 f"level {n} is not in the genus-zero list for the Fricke group"
             )
-        if n in _ETA_TABLE:
-            terms = _ETA_TABLE[n]
-            return FrickeSymHaupt(
-                n, EtaQuotientSpec(terms), _kappa(n, terms), _const_shift(terms)
-            )
-        return _load_from_dirs(n, group, data_dir)
-    raise DomainError(f"unknown group {group!r}")
+        if n not in _ETA_TABLE:
+            return _load_from_dirs(n, data_dir)
+        terms = _ETA_TABLE[n]
+        laurent = {1: 1, 0: dict(terms)[1], -1: _kappa(n, terms)}
+    else:
+        raise DomainError(f"unknown group {group!r}")
+    return EtaQuotientHaupt(n, EtaQuotientSpec(terms), LaurentExpr(laurent))
 
 
-def _load_from_dirs(n: int, group: str, data_dir) -> QSeriesHaupt:
-    name = _qseries_filename(n, group)
+def _load_from_dirs(n: int, data_dir) -> QSeriesHaupt:
+    name = f"fricke_{n}.qseries"
     for d in _data_dirs(data_dir):
         candidate = d / name
         if candidate.is_file():
             series = load_qseries(candidate)
-            if series.n != n or series.group != group:
+            if series.n != n:
                 raise QSeriesFormatError(
                     "header",
-                    f"{candidate}: header ({series.n}, {series.group}) does not "
-                    f"match catalog entry ({n}, {group})",
+                    f"{candidate}: header level {series.n} does not match "
+                    f"catalog entry ({n}, fricke)",
                 )
             return series
     raise DataFileMissingError(
@@ -314,25 +296,17 @@ def _load_from_dirs(n: int, group: str, data_dir) -> QSeriesHaupt:
 
 def catalog_entries(data_dir=None) -> list[dict]:
     """Inventory of all catalog keys with entry kind and data availability."""
-    out = []
-    for n in sorted(GAMMA0_LEVELS):
-        kind = "qseries" if n == 1 else "eta-quotient"
-        entry = {"level": n, "group": "gamma0", "kind": kind}
-        if kind == "qseries":
-            entry["available"] = _available(n, "gamma0", data_dir)
-        out.append(entry)
+    out = [{"level": n, "group": "gamma0", "kind": "eta-quotient"}
+           for n in sorted(GAMMA0_LEVELS)]
     for n in sorted(FRICKE_LEVELS):
-        kind = "fricke-sym" if n in _ETA_TABLE else "qseries"
-        entry = {"level": n, "group": "fricke", "kind": kind}
-        if kind == "qseries":
-            entry["available"] = _available(n, "fricke", data_dir)
-        out.append(entry)
+        if n in _ETA_TABLE:
+            out.append({"level": n, "group": "fricke", "kind": "fricke-sym"})
+        else:
+            available = any((d / f"fricke_{n}.qseries").is_file()
+                            for d in _data_dirs(data_dir))
+            out.append({"level": n, "group": "fricke", "kind": "qseries",
+                        "available": available})
     return out
-
-
-def _available(n: int, group: str, data_dir) -> bool:
-    name = _qseries_filename(n, group)
-    return any((d / name).is_file() for d in _data_dirs(data_dir))
 
 
 def fricke_reduce(tau, n: int, prec: int) -> mpmath.mpc:
@@ -389,21 +363,8 @@ def evaluate(spec, tau, prec: int) -> mpmath.mpc:
         # of the point.
         if isinstance(spec, EtaQuotientHaupt):
             t = eta_quotient(spec.spec, z, wp)
-            value = t + spec.const_shift
-            scale = max(1, abs(value))
-            err = eta_quotient_error(spec.spec, z, wp, 4) * _rel(t, scale) + 2
-        elif isinstance(spec, FrickeSymHaupt):
-            t = eta_quotient(spec.base, z, wp)
-            if t == 0:
-                raise DomainError("eta quotient vanished at the evaluation point")
-            inv = spec.kappa / t
-            value = t + inv + spec.const_shift
-            scale = max(1, abs(value))
-            # kappa/t, t + kappa/t and the shift round once each; all of t's
-            # error passes into both terms, whatever cancels between them
-            terms = _rel(t, scale) + _rel(inv, scale)
-            err = (eta_quotient_error(spec.base, z, wp, 4) * terms
-                   + 2 * (_rel(inv, scale) + _rel(t + inv, scale) + 1))
+            value, err = _laurent_sum(spec.laurent, t,
+                                      eta_quotient_error(spec.spec, z, wp, 4))
         elif isinstance(spec, QSeriesHaupt):
             value, err = _evaluate_qseries(spec, z, prec)
         else:
@@ -417,6 +378,47 @@ def evaluate(spec, tau, prec: int) -> mpmath.mpc:
         )
     with mp.workprec(prec):
         return +value
+
+
+def _laurent_sum(laurent: LaurentExpr, t, t_err: float) -> tuple[mpmath.mpc, float]:
+    """sum_e c_e t^e, and its error in units of 2^-wp max(1, |value|).
+
+    t is within t_err units of |t|, an error that passes e-fold into each
+    term c_e t^e whatever cancels between them.  Each operation rounds
+    within 2 units of its result (the model of cfq.eta): t^k takes k - 1
+    products, a division by it or a product with c_e != 1 one more, and
+    each partial sum one; the constant, exact, is added last.
+    """
+    if t == 0 and laurent.min_exponent() < 0:
+        raise DomainError("eta quotient vanished at the evaluation point")
+    powers = [1, t]
+    terms = []
+    for e, c in sorted(laurent.terms, key=lambda term: term[0] == 0):
+        c, k = c.numerator, abs(e)
+        while len(powers) <= k:
+            powers.append(powers[-1] * t)
+        if e < 0:
+            term = c / powers[k]
+        else:
+            term = powers[k] if c == 1 else c * powers[k]
+        terms.append((k, k - 1 + (e < 0 or c != 1) if k else 0, term))
+    value, partials = terms[0][2], []
+    for _k, _ops, term in terms[1:]:
+        value += term
+        partials.append(value)
+    modulus = abs(value)
+    scale = max(1, modulus)
+    slope = rounding = 0.0
+    for k, ops, term in terms:
+        if k:
+            r = _rel(term, scale)
+            slope += k * r
+            rounding += 2 * ops * r
+    for partial in partials[:-1]:
+        rounding += 2 * _rel(partial, scale)
+    if partials:
+        rounding += 2 * float(modulus / scale)
+    return value, t_err * slope + rounding
 
 
 def _rel(x, scale) -> float:
@@ -469,16 +471,8 @@ def _evaluate_qseries(series: QSeriesHaupt, z, prec: int) -> tuple[mpmath.mpc, f
     Runs at the working precision evaluate sets (prec + guard).
     """
     z0 = complex(z)
-    zc = mp.mpc(z)
-    if zc.imag <= 0:
-        raise DomainError("point must lie in the upper half plane")
-    # a Fricke-group function is invariant under the full ascent; a level-1
-    # series is too, because the flip is then an ordinary modular substitution
-    if series.group == "fricke" or series.n == 1:
-        zc, steps = _fricke_ascent(zc, series.n)
-    else:
-        zc -= int(mp.nint(zc.real))
-        steps = 0
+    # the function is invariant under the full ascent of its Fricke group
+    zc, steps = _fricke_ascent(mp.mpc(z), series.n)
     coeffs = series.coeffs
     q = mp.exp(2j * mp.pi * zc)
     # -ln|q|, shaded down so that the tail bound is not shaded down with it
@@ -487,10 +481,16 @@ def _evaluate_qseries(series: QSeriesHaupt, z, prec: int) -> tuple[mpmath.mpc, f
     if kstar >= len(coeffs):
         raise InsufficientDataError(mp.nstr(abs(q), 8), len(coeffs), kstar + 1)
     # Exponents 0 .. K*-1, index k holding the coefficient of q^(k-1), summed
-    # at scale 2^w.  The kernel's bound, 1.5 * 2^b * K*(K*-1)/2 with
-    # |c| <= 2^b, and as much again for the truncation of q, stay below
+    # at scale 2^w.  |c| <= 2^b: the constant term by its bit length, the
+    # others by the envelope, which grows with e and is fitted to every
+    # coefficient of the file.  The kernel's bound, 1.5 * 2^b * K*(K*-1)/2,
+    # and as much again for the truncation of q, stay below
     # 1.5 * 2^(w - prec - _GUARD) for this w.
-    b = series.coeff_bits
+    a = 4 * math.pi / math.sqrt(series.n)
+    b = abs(coeffs[1]).bit_length()
+    if kstar > 1:
+        b = max(b, math.ceil(math.log2(series.envelope_a)
+                             + a * math.sqrt(kstar - 1) / math.log(2)))
     w = prec + _GUARD + b + 2 * kstar.bit_length()
     acc_r, acc_i, rounding = _fixed_series(
         (_to_fixed(q.real, w), _to_fixed(q.imag, w)), range(kstar),
@@ -503,15 +503,14 @@ def _evaluate_qseries(series: QSeriesHaupt, z, prec: int) -> tuple[mpmath.mpc, f
     # rounds within 2 units of its result (the model of cfq.eta).  The
     # point: z carries 4 units of |z|, and error / Im(z) survives each step
     # of the ascent, which adds its two roundings, 4 units of |z| / Im(z) <=
-    # 1/(2 Im z0) + 1 at each step's result; the exp argument and a gamma0
-    # translation round 8 units of |z|.  A relative error eps_q in q moves
-    # the sum by eps_q (|c_-1 / q| + sum e |c_e| |q|^e), and the envelope
-    # bounds that sum by A e^(a^2 / (2 ell)) sqrt(r) / (1 - sqrt(r))^2,
+    # 1/(2 Im z0) + 1 at each step's result; the exp argument rounds 8
+    # units of |z|.  A relative error eps_q in q moves the sum by
+    # eps_q (|c_-1 / q| + sum e |c_e| |q|^e), and the envelope bounds that
+    # sum by A e^(a^2 / (2 ell)) sqrt(r) / (1 - sqrt(r))^2,
     # since a sqrt(e) <= a^2 / (2 ell) + ell e / 2.  Truncating q to the
     # scale moves each q^e by at most sqrt(2) e 2^-w, as much again as the
     # kernel's rounding bound.  The last operations, 1/q, the conversion
     # of the sum and the addition, round once each.
-    a = 4 * math.pi / math.sqrt(series.n)
     rho = 4 * abs(z0) / z0.imag + 4 * steps * (1 / (2 * z0.imag) + 1)
     delta = rho * float(zc.imag) + 8 * float(abs(zc))
     eps_q = 2 * math.pi * delta + 2

@@ -52,7 +52,7 @@ class TestSingularValues:
                     sign, man, exp, _ = x._mpf_
                     digest.update(f"{sign} {man} {exp};".encode())
         assert digest.hexdigest() == (
-            "087591aa5ac639667815c4bcd2b70baf3a2864c333763a223150f38af29ba220"
+            "8f6b819e174b77c1a14119a7ff64ce3d19ca32bfda45ad07c405b2b7518b121e"
         )
 
     def test_classes_pairwise_distinct(self):

@@ -148,6 +148,8 @@ class TestCatalog:
         lines = out.strip().splitlines()
         assert len(lines) == 52
         assert any("fricke   71  qseries  data present" in line for line in lines)
+        # level 1 is computed from an eta quotient: no data column
+        assert "gamma0    1  eta-quotient" in lines
 
     def test_json_round_trip(self):
         code, out, _ = invoke(["catalog", "--json"])

@@ -4,11 +4,14 @@ import functools
 import math
 import os
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
+import cfq.hauptmodul
 from conftest import cpx, eta_direct_series, mobius, random_gamma0, rounded
+from cfq.classfield import ring_class_polynomial
 from cfq.elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
 from cfq.errors import (
     ConvergenceError,
@@ -18,25 +21,25 @@ from cfq.errors import (
     NotGenusZeroError,
     QSeriesFormatError,
 )
-from cfq.eta import EtaQuotientSpec, _reduce_to_fundamental
-from cfq.exactpoly import IntPoly
+from cfq.eta import EtaQuotientSpec
+from cfq.exactpoly import IntPoly, LaurentExpr
 from cfq.hauptmodul import (
     ERROR_BITS,
     FRICKE_LEVELS,
     GAMMA0_LEVELS,
     EtaQuotientHaupt,
-    FrickeSymHaupt,
     QSeriesHaupt,
     catalog_entries,
     catalog_lookup,
     _fricke_ascent,
+    _laurent_sum,
     _log_tail,
     _tail_index,
     evaluate,
     fricke_reduce,
     load_qseries,
 )
-from cfq.numerics import _GUARD
+from cfq.numerics import _GUARD, _fixed_series
 from cfq.quadforms import enumerate_class_group
 
 H284 = IntPoly([-11, 4, 18, 5, -11, -7, 0, 1])
@@ -53,7 +56,7 @@ class TestCatalog:
         entry = catalog_lookup(2, "gamma0")
         assert isinstance(entry, EtaQuotientHaupt)
         assert entry.spec == EtaQuotientSpec([(1, 24), (2, -24)])
-        assert entry.const_shift == 24
+        assert entry.laurent == LaurentExpr({1: 1, 0: 24})
 
     def test_level13_entry(self):
         entry = catalog_lookup(13, "gamma0")
@@ -61,8 +64,28 @@ class TestCatalog:
 
     def test_fricke_sym_kappa(self):
         entry = catalog_lookup(2, "fricke")
-        assert isinstance(entry, FrickeSymHaupt)
-        assert entry.kappa == 4096 and entry.const_shift == 24
+        assert isinstance(entry, EtaQuotientHaupt)
+        assert entry.laurent == LaurentExpr({1: 1, 0: 24, -1: 4096})
+
+    def test_level1_in_the_level2_quotient(self):
+        # j - 744 = h + 24 + 196608/h + 16777216/h^2, h = (eta(tau)/eta(2 tau))^24
+        entry = catalog_lookup(1, "gamma0")
+        assert isinstance(entry, EtaQuotientHaupt)
+        assert entry.spec == catalog_lookup(2, "gamma0").spec
+        assert entry.laurent == LaurentExpr({1: 1, 0: 24, -1: 196608, -2: 16777216})
+
+    def test_laurent_coefficients_must_be_integers(self):
+        spec = EtaQuotientSpec([(1, 24), (2, -24)])
+        with pytest.raises(DomainError, match="integers"):
+            EtaQuotientHaupt(2, spec, LaurentExpr({1: 1, 0: Fraction(1, 2)}))
+        with pytest.raises(DomainError, match="not all zero"):
+            EtaQuotientHaupt(2, spec, LaurentExpr({1: 0}))
+
+    def test_vanishing_quotient_refused_under_a_negative_exponent(self):
+        with pytest.raises(DomainError, match="vanished"):
+            _laurent_sum(LaurentExpr({1: 1, -1: 4096}), mp.mpc(0), 1.0)
+        value, _err = _laurent_sum(LaurentExpr({1: 1, 0: 24}), mp.mpc(0), 1.0)
+        assert value == 24
 
     def test_not_genus_zero(self):
         with pytest.raises(NotGenusZeroError, match="11"):
@@ -87,6 +110,20 @@ class TestCatalog:
         assert by_key[(71, "fricke")]["available"] is True
         assert by_key[(59, "fricke")]["available"] is False
         assert by_key[(12, "fricke")]["kind"] == "fricke-sym"
+        assert by_key[(1, "gamma0")] == {"level": 1, "group": "gamma0", "kind": "eta-quotient"}
+
+    def test_gamma0_entries_need_no_data(self, tmp_path, monkeypatch):
+        # no data directory holds any file, the packaged one included
+        monkeypatch.setattr(cfq.hauptmodul, "_PACKAGED_DATA", tmp_path)
+        for n in sorted(GAMMA0_LEVELS):
+            assert isinstance(catalog_lookup(n, "gamma0", data_dir=tmp_path), EtaQuotientHaupt)
+        result = ring_class_polynomial(1, "gamma0", -4, data_dir=tmp_path)
+        assert result.poly == IntPoly([-984, 1])
+        entries = catalog_entries(tmp_path)
+        assert len(entries) == 52
+        assert not any("available" in e for e in entries if e["group"] == "gamma0")
+        with pytest.raises(DataFileMissingError):
+            catalog_lookup(71, "fricke", data_dir=tmp_path)
 
 
 class TestLoadQSeries:
@@ -145,7 +182,6 @@ class TestLoadQSeries:
         assert load_qseries(p) is first
         after = _parse_qseries.cache_info()
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
-        assert first.coeff_bits == 3     # |-7| < 2^3
 
     def test_rewritten_file_reparsed(self, tmp_path):
         head = "# label=EDIT level=2 group=fricke q_min=-1\n1\n0\n"
@@ -156,7 +192,15 @@ class TestLoadQSeries:
         p.write_text(head + "9\n" + "4\n" * 79)
         os.utime(p, ns=(stamp, stamp))
         series = load_qseries(p)
-        assert series.coeffs[2] == 9 and series.coeff_bits == 4
+        assert series.coeffs[2] == 9
+
+    def test_gamma0_group_refused(self, tmp_path):
+        # q-series files hold Fricke-group functions only
+        body = "\n".join(["# label=J level=1 group=gamma0 q_min=-1", "1", "0"]
+                         + ["196884"] * 80)
+        with pytest.raises(QSeriesFormatError, match="group must be fricke") as exc:
+            load_qseries(self._write(tmp_path, body, name="gamma0_1.qseries"))
+        assert exc.value.reason == "header"
 
     def test_data_dir_override(self, tmp_path):
         body = "\n".join(["# label=SYN level=14 group=fricke q_min=-1", "1", "0"]
@@ -208,24 +252,26 @@ class TestFrickeReduce:
                 assert abs(out.real) <= 0.5 + mp.mpf(2) ** -20
                 assert n * (out.real**2 + out.imag**2) >= 1 - mp.mpf(2) ** -20
 
-    def test_deep_level1_point_charges_its_steps(self):
-        # the ascent of a point 1e-6 above the real axis takes many steps,
-        # each of which the error estimate charges; the reference reduces
-        # with the eta module's SL2(Z) reduction and sums the whole series
-        prec = 128
-        tau = cpx("0.41421356237", "1e-6", 600)
+    @pytest.mark.parametrize("prec", [128, 256, 448])
+    def test_deep_level71_point_charges_its_steps(self, prec):
+        # an element of Gamma0(71), z -> z / (71 k z + 1) then z -> z + m
+        # twice, moves the C = 2 representative to 6e-11 above the real
+        # axis; the ascent undoes it in 9 steps, each of which the error
+        # estimate charges, and the value is that of the representative
+        alpha = EllipticElement(71, 1, -36, 2)
+        tau = fixed_point(alpha)
+        with mp.workprec(700):
+            z = (tau.u + mp.sqrt(tau.n) * mp.mpc(0, tau.v)) / tau.w
+            for m, k in ((2, 3), (-1, 2)):
+                z = mobius((1, m, 0, 1), mobius((1, 0, 71 * k, 1), z))
+            assert z.imag < 1e-10
         with mp.workprec(prec + _GUARD):
-            _point, steps = _fricke_ascent(mp.mpc(tau), 1)
+            _point, steps = _fricke_ascent(mp.mpc(z), 71)
         assert steps > 2
-        entry = catalog_lookup(1, "gamma0")
-        got = evaluate(entry, tau, prec)
-        with mp.workprec(prec + 256):
-            z, _gamma = _reduce_to_fundamental(mp.mpc(tau))
-            assert z.imag > 0.8
-            q = mp.exp(2j * mp.pi * z)
-            ref = entry.coeffs[0] / q + mp.fsum(c * q**e for e, c in enumerate(entry.coeffs[1:]))
-            bound = mp.mpf(2) ** (ERROR_BITS - prec) * max(1, abs(ref))
-            assert abs(got - ref) <= bound
+        got = evaluate(catalog_lookup(71, "fricke"), z, prec)
+        ref = _reference_sum(71, "fricke", tau)
+        with mp.workprec(REF_PREC):
+            assert abs(got - ref) <= mp.mpf(2) ** (ERROR_BITS - prec) * max(1, abs(ref))
 
 
 PREC = 160
@@ -286,6 +332,11 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(entry, cpx(0, -1, PREC), PREC)
 
+    def test_qseries_rejects_lower_half_plane(self):
+        # the Fricke ascent refuses the point before any term is summed
+        with pytest.raises(DomainError, match="upper half plane"):
+            evaluate(catalog_lookup(71, "fricke"), cpx("0.1", "-0.2", PREC), PREC)
+
 
 # the 14 level-71 representatives of discs -71 and -284, at each precision
 # the data supports: at 448 bits the four with C = 8 need more coefficients
@@ -334,11 +385,21 @@ class TestQSeriesKernel:
         assert -alpha.B >= alpha.C
         _check_against_reference(71, "fricke", fixed_point(alpha), prec)
 
-    @pytest.mark.parametrize("prec", [128, 256, 448])
-    @pytest.mark.parametrize("tau", [CMPoint(0, 1, 1, 1), CMPoint(-1, 1, 2, 3)],
-                             ids=["i", "rho"])
-    def test_level1(self, tau, prec):
-        _check_against_reference(1, "gamma0", tau, prec)
+    @pytest.mark.parametrize(
+        "alpha,prec", LEVEL71_CASES, ids=[f"{a.text()}@{p}" for a, p in LEVEL71_CASES]
+    )
+    def test_summed_coefficients_within_scale(self, alpha, prec, monkeypatch):
+        # the kernel is told |c| <= 2^b, b taken from the envelope at K*
+        seen = []
+
+        def recording(q, exponents, coeffs, coeff_bits, w):
+            seen.append((coeffs, coeff_bits))
+            return _fixed_series(q, exponents, coeffs, coeff_bits, w)
+
+        monkeypatch.setattr(cfq.hauptmodul, "_fixed_series", recording)
+        evaluate(catalog_lookup(71, "fricke"), fixed_point(alpha), prec)
+        [(coeffs, b)] = seen
+        assert max(map(abs, coeffs)) <= 2**b
 
     @pytest.mark.parametrize("prec", [128, 256, 448])
     def test_sums_exponents_below_kstar(self, prec):
@@ -430,14 +491,29 @@ def _series_reference(entry, tau, prec):
 
 
 def _eta_reference(entry, tau, prec):
-    """An eta-quotient or Fricke-symmetrized entry from unreduced eta series."""
-    spec = entry.spec if isinstance(entry, EtaQuotientHaupt) else entry.base
+    """An eta-quotient entry's Laurent polynomial from unreduced eta series."""
     with mp.workprec(prec):
         z = (tau.u + mp.sqrt(tau.n) * mp.mpc(0, tau.v)) / tau.w
-        t = mp.fprod(eta_direct_series(d * z, prec) ** r for d, r in spec.terms)
-        if isinstance(entry, FrickeSymHaupt):
-            t += entry.kappa / t
-        return t + entry.const_shift
+        t = mp.fprod(eta_direct_series(d * z, prec) ** r for d, r in entry.spec.terms)
+        return mp.fsum(int(c) * t**e for e, c in entry.laurent.terms)
+
+
+LEVEL1_POINTS = {
+    "i": CMPoint(0, 1, 1, 1),
+    "rho": CMPoint(-1, 1, 2, 3),
+    # 1e-6 above the real axis: the reduction takes many steps
+    "deep": cpx("0.41421356237", "1e-6", 600),
+}
+KLEINJ_PREC = 448 + 256
+
+
+@functools.cache
+def _kleinj_reference(point):
+    tau = LEVEL1_POINTS[point]
+    with mp.workprec(KLEINJ_PREC):
+        if isinstance(tau, CMPoint):
+            tau = (tau.u + mp.sqrt(tau.n) * mp.mpc(0, tau.v)) / tau.w
+        return 1728 * mp.kleinj(tau) - 744
 
 
 def _check_documented_bound(entry, tau, prec):
@@ -463,6 +539,17 @@ class TestDocumentedBound:
                              ids=["i", "rho"])
     def test_level1(self, tau, prec):
         _check_documented_bound(catalog_lookup(1, "gamma0"), tau, prec)
+
+    @pytest.mark.parametrize("prec", [128, 256, 448])
+    @pytest.mark.parametrize("point", sorted(LEVEL1_POINTS))
+    def test_level1_against_kleinj(self, point, prec):
+        # j - 744 from mpmath's theta-function kleinj at the unreduced point,
+        # an oracle that shares no code with the eta path
+        tau = LEVEL1_POINTS[point]
+        got = evaluate(catalog_lookup(1, "gamma0"), tau, prec)
+        ref = _kleinj_reference(point)
+        with mp.workprec(KLEINJ_PREC):
+            assert abs(got - ref) <= mp.mpf(2) ** (ERROR_BITS - prec) * max(1, abs(ref))
 
     @pytest.mark.parametrize("prec", [128, 256])
     @pytest.mark.parametrize("key", _level_keys(), ids=lambda k: "%d-%s%d" % k)
@@ -495,8 +582,7 @@ class TestDocumentedBound:
 class TestEnvelope:
     """The stated growth bound |c_e| <= A exp(4 pi sqrt(e/N)), e >= 1."""
 
-    @pytest.mark.parametrize("level,group,fitted", [(71, "fricke", 0.2251),
-                                                    (1, "gamma0", 0.6866)])
+    @pytest.mark.parametrize("level,group,fitted", [(71, "fricke", 0.2251)])
     def test_every_coefficient_within_envelope(self, level, group, fitted):
         entry = catalog_lookup(level, group)
         assert abs(entry.envelope_a - fitted) < 1e-4
@@ -514,7 +600,7 @@ def _evaluate_at(entry, z, prec):
 class TestCatalogValidation:
     """Random-sample invariance of every built-in entry under its group."""
 
-    @pytest.mark.parametrize("n", sorted(GAMMA0_LEVELS - {1}))
+    @pytest.mark.parametrize("n", sorted(GAMMA0_LEVELS))
     def test_eta_quotient_invariance(self, n):
         entry = catalog_lookup(n, "gamma0")
         rng = random.Random(1000 + n)
@@ -549,10 +635,12 @@ class TestCatalogValidation:
         rng = random.Random(3000 + n)
         from cfq.eta import eta_quotient
 
+        kappa = int(dict(entry.laurent.terms)[-1])
+
         tol = mp.mpf(2) ** (-PREC + 16)
         with mp.workprec(PREC + 32):
             for _ in range(20):
                 tau = mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.7, 1.8))
-                t1 = eta_quotient(entry.base, rounded(tau, PREC), PREC)
-                t2 = eta_quotient(entry.base, rounded(-1 / (n * tau), PREC), PREC)
-                assert abs(t1 * t2 - entry.kappa) < tol * entry.kappa
+                t1 = eta_quotient(entry.spec, rounded(tau, PREC), PREC)
+                t2 = eta_quotient(entry.spec, rounded(-1 / (n * tau), PREC), PREC)
+                assert abs(t1 * t2 - kappa) < tol * kappa
