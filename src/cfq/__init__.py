@@ -3,8 +3,10 @@
 The package computes, in arbitrary precision with exact integer rounding,
 the class polynomials generated by values of genus-zero principal moduli
 (Laurent polynomials in eta quotients, and ingested q-series such as the
-level-71 series) at order-2 elliptic points of Fricke groups, together
-with the binary-quadratic-form machinery behind them.
+level-71 series) at order-2 elliptic points of Fricke groups: the class
+group of binary quadratic forms, one minimal-C elliptic representative per
+class, certified rounding of the product of the values, and an exact check
+of algebraic relations between the resulting polynomials.
 """
 
 from .classfield import (
@@ -18,10 +20,8 @@ from .elliptic import (
     CMPoint,
     EllipticElement,
     OrderDesc,
-    conjugate_in_fricke,
     enumerate_representatives,
     fixed_point,
-    from_form,
     order_of,
 )
 from .errors import (
@@ -42,9 +42,6 @@ from .eta import EtaQuotientSpec, dedekind_sum, eta, eta_quotient
 from .exactpoly import (
     IntPoly,
     LaurentExpr,
-    RatPoly,
-    polymod_invert,
-    polymod_reduce,
     verify_root_relation,
 )
 from .hauptmodul import (
@@ -58,7 +55,7 @@ from .hauptmodul import (
     fricke_reduce,
     load_qseries,
 )
-from .numerics import PrecisionPolicy, find_roots, poly_from_roots, round_to_int_poly
+from .numerics import PrecisionPolicy, poly_from_roots, round_to_int_poly
 from .quadforms import (
     ClassGroup,
     Discriminant,
@@ -69,7 +66,6 @@ from .quadforms import (
     enumerate_class_group,
     equivalent,
     reduce_form,
-    to_fricke_shape,
 )
 
 __version__ = "0.1.0"

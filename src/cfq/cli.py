@@ -56,7 +56,7 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, level=False, group=False, disc=False, prec=False):
+    def common(p, level=False, group=False, disc=False, prec=False, data_dir=False):
         if level:
             p.add_argument("-n", "--level", type=int, required=True)
         if group:
@@ -66,12 +66,13 @@ def _build_parser() -> _Parser:
         if prec:
             p.add_argument("--prec-bits", type=int, default=None,
                            help="working precision in bits (default: automatic)")
-        p.add_argument("--data-dir", default=None,
-                       help="directory with q-series files (overrides CFQ_DATA_DIR)")
+        if data_dir:
+            p.add_argument("--data-dir", default=None,
+                           help="directory with q-series files (overrides CFQ_DATA_DIR)")
         p.add_argument("--json", action="store_true", help="emit JSON")
 
     p = sub.add_parser("class-poly", help="class polynomial for (level, group, disc)")
-    common(p, level=True, group=True, disc=True, prec=True)
+    common(p, level=True, group=True, disc=True, prec=True, data_dir=True)
 
     p = sub.add_parser("class-group", help="reduced forms and composition table")
     common(p, disc=True)
@@ -80,7 +81,7 @@ def _build_parser() -> _Parser:
     common(p, level=True, disc=True)
 
     p = sub.add_parser("eval", help="principal modulus value at one element")
-    common(p, level=True, group=True, prec=True)
+    common(p, level=True, group=True, prec=True, data_dir=True)
     p.add_argument("--element", required=True, metavar="A,B,C",
                    help="elliptic element as 'A,B,C' (or 'A,B,C@n') at the given level")
 
@@ -88,10 +89,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--paper71", action="store_true",
                    help="check the level-71 class polynomials and the two "
                         "algebraic relations to Weber's polynomial")
-    common(p)
+    common(p, data_dir=True)
 
     p = sub.add_parser("catalog", help="list genus-zero catalog entries")
-    common(p)
+    common(p, data_dir=True)
     return parser
 
 

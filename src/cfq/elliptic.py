@@ -3,9 +3,9 @@
 An element is stored as the integer triple (A, B, C) with n*A^2 + B*C = -1,
 B < 0, C > 0; it fixes the CM point (n*A + sqrt(-n))/(n*C), whose
 imaginary quadratic order has discriminant -n exactly when B and C are both
-even (forcing n = 3 mod 4) and -4n otherwise.  Conjugacy in the Fricke group
-is detected through SL2(Z)-equivalence of the associated quadratic forms,
-and one representative of minimal C is produced for every ideal class.
+even (forcing n = 3 mod 4) and -4n otherwise.  The primitive quadratic form
+attached to an element places it in an ideal class of that discriminant,
+and one representative of minimal C is produced for every class.
 """
 
 from __future__ import annotations
@@ -14,22 +14,14 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DomainError, SearchFailureError
-from .quadforms import (
-    ClassGroup,
-    QuadForm,
-    enumerate_class_group,
-    equivalent,
-    reduce_form,
-)
+from .quadforms import ClassGroup, QuadForm, enumerate_class_group, reduce_form
 
 __all__ = [
     "EllipticElement",
     "CMPoint",
     "OrderDesc",
-    "from_form",
     "fixed_point",
     "order_of",
-    "conjugate_in_fricke",
     "enumerate_representatives",
 ]
 
@@ -86,10 +78,6 @@ class EllipticElement:
         a, b, c = (int(p) for p in parts)
         return cls(n, a, b, c)
 
-    @classmethod
-    def fricke_involution(cls, n: int) -> EllipticElement:
-        return cls(n, 0, -1, 1)
-
 
 @dataclass(frozen=True)
 class CMPoint:
@@ -115,14 +103,6 @@ class CMPoint:
         object.__setattr__(self, "w", w // g)
         object.__setattr__(self, "n", n)
 
-    def minimal_polynomial(self) -> tuple[int, int, int]:
-        """(a, b, c), content-reduced, with a*tau^2 + b*tau + c = 0 and a > 0."""
-        a = self.w * self.w
-        b = -2 * self.u * self.w
-        c = self.u * self.u + self.n * self.v * self.v
-        g = gcd(gcd(a, abs(b)), c)
-        return (a // g, b // g, c // g)
-
 
 @dataclass(frozen=True)
 class OrderDesc:
@@ -144,23 +124,6 @@ class OrderDesc:
         return f"Z[sqrt(-{self.n})]"
 
 
-def from_form(f: QuadForm, n: int) -> EllipticElement:
-    """Invert the form map: recover (A, B, C) from a form in Fricke shape.
-
-    Accepts the homogeneous form itself (discriminant -4n) or its half
-    (discriminant -n), which is doubled before reading off the entries.
-    """
-    if f.disc == -4 * n:
-        a, b, c = f.a, f.b, f.c
-    elif f.disc == -n and n % 4 == 3:
-        a, b, c = 2 * f.a, 2 * f.b, 2 * f.c
-    else:
-        raise DomainError(f"form {f} has discriminant {f.disc}, not -4n or -n")
-    if a % n or b % (2 * n):
-        raise DomainError(f"form {f} is not in Fricke shape for level {n}")
-    return EllipticElement(n, -b // (2 * n), -c, a // n)
-
-
 def fixed_point(alpha: EllipticElement) -> CMPoint:
     """The unique fixed point (n*A + sqrt(-n)) / (n*C) in the upper half plane."""
     tau = CMPoint(alpha.n * alpha.A, 1, alpha.n * alpha.C, alpha.n)
@@ -180,15 +143,6 @@ def order_of(alpha: EllipticElement) -> OrderDesc:
             raise DomainError("internal invariant violated: even B, C force n = 3 mod 4")
         return OrderDesc(alpha.n, -alpha.n)
     return OrderDesc(alpha.n, -4 * alpha.n)
-
-
-def conjugate_in_fricke(alpha: EllipticElement, beta: EllipticElement) -> bool:
-    """Whether two elements are conjugate in the Fricke group of their level."""
-    if alpha.n != beta.n:
-        raise DomainError(f"level mismatch: {alpha.n} vs {beta.n}")
-    if order_of(alpha).disc != order_of(beta).disc:
-        return False
-    return equivalent(alpha.primitive_form(), beta.primitive_form()) is not None
 
 
 def enumerate_representatives(

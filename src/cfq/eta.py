@@ -78,10 +78,6 @@ class EtaQuotientSpec:
                 raise DomainError("exponents must be nonzero")
         object.__setattr__(self, "terms", terms)
 
-    @property
-    def weight_twice(self) -> int:
-        return sum(r for _, r in self.terms)
-
 
 def dedekind_sum(h: int, k: int) -> Fraction:
     """Exact s(h, k), by the reciprocity-accelerated Euclidean recursion."""

@@ -1,12 +1,11 @@
-"""Exact univariate polynomial algebra over the integers and rationals.
+"""Exact univariate polynomials over the integers and exact root relations.
 
-Arbitrary-magnitude integers are Python ints and rationals are
-`fractions.Fraction` (always in lowest terms with positive denominator), so
-the two scalar types carry their invariants for free.  Polynomials are dense,
-lowest degree first, with a nonzero leading coefficient unless zero.
+Arbitrary-magnitude integers are Python ints, and the coefficients of a
+`LaurentExpr` are `fractions.Fraction` (always in lowest terms with positive
+denominator), so both scalar types carry their invariants for free.
+Polynomials are dense, lowest degree first, with a nonzero leading
+coefficient unless zero.
 
-The residue-ring operations `polymod_reduce` and `polymod_invert` work over
-the rationals by exact long division and the extended Euclidean algorithm.
 `verify_root_relation` works in integers only: it makes the modulus monic by
 scaling the variable, and carries one common denominator.  There is no
 rounding anywhere in this module.
@@ -23,10 +22,7 @@ from .errors import InvalidModulusError, NonInvertibleError
 
 __all__ = [
     "IntPoly",
-    "RatPoly",
     "LaurentExpr",
-    "polymod_reduce",
-    "polymod_invert",
     "verify_root_relation",
 ]
 
@@ -82,17 +78,11 @@ class IntPoly:
                     out[i + j] += a * b
         return IntPoly(out)
 
-    def derivative(self) -> IntPoly:
-        return IntPoly(k * c for k, c in enumerate(self.coeffs) if k > 0)
-
     def evaluate(self, x):
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def to_rat(self) -> RatPoly:
-        return RatPoly(Fraction(c) for c in self.coeffs)
 
     def text(self) -> str:
         """Comma-separated decimal coefficients, lowest degree first."""
@@ -101,90 +91,6 @@ class IntPoly:
     @classmethod
     def from_text(cls, s: str) -> IntPoly:
         return cls(int(part) for part in s.split(","))
-
-    @classmethod
-    def x_power(cls, k: int) -> IntPoly:
-        return cls([0] * k + [1])
-
-
-@dataclass(frozen=True)
-class RatPoly:
-    """Rational polynomial; coefficients lowest degree first."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __init__(self, coeffs: Iterable[Fraction | int]):
-        object.__setattr__(
-            self, "coeffs", _strip(tuple(Fraction(c) for c in coeffs))
-        )
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
-    def __neg__(self) -> RatPoly:
-        return RatPoly(-c for c in self.coeffs)
-
-    def __add__(self, other: RatPoly) -> RatPoly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RatPoly(self[k] + other[k] for k in range(n))
-
-    def __sub__(self, other: RatPoly) -> RatPoly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RatPoly(self[k] - other[k] for k in range(n))
-
-    def __mul__(self, other: RatPoly) -> RatPoly:
-        if self.is_zero() or other.is_zero():
-            return RatPoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return RatPoly(out)
-
-    def scale(self, c) -> RatPoly:
-        c = Fraction(c)
-        return RatPoly(c * a for a in self.coeffs)
-
-    def evaluate(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def divmod(self, other: RatPoly) -> tuple[RatPoly, RatPoly]:
-        """Exact division with remainder; deg(remainder) < deg(other)."""
-        if other.is_zero():
-            raise InvalidModulusError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return RatPoly(()), self
-        quo = [Fraction(0)] * (dq + 1)
-        lead = other.coeffs[-1]
-        for top in range(len(rem) - 1, len(other.coeffs) - 2, -1):
-            c = rem[top]
-            if c == 0:
-                continue
-            f = c / lead
-            shift = top - (len(other.coeffs) - 1)
-            quo[shift] = f
-            for j, b in enumerate(other.coeffs):
-                rem[shift + j] -= f * b
-        return RatPoly(quo), RatPoly(rem)
-
-    def to_int(self) -> IntPoly:
-        """Convert when every coefficient is integral; raises otherwise."""
-        if any(c.denominator != 1 for c in self.coeffs):
-            raise ValueError("polynomial has non-integer coefficients")
-        return IntPoly(c.numerator for c in self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -203,35 +109,11 @@ class LaurentExpr:
         return self.terms[0][0] if self.terms else 0
 
 
-def _require_modulus(m: RatPoly) -> None:
+def _require_modulus(m: IntPoly) -> None:
     if m.is_zero():
         raise InvalidModulusError("modulus is the zero polynomial")
     if m.degree < 1:
         raise InvalidModulusError("modulus must have degree at least 1")
-
-
-def polymod_reduce(p: RatPoly, m: RatPoly) -> RatPoly:
-    """Remainder of p modulo m by exact long division."""
-    _require_modulus(m)
-    return p.divmod(m)[1]
-
-
-def polymod_invert(g: RatPoly, m: RatPoly) -> RatPoly:
-    """Inverse of g in Q[x]/(m) via the extended Euclidean algorithm."""
-    _require_modulus(m)
-    # invariants: r0 = s0*g + t0*m, r1 = s1*g + t1*m
-    r0, r1 = polymod_reduce(g, m), m
-    s0, s1 = RatPoly([1]), RatPoly(())
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    if r0.degree != 0:
-        raise NonInvertibleError(
-            f"gcd has degree {r0.degree}; element is not invertible"
-        )
-    inv = s0.scale(Fraction(1) / r0.coeffs[0])
-    return polymod_reduce(inv, m)
 
 
 def _mulmod(f: list[int], g: list[int], m: list[int]) -> list[int]:

@@ -131,8 +131,6 @@ class QSeriesHaupt:
 
     label: str
     n: int
-    group: str
-    q_min: int
     coeffs: tuple[int, ...]
     # the least A with |c_e| <= A exp(4 pi sqrt(e/n)) for every e >= 1 in the
     # file, which the tail and error bounds of evaluate assume for all e
@@ -186,7 +184,7 @@ def _data_dirs(data_dir) -> list[Path]:
 def load_qseries(path) -> QSeriesHaupt:
     """Parse a q-series coefficient file.
 
-    Line 1: "# label=<text> level=<int> group=fricke q_min=-1".
+    Line 1: "# label=<text> level=<n> group=fricke q_min=-1" with n >= 1.
     Every further non-blank line that does not start with '#' holds one
     decimal integer; the first is the coefficient of q^-1.  The file is read
     on every call, and parsed once per process for each content.
@@ -217,6 +215,8 @@ def _parse_qseries(path: str, text: str) -> QSeriesHaupt:
         q_min = int(fields["q_min"])
     except ValueError as exc:
         raise QSeriesFormatError("header", f"{path}: non-integer header field") from exc
+    if level < 1:
+        raise QSeriesFormatError("header", f"{path}: level must be positive, got {level}")
     if fields["group"] != "fricke":
         raise QSeriesFormatError("header", f"{path}: group must be fricke")
     if q_min != -1:
@@ -240,13 +240,7 @@ def _parse_qseries(path: str, text: str) -> QSeriesHaupt:
         raise QSeriesFormatError(
             "coefficient", f"{path}: leading coefficient (of q^-1) must be nonzero"
         )
-    return QSeriesHaupt(
-        label=fields["label"],
-        n=level,
-        group=fields["group"],
-        q_min=q_min,
-        coeffs=tuple(coeffs),
-    )
+    return QSeriesHaupt(label=fields["label"], n=level, coeffs=tuple(coeffs))
 
 
 def catalog_lookup(n: int, group: str, data_dir=None):

@@ -4,9 +4,7 @@ Values are plain `mpmath.mpc` numbers.  Every function takes the working
 precision in bits as an explicit `prec` argument and returns values rounded
 to it; arithmetic on a returned value outside an `mp.workprec` block runs at
 mpmath's global precision (53 bits by default).  The module builds monic
-polynomials from their roots, rounds near-integer coefficient vectors, and
-finds the roots of an integer polynomial by Aberth-Ehrlich simultaneous
-iteration, which double-checks class polynomials numerically.
+polynomials from their roots and rounds near-integer coefficient vectors.
 
 `certify_int_poly` turns roots known within radii into an integer
 polynomial with a proof: if each true root t_i lies within
@@ -38,8 +36,8 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
-from .errors import ConvergenceError, DomainError, RoundingFailureError
-from .exactpoly import IntPoly, RatPoly
+from .errors import DomainError, RoundingFailureError
+from .exactpoly import IntPoly
 
 # guard bits above the requested precision, for eta and for evaluate
 _GUARD = 48
@@ -49,7 +47,6 @@ __all__ = [
     "poly_from_roots",
     "round_to_int_poly",
     "certify_int_poly",
-    "find_roots",
 ]
 
 
@@ -253,85 +250,3 @@ def _series_bound(exponents, coeff_bits: int) -> float:
     """The rounding bound of `_fixed_series`, in units of 2^-w: 1.5 * 2^coeff_bits * sum e_j."""
     return 1.5 * 2.0**coeff_bits * sum(exponents)
 
-
-def _fujiwara_bound(p: IntPoly, prec: int) -> mpmath.mpf:
-    with mp.workprec(prec):
-        n = p.degree
-        lead = mp.mpf(abs(p.coeffs[-1]))
-        bound = mp.mpf(0)
-        for k in range(n):
-            c = abs(p.coeffs[k])
-            if c:
-                bound = max(bound, (mp.mpf(c) / lead) ** (mp.mpf(1) / (n - k)))
-        return 2 * bound if bound > 0 else mp.mpf(1)
-
-
-def find_roots(p: IntPoly, prec: int) -> list[mpmath.mpc]:
-    """All roots of a square-free integer polynomial, Aberth-Ehrlich iteration.
-
-    Initial points sit on a circle of Fujiwara-bound radius, rotated by a
-    fixed irrational angle so no initial point hits a symmetry axis.  Each
-    returned root r satisfies |p(r)| < 2^(-prec/2) * max|coeff| and is
-    rounded to prec bits.
-    """
-    n = p.degree
-    if n < 1:
-        raise DomainError("polynomial must have positive degree")
-    gcd_pd = _rat_gcd(p.to_rat(), p.derivative().to_rat())
-    if gcd_pd.degree != 0:
-        raise DomainError("polynomial is not square-free")
-    dp = p.derivative()
-    work = prec + 32
-    with mp.workprec(work):
-        radius = _fujiwara_bound(p, work)
-        theta0 = mp.mpf(1) / mp.sqrt(2)
-        z = [
-            radius * mp.exp(1j * (2 * mp.pi * k / n + theta0))
-            for k in range(n)
-        ]
-        step_tol = mp.mpf(2) ** (-prec - 8)
-        for _ in range(500):
-            max_step = mp.mpf(0)
-            for i in range(n):
-                pv = _horner(p, z[i])
-                dv = _horner(dp, z[i])
-                if pv == 0:
-                    continue
-                newton = pv / dv if dv != 0 else mp.mpc(1)
-                acc = mp.mpc(0)
-                for j in range(n):
-                    if j != i:
-                        dz = z[i] - z[j]
-                        if dz == 0:
-                            dz = mp.mpc(step_tol)
-                        acc += 1 / dz
-                denom = 1 - newton * acc
-                delta = newton / denom if denom != 0 else newton
-                z[i] = z[i] - delta
-                max_step = max(max_step, abs(delta) / (1 + abs(z[i])))
-            if max_step < step_tol:
-                break
-        else:
-            raise ConvergenceError("root iteration did not converge in 500 rounds")
-        norm = max(abs(c) for c in p.coeffs)
-        limit = mp.mpf(2) ** (-prec // 2) * norm
-        for zi in z:
-            if abs(_horner(p, zi)) >= limit:
-                raise ConvergenceError(
-                    f"root residual {abs(_horner(p, zi))} above {limit}"
-                )
-    with mp.workprec(prec):
-        return [+zi for zi in z]
-
-
-def _horner(p: IntPoly, x):
-    acc = mp.mpc(0)
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _rat_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return a

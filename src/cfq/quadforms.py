@@ -1,10 +1,8 @@
 """Positive definite binary quadratic forms and their class groups.
 
 Covers Gauss reduction with transformation tracking, SL2(Z)-equivalence,
-composition of ideal classes by the united-forms method, brute-force class
-group enumeration (the Cayley table is composed only when first read), and
-the transformation of a form into "Fricke shape" (level dividing the outer
-coefficients) used to read off order-2 elliptic elements.
+composition of ideal classes by the united-forms method, and brute-force
+class group enumeration (the Cayley table is composed only when first read).
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ __all__ = [
     "equivalent",
     "compose",
     "enumerate_class_group",
-    "to_fricke_shape",
 ]
 
 
@@ -234,18 +231,15 @@ _COPRIME_PAIRS = tuple(
 )
 
 
-def _coprime_value_transform(f: QuadForm, modulus: int, column: int) -> SL2Matrix:
-    """Unimodular u placing a value of f coprime to `modulus` in slot `column`.
+def _coprime_value_transform(f: QuadForm, modulus: int) -> SL2Matrix:
+    """Unimodular u with gcd(f.transform(u).a, modulus) == 1.
 
-    column 0 targets the leading coefficient, column 1 the trailing one.
     The (x, y) search is bounded by 16 in each coordinate, which is ample for
     the discriminants this package handles.
     """
     for x, y, u, v in _COPRIME_PAIRS:
         if gcd(f(x, y), modulus) == 1:
-            if column == 0:
-                return SL2Matrix(x, -v, y, u)
-            return SL2Matrix(v, x, -u, y)
+            return SL2Matrix(x, -v, y, u)
     raise SearchFailureError(
         f"no value of {f} coprime to {modulus} with coordinates up to 16"
     )
@@ -258,7 +252,7 @@ def compose(f: IdealClass, g: IdealClass) -> IdealClass:
     d = f.disc
     f1 = f.rep
     # move g to a representative whose leading coefficient is coprime to a1
-    u = _coprime_value_transform(g.rep, f1.a, 0)
+    u = _coprime_value_transform(g.rep, f1.a)
     f2 = g.rep.transform(u)
     a1, b1 = f1.a, f1.b
     a2, b2 = f2.a, f2.b
@@ -339,38 +333,3 @@ def enumerate_class_group(d: int | Discriminant) -> ClassGroup:
     assert forms[0] == principal_form(d)
     return ClassGroup(d, tuple(IdealClass(f) for f in forms))
 
-
-def to_fricke_shape(g: QuadForm, n: int) -> QuadForm:
-    """An equivalent form with n | a and n | b (2n | b when disc = -4n).
-
-    For discriminant -4n the result is the homogeneous form of an order-2
-    elliptic element; for discriminant -n (n = 3 mod 4) it is half of one.
-    The form is first moved so its trailing coefficient is coprime to the
-    discriminant, then sheared by (x, y) -> (x, y + kx).
-    """
-    _check_pos_def(g)
-    if not g.is_primitive():
-        raise DomainError(f"form {g} is imprimitive")
-    d = g.disc
-    if n <= 0:
-        raise DomainError("level must be positive")
-    if d == -4 * n:
-        half = False
-    elif d == -n and n % 4 == 3:
-        half = True
-    else:
-        raise DomainError(f"discriminant {d} is neither -4*{n} nor admissible -{n}")
-    work = g
-    if gcd(work.c, d) != 1:
-        work = work.transform(_coprime_value_transform(work, d, 1))
-    a, b, c = work.a, work.b, work.c
-    if half:
-        k = (-b * pow(2 * c, -1, n)) % n
-    else:
-        assert b % 2 == 0
-        k = (-(b // 2) * pow(c, -1, n)) % n
-    out = work.transform(SL2Matrix(1, 0, k, 1))
-    assert out.a % n == 0 and out.b % n == 0
-    if not half:
-        assert out.b % (2 * n) == 0
-    return out

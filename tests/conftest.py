@@ -1,14 +1,25 @@
-"""Shared helpers: independent oracles and random group-element generators."""
+"""Shared helpers: published polynomials, independent oracles and random
+group-element generators."""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 
 import mpmath
 from mpmath import mp
 
+from cfq.errors import InvalidModulusError, NonInvertibleError
+from cfq.exactpoly import IntPoly
 from cfq.quadforms import _extgcd
+
+# published degree-7 polynomials for the Hilbert class field of Q(sqrt(-71)),
+# lowest degree first, kept apart from the copies in cfq.cli
+H71 = IntPoly([1, 0, -2, -3, 1, 5, 4, 1])
+H284 = IntPoly([-11, 4, 18, 5, -11, -7, 0, 1])
+WEBER = IntPoly([-1, -1, 1, 1, 1, -1, -2, 1])     # x^7-2x^6-x^5+x^4+x^3+x^2-x-1
 
 
 def cpx(re, im, prec) -> mpmath.mpc:
@@ -21,6 +32,89 @@ def rounded(z, prec) -> mpmath.mpc:
     """The complex number z rounded to prec bits."""
     with mp.workprec(prec):
         return +z
+
+
+# Rational polynomials for reference computations: tuples of Fractions,
+# lowest degree first, with no trailing zero, so the zero polynomial is ().
+
+
+def rat(coeffs) -> tuple[Fraction, ...]:
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def rat_add(a, b) -> tuple[Fraction, ...]:
+    return rat(x + y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def rat_sub(a, b) -> tuple[Fraction, ...]:
+    return rat(x - y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def rat_mul(a, b) -> tuple[Fraction, ...]:
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return rat(out)
+
+
+def rat_divmod(a, b) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Exact division with remainder by a nonzero b; deg(remainder) < deg(b)."""
+    rem = list(a)
+    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    for shift in reversed(range(len(quo))):
+        f = quo[shift] = rem[shift + len(b) - 1] / b[-1]
+        for j, y in enumerate(b):
+            rem[shift + j] -= f * y
+    return rat(quo), rat(rem)
+
+
+def rat_gcd(a, b) -> tuple[Fraction, ...]:
+    """A greatest common divisor, up to a constant factor."""
+    while b:
+        a, b = b, rat_divmod(a, b)[1]
+    return a
+
+
+def polymod_reduce(p, m) -> tuple[Fraction, ...]:
+    """Remainder of p modulo m by exact long division."""
+    if len(m) < 2:
+        raise InvalidModulusError("modulus must have degree at least 1")
+    return rat_divmod(p, m)[1]
+
+
+def polymod_invert(g, m) -> tuple[Fraction, ...]:
+    """Inverse of g in Q[x]/(m) via the extended Euclidean algorithm."""
+    # invariants: r0 = s0*g + t0*m, r1 = s1*g + t1*m
+    r0, r1 = polymod_reduce(g, m), m
+    s0, s1 = rat([1]), ()
+    while r1:
+        q, r = rat_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, rat_sub(s0, rat_mul(q, s1))
+    if len(r0) != 1:
+        raise NonInvertibleError(f"gcd has degree {len(r0) - 1}; element is not invertible")
+    return polymod_reduce(rat(c / r0[0] for c in s0), m)
+
+
+def reference_root_relation(expr, target: IntPoly, modulus: IntPoly) -> bool:
+    """target(expr(beta)) == 0 in Q[x]/(modulus), by long division and inversion."""
+    m = rat(modulus.coeffs)
+    x = rat([0, 1])
+    value = ()
+    for e, c in expr.terms:
+        base = x if e >= 0 else polymod_invert(x, m)
+        power = rat([1])
+        for _ in range(abs(e)):
+            power = polymod_reduce(rat_mul(power, base), m)
+        value = rat_add(value, rat(c * y for y in power))
+    acc = ()
+    for c in reversed(target.coeffs):
+        acc = rat_add(polymod_reduce(rat_mul(acc, value), m), rat([c]))
+    return not polymod_reduce(acc, m)
 
 
 def brute_force_class_count(d: int) -> int:

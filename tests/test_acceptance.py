@@ -12,6 +12,9 @@ from fractions import Fraction
 from mpmath import mp
 
 from conftest import (
+    H71,
+    H284,
+    WEBER,
     brute_force_class_count,
     eta_direct_series,
     mobius,
@@ -23,13 +26,9 @@ from cfq.classfield import galois_permutation, ring_class_polynomial, singular_v
 from cfq.cli import run as cli_run
 from cfq.elliptic import EllipticElement, enumerate_representatives, fixed_point
 from cfq.eta import dedekind_sum, eta
-from cfq.exactpoly import IntPoly, LaurentExpr, verify_root_relation
+from cfq.exactpoly import LaurentExpr, verify_root_relation
 from cfq.hauptmodul import GAMMA0_LEVELS, catalog_lookup, evaluate
 from cfq.quadforms import enumerate_class_group
-
-H71 = IntPoly([1, 0, -2, -3, 1, 5, 4, 1])
-H284 = IntPoly([-11, 4, 18, 5, -11, -7, 0, 1])
-WEBER = IntPoly([-1, -1, 1, 1, 1, -1, -2, 1])
 
 
 @contextlib.contextmanager

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 from mpmath import mp
 
+from conftest import H71, H284, rat, rat_gcd
 from cfq.classfield import galois_permutation, ring_class_polynomial, singular_values
 from cfq.elliptic import EllipticElement, enumerate_representatives, fixed_point
 from cfq.errors import DomainError, EscalationFailureError, RoundingFailureError
@@ -13,9 +14,6 @@ from cfq.exactpoly import IntPoly
 from cfq.hauptmodul import catalog_lookup, evaluate
 from cfq.numerics import PrecisionPolicy, poly_from_roots, round_to_int_poly
 from cfq.quadforms import IdealClass, QuadForm, enumerate_class_group, reduce_form
-
-H71 = IntPoly([1, 0, -2, -3, 1, 5, 4, 1])
-H284 = IntPoly([-11, 4, 18, 5, -11, -7, 0, 1])
 
 
 class TestSingularValues:
@@ -154,11 +152,11 @@ class TestRingClassPolynomial:
             assert result.poly.degree == enumerate_class_group(disc).class_number
 
     def test_square_free(self):
-        from cfq.numerics import _rat_gcd
-
         for poly in (ring_class_polynomial(71, "fricke", -71).poly, H284):
-            g = _rat_gcd(poly.to_rat(), poly.derivative().to_rat())
-            assert g.degree == 0
+            derivative = rat(k * c for k, c in enumerate(poly.coeffs) if k)
+            assert len(rat_gcd(rat(poly.coeffs), derivative)) == 1
+        # and the check can fail: (x + 1)^2 shares x + 1 with its derivative
+        assert len(rat_gcd(rat([1, 2, 1]), rat([2, 2]))) == 2
 
     def test_conjugate_representative_same_polynomial(self):
         # the pipeline path and a by-hand path through the deep conjugate point

@@ -3,6 +3,7 @@
 import io
 import json
 
+import pytest
 
 from cfq.cli import run
 
@@ -66,6 +67,15 @@ class TestClassPoly:
     def test_missing_data_exit_code(self):
         code, _, err = invoke(["class-poly", "-n", "59", "--group", "fricke", "-D", "-59"])
         assert code == 1
+
+    @pytest.mark.parametrize("level", [0, -5])
+    def test_nonpositive_header_level_exit_code(self, tmp_path, level):
+        body = f"# label=T level={level} group=fricke q_min=-1\n" + "1\n" * 70
+        (tmp_path / "fricke_23.qseries").write_text(body)
+        code, out, err = invoke(["class-poly", "-n", "23", "--group", "fricke", "-D", "-92",
+                                 "--data-dir", str(tmp_path)])
+        assert code == 1 and out == ""
+        assert err.startswith("cfq: error: ") and "level must be positive" in err
 
 
 class TestClassGroup:
@@ -165,3 +175,11 @@ class TestParsing:
     def test_missing_required(self):
         code, _, _ = invoke(["class-poly", "-n", "71"])
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [["class-group", "-D", "-71"],
+                                      ["reps", "-n", "71", "-D", "-71"]])
+    def test_data_dir_only_where_read(self, argv, capsys):
+        # neither command reads a q-series, so neither takes --data-dir
+        code, out, _ = invoke(argv + ["--data-dir", "x"])
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --data-dir x" in capsys.readouterr().err

@@ -5,15 +5,13 @@ import pytest
 from cfq.elliptic import (
     CMPoint,
     EllipticElement,
-    conjugate_in_fricke,
     enumerate_representatives,
     fixed_point,
-    from_form,
     order_of,
 )
 from cfq.errors import DomainError
 from cfq.hauptmodul import FRICKE_LEVELS, GAMMA0_LEVELS
-from cfq.quadforms import QuadForm, enumerate_class_group, reduce_form
+from cfq.quadforms import QuadForm, enumerate_class_group, equivalent, reduce_form
 
 
 class TestEllipticElement:
@@ -41,28 +39,6 @@ class TestEllipticElement:
             EllipticElement.from_text("1,-36,2@71", 5)
         with pytest.raises(DomainError):
             EllipticElement.from_text("1,-36,2")
-
-
-class TestFromForm:
-    def test_fricke_involution(self):
-        for n in (2, 5, 71):
-            assert from_form(QuadForm(n, 0, 1), n) == EllipticElement(n, 0, -1, 1)
-
-    def test_unit_class_disc_71(self):
-        el = from_form(QuadForm(1278, 71, 1), 71)
-        assert (abs(el.A), el.B, el.C) == (1, -2, 36)
-        assert el.n * el.A**2 + el.B * el.C == -1
-        # the fixed point is the classical disc -71 base point
-        tau = fixed_point(el)
-        assert (tau.u, tau.v, tau.w) == (el.A * 71, 1, 2556)
-
-    def test_doubling_case(self):
-        el = from_form(QuadForm(71, -71, 18), 71)
-        assert el == EllipticElement(71, 1, -36, 2)
-
-    def test_rejects_non_fricke_shape(self):
-        with pytest.raises(DomainError):
-            from_form(QuadForm(2, 1, 9), 71)
 
 
 class TestFixedPoint:
@@ -104,25 +80,21 @@ class TestOrderOf:
 
 
 class TestConjugacy:
+    """Elements are conjugate in the Fricke group when their orders agree and
+    their primitive forms are SL2(Z)-equivalent."""
+
     def test_reflexive(self):
         el = EllipticElement(71, 1, -36, 2)
-        assert conjugate_in_fricke(el, el)
+        assert equivalent(el.primitive_form(), el.primitive_form()) is not None
 
     def test_distinct_discriminants(self):
-        assert not conjugate_in_fricke(
-            EllipticElement(71, 0, -1, 1), EllipticElement(71, 1, -36, 2)
-        )
+        a, b = EllipticElement(71, 0, -1, 1), EllipticElement(71, 1, -36, 2)
+        assert order_of(a).disc != order_of(b).disc
 
     def test_same_class_different_c(self):
-        assert conjugate_in_fricke(
-            EllipticElement(71, 1, -2, 36), EllipticElement(71, 1, -36, 2)
-        )
-
-    def test_level_mismatch(self):
-        with pytest.raises(DomainError):
-            conjugate_in_fricke(
-                EllipticElement(71, 0, -1, 1), EllipticElement(5, 0, -1, 1)
-            )
+        a, b = EllipticElement(71, 1, -2, 36), EllipticElement(71, 1, -36, 2)
+        assert order_of(a).disc == order_of(b).disc
+        assert equivalent(a.primitive_form(), b.primitive_form()) is not None
 
 
 class TestEnumerateRepresentatives:
@@ -152,7 +124,7 @@ class TestEnumerateRepresentatives:
             assert order_of(el).disc == disc
             assert reduce_form(el.primitive_form())[0] == cg.classes[i].rep
             for j in range(i):
-                assert not conjugate_in_fricke(reps[j], el)
+                assert equivalent(reps[j].primitive_form(), el.primitive_form()) is None
 
     def test_inverse_classes_are_mirror_images(self):
         # singular_values saves an evaluation only on a mirror pair; the

@@ -1,4 +1,5 @@
-"""Exact polynomial algebra: residue rings and the level-71 root relations."""
+"""Exact polynomial algebra: the level-71 root relations, checked in integers
+against the rational residue-ring reference of conftest."""
 
 from fractions import Fraction
 from math import lcm
@@ -7,23 +8,27 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cfq.errors import InvalidModulusError, NonInvertibleError
-from cfq.exactpoly import (
-    IntPoly,
-    LaurentExpr,
-    RatPoly,
+from conftest import (
+    H71,
+    H284,
+    WEBER,
     polymod_invert,
     polymod_reduce,
-    verify_root_relation,
+    rat,
+    rat_add,
+    rat_divmod,
+    rat_mul,
+    reference_root_relation,
 )
-
-WEBER = IntPoly([-1, -1, 1, 1, 1, -1, -2, 1])     # x^7-2x^6-x^5+x^4+x^3+x^2-x-1
-H284 = IntPoly([-11, 4, 18, 5, -11, -7, 0, 1])
-H71 = IntPoly([1, 0, -2, -3, 1, 5, 4, 1])
+from cfq.errors import InvalidModulusError, NonInvertibleError
+from cfq.exactpoly import IntPoly, LaurentExpr, verify_root_relation
 
 
 def rp(*coeffs):
-    return RatPoly([Fraction(c) for c in coeffs])
+    return rat(coeffs)
+
+
+X7 = rp(*[0] * 7, 1)
 
 
 class TestPolymodReduce:
@@ -37,10 +42,10 @@ class TestPolymodReduce:
     def test_x7_mod_weber(self):
         # frozen from long division; certified by multiplying back below
         expected = rp(1, 1, -1, -1, -1, 1, 2)
-        q, r = IntPoly.x_power(7).to_rat().divmod(WEBER.to_rat())
+        q, r = rat_divmod(X7, rat(WEBER.coeffs))
         assert r == expected
-        assert q * WEBER.to_rat() + r == IntPoly.x_power(7).to_rat()
-        assert polymod_reduce(IntPoly.x_power(7).to_rat(), WEBER.to_rat()) == expected
+        assert rat_add(rat_mul(q, rat(WEBER.coeffs)), r) == X7
+        assert polymod_reduce(X7, rat(WEBER.coeffs)) == expected
 
     def test_zero_modulus_rejected(self):
         with pytest.raises(InvalidModulusError):
@@ -53,7 +58,7 @@ class TestPolymodReduce:
 
 class TestPolymodInvert:
     def test_invert_one(self):
-        assert polymod_invert(rp(1), WEBER.to_rat()) == rp(1)
+        assert polymod_invert(rp(1), rat(WEBER.coeffs)) == rp(1)
 
     def test_shared_factor_not_invertible(self):
         with pytest.raises(NonInvertibleError):
@@ -61,9 +66,9 @@ class TestPolymodInvert:
 
     def test_invert_x_mod_weber(self):
         expected = rp(-1, 1, 1, 1, -1, -2, 1)      # x^6-2x^5-x^4+x^3+x^2+x-1
-        inv = polymod_invert(rp(0, 1), WEBER.to_rat())
+        inv = polymod_invert(rp(0, 1), rat(WEBER.coeffs))
         assert inv == expected
-        assert polymod_reduce(rp(0, 1) * inv, WEBER.to_rat()) == rp(1)
+        assert polymod_reduce(rat_mul(rp(0, 1), inv), rat(WEBER.coeffs)) == rp(1)
 
 
 class TestVerifyRootRelation:
@@ -87,17 +92,17 @@ class TestVerifyRootRelation:
 
 
 coeff = st.integers(min_value=-40, max_value=40)
-smallpoly = st.lists(coeff, min_size=0, max_size=6).map(RatPoly)
+smallpoly = st.lists(coeff, min_size=0, max_size=6).map(rat)
 modulus = st.lists(coeff, min_size=2, max_size=6).map(
-    lambda cs: RatPoly(cs[:-1] + [cs[-1] or 1])
-).filter(lambda m: m.degree >= 1)
+    lambda cs: rat(cs[:-1] + [cs[-1] or 1])
+)
 
 
 class TestProperties:
     @settings(max_examples=200, deadline=None)
     @given(p=smallpoly, r=smallpoly, m=modulus)
     def test_reduce_kills_multiples(self, p, r, m):
-        assert polymod_reduce(p * m + r, m) == polymod_reduce(r, m)
+        assert polymod_reduce(rat_add(rat_mul(p, m), r), m) == polymod_reduce(r, m)
 
     @settings(max_examples=200, deadline=None)
     @given(g=smallpoly, m=modulus)
@@ -106,16 +111,12 @@ class TestProperties:
             inv = polymod_invert(g, m)
         except NonInvertibleError:
             return
-        assert polymod_reduce(g * inv, m) == RatPoly([1])
+        assert polymod_reduce(rat_mul(g, inv), m) == rp(1)
 
     @settings(max_examples=60, deadline=None)
     @given(m=modulus)
     def test_variable_is_root_of_modulus(self, m):
-        mi = IntPoly([c.numerator for c in m.coeffs]) if all(
-            c.denominator == 1 for c in m.coeffs
-        ) else None
-        if mi is None or mi.degree < 1:
-            return
+        mi = IntPoly(m)
         assert verify_root_relation(LaurentExpr({1: 1}), mi, mi)
 
     @settings(max_examples=200, deadline=None)
@@ -129,40 +130,23 @@ class TestProperties:
         assert Fraction(x.numerator, x.denominator) == x
 
 
-def reference_root_relation(expr, target, modulus):
-    """target(expr(beta)) in Q[x]/(modulus) by long division and inversion."""
-    m = modulus.to_rat()
-    x = RatPoly([0, 1])
-    value = RatPoly(())
-    for e, c in expr.terms:
-        base = x if e >= 0 else polymod_invert(x, m)
-        power = RatPoly([1])
-        for _ in range(abs(e)):
-            power = polymod_reduce(power * base, m)
-        value = value + power.scale(c)
-    acc = RatPoly(())
-    for c in reversed(target.coeffs):
-        acc = polymod_reduce(acc * value, m) + RatPoly([c])
-    return polymod_reduce(acc, m).is_zero()
-
-
 def vanishing_modulus(expr, target) -> IntPoly:
     """x^(k deg) * target(expr(x)) with denominators cleared, k = -min exponent.
 
     It has beta as a root, so target(expr(beta)) = 0 modulo it.
     """
     k = max(0, -expr.min_exponent())
-    numer = RatPoly(())                      # x^k * expr(x)
+    numer = ()                               # x^k * expr(x)
     for e, c in expr.terms:
-        numer = numer + RatPoly([0] * (e + k) + [c])
-    acc = RatPoly(())
-    xk = RatPoly([0] * k + [1])
-    xpow = RatPoly([1])
+        numer = rat_add(numer, rp(*[0] * (e + k), c))
+    acc = ()
+    xk = rp(*[0] * k, 1)
+    xpow = rp(1)
     for c in reversed(target.coeffs):        # homogeneous Horner in x^k
-        acc = acc * numer + xpow.scale(c)
-        xpow = xpow * xk
-    scale = lcm(*(c.denominator for c in acc.coeffs))
-    return IntPoly(c * scale for c in acc.coeffs)
+        acc = rat_add(rat_mul(acc, numer), rat(c * y for y in xpow))
+        xpow = rat_mul(xpow, xk)
+    scale = lcm(*(c.denominator for c in acc))
+    return IntPoly(c * scale for c in acc)
 
 
 laurent = st.dictionaries(
@@ -178,7 +162,7 @@ intmodulus = st.lists(coeff, min_size=2, max_size=5).map(
 
 
 class TestVerifyRootRelationIntegers:
-    """The integer algorithm against the rational reference above."""
+    """The integer algorithm against the rational reference of conftest."""
 
     @settings(max_examples=300, deadline=None)
     @given(expr=laurent, target=intpoly, m=intmodulus)
@@ -216,6 +200,3 @@ class TestIntPoly:
     def test_leading_zeros_stripped(self):
         assert IntPoly([1, 2, 0, 0]) == IntPoly([1, 2])
         assert IntPoly([0, 0, 0]).is_zero()
-
-    def test_derivative(self):
-        assert IntPoly([5, 3, 2]).derivative() == IntPoly([3, 4])

@@ -10,7 +10,7 @@ import pytest
 from mpmath import mp
 
 import cfq.hauptmodul
-from conftest import cpx, eta_direct_series, mobius, random_gamma0, rounded
+from conftest import H284, cpx, eta_direct_series, mobius, random_gamma0, rounded
 from cfq.classfield import ring_class_polynomial
 from cfq.elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
 from cfq.errors import (
@@ -41,8 +41,6 @@ from cfq.hauptmodul import (
 )
 from cfq.numerics import _GUARD, _fixed_series
 from cfq.quadforms import enumerate_class_group
-
-H284 = IntPoly([-11, 4, 18, 5, -11, -7, 0, 1])
 
 
 class TestCatalog:
@@ -142,6 +140,13 @@ class TestLoadQSeries:
     def test_missing_level_field(self, tmp_path):
         body = "# label=TEST group=fricke q_min=-1\n" + "1\n" * 70
         with pytest.raises(QSeriesFormatError) as exc:
+            load_qseries(self._write(tmp_path, body))
+        assert exc.value.reason == "header"
+
+    @pytest.mark.parametrize("level", [0, -5])
+    def test_nonpositive_level_refused(self, tmp_path, level):
+        body = f"# label=T level={level} group=fricke q_min=-1\n" + "1\n" * 70
+        with pytest.raises(QSeriesFormatError, match="level must be positive") as exc:
             load_qseries(self._write(tmp_path, body))
         assert exc.value.reason == "header"
 
@@ -414,8 +419,7 @@ class TestQSeriesKernel:
                 return tuple.__getitem__(self, k)
 
         entry = catalog_lookup(71, "fricke")
-        series = QSeriesHaupt(entry.label, entry.n, entry.group, entry.q_min,
-                              RecordingCoeffs(entry.coeffs))
+        series = QSeriesHaupt(entry.label, entry.n, RecordingCoeffs(entry.coeffs))
         tau = fixed_point(enumerate_representatives(71, -71, enumerate_class_group(-71))[0])
         value = evaluate(series, tau, prec)
         assert value == evaluate(entry, tau, prec)
@@ -445,8 +449,7 @@ class TestQSeriesKernel:
                 return tuple.__getitem__(self, k)
 
         entry = catalog_lookup(71, "fricke")
-        series = QSeriesHaupt(entry.label, entry.n, entry.group, entry.q_min,
-                              CountingCoeffs(entry.coeffs))
+        series = QSeriesHaupt(entry.label, entry.n, CountingCoeffs(entry.coeffs))
         tau = fixed_point(EllipticElement(71, 1, -9, 8))
         CountingCoeffs.reads = 0
         with pytest.raises(InsufficientDataError) as exc:

@@ -1,4 +1,4 @@
-"""Polynomial assembly, rounding, root finding, and the precision contract."""
+"""Polynomial assembly, rounding, and the precision contract."""
 
 import math
 import random
@@ -6,9 +6,10 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import mpmath
 from mpmath import mp
 
-from conftest import cpx
+from conftest import H284, WEBER, cpx
 from cfq.elliptic import EllipticElement, fixed_point
 from cfq.errors import DomainError, RoundingFailureError
 from cfq.eta import EtaQuotientSpec, eta, eta_quotient
@@ -19,13 +20,16 @@ from cfq.numerics import (
     _coefficient_radius,
     _fixed_series,
     certify_int_poly,
-    find_roots,
     poly_from_roots,
     round_to_int_poly,
 )
 
-H284 = IntPoly([-11, 4, 18, 5, -11, -7, 0, 1])
-WEBER = IntPoly([-1, -1, 1, 1, 1, -1, -2, 1])
+
+def polyroots(p: IntPoly, prec: int) -> list:
+    """The roots of p from mpmath's polyroots, rounded to prec bits."""
+    with mp.workprec(prec):
+        roots = mpmath.polyroots(p.coeffs[::-1], maxsteps=200, extraprec=prec)
+        return [+mp.mpc(r) for r in roots]
 
 
 @st.composite
@@ -127,24 +131,11 @@ class TestRoundToIntPoly:
 
 
 class TestFindRoots:
-    def test_quadratic(self):
-        roots = find_roots(IntPoly([1, 0, 1]), 128)
-        got = sorted((float(r.real), float(r.imag)) for r in roots)
-        assert abs(got[0][1] + 1) < 1e-30 and abs(got[1][1] - 1) < 1e-30
-
-    def test_cube_roots_of_unity(self):
-        roots = find_roots(IntPoly([-1, 0, 0, 1]), 128)
-        with mp.workprec(160):
-            for r in roots:
-                assert abs(r**3 - 1) < mp.mpf(2) ** -60
-
-    def test_rejects_repeated_roots(self):
-        with pytest.raises(DomainError):
-            find_roots(IntPoly([1, 2, 1]), 128)     # (x+1)^2
+    """Roots of the published polynomials, found by mpmath, as input."""
 
     def test_weber_roots_feed_disc284_relation(self):
         prec = 128
-        roots = find_roots(WEBER, prec)
+        roots = polyroots(WEBER, prec)
         with mp.workprec(prec + 16):
             for beta in roots:
                 image = beta**2 - 1 - 1 / beta
@@ -157,7 +148,7 @@ class TestFindRoots:
 
     def test_roots_then_reassembly(self):
         prec = 160
-        roots = find_roots(H284, prec)
+        roots = polyroots(H284, prec)
         coeffs = poly_from_roots(roots, prec)
         poly, residual = round_to_int_poly(coeffs, mp.mpf(2) ** -32, prec)
         assert poly == H284
@@ -277,8 +268,5 @@ class TestPrecisionContract:
 
     @pytest.mark.parametrize("prec", PRECS)
     def test_find_roots_and_poly_from_roots(self, prec):
-        roots = find_roots(H284, prec)
-        for r in roots:
-            _assert_rounded(r, prec)
-        for c in poly_from_roots(roots, prec):
+        for c in poly_from_roots(polyroots(H284, prec), prec):
             _assert_rounded(c, prec)

@@ -1,4 +1,4 @@
-"""Quadratic forms: reduction, composition, class groups, Fricke shape."""
+"""Quadratic forms: reduction, composition, class groups."""
 
 from math import gcd
 
@@ -16,7 +16,6 @@ from cfq.quadforms import (
     enumerate_class_group,
     equivalent,
     reduce_form,
-    to_fricke_shape,
 )
 
 GROUP_DISCS = [-71, -284, -8, -20, -24]
@@ -226,35 +225,6 @@ class TestEnumerate:
     def test_imprimitive_rejected_loudly(self):
         with pytest.raises(DomainError):
             IdealClass(QuadForm(2, 2, 36))
-
-
-class TestFrickeShape:
-    def test_unit_class_disc_71(self):
-        assert to_fricke_shape(QuadForm(18, 1, 1), 71) == QuadForm(1278, 71, 1)
-
-    def test_fricke_involution_form(self):
-        for n in (5, 6, 71):
-            assert to_fricke_shape(QuadForm(1, 0, n), n) == QuadForm(n, 0, 1)
-
-    def test_generic_class(self):
-        out = to_fricke_shape(QuadForm(2, 1, 9), 71)
-        assert out.a % 71 == 0 and out.b % 71 == 0
-        assert (out.b // 71) % 2 == 1
-        assert equivalent(out, QuadForm(2, 1, 9)) is not None
-
-    def test_wrong_discriminant(self):
-        with pytest.raises(DomainError):
-            to_fricke_shape(QuadForm(1, 0, 3), 71)
-
-    @pytest.mark.parametrize("n,disc", [(71, -71), (71, -284), (5, -20), (6, -24)])
-    def test_all_classes_reach_fricke_shape(self, n, disc):
-        for cls in enumerate_class_group(disc).classes:
-            out = to_fricke_shape(cls.rep, n)
-            assert out.disc == disc
-            assert out.a % n == 0 and out.b % n == 0
-            if disc == -4 * n:
-                assert out.b % (2 * n) == 0
-            assert equivalent(out, cls.rep) is not None
 
 
 smallform = st.tuples(
