@@ -52,13 +52,11 @@ from .hauptmodul import (
     catalog_entries,
     catalog_lookup,
     evaluate,
-    fricke_reduce,
     load_qseries,
 )
 from .numerics import PrecisionPolicy, poly_from_roots, round_to_int_poly
 from .quadforms import (
     ClassGroup,
-    Discriminant,
     IdealClass,
     QuadForm,
     SL2Matrix,

@@ -62,21 +62,20 @@ class EllipticElement:
     @classmethod
     def from_text(cls, s: str, n: int | None = None) -> EllipticElement:
         """Parse 'A,B,C' (level given separately) or 'A,B,C@n'."""
-        if "@" in s:
-            body, _, level_text = s.partition("@")
-            level = int(level_text)
-            if n is not None and n != level:
-                raise DomainError(f"level {level} in {s!r} conflicts with {n}")
-            n = level
-        else:
-            body = s
-        if n is None:
-            raise DomainError(f"no level in {s!r} and none supplied")
+        body, at, level_text = s.partition("@")
         parts = body.split(",")
         if len(parts) != 3:
             raise DomainError(f"expected 'A,B,C', got {s!r}")
-        a, b, c = (int(p) for p in parts)
-        return cls(n, a, b, c)
+        try:
+            a, b, c = (int(p) for p in parts)
+            level = int(level_text) if at else n
+        except ValueError:
+            raise DomainError(f"expected integers 'A,B,C' or 'A,B,C@n', got {s!r}") from None
+        if at and n is not None and n != level:
+            raise DomainError(f"level {level} in {s!r} conflicts with {n}")
+        if level is None:
+            raise DomainError(f"no level in {s!r} and none supplied")
+        return cls(level, a, b, c)
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,7 @@ def fixed_point(alpha: EllipticElement) -> CMPoint:
 
 
 def order_of(alpha: EllipticElement) -> OrderDesc:
-    """Discriminant -n when B and C are both even, otherwise -4n."""
+    """The order of the fixed point: disc -n when B and C are both even, otherwise -4n."""
     if alpha.B % 2 == 0 and alpha.C % 2 == 0:
         if alpha.n % 4 != 3:
             raise DomainError("internal invariant violated: even B, C force n = 3 mod 4")

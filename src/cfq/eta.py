@@ -1,10 +1,12 @@
 """Dedekind eta: exact multiplier system and arbitrary-precision evaluation.
 
-Any upper-half-plane argument is first moved into the standard fundamental
-domain (|Re| <= 1/2, |tau| >= 1) by tracked SL2(Z) steps, so the pentagonal
-series is only ever summed where |q| <= exp(-pi*sqrt(3)) and a handful of
-terms suffice at any precision.  The transformation multiplier is computed
-exactly as a root of unity through Dedekind sums.
+Any upper-half-plane argument is first moved up into the standard
+fundamental domain by tracked SL2(Z) steps (`_ascend` with n = 1, the ascent
+the Fricke groups of `cfq.hauptmodul` take with n = N): translations and
+tau -> -1/tau until |Re| <= 1/2 and |tau|^2 >= 1 - 2^-24.  So the pentagonal
+series is only ever summed where |q| <= exp(-pi*sqrt(3)), up to that slack,
+and a handful of terms suffice at any precision.  The transformation
+multiplier is computed exactly as a root of unity through Dedekind sums.
 
 For gamma = [[a, b], [c, d]] with c > 0:
 
@@ -17,21 +19,24 @@ exp(pi*i*b/12).
 Error model.  At working precision W, every mpmath operation (arithmetic,
 sqrt, exp) is assumed to return its result on its rounded inputs with
 relative error at most u = 2^(1-W): mpmath rounds arithmetic correctly and
-evaluates sqrt and exp to within an ulp.  `eta_quotient_error` propagates
-these errors to first order through one evaluation:
+evaluates sqrt and exp to within an ulp.  `eta_quotient` propagates these
+errors to first order through the evaluation it returns, from that
+evaluation's own ascent (its steps, its matrix's c and the reduced point)
+and from the exponents its series summed.  The constants 0.3, 1.01 and 0.99
+below hold for Im(tau) >= sqrt(3/4 - 2^-24), the reduction's slack included:
 
-  * the reduction: a flip tau -> -1/tau scales an absolute error and Im(tau)
+  * the ascent: a flip tau -> -1/tau scales an absolute error and Im(tau)
     alike and a translation changes neither, so error / Im(tau) grows only
     by the rounding of each step, at most 2u |tau| / Im(tau) per step;
-  * the reduced point: |d log eta / d tau| = (pi/12) |E2(tau)| <= 0.3 where
-    Im(tau) >= sqrt(3)/2;
+  * the reduced point: |d log eta / d tau| = (pi/12) |E2(tau)| <= 0.3;
   * the pentagonal series, a proven fixed-point bound: one exp gives
     q^(1/24), and q = (q^(1/24))^24 and the series are summed in integers at
     scale 2^W by `numerics._fixed_series`, whose rounding bound is charged as
-    it states it.  The number of terms is fixed from Im(tau) before summing
-    (`_pentagonal_count`): the first exponent e with |q|^e <= 2^-(W+1), so
-    the terms left out, whose exponents are distinct integers >= e and
-    |q| <= e^(-pi*sqrt(3)), sum to below 2^-W;
+    it states it for the exponents summed; the series has derivative below
+    1.01 and modulus above 0.99.  The number of terms is fixed from Im(tau)
+    before summing (`_pentagonal_count`): the first exponent e with
+    |q|^e <= 2^-(W+1), so the terms left out, whose exponents are distinct
+    integers >= e, sum to below 2^-W;
   * the multiplier exp(pi*i*r), an exact 24th root of unity (12r is an
     integer) rounded once, from a per-precision table; the square root of
     c*tau + d and the integer powers of the quotient, counted operation by
@@ -50,14 +55,13 @@ import mpmath
 from mpmath import mp
 
 from .errors import DomainError
-from .numerics import _GUARD, _fixed_series, _series_bound, _to_fixed
+from .numerics import _GUARD, _fixed_series, _to_fixed
 
 __all__ = [
     "EtaQuotientSpec",
     "dedekind_sum",
     "eta",
     "eta_quotient",
-    "eta_quotient_error",
 ]
 
 
@@ -96,24 +100,33 @@ def dedekind_sum(h: int, k: int) -> Fraction:
     return total
 
 
-def _reduce_to_fundamental(tau):
-    """Move tau into |Re| <= 1/2, |tau| >= 1; returns (tau_f, (a, b, c, d)).
+def _ascend(z, n: int) -> tuple[mpmath.mpc, tuple[int, int, int, int], int]:
+    """Move z up under z -> z + k and z -> -1/(n z) until n|z|^2 >= 1 - 2^-24.
 
-    The integer matrix maps the input to the output point.
+    Runs at the working precision.  Returns (point, (a, b, c, d), steps):
+    the integer matrix, a product of translations and [[0, -1], [n, 0]],
+    maps z to the point, and lies in SL2(Z) for n = 1; each translation and
+    each flip counts as one step.  The point has |Re| <= 1/2, and its
+    imaginary part is never below z's.
     """
+    if z.imag <= 0:
+        raise DomainError("point must lie in the upper half plane")
+    eps = mp.mpf(2) ** -24
     a, b, c, d = 1, 0, 0, 1
-    guard = mp.mpf(2) ** (-mp.prec // 2)
+    steps = 0
     for _ in range(100000):
-        k = int(mpmath.nint(tau.real))
+        k = int(mp.nint(z.real))
         if k:
-            tau -= k
+            z -= k
             a, b = a - k * c, b - k * d
-        if tau.real ** 2 + tau.imag ** 2 < 1 - guard:
-            tau = -1 / tau
-            a, b, c, d = -c, -d, a, b
+            steps += 1
+        if n * (z.real**2 + z.imag**2) < 1 - eps:
+            z = -1 / (n * z)
+            a, b, c, d = -c, -d, n * a, n * b
+            steps += 1
         else:
-            return tau, (a, b, c, d)
-    raise DomainError("fundamental-domain reduction did not terminate")
+            return z, (a, b, c, d), steps
+    raise DomainError("the ascent did not terminate")
 
 
 def _pentagonal_exponent(j: int) -> int:
@@ -142,15 +155,23 @@ def _pentagonal_count(y: float, w: int) -> int:
     return n
 
 
-def _eta_series(tau):
-    """q^(1/24) times the pentagonal series, at a point of the fundamental domain."""
+def _eta_series(tau) -> tuple[mpmath.mpc, float]:
+    """q^(1/24) times the pentagonal series at a point of the fundamental domain.
+
+    Returns the value and the series' error in units of 2^-w, w the working
+    precision: the kernel's bounds for the exponents it summed, and the tail.
+    The truncated q^(1/24) is within sqrt(2), and its 24th power moves that
+    by 24 |q^(1/24)|^23 sqrt(2) < 1; the series has derivative below 1.01
+    where |q| <= e^(-pi sqrt(3)), and the tail is below 1.
+    """
     w = mp.prec
     q24 = mp.exp(mp.mpc(0, 1) * mp.pi * tau / 12)
-    qr, qi, _ = _fixed_series((_to_fixed(q24.real, w), _to_fixed(q24.imag, w)),
-                              (24,), (1,), 0, w)
+    qr, qi, power_err = _fixed_series((_to_fixed(q24.real, w), _to_fixed(q24.imag, w)),
+                                      (24,), (1,), 0, w)
     exps, signs = _pentagonal(_pentagonal_count(float(tau.imag), w))
-    sr, si, _ = _fixed_series((qr, qi), exps, signs, 0, w)
-    return q24 * mp.mpc(mp.ldexp(sr, -w), mp.ldexp(si, -w))
+    sr, si, sum_err = _fixed_series((qr, qi), exps, signs, 0, w)
+    return (q24 * mp.mpc(mp.ldexp(sr, -w), mp.ldexp(si, -w)),
+            sum_err + 1 + 1.01 * (power_err + 1))
 
 
 @lru_cache(maxsize=8)
@@ -182,101 +203,65 @@ def _multiplier(gamma) -> tuple[int, tuple[int, int]]:
     return int(k) % 24, (c, d)
 
 
-def _eta_mpc(tau):
-    """eta at an arbitrary mpc point, at the current working precision."""
-    if tau.imag <= 0:
-        raise DomainError("eta requires Im(tau) > 0")
-    tau_f, gamma = _reduce_to_fundamental(mp.mpc(tau))
-    value_f = _eta_series(tau_f)
+def _eta_mpc(x) -> tuple[mpmath.mpc, float]:
+    """eta at an mpc point and its relative error, at the working precision w.
+
+    The error, in units of 2^-w, follows the module's error model through
+    this evaluation's own ascent and series, for an x within
+    4 * 2^_GUARD + 1 units of |x| of the point meant: the tau of
+    eta_quotient, times d and rounded once.
+    """
+    point, gamma, steps = _ascend(x, 1)
+    value, series_err = _eta_series(point)
     k, (c, d) = _multiplier(gamma)
     # dividing by eps is multiplying by its conjugate, the root of index -k
-    value = value_f * _roots_of_unity(mp.prec)[-k % 24]
-    if c == 0:
-        return value
-    return value / mp.sqrt(c * tau + d)
+    value *= _roots_of_unity(mp.prec)[-k % 24]
+    if c:
+        value /= mp.sqrt(c * x + d)
+    x0, xr = complex(x), complex(point)
+    dx = (4 * 2.0**_GUARD + 1) * abs(x0)
+    # error / Im(x) after the ascent, then the reduced point's error.
+    # Everything up to q^(1/24) = exp(pi i xr / 12) acts as an error in the
+    # point: the argument's roundings within 8|xr| and the exp's within 8,
+    # as 12/pi times its relative 2 units.
+    rho = dx / x0.imag + 4 * steps * (1 / (2 * x0.imag) + 1)
+    delta = rho * xr.imag + 8 * abs(xr) + 8
+    # the series has modulus above 0.99; the conversion of the sum, the
+    # product with q^(1/24), the root of unity and the product with it round
+    # once each
+    err = 0.3 * delta + series_err / 0.99 + 8
+    if c:
+        # c x + d rounded twice, |c x + d|^2 = Im(x) / Im(xr); its square
+        # root halves the relative error; the sqrt and the division round
+        # once each
+        cxd = math.sqrt(x0.imag / xr.imag)
+        err += (abs(c) * dx + 2 * (abs(c * x0) + cxd)) / (2 * cxd) + 4
+    return value, err
 
 
 def eta(tau, prec: int) -> mpmath.mpc:
     """Dedekind eta at tau, relative error at most 2^(-prec+8), rounded to prec bits."""
     with mp.workprec(prec + _GUARD):
-        value = _eta_mpc(mp.mpc(tau))
+        value, _err = _eta_mpc(mp.mpc(tau))
     with mp.workprec(prec):
         return +value
 
 
-def eta_quotient(spec: EtaQuotientSpec, tau, prec: int) -> mpmath.mpc:
-    """prod eta(d*tau)^r_d, each factor through the reduced evaluation path."""
+def eta_quotient(spec: EtaQuotientSpec, tau, prec: int) -> tuple[mpmath.mpc, float]:
+    """prod eta(d*tau)^r_d rounded to prec bits, and a bound on its relative error.
+
+    The bound is in units of 2^-prec, for a tau within 4 units of
+    2^-prec |tau| of the point meant, and follows the error model in the
+    module docstring through each factor's own evaluation.
+    """
     with mp.workprec(prec + _GUARD):
         t = mp.mpc(tau)
-        if t.imag <= 0:
-            raise DomainError("eta quotient requires Im(tau) > 0")
         value = mp.mpc(1)
+        err = 2.0**_GUARD  # the final rounding to prec bits
         for d, r in spec.terms:
-            value *= _eta_mpc(d * t) ** r
+            factor, factor_err = _eta_mpc(d * t)
+            value *= factor ** r
+            # x^r takes at most 2 log2|r| + 1 operations, then one product
+            err += abs(r) * factor_err + 2 * (2 * abs(r).bit_length() + 2)
     with mp.workprec(prec):
-        return +value
-
-
-def eta_quotient_error(spec: EtaQuotientSpec, tau, prec: int, tau_ulps: float) -> float:
-    """Bound on the relative error of eta_quotient(spec, tau, prec), in units of 2^-prec.
-
-    tau may lie up to tau_ulps * 2^-prec * |tau| from the point meant.  The
-    bound follows the error model in the module docstring; it is computed
-    in double precision from a replay of each factor's reduction.
-    """
-    z = complex(tau)
-    w = prec + _GUARD
-    # in units of 2^-w: the caller's error plus the rounding to w bits
-    dz = (tau_ulps * 2.0 ** _GUARD + 1) * abs(z)
-    total = 2.0 ** _GUARD  # the final rounding to prec bits
-    for d, r in spec.terms:
-        # x^r takes at most 2 log2|r| + 1 operations, then one product
-        ops = 2 * abs(r).bit_length() + 2
-        total += abs(r) * _eta_error(d * z, d * dz, w) + 2 * ops
-    return total / 2.0 ** _GUARD
-
-
-def _eta_error(x: complex, dx: float, w: int) -> float:
-    """Relative error of _eta_mpc at x, given dx off; both in units of 2^-w."""
-    x0, y0 = x, x.imag
-    a, c, steps = 1, 0, 0
-    # a replay of _reduce_to_fundamental, tracking the matrix's lower-left
-    # entry; a step more or less at the boundary is covered by the two
-    # extra steps counted below
-    for _ in range(100000):
-        k = round(x.real)
-        if k:
-            x -= k
-            a -= k * c
-            steps += 1
-        if abs(x) >= 1:
-            break
-        x = -1 / x
-        a, c = -c, a
-        steps += 1
-    else:
-        return math.inf
-    # error / Im(tau) after the reduction, then the reduced point's error.
-    # Everything up to q^(1/24) = exp(pi i x / 12) acts as an error in the
-    # point: the argument's roundings within 8|x| and the exp's within 8,
-    # as 12/pi times its relative 2 units.
-    rho = dx / y0 + 4 * (steps + 2) * (1 / (2 * y0) + 1)
-    delta = rho * x.imag + 8 * abs(x) + 8
-    # The series, in units of 2^-w: the truncated q^(1/24) is within sqrt(2)
-    # and its 24th power moves that by 24 |q^(1/24)|^23 sqrt(2) < 1, plus the
-    # kernel's 36; the series has derivative below 1.01 and modulus above
-    # 0.99 where |q| <= e^(-pi sqrt(3)); the tail is below 1.  The count
-    # takes Im shaded down by 2^-20, so it never falls short of the one
-    # the evaluation, with its own Im, sums.
-    exps = _pentagonal(_pentagonal_count(x.imag * (1 - 2.0**-20), w))[0]
-    series = _series_bound(exps, 0) + 1 + 1.01 * (_series_bound((24,), 0) + 1)
-    # the conversion of the sum, the product with q^(1/24), the root of
-    # unity and the product with it round once each
-    err = 0.3 * delta + series / 0.99 + 8
-    if c:
-        # c x + d rounded twice, |c x + d|^2 = Im(x) / Im(x reduced); its
-        # square root halves the relative error; the sqrt and the division
-        # round once each
-        cxd = math.sqrt(y0 / x.imag)
-        err += (abs(c) * dx + 2 * (abs(c * x0) + cxd)) / (2 * cxd) + 4
-    return err
+        return +value, err / 2.0**_GUARD

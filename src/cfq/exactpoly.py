@@ -57,40 +57,9 @@ class IntPoly:
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def __neg__(self) -> IntPoly:
-        return IntPoly(-c for c in self.coeffs)
-
-    def __add__(self, other: IntPoly) -> IntPoly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(self[k] + other[k] for k in range(n))
-
-    def __sub__(self, other: IntPoly) -> IntPoly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(self[k] - other[k] for k in range(n))
-
-    def __mul__(self, other: IntPoly) -> IntPoly:
-        if self.is_zero() or other.is_zero():
-            return IntPoly(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(out)
-
-    def evaluate(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def text(self) -> str:
         """Comma-separated decimal coefficients, lowest degree first."""
         return ",".join(str(c) for c in self.coeffs)
-
-    @classmethod
-    def from_text(cls, s: str) -> IntPoly:
-        return cls(int(part) for part in s.split(","))
 
 
 @dataclass(frozen=True)

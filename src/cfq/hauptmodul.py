@@ -28,7 +28,8 @@ stated assumptions:
     holds on the data by construction and is assumed beyond it.
 
 A q-series is evaluated after an ascent through translations and the Fricke
-flip (`fricke_reduce`).  Before summing, K* is found: the first exponent at
+flip tau -> -1/(N tau), the ascent `cfq.eta` takes with N = 1 (`_ascend`).
+Before summing, K* is found: the first exponent at
 which a closed-form bound on the envelope's tail,
 sum_{e >= K*} A exp(4 pi sqrt(e/N)) |q|^e, is at most 2^(ERROR_BITS-2-prec);
 if the file stops before K*, InsufficientDataError is raised before any term
@@ -38,7 +39,8 @@ K*, and the kernel's proven rounding bound is charged in full.  The
 remaining parts of the estimate are the error in q, carried through the
 derivative of the series, with the roundings of each step of the ascent
 counted, and the rounding of the last operations.  Eta-quotient entries are
-valid anywhere because eta itself reduces its argument.
+valid anywhere because eta itself reduces its argument, and `eta_quotient`
+returns its error bound with its value.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from .errors import (
     NotGenusZeroError,
     QSeriesFormatError,
 )
-from .eta import EtaQuotientSpec, eta_quotient, eta_quotient_error
+from .eta import EtaQuotientSpec, _ascend, eta_quotient
 from .exactpoly import LaurentExpr
 from .numerics import _GUARD, _fixed_series, _to_fixed
 
@@ -75,7 +77,6 @@ __all__ = [
     "catalog_lookup",
     "catalog_entries",
     "load_qseries",
-    "fricke_reduce",
     "evaluate",
     "ERROR_BITS",
 ]
@@ -303,41 +304,6 @@ def catalog_entries(data_dir=None) -> list[dict]:
     return out
 
 
-def fricke_reduce(tau, n: int, prec: int) -> mpmath.mpc:
-    """Ascend under tau -> tau+1 and tau -> -1/(n tau) until stable.
-
-    Works at prec + guard bits and rounds the result to prec bits.  The
-    output has |Re| <= 1/2 + 2^-20 and n|tau|^2 >= 1 - 2^-20, and its
-    imaginary part is never below the input's.
-    """
-    with mp.workprec(prec + _GUARD):
-        z, _steps = _fricke_ascent(mp.mpc(tau), n)
-    with mp.workprec(prec):
-        return +z
-
-
-def _fricke_ascent(z, n: int) -> tuple[mpmath.mpc, int]:
-    """The ascent of `fricke_reduce` at the working precision: (point, steps).
-
-    Each translation and each flip counts as one step.
-    """
-    if z.imag <= 0:
-        raise DomainError("point must lie in the upper half plane")
-    eps = mp.mpf(2) ** -24
-    steps = 0
-    for _ in range(100000):
-        k = int(mp.nint(z.real))
-        if k:
-            z -= k
-            steps += 1
-        if n * (z.real**2 + z.imag**2) < 1 - eps:
-            z = -1 / (n * z)
-            steps += 1
-        else:
-            return z, steps
-    raise DomainError("Fricke reduction did not terminate")
-
-
 def evaluate(spec, tau, prec: int) -> mpmath.mpc:
     """Value of a principal modulus at tau, rounded to prec bits.
 
@@ -356,9 +322,7 @@ def evaluate(spec, tau, prec: int) -> mpmath.mpc:
         # per operation (the model of cfq.eta); z is within 4 units of |z|
         # of the point.
         if isinstance(spec, EtaQuotientHaupt):
-            t = eta_quotient(spec.spec, z, wp)
-            value, err = _laurent_sum(spec.laurent, t,
-                                      eta_quotient_error(spec.spec, z, wp, 4))
+            value, err = _laurent_sum(spec.laurent, *eta_quotient(spec.spec, z, wp))
         elif isinstance(spec, QSeriesHaupt):
             value, err = _evaluate_qseries(spec, z, prec)
         else:
@@ -466,7 +430,7 @@ def _evaluate_qseries(series: QSeriesHaupt, z, prec: int) -> tuple[mpmath.mpc, f
     """
     z0 = complex(z)
     # the function is invariant under the full ascent of its Fricke group
-    zc, steps = _fricke_ascent(mp.mpc(z), series.n)
+    zc, _gamma, steps = _ascend(mp.mpc(z), series.n)
     coeffs = series.coeffs
     q = mp.exp(2j * mp.pi * zc)
     # -ln|q|, shaded down so that the tail bound is not shaded down with it

@@ -207,9 +207,9 @@ def _fixed_series(q, exponents, coeffs, coeff_bits: int, w: int) -> tuple[int, i
     most a + b when |q| + b 2^-w <= 1.  By induction along the sequence the
     computed q^e is then within sqrt(2) (e - 1) of the true one (e >= 1;
     q^0 = 1 and the products with it are exact), so the sum is within
-    sqrt(2) sum_j |c_j| e_j, below `_series_bound`.  The premise holds
-    because |q| <= 1 - 2 e_max 2^-w, which is checked in integers before
-    any term is summed.
+    sqrt(2) sum_j |c_j| e_j, below the bound returned, 1.5 * 2^coeff_bits *
+    sum_j e_j.  The premise holds because |q| <= 1 - 2 e_max 2^-w, which is
+    checked in integers before any term is summed.
     """
     n = len(exponents)
     if not n:
@@ -243,10 +243,5 @@ def _fixed_series(q, exponents, coeffs, coeff_bits: int, w: int) -> tuple[int, i
         if c:
             acc_r += c * pr
             acc_i += c * pi
-    return acc_r, acc_i, _series_bound(exponents, coeff_bits)
-
-
-def _series_bound(exponents, coeff_bits: int) -> float:
-    """The rounding bound of `_fixed_series`, in units of 2^-w: 1.5 * 2^coeff_bits * sum e_j."""
-    return 1.5 * 2.0**coeff_bits * sum(exponents)
+    return acc_r, acc_i, 1.5 * 2.0**coeff_bits * sum(exponents)
 

@@ -16,7 +16,6 @@ from .errors import DomainError, SearchFailureError
 __all__ = [
     "SL2Matrix",
     "QuadForm",
-    "Discriminant",
     "IdealClass",
     "ClassGroup",
     "reduce_form",
@@ -114,23 +113,6 @@ class QuadForm:
     def text(self) -> str:
         return f"{self.a},{self.b},{self.c}"
 
-    @classmethod
-    def from_text(cls, s: str) -> QuadForm:
-        parts = s.split(",")
-        if len(parts) != 3:
-            raise DomainError(f"expected 'a,b,c', got {s!r}")
-        return cls(*(int(p) for p in parts))
-
-
-@dataclass(frozen=True)
-class Discriminant:
-    """Negative discriminant congruent to 0 or 1 modulo 4."""
-
-    value: int
-
-    def __post_init__(self):
-        if self.value >= 0 or self.value % 4 not in (0, 1):
-            raise DomainError(f"{self.value} is not a negative discriminant")
 
 
 def _check_pos_def(f: QuadForm) -> None:
@@ -193,9 +175,6 @@ class IdealClass:
 
     def inverse(self) -> IdealClass:
         return IdealClass(self.rep.inverse())
-
-    def is_principal(self) -> bool:
-        return self.rep == principal_form(self.disc)
 
 
 def principal_form(d: int) -> QuadForm:
@@ -293,10 +272,6 @@ class ClassGroup:
     def class_number(self) -> int:
         return len(self.classes)
 
-    @property
-    def principal_index(self) -> int:
-        return 0
-
     def index_of(self, cls: IdealClass) -> int:
         return self.classes.index(cls)
 
@@ -309,11 +284,10 @@ class ClassGroup:
         return self._index.get(self.classes[i].rep.inverse(), i)
 
 
-def enumerate_class_group(d: int | Discriminant) -> ClassGroup:
+def enumerate_class_group(d: int) -> ClassGroup:
     """Enumerate reduced primitive forms of discriminant d and their group."""
-    if isinstance(d, Discriminant):
-        d = d.value
-    Discriminant(d)
+    if d >= 0 or d % 4 not in (0, 1):
+        raise DomainError(f"{d} is not a negative discriminant")
     forms = []
     amax = isqrt(-d // 3)
     for a in range(1, amax + 1):

@@ -34,6 +34,11 @@ def rounded(z, prec) -> mpmath.mpc:
         return +z
 
 
+def cm_mpc(tau) -> mpmath.mpc:
+    """The CMPoint tau = (u + v sqrt(-n)) / w at the working precision."""
+    return (tau.u + mp.sqrt(tau.n) * mp.mpc(0, tau.v)) / tau.w
+
+
 # Rational polynomials for reference computations: tuples of Fractions,
 # lowest degree first, with no trailing zero, so the zero polynomial is ().
 

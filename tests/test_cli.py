@@ -129,6 +129,14 @@ class TestEval:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("element", ["x,-1,1", "0,-1,1@"])
+    def test_malformed_element_exit_code(self, element):
+        code, out, err = invoke(
+            ["eval", "-n", "71", "--group", "fricke", "--element", element]
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("cfq: error: ") and repr(element) in err
+
     def test_json(self):
         code, out, _ = invoke(
             ["eval", "-n", "2", "--group", "fricke", "--element", "0,-1,1", "--json"]

@@ -40,6 +40,11 @@ class TestEllipticElement:
         with pytest.raises(DomainError):
             EllipticElement.from_text("1,-36,2")
 
+    @pytest.mark.parametrize("text", ["x,-1,1", "0,-1,1@", "0,-1,1@x", "0,,1", "0,-1"])
+    def test_malformed_text_refused(self, text):
+        with pytest.raises(DomainError, match="got"):
+            EllipticElement.from_text(text, 71)
+
 
 class TestFixedPoint:
     def test_fricke_fixed_point(self):

@@ -9,11 +9,12 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from conftest import cpx, eta_direct_series, mobius, random_sl2, rounded
+from conftest import cm_mpc, cpx, eta_direct_series, mobius, random_sl2, rounded
 from cfq.elliptic import enumerate_representatives, fixed_point
 from cfq.errors import DomainError
-from cfq.eta import EtaQuotientSpec, dedekind_sum, eta, eta_quotient, eta_quotient_error
+from cfq.eta import EtaQuotientSpec, _ascend, dedekind_sum, eta, eta_quotient
 from cfq.hauptmodul import catalog_lookup
+from cfq.numerics import _GUARD, _fixed_series
 from cfq.quadforms import enumerate_class_group
 
 
@@ -143,12 +144,12 @@ class TestEtaQuotient:
     def test_single_factor_equals_eta(self):
         spec = EtaQuotientSpec([(1, 1)])
         tau = cpx(0.2, 1.1, PREC)
-        assert eta_quotient(spec, tau, PREC) == eta(tau, PREC)
+        assert eta_quotient(spec, tau, PREC)[0] == eta(tau, PREC)
 
     def test_level2_against_product_oracle(self):
         spec = EtaQuotientSpec([(1, 24), (2, -24)])
         tau = cpx(0, 3, PREC)
-        got = eta_quotient(spec, tau, PREC)
+        got, _ = eta_quotient(spec, tau, PREC)
         with mp.workprec(PREC + 32):
             q = mp.exp(2j * mp.pi * mp.mpc(0, 3))
             prod = mp.mpf(1)
@@ -166,7 +167,7 @@ class TestEtaQuotient:
         spec = EtaQuotientSpec([(1, 24), (2, -24)])
         with mp.workprec(PREC):
             tau = mp.mpc(0, 1) / mp.sqrt(2)
-        got = eta_quotient(spec, tau, PREC)
+        got, _ = eta_quotient(spec, tau, PREC)
         assert abs(got - 64) < mp.mpf(2) ** (-PREC + 16)
 
     def test_spec_validation(self):
@@ -195,24 +196,82 @@ class TestEtaSeriesKernel:
 
     @pytest.mark.parametrize("prec", [128, 256, 1024])
     def test_term_count_matches_error_model(self, prec, monkeypatch):
-        # the package re-exports the function eta as cfq.eta
+        # The bound charges each factor's own pentagonal sum: the first
+        # exponent left out lies below the 2^-(w+1) the tail is charged for,
+        # and the kernel's bound for the exponents summed reaches the
+        # quotient's bound, |r| / 0.99 times per factor.
         module = importlib.import_module("cfq.eta")
-        counts = []
-        original = module._pentagonal
-        monkeypatch.setattr(module, "_pentagonal", lambda n: counts.append(n) or original(n))
+        summed, extra = [], [0.0]
+
+        def recording(q, exponents, coeffs, coeff_bits, w):
+            sr, si, bound = _fixed_series(q, exponents, coeffs, coeff_bits, w)
+            if exponents == (24,):
+                return sr, si, bound
+            summed.append((q, exponents, w))
+            return sr, si, bound + extra[0]
+
+        monkeypatch.setattr(module, "_fixed_series", recording)
         checked = 0
         for n in (2, 6, 12, 18, 25):
             spec = catalog_lookup(n, "gamma0").spec
             for alpha in enumerate_representatives(n, -4 * n, enumerate_class_group(-4 * n)):
-                tau = fixed_point(alpha)
                 with mp.workprec(prec):
-                    z = (tau.u + mp.sqrt(tau.n) * mp.mpc(0, tau.v)) / tau.w
-                counts.clear()
-                eta_quotient(spec, z, prec)
-                used = list(counts)
-                counts.clear()
-                eta_quotient_error(spec, z, prec, 4)
-                assert used == counts
-                assert len(used) == len(spec.terms)
+                    z = cm_mpc(fixed_point(alpha))
+                summed.clear()
+                extra[0] = 0.0
+                value, bound = eta_quotient(spec, z, prec)
+                assert len(summed) == len(spec.terms)
+                for (qr, qi), exponents, w in summed:
+                    left_out = PENTAGONAL[len(exponents)]
+                    assert exponents == PENTAGONAL[:len(exponents)]
+                    with mp.workprec(64):
+                        q = mp.hypot(qr, qi) * mp.mpf(2) ** -w
+                        assert q ** left_out <= mp.mpf(2) ** -(w + 1)
+                extra[0] = 2.0**60
+                again, inflated = eta_quotient(spec, z, prec)
+                charged = sum(abs(r) for _, r in spec.terms) * 2.0 ** (60 - _GUARD) / 0.99
+                assert again == value and inflated == pytest.approx(bound + charged, rel=1e-9)
                 checked += 1
         assert checked >= 5
+
+
+# exponents of prod (1 - q^k) = sum (-1)^k q^(k(3k-1)/2), in increasing order
+PENTAGONAL = tuple(sorted(k * (3 * k - 1) // 2 for k in range(-60, 61)))
+
+
+class TestAscend:
+    """z -> z + k and z -> -1/(n z) up to n|z|^2 >= 1 - 2^-24, the matrix tracked."""
+
+    @pytest.mark.parametrize("prec", [128, 256, 1024])
+    def test_matrix_at_level_1(self, prec):
+        # an SL2(Z) matrix mapping the input to the output, at the deep
+        # level-1 point too
+        rng = random.Random(prec)
+        points = [cpx(rng.uniform(-3, 3), rng.uniform(0.01, 2), prec) for _ in range(20)]
+        points.append(cpx("0.41421356237", "1e-6", prec))
+        for tau in points:
+            with mp.workprec(prec + _GUARD):
+                out, (a, b, c, d), steps = _ascend(tau, 1)
+            assert a * d - b * c == 1
+            assert abs(out.real) <= 0.5 and out.real**2 + out.imag**2 >= 1 - 2.0**-24
+            with mp.workprec(prec + 64):
+                assert abs(mobius((a, b, c, d), tau) - out) <= mp.mpf(2) ** -(prec - 8)
+        assert steps > 10
+
+    @pytest.mark.parametrize("flips", [1, 2, 5])
+    def test_matrix_at_level_71(self, flips):
+        # a point of the window moved down by `flips` flips, each followed by
+        # a translation k != 0: the ascent undoes exactly these steps, and the
+        # matrix has determinant 71^flips
+        rng = random.Random(flips)
+        with mp.workprec(400):
+            z = start = mp.mpc("0.1", "0.3")
+            for _ in range(flips):
+                z = -1 / (71 * z) + rng.choice([-2, -1, 1, 3])
+        with mp.workprec(160 + _GUARD):
+            out, (a, b, c, d), steps = _ascend(+z, 71)
+        assert a * d - b * c == 71**flips
+        assert steps == 2 * flips and c % 71 == 0
+        with mp.workprec(400):
+            assert abs(out - start) <= mp.mpf(2) ** -150
+            assert abs(mobius((a, b, c, d), z) - out) <= mp.mpf(2) ** -150

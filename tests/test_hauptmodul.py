@@ -10,7 +10,7 @@ import pytest
 from mpmath import mp
 
 import cfq.hauptmodul
-from conftest import H284, cpx, eta_direct_series, mobius, random_gamma0, rounded
+from conftest import H284, cm_mpc, cpx, eta_direct_series, mobius, random_gamma0, rounded
 from cfq.classfield import ring_class_polynomial
 from cfq.elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
 from cfq.errors import (
@@ -21,7 +21,7 @@ from cfq.errors import (
     NotGenusZeroError,
     QSeriesFormatError,
 )
-from cfq.eta import EtaQuotientSpec
+from cfq.eta import EtaQuotientSpec, _ascend
 from cfq.exactpoly import IntPoly, LaurentExpr
 from cfq.hauptmodul import (
     ERROR_BITS,
@@ -31,12 +31,10 @@ from cfq.hauptmodul import (
     QSeriesHaupt,
     catalog_entries,
     catalog_lookup,
-    _fricke_ascent,
     _laurent_sum,
     _log_tail,
     _tail_index,
     evaluate,
-    fricke_reduce,
     load_qseries,
 )
 from cfq.numerics import _GUARD, _fixed_series
@@ -224,12 +222,20 @@ class TestLoadQSeries:
         assert catalog_lookup(15, "fricke").label == "ENV"
 
 
+def _ascent(tau, n, prec):
+    """The point `_ascend` reaches at prec + _GUARD bits, the way evaluate runs it."""
+    with mp.workprec(prec + _GUARD):
+        return _ascend(mp.mpc(tau), n)[0]
+
+
 class TestFrickeReduce:
+    """The ascent under z -> z + k and z -> -1/(n z) that q-series entries take."""
+
     def test_fixed_point_is_stable(self):
         for n in (2, 5, 71):
             with mp.workprec(160):
                 tau = mp.mpc(0, 1) / mp.sqrt(n)
-            out = fricke_reduce(tau, n, 160)
+            out = _ascent(tau, n, 160)
             assert abs(out - tau) < mp.mpf(2) ** -140
 
     def test_translation_then_stable(self):
@@ -237,13 +243,13 @@ class TestFrickeReduce:
         with mp.workprec(160):
             tau = 3 + mp.mpc(0, 1) / mp.sqrt(n)
             want = mp.mpc(0, 1) / mp.sqrt(n)
-        out = fricke_reduce(tau, n, 160)
+        out = _ascent(tau, n, 160)
         assert abs(out - want) < mp.mpf(2) ** -140
 
     def test_monotone_ascent_from_deep_point(self):
         with mp.workprec(192):
             tau = (-71 + mp.sqrt(71) * mp.mpc(0, 1)) / 2556
-        out = fricke_reduce(tau, 71, 192)
+        out = _ascent(tau, 71, 192)
         assert out.imag > tau.imag
 
     def test_output_window(self):
@@ -252,7 +258,7 @@ class TestFrickeReduce:
         with mp.workprec(160):
             for _ in range(40):
                 tau = mp.mpc(rng.uniform(-3, 3), rng.uniform(0.01, 2))
-                out = fricke_reduce(tau, n, 160)
+                out = _ascent(tau, n, 160)
                 assert out.imag >= tau.imag - mp.mpf(2) ** -100
                 assert abs(out.real) <= 0.5 + mp.mpf(2) ** -20
                 assert n * (out.real**2 + out.imag**2) >= 1 - mp.mpf(2) ** -20
@@ -266,12 +272,12 @@ class TestFrickeReduce:
         alpha = EllipticElement(71, 1, -36, 2)
         tau = fixed_point(alpha)
         with mp.workprec(700):
-            z = (tau.u + mp.sqrt(tau.n) * mp.mpc(0, tau.v)) / tau.w
+            z = cm_mpc(tau)
             for m, k in ((2, 3), (-1, 2)):
                 z = mobius((1, m, 0, 1), mobius((1, 0, 71 * k, 1), z))
             assert z.imag < 1e-10
         with mp.workprec(prec + _GUARD):
-            _point, steps = _fricke_ascent(mp.mpc(z), 71)
+            _point, _gamma, steps = _ascend(mp.mpc(z), 71)
         assert steps > 2
         got = evaluate(catalog_lookup(71, "fricke"), z, prec)
         ref = _reference_sum(71, "fricke", tau)
@@ -360,7 +366,7 @@ def _reference_sum(level, group, tau):
     """Every coefficient of the series summed in plain mpc arithmetic."""
     coeffs = catalog_lookup(level, group).coeffs
     with mp.workprec(REF_PREC):
-        z = (tau.u + mp.sqrt(tau.n) * mp.mpc(0, tau.v)) / tau.w
+        z = cm_mpc(tau)
         q = mp.exp(2j * mp.pi * z)
         total = coeffs[0] / q
         qk = mp.mpc(1)
@@ -424,8 +430,7 @@ class TestQSeriesKernel:
         value = evaluate(series, tau, prec)
         assert value == evaluate(entry, tau, prec)
         with mp.workprec(prec + _GUARD):
-            z = (tau.u + mp.sqrt(tau.n) * mp.mpc(0, tau.v)) / tau.w
-            z, _steps = _fricke_ascent(z, 71)
+            z, _gamma, _steps = _ascend(cm_mpc(tau), 71)
         ell = 2 * math.pi * float(z.imag) * (1 - 2.0**-40)
         kstar, _ = _tail_index(series, ell, prec)
         assert read == set(range(kstar + 1))
@@ -479,7 +484,7 @@ def _series_reference(entry, tau, prec):
     data is checked to be negligible.
     """
     with mp.workprec(prec):
-        z = (tau.u + mp.sqrt(tau.n) * mp.mpc(0, tau.v)) / tau.w
+        z = cm_mpc(tau)
         q = mp.exp(2j * mp.pi * z)
         total = entry.coeffs[0] / q
         qk = mp.mpc(1)
@@ -496,7 +501,7 @@ def _series_reference(entry, tau, prec):
 def _eta_reference(entry, tau, prec):
     """An eta-quotient entry's Laurent polynomial from unreduced eta series."""
     with mp.workprec(prec):
-        z = (tau.u + mp.sqrt(tau.n) * mp.mpc(0, tau.v)) / tau.w
+        z = cm_mpc(tau)
         t = mp.fprod(eta_direct_series(d * z, prec) ** r for d, r in entry.spec.terms)
         return mp.fsum(int(c) * t**e for e, c in entry.laurent.terms)
 
@@ -515,7 +520,7 @@ def _kleinj_reference(point):
     tau = LEVEL1_POINTS[point]
     with mp.workprec(KLEINJ_PREC):
         if isinstance(tau, CMPoint):
-            tau = (tau.u + mp.sqrt(tau.n) * mp.mpc(0, tau.v)) / tau.w
+            tau = cm_mpc(tau)
         return 1728 * mp.kleinj(tau) - 744
 
 
@@ -644,6 +649,6 @@ class TestCatalogValidation:
         with mp.workprec(PREC + 32):
             for _ in range(20):
                 tau = mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.7, 1.8))
-                t1 = eta_quotient(entry.spec, rounded(tau, PREC), PREC)
-                t2 = eta_quotient(entry.spec, rounded(-1 / (n * tau), PREC), PREC)
+                t1, _ = eta_quotient(entry.spec, rounded(tau, PREC), PREC)
+                t2, _ = eta_quotient(entry.spec, rounded(-1 / (n * tau), PREC), PREC)
                 assert abs(t1 * t2 - kappa) < tol * kappa

@@ -14,7 +14,7 @@ from cfq.elliptic import EllipticElement, fixed_point
 from cfq.errors import DomainError, RoundingFailureError
 from cfq.eta import EtaQuotientSpec, eta, eta_quotient
 from cfq.exactpoly import IntPoly, LaurentExpr, verify_root_relation
-from cfq.hauptmodul import catalog_lookup, evaluate, fricke_reduce
+from cfq.hauptmodul import catalog_lookup, evaluate
 from cfq.numerics import (
     PrecisionPolicy,
     _coefficient_radius,
@@ -258,13 +258,7 @@ class TestPrecisionContract:
     def test_eta_and_eta_quotient(self, prec):
         tau = cpx("0.1", "1.3", 2 * prec)
         _assert_rounded(eta(tau, prec), prec)
-        _assert_rounded(eta_quotient(EtaQuotientSpec([(1, 6), (5, -6)]), tau, prec), prec)
-
-    @pytest.mark.parametrize("prec", PRECS)
-    def test_fricke_reduce(self, prec):
-        with mp.workprec(2 * prec):
-            tau = (-71 + mp.sqrt(71) * mp.mpc(0, 1)) / 2556
-        _assert_rounded(fricke_reduce(tau, 71, prec), prec)
+        _assert_rounded(eta_quotient(EtaQuotientSpec([(1, 6), (5, -6)]), tau, prec)[0], prec)
 
     @pytest.mark.parametrize("prec", PRECS)
     def test_find_roots_and_poly_from_roots(self, prec):
