@@ -441,9 +441,9 @@ def _evaluate_qseries(series: QSeriesHaupt, z, prec: int) -> tuple[mpmath.mpc, f
     # Exponents 0 .. K*-1, index k holding the coefficient of q^(k-1), summed
     # at scale 2^w.  |c| <= 2^b: the constant term by its bit length, the
     # others by the envelope, which grows with e and is fitted to every
-    # coefficient of the file.  The kernel's bound, 1.5 * 2^b * K*(K*-1)/2,
-    # and as much again for the truncation of q, stay below
-    # 1.5 * 2^(w - prec - _GUARD) for this w.
+    # coefficient of the file.  The kernel's bound, 1.5 * 2^b * K*(K*-1)/2
+    # plus 1.5 per giant step (at most K*/2), and as much again for the
+    # truncation of q, stay below 1.5 * 2^(w - prec - _GUARD) for this w.
     a = 4 * math.pi / math.sqrt(series.n)
     b = abs(coeffs[1]).bit_length()
     if kstar > 1:
@@ -452,7 +452,7 @@ def _evaluate_qseries(series: QSeriesHaupt, z, prec: int) -> tuple[mpmath.mpc, f
     w = prec + _GUARD + b + 2 * kstar.bit_length()
     acc_r, acc_i, rounding = _fixed_series(
         (_to_fixed(q.real, w), _to_fixed(q.imag, w)), range(kstar),
-        [coeffs[k] for k in range(1, kstar + 1)], b, w)
+        coeffs[1:kstar + 1], b, w)
     acc = mp.mpc(mp.ldexp(acc_r, -w), mp.ldexp(acc_i, -w))
     pole = coeffs[0] / q
     value = pole + acc

@@ -22,15 +22,23 @@ value within 1/2 - R_max of an integer holds that integer and no other.
 
 `_fixed_series` is the one series-summation loop of the package: the eta
 pentagonal series and the q-series of a principal modulus are both summed by
-it, in integers at scale 2^w, with a proven bound on its rounding.
+it, in integers at scale 2^w, with a proven bound on its rounding.  A short
+series (eta's, and any of at most 2 (isqrt(e_max) + 1) terms) takes its
+powers along an addition sequence, a full product or more per term.  A long one
+is cut into blocks of m = isqrt(e_max) + 1 exponents (rectangular
+splitting): the powers q^0 .. q^(m-1) are built once, each block is an
+exact integer dot product with them, and Horner's rule in q^m joins the
+blocks, so a dense series of K terms takes about 2 sqrt(K) full products
+instead of K.  The proof of the bound is in the `_fixed_series` docstring.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, repeat
 from math import isqrt
-from operator import sub
+from operator import le, mul, sub
 
 import mpmath
 from mpmath import mp
@@ -191,25 +199,50 @@ def _fixed_series(q, exponents, coeffs, coeff_bits: int, w: int) -> tuple[int, i
 
     q = (qr + i qi) 2^-w is given by its scaled components (qr, qi).
     exponents is a nondecreasing sequence of integers >= 0 (a range for a
-    dense series); coeffs yields one integer of modulus at most
-    2^coeff_bits per exponent.  Returns (sr, si, bound) with
+    dense series); coeffs is a sequence holding one integer of modulus at
+    most 2^coeff_bits per exponent.  Returns (sr, si, bound) with
 
         |(sr + i si) 2^-w - sum_j coeffs[j] q^exponents[j]| <= bound 2^-w,
 
     the sum taken at q exactly.  The caller adds its truncation tail and the
     error in q.
 
-    Each power is the previous one times q^(e_{j+1} - e_j), and each such
-    difference power q^n is q^(n//2) q^(n - n//2), kept once built: an
-    addition sequence.  Every product is truncated toward -infinity, within
-    sqrt(2) of its value.  If approximations of x and y, |x|, |y| <= 1, are
-    within a and b, their product is within a|y| + b|x| + ab, which is at
-    most a + b when |q| + b 2^-w <= 1.  By induction along the sequence the
-    computed q^e is then within sqrt(2) (e - 1) of the true one (e >= 1;
-    q^0 = 1 and the products with it are exact), so the sum is within
-    sqrt(2) sum_j |c_j| e_j, below the bound returned, 1.5 * 2^coeff_bits *
-    sum_j e_j.  The premise holds because |q| <= 1 - 2 e_max 2^-w, which is
-    checked in integers before any term is summed.
+    Every product of two scaled numbers is truncated toward -infinity,
+    within sqrt(2) of its value.  If approximations of x and y, |x|, |y| <=
+    1, are within a and b, their product is within a|y| + b|x| + ab + sqrt(2),
+    which is at most a + b + sqrt(2) when |q| + b 2^-w <= 1.  The premise
+    holds because |q| <= 1 - 2 e_max 2^-w, which is checked in integers
+    before any term is summed.
+
+    The terms are split into blocks of m = isqrt(e_max) + 1 exponents,
+    block k holding the exponents km .. km + m - 1 (rectangular splitting,
+    Paterson and Stockmeyer 1973), and one block is used whenever the n
+    terms number at most 2m: the pentagonal series of eta, whose n is
+    about 1.6 sqrt(e_max), and every short series.
+
+    One block.  Each power is the previous one times q^(e_{j+1} - e_j), and
+    each such difference power q^n is q^(n//2) q^(n - n//2), kept once
+    built: an addition sequence (Enge, Hart and Johansson 2018).  By
+    induction along it the computed q^e is within sqrt(2) (e - 1) of the
+    true one (e >= 1; q^0 = 1 and the products with it are exact), so the
+    sum is within sqrt(2) sum_j |c_j| e_j.
+
+    Several blocks.  The baby steps q^0 .. q^(m-1) and Q = q^m are the
+    same chain with step 1, so q^i is within sqrt(2) (i - 1) for i >= 1 and
+    Q within sqrt(2) (m - 1).  Each block sum sum_i c_(km+i) q^i is an exact
+    integer dot product, within sqrt(2) 2^b sum_i max(0, i - 1) of its true
+    value, b = coeff_bits.  Horner's rule in Q combines the blocks from the
+    top down, one truncated product per block below the top: a giant step.
+    The partial sum H above block k has a true value S of modulus at most
+    2^b times the number of terms it holds, since |q| <= 1, and |Q| <= 2^w
+    by the premise, as sqrt(2) (m - 1) < 2 e_max.
+    So H Q 2^-w is within err(H) + |S| sqrt(2) (m - 1) of S q^m 2^w, and the
+    giant step adds sqrt(2) for its truncation.  A term of block k thus
+    carries sqrt(2) 2^b (max(0, i - 1) + k (m - 1)) <= sqrt(2) 2^b e, and
+    the sum is within sqrt(2) 2^b sum_j e_j + sqrt(2) (giant steps).
+
+    Either way the bound returned, 1.5 * 2^b * sum_j e_j + 1.5 * (giant
+    steps), covers it; with one block it is the first term alone.
     """
     n = len(exponents)
     if not n:
@@ -220,6 +253,38 @@ def _fixed_series(q, exponents, coeffs, coeff_bits: int, w: int) -> tuple[int, i
     if not (exponents[0] >= 0 and 2 * e_max < one
             and qr * qr + qi * qi <= (one - 2 * e_max) ** 2):
         raise DomainError("series point or exponents outside the kernel's range")
+    bound = 1.5 * 2.0**coeff_bits * sum(exponents)
+    m = isqrt(e_max) + 1
+    if n > 2 * m:
+        if not (exponents.step > 0 if isinstance(exponents, range)
+                else all(map(le, exponents, exponents[1:]))):
+            raise DomainError("series exponents must be nondecreasing")
+        # baby steps q^0 .. q^(m-1), then Q = q^m
+        baby_r, baby_i = [one], [0]
+        for _ in range(m):
+            pr, pi = baby_r[-1], baby_i[-1]
+            baby_r.append((pr * qr - pi * qi) >> w)
+            baby_i.append((pr * qi + pi * qr) >> w)
+        big_r, big_i = baby_r.pop(), baby_i.pop()
+        top = e_max // m
+        cuts = [bisect_left(exponents, k * m) for k in range(top + 1)] + [n]
+        acc_r = acc_i = 0
+        for k in range(top, -1, -1):
+            if k < top:
+                acc_r, acc_i = ((acc_r * big_r - acc_i * big_i) >> w,
+                                (acc_r * big_i + acc_i * big_r) >> w)
+            lo, hi = cuts[k], cuts[k + 1]
+            block, local = coeffs[lo:hi], exponents[lo:hi]
+            # the baby powers of the block's exponents, by slicing for a range
+            if isinstance(local, range):
+                start = local.start - k * m
+                powers_r, powers_i = baby_r[start::local.step], baby_i[start::local.step]
+            else:
+                powers_r = [baby_r[e - k * m] for e in local]
+                powers_i = [baby_i[e - k * m] for e in local]
+            acc_r += sum(map(mul, block, powers_r))
+            acc_i += sum(map(mul, block, powers_i))
+        return acc_r, acc_i, bound + 1.5 * top
     table = {0: (one, 0), 1: (qr, qi)}
 
     def power(k):
@@ -243,5 +308,4 @@ def _fixed_series(q, exponents, coeffs, coeff_bits: int, w: int) -> tuple[int, i
         if c:
             acc_r += c * pr
             acc_i += c * pi
-    return acc_r, acc_i, 1.5 * 2.0**coeff_bits * sum(exponents)
-
+    return acc_r, acc_i, bound

@@ -13,6 +13,7 @@ from mpmath import mp
 
 from cfq.errors import InvalidModulusError, NonInvertibleError
 from cfq.exactpoly import IntPoly
+from cfq.hauptmodul import GAMMA0_LEVELS
 from cfq.quadforms import _extgcd
 
 # published degree-7 polynomials for the Hilbert class field of Q(sqrt(-71)),
@@ -37,6 +38,15 @@ def rounded(z, prec) -> mpmath.mpc:
 def cm_mpc(tau) -> mpmath.mpc:
     """The CMPoint tau = (u + v sqrt(-n)) / w at the working precision."""
     return (tau.u + mp.sqrt(tau.n) * mp.mpc(0, tau.v)) / tau.w
+
+
+def level_keys() -> list[tuple[int, str, int]]:
+    """(level, group, disc) of the degree-law sweep: h <= 2 at every key."""
+    discs = {n: [-4 * n] + ([-n] if n % 4 == 3 else []) for n in GAMMA0_LEVELS}
+    return [(n, group, d)
+            for group in ("gamma0", "fricke")
+            for n in sorted(GAMMA0_LEVELS) if group == "gamma0" or n > 1
+            for d in discs[n]]
 
 
 # Rational polynomials for reference computations: tuples of Fractions,

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from mpmath import mp
 
-from conftest import H71, H284, rat, rat_gcd
+from conftest import H71, H284, level_keys, rat, rat_gcd
 from cfq.classfield import galois_permutation, ring_class_polynomial, singular_values
 from cfq.elliptic import EllipticElement, enumerate_representatives, fixed_point
 from cfq.errors import DomainError, EscalationFailureError, RoundingFailureError
@@ -50,7 +50,21 @@ class TestSingularValues:
                     sign, man, exp, _ = x._mpf_
                     digest.update(f"{sign} {man} {exp};".encode())
         assert digest.hexdigest() == (
-            "8f6b819e174b77c1a14119a7ff64ce3d19ca32bfda45ad07c405b2b7518b121e"
+            "5c3e4fab4591520b10de7c9da7418b7adf6b5433b9d2fa79bfeb28aa61625770"
+        )
+
+    def test_small_levels_bit_identical(self):
+        # the eta path at every key of the degree-law sweep, hashed as the
+        # level-71 values are: each series eta sums is one block of the
+        # kernel, summed along its addition sequence
+        digest = hashlib.sha256()
+        for key in level_keys():
+            for value in singular_values(*key, 256).values():
+                for x in (value.real, value.imag):
+                    sign, man, exp, _ = x._mpf_
+                    digest.update(f"{sign} {man} {exp};".encode())
+        assert digest.hexdigest() == (
+            "894aace893efd8cc9a21bc38d924f6ddbd2c1502e06d481973644836a466755b"
         )
 
     def test_classes_pairwise_distinct(self):

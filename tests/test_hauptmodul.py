@@ -10,7 +10,9 @@ import pytest
 from mpmath import mp
 
 import cfq.hauptmodul
-from conftest import H284, cm_mpc, cpx, eta_direct_series, mobius, random_gamma0, rounded
+from conftest import (
+    H284, cm_mpc, cpx, eta_direct_series, level_keys, mobius, random_gamma0, rounded,
+)
 from cfq.classfield import ring_class_polynomial
 from cfq.elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
 from cfq.errors import (
@@ -421,7 +423,9 @@ class TestQSeriesKernel:
 
         class RecordingCoeffs(tuple):
             def __getitem__(self, k):
-                read.add(k)
+                # a slice reads every index it covers
+                span = range(*k.indices(len(self))) if isinstance(k, slice) else [k]
+                read.update(span)
                 return tuple.__getitem__(self, k)
 
         entry = catalog_lookup(71, "fricke")
@@ -445,12 +449,23 @@ class TestQSeriesKernel:
         assert exc.value.have == len(entry.coeffs)
         assert exc.value.needed > exc.value.have
 
+    def test_data_ceiling_is_354_bits(self):
+        # the longest series the file supports: K* just under its 3,600
+        # coefficients at 354 bits, more than the file holds at 355
+        entry = catalog_lookup(71, "fricke")
+        tau = fixed_point(EllipticElement(71, 1, -9, 8))
+        evaluate(entry, tau, 354)
+        with pytest.raises(InsufficientDataError) as exc:
+            evaluate(entry, tau, 355)
+        assert exc.value.have == len(entry.coeffs) < exc.value.needed
+
     def test_data_ceiling_found_before_summing(self):
         class CountingCoeffs(tuple):
             reads = 0
 
             def __getitem__(self, k):
-                CountingCoeffs.reads += 1
+                span = range(*k.indices(len(self))) if isinstance(k, slice) else [k]
+                CountingCoeffs.reads += len(span)
                 return tuple.__getitem__(self, k)
 
         entry = catalog_lookup(71, "fricke")
@@ -466,15 +481,6 @@ class TestQSeriesKernel:
         value = evaluate(series, tau, 256)
         assert 2000 < CountingCoeffs.reads < exc.value.have
         assert value == evaluate(entry, tau, 256)
-
-
-def _level_keys():
-    """(level, group, disc) of the degree-law sweep: h <= 2 at every key."""
-    discs = {n: [-4 * n] + ([-n] if n % 4 == 3 else []) for n in GAMMA0_LEVELS}
-    return [(n, group, d)
-            for group in ("gamma0", "fricke")
-            for n in sorted(GAMMA0_LEVELS) if group == "gamma0" or n > 1
-            for d in discs[n]]
 
 
 def _series_reference(entry, tau, prec):
@@ -560,7 +566,7 @@ class TestDocumentedBound:
             assert abs(got - ref) <= mp.mpf(2) ** (ERROR_BITS - prec) * max(1, abs(ref))
 
     @pytest.mark.parametrize("prec", [128, 256])
-    @pytest.mark.parametrize("key", _level_keys(), ids=lambda k: "%d-%s%d" % k)
+    @pytest.mark.parametrize("key", level_keys(), ids=lambda k: "%d-%s%d" % k)
     def test_sweep_points(self, key, prec):
         n, group, disc = key
         entry = catalog_lookup(n, group)

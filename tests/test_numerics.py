@@ -33,14 +33,21 @@ def polyroots(p: IntPoly, prec: int) -> list:
 
 
 @st.composite
-def series_cases(draw):
-    """(q, exponents, coeffs, coeff_bits, w): |q| <= 0.95, dense or sparse exponents."""
+def series_points(draw):
+    """(q, w): a scaled point with |q| <= 0.95 and its scale."""
     w = draw(st.integers(min_value=64, max_value=1100))
     r = draw(st.floats(min_value=0, max_value=0.95))
     theta = draw(st.floats(min_value=0, max_value=2 * math.pi))
     # 52 bits from the double, then arbitrary low bits below them
     q = [int(r * f(theta) * 2**52) << (w - 52) | draw(st.integers(0, (1 << (w - 53)) - 1))
          for f in (math.cos, math.sin)]
+    return tuple(q), w
+
+
+@st.composite
+def series_cases(draw):
+    """(q, exponents, coeffs, coeff_bits, w): |q| <= 0.95, dense or sparse exponents."""
+    q, w = draw(series_points())
     if draw(st.booleans()):
         start = draw(st.integers(min_value=0, max_value=5))
         exponents = range(start, start + draw(st.integers(min_value=0, max_value=60)))
@@ -49,7 +56,36 @@ def series_cases(draw):
     coeffs = draw(st.lists(st.integers(min_value=-(2**64), max_value=2**64),
                            min_size=len(exponents), max_size=len(exponents)))
     bits = max((abs(c).bit_length() for c in coeffs), default=0)
-    return tuple(q), exponents, coeffs, bits, w
+    return q, exponents, coeffs, bits, w
+
+
+@st.composite
+def long_series_cases(draw):
+    """(q, exponents, coeffs, coeff_bits, w): dense ranges of up to 1,200 terms."""
+    q, w = draw(series_points())
+    start = draw(st.integers(min_value=0, max_value=5))
+    exponents = range(start, start + draw(st.integers(min_value=100, max_value=1200)))
+    coeffs = draw(st.lists(st.integers(min_value=-(2**90), max_value=2**90),
+                           min_size=len(exponents), max_size=len(exponents)))
+    bits = max(abs(c).bit_length() for c in coeffs)
+    return q, exponents, coeffs, bits, w
+
+
+def assert_within_bound(q, exponents, coeffs, bits, w):
+    """The kernel's sum is within its returned bound of an mpmath sum at w + 300 bits."""
+    sr, si, bound = _fixed_series(q, exponents, coeffs, bits, w)
+    with mp.workprec(w + 300):
+        scale = mp.mpf(2) ** w
+        x = mp.mpc(*q) / scale
+        # each power from the one before, 300 bits below the kernel's scale
+        powers, p, prev = [], mp.mpc(1), 0
+        for e in exponents:
+            p *= x ** (e - prev)
+            powers.append(p)
+            prev = e
+        want = mp.fsum(map(mp.fmul, coeffs, powers))
+        assert abs(mp.mpc(sr, si) - want * scale) <= bound
+    return bound
 
 
 class TestFixedSeries:
@@ -65,6 +101,37 @@ class TestFixedSeries:
             x = mp.mpc(*q) / scale
             want = mp.fsum(c * x**e for e, c in zip(exponents, coeffs))
             assert abs(mp.mpc(sr, si) - want * scale) <= bound
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=long_series_cases())
+    def test_blocked_within_stated_bound(self, case):
+        # more than 2 (isqrt(e_max) + 1) terms: summed in blocks
+        assert_within_bound(*case)
+
+    @pytest.mark.parametrize("alternating", [False, True], ids=["equal", "alternating"])
+    def test_blocked_worst_case(self, alternating):
+        # the longest level-71 series at 128 bits: |q| = 0.911, every
+        # coefficient of the largest modulus the bound allows, w = 282
+        w, bits = 282, 84
+        q = tuple(int(0.911 * f(1.0) * 2**52) << (w - 52) for f in (math.cos, math.sin))
+        exponents = range(1600)
+        coeffs = [(-1) ** (k * alternating) << bits for k in exponents]
+        assert_within_bound(q, exponents, coeffs, bits, w)
+        assert (_fixed_series(q, exponents, coeffs, bits, w)
+                == _fixed_series(q, list(exponents), coeffs, bits, w))
+
+    @pytest.mark.parametrize("exponents,giant_steps", [
+        ([0, 1, 500], 0),
+        # 121 terms in blocks of 51 exponents, blocks 3 .. 48 empty
+        (list(range(120)) + [2500], 49),
+    ], ids=["one-block", "empty-blocks"])
+    def test_exponent_gap(self, exponents, giant_steps):
+        w = 192
+        q = (int(0.9 * 2**52) << (w - 52), int(0.3 * 2**52) << (w - 52))
+        coeffs = [(-1) ** k * (k + 1) for k in range(len(exponents))]
+        bits = len(exponents).bit_length()
+        bound = assert_within_bound(q, exponents, coeffs, bits, w)
+        assert bound == 1.5 * 2**bits * sum(exponents) + 1.5 * giant_steps
 
     @settings(max_examples=50, deadline=None)
     @given(case=series_cases())
@@ -85,6 +152,13 @@ class TestFixedSeries:
     def test_rejects_decreasing_exponents(self):
         with pytest.raises(DomainError):
             _fixed_series((1 << 62, 0), [0, 3, 2], [1, 1, 1], 0, 64)
+
+    @pytest.mark.parametrize("exponents", [range(10, 0, -1), [0, 1, 2, 3, 4, 5, 4]],
+                             ids=["range", "list"])
+    def test_blocked_rejects_decreasing_exponents(self, exponents):
+        # more terms than 2 (isqrt(e_max) + 1), where e_max is the last exponent
+        with pytest.raises(DomainError):
+            _fixed_series((1 << 62, 0), exponents, [1] * len(exponents), 0, 64)
 
     def test_rejects_point_too_near_the_unit_circle(self):
         w = 64
