@@ -38,7 +38,7 @@ from .errors import (
     RoundingFailureError,
     SearchFailureError,
 )
-from .eta import EtaQuotientSpec, dedekind_sum, eta, eta_quotient
+from .eta import EtaQuotientSpec, dedekind_sum, eta_quotient
 from .exactpoly import (
     IntPoly,
     LaurentExpr,

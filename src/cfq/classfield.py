@@ -5,15 +5,19 @@ point per ideal class.  Every catalog q-expansion has rational coefficients,
 so t(1 - conj(tau)) = conj(t(tau)); when the representatives of a class and
 of its inverse fix such a mirror pair of points (up to a translation), only
 the first is evaluated and the second gets the exact conjugate, so a class
-group with few ambiguous classes costs about half its h evaluations.
+group with few ambiguous classes costs about half its h evaluations.  A
+class that is its own inverse, at a point that is its own mirror image,
+has a real value and gets an imaginary part of exactly 0.
 `ring_class_polynomial` multiplies out the monic polynomial with those roots
 and rounds it to integers with a proof: each value is within the documented
 bound of `evaluate` (2^(ERROR_BITS - prec) * max(1, |t|)), so each computed
 coefficient lies in a ball around the true integer one, and the round is
 accepted when every ball contains exactly one integer (`certify_int_poly`).
-Otherwise the working precision doubles, up to the policy's ceiling; with
-the default policy the level-71 polynomials and the degree-law sweep are
-accepted in their first round.
+The first round runs at the policy's start, by default the 64-bit floor;
+a round that fails doubles the working precision, up to the policy's
+ceiling.  With the default policy every catalog key that computes, the
+level-71 polynomials and the degree-law sweep, is accepted in its first,
+64-bit round.
 The Galois side of the theory is realized combinatorially:
 `galois_permutation` translates the class list by a fixed class through form
 composition.
@@ -124,7 +128,9 @@ def singular_values(
     value, conjugated, when the two representatives are mirror images: the
     same C and A + A' = 0 mod C, so that the fixed points differ by
     1 - conj(tau) up to an integer translation.  Any other pair of
-    representatives is evaluated directly.
+    representatives is evaluated directly.  A class that is its own inverse
+    and whose representative is its own mirror image (2A = 0 mod C) has a
+    real value, and reports it with an imaginary part of exactly 0.
     """
     if spec is None:
         spec = catalog_lookup(n, group, data_dir)
@@ -136,12 +142,17 @@ def singular_values(
         tau = fixed_point(alpha)
         j = cg.inverse_idx(i)
         mirror = reps[j]
-        if j < i and mirror.C == alpha.C and (alpha.A + mirror.A) % alpha.C == 0:
+        mirrored = mirror.C == alpha.C and (alpha.A + mirror.A) % alpha.C == 0
+        if j < i and mirrored:
             # conjugating outside workprec would round to mpmath's global 53 bits
             with mp.workprec(prec):
                 value = mp.conj(entries[j][3])
         else:
             value = evaluate(spec, tau, prec)
+            if j == i and mirrored:
+                # its own mirror image: t(tau) = conj(t(tau)) is real
+                with mp.workprec(prec):
+                    value = mp.mpc(value.real, 0)
         entries.append((cls, alpha, tau, value))
     return SingularValueSet(n, group, disc, tuple(entries), prec, cg)
 
@@ -155,19 +166,15 @@ def ring_class_polynomial(
 ) -> ClassPolyResult:
     """Class polynomial under the escalation contract.
 
-    Evaluates one value per class and accepts the first round whose
-    coefficient balls each contain exactly one integer; otherwise the
-    precision doubles, up to policy.max_bits.  The catalog entry, the class
-    group and the representatives are computed once, before the first round.
+    Evaluates one value per class at policy.start_bits, by default the
+    64-bit floor, and accepts the first round whose coefficient balls each
+    contain exactly one integer; otherwise the precision doubles, up to
+    policy.max_bits.  The catalog entry, the class group and the
+    representatives are computed once, before the first round.
     """
     policy = policy or PrecisionPolicy()
     cg = enumerate_class_group(disc)
-    degree = cg.class_number
-    prec = policy.initial_bits(degree)
-    if prec > policy.max_bits:
-        raise DomainError(
-            f"starting precision {prec} bits exceeds max_bits {policy.max_bits}"
-        )
+    prec = policy.start_bits
     spec = catalog_lookup(n, group, data_dir)
     reps = enumerate_representatives(n, disc, cg)
     history: list[str] = []
@@ -195,7 +202,7 @@ def ring_class_polynomial(
                 f"(level {n}, {group}, disc {disc})",
                 history,
             ) from exc
-        assert poly.is_monic() and poly.degree == degree
+        assert poly.is_monic() and poly.degree == cg.class_number
         history.append(
             f"{prec} bits: accepted {poly.text()}, residual "
             f"{mpmath.nstr(residual, 10)} + radius {mpmath.nstr(r_max, 10)} < 1/2"

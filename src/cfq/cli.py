@@ -27,7 +27,7 @@ from .elliptic import EllipticElement, enumerate_representatives, fixed_point, o
 from .errors import CfqError, EscalationFailureError
 from .exactpoly import IntPoly, LaurentExpr, verify_root_relation
 from .hauptmodul import catalog_entries, catalog_lookup, evaluate
-from .numerics import PrecisionPolicy
+from .numerics import MIN_PREC_BITS, PrecisionPolicy
 from .quadforms import enumerate_class_group
 
 __all__ = ["main", "run", "verify_level71"]
@@ -56,7 +56,7 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, level=False, group=False, disc=False, prec=False, data_dir=False):
+    def common(p, level=False, group=False, disc=False, prec=None, data_dir=False):
         if level:
             p.add_argument("-n", "--level", type=int, required=True)
         if group:
@@ -64,15 +64,16 @@ def _build_parser() -> _Parser:
         if disc:
             p.add_argument("-D", "--disc", type=int, required=True)
         if prec:
-            p.add_argument("--prec-bits", type=int, default=None,
-                           help="working precision in bits (default: automatic)")
+            p.add_argument("--prec-bits", type=int, default=None, help=prec)
         if data_dir:
             p.add_argument("--data-dir", default=None,
                            help="directory with q-series files (overrides CFQ_DATA_DIR)")
         p.add_argument("--json", action="store_true", help="emit JSON")
 
     p = sub.add_parser("class-poly", help="class polynomial for (level, group, disc)")
-    common(p, level=True, group=True, disc=True, prec=True, data_dir=True)
+    common(p, level=True, group=True, disc=True, data_dir=True,
+           prec=f"precision of the first round in bits, at least {MIN_PREC_BITS} "
+                f"(default: {MIN_PREC_BITS}); a round that fails doubles it")
 
     p = sub.add_parser("class-group", help="reduced forms and composition table")
     common(p, disc=True)
@@ -81,7 +82,8 @@ def _build_parser() -> _Parser:
     common(p, level=True, disc=True)
 
     p = sub.add_parser("eval", help="principal modulus value at one element")
-    common(p, level=True, group=True, prec=True, data_dir=True)
+    common(p, level=True, group=True, data_dir=True,
+           prec=f"working precision in bits, at least {MIN_PREC_BITS} (default: 256)")
     p.add_argument("--element", required=True, metavar="A,B,C",
                    help="elliptic element as 'A,B,C' (or 'A,B,C@n') at the given level")
 
@@ -167,8 +169,8 @@ def _cmd_reps(args, out) -> int:
 
 def _cmd_eval(args, out) -> int:
     prec = args.prec_bits if args.prec_bits is not None else 256
-    if prec < 64:
-        raise CfqError(f"precision must be at least 64 bits, got {prec}")
+    if prec < MIN_PREC_BITS:
+        raise CfqError(f"precision must be at least {MIN_PREC_BITS} bits, got {prec}")
     alpha = EllipticElement.from_text(args.element, args.level)
     spec = catalog_lookup(args.level, args.group, args.data_dir)
     value = evaluate(spec, fixed_point(alpha), prec)

@@ -50,7 +50,11 @@ from .exactpoly import IntPoly
 # guard bits above the requested precision, for eta and for evaluate
 _GUARD = 48
 
+# the lowest working precision any request may ask for
+MIN_PREC_BITS = 64
+
 __all__ = [
+    "MIN_PREC_BITS",
     "PrecisionPolicy",
     "poly_from_roots",
     "round_to_int_poly",
@@ -62,28 +66,24 @@ __all__ = [
 class PrecisionPolicy:
     """Escalation contract for assembling integer polynomials.
 
-    Start at `start_bits` (defaulting to max(128, 10*degree + 32)) and
-    accept the first round whose every coefficient ball, built from the
-    error bound of each root, contains exactly one integer
-    (`certify_int_poly`); otherwise double the precision, up to `max_bits`.
+    Start at `start_bits`, by default the 64-bit floor, and accept the first
+    round whose every coefficient ball, built from the error bound of each
+    root, contains exactly one integer (`certify_int_poly`); otherwise double
+    the precision, up to `max_bits`.
     """
 
-    start_bits: int | None = None
+    start_bits: int = MIN_PREC_BITS
     max_bits: int = 16384
 
     def __post_init__(self):
-        if self.start_bits is not None:
-            if self.start_bits < 64:
-                raise DomainError(
-                    f"precision must be at least 64 bits, got {self.start_bits}"
-                )
-            if self.max_bits < self.start_bits:
-                raise DomainError("max_bits must be at least start_bits")
-
-    def initial_bits(self, degree: int) -> int:
-        if self.start_bits is not None:
-            return self.start_bits
-        return max(128, 10 * degree + 32)
+        if self.start_bits < MIN_PREC_BITS:
+            raise DomainError(
+                f"precision must be at least {MIN_PREC_BITS} bits, got {self.start_bits}"
+            )
+        if self.max_bits < self.start_bits:
+            raise DomainError(
+                f"max_bits {self.max_bits} is below start_bits {self.start_bits}"
+            )
 
 
 def poly_from_roots(values, prec: int) -> list[mpmath.mpc]:

@@ -50,7 +50,7 @@ class TestSingularValues:
                     sign, man, exp, _ = x._mpf_
                     digest.update(f"{sign} {man} {exp};".encode())
         assert digest.hexdigest() == (
-            "5c3e4fab4591520b10de7c9da7418b7adf6b5433b9d2fa79bfeb28aa61625770"
+            "4e72a00208de8b1816a6fdf439e81954bb21250451d2b1b4e4c32615ccfedd81"
         )
 
     def test_small_levels_bit_identical(self):
@@ -64,7 +64,7 @@ class TestSingularValues:
                     sign, man, exp, _ = x._mpf_
                     digest.update(f"{sign} {man} {exp};".encode())
         assert digest.hexdigest() == (
-            "894aace893efd8cc9a21bc38d924f6ddbd2c1502e06d481973644836a466755b"
+            "bd56aea03b9fd6e6e0d1a669f8a750267452d0f356171ed320a0c074a27711ad"
         )
 
     def test_classes_pairwise_distinct(self):
@@ -114,6 +114,16 @@ class TestInversePairs:
                 conjugated += 1
                 assert _same_bits(value, evaluate(spec, tau, prec)), i
         assert conjugated == 3
+
+    def test_self_mirror_class_is_exactly_real(self):
+        # the principal class of disc -71 is its own inverse, and its
+        # representative (A, C) = (1, 2) its own mirror image: 2A = 0 mod C
+        vals = singular_values(71, "fricke", -71, 256)
+        cls, alpha, tau, value = vals.entries[0]
+        assert cls.rep == QuadForm(1, 1, 18) and (2 * alpha.A) % alpha.C == 0
+        assert value.imag == 0
+        direct = evaluate(catalog_lookup(71, "fricke"), tau, 256)
+        assert value.real._mpf_ == direct.real._mpf_ and direct.imag != 0
 
     def test_non_mirror_representative_is_evaluated(self, evaluate_calls):
         cg = enumerate_class_group(-71)
@@ -223,14 +233,27 @@ class TestRingClassPolynomial:
         for disc, published in [(-71, H71), (-284, H284)]:
             result = ring_class_polynomial(71, "fricke", disc)
             assert result.poly == published
-            assert result.prec_bits == 128
+            assert result.prec_bits == 64
             assert result.history == (
-                f"128 bits: accepted {published.text()}, residual "
+                f"64 bits: accepted {published.text()}, residual "
                 f"{mp.nstr(result.residual, 10)} + radius "
                 f"{mp.nstr(result.r_max, 10)} < 1/2",
             )
-            assert 0 < result.r_max < mp.mpf(2) ** -100
+            # about 2^(14 - prec) for both discriminants
+            assert 0 < result.r_max < mp.mpf(2) ** (16 - result.prec_bits)
             assert result.residual + result.r_max < mp.mpf(0.5)
+
+    @pytest.mark.parametrize(
+        "key", level_keys() + [(71, "fricke", -71), (71, "fricke", -284)]
+    )
+    def test_catalog_key_certified_in_one_round(self, key):
+        # every catalog key that computes is accepted in its first round at
+        # the 64-bit floor, with the polynomial of a 128-bit start
+        result = ring_class_polynomial(*key)
+        assert result.prec_bits == 64 and len(result.history) == 1
+        assert result.poly.degree == enumerate_class_group(key[2]).class_number
+        high = ring_class_polynomial(*key, PrecisionPolicy(start_bits=128))
+        assert high.prec_bits == 128 and result.poly == high.poly
 
     def test_history_keeps_failed_rounds(self, monkeypatch):
         import cfq.classfield
@@ -246,16 +269,16 @@ class TestRingClassPolynomial:
 
         monkeypatch.setattr(cfq.classfield, "certify_int_poly", refuse_first)
         result = ring_class_polynomial(2, "gamma0", -8)
-        assert rounds == [128, 256] and result.prec_bits == 256
+        assert rounds == [64, 128] and result.prec_bits == 128
         assert len(result.history) == 2
         assert result.history[0] == (
-            "128 bits: rounding failed, residual 0.25 not below 0.125"
+            "64 bits: rounding failed, residual 0.25 not below 0.125"
         )
-        assert result.history[1].startswith("256 bits: accepted -88,1,")
+        assert result.history[1].startswith("128 bits: accepted -88,1,")
 
     def test_start_above_ceiling_is_refused_before_work(self, evaluate_calls):
-        with pytest.raises(DomainError, match="128 bits exceeds max_bits 100"):
-            ring_class_polynomial(2, "gamma0", -8, PrecisionPolicy(max_bits=100))
+        with pytest.raises(DomainError, match="max_bits 32 is below start_bits 64"):
+            ring_class_polynomial(2, "gamma0", -8, PrecisionPolicy(max_bits=32))
         assert evaluate_calls == []
 
     def test_escalation_failure_reports_history(self):
@@ -273,7 +296,7 @@ class TestRingClassPolynomial:
         assert all(isinstance(p["value_re"], str) for p in obj["points"])
         assert obj["r_max"] == mp.nstr(result.r_max, 10)
         assert obj["history"] == list(result.history)
-        assert obj["prec_bits"] == 128
+        assert obj["prec_bits"] == 64
 
 
 class TestGaloisPermutation:

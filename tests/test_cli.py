@@ -60,9 +60,10 @@ class TestClassPoly:
             ["class-poly", "-n", "71", "--group", "fricke", "-D", "-71", "--json"]
         )
         obj = json.loads(out)
-        assert obj["prec_bits"] == 128 and len(obj["history"]) == 1
-        assert obj["history"][0].startswith("128 bits: accepted 1,0,-2,-3,1,5,4,1,")
-        assert 0 < float(obj["r_max"]) < 2.0 ** -100
+        assert obj["prec_bits"] == 64 and len(obj["history"]) == 1
+        assert obj["history"][0].startswith("64 bits: accepted 1,0,-2,-3,1,5,4,1,")
+        # about 2^(14 - prec)
+        assert 0 < float(obj["r_max"]) < 2.0 ** (16 - obj["prec_bits"])
 
     def test_missing_data_exit_code(self):
         code, _, err = invoke(["class-poly", "-n", "59", "--group", "fricke", "-D", "-59"])

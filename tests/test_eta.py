@@ -1,6 +1,5 @@
 """Eta engine: Dedekind sums, transformation law, quotients."""
 
-import importlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -10,6 +9,7 @@ import pytest
 from mpmath import mp
 
 from conftest import cm_mpc, cpx, eta_direct_series, mobius, random_sl2, rounded
+import cfq.eta
 from cfq.elliptic import enumerate_representatives, fixed_point
 from cfq.errors import DomainError
 from cfq.eta import EtaQuotientSpec, _ascend, dedekind_sum, eta, eta_quotient
@@ -200,7 +200,6 @@ class TestEtaSeriesKernel:
         # exponent left out lies below the 2^-(w+1) the tail is charged for,
         # and the kernel's bound for the exponents summed reaches the
         # quotient's bound, |r| / 0.99 times per factor.
-        module = importlib.import_module("cfq.eta")
         summed, extra = [], [0.0]
 
         def recording(q, exponents, coeffs, coeff_bits, w):
@@ -210,7 +209,7 @@ class TestEtaSeriesKernel:
             summed.append((q, exponents, w))
             return sr, si, bound + extra[0]
 
-        monkeypatch.setattr(module, "_fixed_series", recording)
+        monkeypatch.setattr(cfq.eta, "_fixed_series", recording)
         checked = 0
         for n in (2, 6, 12, 18, 25):
             spec = catalog_lookup(n, "gamma0").spec

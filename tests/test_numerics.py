@@ -16,6 +16,7 @@ from cfq.eta import EtaQuotientSpec, eta, eta_quotient
 from cfq.exactpoly import IntPoly, LaurentExpr, verify_root_relation
 from cfq.hauptmodul import catalog_lookup, evaluate
 from cfq.numerics import (
+    MIN_PREC_BITS,
     PrecisionPolicy,
     _coefficient_radius,
     _fixed_series,
@@ -241,14 +242,16 @@ class TestFindRoots:
 class TestPrecisionPolicy:
     def test_default_start(self):
         policy = PrecisionPolicy()
-        assert policy.initial_bits(7) == 128
-        assert policy.initial_bits(30) == 332
+        assert policy.start_bits == MIN_PREC_BITS == 64
 
     def test_validation(self):
         with pytest.raises(DomainError):
             PrecisionPolicy(start_bits=32)
         with pytest.raises(DomainError):
             PrecisionPolicy(start_bits=256, max_bits=128)
+        # the default start against a ceiling below it
+        with pytest.raises(DomainError):
+            PrecisionPolicy(max_bits=32)
 
 
 class TestCertifyIntPoly:
