@@ -2,11 +2,12 @@
 
 The package computes, in arbitrary precision with exact integer rounding,
 the class polynomials generated by values of genus-zero principal moduli
-(Laurent polynomials in eta quotients, and ingested q-series such as the
-level-71 series) at order-2 elliptic points of Fricke groups: the class
-group of binary quadratic forms, one minimal-C elliptic representative per
-class, certified rounding of the product of the values, and an exact check
-of algebraic relations between the resulting polynomials.
+(Laurent polynomials in eta quotients, and quotients of binary theta series
+by eta(tau) eta(N tau) such as the level-71 one) at order-2 elliptic points
+of Fricke groups: the class group of binary quadratic forms, one minimal-C
+elliptic representative per class, certified rounding of the product of the
+values, and an exact check of algebraic relations between the resulting
+polynomials.  No part of it reads a data file.
 """
 
 from .classfield import (
@@ -27,14 +28,12 @@ from .elliptic import (
 from .errors import (
     CfqError,
     ConvergenceError,
-    DataFileMissingError,
     DomainError,
     EscalationFailureError,
-    InsufficientDataError,
     InvalidModulusError,
+    NoConstructionError,
     NonInvertibleError,
     NotGenusZeroError,
-    QSeriesFormatError,
     RoundingFailureError,
     SearchFailureError,
 )
@@ -48,11 +47,10 @@ from .hauptmodul import (
     FRICKE_LEVELS,
     GAMMA0_LEVELS,
     EtaQuotientHaupt,
-    QSeriesHaupt,
+    ThetaQuotientHaupt,
     catalog_entries,
     catalog_lookup,
     evaluate,
-    load_qseries,
 )
 from .numerics import PrecisionPolicy, poly_from_roots, round_to_int_poly
 from .quadforms import (

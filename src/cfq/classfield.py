@@ -31,14 +31,9 @@ import mpmath
 from mpmath import mp
 
 from .elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
-from .errors import (
-    DomainError,
-    EscalationFailureError,
-    InsufficientDataError,
-    RoundingFailureError,
-)
+from .errors import DomainError, EscalationFailureError, RoundingFailureError
 from .exactpoly import IntPoly
-from .hauptmodul import ERROR_BITS, catalog_lookup, evaluate
+from .hauptmodul import ERROR_BITS, catalog_lookup, evaluate, value_digits
 from .numerics import PrecisionPolicy, certify_int_poly
 from .quadforms import ClassGroup, IdealClass, enumerate_class_group
 
@@ -82,7 +77,7 @@ class ClassPolyResult:
     history: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        dps = max(17, int(self.prec_bits * 0.302) + 2)
+        dps = value_digits(self.prec_bits)
         points = []
         for cls, alpha, _tau, value in self.points.entries:
             points.append(
@@ -112,7 +107,6 @@ def singular_values(
     group: str,
     disc: int,
     prec: int,
-    data_dir=None,
     *,
     spec=None,
     class_group: ClassGroup | None = None,
@@ -133,7 +127,7 @@ def singular_values(
     real value, and reports it with an imaginary part of exactly 0.
     """
     if spec is None:
-        spec = catalog_lookup(n, group, data_dir)
+        spec = catalog_lookup(n, group)
     cg = class_group if class_group is not None else enumerate_class_group(disc)
     if reps is None:
         reps = enumerate_representatives(n, disc, cg)
@@ -162,7 +156,6 @@ def ring_class_polynomial(
     group: str,
     disc: int,
     policy: PrecisionPolicy | None = None,
-    data_dir=None,
 ) -> ClassPolyResult:
     """Class polynomial under the escalation contract.
 
@@ -175,14 +168,12 @@ def ring_class_polynomial(
     policy = policy or PrecisionPolicy()
     cg = enumerate_class_group(disc)
     prec = policy.start_bits
-    spec = catalog_lookup(n, group, data_dir)
+    spec = catalog_lookup(n, group)
     reps = enumerate_representatives(n, disc, cg)
     history: list[str] = []
     while prec <= policy.max_bits:
         try:
-            vals = singular_values(
-                n, group, disc, prec, data_dir, spec=spec, class_group=cg, reps=reps
-            )
+            vals = singular_values(n, group, disc, prec, spec=spec, class_group=cg, reps=reps)
             # each value is within 2^(ERROR_BITS - prec) max(1, |t|) of t,
             # so within 2^(ERROR_BITS + 1 - prec) max(1, |value|)
             poly, residual, r_max = certify_int_poly(
@@ -195,13 +186,6 @@ def ring_class_polynomial(
             )
             prec *= 2
             continue
-        except InsufficientDataError as exc:
-            history.append(f"{prec} bits: {exc}")
-            raise EscalationFailureError(
-                f"q-series data cannot support {prec}-bit evaluation for "
-                f"(level {n}, {group}, disc {disc})",
-                history,
-            ) from exc
         assert poly.is_monic() and poly.degree == cg.class_number
         history.append(
             f"{prec} bits: accepted {poly.text()}, residual "

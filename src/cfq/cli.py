@@ -26,7 +26,7 @@ from .classfield import ring_class_polynomial
 from .elliptic import EllipticElement, enumerate_representatives, fixed_point, order_of
 from .errors import CfqError, EscalationFailureError
 from .exactpoly import IntPoly, LaurentExpr, verify_root_relation
-from .hauptmodul import catalog_entries, catalog_lookup, evaluate
+from .hauptmodul import catalog_entries, catalog_lookup, evaluate, value_digits
 from .numerics import MIN_PREC_BITS, PrecisionPolicy
 from .quadforms import enumerate_class_group
 
@@ -56,7 +56,7 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, level=False, group=False, disc=False, prec=None, data_dir=False):
+    def common(p, level=False, group=False, disc=False, prec=None):
         if level:
             p.add_argument("-n", "--level", type=int, required=True)
         if group:
@@ -65,13 +65,10 @@ def _build_parser() -> _Parser:
             p.add_argument("-D", "--disc", type=int, required=True)
         if prec:
             p.add_argument("--prec-bits", type=int, default=None, help=prec)
-        if data_dir:
-            p.add_argument("--data-dir", default=None,
-                           help="directory with q-series files (overrides CFQ_DATA_DIR)")
         p.add_argument("--json", action="store_true", help="emit JSON")
 
     p = sub.add_parser("class-poly", help="class polynomial for (level, group, disc)")
-    common(p, level=True, group=True, disc=True, data_dir=True,
+    common(p, level=True, group=True, disc=True,
            prec=f"precision of the first round in bits, at least {MIN_PREC_BITS} "
                 f"(default: {MIN_PREC_BITS}); a round that fails doubles it")
 
@@ -82,7 +79,7 @@ def _build_parser() -> _Parser:
     common(p, level=True, disc=True)
 
     p = sub.add_parser("eval", help="principal modulus value at one element")
-    common(p, level=True, group=True, data_dir=True,
+    common(p, level=True, group=True,
            prec=f"working precision in bits, at least {MIN_PREC_BITS} (default: 256)")
     p.add_argument("--element", required=True, metavar="A,B,C",
                    help="elliptic element as 'A,B,C' (or 'A,B,C@n') at the given level")
@@ -91,10 +88,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--paper71", action="store_true",
                    help="check the level-71 class polynomials and the two "
                         "algebraic relations to Weber's polynomial")
-    common(p, data_dir=True)
+    common(p)
 
     p = sub.add_parser("catalog", help="list genus-zero catalog entries")
-    common(p, data_dir=True)
+    common(p)
     return parser
 
 
@@ -109,9 +106,7 @@ def _policy(prec_bits: int | None) -> PrecisionPolicy:
 
 
 def _cmd_class_poly(args, out) -> int:
-    result = ring_class_polynomial(
-        args.level, args.group, args.disc, _policy(args.prec_bits), args.data_dir
-    )
+    result = ring_class_polynomial(args.level, args.group, args.disc, _policy(args.prec_bits))
     if args.json:
         out.write(_emit_json(result.to_json_dict()) + "\n")
     else:
@@ -172,9 +167,9 @@ def _cmd_eval(args, out) -> int:
     if prec < MIN_PREC_BITS:
         raise CfqError(f"precision must be at least {MIN_PREC_BITS} bits, got {prec}")
     alpha = EllipticElement.from_text(args.element, args.level)
-    spec = catalog_lookup(args.level, args.group, args.data_dir)
+    spec = catalog_lookup(args.level, args.group)
     value = evaluate(spec, fixed_point(alpha), prec)
-    dps = max(17, int(prec * 0.302) + 2)
+    dps = value_digits(prec)
     if args.json:
         obj = {
             "level": args.level,
@@ -191,12 +186,12 @@ def _cmd_eval(args, out) -> int:
     return 0
 
 
-def verify_level71(data_dir=None) -> list[tuple[str, bool]]:
+def verify_level71() -> list[tuple[str, bool]]:
     """The four level-71 checks; exact arithmetic for the root relations."""
     checks: list[tuple[str, bool]] = []
-    r71 = ring_class_polynomial(71, "fricke", -71, data_dir=data_dir)
+    r71 = ring_class_polynomial(71, "fricke", -71)
     checks.append(("class polynomial disc -71", r71.poly == MINPOLY_DISC_71))
-    r284 = ring_class_polynomial(71, "fricke", -284, data_dir=data_dir)
+    r284 = ring_class_polynomial(71, "fricke", -284)
     checks.append(("class polynomial disc -284", r284.poly == MINPOLY_DISC_284))
     checks.append(
         (
@@ -216,7 +211,7 @@ def verify_level71(data_dir=None) -> list[tuple[str, bool]]:
 def _cmd_verify(args, out) -> int:
     if not args.paper71:
         raise CfqError("nothing to verify: pass --paper71")
-    checks = verify_level71(args.data_dir)
+    checks = verify_level71()
     if args.json:
         out.write(_emit_json({name: ok for name, ok in checks}) + "\n")
     else:
@@ -226,15 +221,12 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_catalog(args, out) -> int:
-    entries = catalog_entries(args.data_dir)
+    entries = catalog_entries()
     if args.json:
         out.write(_emit_json(entries) + "\n")
     else:
         for e in entries:
-            avail = ""
-            if "available" in e:
-                avail = "  data " + ("present" if e["available"] else "missing")
-            out.write(f"{e['group']:7s} {e['level']:3d}  {e['kind']}{avail}\n")
+            out.write(f"{e['group']:7s} {e['level']:3d}  {e['kind']}\n")
     return 0
 
 

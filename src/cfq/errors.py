@@ -38,35 +38,8 @@ class NotGenusZeroError(DomainError):
     """Requested (level, group) has no principal modulus in the catalog."""
 
 
-class QSeriesFormatError(CfqError, ValueError):
-    """A q-series coefficient file failed to parse.
-
-    `reason` is one of "header", "coefficient", "q_min", "too_few".
-    """
-
-    def __init__(self, reason, message):
-        self.reason = reason
-        super().__init__(message)
-
-
-class DataFileMissingError(CfqError, FileNotFoundError):
-    """A catalog entry resolves to a q-series file that is not present."""
-
-
-class InsufficientDataError(CfqError):
-    """A q-series file stops before the index its envelope's tail bound needs.
-
-    `needed` is that index plus one, found before any term is summed.
-    """
-
-    def __init__(self, abs_q, have, needed):
-        self.abs_q = abs_q
-        self.have = have
-        self.needed = needed
-        super().__init__(
-            f"q-series too short: |q| = {abs_q}, {have} coefficients available, "
-            f"{needed} needed by the envelope's tail bound"
-        )
+class NoConstructionError(DomainError):
+    """A listed genus-zero (level, group) whose principal modulus the catalog cannot build."""
 
 
 class EscalationFailureError(CfqError):

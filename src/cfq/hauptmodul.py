@@ -7,8 +7,13 @@ Two kinds of entry, each normalized so the q-expansion is q^-1 + 0 + O(q):
     Fricke group, and j - 744 = h + 24 + 196608/h + 16777216/h^2 in the
     level-2 quotient h for level 1 (built-in tables, validated by the test
     suite rather than trusted);
-  * `QSeriesHaupt`: an ingested q-series coefficient file for a Fricke-only
-    level (the package ships the level-71 series).
+  * `ThetaQuotientHaupt`: f / (eta(tau) eta(N tau)) + shift for the Fricke
+    group of a prime level N = 23 mod 24 (71, 47 and 23), where
+    f = sum_Q s_Q theta_Q / m and theta_Q(tau) = sum_(x,y) q^Q(x,y) is the
+    theta series of a form Q of discriminant -N.
+
+The other Fricke levels of the genus-zero list have no construction here;
+`catalog_lookup` raises NoConstructionError for them.
 
 `evaluate(spec, tau, prec)` returns t(tau) rounded to prec bits with
 
@@ -17,73 +22,68 @@ Two kinds of entry, each normalized so the q-expansion is q^-1 + 0 + O(q):
 ERROR_BITS = 3.  It works at prec + 48 bits, estimates the error of the
 unrounded value and raises ConvergenceError, instead of returning, when the
 estimate exceeds 2^(ERROR_BITS - 1 - prec) * max(1, |value|); the final
-rounding then keeps the sum within the bound.  The estimate rests on two
-stated assumptions:
+rounding then keeps the sum within the bound.  The estimate rests on one
+stated assumption, the operation-error model of `cfq.eta` at the working
+precision, which also prices the cancellation between the terms of
+sum_e c_e t^e.  Eta-quotient entries are valid anywhere because eta itself
+reduces its argument, and `eta_quotient` returns its error bound with its
+value.
 
-  * the operation-error model of `cfq.eta` at the working precision, which
-    also prices the cancellation between the terms of sum_e c_e t^e;
-  * for a q-series, the coefficient envelope |c_e| <= A exp(4 pi sqrt(e/N))
-    for e >= 1, N the level.  A is fitted to the file when it is parsed
-    (`QSeriesHaupt.envelope_a`, about 0.225 for level 71), so the envelope
-    holds on the data by construction and is assumed beyond it.
+A theta quotient is evaluated at a point of tau's orbit under Gamma0(N)
+and the Fricke flip tau -> -1/(N tau) with Im >= sqrt(3)/(2N), up to the
+ascent's 2^-24 slack, so |q| <= exp(-pi sqrt(3)/N) (`_fricke_ascent`).
+There eta(tau) eta(N tau) = q^v D(q), v = (N + 1)/24 and
+D = prod (1 - q^n)(1 - q^(Nn)), and f = sum_(e >= v-1) c_e q^e, so
 
-A q-series is evaluated after an ascent through translations and the Fricke
-flip tau -> -1/(N tau), the ascent `cfq.eta` takes with N = 1 (`_ascend`).
-Before summing, K* is found: the first exponent at
-which a closed-form bound on the envelope's tail,
-sum_{e >= K*} A exp(4 pi sqrt(e/N)) |q|^e, is at most 2^(ERROR_BITS-2-prec);
-if the file stops before K*, InsufficientDataError is raised before any term
-is summed.  Exactly the exponents 0 .. K*-1 are summed, in fixed-point
-integers by `numerics._fixed_series`, at a scale sized by the envelope at
-K*, and the kernel's proven rounding bound is charged in full.  The
-remaining parts of the estimate are the error in q, carried through the
-derivative of the series, with the roundings of each step of the ascent
-counted, and the rounding of the last operations.  Eta-quotient entries are
-valid anywhere because eta itself reduces its argument, and `eta_quotient`
-returns its error bound with its value.
+    t = (c_(v-1)/q + sum_(e >= v) c_e q^(e-v)) / D + shift.
+
+Both series have integer coefficients and are summed by
+`numerics._fixed_series`, whose proven rounding bound is charged in full:
+D over the exponents p1 + N p2 of pairs of pentagonal exponents, the
+numerator over its nonzero c_e, which come from lattice enumeration and
+are cached per process.  Each stops at the first exponent whose tail bound
+meets its target, fixed before it is summed.  The tails are proven: the
+pairs with p1 + N p2 = e number at most e/N + 1, and as -N is a fundamental
+discriminant, the representation counts of its classes sum to
+2 sum_(d|e) (-N/d), so r_Q(e) <= 2 d(e) <= 4 sqrt(e) for every form and
+|c_e| <= A sqrt(e), A = 4 sum |s_Q| / m.  The remaining parts of the
+estimate are the error in q, carried through the derivative of each series,
+with the roundings of each step of the ascent counted, and the rounding of
+the last operations.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import isqrt
-from pathlib import Path
 
 import mpmath
 from mpmath import mp
 
 from .elliptic import CMPoint
-from .errors import (
-    ConvergenceError,
-    DataFileMissingError,
-    DomainError,
-    InsufficientDataError,
-    NotGenusZeroError,
-    QSeriesFormatError,
-)
-from .eta import EtaQuotientSpec, _ascend, eta_quotient
+from .errors import ConvergenceError, DomainError, NoConstructionError, NotGenusZeroError
+from .eta import EtaQuotientSpec, _ascend, _pentagonal, _pentagonal_exponent, eta_quotient
 from .exactpoly import LaurentExpr
 from .numerics import _GUARD, _fixed_series, _to_fixed
 
 __all__ = [
     "EtaQuotientHaupt",
-    "QSeriesHaupt",
+    "ThetaQuotientHaupt",
     "GAMMA0_LEVELS",
     "FRICKE_LEVELS",
     "catalog_lookup",
     "catalog_entries",
-    "load_qseries",
     "evaluate",
+    "value_digits",
     "ERROR_BITS",
 ]
 
 # evaluate(spec, tau, prec) is within 2^(ERROR_BITS - prec) * max(1, |t(tau)|)
 ERROR_BITS = 3
-_PACKAGED_DATA = Path(__file__).resolve().parent / "data"
 
 GAMMA0_LEVELS = frozenset([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 25])
 FRICKE_LEVELS = frozenset(
@@ -111,6 +111,17 @@ _ETA_TABLE: dict[int, tuple[tuple[int, int], ...]] = {
     25: ((1, 1), (25, -1)),
 }
 
+# Fricke principal moduli of prime levels N = 23 mod 24 as theta quotients:
+# (((a, b, c), s_Q), ...), m, shift for sum_Q s_Q theta_Q / (m eta(tau)
+# eta(N tau)) + shift.  eta(tau) eta(N tau) is a weight-1 cusp form with
+# character (-N/.), no zero in the upper half plane and order (N + 1)/24 at
+# both cusps; each numerator has order one less at infinity.
+_THETA_TABLE: dict[int, tuple[tuple[tuple[tuple[int, int, int], int], ...], int, int]] = {
+    23: ((((1, 1, 6), 1),), 1, -3),
+    47: ((((1, 1, 12), 1), ((2, 1, 6), -1)), 2, 0),
+    71: ((((2, 1, 9), 1), ((3, 1, 6), -1)), 2, 0),
+}
+
 
 @dataclass(frozen=True)
 class EtaQuotientHaupt:
@@ -127,27 +138,25 @@ class EtaQuotientHaupt:
 
 
 @dataclass(frozen=True)
-class QSeriesHaupt:
-    """Principal modulus of a Fricke group known through its q-expansion coefficients."""
+class ThetaQuotientHaupt:
+    """Principal modulus sum_Q s_Q theta_Q / (divisor eta(tau) eta(N tau)) + shift.
 
-    label: str
-    n: int
-    coeffs: tuple[int, ...]
-    # the least A with |c_e| <= A exp(4 pi sqrt(e/n)) for every e >= 1 in the
-    # file, which the tail and error bounds of evaluate assume for all e
-    envelope_a: float = field(init=False, repr=False, compare=False)
+    `forms` holds ((a, b, c), s_Q) for forms of discriminant -N, N = `level`
+    a prime = 23 mod 24, and `shift` is an integer.
+    """
+
+    level: int
+    forms: tuple[tuple[tuple[int, int, int], int], ...]
+    divisor: int
+    shift: int
 
     def __post_init__(self):
-        a = 4 * math.pi / math.sqrt(self.n)
-        # index k holds the coefficient of q^(k-1)
-        best = max(
-            (math.log(abs(c)) - a * math.sqrt(k - 1)
-             for k, c in enumerate(self.coeffs) if k >= 2 and c),
-            default=None,
-        )
-        # a relative margin of 2^-40 covers the double-precision fit
-        envelope = 0.0 if best is None else math.exp(best) * (1 + 2.0**-40)
-        object.__setattr__(self, "envelope_a", envelope)
+        n = self.level
+        if (n % 24 != 23 or any(n % p == 0 for p in range(2, isqrt(n) + 1))
+                or self.divisor < 1 or not self.forms
+                or any(a < 1 or b * b - 4 * a * c != -n for (a, b, c), _ in self.forms)):
+            raise DomainError(f"no theta quotient of prime level {n} = 23 mod 24 "
+                              f"with forms {self.forms} and divisor {self.divisor}")
 
 
 def _kappa(n: int, terms) -> int:
@@ -170,86 +179,12 @@ _GAMMA0_ENTRIES = {
 }
 
 
-def _data_dirs(data_dir) -> list[Path]:
-    dirs = []
-    if data_dir is not None:
-        dirs.append(Path(data_dir))
-    else:
-        env = os.environ.get("CFQ_DATA_DIR")
-        if env:
-            dirs.append(Path(env))
-    dirs.append(_PACKAGED_DATA)
-    return dirs
-
-
-def load_qseries(path) -> QSeriesHaupt:
-    """Parse a q-series coefficient file.
-
-    Line 1: "# label=<text> level=<n> group=fricke q_min=-1" with n >= 1.
-    Every further non-blank line that does not start with '#' holds one
-    decimal integer; the first is the coefficient of q^-1.  The file is read
-    on every call, and parsed once per process for each content.
-    """
-    path = Path(path)
-    return _parse_qseries(str(path), path.read_text(encoding="utf-8"))
-
-
-# Keyed on the file's content, not on its mtime, so a rewrite that keeps the
-# size and lands within the timestamp granularity is never served stale.
-@lru_cache(maxsize=8)
-def _parse_qseries(path: str, text: str) -> QSeriesHaupt:
-    lines = text.split("\n")
-    header = lines[0]
-    if not header.startswith("#"):
-        raise QSeriesFormatError("header", f"{path}: missing header line")
-    fields = {}
-    for token in header[1:].split():
-        if "=" not in token:
-            raise QSeriesFormatError("header", f"{path}: bad header token {token!r}")
-        key, _, value = token.partition("=")
-        fields[key] = value
-    for key in ("label", "level", "group", "q_min"):
-        if key not in fields:
-            raise QSeriesFormatError("header", f"{path}: header lacks {key}=")
-    try:
-        level = int(fields["level"])
-        q_min = int(fields["q_min"])
-    except ValueError as exc:
-        raise QSeriesFormatError("header", f"{path}: non-integer header field") from exc
-    if level < 1:
-        raise QSeriesFormatError("header", f"{path}: level must be positive, got {level}")
-    if fields["group"] != "fricke":
-        raise QSeriesFormatError("header", f"{path}: group must be fricke")
-    if q_min != -1:
-        raise QSeriesFormatError("q_min", f"{path}: q_min must be -1, got {q_min}")
-    coeffs = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            coeffs.append(int(line))
-        except ValueError as exc:
-            raise QSeriesFormatError(
-                "coefficient", f"{path}:{lineno}: not an integer: {line!r}"
-            ) from exc
-    if len(coeffs) < 64:
-        raise QSeriesFormatError(
-            "too_few", f"{path}: only {len(coeffs)} coefficients, need at least 64"
-        )
-    if coeffs[0] == 0:
-        raise QSeriesFormatError(
-            "coefficient", f"{path}: leading coefficient (of q^-1) must be nonzero"
-        )
-    return QSeriesHaupt(label=fields["label"], n=level, coeffs=tuple(coeffs))
-
-
-def catalog_lookup(n: int, group: str, data_dir=None):
+def catalog_lookup(n: int, group: str):
     """The principal-modulus description for (level, group).
 
     group is "gamma0" or "fricke".  Levels outside the genus-zero lists raise
-    NotGenusZeroError; entries backed by coefficient files raise
-    DataFileMissingError when no file is found in the data directories.
+    NotGenusZeroError; listed Fricke levels without a construction raise
+    NoConstructionError.
     """
     if group == "gamma0":
         if n not in GAMMA0_LEVELS:
@@ -262,8 +197,13 @@ def catalog_lookup(n: int, group: str, data_dir=None):
             raise NotGenusZeroError(
                 f"level {n} is not in the genus-zero list for the Fricke group"
             )
+        if n in _THETA_TABLE:
+            return ThetaQuotientHaupt(n, *_THETA_TABLE[n])
         if n not in _ETA_TABLE:
-            return _load_from_dirs(n, data_dir)
+            raise NoConstructionError(
+                f"level {n} of the Fricke group is genus zero, but the catalog "
+                f"has no construction of its principal modulus"
+            )
         terms = _ETA_TABLE[n]
         laurent = {1: 1, 0: dict(terms)[1], -1: _kappa(n, terms)}
     else:
@@ -271,36 +211,14 @@ def catalog_lookup(n: int, group: str, data_dir=None):
     return EtaQuotientHaupt(n, EtaQuotientSpec(terms), LaurentExpr(laurent))
 
 
-def _load_from_dirs(n: int, data_dir) -> QSeriesHaupt:
-    name = f"fricke_{n}.qseries"
-    for d in _data_dirs(data_dir):
-        candidate = d / name
-        if candidate.is_file():
-            series = load_qseries(candidate)
-            if series.n != n:
-                raise QSeriesFormatError(
-                    "header",
-                    f"{candidate}: header level {series.n} does not match "
-                    f"catalog entry ({n}, fricke)",
-                )
-            return series
-    raise DataFileMissingError(
-        f"no q-series file {name!r} in {[str(d) for d in _data_dirs(data_dir)]}"
-    )
-
-
-def catalog_entries(data_dir=None) -> list[dict]:
-    """Inventory of all catalog keys with entry kind and data availability."""
+def catalog_entries() -> list[dict]:
+    """Inventory of all catalog keys with the kind of their construction."""
     out = [{"level": n, "group": "gamma0", "kind": "eta-quotient"}
            for n in sorted(GAMMA0_LEVELS)]
     for n in sorted(FRICKE_LEVELS):
-        if n in _ETA_TABLE:
-            out.append({"level": n, "group": "fricke", "kind": "fricke-sym"})
-        else:
-            available = any((d / f"fricke_{n}.qseries").is_file()
-                            for d in _data_dirs(data_dir))
-            out.append({"level": n, "group": "fricke", "kind": "qseries",
-                        "available": available})
+        kind = ("fricke-sym" if n in _ETA_TABLE
+                else "theta-quotient" if n in _THETA_TABLE else "none")
+        out.append({"level": n, "group": "fricke", "kind": kind})
     return out
 
 
@@ -309,7 +227,7 @@ def evaluate(spec, tau, prec: int) -> mpmath.mpc:
 
     tau is a CMPoint or any complex number in the upper half plane.  The
     result is within 2^(ERROR_BITS - prec) * max(1, |t(tau)|) of the true
-    value, under the assumptions stated in the module docstring; where the
+    value, under the assumption stated in the module docstring; where the
     error estimate cannot meet that, ConvergenceError is raised instead.
     """
     wp = prec + _GUARD
@@ -323,8 +241,8 @@ def evaluate(spec, tau, prec: int) -> mpmath.mpc:
         # of the point.
         if isinstance(spec, EtaQuotientHaupt):
             value, err = _laurent_sum(spec.laurent, *eta_quotient(spec.spec, z, wp))
-        elif isinstance(spec, QSeriesHaupt):
-            value, err = _evaluate_qseries(spec, z, prec)
+        elif isinstance(spec, ThetaQuotientHaupt):
+            value, err = _evaluate_theta(spec, mp.mpc(z), prec)
         else:
             raise DomainError(f"unknown principal-modulus description {spec!r}")
     # in units of 2^-prec * max(1, |value|); the final rounding adds 1
@@ -336,6 +254,11 @@ def evaluate(spec, tau, prec: int) -> mpmath.mpc:
         )
     with mp.workprec(prec):
         return +value
+
+
+def value_digits(prec: int) -> int:
+    """Significant decimal digits of a value that evaluate's bound supports at prec bits."""
+    return math.floor((prec - ERROR_BITS) * math.log10(2))
 
 
 def _laurent_sum(laurent: LaurentExpr, t, t_err: float) -> tuple[mpmath.mpc, float]:
@@ -384,99 +307,197 @@ def _rel(x, scale) -> float:
     return float(abs(x) / scale)
 
 
-def _log_tail(series: QSeriesHaupt, ell: float, k: int) -> float:
-    """ln of a bound on sum_{e >= k} A exp(a sqrt e) r^e, r = e^-ell, a = 4 pi/sqrt(N).
+def _fricke_ascent(z, n: int) -> tuple[mpmath.mpc, float]:
+    """A point of z's orbit under Gamma0(n) and the Fricke flip, for a prime n.
 
-    On e >= k, sqrt(e) lies below its tangent at k, which leaves a geometric
-    series with ratio r exp(a / (2 sqrt k)); the bound is infinite when that
-    ratio is not below 1.
+    Runs at the working precision.  The Fricke ascent `_ascend(z, n)` comes
+    first.  Only if it stops below Im = sqrt(3)/(2n), is its point w moved
+    into the fundamental domain of SL2(Z), z1 = g w.  When n divides the
+    lower-left entry c of g, g^-1 lies in Gamma0(n) and z1 is in the orbit.
+    Otherwise g^-1 lies in the coset Gamma0(n) S T^k, k = -a/c mod n
+    (S T^k = [[0, -1], [1, k]], the cosets other than Gamma0(n) itself, as n
+    is prime), and the Fricke flip takes S T^k z1 to (z1 + k)/n.  A second
+    Fricke ascent follows.  The point has |Re| <= 1/2 and
+    Im >= sqrt(3)/(2n), up to the ascents' 2^-24 slack.
+
+    Returns (point, rho), rho a bound on the point's error over its
+    imaginary part in units of 2^-wp, for a z within 4 units of |z|.
+    error / Im survives each translation and flip, which adds its two
+    roundings, 4 units of |z| / Im(z) <= 1/(2 Im) + 1 at each step's
+    result, Im the lowest the ascents have passed; z1 + k and the division
+    by n round 4 units of |z1 + k| / Im(z1) together.
     """
-    a = 4 * math.pi / math.sqrt(series.n)
-    ratio = a / (2 * math.sqrt(k)) - ell
-    if ratio >= 0:
-        return math.inf
-    return (math.log(series.envelope_a) + a * math.sqrt(k) - ell * k
-            - math.log(-math.expm1(ratio)))
+    z0 = complex(z)
+    low = z0.imag
+    point, _gamma, steps = _ascend(z, n)
+    rho = 4 * abs(z0) / low + 4 * steps * (1 / (2 * low) + 1)
+    if 2 * n * float(point.imag) < math.sqrt(3):
+        point, (a, _b, c, _d), steps = _ascend(point, 1)
+        rho += 4 * steps * (1 / (2 * low) + 1)
+        if c % n:
+            point = (point + (-a * pow(c, -1, n) % n)) / n
+            w = complex(point)
+            low = min(low, w.imag)
+            rho += 4 * abs(w) / w.imag
+        point, _gamma, steps = _ascend(point, n)
+        rho += 4 * steps * (1 / (2 * low) + 1)
+    return point, rho
 
 
-def _tail_index(series: QSeriesHaupt, ell: float, prec: int) -> tuple[int, float]:
-    """(K*, ln of its tail bound): the first k >= 1 with tail <= 2^(ERROR_BITS-2-prec).
+def _pow2_size(needed: int) -> int:
+    """The size a per-process table is built at: a power of two >= needed, at least 1024."""
+    return max(1024, 1 << (needed - 1).bit_length())
 
-    The bound is infinite up to some k and decreasing after it, so a
-    doubling search and a bisection find K* in a few dozen float operations.
+
+@cache
+def _theta_numerator(spec: ThetaQuotientHaupt, size: int):
+    """(c_(v-1), exponents, coefficients) of sum_Q s_Q theta_Q / m.
+
+    The nonzero c_e for v <= e < v + size, at the exponents e - v, the
+    theta series by lattice enumeration: for each y, the x with
+    a x^2 + b x y + c y^2 < v + size lie between the roots, whose
+    discriminant is 4 a (v + size) - N y^2.
     """
-    if series.envelope_a == 0:
-        return 1, -math.inf
-    target = (ERROR_BITS - 2 - prec) * math.log(2)
-    hi = 1
-    while _log_tail(series, ell, hi) > target:
-        if hi > 1 << 40:
-            return hi, math.inf
-        hi *= 2
-    lo = hi // 2  # the bound exceeds the target at lo, or lo = 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _log_tail(series, ell, mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return hi, _log_tail(series, ell, hi)
+    n, v = spec.level, (spec.level + 1) // 24
+    top = v + size
+    counts = [0] * top
+    for (a, b, c), s in spec.forms:
+        ymax = isqrt(4 * a * top // n) + 1
+        for y in range(-ymax, ymax + 1):
+            disc = 4 * a * top - n * y * y
+            if disc <= 0:
+                continue
+            root = isqrt(disc) + 1
+            for x in range((-b * y - root) // (2 * a), (-b * y + root) // (2 * a) + 1):
+                e = a * x * x + b * x * y + c * y * y
+                if e < top:
+                    counts[e] += s
+    if any(k % spec.divisor for k in counts):
+        raise DomainError(f"theta numerator of level {n} has non-integer coefficients")
+    coeffs = [k // spec.divisor for k in counts]
+    if any(coeffs[: v - 1]) or not coeffs[v - 1]:
+        raise DomainError(f"theta numerator of level {n} does not have order {v - 1}")
+    kept = [(e - v, k) for e, k in enumerate(coeffs[v:], start=v) if k]
+    return coeffs[v - 1], tuple(e for e, _ in kept), tuple(k for _, k in kept)
 
 
-def _evaluate_qseries(series: QSeriesHaupt, z, prec: int) -> tuple[mpmath.mpc, float]:
-    """The series at z and its error bound in units of 2^-(prec+guard) max(1, |value|).
+@cache
+def _eta_product(n: int, size: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Exponents below size, nondecreasing, and signs of prod (1 - q^k)(1 - q^(nk)).
+
+    One term per pair of pentagonal exponents p1 + n p2, from `eta`'s table.
+    """
+    count = 1
+    while _pentagonal_exponent(count) < size:
+        count += 1
+    exps, signs = _pentagonal(count)
+    pairs = sorted((e1 + n * e2, s1 * s2)
+                   for e2, s2 in zip(exps, signs) if n * e2 < size
+                   for e1, s1 in zip(exps, signs) if e1 + n * e2 < size)
+    return tuple(e for e, _ in pairs), tuple(s for _, s in pairs)
+
+
+def _log_tail(ell: float, k: int, alpha: float, beta: float) -> float:
+    """ln of sum_(e >= k) (alpha e + beta) r^e, r = e^-ell, in closed form.
+
+    sum_(e >= k) e r^e = r^k (k (1 - r) + r) / (1 - r)^2.
+    """
+    one_r = -math.expm1(-ell)
+    return (-ell * k + math.log(alpha * (k * one_r + 1 - one_r) + beta * one_r)
+            - 2 * math.log(one_r))
+
+
+def _cutoff(ell: float, target: float, growth) -> tuple[int, float]:
+    """The least k >= 1 with _log_tail(ell, k, *growth(k)) <= target, and that log-tail.
+
+    growth(k) gives the (alpha, beta) of a tail from k; the log-tail is
+    -ell k plus a slowly growing term g(k), and k = ceil((g(k) - target) /
+    ell) only grows, so a few steps reach the least such k.
+    """
+    k = 1
+    while (tail := _log_tail(ell, k, *growth(k))) > target:
+        k = max(k + 1, math.ceil((tail + ell * k - target) / ell))
+    return k, tail
+
+
+def _sum_series(q, table, size: int, coeff_bits: int, wp: int) -> tuple[mpmath.mpc, float]:
+    """The kernel's sum at q of a table's terms below size, and its error but q's.
+
+    table is (exponents, coefficients); the error is in units of 2^-wp.  At
+    the scale 2^w below, the kernel's bound, 1.5 * 2^b * sum_j e_j plus 1.5
+    per giant step, and as much again for the truncation of q (each q^e
+    moves by at most sqrt(2) e 2^-w), stays below 4 units; the conversion
+    of the sum rounds once more.
+    """
+    cut = bisect_left(table[0], size)
+    w = wp + coeff_bits + 2 * size.bit_length()
+    sr, si, bound = _fixed_series((_to_fixed(q.real, w), _to_fixed(q.imag, w)),
+                                  table[0][:cut], table[1][:cut], coeff_bits, w)
+    value = mp.mpc(mp.ldexp(sr, -w), mp.ldexp(si, -w))
+    return value, bound * 2.0 ** (wp + 1 - w) + 2 * abs(complex(value))
+
+
+def _evaluate_theta(spec: ThetaQuotientHaupt, z, prec: int) -> tuple[mpmath.mpc, float]:
+    """The quotient at z and its error bound in units of 2^-(prec+guard) max(1, |value|).
 
     Runs at the working precision evaluate sets (prec + guard).
     """
-    z0 = complex(z)
-    # the function is invariant under the full ascent of its Fricke group
-    zc, _gamma, steps = _ascend(mp.mpc(z), series.n)
-    coeffs = series.coeffs
+    n, wp = spec.level, prec + _GUARD
+    v = (n + 1) // 24
+    zc, rho = _fricke_ascent(z, n)
     q = mp.exp(2j * mp.pi * zc)
-    # -ln|q|, shaded down so that the tail bound is not shaded down with it
+    # -ln|q|, shaded down so that no bound below is shaded down with it
     ell = 2 * math.pi * float(zc.imag) * (1 - 2.0**-40)
-    kstar, log_tail = _tail_index(series, ell, prec)
-    if kstar >= len(coeffs):
-        raise InsufficientDataError(mp.nstr(abs(q), 8), len(coeffs), kstar + 1)
-    # Exponents 0 .. K*-1, index k holding the coefficient of q^(k-1), summed
-    # at scale 2^w.  |c| <= 2^b: the constant term by its bit length, the
-    # others by the envelope, which grows with e and is fitted to every
-    # coefficient of the file.  The kernel's bound, 1.5 * 2^b * K*(K*-1)/2
-    # plus 1.5 per giant step (at most K*/2), and as much again for the
-    # truncation of q, stay below 1.5 * 2^(w - prec - _GUARD) for this w.
-    a = 4 * math.pi / math.sqrt(series.n)
-    b = abs(coeffs[1]).bit_length()
-    if kstar > 1:
-        b = max(b, math.ceil(math.log2(series.envelope_a)
-                             + a * math.sqrt(kstar - 1) / math.log(2)))
-    w = prec + _GUARD + b + 2 * kstar.bit_length()
-    acc_r, acc_i, rounding = _fixed_series(
-        (_to_fixed(q.real, w), _to_fixed(q.imag, w)), range(kstar),
-        coeffs[1:kstar + 1], b, w)
-    acc = mp.mpc(mp.ldexp(acc_r, -w), mp.ldexp(acc_i, -w))
-    pole = coeffs[0] / q
-    value = pole + acc
-    scale = max(1, abs(value))
-    # Error in units of 2^-(prec+_GUARD) max(1, |value|); every operation
-    # rounds within 2 units of its result (the model of cfq.eta).  The
-    # point: z carries 4 units of |z|, and error / Im(z) survives each step
-    # of the ascent, which adds its two roundings, 4 units of |z| / Im(z) <=
-    # 1/(2 Im z0) + 1 at each step's result; the exp argument rounds 8
-    # units of |z|.  A relative error eps_q in q moves the sum by
-    # eps_q (|c_-1 / q| + sum e |c_e| |q|^e), and the envelope bounds that
-    # sum by A e^(a^2 / (2 ell)) sqrt(r) / (1 - sqrt(r))^2,
-    # since a sqrt(e) <= a^2 / (2 ell) + ell e / 2.  Truncating q to the
-    # scale moves each q^e by at most sqrt(2) e 2^-w, as much again as the
-    # kernel's rounding bound.  The last operations, 1/q, the conversion
-    # of the sum and the addition, round once each.
-    rho = 4 * abs(z0) / z0.imag + 4 * steps * (1 / (2 * z0.imag) + 1)
-    delta = rho * float(zc.imag) + 8 * float(abs(zc))
-    eps_q = 2 * math.pi * delta + 2
-    slope = series.envelope_a * math.exp(
-        min(a * a / (2 * ell) - ell / 2 - 2 * math.log(-math.expm1(-ell / 2)), 709.0)
-    )
-    tail = math.exp(min(log_tail + (prec + _GUARD) * math.log(2), 709.0))
-    rounding *= 2.0 ** (prec + _GUARD + 1 - w)
-    err = (1 + (tail + rounding + slope * eps_q) / float(scale)
-           + (eps_q + 2) * _rel(pole, scale) + 2 * (_rel(acc, scale) + 1))
-    return value, err
+    r = math.exp(-ell)
+    # The point is within rho Im(zc) units of itself, and the exp argument
+    # rounds 8 units of |zc|; exp adds 2 units of q.  A relative error
+    # eps_q in q moves a series by eps_q sum_e e |c_e| |q|^e, which is below
+    # A (sqrt(s1 s2) + sqrt(v) s1) for the numerator, as sum e^(3/2) r^e <=
+    # sqrt(s1 s2) by Cauchy-Schwarz, and s2/N + s1 for D, with
+    # s1 = sum e r^e = r/(1-r)^2 and s2 = sum e^2 r^e = r(1+r)/(1-r)^3.
+    eps_q = 2 * math.pi * (rho * float(zc.imag) + 8 * abs(complex(zc))) + 2
+    one_r = -math.expm1(-ell)
+    s1, s2 = r / one_r**2, r * (1 + r) / one_r**3
+    to_units = (prec + _GUARD) * math.log(2)
+
+    # D: its terms stop where their tail is below 2^-(prec + 8), which
+    # leaves room for |D| down to 2^-4 or so; sampling finds |D| > 0.05 at
+    # every point the ascent reaches (the bound does not assume it)
+    size, tail = _cutoff(ell, -(prec + 8) * math.log(2), lambda k: (1 / n, 1.0))
+    den, den_err = _sum_series(q, _eta_product(n, _pow2_size(size)), size, 0, wp)
+    den_err += math.exp(min(tail + to_units, 709.0)) + eps_q * (s2 / n + s1)
+    den_low = abs(complex(den)) - den_err * 2.0**-wp
+    if not den_low > 0:
+        raise ConvergenceError("the eta product is lost in its own error at this point")
+
+    # The numerator: its tail from the shifted exponent k, with
+    # sqrt(e + v) <= (e + v) / sqrt(k + v), is below 2^(ERROR_BITS-2-prec) |D|
+    a = 4 * sum(abs(s) for _, s in spec.forms) / spec.divisor
+
+    def growth(k):
+        return a / math.sqrt(k + v), a * v / math.sqrt(k + v)
+
+    target = (ERROR_BITS - 2 - prec) * math.log(2) + math.log(den_low)
+    size, tail = _cutoff(ell, target, growth)
+    lead, *table = _theta_numerator(spec, _pow2_size(size))
+    coeff_bits = math.ceil(a * (isqrt(size + v) + 1)).bit_length()
+    acc, acc_err = _sum_series(q, table, size, coeff_bits, wp)
+    num = lead / q + acc
+    quotient = num / den
+    value = quotient + spec.shift if spec.shift else quotient
+
+    # The pole, the numerator, the quotient and the value grow like 1/q, past
+    # the range of a double high up, so the rest of the estimate is carried
+    # times |q|, from doubles of bounded quantities.  The pole, the sum, the
+    # quotient and the shift round once each; the pole carries q's error.
+    qf = complex(q)
+    q_num = lead + qf * complex(acc)
+    q_quotient = q_num / complex(den)
+    q_value = q_quotient + spec.shift * qf
+    num_err = (abs(qf) * (acc_err + eps_q * a * (math.sqrt(s1 * s2) + math.sqrt(v) * s1)
+                          + math.exp(min(tail + to_units, 709.0)))
+               + (eps_q + 2) * abs(lead) + 2 * abs(q_num))
+    err = (num_err + abs(q_quotient) * den_err) / den_low + 2 * abs(q_quotient)
+    if spec.shift:
+        err += 2 * abs(q_value)
+    return value, err / max(abs(qf), abs(q_value))

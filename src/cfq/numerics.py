@@ -21,7 +21,7 @@ the rounding of the residual.  A coefficient ball of radius R_max around a
 value within 1/2 - R_max of an integer holds that integer and no other.
 
 `_fixed_series` is the one series-summation loop of the package: the eta
-pentagonal series and the q-series of a principal modulus are both summed by
+pentagonal series and the two series of a theta quotient are all summed by
 it, in integers at scale 2^w, with a proven bound on its rounding.  A short
 series (eta's, and any of at most 2 (isqrt(e_max) + 1) terms) takes its
 powers along an addition sequence, a full product or more per term.  A long one
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from math import isqrt
 from operator import le, mul, sub
 
@@ -198,9 +198,9 @@ def _fixed_series(q, exponents, coeffs, coeff_bits: int, w: int) -> tuple[int, i
     """sum_j coeffs[j] q^exponents[j] in integers at scale 2^w, and its rounding bound.
 
     q = (qr + i qi) 2^-w is given by its scaled components (qr, qi).
-    exponents is a nondecreasing sequence of integers >= 0 (a range for a
-    dense series); coeffs is a sequence holding one integer of modulus at
-    most 2^coeff_bits per exponent.  Returns (sr, si, bound) with
+    exponents is a nondecreasing sequence of integers >= 0; coeffs is a
+    sequence holding one integer of modulus at most 2^coeff_bits per
+    exponent.  Returns (sr, si, bound) with
 
         |(sr + i si) 2^-w - sum_j coeffs[j] q^exponents[j]| <= bound 2^-w,
 
@@ -256,8 +256,7 @@ def _fixed_series(q, exponents, coeffs, coeff_bits: int, w: int) -> tuple[int, i
     bound = 1.5 * 2.0**coeff_bits * sum(exponents)
     m = isqrt(e_max) + 1
     if n > 2 * m:
-        if not (exponents.step > 0 if isinstance(exponents, range)
-                else all(map(le, exponents, exponents[1:]))):
+        if not all(map(le, exponents, exponents[1:])):
             raise DomainError("series exponents must be nondecreasing")
         # baby steps q^0 .. q^(m-1), then Q = q^m
         baby_r, baby_i = [one], [0]
@@ -275,13 +274,8 @@ def _fixed_series(q, exponents, coeffs, coeff_bits: int, w: int) -> tuple[int, i
                                 (acc_r * big_i + acc_i * big_r) >> w)
             lo, hi = cuts[k], cuts[k + 1]
             block, local = coeffs[lo:hi], exponents[lo:hi]
-            # the baby powers of the block's exponents, by slicing for a range
-            if isinstance(local, range):
-                start = local.start - k * m
-                powers_r, powers_i = baby_r[start::local.step], baby_i[start::local.step]
-            else:
-                powers_r = [baby_r[e - k * m] for e in local]
-                powers_i = [baby_i[e - k * m] for e in local]
+            powers_r = [baby_r[e - k * m] for e in local]
+            powers_i = [baby_i[e - k * m] for e in local]
             acc_r += sum(map(mul, block, powers_r))
             acc_i += sum(map(mul, block, powers_i))
         return acc_r, acc_i, bound + 1.5 * top
@@ -297,10 +291,7 @@ def _fixed_series(q, exponents, coeffs, coeff_bits: int, w: int) -> tuple[int, i
             p = table[k] = ((ar * br - ai * bi) >> w, (ar * bi + ai * br) >> w)
         return p
 
-    if isinstance(exponents, range):
-        steps = chain((power(exponents.start),), repeat(power(exponents.step), n - 1))
-    else:
-        steps = [power(k) for k in map(sub, exponents, chain((0,), exponents))]
+    steps = [power(k) for k in map(sub, exponents, chain((0,), exponents))]
     pr, pi = one, 0
     acc_r = acc_i = 0
     for c, (dr, di) in zip(coeffs, steps):

@@ -153,6 +153,15 @@ class TestInversePairs:
         assert poly == H71
 
 
+# class polynomials of the theta quotients of levels 47 and 23
+THETA_POLYS = {
+    (47, "fricke", -47): [1, 4, 8, 7, 4, 1],
+    (47, "fricke", -188): [-19, -24, -20, -5, 0, 1],
+    (23, "fricke", -23): [7, 11, 6, 1],
+    (23, "fricke", -92): [-25, -17, -2, 1],
+}
+
+
 class TestRingClassPolynomial:
     def test_disc_71(self):
         result = ring_class_polynomial(71, "fricke", -71)
@@ -219,14 +228,14 @@ class TestRingClassPolynomial:
         wrapped = counted(cfq.quadforms, "enumerate_class_group")
         for module in (cfq.classfield, cfq.elliptic, cfq.quadforms):
             monkeypatch.setattr(module, "enumerate_class_group", wrapped)
-        monkeypatch.setattr(cfq.hauptmodul, "load_qseries",
-                            counted(cfq.hauptmodul, "load_qseries"))
+        monkeypatch.setattr(cfq.classfield, "catalog_lookup",
+                            counted(cfq.classfield, "catalog_lookup"))
         monkeypatch.setattr(cfq.classfield, "singular_values",
                             counted(cfq.classfield, "singular_values"))
         result = ring_class_polynomial(71, "fricke", -284)
         assert result.poly == H284
         assert calls == Counter(
-            enumerate_class_group=1, load_qseries=1, singular_values=1
+            enumerate_class_group=1, catalog_lookup=1, singular_values=1
         )
 
     def test_one_certified_round(self):
@@ -281,10 +290,37 @@ class TestRingClassPolynomial:
             ring_class_polynomial(2, "gamma0", -8, PrecisionPolicy(max_bits=32))
         assert evaluate_calls == []
 
-    def test_escalation_failure_reports_history(self):
+    def test_escalation_failure_reports_history(self, monkeypatch):
+        # level 71 computes at any precision now, so every round is refused
+        import cfq.classfield
+
+        def refuse(values, radius_log2, prec):
+            raise RoundingFailureError(mp.mpf(0.25), mp.mpf(0.125))
+
+        monkeypatch.setattr(cfq.classfield, "certify_int_poly", refuse)
         policy = PrecisionPolicy(start_bits=640, max_bits=1280)
-        with pytest.raises(EscalationFailureError):
+        with pytest.raises(EscalationFailureError, match="up to 1280 bits") as exc:
             ring_class_polynomial(71, "fricke", -71, policy)
+        assert exc.value.history == tuple(
+            f"{bits} bits: rounding failed, residual 0.25 not below 0.125" for bits in (640, 1280)
+        )
+
+    @pytest.mark.parametrize("key", sorted(THETA_POLYS), ids=lambda k: "%d-%s%d" % k)
+    def test_theta_quotient_polynomials(self, key):
+        # the other two theta-quotient levels: one 64-bit round, the
+        # polynomial of a 128-bit start, degree the class number
+        result = ring_class_polynomial(*key)
+        assert result.poly == IntPoly(THETA_POLYS[key])
+        assert result.prec_bits == 64 and len(result.history) == 1
+        assert result.poly.degree == enumerate_class_group(key[2]).class_number
+        high = ring_class_polynomial(*key, PrecisionPolicy(start_bits=128))
+        assert high.poly == result.poly
+
+    def test_level71_past_the_old_data_ceiling(self):
+        # the coefficient file supported 354 bits at most; the theta
+        # quotient has no such ceiling
+        result = ring_class_polynomial(71, "fricke", -284, PrecisionPolicy(start_bits=1024))
+        assert result.poly == H284 and result.prec_bits == 1024
 
     def test_json_payload(self):
         result = ring_class_polynomial(71, "fricke", -284)

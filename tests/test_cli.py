@@ -3,9 +3,13 @@
 import io
 import json
 
+import mpmath
 import pytest
 
+from cfq.classfield import singular_values
 from cfq.cli import run
+from cfq.errors import RoundingFailureError
+from cfq.hauptmodul import value_digits
 
 
 def invoke(argv):
@@ -39,13 +43,21 @@ class TestClassPoly:
         assert code == 1
         assert "genus" in err
 
-    def test_escalation_failure_exit_code(self):
+    def test_escalation_failure_exit_code(self, monkeypatch):
+        # every round refused: the rounds at 8192 and 16384 bits fail
+        import cfq.classfield
+
+        def refuse(values, radius_log2, prec):
+            raise RoundingFailureError(0.25, 0.125)
+
+        monkeypatch.setattr(cfq.classfield, "certify_int_poly", refuse)
         code, _, err = invoke(
-            ["class-poly", "-n", "71", "--group", "fricke", "-D", "-71",
-             "--prec-bits", "600"]
+            ["class-poly", "-n", "2", "--group", "gamma0", "-D", "-8",
+             "--prec-bits", "8192"]
         )
         assert code == 2
         assert "escalation" in err
+        assert "  16384 bits: rounding failed" in err
 
     def test_precision_below_64_bits_refused(self):
         # the same failure as `cfq eval --prec-bits 10`, not a silent 64
@@ -65,18 +77,31 @@ class TestClassPoly:
         # about 2^(14 - prec)
         assert 0 < float(obj["r_max"]) < 2.0 ** (16 - obj["prec_bits"])
 
-    def test_missing_data_exit_code(self):
-        code, _, err = invoke(["class-poly", "-n", "59", "--group", "fricke", "-D", "-59"])
-        assert code == 1
-
-    @pytest.mark.parametrize("level", [0, -5])
-    def test_nonpositive_header_level_exit_code(self, tmp_path, level):
-        body = f"# label=T level={level} group=fricke q_min=-1\n" + "1\n" * 70
-        (tmp_path / "fricke_23.qseries").write_text(body)
-        code, out, err = invoke(["class-poly", "-n", "23", "--group", "fricke", "-D", "-92",
-                                 "--data-dir", str(tmp_path)])
+    def test_no_construction_exit_code(self):
+        code, out, err = invoke(["class-poly", "-n", "59", "--group", "fricke", "-D", "-59"])
         assert code == 1 and out == ""
-        assert err.startswith("cfq: error: ") and "level must be positive" in err
+        assert err.startswith("cfq: error: ") and "no construction" in err
+
+    def test_json_digits_within_the_bound(self):
+        # every printed digit of the 64-bit values agrees with a 256-bit
+        # evaluation, up to one unit in the last printed place
+        code, out, _ = invoke(
+            ["class-poly", "-n", "71", "--group", "fricke", "-D", "-71", "--json"]
+        )
+        digits = value_digits(64)
+        assert code == 0 and digits == 18
+        points = json.loads(out)["points"]
+        exact = singular_values(71, "fricke", -71, 256).values()
+        with mpmath.mp.workprec(256):
+            for point, value in zip(points, exact):
+                for text, x in ((point["value_re"], value.real), (point["value_im"], value.imag)):
+                    printed = mpmath.mpf(text)
+                    if x == 0:
+                        assert printed == 0
+                        continue
+                    assert len(text.lstrip("-").replace(".", "").lstrip("0")) <= digits
+                    ulp = mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(abs(x))) - digits + 1)
+                    assert abs(printed - x) <= ulp, (text, x)
 
 
 class TestClassGroup:
@@ -166,7 +191,10 @@ class TestCatalog:
         assert code == 0
         lines = out.strip().splitlines()
         assert len(lines) == 52
-        assert any("fricke   71  qseries  data present" in line for line in lines)
+        assert "fricke   71  theta-quotient" in lines
+        # a listed level with no construction says so
+        assert "fricke   59  none" in lines
+        assert sum(line.endswith("  none") for line in lines) == 20
         # level 1 is computed from an eta quotient: no data column
         assert "gamma0    1  eta-quotient" in lines
 
@@ -186,9 +214,14 @@ class TestParsing:
         assert code == 1
 
     @pytest.mark.parametrize("argv", [["class-group", "-D", "-71"],
-                                      ["reps", "-n", "71", "-D", "-71"]])
+                                      ["reps", "-n", "71", "-D", "-71"],
+                                      ["class-poly", "-n", "71", "--group", "fricke", "-D", "-71"],
+                                      ["eval", "-n", "71", "--group", "fricke",
+                                       "--element", "0,-1,1"],
+                                      ["verify", "--paper71"],
+                                      ["catalog"]])
     def test_data_dir_only_where_read(self, argv, capsys):
-        # neither command reads a q-series, so neither takes --data-dir
+        # no command reads a data file, so none takes --data-dir
         code, out, _ = invoke(argv + ["--data-dir", "x"])
         assert code == 1 and out == ""
         assert "unrecognized arguments: --data-dir x" in capsys.readouterr().err

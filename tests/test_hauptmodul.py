@@ -1,10 +1,12 @@
-"""Catalog lookups, q-series files, Fricke reduction, and evaluation."""
+"""Catalog lookups, theta quotients, Fricke reduction, and evaluation."""
 
+import builtins
 import functools
+import io
 import math
-import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp
@@ -15,14 +17,7 @@ from conftest import (
 )
 from cfq.classfield import ring_class_polynomial
 from cfq.elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
-from cfq.errors import (
-    ConvergenceError,
-    DataFileMissingError,
-    DomainError,
-    InsufficientDataError,
-    NotGenusZeroError,
-    QSeriesFormatError,
-)
+from cfq.errors import ConvergenceError, DomainError, NoConstructionError, NotGenusZeroError
 from cfq.eta import EtaQuotientSpec, _ascend
 from cfq.exactpoly import IntPoly, LaurentExpr
 from cfq.hauptmodul import (
@@ -30,14 +25,16 @@ from cfq.hauptmodul import (
     FRICKE_LEVELS,
     GAMMA0_LEVELS,
     EtaQuotientHaupt,
-    QSeriesHaupt,
+    ThetaQuotientHaupt,
     catalog_entries,
     catalog_lookup,
+    _cutoff,
+    _eta_product,
+    _fricke_ascent,
     _laurent_sum,
     _log_tail,
-    _tail_index,
+    _theta_numerator,
     evaluate,
-    load_qseries,
 )
 from cfq.numerics import _GUARD, _fixed_series
 from cfq.quadforms import enumerate_class_group
@@ -91,137 +88,171 @@ class TestCatalog:
         with pytest.raises(NotGenusZeroError, match="22"):
             catalog_lookup(22, "fricke")
 
-    def test_level71_is_qseries(self):
+    def test_level71_is_theta_quotient(self):
         entry = catalog_lookup(71, "fricke")
-        assert isinstance(entry, QSeriesHaupt)
-        assert entry.label == "71A"
-        assert len(entry.coeffs) >= 2000
+        assert entry == ThetaQuotientHaupt(71, (((2, 1, 9), 1), ((3, 1, 6), -1)), 2, 0)
 
-    def test_missing_data_file(self):
-        with pytest.raises(DataFileMissingError):
+    def test_no_construction(self):
+        with pytest.raises(NoConstructionError, match="no construction") as exc:
             catalog_lookup(59, "fricke")
+        assert isinstance(exc.value, DomainError)
 
     def test_entries_inventory(self):
         entries = catalog_entries()
         assert len(entries) == 15 + 37
         by_key = {(e["level"], e["group"]): e for e in entries}
-        assert by_key[(71, "fricke")]["available"] is True
-        assert by_key[(59, "fricke")]["available"] is False
+        assert {n for (n, _), e in by_key.items() if e["kind"] == "theta-quotient"} == {23, 47, 71}
+        assert by_key[(71, "fricke")] == {"level": 71, "group": "fricke", "kind": "theta-quotient"}
+        assert by_key[(59, "fricke")]["kind"] == "none"
+        assert sum(e["kind"] == "none" for e in entries) == 20
         assert by_key[(12, "fricke")]["kind"] == "fricke-sym"
         assert by_key[(1, "gamma0")] == {"level": 1, "group": "gamma0", "kind": "eta-quotient"}
 
-    def test_gamma0_entries_need_no_data(self, tmp_path, monkeypatch):
-        # no data directory holds any file, the packaged one included
-        monkeypatch.setattr(cfq.hauptmodul, "_PACKAGED_DATA", tmp_path)
+    def test_gamma0_entries_need_no_data(self, monkeypatch):
+        # no entry reads a file: every catalog key is looked up, and level 71
+        # and level 1 compute, with opening a file refused
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"file opened: {args!r}")
+
+        monkeypatch.setattr(builtins, "open", refuse)
+        monkeypatch.setattr(io, "open", refuse)
+        assert ring_class_polynomial(71, "fricke", -284).poly == H284
         for n in sorted(GAMMA0_LEVELS):
-            assert isinstance(catalog_lookup(n, "gamma0", data_dir=tmp_path), EtaQuotientHaupt)
-        result = ring_class_polynomial(1, "gamma0", -4, data_dir=tmp_path)
+            assert isinstance(catalog_lookup(n, "gamma0"), EtaQuotientHaupt)
+        result = ring_class_polynomial(1, "gamma0", -4)
         assert result.poly == IntPoly([-984, 1])
-        entries = catalog_entries(tmp_path)
-        assert len(entries) == 52
-        assert not any("available" in e for e in entries if e["group"] == "gamma0")
-        with pytest.raises(DataFileMissingError):
-            catalog_lookup(71, "fricke", data_dir=tmp_path)
+        for e in catalog_entries():
+            if e["kind"] == "none":
+                with pytest.raises(NoConstructionError):
+                    catalog_lookup(e["level"], e["group"])
+            else:
+                catalog_lookup(e["level"], e["group"])
+
+    @pytest.mark.parametrize("level,form", [(70, (2, 1, 9)), (71, (2, 1, 8))])
+    def test_theta_quotient_refuses_a_bad_table(self, level, form):
+        with pytest.raises(DomainError):
+            ThetaQuotientHaupt(level, ((form, 1),), 2, 0)
 
 
-class TestLoadQSeries:
-    def _write(self, tmp_path, text, name="fricke_2.qseries"):
-        p = tmp_path / name
-        p.write_text(text)
-        return p
+def _theta_counts(form, top) -> list[int]:
+    """r_Q(e) for e < top, from the box |x| <= sqrt(4c top/d), |y| <= sqrt(4a top/d).
 
-    def test_synthetic_file(self, tmp_path):
-        body = "\n".join(["# label=TEST level=2 group=fricke q_min=-1"]
-                         + ["1", "0", "4372"] + ["0"] * 80)
-        series = load_qseries(self._write(tmp_path, body))
-        assert series.label == "TEST" and series.n == 2
-        assert series.coeffs[:3] == (1, 0, 4372)
+    d = 4ac - b^2; Q(x, y) >= d x^2 / (4c) and >= d y^2 / (4a), so the box
+    holds every (x, y) with Q(x, y) < top.
+    """
+    a, b, c = form
+    d = 4 * a * c - b * b
+    counts = [0] * top
+    xs, ys = math.isqrt(4 * c * top // d) + 1, math.isqrt(4 * a * top // d) + 1
+    for x in range(-xs, xs + 1):
+        for y in range(-ys, ys + 1):
+            e = a * x * x + b * x * y + c * y * y
+            if e < top:
+                counts[e] += 1
+    return counts
 
-    def test_missing_level_field(self, tmp_path):
-        body = "# label=TEST group=fricke q_min=-1\n" + "1\n" * 70
-        with pytest.raises(QSeriesFormatError) as exc:
-            load_qseries(self._write(tmp_path, body))
-        assert exc.value.reason == "header"
 
-    @pytest.mark.parametrize("level", [0, -5])
-    def test_nonpositive_level_refused(self, tmp_path, level):
-        body = f"# label=T level={level} group=fricke q_min=-1\n" + "1\n" * 70
-        with pytest.raises(QSeriesFormatError, match="level must be positive") as exc:
-            load_qseries(self._write(tmp_path, body))
-        assert exc.value.reason == "header"
+def _theta_numerator_counts(entry, top) -> list[int]:
+    """sum_Q s_Q r_Q(e) for e < top: the numerator times its divisor."""
+    out = [0] * top
+    for form, s in entry.forms:
+        out = [o + s * r for o, r in zip(out, _theta_counts(form, top))]
+    return out
 
-    def test_wrong_q_min(self, tmp_path):
-        body = "# label=T level=2 group=fricke q_min=0\n" + "1\n" * 70
-        with pytest.raises(QSeriesFormatError) as exc:
-            load_qseries(self._write(tmp_path, body))
-        assert exc.value.reason == "q_min"
 
-    def test_bad_coefficient(self, tmp_path):
-        body = ("# label=T level=2 group=fricke q_min=-1\n"
-                + "1\n" * 40 + "x17\n" + "1\n" * 40)
-        with pytest.raises(QSeriesFormatError) as exc:
-            load_qseries(self._write(tmp_path, body))
-        assert exc.value.reason == "coefficient"
-        assert ":42:" in str(exc.value)
+def _eta_product_dense(n, top) -> list[int]:
+    """prod (1 - q^k)(1 - q^(nk)) to q^(top-1), from Euler's pentagonal series."""
+    # k (3k - 1)/2 >= top once k > sqrt(2 top / 3) + 1
+    pentagonal = [(e, -1 if k % 2 else 1) for k in range(math.isqrt(top) + 2)
+                  for e in {k * (3 * k - 1) // 2, k * (3 * k + 1) // 2}]
+    out = [0] * top
+    out[0] = 1
+    for factor in ([(e, s) for e, s in pentagonal if e < top],
+                   [(n * e, s) for e, s in pentagonal if n * e < top]):
+        prev, out = out, [0] * top
+        for e, s in factor:
+            out[e:] = [o + s * x for o, x in zip(out[e:], prev)]
+    return out
 
-    def test_too_few_coefficients(self, tmp_path):
-        body = "# label=T level=2 group=fricke q_min=-1\n" + "1\n" * 40
-        with pytest.raises(QSeriesFormatError) as exc:
-            load_qseries(self._write(tmp_path, body))
-        assert exc.value.reason == "too_few"
 
-    def test_comments_and_blanks_ignored(self, tmp_path):
-        body = ("# label=T level=2 group=fricke q_min=-1\n"
-                + "1\n\n# interior comment\n" + "2\n" * 70)
-        series = load_qseries(self._write(tmp_path, body))
-        assert series.coeffs[0] == 1 and series.coeffs[1] == 2
+def _theta_reference(entry, tau, prec):
+    """The theta quotient summed at tau itself, no reduction.
 
-    def test_same_text_parsed_once(self, tmp_path):
-        from cfq.hauptmodul import _parse_qseries
+    The theta series by lattice sums to an exponent whose tail, under
+    r_Q(e) <= 4 sqrt(e), is far below 2^-prec; eta by its pentagonal series.
+    """
+    n = entry.level
+    with mp.workprec(prec):
+        q = mp.exp(2j * mp.pi * tau)
+        top = int((prec + 40) * math.log(2) / (2 * math.pi * float(tau.imag))) + 1
+        powers = [mp.mpc(1)]
+        for _ in range(top):
+            powers.append(powers[-1] * q)
+        num = mp.fsum(k * powers[e] for e, k in enumerate(_theta_numerator_counts(entry, top)))
+        den = entry.divisor * eta_direct_series(tau, prec) * eta_direct_series(n * tau, prec)
+        return num / den + entry.shift
 
-        body = "\n".join(["# label=ONCE level=2 group=fricke q_min=-1"]
-                         + ["1", "0", "-7"] + ["5"] * 80)
-        p = self._write(tmp_path, body)
-        before = _parse_qseries.cache_info()
-        first = load_qseries(p)
-        assert load_qseries(p) is first
-        after = _parse_qseries.cache_info()
-        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
-    def test_rewritten_file_reparsed(self, tmp_path):
-        head = "# label=EDIT level=2 group=fricke q_min=-1\n1\n0\n"
-        p = self._write(tmp_path, head + "4\n" * 80)
-        stamp = p.stat().st_mtime_ns
-        assert load_qseries(p).coeffs[2] == 4
-        # same size and same mtime: only the content tells the two apart
-        p.write_text(head + "9\n" + "4\n" * 79)
-        os.utime(p, ns=(stamp, stamp))
-        series = load_qseries(p)
-        assert series.coeffs[2] == 9
+def _divisors(e) -> int:
+    return sum(2 - (d * d == e) for d in range(1, math.isqrt(e) + 1) if e % d == 0)
 
-    def test_gamma0_group_refused(self, tmp_path):
-        # q-series files hold Fricke-group functions only
-        body = "\n".join(["# label=J level=1 group=gamma0 q_min=-1", "1", "0"]
-                         + ["196884"] * 80)
-        with pytest.raises(QSeriesFormatError, match="group must be fricke") as exc:
-            load_qseries(self._write(tmp_path, body, name="gamma0_1.qseries"))
-        assert exc.value.reason == "header"
 
-    def test_data_dir_override(self, tmp_path):
-        body = "\n".join(["# label=SYN level=14 group=fricke q_min=-1", "1", "0"]
-                         + ["0"] * 80)
-        self._write(tmp_path, body, name="fricke_14.qseries")
-        series = catalog_lookup(14, "fricke", data_dir=tmp_path)
-        assert series.label == "SYN"
-        # packaged data still reachable through the same override
-        assert catalog_lookup(71, "fricke", data_dir=tmp_path).label == "71A"
+class TestThetaQuotient:
+    """The theta-quotient entries as q-expansions, independently of evaluate."""
 
-    def test_env_var_data_dir(self, tmp_path, monkeypatch):
-        body = "\n".join(["# label=ENV level=15 group=fricke q_min=-1", "1", "0"]
-                         + ["0"] * 80)
-        self._write(tmp_path, body, name="fricke_15.qseries")
-        monkeypatch.setenv("CFQ_DATA_DIR", str(tmp_path))
-        assert catalog_lookup(15, "fricke").label == "ENV"
+    def test_level71_expansion_is_the_oracle(self):
+        # (theta_(2,1,9) - theta_(3,1,6)) / 2 = q^3 D(q) F(q), F the oracle's
+        # 3,600 coefficients from q^-1 and D = prod (1 - q^k)(1 - q^(71k)):
+        # as D starts 1, this says the two expansions agree term by term
+        entry = catalog_lookup(71, "fricke")
+        oracle = _oracle_coeffs()
+        top = len(oracle)
+        prod = [0] * top
+        for e, k in enumerate(_eta_product_dense(71, top)):
+            if k:
+                prod[e:] = [p + k * c for p, c in zip(prod[e:], oracle)]
+        counts = _theta_numerator_counts(entry, top + 2)
+        assert top == 3600 and counts[:2] == [0, 0]
+        assert [2 * c for c in prod] == counts[2:]
+
+    @pytest.mark.parametrize("n", [23, 47, 71])
+    def test_expansion_starts_with_the_pole(self, n):
+        # q^-1 + 0 + O(q), integer coefficients: the numerator's counts are
+        # divisible by the divisor, and it vanishes to order v - 1 at q = 0
+        entry = catalog_lookup(n, "fricke")
+        v, top = (n + 1) // 24, 400
+        counts = _theta_numerator_counts(entry, top)
+        assert all(k % entry.divisor == 0 for k in counts)
+        num = [k // entry.divisor for k in counts]
+        assert not any(num[: v - 1]) and num[v - 1] == 1
+        # num / D by long division, D = 1 + O(q)
+        d = _eta_product_dense(n, top)
+        quotient = []
+        rest = num[v - 1:]
+        for _ in range(8):
+            quotient.append(rest[0])
+            rest = [r - rest[0] * x for r, x in zip(rest, d)][1:]
+        # t = q^-1 (quotient) + shift
+        assert quotient[0] == 1 and quotient[1] + entry.shift == 0
+
+    @pytest.mark.parametrize("n", [23, 47, 71])
+    def test_numerator_matches_lattice_counts(self, n):
+        # the evaluator's cached table, at two sizes, against a box scan; and
+        # the coefficient bound its tails rest on, 2 d(e) sum |s_Q| / m <= A sqrt(e)
+        entry = catalog_lookup(n, "fricke")
+        v = (n + 1) // 24
+        counts = _theta_numerator_counts(entry, v + 2048)
+        want = {e - v: k // entry.divisor for e, k in enumerate(counts) if e >= v and k}
+        lead, exps, coeffs = _theta_numerator(entry, 2048)
+        assert lead == counts[v - 1] // entry.divisor
+        assert dict(zip(exps, coeffs)) == want
+        small = _theta_numerator(entry, 1024)
+        assert small[1] == exps[: len(small[1])] and small[2] == coeffs[: len(small[2])]
+        weight = sum(abs(s) for _, s in entry.forms)
+        a = 4 * weight / entry.divisor
+        for m, c in zip(exps, coeffs):
+            bound = 2 * weight * _divisors(m + v) / entry.divisor
+            assert abs(c) <= bound <= a * math.sqrt(m + v)
 
 
 def _ascent(tau, n, prec):
@@ -231,7 +262,9 @@ def _ascent(tau, n, prec):
 
 
 class TestFrickeReduce:
-    """The ascent under z -> z + k and z -> -1/(n z) that q-series entries take."""
+    """The ascents that theta-quotient entries take: under z -> z + k and
+    z -> -1/(n z), then through SL2(Z) and a coset of Gamma0(n) when that
+    stops low."""
 
     def test_fixed_point_is_stable(self):
         for n in (2, 5, 71):
@@ -265,12 +298,27 @@ class TestFrickeReduce:
                 assert abs(out.real) <= 0.5 + mp.mpf(2) ** -20
                 assert n * (out.real**2 + out.imag**2) >= 1 - mp.mpf(2) ** -20
 
+    @pytest.mark.parametrize("n", [23, 47, 71])
+    def test_orbit_point_high_enough(self, n):
+        # every point, however low, reaches Im >= sqrt(3)/(2n) in its orbit
+        # under Gamma0(n) and the Fricke flip, which bounds |q| and the
+        # number of terms
+        rng = random.Random(7100 + n)
+        with mp.workprec(160):
+            for _ in range(40):
+                tau = mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.6))
+                z = mobius(random_gamma0(rng, n), tau)
+                point, rho = _fricke_ascent(z, n)
+                assert 2 * n * point.imag >= mp.sqrt(3) * (1 - mp.mpf(2) ** -20)
+                assert abs(point.real) <= 0.5 + mp.mpf(2) ** -20
+                assert rho >= 4 * abs(complex(z)) / float(z.imag)
+
     @pytest.mark.parametrize("prec", [128, 256, 448])
     def test_deep_level71_point_charges_its_steps(self, prec):
         # an element of Gamma0(71), z -> z / (71 k z + 1) then z -> z + m
         # twice, moves the C = 2 representative to 6e-11 above the real
-        # axis; the ascent undoes it in 9 steps, each of which the error
-        # estimate charges, and the value is that of the representative
+        # axis; the Fricke ascent undoes it in 9 steps, each of which the
+        # error estimate charges, and the value is that of the representative
         alpha = EllipticElement(71, 1, -36, 2)
         tau = fixed_point(alpha)
         with mp.workprec(700):
@@ -282,7 +330,7 @@ class TestFrickeReduce:
             _point, _gamma, steps = _ascend(mp.mpc(z), 71)
         assert steps > 2
         got = evaluate(catalog_lookup(71, "fricke"), z, prec)
-        ref = _reference_sum(71, "fricke", tau)
+        ref = _reference_sum(tau)
         with mp.workprec(REF_PREC):
             assert abs(got - ref) <= mp.mpf(2) ** (ERROR_BITS - prec) * max(1, abs(ref))
 
@@ -323,18 +371,6 @@ class TestEvaluate:
         with mp.workprec(128):
             assert abs(v_small - v_deep) < mp.mpf(2) ** -32
 
-    def test_qseries_insufficient_data(self, tmp_path):
-        body = "\n".join(["# label=SHORT level=71 group=fricke q_min=-1"]
-                         + ["1", "0"] + ["1"] * 70)
-        p = tmp_path / "fricke_71.qseries"
-        p.write_text(body)
-        series = load_qseries(p)
-        tau = fixed_point(EllipticElement(71, 1, -36, 2))
-        with pytest.raises(InsufficientDataError) as exc:
-            evaluate(series, tau, 128)
-        assert exc.value.have == 72
-        assert exc.value.needed > 72
-
     def test_level1_series_at_i(self):
         entry = catalog_lookup(1, "gamma0")
         value = evaluate(entry, CMPoint(0, 1, 1, 1), PREC)
@@ -346,48 +382,53 @@ class TestEvaluate:
             evaluate(entry, cpx(0, -1, PREC), PREC)
 
     def test_qseries_rejects_lower_half_plane(self):
-        # the Fricke ascent refuses the point before any term is summed
+        # the level-71 theta quotient: the Fricke ascent refuses the point
+        # before any term is summed
         with pytest.raises(DomainError, match="upper half plane"):
             evaluate(catalog_lookup(71, "fricke"), cpx("0.1", "-0.2", PREC), PREC)
 
 
+# The level-71 series of tests/data/fricke_71.qseries, 3,600 coefficients
+# from q^-1, certified by replication identities independently of the theta
+# quotient: an oracle for it.  Line 1 is a header, then one integer a line.
+ORACLE = Path(__file__).resolve().parent / "data" / "fricke_71.qseries"
+
+
+@functools.cache
+def _oracle_coeffs() -> tuple[int, ...]:
+    lines = ORACLE.read_text(encoding="utf-8").split("\n")
+    assert lines[0].startswith("# label=71A level=71")
+    return tuple(int(line) for line in lines[1:] if line.strip())
+
+
 # the 14 level-71 representatives of discs -71 and -284, at each precision
-# the data supports: at 448 bits the four with C = 8 need more coefficients
-LEVEL71_CASES = [
-    (alpha, prec)
+# the oracle supports: at 448 bits the four with C = 8 need more coefficients
+LEVEL71_POINTS = [
+    alpha
     for disc in (-71, -284)
     for alpha in enumerate_representatives(71, disc, enumerate_class_group(disc))
-    for prec in (128, 256, 448)
-    if not (prec == 448 and alpha.C == 8)
 ]
+LEVEL71_CASES = [(alpha, prec) for alpha in LEVEL71_POINTS for prec in (64, 128, 256, 448)
+                 if not (prec == 448 and alpha.C == 8)]
+LEVEL71_DEEP = [(alpha, prec) for alpha in LEVEL71_POINTS for prec in (512, 1024)]
 REF_PREC = 448 + 64
 
 
 @functools.cache
-def _reference_sum(level, group, tau):
-    """Every coefficient of the series summed in plain mpc arithmetic."""
-    coeffs = catalog_lookup(level, group).coeffs
-    with mp.workprec(REF_PREC):
-        z = cm_mpc(tau)
-        q = mp.exp(2j * mp.pi * z)
-        total = coeffs[0] / q
-        qk = mp.mpc(1)
-        for c in coeffs[1:]:
-            total += c * qk
-            qk *= q
-        return total
+def _reference_sum(tau):
+    """Every coefficient of the oracle summed in plain mpc arithmetic."""
+    return _series_reference(tau, REF_PREC)
 
 
-def _check_against_reference(level, group, tau, prec):
-    entry = catalog_lookup(level, group)
-    got = evaluate(entry, tau, prec)
-    ref = _reference_sum(level, group, tau)
+def _check_against_reference(tau, prec):
+    got = evaluate(catalog_lookup(71, "fricke"), tau, prec)
+    ref = _reference_sum(tau)
     with mp.workprec(REF_PREC):
         assert abs(got - ref) <= mp.mpf(2) ** -(prec - 8) * max(1, abs(ref))
 
 
 class TestQSeriesKernel:
-    """The fixed-point summation against an independent reference sum."""
+    """The theta quotient's fixed-point sums against the oracle series."""
 
     @pytest.mark.parametrize(
         "alpha,prec", LEVEL71_CASES, ids=[f"{a.text()}@{p}" for a, p in LEVEL71_CASES]
@@ -396,13 +437,14 @@ class TestQSeriesKernel:
         # the Fricke flip leaves the point alone (71|tau|^2 = -B/C >= 1), so
         # the reference may take q at tau itself
         assert -alpha.B >= alpha.C
-        _check_against_reference(71, "fricke", fixed_point(alpha), prec)
+        _check_against_reference(fixed_point(alpha), prec)
 
     @pytest.mark.parametrize(
         "alpha,prec", LEVEL71_CASES, ids=[f"{a.text()}@{p}" for a, p in LEVEL71_CASES]
     )
     def test_summed_coefficients_within_scale(self, alpha, prec, monkeypatch):
-        # the kernel is told |c| <= 2^b, b taken from the envelope at K*
+        # the kernel is told |c| <= 2^b: b = 0 for the signs of the eta
+        # product, and the proven |c_e| <= 4 sqrt(e) for the numerator
         seen = []
 
         def recording(q, exponents, coeffs, coeff_bits, w):
@@ -411,95 +453,60 @@ class TestQSeriesKernel:
 
         monkeypatch.setattr(cfq.hauptmodul, "_fixed_series", recording)
         evaluate(catalog_lookup(71, "fricke"), fixed_point(alpha), prec)
-        [(coeffs, b)] = seen
+        (signs, zero), (coeffs, b) = seen
+        assert zero == 0 and set(signs) == {-1, 1}
         assert max(map(abs, coeffs)) <= 2**b
 
+
     @pytest.mark.parametrize("prec", [128, 256, 448])
-    def test_sums_exponents_below_kstar(self, prec):
-        # indices read: the pole and exponents 0 .. K*-1 (index k holds the
-        # coefficient of q^(k-1)), where K* is the first exponent whose
-        # envelope tail meets the target: the tail starts where the sum stops
-        read = set()
+    def test_sums_exponents_below_kstar(self, prec, monkeypatch):
+        # Each series stops at its K*, the least exponent whose closed-form
+        # tail bound meets the target fixed before the series is summed:
+        # the summed exponents are exactly the table's below K*
+        cutoffs, sums = [], []
 
-        class RecordingCoeffs(tuple):
-            def __getitem__(self, k):
-                # a slice reads every index it covers
-                span = range(*k.indices(len(self))) if isinstance(k, slice) else [k]
-                read.update(span)
-                return tuple.__getitem__(self, k)
+        def recording_cutoff(ell, target, growth):
+            k, tail = _cutoff(ell, target, growth)
+            cutoffs.append((ell, target, growth, k))
+            return k, tail
 
+        def recording_series(q, exponents, coeffs, coeff_bits, w):
+            sums.append(tuple(exponents))
+            return _fixed_series(q, exponents, coeffs, coeff_bits, w)
+
+        monkeypatch.setattr(cfq.hauptmodul, "_cutoff", recording_cutoff)
+        monkeypatch.setattr(cfq.hauptmodul, "_fixed_series", recording_series)
         entry = catalog_lookup(71, "fricke")
-        series = QSeriesHaupt(entry.label, entry.n, RecordingCoeffs(entry.coeffs))
         tau = fixed_point(enumerate_representatives(71, -71, enumerate_class_group(-71))[0])
-        value = evaluate(series, tau, prec)
-        assert value == evaluate(entry, tau, prec)
-        with mp.workprec(prec + _GUARD):
-            z, _gamma, _steps = _ascend(cm_mpc(tau), 71)
-        ell = 2 * math.pi * float(z.imag) * (1 - 2.0**-40)
-        kstar, _ = _tail_index(series, ell, prec)
-        assert read == set(range(kstar + 1))
-        target = (ERROR_BITS - 2 - prec) * math.log(2)
-        assert _log_tail(series, ell, kstar) <= target < _log_tail(series, ell, kstar - 1)
-
-    def test_data_ceiling_at_c8(self):
-        entry = catalog_lookup(71, "fricke")
-        tau = fixed_point(EllipticElement(71, 1, -9, 8))
-        with pytest.raises(InsufficientDataError) as exc:
-            evaluate(entry, tau, 448)
-        assert exc.value.have == len(entry.coeffs)
-        assert exc.value.needed > exc.value.have
-
-    def test_data_ceiling_is_354_bits(self):
-        # the longest series the file supports: K* just under its 3,600
-        # coefficients at 354 bits, more than the file holds at 355
-        entry = catalog_lookup(71, "fricke")
-        tau = fixed_point(EllipticElement(71, 1, -9, 8))
-        evaluate(entry, tau, 354)
-        with pytest.raises(InsufficientDataError) as exc:
-            evaluate(entry, tau, 355)
-        assert exc.value.have == len(entry.coeffs) < exc.value.needed
-
-    def test_data_ceiling_found_before_summing(self):
-        class CountingCoeffs(tuple):
-            reads = 0
-
-            def __getitem__(self, k):
-                span = range(*k.indices(len(self))) if isinstance(k, slice) else [k]
-                CountingCoeffs.reads += len(span)
-                return tuple.__getitem__(self, k)
-
-        entry = catalog_lookup(71, "fricke")
-        series = QSeriesHaupt(entry.label, entry.n, CountingCoeffs(entry.coeffs))
-        tau = fixed_point(EllipticElement(71, 1, -9, 8))
-        CountingCoeffs.reads = 0
-        with pytest.raises(InsufficientDataError) as exc:
-            evaluate(series, tau, 448)
-        assert CountingCoeffs.reads == 0
-        # K* + 1 coefficients: the envelope tail from K* is below 2^-447
-        assert 4300 < exc.value.needed < 4500
-        # the same series sums at 256 bits, reading no coefficient past K*
-        value = evaluate(series, tau, 256)
-        assert 2000 < CountingCoeffs.reads < exc.value.have
-        assert value == evaluate(entry, tau, 256)
+        evaluate(entry, tau, prec)
+        tables = [_eta_product(71, 1 << 14)[0], _theta_numerator(entry, 1 << 14)[1]]
+        assert len(cutoffs) == len(sums) == 2
+        for (ell, target, growth, k), summed, table in zip(cutoffs, sums, tables):
+            assert _log_tail(ell, k, *growth(k)) <= target < _log_tail(ell, k - 1, *growth(k - 1))
+            assert summed == tuple(e for e in table if e < k)
 
 
-def _series_reference(entry, tau, prec):
-    """Every coefficient of a q-series entry summed in plain mpc at prec bits.
+def _series_reference(tau, prec):
+    """Every coefficient of the oracle summed in plain mpc at prec bits.
 
-    The tau used here needs no reduction, and the envelope tail past the
-    data is checked to be negligible.
+    The tau used here needs no reduction, and the tail past the data is
+    checked to be negligible under the envelope |c_e| <= A exp(4 pi
+    sqrt(e/71)) fitted to the file's coefficients.
     """
+    coeffs = _oracle_coeffs()
     with mp.workprec(prec):
         z = cm_mpc(tau)
         q = mp.exp(2j * mp.pi * z)
-        total = entry.coeffs[0] / q
+        total = coeffs[0] / q
         qk = mp.mpc(1)
-        for c in entry.coeffs[1:]:
+        for c in coeffs[1:]:
             total += c * qk
             qk *= q
-        a = 4 * mp.pi / mp.sqrt(entry.n)
-        e = len(entry.coeffs) - 1
-        tail = entry.envelope_a * mp.exp(a * mp.sqrt(e)) * abs(q) ** e
+        a = 4 * mp.pi / mp.sqrt(71)
+        envelope = max(abs(c) / mp.exp(a * mp.sqrt(e))
+                       for e, c in enumerate(coeffs[2:], start=1) if c)
+        e = len(coeffs) - 1
+        tail = envelope * mp.exp(a * mp.sqrt(e)) * abs(q) ** e
         assert tail < mp.mpf(2) ** -(prec - 200)
         return total
 
@@ -532,8 +539,11 @@ def _kleinj_reference(point):
 
 def _check_documented_bound(entry, tau, prec):
     got = evaluate(entry, tau, prec)
-    reference = _series_reference if isinstance(entry, QSeriesHaupt) else _eta_reference
-    ref = reference(entry, tau, prec + 256)
+    if isinstance(entry, ThetaQuotientHaupt):
+        assert entry.level == 71
+        ref = _series_reference(tau, prec + 256)
+    else:
+        ref = _eta_reference(entry, tau, prec + 256)
     with mp.workprec(prec + 256):
         bound = mp.mpf(2) ** (ERROR_BITS - prec) * max(1, abs(ref))
         assert abs(got - ref) <= bound
@@ -547,6 +557,19 @@ class TestDocumentedBound:
     )
     def test_level71_representatives(self, alpha, prec):
         _check_documented_bound(catalog_lookup(71, "fricke"), fixed_point(alpha), prec)
+
+    @pytest.mark.parametrize(
+        "alpha,prec", LEVEL71_DEEP, ids=[f"{a.text()}@{p}" for a, p in LEVEL71_DEEP]
+    )
+    def test_level71_beyond_the_oracle(self, alpha, prec):
+        # precisions the 3,600 coefficients never reached, against an
+        # evaluation 256 bits deeper
+        entry = catalog_lookup(71, "fricke")
+        tau = fixed_point(alpha)
+        got = evaluate(entry, tau, prec)
+        ref = evaluate(entry, tau, prec + 256)
+        with mp.workprec(prec + 256):
+            assert abs(got - ref) <= mp.mpf(2) ** (ERROR_BITS - prec) * max(1, abs(ref))
 
     @pytest.mark.parametrize("prec", [128, 256, 448])
     @pytest.mark.parametrize("tau", [CMPoint(0, 1, 1, 1), CMPoint(-1, 1, 2, 3)],
@@ -593,19 +616,6 @@ class TestDocumentedBound:
             evaluate(catalog_lookup(2, "gamma0"), cpx("0.3", "1e-9", 600), 128)
 
 
-class TestEnvelope:
-    """The stated growth bound |c_e| <= A exp(4 pi sqrt(e/N)), e >= 1."""
-
-    @pytest.mark.parametrize("level,group,fitted", [(71, "fricke", 0.2251)])
-    def test_every_coefficient_within_envelope(self, level, group, fitted):
-        entry = catalog_lookup(level, group)
-        assert abs(entry.envelope_a - fitted) < 1e-4
-        a = 4 * mp.pi / mp.sqrt(level)
-        with mp.workprec(64):
-            for e, c in enumerate(entry.coeffs[2:], start=1):
-                assert abs(c) <= entry.envelope_a * mp.exp(a * mp.sqrt(e)), e
-
-
 def _evaluate_at(entry, z, prec):
     # extra input bits keep the point rounding below the comparison tolerance
     return evaluate(entry, rounded(z, prec + 32), prec)
@@ -642,6 +652,28 @@ class TestCatalogValidation:
                 gamma = random_gamma0(rng, n)
                 moved = _evaluate_at(entry, mobius(gamma, tau), PREC)
                 assert abs(moved - base) < tol * max(1, abs(base))
+
+    @pytest.mark.parametrize("n", [23, 47, 71])
+    def test_theta_quotient_invariance(self, n):
+        # Points below Im = sqrt(3)/(2n), where evaluate moves the point
+        # through SL2(Z), a coset of Gamma0(n) and the Fricke flip before it
+        # sums; their images under Gamma0(n) and the flip too.  Each against
+        # the quotient summed at the point itself, so the test fails unless
+        # the formula is invariant under the group.
+        entry = catalog_lookup(n, "fricke")
+        rng = random.Random(4000 + n)
+        tol = mp.mpf(2) ** (-PREC + 16)
+        with mp.workprec(PREC + 32):
+            for _ in range(3):
+                tau = mp.mpc(rng.uniform(-0.45, 0.45),
+                             rng.uniform(0.35, 0.9) * math.sqrt(3) / (2 * n))
+                point, _rho = _fricke_ascent(tau, n)
+                assert point.imag > 1.1 * tau.imag
+                ref = _theta_reference(entry, tau, PREC + 64)
+                moved = [tau, -1 / (n * tau)] + [mobius(random_gamma0(rng, n), tau)
+                                                 for _ in range(2)]
+                for z in moved:
+                    assert abs(_evaluate_at(entry, z, PREC) - ref) < tol * max(1, abs(ref))
 
     @pytest.mark.parametrize("n", sorted(GAMMA0_LEVELS - {1}))
     def test_fricke_sym_product_identity(self, n):
