@@ -20,7 +20,6 @@ from .classfield import (
 from .elliptic import (
     CMPoint,
     EllipticElement,
-    OrderDesc,
     enumerate_representatives,
     fixed_point,
     order_of,
@@ -57,10 +56,8 @@ from .quadforms import (
     ClassGroup,
     IdealClass,
     QuadForm,
-    SL2Matrix,
     compose,
     enumerate_class_group,
-    equivalent,
     reduce_form,
 )
 

@@ -33,7 +33,7 @@ from mpmath import mp
 from .elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
 from .errors import DomainError, EscalationFailureError, RoundingFailureError
 from .exactpoly import IntPoly
-from .hauptmodul import ERROR_BITS, catalog_lookup, evaluate, value_digits
+from .hauptmodul import ERROR_BITS, catalog_lookup, evaluate, value_text
 from .numerics import PrecisionPolicy, certify_int_poly
 from .quadforms import ClassGroup, IdealClass, enumerate_class_group
 
@@ -77,15 +77,15 @@ class ClassPolyResult:
     history: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        dps = value_digits(self.prec_bits)
         points = []
         for cls, alpha, _tau, value in self.points.entries:
+            value_re, value_im = value_text(value, self.prec_bits)
             points.append(
                 {
                     "class": cls.rep.text(),
                     "element": alpha.text(),
-                    "value_re": mpmath.nstr(value.real, dps),
-                    "value_im": mpmath.nstr(value.imag, dps),
+                    "value_re": value_re,
+                    "value_im": value_im,
                 }
             )
         return {

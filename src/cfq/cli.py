@@ -20,13 +20,11 @@ import functools
 import json
 import sys
 
-import mpmath
-
 from .classfield import ring_class_polynomial
 from .elliptic import EllipticElement, enumerate_representatives, fixed_point, order_of
 from .errors import CfqError, EscalationFailureError
 from .exactpoly import IntPoly, LaurentExpr, verify_root_relation
-from .hauptmodul import catalog_entries, catalog_lookup, evaluate, value_digits
+from .hauptmodul import catalog_entries, catalog_lookup, evaluate, value_text
 from .numerics import MIN_PREC_BITS, PrecisionPolicy
 from .quadforms import enumerate_class_group
 
@@ -168,21 +166,20 @@ def _cmd_eval(args, out) -> int:
         raise CfqError(f"precision must be at least {MIN_PREC_BITS} bits, got {prec}")
     alpha = EllipticElement.from_text(args.element, args.level)
     spec = catalog_lookup(args.level, args.group)
-    value = evaluate(spec, fixed_point(alpha), prec)
-    dps = value_digits(prec)
+    value_re, value_im = value_text(evaluate(spec, fixed_point(alpha), prec), prec)
     if args.json:
         obj = {
             "level": args.level,
             "group": args.group,
             "element": alpha.text(),
-            "disc": order_of(alpha).disc,
+            "disc": order_of(alpha),
             "prec_bits": prec,
-            "value_re": mpmath.nstr(value.real, dps),
-            "value_im": mpmath.nstr(value.imag, dps),
+            "value_re": value_re,
+            "value_im": value_im,
         }
         out.write(_emit_json(obj) + "\n")
     else:
-        out.write(f"{mpmath.nstr(value.real, dps)} {mpmath.nstr(value.imag, dps)}\n")
+        out.write(f"{value_re} {value_im}\n")
     return 0
 
 

@@ -19,7 +19,6 @@ from .quadforms import ClassGroup, QuadForm, enumerate_class_group, reduce_form
 __all__ = [
     "EllipticElement",
     "CMPoint",
-    "OrderDesc",
     "fixed_point",
     "order_of",
     "enumerate_representatives",
@@ -103,26 +102,6 @@ class CMPoint:
         object.__setattr__(self, "n", n)
 
 
-@dataclass(frozen=True)
-class OrderDesc:
-    """The imaginary quadratic order attached to an elliptic element."""
-
-    n: int
-    disc: int
-
-    def __post_init__(self):
-        if self.disc not in (-self.n, -4 * self.n):
-            raise DomainError(f"disc {self.disc} invalid for level {self.n}")
-        if self.disc == -self.n and self.n % 4 != 3:
-            raise DomainError("disc -n requires n = 3 mod 4")
-
-    @property
-    def generator(self) -> str:
-        if self.disc == -self.n:
-            return f"Z[(-{self.n}+sqrt(-{self.n}))/2]"
-        return f"Z[sqrt(-{self.n})]"
-
-
 def fixed_point(alpha: EllipticElement) -> CMPoint:
     """The unique fixed point (n*A + sqrt(-n)) / (n*C) in the upper half plane."""
     tau = CMPoint(alpha.n * alpha.A, 1, alpha.n * alpha.C, alpha.n)
@@ -135,13 +114,13 @@ def fixed_point(alpha: EllipticElement) -> CMPoint:
     return tau
 
 
-def order_of(alpha: EllipticElement) -> OrderDesc:
-    """The order of the fixed point: disc -n when B and C are both even, otherwise -4n."""
+def order_of(alpha: EllipticElement) -> int:
+    """Discriminant of the order of the fixed point: -n when B and C are both even, otherwise -4n."""
     if alpha.B % 2 == 0 and alpha.C % 2 == 0:
         if alpha.n % 4 != 3:
             raise DomainError("internal invariant violated: even B, C force n = 3 mod 4")
-        return OrderDesc(alpha.n, -alpha.n)
-    return OrderDesc(alpha.n, -4 * alpha.n)
+        return -alpha.n
+    return -4 * alpha.n
 
 
 def enumerate_representatives(
@@ -161,7 +140,8 @@ def enumerate_representatives(
     else:
         raise DomainError(f"disc {disc} invalid for level {n}")
     cg = group if group is not None else enumerate_class_group(disc)
-    targets = {k: cls.rep for k, cls in enumerate(cg.classes)}
+    # reduced form -> class index, for the classes still without an element
+    targets = {cls.rep: k for k, cls in enumerate(cg.classes)}
     found: dict[int, EllipticElement] = {}
     bound = 64 * cg.class_number
     for c in range(1, bound + 1):
@@ -175,15 +155,11 @@ def enumerate_representatives(
             even = b % 2 == 0 and c % 2 == 0
             if even != half:
                 continue
-            prim = alpha.primitive_form()
-            rep = reduce_form(prim)[0]
-            for k, target in list(targets.items()):
-                if rep == target:
-                    found[k] = alpha
-                    del targets[k]
-                    break
+            k = targets.pop(reduce_form(alpha.primitive_form()), None)
+            if k is not None:
+                found[k] = alpha
     if targets:
         raise SearchFailureError(
-            f"no representative with C <= {bound} for classes {sorted(targets)}"
+            f"no representative with C <= {bound} for classes {sorted(targets.values())}"
         )
     return [found[k] for k in range(cg.class_number)]

@@ -79,6 +79,7 @@ __all__ = [
     "catalog_entries",
     "evaluate",
     "value_digits",
+    "value_text",
     "ERROR_BITS",
 ]
 
@@ -259,6 +260,25 @@ def evaluate(spec, tau, prec: int) -> mpmath.mpc:
 def value_digits(prec: int) -> int:
     """Significant decimal digits of a value that evaluate's bound supports at prec bits."""
     return math.floor((prec - ERROR_BITS) * math.log10(2))
+
+
+def value_text(value: mpmath.mpc, prec: int) -> tuple[str, str]:
+    """The real and imaginary parts of an `evaluate` result at prec bits as text.
+
+    Each part x gets floor(log10(|x| / bound)) significant digits, at most
+    value_digits(prec), where bound = 2^(ERROR_BITS - prec) * max(1, |value|)
+    is evaluate's bound; a part at or below the bound prints as 0.0.
+    """
+    with mp.workprec(53):
+        bound = mpmath.ldexp(max(1, abs(value)), ERROR_BITS - prec)
+        parts = []
+        for x in (value.real, value.imag):
+            if abs(x) <= bound:
+                parts.append("0.0")
+                continue
+            digits = int(mpmath.floor(mpmath.log10(abs(x) / bound)))
+            parts.append(mpmath.nstr(x, max(1, min(digits, value_digits(prec)))))
+    return parts[0], parts[1]
 
 
 def _laurent_sum(laurent: LaurentExpr, t, t_err: float) -> tuple[mpmath.mpc, float]:

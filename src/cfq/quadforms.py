@@ -1,7 +1,7 @@
 """Positive definite binary quadratic forms and their class groups.
 
-Covers Gauss reduction with transformation tracking, SL2(Z)-equivalence,
-composition of ideal classes by the united-forms method, and brute-force
+Covers Gauss reduction to the unique reduced form of an SL2(Z) class,
+Dirichlet composition of ideal classes by extended gcd, and brute-force
 class group enumeration (the Cayley table is composed only when first read).
 """
 
@@ -11,56 +11,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, isqrt
 
-from .errors import DomainError, SearchFailureError
+from .errors import DomainError
 
 __all__ = [
-    "SL2Matrix",
     "QuadForm",
     "IdealClass",
     "ClassGroup",
     "reduce_form",
-    "equivalent",
     "compose",
     "enumerate_class_group",
 ]
-
-
-@dataclass(frozen=True)
-class SL2Matrix:
-    """Unimodular integer matrix [[p, q], [r, s]] with determinant 1."""
-
-    p: int
-    q: int
-    r: int
-    s: int
-
-    def __post_init__(self):
-        if self.p * self.s - self.q * self.r != 1:
-            raise DomainError(f"matrix {self} has determinant != 1")
-
-    def __mul__(self, other: SL2Matrix) -> SL2Matrix:
-        return SL2Matrix(
-            self.p * other.p + self.q * other.r,
-            self.p * other.q + self.q * other.s,
-            self.r * other.p + self.s * other.r,
-            self.r * other.q + self.s * other.s,
-        )
-
-    def inverse(self) -> SL2Matrix:
-        return SL2Matrix(self.s, -self.q, -self.r, self.p)
-
-    @classmethod
-    def identity(cls) -> SL2Matrix:
-        return cls(1, 0, 0, 1)
-
-    @classmethod
-    def translation(cls, k: int) -> SL2Matrix:
-        return cls(1, k, 0, 1)
-
-    @classmethod
-    def flip(cls) -> SL2Matrix:
-        """The substitution (x, y) -> (-y, x)."""
-        return cls(0, -1, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -85,20 +45,6 @@ class QuadForm:
     def is_primitive(self) -> bool:
         return self.content == 1
 
-    def __call__(self, x: int, y: int) -> int:
-        return self.a * x * x + self.b * x * y + self.c * y * y
-
-    def transform(self, u: SL2Matrix) -> QuadForm:
-        """The form F(px + qy, rx + sy)."""
-        a = self(u.p, u.r)
-        c = self(u.q, u.s)
-        b = (
-            2 * self.a * u.p * u.q
-            + self.b * (u.p * u.s + u.q * u.r)
-            + 2 * self.c * u.r * u.s
-        )
-        return QuadForm(a, b, c)
-
     def inverse(self) -> QuadForm:
         return QuadForm(self.a, -self.b, self.c)
 
@@ -120,41 +66,22 @@ def _check_pos_def(f: QuadForm) -> None:
         raise DomainError(f"form {f} is not positive definite")
 
 
-def reduce_form(f: QuadForm) -> tuple[QuadForm, SL2Matrix]:
-    """Gauss-reduce f; returns (g, u) with f.transform(u) == g and g reduced."""
+def reduce_form(f: QuadForm) -> QuadForm:
+    """The reduced form SL2(Z)-equivalent to f, by Gauss reduction."""
     _check_pos_def(f)
-    u = SL2Matrix.identity()
     a, b, c = f.a, f.b, f.c
     while True:
-        if not (-a < b <= a):
-            k = (a - b) // (2 * a)
-            c = a * k * k + b * k + c
-            b = b + 2 * a * k
-            u = u * SL2Matrix.translation(k)
-        if a > c:
-            a, b, c = c, -b, a
-            u = u * SL2Matrix.flip()
-            continue
-        break
+        # translate b into (-a, a], then flip while a > c
+        k = (a - b) // (2 * a)
+        b, c = b + 2 * a * k, a * k * k + b * k + c
+        if a <= c:
+            break
+        a, b, c = c, -b, a
     if a == c and b < 0:
         b = -b
-        u = u * SL2Matrix.flip()
     g = QuadForm(a, b, c)
-    assert g.is_reduced() and f.transform(u) == g
-    return g, u
-
-
-def equivalent(f: QuadForm, g: QuadForm) -> SL2Matrix | None:
-    """A matrix u with f.transform(u) == g, or None if inequivalent."""
-    _check_pos_def(f)
-    _check_pos_def(g)
-    rf, uf = reduce_form(f)
-    rg, ug = reduce_form(g)
-    if rf != rg:
-        return None
-    u = uf * ug.inverse()
-    assert f.transform(u) == g
-    return u
+    assert g.is_reduced()
+    return g
 
 
 @dataclass(frozen=True)
@@ -167,7 +94,7 @@ class IdealClass:
         _check_pos_def(form)
         if not form.is_primitive():
             raise DomainError(f"form {form} is imprimitive (content {form.content})")
-        object.__setattr__(self, "rep", reduce_form(form)[0])
+        object.__setattr__(self, "rep", reduce_form(form))
 
     @property
     def disc(self) -> int:
@@ -198,48 +125,24 @@ def _extgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_u, old_v
 
 
-# Coprime (x, y) with |x|, |y| <= 16, nearest the origin first, each with
-# (u, v) such that u*x + v*y = 1.
-_COPRIME_PAIRS = tuple(
-    (x, y) + _extgcd(x, y)[1:]
-    for x, y in sorted(
-        ((x, y) for x in range(-16, 17) for y in range(-16, 17)),
-        key=lambda p: (max(abs(p[0]), abs(p[1])), abs(p[0]) + abs(p[1])),
-    )
-    if gcd(x, y) == 1
-)
-
-
-def _coprime_value_transform(f: QuadForm, modulus: int) -> SL2Matrix:
-    """Unimodular u with gcd(f.transform(u).a, modulus) == 1.
-
-    The (x, y) search is bounded by 16 in each coordinate, which is ample for
-    the discriminants this package handles.
-    """
-    for x, y, u, v in _COPRIME_PAIRS:
-        if gcd(f(x, y), modulus) == 1:
-            return SL2Matrix(x, -v, y, u)
-    raise SearchFailureError(
-        f"no value of {f} coprime to {modulus} with coordinates up to 16"
-    )
-
-
 def compose(f: IdealClass, g: IdealClass) -> IdealClass:
-    """Product of two ideal classes by united-forms composition."""
+    """Product of two ideal classes by Dirichlet composition.
+
+    With e = gcd(a1, a2, (b1 + b2)/2) = u a1 + v a2 + w (b1 + b2)/2, the
+    composite is (a1 a2 / e^2, B, .) with
+    B = (u a1 b2 + v a2 b1 + w (b1 b2 + d)/2) / e mod 2 a1 a2 / e^2
+    (Cohen, A Course in Computational Algebraic Number Theory, 5.4).
+    """
     if f.disc != g.disc:
         raise DomainError(f"discriminant mismatch: {f.disc} vs {g.disc}")
     d = f.disc
-    f1 = f.rep
-    # move g to a representative whose leading coefficient is coprime to a1
-    u = _coprime_value_transform(g.rep, f1.a)
-    f2 = g.rep.transform(u)
-    a1, b1 = f1.a, f1.b
-    a2, b2 = f2.a, f2.b
-    assert gcd(a1, a2) == 1
-    # B = b1 mod 2a1, B = b2 mod 2a2; the parities agree since both match d
-    t = ((b2 - b1) // 2 * pow(a1, -1, a2)) % a2
-    bb = b1 + 2 * a1 * t
-    a3 = a1 * a2
+    a1, b1 = f.rep.a, f.rep.b
+    a2, b2 = g.rep.a, g.rep.b
+    h, x, y = _extgcd(a1, a2)
+    e, z, w = _extgcd(h, (b1 + b2) // 2)
+    u, v = z * x, z * y
+    a3 = a1 * a2 // (e * e)
+    bb = (u * a1 * b2 + v * a2 * b1 + w * ((b1 * b2 + d) // 2)) // e % (2 * a3)
     num = bb * bb - d
     assert num % (4 * a3) == 0
     return IdealClass(QuadForm(a3, bb, num // (4 * a3)))

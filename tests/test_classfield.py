@@ -139,7 +139,7 @@ class TestInversePairs:
         )
         other = next(
             el for el in deeper
-            if reduce_form(el.primitive_form())[0] == cg.classes[k].rep
+            if reduce_form(el.primitive_form()) == cg.classes[k].rep
         )
         mixed = reps[:k] + [other] + reps[k + 1:]
         vals = singular_values(71, "fricke", -71, 256, class_group=cg, reps=mixed)

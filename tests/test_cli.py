@@ -6,10 +6,11 @@ import json
 import mpmath
 import pytest
 
+from conftest import level_keys
 from cfq.classfield import singular_values
 from cfq.cli import run
 from cfq.errors import RoundingFailureError
-from cfq.hauptmodul import value_digits
+from cfq.hauptmodul import ERROR_BITS, value_digits
 
 
 def invoke(argv):
@@ -84,7 +85,8 @@ class TestClassPoly:
 
     def test_json_digits_within_the_bound(self):
         # every printed digit of the 64-bit values agrees with a 256-bit
-        # evaluation, up to one unit in the last printed place
+        # evaluation, up to one unit in the last place that evaluate's bound
+        # supports, and no digit past that place is printed
         code, out, _ = invoke(
             ["class-poly", "-n", "71", "--group", "fricke", "-D", "-71", "--json"]
         )
@@ -92,16 +94,35 @@ class TestClassPoly:
         assert code == 0 and digits == 18
         points = json.loads(out)["points"]
         exact = singular_values(71, "fricke", -71, 256).values()
+        shortened = 0
         with mpmath.mp.workprec(256):
             for point, value in zip(points, exact):
+                bound = mpmath.ldexp(max(1, abs(value)), ERROR_BITS - 64)
                 for text, x in ((point["value_re"], value.real), (point["value_im"], value.imag)):
                     printed = mpmath.mpf(text)
                     if x == 0:
                         assert printed == 0
                         continue
-                    assert len(text.lstrip("-").replace(".", "").lstrip("0")) <= digits
-                    ulp = mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(abs(x))) - digits + 1)
+                    supported = min(digits, int(mpmath.floor(mpmath.log10(abs(x) / bound))))
+                    shortened += supported < digits
+                    mantissa = text.lstrip("-").split("e")[0]
+                    assert len(mantissa.replace(".", "").lstrip("0")) <= supported
+                    ulp = mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(abs(x))) - supported + 1)
                     assert abs(printed - x) <= ulp, (text, x)
+        # the imaginary parts of the classes (8, +-2, 9) are below |t| / 50
+        assert shortened == 2
+
+    @pytest.mark.parametrize("key", level_keys(), ids=lambda k: "%d-%s%d" % k)
+    def test_real_values_print_a_zero_imaginary_part(self, key):
+        # h <= 2, so every class is its own inverse and every value is real;
+        # 64-bit noise in the imaginary part lies far below evaluate's bound
+        n, group, disc = key
+        code, out, _ = invoke(
+            ["class-poly", "-n", str(n), "--group", group, "-D", str(disc), "--json"]
+        )
+        points = json.loads(out)["points"]
+        assert code == 0 and points
+        assert all(point["value_im"] == "0.0" for point in points)
 
 
 class TestClassGroup:
@@ -170,6 +191,12 @@ class TestEval:
         obj = json.loads(out)
         assert obj["disc"] == -8
         assert obj["value_re"].startswith("152.0")
+
+    def test_exact_value_prints_no_noise(self):
+        # the element fixes 1 + sqrt(-2)/2, where the level-2 principal
+        # modulus is the root of the class polynomial x - 88 of disc -8
+        code, out, _ = invoke(["eval", "-n", "2", "--group", "gamma0", "--element", "1,-3,1"])
+        assert (code, out) == (0, "88.0 0.0\n")
 
 
 class TestVerify:
