@@ -51,7 +51,7 @@ from .hauptmodul import (
     catalog_lookup,
     evaluate,
 )
-from .numerics import PrecisionPolicy, poly_from_roots, round_to_int_poly
+from .numerics import PrecisionPolicy
 from .quadforms import (
     ClassGroup,
     IdealClass,

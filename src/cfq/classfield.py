@@ -35,7 +35,7 @@ from .errors import DomainError, EscalationFailureError, RoundingFailureError
 from .exactpoly import IntPoly
 from .hauptmodul import ERROR_BITS, catalog_lookup, evaluate, value_text
 from .numerics import PrecisionPolicy, certify_int_poly
-from .quadforms import ClassGroup, IdealClass, enumerate_class_group
+from .quadforms import ClassGroup, IdealClass, compose, enumerate_class_group
 
 __all__ = [
     "SingularValueSet",
@@ -129,6 +129,8 @@ def singular_values(
     if spec is None:
         spec = catalog_lookup(n, group)
     cg = class_group if class_group is not None else enumerate_class_group(disc)
+    if cg.disc != disc:
+        raise DomainError(f"class group of discriminant {cg.disc} given for discriminant {disc}")
     if reps is None:
         reps = enumerate_representatives(n, disc, cg)
     entries = []
@@ -206,6 +208,5 @@ def galois_permutation(beta: IdealClass, values: SingularValueSet) -> tuple[int,
             f"class discriminant {beta.disc} does not match value set {values.disc}"
         )
     cg = values.class_group
-    j = cg.index_of(beta)
-    jinv = cg.inverse_idx(j)
-    return tuple(cg.compose_idx(i, jinv) for i in range(cg.class_number))
+    inverse = beta.inverse()
+    return tuple(cg.index_of(compose(cls, inverse)) for cls in cg.classes)

@@ -139,6 +139,8 @@ def enumerate_representatives(
         half = True
     else:
         raise DomainError(f"disc {disc} invalid for level {n}")
+    if group is not None and group.disc != disc:
+        raise DomainError(f"class group of discriminant {group.disc} given for discriminant {disc}")
     cg = group if group is not None else enumerate_class_group(disc)
     # reduced form -> class index, for the classes still without an element
     targets = {cls.rep: k for k, cls in enumerate(cg.classes)}

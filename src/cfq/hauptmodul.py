@@ -38,8 +38,9 @@ D = prod (1 - q^n)(1 - q^(Nn)), and f = sum_(e >= v-1) c_e q^e, so
     t = (c_(v-1)/q + sum_(e >= v) c_e q^(e-v)) / D + shift.
 
 Both series have integer coefficients and are summed by
-`numerics._fixed_series`, whose proven rounding bound is charged in full:
-D over the exponents p1 + N p2 of pairs of pentagonal exponents, the
+`numerics._fixed_series` against one set of powers of q, built once per
+point at one scale, and the kernel's proven rounding bound is charged in
+full: D over the exponents p1 + N p2 of pairs of pentagonal exponents, the
 numerator over its nonzero c_e, which come from lattice enumeration and
 are cached per process.  Each stops at the first exponent whose tail bound
 meets its target, fixed before it is summed.  The tails are proven: the
@@ -68,7 +69,7 @@ from .elliptic import CMPoint
 from .errors import ConvergenceError, DomainError, NoConstructionError, NotGenusZeroError
 from .eta import EtaQuotientSpec, _ascend, _pentagonal, _pentagonal_exponent, eta_quotient
 from .exactpoly import LaurentExpr
-from .numerics import _GUARD, _fixed_series, _to_fixed
+from .numerics import _GUARD, _fixed_series, _powers, _to_fixed
 
 __all__ = [
     "EtaQuotientHaupt",
@@ -440,21 +441,25 @@ def _cutoff(ell: float, target: float, growth) -> tuple[int, float]:
     return k, tail
 
 
-def _sum_series(q, table, size: int, coeff_bits: int, wp: int) -> tuple[mpmath.mpc, float]:
-    """The kernel's sum at q of a table's terms below size, and its error but q's.
+def _sum_series(q, powers, table, size: int, coeff_bits: int, wp: int,
+                w: int) -> tuple[mpmath.mpc, float]:
+    """The kernel's sum of a table's terms below size, and its error but q's.
 
-    table is (exponents, coefficients); the error is in units of 2^-wp.  At
-    the scale 2^w below, the kernel's bound, 1.5 * 2^b * sum_j e_j plus 1.5
-    per giant step, and as much again for the truncation of q (each q^e
-    moves by at most sqrt(2) e 2^-w), stays below 4 units; the conversion
-    of the sum rounds once more.
+    q and powers are the point and its powers at the scale 2^w; table is
+    (exponents, coefficients); the error is in units of 2^-wp.  The
+    kernel's bound, 1.5 * 2^b * sum_j e_j plus 1.5 per giant step, counts
+    twice, the second time for the truncation of q (each q^e moves by at
+    most sqrt(2) e 2^-w), and the conversion of the sum rounds once more.
     """
     cut = bisect_left(table[0], size)
-    w = wp + coeff_bits + 2 * size.bit_length()
-    sr, si, bound = _fixed_series((_to_fixed(q.real, w), _to_fixed(q.imag, w)),
-                                  table[0][:cut], table[1][:cut], coeff_bits, w)
+    sr, si, bound = _fixed_series(q, table[0][:cut], table[1][:cut], coeff_bits, w, powers)
     value = mp.mpc(mp.ldexp(sr, -w), mp.ldexp(si, -w))
     return value, bound * 2.0 ** (wp + 1 - w) + 2 * abs(complex(value))
+
+
+def _coeff_bits(a: float, top: int) -> int:
+    """Bits of the numerator's bound A sqrt(e) over the exponents below top."""
+    return math.ceil(a * (isqrt(top) + 1)).bit_length()
 
 
 def _evaluate_theta(spec: ThetaQuotientHaupt, z, prec: int) -> tuple[mpmath.mpc, float]:
@@ -484,7 +489,18 @@ def _evaluate_theta(spec: ThetaQuotientHaupt, z, prec: int) -> tuple[mpmath.mpc,
     # leaves room for |D| down to 2^-4 or so; sampling finds |D| > 0.05 at
     # every point the ascent reaches (the bound does not assume it)
     size, tail = _cutoff(ell, -(prec + 8) * math.log(2), lambda k: (1 / n, 1.0))
-    den, den_err = _sum_series(q, _eta_product(n, _pow2_size(size)), size, 0, wp)
+    a = 4 * sum(abs(s) for _, s in spec.forms) / spec.divisor
+    # One scale and one set of powers for both series, with room for the
+    # numerator's coefficients and exponent sums up to twice D's cutoff K
+    # (its own cutoff lies near K).  m products build the powers, and each
+    # series then costs a block per m exponents, about 3 products' worth of
+    # work for these sparse series: m = isqrt(6K) balances the two, and
+    # timed best among isqrt(cK), c = 1 .. 16, at 64 bits (flat at 256).
+    room = 2 * size
+    w = wp + _coeff_bits(a, room + v) + 2 * room.bit_length()
+    qw = (_to_fixed(q.real, w), _to_fixed(q.imag, w))
+    powers = _powers(qw, isqrt(6 * size), w)
+    den, den_err = _sum_series(qw, powers, _eta_product(n, _pow2_size(size)), size, 0, wp, w)
     den_err += math.exp(min(tail + to_units, 709.0)) + eps_q * (s2 / n + s1)
     den_low = abs(complex(den)) - den_err * 2.0**-wp
     if not den_low > 0:
@@ -492,16 +508,13 @@ def _evaluate_theta(spec: ThetaQuotientHaupt, z, prec: int) -> tuple[mpmath.mpc,
 
     # The numerator: its tail from the shifted exponent k, with
     # sqrt(e + v) <= (e + v) / sqrt(k + v), is below 2^(ERROR_BITS-2-prec) |D|
-    a = 4 * sum(abs(s) for _, s in spec.forms) / spec.divisor
-
     def growth(k):
         return a / math.sqrt(k + v), a * v / math.sqrt(k + v)
 
     target = (ERROR_BITS - 2 - prec) * math.log(2) + math.log(den_low)
     size, tail = _cutoff(ell, target, growth)
     lead, *table = _theta_numerator(spec, _pow2_size(size))
-    coeff_bits = math.ceil(a * (isqrt(size + v) + 1)).bit_length()
-    acc, acc_err = _sum_series(q, table, size, coeff_bits, wp)
+    acc, acc_err = _sum_series(qw, powers, table, size, _coeff_bits(a, size + v), wp, w)
     num = lead / q + acc
     quotient = num / den
     value = quotient + spec.shift if spec.shift else quotient

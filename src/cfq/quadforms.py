@@ -176,7 +176,7 @@ class ClassGroup:
         return len(self.classes)
 
     def index_of(self, cls: IdealClass) -> int:
-        return self.classes.index(cls)
+        return self._index[cls.rep]
 
     def compose_idx(self, i: int, j: int) -> int:
         return self.table[i][j]

@@ -22,6 +22,9 @@ H71 = IntPoly([1, 0, -2, -3, 1, 5, 4, 1])
 H284 = IntPoly([-11, 4, 18, 5, -11, -7, 0, 1])
 WEBER = IntPoly([-1, -1, 1, 1, 1, -1, -2, 1])     # x^7-2x^6-x^5+x^4+x^3+x^2-x-1
 
+# discriminants whose class groups the tests compose in full
+GROUP_DISCS = [-71, -284, -8, -20, -24]
+
 
 def cpx(re, im, prec) -> mpmath.mpc:
     """re + i*im, parsed and rounded at prec bits."""

@@ -6,14 +6,22 @@ from collections import Counter
 import pytest
 from mpmath import mp
 
-from conftest import H71, H284, level_keys, rat, rat_gcd
-from cfq.classfield import galois_permutation, ring_class_polynomial, singular_values
+import cfq.classfield
+import cfq.quadforms
+
+from conftest import GROUP_DISCS, H71, H284, level_keys, rat, rat_gcd
+from cfq.classfield import (
+    SingularValueSet,
+    galois_permutation,
+    ring_class_polynomial,
+    singular_values,
+)
 from cfq.elliptic import EllipticElement, enumerate_representatives, fixed_point
 from cfq.errors import DomainError, EscalationFailureError, RoundingFailureError
 from cfq.exactpoly import IntPoly
-from cfq.hauptmodul import catalog_lookup, evaluate
-from cfq.numerics import PrecisionPolicy, poly_from_roots, round_to_int_poly
-from cfq.quadforms import IdealClass, QuadForm, enumerate_class_group, reduce_form
+from cfq.hauptmodul import ERROR_BITS, catalog_lookup, evaluate
+from cfq.numerics import PrecisionPolicy, certify_int_poly
+from cfq.quadforms import IdealClass, QuadForm, compose, enumerate_class_group, reduce_form
 
 
 class TestSingularValues:
@@ -31,6 +39,15 @@ class TestSingularValues:
         with mp.workprec(256):
             prod = mp.fprod(vals.values())
             assert abs(prod - 11) < mp.mpf(2) ** -64
+
+    def test_class_group_of_other_disc_refused(self):
+        # named at once, with or without representatives
+        cg = enumerate_class_group(-284)
+        with pytest.raises(DomainError, match=r"-284.*-71"):
+            singular_values(71, "fricke", -71, 64, class_group=cg)
+        reps = enumerate_representatives(71, -284, cg)
+        with pytest.raises(DomainError, match=r"-284.*-71"):
+            singular_values(71, "fricke", -71, 64, class_group=cg, reps=reps)
 
     def test_level2_value(self):
         vals = singular_values(2, "gamma0", -8, 128)
@@ -147,10 +164,8 @@ class TestInversePairs:
         assert vals.entries[k][1] == other
         direct = evaluate(catalog_lookup(71, "fricke"), fixed_point(other), 256)
         assert _same_bits(vals.values()[k], direct)
-        poly, _ = round_to_int_poly(
-            poly_from_roots(vals.values(), 256), mp.mpf(2) ** -32, 256
-        )
-        assert poly == H71
+        poly, residual, _ = certify_int_poly(vals.values(), ERROR_BITS + 1 - 256, 256)
+        assert poly == H71 and residual < mp.mpf(2) ** -32
 
 
 # class polynomials of the theta quotients of levels 47 and 23
@@ -195,7 +210,6 @@ class TestRingClassPolynomial:
         # the pipeline path and a by-hand path through the deep conjugate point
         from cfq.elliptic import EllipticElement, fixed_point
         from cfq.hauptmodul import catalog_lookup, evaluate
-        from cfq.numerics import poly_from_roots, round_to_int_poly
 
         entry = catalog_lookup(71, "fricke")
         shallow = evaluate(entry, fixed_point(EllipticElement(71, 1, -36, 2)), 160)
@@ -205,8 +219,8 @@ class TestRingClassPolynomial:
         # substituting the conjugate value leaves the rounded polynomial alone
         vals = singular_values(71, "fricke", -71, 160)
         swapped = [deep] + vals.values()[1:]
-        poly, _ = round_to_int_poly(poly_from_roots(swapped, 160), mp.mpf(2) ** -32, 160)
-        assert poly == H71
+        poly, residual, _ = certify_int_poly(swapped, ERROR_BITS + 1 - 160, 160)
+        assert poly == H71 and residual < mp.mpf(2) ** -32
 
     def test_lookups_once_per_request(self, monkeypatch):
         import cfq.classfield
@@ -374,3 +388,27 @@ class TestGaloisPermutation:
         vals = singular_values(71, "fricke", -71, 128)
         with pytest.raises(DomainError):
             galois_permutation(IdealClass(QuadForm(1, 0, 71)), vals)
+
+    def test_one_composition_per_class(self, monkeypatch):
+        # h compositions for one permutation, and the Cayley table unread
+        vals = singular_values(71, "fricke", -71, 64)
+        calls = []
+
+        def counting(f, g):
+            calls.append((f, g))
+            return compose(f, g)
+
+        monkeypatch.setattr(cfq.classfield, "compose", counting)
+        monkeypatch.setattr(cfq.quadforms, "compose", counting)
+        galois_permutation(vals.class_group.classes[2], vals)
+        assert len(calls) == 7
+        assert "table" not in vars(vals.class_group)
+
+    @pytest.mark.parametrize("disc", GROUP_DISCS)
+    def test_matches_table_column(self, disc):
+        # the permutation only reads the value set's class group
+        cg = enumerate_class_group(disc)
+        vals = SingularValueSet(0, "fricke", disc, (), 64, cg)
+        for j, beta in enumerate(cg.classes):
+            column = cg.inverse_idx(j)
+            assert galois_permutation(beta, vals) == tuple(row[column] for row in cg.table)

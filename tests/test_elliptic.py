@@ -153,6 +153,13 @@ class TestEnumerateRepresentatives:
         with pytest.raises(DomainError):
             enumerate_representatives(5, -5)       # 5 = 1 mod 4
 
+    def test_class_group_of_other_disc_refused(self):
+        # refused at once, instead of a full scan that finds no element
+        with pytest.raises(DomainError, match=r"-284.*-71"):
+            enumerate_representatives(71, -71, enumerate_class_group(-284))
+        with pytest.raises(DomainError, match=r"-71.*-284"):
+            enumerate_representatives(71, -284, enumerate_class_group(-71))
+
     def test_polynomial_discriminant_consistency(self):
         for el in enumerate_representatives(71, -284) + enumerate_representatives(71, -71):
             f = el.form()

@@ -36,7 +36,7 @@ from cfq.hauptmodul import (
     _theta_numerator,
     evaluate,
 )
-from cfq.numerics import _GUARD, _fixed_series
+from cfq.numerics import _GUARD, _fixed_series, _powers
 from cfq.quadforms import enumerate_class_group
 
 
@@ -447,9 +447,9 @@ class TestQSeriesKernel:
         # product, and the proven |c_e| <= 4 sqrt(e) for the numerator
         seen = []
 
-        def recording(q, exponents, coeffs, coeff_bits, w):
+        def recording(q, exponents, coeffs, coeff_bits, w, powers):
             seen.append((coeffs, coeff_bits))
-            return _fixed_series(q, exponents, coeffs, coeff_bits, w)
+            return _fixed_series(q, exponents, coeffs, coeff_bits, w, powers)
 
         monkeypatch.setattr(cfq.hauptmodul, "_fixed_series", recording)
         evaluate(catalog_lookup(71, "fricke"), fixed_point(alpha), prec)
@@ -470,9 +470,9 @@ class TestQSeriesKernel:
             cutoffs.append((ell, target, growth, k))
             return k, tail
 
-        def recording_series(q, exponents, coeffs, coeff_bits, w):
+        def recording_series(q, exponents, coeffs, coeff_bits, w, powers):
             sums.append(tuple(exponents))
-            return _fixed_series(q, exponents, coeffs, coeff_bits, w)
+            return _fixed_series(q, exponents, coeffs, coeff_bits, w, powers)
 
         monkeypatch.setattr(cfq.hauptmodul, "_cutoff", recording_cutoff)
         monkeypatch.setattr(cfq.hauptmodul, "_fixed_series", recording_series)
@@ -484,6 +484,32 @@ class TestQSeriesKernel:
         for (ell, target, growth, k), summed, table in zip(cutoffs, sums, tables):
             assert _log_tail(ell, k, *growth(k)) <= target < _log_tail(ell, k - 1, *growth(k - 1))
             assert summed == tuple(e for e in table if e < k)
+
+    @pytest.mark.parametrize("prec", [64, 256, 1024])
+    def test_powers_built_once_per_point(self, prec, monkeypatch):
+        # one set of powers of q per evaluation, at one scale, and both
+        # series are summed against that same set
+        built, used = [], []
+
+        def recording_powers(q, m, w):
+            built.append((q, m, w))
+            return _powers(q, m, w)
+
+        def recording_series(q, exponents, coeffs, coeff_bits, w, powers):
+            used.append((q, w, powers))
+            return _fixed_series(q, exponents, coeffs, coeff_bits, w, powers)
+
+        monkeypatch.setattr(cfq.hauptmodul, "_powers", recording_powers)
+        monkeypatch.setattr(cfq.hauptmodul, "_fixed_series", recording_series)
+        entry = catalog_lookup(71, "fricke")
+        for alpha in LEVEL71_POINTS:
+            built.clear()
+            used.clear()
+            evaluate(entry, fixed_point(alpha), prec)
+            assert len(built) == 1 and len(used) == 2
+            (q, m, w), = built
+            assert m >= 1 and all(u[0] == q and u[1] == w for u in used)
+            assert used[0][2] is used[1][2] and len(used[0][2][0]) == m
 
 
 def _series_reference(tau, prec):

@@ -4,12 +4,12 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import mpmath
 from mpmath import mp
 
-from conftest import H284, WEBER, cpx
+from conftest import H284, WEBER, cpx, rounded
 from cfq.elliptic import EllipticElement, fixed_point
 from cfq.errors import DomainError, RoundingFailureError
 from cfq.eta import EtaQuotientSpec, eta, eta_quotient
@@ -19,10 +19,11 @@ from cfq.numerics import (
     MIN_PREC_BITS,
     PrecisionPolicy,
     _coefficient_radius,
+    _expand,
     _fixed_series,
+    _nearest,
+    _powers,
     certify_int_poly,
-    poly_from_roots,
-    round_to_int_poly,
 )
 
 
@@ -72,9 +73,17 @@ def long_series_cases(draw):
     return q, exponents, coeffs, bits, w
 
 
-def assert_within_bound(q, exponents, coeffs, bits, w):
+@st.composite
+def powered_cases(draw):
+    """(q, exponents, coeffs, coeff_bits, w, m): a series and a block size m in [1, e_max]."""
+    q, exponents, coeffs, bits, w = draw(series_cases())
+    assume(len(exponents) and exponents[-1] >= 1)
+    return q, exponents, coeffs, bits, w, draw(st.integers(1, exponents[-1]))
+
+
+def assert_within_bound(q, exponents, coeffs, bits, w, powers=None):
     """The kernel's sum is within its returned bound of an mpmath sum at w + 300 bits."""
-    sr, si, bound = _fixed_series(q, exponents, coeffs, bits, w)
+    sr, si, bound = _fixed_series(q, exponents, coeffs, bits, w, powers)
     with mp.workprec(w + 300):
         scale = mp.mpf(2) ** w
         x = mp.mpc(*q) / scale
@@ -141,6 +150,28 @@ class TestFixedSeries:
         assert (_fixed_series(q, exponents, coeffs, bits, w)
                 == _fixed_series(q, list(exponents), coeffs, bits, w))
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=powered_cases())
+    def test_given_powers_within_stated_bound(self, case):
+        # any block size: the sum against powers built once is within the
+        # bound, which counts one giant step per block below the top
+        q, exponents, coeffs, bits, w, m = case
+        bound = assert_within_bound(q, exponents, coeffs, bits, w, _powers(q, m, w))
+        assert bound == 1.5 * 2**bits * sum(exponents) + 1.5 * (exponents[-1] // m)
+
+    @settings(max_examples=50, deadline=None)
+    @given(e_max=st.integers(1, 300), m=st.integers(1, 600), over=st.integers(1, 4),
+           w=st.integers(64, 400))
+    def test_given_powers_premise(self, e_max, m, over, w):
+        # |q| <= 1 - 2 max(e_max, m) 2^-w holds on the edge and fails past it
+        exponents = range(e_max + 1)
+        edge = (1 << w) - 2 * max(e_max, m)
+        q = (edge, 0)
+        _fixed_series(q, exponents, [1] * (e_max + 1), 0, w, _powers(q, m, w))
+        q = (edge + over, 0)
+        with pytest.raises(DomainError):
+            _fixed_series(q, exponents, [1] * (e_max + 1), 0, w, _powers(q, m, w))
+
     def test_sparse_powers_exact_for_q_of_two(self):
         # q = 1/2 has exact powers above 2^-w, so the sum is exact
         w = 128
@@ -168,41 +199,69 @@ class TestFixedSeries:
 
 
 class TestPolyFromRoots:
+    """The exact product prod(x - V_i) that certify_int_poly rounds."""
+
     def test_two_real_roots(self):
-        coeffs = poly_from_roots([cpx(1, 0, 128), cpx(2, 0, 128)], 128)
-        vals = [c.real for c in coeffs]
-        assert [int(round(float(v))) for v in vals] == [2, -3, 1]
+        poly, residual, _ = certify_int_poly([cpx(1, 0, 128), cpx(2, 0, 128)], -120, 128)
+        assert poly == IntPoly([2, -3, 1]) and residual == 0
 
     def test_conjugate_pair(self):
-        coeffs = poly_from_roots([cpx(0, 1, 128), cpx(0, -1, 128)], 128)
-        poly, residual = round_to_int_poly(coeffs, mp.mpf(2) ** -32, 128)
+        poly, residual, _ = certify_int_poly([cpx(0, 1, 128), cpx(0, -1, 128)], -120, 128)
         assert poly == IntPoly([1, 0, 1])
         assert residual < mp.mpf(2) ** -120
 
     def test_conjugation_closed_imag_bound(self):
+        # exact conjugate pairs and real roots: every imaginary part of the
+        # product is exactly 0, for roots on the grid and off it
         prec = 160
-        roots = [cpx(0.5, 1.25, prec), cpx(0.5, -1.25, prec),
-                 cpx(-2, 0.75, prec), cpx(-2, -0.75, prec), cpx(3, 0, prec)]
-        coeffs = poly_from_roots(roots, prec)
-        bound = mp.mpf(2) ** (-prec + 3 + 4)
-        assert all(abs(c.imag) < bound for c in coeffs)
+        s = prec + 8
+        rng = random.Random(77)
+        for _ in range(20):
+            roots = []
+            for _ in range(rng.randint(0, 3)):
+                with mp.workprec(prec):
+                    z = mp.mpc(rng.uniform(-9, 9), rng.uniform(-9, 9)) / 3
+                    roots += [z, mp.conj(z)]
+            roots += [cpx(rng.uniform(-9, 9), 0, prec) for _ in range(rng.randint(1, 2))]
+            _re, im = _expand([(_nearest(v.real, s), _nearest(v.imag, s)) for v in roots])
+            assert im == [0] * len(im)
+        # and the residual of +-i sqrt(2) is the real part's distance alone:
+        # its roots lie on the grid, so the constant term is exactly Y^2
+        with mp.workprec(prec):
+            y = mp.sqrt(2)
+            roots = [mp.mpc(0, y), mp.mpc(0, -y)]
+        big = int(mp.ldexp(y, s))
+        assert mp.ldexp(big, -s) == y
+        poly, residual, _ = certify_int_poly(roots, -120, prec)
+        assert poly == IntPoly([2, 0, 1])
+        with mp.workprec(4 * prec):
+            assert residual == abs(mp.ldexp(big * big, -2 * s) - 2)
 
 
 class TestRoundToIntPoly:
+    """Rounding the product to integers, and the residual certify_int_poly reports."""
+
     def test_near_integers(self):
-        coeffs = [cpx("2.0000000001", 0, 128), cpx("-3.0000000002", 0, 128)]
-        poly, residual = round_to_int_poly(coeffs, 1e-6, 128)
-        assert poly == IntPoly([2, -3])
-        assert mp.mpf("0.9e-10") < residual < mp.mpf("3e-10")
+        # (x - 1 - e)(x - 2 - e), e = 1e-10: x^2 - (3 + 2e) x + 2 + 3e + e^2
+        roots = [cpx("1.0000000001", 0, 128), cpx("2.0000000001", 0, 128)]
+        poly, residual, _ = certify_int_poly(roots, -100, 128)
+        assert poly == IntPoly([2, -3, 1])
+        assert mp.mpf("2.9e-10") < residual < mp.mpf("3.1e-10")
 
     def test_failure_carries_residual(self):
         with pytest.raises(RoundingFailureError) as exc:
-            round_to_int_poly([cpx(0.5, 0, 128), cpx(1, 0, 128)], 1e-6, 128)
-        assert abs(exc.value.residual - mp.mpf("0.5")) < 1e-12
+            certify_int_poly([cpx(0.5, 0, 128)], -120, 128)
+        assert exc.value.residual == mp.mpf("0.5")
 
     def test_rejects_bad_tolerance(self):
+        # a radius as large as the roots leaves no tolerance: 1/2 - R_max < 0
+        with pytest.raises(RoundingFailureError) as exc:
+            certify_int_poly([cpx(1, 0, 128), cpx(3, 0, 128)], 0, 128)
+        assert exc.value.residual == 0 and exc.value.tol < 0
+
+    def test_rejects_empty_roots(self):
         with pytest.raises(DomainError):
-            round_to_int_poly([cpx(1, 0, 128)], 0, 128)
+            certify_int_poly([], -120, 128)
 
 
 class TestFindRoots:
@@ -224,8 +283,7 @@ class TestFindRoots:
     def test_roots_then_reassembly(self):
         prec = 160
         roots = polyroots(H284, prec)
-        coeffs = poly_from_roots(roots, prec)
-        poly, residual = round_to_int_poly(coeffs, mp.mpf(2) ** -32, prec)
+        poly, residual, _ = certify_int_poly(roots, -100, prec)
         assert poly == H284
         assert residual < mp.mpf(2) ** (-prec // 2)
         # successful rounding implies the integer polynomial nearly vanishes
@@ -262,7 +320,7 @@ class TestCertifyIntPoly:
         assert residual == 0
         # the x coefficient of (x + 1 + e)(x + 2 + 2e)(x + 3 + 3e)^2 -
         # (x + 1)(x + 2)(x + 3)^2 is 117e to first order, e = 2^-120; the
-        # rounding term adds 32 * 39 * 2^-128
+        # grid of 2^-136 the roots are rounded to adds 2^-136 to each e
         assert mp.mpf(2) ** -120 * 117 < r_max < mp.mpf(2) ** -120 * 125
 
     def test_rejects_ball_holding_two_integers(self):
@@ -284,24 +342,68 @@ class TestCertifyIntPoly:
 
     def test_radius_covers_perturbed_roots(self):
         # random complex roots and true roots on the boundary of each one's
-        # disc: every computed coefficient within R_max of the true one
+        # disc: every coefficient of the exact product of the values, rounded
+        # to the grid, within R_max of the true one at 4 prec
         rng = random.Random(4242)
         prec, radius_log2 = 96, -70
+        s = prec + 8
         for _ in range(30):
             values = [cpx(rng.uniform(-40, 40), rng.uniform(-40, 40), prec)
                       for _ in range(rng.randint(1, 8))]
-            computed = poly_from_roots(values, prec)
-            r_max = _coefficient_radius(values, radius_log2, prec)
+            roots = [(_nearest(v.real, s), _nearest(v.imag, s)) for v in values]
+            h = len(roots)
+            r_max = mp.ldexp(_coefficient_radius(roots, radius_log2, s), -s)
             with mp.workprec(4 * prec):
+                computed = [mp.mpc(mp.ldexp(x, -s * (h - k)), mp.ldexp(y, -s * (h - k)))
+                            for k, (x, y) in enumerate(zip(*_expand(roots)))]
                 true_roots = [
                     v + mp.ldexp(max(1, abs(v)), radius_log2) * mp.expj(rng.uniform(0, 7))
                     for v in values
                 ]
-                exact = poly_from_roots(true_roots, 4 * prec)
+                exact = _product(true_roots)
                 slack = max(abs(c - e) / r_max for c, e in zip(computed, exact))
             assert slack <= 1
             # and the radius is not loose by more than the degree's factor
             assert slack > 2.0 ** -8
+
+    def test_radius_bounds_distance_to_reference(self):
+        # integer polynomials from linear and quadratic factors, their roots
+        # in closed form at 4 prec and moved to the boundary of each disc:
+        # the accepted polynomial is the true one, and R_max bounds the
+        # distance of each coefficient of prod(x - v_i), at 4 prec, from it
+        rng = random.Random(5151)
+        prec, radius_log2 = 96, -70
+        for _ in range(30):
+            factors = [[rng.randint(-30, 30), rng.randint(-9, 9), 1][rng.randint(0, 1):]
+                       for _ in range(rng.randint(1, 4))]
+            with mp.workprec(4 * prec):
+                true_roots = []
+                for f in factors:
+                    if len(f) == 2:
+                        true_roots.append(mp.mpc(-f[0]))
+                    else:
+                        root = mp.sqrt(mp.mpc(f[1] ** 2 - 4 * f[0]))
+                        true_roots += [(-f[1] + root) / 2, (-f[1] - root) / 2]
+                moved = [t + mp.ldexp(max(1, abs(t)), radius_log2 - 1)
+                         * mp.expj(rng.uniform(0, 7)) for t in true_roots]
+            values = [rounded(t, prec) for t in moved]
+            poly, residual, r_max = certify_int_poly(values, radius_log2, prec)
+            want = [1]
+            for f in factors:
+                want = [sum(f[i] * want[k - i] for i in range(len(f)) if 0 <= k - i < len(want))
+                        for k in range(len(want) + len(f) - 1)]
+            assert poly == IntPoly(want)
+            with mp.workprec(4 * prec):
+                distance = max(abs(c - n) for c, n in zip(_product(values), want))
+            assert residual <= r_max and distance <= r_max
+
+
+def _product(roots) -> list:
+    """Coefficients of prod(x - r), lowest first, at the caller's precision."""
+    coeffs = [mp.mpc(1)]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
 
 
 PRECS = (128, 256, 448)
@@ -338,6 +440,10 @@ class TestPrecisionContract:
         _assert_rounded(eta_quotient(EtaQuotientSpec([(1, 6), (5, -6)]), tau, prec)[0], prec)
 
     @pytest.mark.parametrize("prec", PRECS)
-    def test_find_roots_and_poly_from_roots(self, prec):
-        for c in poly_from_roots(polyroots(H284, prec), prec):
-            _assert_rounded(c, prec)
+    def test_find_roots_and_certify(self, prec):
+        # an integer polynomial, a residual rounded up to prec bits and a
+        # radius on the grid of 2^-(prec + 8)
+        poly, residual, r_max = certify_int_poly(polyroots(H284, prec), 40 - prec, prec)
+        assert poly == H284
+        _assert_rounded(mp.mpc(residual), prec)
+        assert mp.ldexp(r_max, prec + 8) == int(mp.ldexp(r_max, prec + 8))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_class_count, random_sl2
+from conftest import GROUP_DISCS, brute_force_class_count, random_sl2
 from cfq.errors import DomainError
 from cfq.quadforms import (
     IdealClass,
@@ -18,7 +18,6 @@ from cfq.quadforms import (
     reduce_form,
 )
 
-GROUP_DISCS = [-71, -284, -8, -20, -24]
 # every discriminant from -3 to -400
 SMALL_DISCS = [d for d in range(-3, -401, -1) if d % 4 in (0, 1)]
 
