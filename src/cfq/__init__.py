@@ -34,7 +34,6 @@ from .errors import (
     NonInvertibleError,
     NotGenusZeroError,
     RoundingFailureError,
-    SearchFailureError,
 )
 from .eta import EtaQuotientSpec, dedekind_sum, eta_quotient
 from .exactpoly import (

@@ -78,7 +78,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="principal modulus value at one element")
     common(p, level=True, group=True,
-           prec=f"working precision in bits, at least {MIN_PREC_BITS} (default: 256)")
+           prec=f"working precision in bits, from {MIN_PREC_BITS} to "
+                f"{PrecisionPolicy.max_bits} (default: 256)")
     p.add_argument("--element", required=True, metavar="A,B,C",
                    help="elliptic element as 'A,B,C' (or 'A,B,C@n') at the given level")
 
@@ -161,9 +162,8 @@ def _cmd_reps(args, out) -> int:
 
 
 def _cmd_eval(args, out) -> int:
-    prec = args.prec_bits if args.prec_bits is not None else 256
-    if prec < MIN_PREC_BITS:
-        raise CfqError(f"precision must be at least {MIN_PREC_BITS} bits, got {prec}")
+    prec = 256 if args.prec_bits is None else args.prec_bits
+    PrecisionPolicy(start_bits=prec)  # the range class-poly allows for its first round
     alpha = EllipticElement.from_text(args.element, args.level)
     spec = catalog_lookup(args.level, args.group)
     value_re, value_im = value_text(evaluate(spec, fixed_point(alpha), prec), prec)

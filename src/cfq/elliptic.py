@@ -11,9 +11,10 @@ and one representative of minimal C is produced for every class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import gcd
 
-from .errors import DomainError, SearchFailureError
+from .errors import DomainError
 from .quadforms import ClassGroup, QuadForm, enumerate_class_group, reduce_form
 
 __all__ = [
@@ -132,6 +133,15 @@ def enumerate_representatives(
     class, C = 1, 2, ... and A mod C are scanned; the first (A, B, C) whose
     primitive form lies in the class is kept, which maximizes the height of
     the fixed point.
+
+    The scan has no bound on C, and it ends.  The form of (A, B, C) is the
+    lattice [nC, nA + sqrt(-n)] = sqrt(-n) [-C sqrt(-n), 1 - A sqrt(-n)], and
+    for C = p, an odd prime not dividing n, the second factor is a prime
+    ideal of norm p: as A runs over the two roots of n A^2 = -1 mod p, the
+    two primes above p.  For disc -n the same holds with C = 2p and the form
+    halved, and B is then even.  Every class holds infinitely many primes
+    (Dirichlet), so it holds a split prime p coprime to 2n, and the scan
+    finds an element of the class by C = p, or 2p for disc -n.
     """
     if disc == -4 * n:
         half = False
@@ -145,8 +155,7 @@ def enumerate_representatives(
     # reduced form -> class index, for the classes still without an element
     targets = {cls.rep: k for k, cls in enumerate(cg.classes)}
     found: dict[int, EllipticElement] = {}
-    bound = 64 * cg.class_number
-    for c in range(1, bound + 1):
+    for c in count(1):
         if not targets:
             break
         for a0 in range(c):
@@ -160,8 +169,4 @@ def enumerate_representatives(
             k = targets.pop(reduce_form(alpha.primitive_form()), None)
             if k is not None:
                 found[k] = alpha
-    if targets:
-        raise SearchFailureError(
-            f"no representative with C <= {bound} for classes {sorted(targets.values())}"
-        )
     return [found[k] for k in range(cg.class_number)]

@@ -17,10 +17,6 @@ class NonInvertibleError(CfqError, ArithmeticError):
     """Element is not invertible in the residue ring."""
 
 
-class SearchFailureError(CfqError):
-    """A bounded search was exhausted without finding the required object."""
-
-
 class RoundingFailureError(CfqError):
     """Rounding to an integer polynomial missed the tolerance."""
 

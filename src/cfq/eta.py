@@ -30,13 +30,17 @@ below hold for Im(tau) >= sqrt(3/4 - 2^-24), the reduction's slack included:
     by the rounding of each step, at most 2u |tau| / Im(tau) per step;
   * the reduced point: |d log eta / d tau| = (pi/12) |E2(tau)| <= 0.3;
   * the pentagonal series, a proven fixed-point bound: one exp gives
-    q^(1/24), and q = (q^(1/24))^24 and the series are summed in integers at
-    scale 2^W by `numerics._fixed_series`, whose rounding bound is charged as
-    it states it for the exponents summed; the series has derivative below
-    1.01 and modulus above 0.99.  The number of terms is fixed from Im(tau)
-    before summing (`_pentagonal_count`): the first exponent e with
-    |q|^e <= 2^-(W+1), so the terms left out, whose exponents are distinct
-    integers >= e, sum to below 2^-W;
+    q^(1/24), and q = (q^(1/24))^24 is formed in integers at scale 2^W by
+    five truncated products, q^2, q^3, q^6, q^12, q^24.  The kernel's
+    product lemma (`numerics._fixed_series`) adds the errors along this
+    addition chain, so q is within sqrt(2) 23 of (q^(1/24))^24.  The series
+    is summed by the kernel in blocks of isqrt(e_max) + 1 exponents, and
+    its rounding bound is charged as it states it for the exponents summed;
+    the series has derivative below 1.01 and modulus above 0.99.  The
+    number of terms is fixed from Im(tau) before summing
+    (`_pentagonal_count`): the first exponent e with |q|^e <= 2^-(W+1), so
+    the terms left out, whose exponents are distinct integers >= e, sum to
+    below 2^-W;
   * the multiplier exp(pi*i*r), an exact 24th root of unity (12r is an
     integer) rounded once, from a per-precision table; the square root of
     c*tau + d and the integer powers of the quotient, counted operation by
@@ -49,13 +53,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 import mpmath
 from mpmath import mp
 
 from .errors import DomainError
-from .numerics import _GUARD, _fixed_series, _to_fixed
+from .numerics import _GUARD, _fixed_series, _powers, _to_fixed
 
 __all__ = [
     "EtaQuotientSpec",
@@ -161,17 +165,23 @@ def _eta_series(tau) -> tuple[mpmath.mpc, float]:
     Returns the value and the series' error in units of 2^-w, w the working
     precision: the kernel's bounds for the exponents it summed, and the tail.
     The truncated q^(1/24) is within sqrt(2), and its 24th power moves that
-    by 24 |q^(1/24)|^23 sqrt(2) < 1; the series has derivative below 1.01
-    where |q| <= e^(-pi sqrt(3)), and the tail is below 1.
+    by 24 |q^(1/24)|^23 sqrt(2) < 1.  The chain that forms the 24th power
+    adds sqrt(2) 23, charged as 1.5 * 23: q^3 is within sqrt(2) 2, and each
+    squaring doubles the error and adds sqrt(2).  The series has derivative
+    below 1.01 where |q| <= e^(-pi sqrt(3)), and the tail is below 1.
     """
     w = mp.prec
     q24 = mp.exp(mp.mpc(0, 1) * mp.pi * tau / 12)
-    qr, qi, power_err = _fixed_series((_to_fixed(q24.real, w), _to_fixed(q24.imag, w)),
-                                      (24,), (1,), 0, w)
+    # q^2 and q^3 along the powers' step-1 chain, then q^6, q^12 and q^24
+    *_, qr, qi = _powers((_to_fixed(q24.real, w), _to_fixed(q24.imag, w)), 3, w)
+    for _ in range(3):
+        qr, qi = (qr * qr - qi * qi) >> w, (2 * qr * qi) >> w
+    q = (qr, qi)
     exps, signs = _pentagonal(_pentagonal_count(float(tau.imag), w))
-    sr, si, sum_err = _fixed_series((qr, qi), exps, signs, 0, w)
+    powers = _powers(q, isqrt(exps[-1]) + 1, w)
+    sr, si, sum_err = _fixed_series(q, exps, signs, 0, w, powers)
     return (q24 * mp.mpc(mp.ldexp(sr, -w), mp.ldexp(si, -w)),
-            sum_err + 1 + 1.01 * (power_err + 1))
+            sum_err + 1 + 1.01 * (1.5 * 23 + 1))
 
 
 @lru_cache(maxsize=8)

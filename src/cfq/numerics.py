@@ -23,16 +23,14 @@ and no other; the comparison residual + R_max < 1/2 is made in integers.
 
 `_fixed_series` is the one series-summation loop of the package: the eta
 pentagonal series and the two series of a theta quotient are all summed by
-it, in integers at scale 2^w, with a proven bound on its rounding.  A short
-series (eta's, and any of at most 2 (isqrt(e_max) + 1) terms) takes its
-powers along an addition sequence, a full product or more per term.  A
-long one is cut into blocks of m exponents (rectangular splitting): the
-powers q^0 .. q^(m-1) and q^m are built once (`_powers`), each block is an
-exact integer dot product with them, and Horner's rule in q^m joins the
-blocks.  m is isqrt(e_max) + 1 unless the caller passes its own powers,
-as the theta quotient does so that its two series share one set; a dense
-series of K terms then takes about m + K/m full products instead of K.
-The proof of the bound holds for any m and is in the `_fixed_series`
+it, in integers at scale 2^w, with a proven bound on its rounding.  Every
+series is cut into blocks of m exponents (rectangular splitting): the
+caller builds the powers q^0 .. q^(m-1) and q^m once (`_powers`) and
+chooses m, each block is an exact integer dot product with them, and
+Horner's rule in q^m joins the blocks.  Eta takes m = isqrt(e_max) + 1;
+the theta quotient sums its two series against one set, so that a dense
+series of K terms takes about m + K/m full products instead of K.  The
+proof of the bound holds for any m and is in the `_fixed_series`
 docstring.
 """
 
@@ -40,9 +38,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
 from math import isqrt
-from operator import le, mul, sub
+from operator import le, mul
 
 import mpmath
 from mpmath import mp
@@ -195,16 +192,15 @@ def _powers(q, m: int, w: int) -> tuple[list[int], list[int], int, int]:
 
 
 def _fixed_series(q, exponents, coeffs, coeff_bits: int, w: int,
-                  powers=None) -> tuple[int, int, float]:
+                  powers) -> tuple[int, int, float]:
     """sum_j coeffs[j] q^exponents[j] in integers at scale 2^w, and its rounding bound.
 
     q = (qr + i qi) 2^-w is given by its scaled components (qr, qi).
     exponents is a nondecreasing sequence of integers >= 0; coeffs is a
     sequence holding one integer of modulus at most 2^coeff_bits per
-    exponent.  powers, if given, is `_powers(q, m, w)` for any m >= 1, and
-    then the series is summed in blocks of m exponents against it, so that
-    several series at one q share one set of powers.  Returns (sr, si,
-    bound) with
+    exponent.  powers is `_powers(q, m, w)` for any m >= 1, and the series
+    is summed in blocks of m exponents against it, so that several series
+    at one q can share one set of powers.  Returns (sr, si, bound) with
 
         |(sr + i si) 2^-w - sum_j coeffs[j] q^exponents[j]| <= bound 2^-w,
 
@@ -218,20 +214,8 @@ def _fixed_series(q, exponents, coeffs, coeff_bits: int, w: int,
     holds because |q| <= 1 - 2 max(e_max, m) 2^-w, which is checked in
     integers before any term is summed.
 
-    Without given powers, m = isqrt(e_max) + 1, and one block is used
-    whenever the n terms number at most 2m: the pentagonal series of eta,
-    whose n is about 1.6 sqrt(e_max), and every short series.  Otherwise
-    block k holds the exponents km .. km + m - 1 (rectangular splitting,
-    Paterson and Stockmeyer 1973).
-
-    One block.  Each power is the previous one times q^(e_{j+1} - e_j), and
-    each such difference power q^n is q^(n//2) q^(n - n//2), kept once
-    built: an addition sequence (Enge, Hart and Johansson 2018).  By
-    induction along it the computed q^e is within sqrt(2) (e - 1) of the
-    true one (e >= 1; q^0 = 1 and the products with it are exact), so the
-    sum is within sqrt(2) sum_j |c_j| e_j.
-
-    Several blocks, for any m >= 1.  The baby steps q^0 .. q^(m-1) and
+    Block k holds the exponents km .. km + m - 1 (rectangular splitting,
+    Paterson and Stockmeyer 1973).  The baby steps q^0 .. q^(m-1) and
     Q = q^m are one chain with step 1, so q^i is within sqrt(2) (i - 1) for
     i >= 1 and Q within sqrt(2) (m - 1).  Each block sum
     sum_i c_(km+i) q^i is an exact integer dot product, within
@@ -244,10 +228,8 @@ def _fixed_series(q, exponents, coeffs, coeff_bits: int, w: int,
     of S q^m 2^w, and the giant step adds sqrt(2) for its truncation.  A
     term of block k thus carries sqrt(2) 2^b (max(0, i - 1) + k (m - 1))
     <= sqrt(2) 2^b e, and the sum is within sqrt(2) 2^b sum_j e_j +
-    sqrt(2) (giant steps).
-
-    Either way the bound returned, 1.5 * 2^b * sum_j e_j + 1.5 * (giant
-    steps), covers it; with one block it is the first term alone.
+    sqrt(2) (giant steps).  The bound returned, 1.5 * 2^b * sum_j e_j +
+    1.5 * (giant steps), covers it.
     """
     n = len(exponents)
     if not n:
@@ -255,47 +237,24 @@ def _fixed_series(q, exponents, coeffs, coeff_bits: int, w: int,
     qr, qi = q
     one = 1 << w
     e_max = exponents[-1]
-    m = isqrt(e_max) + 1 if powers is None else len(powers[0])
+    baby_r, baby_i, big_r, big_i = powers
+    m = len(baby_r)
     reach = 2 * max(e_max, m)
     if not (exponents[0] >= 0 and reach < one
             and qr * qr + qi * qi <= (one - reach) ** 2):
         raise DomainError("series point or exponents outside the kernel's range")
-    bound = 1.5 * 2.0**coeff_bits * sum(exponents)
-    if powers is not None or n > 2 * m:
-        if not all(map(le, exponents, exponents[1:])):
-            raise DomainError("series exponents must be nondecreasing")
-        baby_r, baby_i, big_r, big_i = _powers(q, m, w) if powers is None else powers
-        local = [e % m for e in exponents]
-        terms_r = list(map(mul, coeffs, map(baby_r.__getitem__, local)))
-        terms_i = list(map(mul, coeffs, map(baby_i.__getitem__, local)))
-        top = e_max // m
-        acc_r = acc_i = 0
-        hi = n
-        for k in range(top, -1, -1):
-            lo = bisect_left(exponents, k * m, 0, hi)
-            # a giant step; at the top the sum is still 0 and the product exact
-            acc_r, acc_i = (((acc_r * big_r - acc_i * big_i) >> w) + sum(terms_r[lo:hi]),
-                            ((acc_r * big_i + acc_i * big_r) >> w) + sum(terms_i[lo:hi]))
-            hi = lo
-        return acc_r, acc_i, bound + 1.5 * top
-    table = {0: (one, 0), 1: (qr, qi)}
-
-    def power(k):
-        # q^k, built from halves; a negative k is a decreasing exponent
-        p = table.get(k)
-        if p is None:
-            if k < 0:
-                raise DomainError("series exponents must be nondecreasing")
-            (ar, ai), (br, bi) = power(k // 2), power(k - k // 2)
-            p = table[k] = ((ar * br - ai * bi) >> w, (ar * bi + ai * br) >> w)
-        return p
-
-    steps = [power(k) for k in map(sub, exponents, chain((0,), exponents))]
-    pr, pi = one, 0
+    if not all(map(le, exponents, exponents[1:])):
+        raise DomainError("series exponents must be nondecreasing")
+    local = [e % m for e in exponents]
+    terms_r = list(map(mul, coeffs, map(baby_r.__getitem__, local)))
+    terms_i = list(map(mul, coeffs, map(baby_i.__getitem__, local)))
+    top = e_max // m
     acc_r = acc_i = 0
-    for c, (dr, di) in zip(coeffs, steps):
-        pr, pi = (pr * dr - pi * di) >> w, (pr * di + pi * dr) >> w
-        if c:
-            acc_r += c * pr
-            acc_i += c * pi
-    return acc_r, acc_i, bound
+    hi = n
+    for k in range(top, -1, -1):
+        lo = bisect_left(exponents, k * m, 0, hi)
+        # a giant step; at the top the sum is still 0 and the product exact
+        acc_r, acc_i = (((acc_r * big_r - acc_i * big_i) >> w) + sum(terms_r[lo:hi]),
+                        ((acc_r * big_i + acc_i * big_r) >> w) + sum(terms_i[lo:hi]))
+        hi = lo
+    return acc_r, acc_i, 1.5 * 2.0**coeff_bits * sum(exponents) + 1.5 * top

@@ -178,9 +178,6 @@ class ClassGroup:
     def index_of(self, cls: IdealClass) -> int:
         return self._index[cls.rep]
 
-    def compose_idx(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def inverse_idx(self, i: int) -> int:
         # the inverse of a reduced (a, b, c) is (a, -b, c), itself reduced
         # unless the class is ambiguous, and then the class is its own inverse

@@ -180,7 +180,7 @@ def test_criterion_9_galois_action_structure():
                     composed = tuple(
                         perms[i][perms[j][k]] for k in range(cg.class_number)
                     )
-                    assert composed == perms[cg.compose_idx(i, j)]
+                    assert composed == perms[cg.table[i][j]]
 
 
 def test_criterion_10_note():

@@ -72,8 +72,8 @@ class TestSingularValues:
 
     def test_small_levels_bit_identical(self):
         # the eta path at every key of the degree-law sweep, hashed as the
-        # level-71 values are: each series eta sums is one block of the
-        # kernel, summed along its addition sequence
+        # level-71 values are: q^24 from its chain of five products, and the
+        # pentagonal series summed in blocks of isqrt(e_max) + 1 exponents
         digest = hashlib.sha256()
         for key in level_keys():
             for value in singular_values(*key, 256).values():
@@ -81,7 +81,7 @@ class TestSingularValues:
                     sign, man, exp, _ = x._mpf_
                     digest.update(f"{sign} {man} {exp};".encode())
         assert digest.hexdigest() == (
-            "bd56aea03b9fd6e6e0d1a669f8a750267452d0f356171ed320a0c074a27711ad"
+            "636365f65c0778484385d679e89baaafee5a955888fcbafda5bfece7a5376024"
         )
 
     def test_classes_pairwise_distinct(self):
@@ -373,7 +373,7 @@ class TestGaloisPermutation:
         for i, beta1 in enumerate(cg.classes):
             for j, beta2 in enumerate(cg.classes):
                 composed = tuple(perms[i][perms[j][k]] for k in range(cg.class_number))
-                both = perms[cg.compose_idx(i, j)]
+                both = perms[cg.table[i][j]]
                 assert composed == both
 
     def test_permuted_values_same_multiset(self):

@@ -192,6 +192,14 @@ class TestEval:
         assert obj["disc"] == -8
         assert obj["value_re"].startswith("152.0")
 
+    @pytest.mark.parametrize("prec", ["40", "20000"])
+    def test_precision_out_of_range_refused(self, prec):
+        # the range of class-poly's first round: 64 to 16384 bits
+        code, out, err = invoke(["eval", "-n", "2", "--group", "gamma0", "--element", "0,-1,1",
+                                 "--prec-bits", prec])
+        assert (code, out) == (1, "")
+        assert err.startswith("cfq: error: ")
+
     def test_exact_value_prints_no_noise(self):
         # the element fixes 1 + sqrt(-2)/2, where the level-2 principal
         # modulus is the root of the class polynomial x - 88 of disc -8

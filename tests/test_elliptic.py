@@ -128,6 +128,27 @@ class TestEnumerateRepresentatives:
             for j in range(i):
                 assert reduce_form(reps[j].primitive_form()) != reduce_form(el.primitive_form())
 
+    def test_search_has_no_c_bound(self):
+        # the class (2, 0, 659) holds no element below C = 661 = 2 + 659,
+        # past 64 h = 640, where the search used to stop
+        n, disc = 1318, -5272
+        cg = enumerate_class_group(disc)
+        reps = enumerate_representatives(n, disc, cg)
+        assert [el.text() for el in reps] == [
+            "0,-1,1", "330,-217141,661", "7,-3799,17", "10,-7753,17", "6,-2063,23",
+            "17,-16561,23", "22,-21997,29", "7,-2227,29", "25,-19157,43", "18,-9931,43",
+        ]
+        # every element with C <= 661; n is even, so B and C are odd and
+        # the form of each is primitive of discriminant -4n
+        least = {}
+        for c in range(1, 662):
+            for a in range(c):
+                if (1 + n * a * a) % c == 0:
+                    form = reduce_form(QuadForm(n * c, -2 * n * a, (1 + n * a * a) // c))
+                    least.setdefault(form, c)
+        assert [el.C for el in reps] == [least[cls.rep] for cls in cg.classes]
+        assert [reduce_form(el.form()) for el in reps] == [cls.rep for cls in cg.classes]
+
     def test_inverse_classes_are_mirror_images(self):
         # singular_values saves an evaluation only on a mirror pair; the
         # minimal-C search gives one for every class that is not its own

@@ -1,18 +1,21 @@
 """Eta engine: Dedekind sums, transformation law, quotients."""
 
+import math
 import random
 from fractions import Fraction
 from math import gcd
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from conftest import cm_mpc, cpx, eta_direct_series, mobius, random_sl2, rounded
 import cfq.eta
 from cfq.elliptic import enumerate_representatives, fixed_point
 from cfq.errors import DomainError
-from cfq.eta import EtaQuotientSpec, _ascend, dedekind_sum, eta, eta_quotient
+from cfq.eta import EtaQuotientSpec, _ascend, _eta_series, dedekind_sum, eta, eta_quotient
 from cfq.hauptmodul import catalog_lookup
 from cfq.numerics import _GUARD, _fixed_series
 from cfq.quadforms import enumerate_class_group
@@ -179,8 +182,35 @@ class TestEtaQuotient:
             EtaQuotientSpec([(0, 3)])
 
 
+@st.composite
+def domain_points(draw):
+    """(x, y, w): a point x + iy of the fundamental domain and a precision w."""
+    x = draw(st.floats(min_value=-0.5, max_value=0.5))
+    y = math.sqrt(1 - x * x) + draw(st.floats(min_value=0, max_value=3))
+    return x, y, draw(st.integers(min_value=64, max_value=1100))
+
+
 class TestEtaSeriesKernel:
     """The pentagonal series summed by the fixed-point kernel."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(point=domain_points())
+    def test_series_within_stated_bound(self, point):
+        # The bound covers q = (q^(1/24))^24 from its chain, the blocked
+        # pentagonal sum and the tail, against the series at the same
+        # q^(1/24) taken as exact, 300 bits deeper.  Converting the sum and
+        # the product with q^(1/24) round once each, within 4 units of the
+        # value together.
+        x, y, w = point
+        with mp.workprec(w):
+            tau = mp.mpc(x, y)
+            value, err = _eta_series(tau)
+            q24 = mp.exp(mp.mpc(0, 1) * mp.pi * tau / 12)
+        with mp.workprec(w + 300):
+            q = q24**24
+            series = mp.fsum((-1) ** k * q ** (k * (3 * k - 1) // 2) for k in range(-60, 61))
+            slack = err * abs(q24) + 4 * abs(value)
+            assert abs(value - q24 * series) <= slack * mp.mpf(2) ** -w
 
     @pytest.mark.parametrize("prec", [128, 256, 1056])
     def test_against_direct_series(self, prec):
@@ -202,10 +232,8 @@ class TestEtaSeriesKernel:
         # quotient's bound, |r| / 0.99 times per factor.
         summed, extra = [], [0.0]
 
-        def recording(q, exponents, coeffs, coeff_bits, w):
-            sr, si, bound = _fixed_series(q, exponents, coeffs, coeff_bits, w)
-            if exponents == (24,):
-                return sr, si, bound
+        def recording(q, exponents, coeffs, coeff_bits, w, powers):
+            sr, si, bound = _fixed_series(q, exponents, coeffs, coeff_bits, w, powers)
             summed.append((q, exponents, w))
             return sr, si, bound + extra[0]
 

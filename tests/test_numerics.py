@@ -2,6 +2,7 @@
 
 import math
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -81,8 +82,18 @@ def powered_cases(draw):
     return q, exponents, coeffs, bits, w, draw(st.integers(1, exponents[-1]))
 
 
+def root_powers(q, exponents, w):
+    """_powers(q, isqrt(e_max) + 1, w), e_max the last exponent (0 if none)."""
+    return _powers(q, isqrt(exponents[-1] if len(exponents) else 0) + 1, w)
+
+
 def assert_within_bound(q, exponents, coeffs, bits, w, powers=None):
-    """The kernel's sum is within its returned bound of an mpmath sum at w + 300 bits."""
+    """The kernel's sum is within its returned bound of an mpmath sum at w + 300 bits.
+
+    Without given powers, the blocks hold isqrt(e_max) + 1 exponents.
+    """
+    if powers is None:
+        powers = root_powers(q, exponents, w)
     sr, si, bound = _fixed_series(q, exponents, coeffs, bits, w, powers)
     with mp.workprec(w + 300):
         scale = mp.mpf(2) ** w
@@ -105,7 +116,8 @@ class TestFixedSeries:
     @given(case=series_cases())
     def test_within_stated_bound(self, case):
         q, exponents, coeffs, bits, w = case
-        sr, si, bound = _fixed_series(q, exponents, coeffs, bits, w)
+        sr, si, bound = _fixed_series(q, exponents, coeffs, bits, w,
+                                      root_powers(q, exponents, w))
         with mp.workprec(w + 300):
             scale = mp.mpf(2) ** w
             x = mp.mpc(*q) / scale
@@ -115,7 +127,7 @@ class TestFixedSeries:
     @settings(max_examples=25, deadline=None)
     @given(case=long_series_cases())
     def test_blocked_within_stated_bound(self, case):
-        # more than 2 (isqrt(e_max) + 1) terms: summed in blocks
+        # many terms, in many blocks of isqrt(e_max) + 1 exponents
         assert_within_bound(*case)
 
     @pytest.mark.parametrize("alternating", [False, True], ids=["equal", "alternating"])
@@ -127,14 +139,14 @@ class TestFixedSeries:
         exponents = range(1600)
         coeffs = [(-1) ** (k * alternating) << bits for k in exponents]
         assert_within_bound(q, exponents, coeffs, bits, w)
-        assert (_fixed_series(q, exponents, coeffs, bits, w)
-                == _fixed_series(q, list(exponents), coeffs, bits, w))
+        powers = root_powers(q, exponents, w)
+        assert (_fixed_series(q, exponents, coeffs, bits, w, powers)
+                == _fixed_series(q, list(exponents), coeffs, bits, w, powers))
 
     @pytest.mark.parametrize("exponents,giant_steps", [
-        ([0, 1, 500], 0),
         # 121 terms in blocks of 51 exponents, blocks 3 .. 48 empty
         (list(range(120)) + [2500], 49),
-    ], ids=["one-block", "empty-blocks"])
+    ], ids=["empty-blocks"])
     def test_exponent_gap(self, exponents, giant_steps):
         w = 192
         q = (int(0.9 * 2**52) << (w - 52), int(0.3 * 2**52) << (w - 52))
@@ -147,8 +159,9 @@ class TestFixedSeries:
     @given(case=series_cases())
     def test_range_and_list_agree(self, case):
         q, exponents, coeffs, bits, w = case
-        assert (_fixed_series(q, exponents, coeffs, bits, w)
-                == _fixed_series(q, list(exponents), coeffs, bits, w))
+        powers = root_powers(q, exponents, w)
+        assert (_fixed_series(q, exponents, coeffs, bits, w, powers)
+                == _fixed_series(q, list(exponents), coeffs, bits, w, powers))
 
     @settings(max_examples=100, deadline=None)
     @given(case=powered_cases())
@@ -177,25 +190,30 @@ class TestFixedSeries:
         w = 128
         exponents = [0, 1, 2, 5, 7, 12, 15, 22, 26, 35, 40]
         coeffs = [1, -1, -1, 1, 1, -1, -1, 1, 1, -1, -1]
-        sr, si, _ = _fixed_series((1 << (w - 1), 0), exponents, coeffs, 0, w)
+        q = (1 << (w - 1), 0)
+        sr, si, _ = _fixed_series(q, exponents, coeffs, 0, w, root_powers(q, exponents, w))
         assert si == 0
         assert sr == sum(c << (w - e) for e, c in zip(exponents, coeffs))
 
     def test_rejects_decreasing_exponents(self):
+        q = (1 << 62, 0)
         with pytest.raises(DomainError):
-            _fixed_series((1 << 62, 0), [0, 3, 2], [1, 1, 1], 0, 64)
+            _fixed_series(q, [0, 3, 2], [1, 1, 1], 0, 64, root_powers(q, [0, 3, 2], 64))
 
     @pytest.mark.parametrize("exponents", [range(10, 0, -1), [0, 1, 2, 3, 4, 5, 4]],
                              ids=["range", "list"])
     def test_blocked_rejects_decreasing_exponents(self, exponents):
-        # more terms than 2 (isqrt(e_max) + 1), where e_max is the last exponent
+        # e_max is the last exponent, whichever way the sequence runs
+        q = (1 << 62, 0)
         with pytest.raises(DomainError):
-            _fixed_series((1 << 62, 0), exponents, [1] * len(exponents), 0, 64)
+            _fixed_series(q, exponents, [1] * len(exponents), 0, 64,
+                          root_powers(q, exponents, 64))
 
     def test_rejects_point_too_near_the_unit_circle(self):
         w = 64
+        q = ((1 << w) - 4, 0)
         with pytest.raises(DomainError):
-            _fixed_series(((1 << w) - 4, 0), range(10), [1] * 10, 0, w)
+            _fixed_series(q, range(10), [1] * 10, 0, w, root_powers(q, range(10), w))
 
 
 class TestPolyFromRoots:

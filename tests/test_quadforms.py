@@ -243,7 +243,7 @@ class TestEnumerate:
         table = cg.table
         assert len(calls) == 49
         assert cg.table is table and len(calls) == 49
-        assert cg.compose_idx(1, cg.inverse_idx(1)) == 0
+        assert cg.table[1][cg.inverse_idx(1)] == 0
 
     @pytest.mark.parametrize("d", GROUP_DISCS + [-56, -104, -200, -3, -4])
     def test_inverse_idx_matches_inverse_class(self, d):
