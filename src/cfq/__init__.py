@@ -35,7 +35,7 @@ from .errors import (
     NotGenusZeroError,
     RoundingFailureError,
 )
-from .eta import EtaQuotientSpec, dedekind_sum, eta_quotient
+from .eta import EtaQuotientSpec, eta_quotient
 from .exactpoly import (
     IntPoly,
     LaurentExpr,

@@ -67,8 +67,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("class-poly", help="class polynomial for (level, group, disc)")
     common(p, level=True, group=True, disc=True,
-           prec=f"precision of the first round in bits, at least {MIN_PREC_BITS} "
-                f"(default: {MIN_PREC_BITS}); a round that fails doubles it")
+           prec=f"precision of the first round in bits, from {MIN_PREC_BITS} to "
+                f"{PrecisionPolicy.max_bits} (default: {MIN_PREC_BITS}); a round "
+                f"that fails doubles it")
 
     p = sub.add_parser("class-group", help="reduced forms and composition table")
     common(p, disc=True)

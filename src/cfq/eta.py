@@ -1,12 +1,14 @@
 """Dedekind eta: exact multiplier system and arbitrary-precision evaluation.
 
-Any upper-half-plane argument is first moved up into the standard
-fundamental domain by tracked SL2(Z) steps (`_ascend` with n = 1, the ascent
-the Fricke groups of `cfq.hauptmodul` take with n = N): translations and
-tau -> -1/tau until |Re| <= 1/2 and |tau|^2 >= 1 - 2^-24.  So the pentagonal
-series is only ever summed where |q| <= exp(-pi*sqrt(3)), up to that slack,
-and a handful of terms suffice at any precision.  The transformation
-multiplier is computed exactly as a root of unity through Dedekind sums.
+Every point is exact, tau = (u + v*sqrt(-r))/w with integers v, w > 0 (a
+`CMPoint`), and is moved into the standard fundamental domain in integers
+by tracked SL2(Z) steps (`_ascend` with n = 1, the ascent the Fricke groups
+of `cfq.hauptmodul` take with n = N): translations and tau -> -1/tau until
+|Re| <= 1/2 and |tau| >= 1 exactly, as `cfq.quadforms.reduce_form` does for
+forms.  Only the reduced point is formed in mpmath, so the pentagonal
+series is only ever summed where |q| <= exp(-pi*sqrt(3)), and a handful of
+terms suffice at any precision.  The transformation multiplier is computed
+exactly as a root of unity through Dedekind sums, in integers.
 
 For gamma = [[a, b], [c, d]] with c > 0:
 
@@ -20,15 +22,14 @@ Error model.  At working precision W, every mpmath operation (arithmetic,
 sqrt, exp) is assumed to return its result on its rounded inputs with
 relative error at most u = 2^(1-W): mpmath rounds arithmetic correctly and
 evaluates sqrt and exp to within an ulp.  `eta_quotient` propagates these
-errors to first order through the evaluation it returns, from that
-evaluation's own ascent (its steps, its matrix's c and the reduced point)
-and from the exponents its series summed.  The constants 0.3, 1.01 and 0.99
-below hold for Im(tau) >= sqrt(3/4 - 2^-24), the reduction's slack included:
+errors to first order through the evaluation it returns, from each
+factor's reduced point, its matrix's c and the exponents its series
+summed.  The constants 0.3, 1.01 and 0.99 below hold for
+Im(tau) >= sqrt(3)/2, with room for the rounding of the point:
 
-  * the ascent: a flip tau -> -1/tau scales an absolute error and Im(tau)
-    alike and a translation changes neither, so error / Im(tau) grows only
-    by the rounding of each step, at most 2u |tau| / Im(tau) per step;
-  * the reduced point: |d log eta / d tau| = (pi/12) |E2(tau)| <= 0.3;
+  * the reduced point, rounded once to the working precision
+    (`_mp_point`): within 6 units of |tau|, whatever steps led to it, and
+    |d log eta / d tau| = (pi/12) |E2(tau)| <= 0.3 there;
   * the pentagonal series, a proven fixed-point bound: one exp gives
     q^(1/24), and q = (q^(1/24))^24 is formed in integers at scale 2^W by
     five truncated products, q^2, q^3, q^6, q^12, q^24.  The kernel's
@@ -43,27 +44,27 @@ below hold for Im(tau) >= sqrt(3/4 - 2^-24), the reduction's slack included:
     below 2^-W;
   * the multiplier exp(pi*i*r), an exact 24th root of unity (12r is an
     integer) rounded once, from a per-precision table; the square root of
-    c*tau + d and the integer powers of the quotient, counted operation by
-    operation.
+    c*tau + d, formed from the same integers as the point, and the integer
+    powers of the quotient, counted operation by operation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd, isqrt
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_rational, round_nearest
 
+from .elliptic import CMPoint
 from .errors import DomainError
 from .numerics import _GUARD, _fixed_series, _powers, _to_fixed
 
 __all__ = [
     "EtaQuotientSpec",
-    "dedekind_sum",
     "eta",
     "eta_quotient",
 ]
@@ -87,50 +88,67 @@ class EtaQuotientSpec:
         object.__setattr__(self, "terms", terms)
 
 
-def dedekind_sum(h: int, k: int) -> Fraction:
-    """Exact s(h, k), by the reciprocity-accelerated Euclidean recursion."""
+def _dedekind12(h: int, k: int) -> int:
+    """T(h, k) = 12k s(h, k), an integer, by the Euclidean recursion of reciprocity.
+
+    s(h, k) + s(k, h) = -1/4 + (h^2 + k^2 + 1)/(12hk), times 12hk, gives
+    h T(h, k) = h^2 + k^2 + 1 - 3hk - k T(k, h), and T(0, 1) = 0.
+    """
     if k < 1:
         raise DomainError("k must be a positive integer")
     if gcd(h, k) != 1:
         raise DomainError(f"gcd({h}, {k}) != 1")
     h %= k
-    total = Fraction(0)
-    sign = 1
-    while k > 1:
-        # s(h, k) = -1/4 + (h^2 + k^2 + 1)/(12hk) - s(k mod h, h)
-        total += sign * (Fraction(-1, 4) + Fraction(h * h + k * k + 1, 12 * h * k))
-        sign = -sign
-        h, k = k % h, h
-    return total
+    return 0 if k == 1 else (h * h + k * k + 1 - 3 * h * k - k * _dedekind12(k, h)) // h
 
 
-def _ascend(z, n: int) -> tuple[mpmath.mpc, tuple[int, int, int, int], int]:
-    """Move z up under z -> z + k and z -> -1/(n z) until n|z|^2 >= 1 - 2^-24.
+def _ascend(tau: CMPoint, n: int) -> tuple[CMPoint, tuple[int, int, int, int], int]:
+    """Move tau up under tau -> tau - k and tau -> -1/(n tau) until n|tau|^2 >= 1.
 
-    Runs at the working precision.  Returns (point, (a, b, c, d), steps):
-    the integer matrix, a product of translations and [[0, -1], [n, 0]],
-    maps z to the point, and lies in SL2(Z) for n = 1; each translation and
-    each flip counts as one step.  The point has |Re| <= 1/2, and its
-    imaginary part is never below z's.
+    Exact, in integers, with tau = (p + s sqrt(-r))/q.  A translation is
+    p -= kq, k the nearest integer to Re(tau), ties to even as in mp.nint,
+    so that mirror images -conj(tau) stay mirror images.  The flip is
+    (p, s, q) -> (-p, s, n (p^2 + s^2 r)/q), an exact division while q
+    divides n (p^2 + s^2 r): tau is first scaled so that q divides
+    p^2 + s^2 r, and both steps keep the weaker condition.  Each flip lowers
+    q, so the ascent ends.
+
+    Returns (point, (a, b, c, d), steps): the integer matrix, a product of
+    translations and [[0, -1], [n, 0]], maps tau to the point, and lies in
+    SL2(Z) for n = 1; each translation and each flip counts as one step.
+    The point has |Re| <= 1/2 and n|point|^2 >= 1, and its imaginary part
+    is never below tau's.
     """
-    if z.imag <= 0:
-        raise DomainError("point must lie in the upper half plane")
-    eps = mp.mpf(2) ** -24
+    p, s, q, r = tau.u, tau.v, tau.w, tau.n
+    g = q // gcd(q, p * p + s * s * r)
+    p, s, q = g * p, g * s, g * q
     a, b, c, d = 1, 0, 0, 1
     steps = 0
-    for _ in range(100000):
-        k = int(mp.nint(z.real))
+    while True:
+        k, tie = divmod(2 * p + q, 2 * q)
+        if tie == 0 and k % 2:
+            k -= 1
         if k:
-            z -= k
+            p -= k * q
             a, b = a - k * c, b - k * d
             steps += 1
-        if n * (z.real**2 + z.imag**2) < 1 - eps:
-            z = -1 / (n * z)
-            a, b, c, d = -c, -d, n * a, n * b
-            steps += 1
-        else:
-            return z, (a, b, c, d), steps
-    raise DomainError("the ascent did not terminate")
+        norm = p * p + s * s * r
+        if n * norm >= q * q:
+            return CMPoint(p, s, q, r), (a, b, c, d), steps
+        p, q = -p, n * norm // q
+        a, b, c, d = -c, -d, n * a, n * b
+        steps += 1
+
+
+def _mp_point(tau: CMPoint, root) -> mpmath.mpc:
+    """tau at the working precision, given root = sqrt(tau.n) rounded once.
+
+    u/w and v/w are rounded once each and v/w times root once more, so the
+    result is within 6 units of |tau|, 2 units of its result an operation.
+    """
+    prec = mp.prec
+    return mp.mpc(mp.make_mpf(from_rational(tau.u, tau.w, prec, round_nearest)),
+                  mp.make_mpf(from_rational(tau.v, tau.w, prec, round_nearest)) * root)
 
 
 def _pentagonal_exponent(j: int) -> int:
@@ -198,78 +216,67 @@ def _multiplier(gamma) -> tuple[int, tuple[int, int]]:
     """Factor data for eta(gamma tau) = eps * (c tau + d)^(1/2) eta(tau).
 
     Returns (k, (c, d)) with eps = exp(pi*i*k/12), a 24th root of unity;
-    k is reduced mod 24.
+    k is reduced mod 24.  For c > 0, k = (a + d)/c - 12 s(d, c) - 3.
     """
     a, b, c, d = gamma
     if c < 0 or (c == 0 and d < 0):
         a, b, c, d = -a, -b, -c, -d
     if c == 0:
         # a = d = 1: pure translation by b
-        r = Fraction(b, 12)
-    else:
-        r = Fraction(a + d, 12 * c) - dedekind_sum(d, c) - Fraction(1, 4)
-    k = 12 * r
-    assert k.denominator == 1, "the eta multiplier is a 24th root of unity"
-    return int(k) % 24, (c, d)
+        return b % 24, (c, d)
+    k, rest = divmod(a + d - _dedekind12(d, c), c)
+    assert rest == 0, "the eta multiplier is a 24th root of unity"
+    return (k - 3) % 24, (c, d)
 
 
-def _eta_mpc(x) -> tuple[mpmath.mpc, float]:
-    """eta at an mpc point and its relative error, at the working precision w.
+def _eta_mpc(tau: CMPoint, root) -> tuple[mpmath.mpc, float]:
+    """eta at tau and its relative error, at the working precision w.
 
-    The error, in units of 2^-w, follows the module's error model through
-    this evaluation's own ascent and series, for an x within
-    4 * 2^_GUARD + 1 units of |x| of the point meant: the tau of
-    eta_quotient, times d and rounded once.
+    root is sqrt(tau.n) rounded once.  The error, in units of 2^-w, follows
+    the module's error model through this evaluation's own point and series.
     """
-    point, gamma, steps = _ascend(x, 1)
-    value, series_err = _eta_series(point)
+    point, gamma, _steps = _ascend(tau, 1)
+    xr = _mp_point(point, root)
+    value, series_err = _eta_series(xr)
     k, (c, d) = _multiplier(gamma)
     # dividing by eps is multiplying by its conjugate, the root of index -k
     value *= _roots_of_unity(mp.prec)[-k % 24]
-    if c:
-        value /= mp.sqrt(c * x + d)
-    x0, xr = complex(x), complex(point)
-    dx = (4 * 2.0**_GUARD + 1) * abs(x0)
-    # error / Im(x) after the ascent, then the reduced point's error.
     # Everything up to q^(1/24) = exp(pi i xr / 12) acts as an error in the
-    # point: the argument's roundings within 8|xr| and the exp's within 8,
-    # as 12/pi times its relative 2 units.
-    rho = dx / x0.imag + 4 * steps * (1 / (2 * x0.imag) + 1)
-    delta = rho * xr.imag + 8 * abs(xr) + 8
-    # the series has modulus above 0.99; the conversion of the sum, the
-    # product with q^(1/24), the root of unity and the product with it round
-    # once each
-    err = 0.3 * delta + series_err / 0.99 + 8
+    # point: the point's rounding within 6|xr|, the argument's roundings
+    # within 8|xr| and the exp's within 8, as 12/pi times its relative 2
+    # units.  The series has modulus above 0.99; the conversion of the sum,
+    # the product with q^(1/24), the root of unity and the product with it
+    # round once each.
+    err = 0.3 * (14 * abs(complex(xr)) + 8) + series_err / 0.99 + 8
     if c:
-        # c x + d rounded twice, |c x + d|^2 = Im(x) / Im(xr); its square
-        # root halves the relative error; the sqrt and the division round
-        # once each
-        cxd = math.sqrt(x0.imag / xr.imag)
-        err += (abs(c) * dx + 2 * (abs(c * x0) + cxd)) / (2 * cxd) + 4
+        # c tau + d from the same integers, within 6 units of itself; its
+        # square root halves that, and the sqrt and the division round once
+        # each
+        value /= mp.sqrt(_mp_point(CMPoint(c * tau.u + d * tau.w, c * tau.v, tau.w, tau.n), root))
+        err += 7
     return value, err
 
 
-def eta(tau, prec: int) -> mpmath.mpc:
+def eta(tau: CMPoint, prec: int) -> mpmath.mpc:
     """Dedekind eta at tau, relative error at most 2^(-prec+8), rounded to prec bits."""
-    with mp.workprec(prec + _GUARD):
-        value, _err = _eta_mpc(mp.mpc(tau))
-    with mp.workprec(prec):
-        return +value
+    return eta_quotient(EtaQuotientSpec([(1, 1)]), tau, prec)[0]
 
 
-def eta_quotient(spec: EtaQuotientSpec, tau, prec: int) -> tuple[mpmath.mpc, float]:
+def eta_quotient(spec: EtaQuotientSpec, tau: CMPoint, prec: int) -> tuple[mpmath.mpc, float]:
     """prod eta(d*tau)^r_d rounded to prec bits, and a bound on its relative error.
 
-    The bound is in units of 2^-prec, for a tau within 4 units of
-    2^-prec |tau| of the point meant, and follows the error model in the
-    module docstring through each factor's own evaluation.
+    The bound is in units of 2^-prec and follows the error model in the
+    module docstring through each factor's own evaluation; the factor
+    d*tau is the exact point (d u + d v sqrt(-n))/w.
     """
+    if not isinstance(tau, CMPoint):
+        raise DomainError(f"eta needs an exact CMPoint, got {tau!r}")
     with mp.workprec(prec + _GUARD):
-        t = mp.mpc(tau)
+        root = mp.sqrt(tau.n)
         value = mp.mpc(1)
         err = 2.0**_GUARD  # the final rounding to prec bits
         for d, r in spec.terms:
-            factor, factor_err = _eta_mpc(d * t)
+            factor, factor_err = _eta_mpc(CMPoint(d * tau.u, d * tau.v, tau.w, tau.n), root)
             value *= factor ** r
             # x^r takes at most 2 log2|r| + 1 operations, then one product
             err += abs(r) * factor_err + 2 * (2 * abs(r).bit_length() + 2)

@@ -1,10 +1,9 @@
 """Exact univariate polynomials over the integers and exact root relations.
 
-Arbitrary-magnitude integers are Python ints, and the coefficients of a
-`LaurentExpr` are `fractions.Fraction` (always in lowest terms with positive
-denominator), so both scalar types carry their invariants for free.
-Polynomials are dense, lowest degree first, with a nonzero leading
-coefficient unless zero.
+Arbitrary-magnitude integers are Python ints, the coefficients of an
+`IntPoly` and of a `LaurentExpr` alike; a `LaurentExpr` refuses a
+non-integer coefficient.  Polynomials are dense, lowest degree first, with
+a nonzero leading coefficient unless zero.
 
 `verify_root_relation` works in integers only: it makes the modulus monic by
 scaling the variable, and carries one common denominator.  There is no
@@ -13,12 +12,10 @@ rounding anywhere in this module.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import InvalidModulusError, NonInvertibleError
+from .errors import DomainError, InvalidModulusError, NonInvertibleError
 
 __all__ = [
     "IntPoly",
@@ -64,14 +61,14 @@ class IntPoly:
 
 @dataclass(frozen=True)
 class LaurentExpr:
-    """Finite expression sum_e c_e * beta^e in one variable, exponents in Z."""
+    """Finite expression sum_e c_e * beta^e in one variable, exponents and c_e in Z."""
 
-    terms: tuple[tuple[int, Fraction], ...]
+    terms: tuple[tuple[int, int], ...]
 
-    def __init__(self, terms: Mapping[int, Fraction | int]):
-        cleaned = tuple(
-            sorted((int(e), Fraction(c)) for e, c in terms.items() if c != 0)
-        )
+    def __init__(self, terms: Mapping[int, int]):
+        if any(getattr(c, "denominator", None) != 1 for c in terms.values()):
+            raise DomainError(f"Laurent coefficients must be integers, got {dict(terms)}")
+        cleaned = tuple(sorted((int(e), int(c)) for e, c in terms.items() if c != 0))
         object.__setattr__(self, "terms", cleaned)
 
     def min_exponent(self) -> int:
@@ -126,14 +123,13 @@ def verify_root_relation(expr: LaurentExpr, target: IntPoly, modulus: IntPoly) -
         )
     y = _mulmod([1], [0, 1], mt)
     u = [-c for c in mt[1:]] + [-1]
-    lcm = math.lcm(*(c.denominator for _, c in expr.terms))
-    # D = lcm * a^pos * m~(0)^neg, and c*beta^e*D is the integer
-    # c*lcm * a^(pos-e) * m~(0)^(neg-k) times y^e (e >= 0) or u^k (k = -e > 0)
-    den = lcm * a**pos * mt[0] ** neg
+    # D = a^pos * m~(0)^neg, and c*beta^e*D is the integer
+    # c * a^(pos-e) * m~(0)^(neg-k) times y^e (e >= 0) or u^k (k = -e > 0)
+    den = a**pos * mt[0] ** neg
     num = [0] * d
     for e, c in expr.terms:
         k = max(0, -e)
-        scale = c.numerator * (lcm // c.denominator) * a ** (pos - e) * mt[0] ** (neg - k)
+        scale = c * a ** (pos - e) * mt[0] ** (neg - k)
         power = [1]
         for _ in range(abs(e)):
             power = _mulmod(power, y if e > 0 else u, mt)

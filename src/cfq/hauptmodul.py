@@ -19,19 +19,19 @@ The other Fricke levels of the genus-zero list have no construction here;
 
     |evaluate(spec, tau, prec) - t(tau)| <= 2^(ERROR_BITS - prec) * max(1, |t(tau)|),
 
-ERROR_BITS = 3.  It works at prec + 48 bits, estimates the error of the
-unrounded value and raises ConvergenceError, instead of returning, when the
-estimate exceeds 2^(ERROR_BITS - 1 - prec) * max(1, |value|); the final
-rounding then keeps the sum within the bound.  The estimate rests on one
-stated assumption, the operation-error model of `cfq.eta` at the working
-precision, which also prices the cancellation between the terms of
-sum_e c_e t^e.  Eta-quotient entries are valid anywhere because eta itself
-reduces its argument, and `eta_quotient` returns its error bound with its
-value.
+ERROR_BITS = 3, for tau an exact point (u + v sqrt(-n))/w, a `CMPoint`.  It
+works at prec + 48 bits, estimates the error of the unrounded value and
+raises ConvergenceError, instead of returning, when the estimate exceeds
+2^(ERROR_BITS - 1 - prec) * max(1, |value|); the final rounding then keeps
+the sum within the bound.  The estimate rests on one stated assumption, the
+operation-error model of `cfq.eta` at the working precision, which also
+prices the cancellation between the terms of sum_e c_e t^e.  Eta-quotient
+entries are valid at every point because eta reduces each factor's point
+in integers, and `eta_quotient` returns its error bound with its value.
 
 A theta quotient is evaluated at a point of tau's orbit under Gamma0(N)
-and the Fricke flip tau -> -1/(N tau) with Im >= sqrt(3)/(2N), up to the
-ascent's 2^-24 slack, so |q| <= exp(-pi sqrt(3)/N) (`_fricke_ascent`).
+and the Fricke flip tau -> -1/(N tau) with Im >= sqrt(3)/(2N), found in
+integers, so |q| <= exp(-pi sqrt(3)/N) (`_fricke_ascent`).
 There eta(tau) eta(N tau) = q^v D(q), v = (N + 1)/24 and
 D = prod (1 - q^n)(1 - q^(Nn)), and f = sum_(e >= v-1) c_e q^e, so
 
@@ -48,8 +48,8 @@ pairs with p1 + N p2 = e number at most e/N + 1, and as -N is a fundamental
 discriminant, the representation counts of its classes sum to
 2 sum_(d|e) (-N/d), so r_Q(e) <= 2 d(e) <= 4 sqrt(e) for every form and
 |c_e| <= A sqrt(e), A = 4 sum |s_Q| / m.  The remaining parts of the
-estimate are the error in q, carried through the derivative of each series,
-with the roundings of each step of the ascent counted, and the rounding of
+estimate are the error in q, from the one rounding of the exact point and
+the exp, carried through the derivative of each series, and the rounding of
 the last operations.
 """
 
@@ -58,7 +58,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from math import isqrt
 
@@ -67,7 +66,9 @@ from mpmath import mp
 
 from .elliptic import CMPoint
 from .errors import ConvergenceError, DomainError, NoConstructionError, NotGenusZeroError
-from .eta import EtaQuotientSpec, _ascend, _pentagonal, _pentagonal_exponent, eta_quotient
+from .eta import (
+    EtaQuotientSpec, _ascend, _mp_point, _pentagonal, _pentagonal_exponent, eta_quotient,
+)
 from .exactpoly import LaurentExpr
 from .numerics import _GUARD, _fixed_series, _powers, _to_fixed
 
@@ -134,8 +135,7 @@ class EtaQuotientHaupt:
     laurent: LaurentExpr
 
     def __post_init__(self):
-        terms = self.laurent.terms
-        if not terms or any(c.denominator != 1 for _, c in terms):
+        if not self.laurent.terms:
             raise DomainError("Laurent coefficients must be integers, not all zero")
 
 
@@ -162,12 +162,10 @@ class ThetaQuotientHaupt:
 
 
 def _kappa(n: int, terms) -> int:
-    val = Fraction(1)
-    for d, r in terms:
-        val *= Fraction(n // d) ** r
-    assert val.denominator == 1
-    root = isqrt(val.numerator)
-    assert root * root == val.numerator
+    num = math.prod((n // d) ** r for d, r in terms if r > 0)
+    den = math.prod((n // d) ** -r for d, r in terms if r < 0)
+    root = isqrt(num // den)
+    assert root * root * den == num
     return root
 
 
@@ -224,27 +222,23 @@ def catalog_entries() -> list[dict]:
     return out
 
 
-def evaluate(spec, tau, prec: int) -> mpmath.mpc:
-    """Value of a principal modulus at tau, rounded to prec bits.
+def evaluate(spec, tau: CMPoint, prec: int) -> mpmath.mpc:
+    """Value of a principal modulus at the exact point tau, rounded to prec bits.
 
-    tau is a CMPoint or any complex number in the upper half plane.  The
-    result is within 2^(ERROR_BITS - prec) * max(1, |t(tau)|) of the true
-    value, under the assumption stated in the module docstring; where the
-    error estimate cannot meet that, ConvergenceError is raised instead.
+    The result is within 2^(ERROR_BITS - prec) * max(1, |t(tau)|) of the
+    true value, under the assumption stated in the module docstring; where
+    the error estimate cannot meet that, ConvergenceError is raised instead.
     """
+    if not isinstance(tau, CMPoint):
+        raise DomainError(f"evaluation needs an exact CMPoint, got {tau!r}")
     wp = prec + _GUARD
     with mp.workprec(wp):
-        if isinstance(tau, CMPoint):
-            z = (tau.u + mp.sqrt(tau.n) * mp.mpc(0, tau.v)) / tau.w
-        else:
-            z = tau
         # Errors in units of 2^-wp * max(1, |value|), 2 units of its result
-        # per operation (the model of cfq.eta); z is within 4 units of |z|
-        # of the point.
+        # per operation (the model of cfq.eta).
         if isinstance(spec, EtaQuotientHaupt):
-            value, err = _laurent_sum(spec.laurent, *eta_quotient(spec.spec, z, wp))
+            value, err = _laurent_sum(spec.laurent, *eta_quotient(spec.spec, tau, wp))
         elif isinstance(spec, ThetaQuotientHaupt):
-            value, err = _evaluate_theta(spec, mp.mpc(z), prec)
+            value, err = _evaluate_theta(spec, tau, prec)
         else:
             raise DomainError(f"unknown principal-modulus description {spec!r}")
     # in units of 2^-prec * max(1, |value|); the final rounding adds 1
@@ -296,7 +290,7 @@ def _laurent_sum(laurent: LaurentExpr, t, t_err: float) -> tuple[mpmath.mpc, flo
     powers = [1, t]
     terms = []
     for e, c in sorted(laurent.terms, key=lambda term: term[0] == 0):
-        c, k = c.numerator, abs(e)
+        k = abs(e)
         while len(powers) <= k:
             powers.append(powers[-1] * t)
         if e < 0:
@@ -328,41 +322,28 @@ def _rel(x, scale) -> float:
     return float(abs(x) / scale)
 
 
-def _fricke_ascent(z, n: int) -> tuple[mpmath.mpc, float]:
-    """A point of z's orbit under Gamma0(n) and the Fricke flip, for a prime n.
+def _fricke_ascent(tau: CMPoint, n: int) -> CMPoint:
+    """A point of tau's orbit under Gamma0(n) and the Fricke flip, for a prime n.
 
-    Runs at the working precision.  The Fricke ascent `_ascend(z, n)` comes
-    first.  Only if it stops below Im = sqrt(3)/(2n), is its point w moved
-    into the fundamental domain of SL2(Z), z1 = g w.  When n divides the
-    lower-left entry c of g, g^-1 lies in Gamma0(n) and z1 is in the orbit.
-    Otherwise g^-1 lies in the coset Gamma0(n) S T^k, k = -a/c mod n
+    Exact, in integers.  The Fricke ascent `_ascend(tau, n)` comes first.
+    Only if it stops below Im = sqrt(3)/(2n), is its point w moved into the
+    fundamental domain of SL2(Z), z1 = g w.  When n divides the lower-left
+    entry c of g, g^-1 lies in Gamma0(n) and z1 is in the orbit.  Otherwise
+    g^-1 lies in the coset Gamma0(n) S T^k, k = -a/c mod n
     (S T^k = [[0, -1], [1, k]], the cosets other than Gamma0(n) itself, as n
     is prime), and the Fricke flip takes S T^k z1 to (z1 + k)/n.  A second
     Fricke ascent follows.  The point has |Re| <= 1/2 and
-    Im >= sqrt(3)/(2n), up to the ascents' 2^-24 slack.
-
-    Returns (point, rho), rho a bound on the point's error over its
-    imaginary part in units of 2^-wp, for a z within 4 units of |z|.
-    error / Im survives each translation and flip, which adds its two
-    roundings, 4 units of |z| / Im(z) <= 1/(2 Im) + 1 at each step's
-    result, Im the lowest the ascents have passed; z1 + k and the division
-    by n round 4 units of |z1 + k| / Im(z1) together.
+    Im >= sqrt(3)/(2n).
     """
-    z0 = complex(z)
-    low = z0.imag
-    point, _gamma, steps = _ascend(z, n)
-    rho = 4 * abs(z0) / low + 4 * steps * (1 / (2 * low) + 1)
-    if 2 * n * float(point.imag) < math.sqrt(3):
-        point, (a, _b, c, _d), steps = _ascend(point, 1)
-        rho += 4 * steps * (1 / (2 * low) + 1)
+    point, _gamma, _steps = _ascend(tau, n)
+    # 2n Im < sqrt(3), Im = v sqrt(point.n) / w
+    if 4 * n * n * point.v**2 * point.n < 3 * point.w**2:
+        z1, (a, _b, c, _d), _steps = _ascend(point, 1)
         if c % n:
-            point = (point + (-a * pow(c, -1, n) % n)) / n
-            w = complex(point)
-            low = min(low, w.imag)
-            rho += 4 * abs(w) / w.imag
-        point, _gamma, steps = _ascend(point, n)
-        rho += 4 * steps * (1 / (2 * low) + 1)
-    return point, rho
+            k = -a * pow(c, -1, n) % n
+            z1 = CMPoint(z1.u + k * z1.w, z1.v, n * z1.w, z1.n)
+        point, _gamma, _steps = _ascend(z1, n)
+    return point
 
 
 def _pow2_size(needed: int) -> int:
@@ -462,25 +443,26 @@ def _coeff_bits(a: float, top: int) -> int:
     return math.ceil(a * (isqrt(top) + 1)).bit_length()
 
 
-def _evaluate_theta(spec: ThetaQuotientHaupt, z, prec: int) -> tuple[mpmath.mpc, float]:
-    """The quotient at z and its error bound in units of 2^-(prec+guard) max(1, |value|).
+def _evaluate_theta(spec: ThetaQuotientHaupt, tau: CMPoint,
+                    prec: int) -> tuple[mpmath.mpc, float]:
+    """The quotient at tau and its error bound in units of 2^-(prec+guard) max(1, |value|).
 
     Runs at the working precision evaluate sets (prec + guard).
     """
     n, wp = spec.level, prec + _GUARD
     v = (n + 1) // 24
-    zc, rho = _fricke_ascent(z, n)
+    zc = _mp_point(_fricke_ascent(tau, n), mp.sqrt(tau.n))
     q = mp.exp(2j * mp.pi * zc)
     # -ln|q|, shaded down so that no bound below is shaded down with it
     ell = 2 * math.pi * float(zc.imag) * (1 - 2.0**-40)
     r = math.exp(-ell)
-    # The point is within rho Im(zc) units of itself, and the exp argument
-    # rounds 8 units of |zc|; exp adds 2 units of q.  A relative error
-    # eps_q in q moves a series by eps_q sum_e e |c_e| |q|^e, which is below
-    # A (sqrt(s1 s2) + sqrt(v) s1) for the numerator, as sum e^(3/2) r^e <=
-    # sqrt(s1 s2) by Cauchy-Schwarz, and s2/N + s1 for D, with
-    # s1 = sum e r^e = r/(1-r)^2 and s2 = sum e^2 r^e = r(1+r)/(1-r)^3.
-    eps_q = 2 * math.pi * (rho * float(zc.imag) + 8 * abs(complex(zc))) + 2
+    # The point is within 6 units of |zc| (`_mp_point`), and the exp
+    # argument rounds 8 units of |zc| more; exp adds 2 units of q.  A
+    # relative error eps_q in q moves a series by eps_q sum_e e |c_e| |q|^e,
+    # which is below A (sqrt(s1 s2) + sqrt(v) s1) for the numerator, as
+    # sum e^(3/2) r^e <= sqrt(s1 s2) by Cauchy-Schwarz, and s2/N + s1 for D,
+    # with s1 = sum e r^e = r/(1-r)^2 and s2 = sum e^2 r^e = r(1+r)/(1-r)^3.
+    eps_q = 2 * math.pi * 14 * abs(complex(zc)) + 2
     one_r = -math.expm1(-ell)
     s1, s2 = r / one_r**2, r * (1 + r) / one_r**3
     to_units = (prec + _GUARD) * math.log(2)

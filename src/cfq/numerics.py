@@ -75,14 +75,13 @@ class PrecisionPolicy:
     max_bits: int = 16384
 
     def __post_init__(self):
-        if self.start_bits < MIN_PREC_BITS:
+        if self.max_bits < MIN_PREC_BITS:
             raise DomainError(
-                f"precision must be at least {MIN_PREC_BITS} bits, got {self.start_bits}"
+                f"max_bits must be at least {MIN_PREC_BITS} bits, got {self.max_bits}"
             )
-        if self.max_bits < self.start_bits:
-            raise DomainError(
-                f"max_bits {self.max_bits} is below start_bits {self.start_bits}"
-            )
+        if not MIN_PREC_BITS <= self.start_bits <= self.max_bits:
+            raise DomainError(f"precision must be from {MIN_PREC_BITS} to {self.max_bits} "
+                              f"bits, got {self.start_bits}")
 
 
 def certify_int_poly(

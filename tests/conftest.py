@@ -3,6 +3,7 @@ group-element generators."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import zip_longest
@@ -11,6 +12,7 @@ from math import gcd
 import mpmath
 from mpmath import mp
 
+from cfq.elliptic import CMPoint
 from cfq.errors import InvalidModulusError, NonInvertibleError
 from cfq.exactpoly import IntPoly
 from cfq.hauptmodul import GAMMA0_LEVELS
@@ -41,6 +43,59 @@ def rounded(z, prec) -> mpmath.mpc:
 def cm_mpc(tau) -> mpmath.mpc:
     """The CMPoint tau = (u + v sqrt(-n)) / w at the working precision."""
     return (tau.u + mp.sqrt(tau.n) * mp.mpc(0, tau.v)) / tau.w
+
+
+def rational_point(rng: random.Random, re_lo, re_hi, im_lo, im_hi) -> CMPoint:
+    """A random CMPoint (u + v i)/w with u/w in [re_lo, re_hi] and v/w in [im_lo, im_hi].
+
+    w is drawn up to 10^6, and u and v uniformly on the grid 1/w.
+    """
+    while True:
+        w = rng.randint(1, 10**6)
+        lo, hi = math.ceil(re_lo * w), math.floor(re_hi * w)
+        vlo, vhi = max(1, math.ceil(im_lo * w)), math.floor(im_hi * w)
+        if lo <= hi and vlo <= vhi:
+            return CMPoint(rng.randint(lo, hi), rng.randint(vlo, vhi), w, 1)
+
+
+def cm_mobius(m, tau: CMPoint) -> CMPoint:
+    """(a tau + b)/(c tau + d) exactly, for an integer matrix of positive determinant.
+
+    With tau = (u + v s)/w, s = sqrt(-n), the numerator times the conjugate
+    of the denominator is (au + bw)(cu + dw) + n a c v^2 + (ad - bc) v w s,
+    over (cu + dw)^2 + n c^2 v^2.
+    """
+    a, b, c, d = m
+    u, v, w, n = tau.u, tau.v, tau.w, tau.n
+    return CMPoint((a * u + b * w) * (c * u + d * w) + n * a * c * v * v,
+                   (a * d - b * c) * v * w, (c * u + d * w) ** 2 + n * c * c * v * v, n)
+
+
+def dedekind_sum_by_definition(h: int, k: int) -> Fraction:
+    """Direct summation oracle: s(h,k) = sum ((r/k))((hr/k))."""
+
+    def saw(x: Fraction) -> Fraction:
+        if x.denominator == 1:
+            return Fraction(0)
+        return x - x.numerator // x.denominator - Fraction(1, 2)
+
+    return sum(
+        (saw(Fraction(r, k)) * saw(Fraction(h * r, k)) for r in range(1, k)),
+        Fraction(0),
+    )
+
+
+def eta_multiplier(m) -> mpmath.mpc:
+    """eta(m tau) / (sqrt(c tau + d) eta(tau)) for m in SL2(Z), c > 0 or c = 0 < d.
+
+    From the Dedekind sum by its definition, at the working precision.
+    """
+    a, b, c, d = m
+    if c == 0:
+        r = Fraction(b, 12)
+    else:
+        r = Fraction(a + d, 12 * c) - dedekind_sum_by_definition(d, c) - Fraction(1, 4)
+    return mp.exp(mp.mpc(0, 1) * mp.pi * r.numerator / r.denominator)
 
 
 def level_keys() -> list[tuple[int, str, int]]:
@@ -184,11 +239,6 @@ def random_gamma0(rng: random.Random, n: int):
         if g != 1:
             continue
         return u, v, c, d
-
-
-def mobius(m, tau):
-    a, b, c, d = m
-    return (a * tau + b) / (c * tau + d)
 
 
 def eta_direct_series(tau, prec):

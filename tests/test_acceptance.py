@@ -7,7 +7,6 @@ import contextlib
 import io
 import random
 import time
-from fractions import Fraction
 
 from mpmath import mp
 
@@ -16,16 +15,18 @@ from conftest import (
     H284,
     WEBER,
     brute_force_class_count,
+    cm_mobius,
+    cm_mpc,
     eta_direct_series,
-    mobius,
+    eta_multiplier,
     random_gamma0,
     random_sl2,
-    rounded,
+    rational_point,
 )
 from cfq.classfield import galois_permutation, ring_class_polynomial, singular_values
 from cfq.cli import run as cli_run
-from cfq.elliptic import EllipticElement, enumerate_representatives, fixed_point
-from cfq.eta import dedekind_sum, eta
+from cfq.elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
+from cfq.eta import eta
 from cfq.exactpoly import LaurentExpr, verify_root_relation
 from cfq.hauptmodul import GAMMA0_LEVELS, catalog_lookup, evaluate
 from cfq.quadforms import enumerate_class_group
@@ -105,9 +106,7 @@ PREC6 = 160
 
 
 def _eval_at(entry, z):
-    # the input point is carried with extra bits so that input rounding,
-    # amplified by the derivative of the modulus, stays below the tolerance
-    return evaluate(entry, rounded(z, PREC6 + 32), PREC6)
+    return evaluate(entry, z, PREC6)
 
 
 def test_criterion_6_catalog_validity():
@@ -118,19 +117,20 @@ def test_criterion_6_catalog_validity():
             for n in sorted(GAMMA0_LEVELS - {1}):
                 entry = catalog_lookup(n, "gamma0")
                 for _ in range(20):
-                    tau = mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.3))
+                    tau = rational_point(rng, -0.5, 0.5, 0.8, 1.3)
                     base = _eval_at(entry, tau)
                     for _ in range(5):
-                        moved = _eval_at(entry, mobius(random_gamma0(rng, n), tau))
+                        moved = _eval_at(entry, cm_mobius(random_gamma0(rng, n), tau))
                         assert abs(moved - base) < tol, (n, "gamma0")
             for n in sorted(GAMMA0_LEVELS - {1}):
                 entry = catalog_lookup(n, "fricke")
                 for _ in range(20):
-                    tau = mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.3))
+                    tau = rational_point(rng, -0.5, 0.5, 0.8, 1.3)
                     base = _eval_at(entry, tau)
-                    assert abs(_eval_at(entry, -1 / (n * tau)) - base) < tol, (n, "w")
+                    wtau = cm_mobius((0, -1, n, 0), tau)
+                    assert abs(_eval_at(entry, wtau) - base) < tol, (n, "w")
                     for _ in range(5):
-                        moved = _eval_at(entry, mobius(random_gamma0(rng, n), tau))
+                        moved = _eval_at(entry, cm_mobius(random_gamma0(rng, n), tau))
                         assert abs(moved - base) < tol, (n, "fricke")
 
 
@@ -151,19 +151,14 @@ def test_criterion_8_eta_engine():
             tol = mp.mpf(2) ** (-prec + 12)
             for _ in range(500):
                 a, b, c, d = random_sl2(rng)
-                tau = mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.4, 1.8))
-                lhs = eta(rounded(mobius((a, b, c, d), tau), prec), prec)
-                base = eta(rounded(tau, prec), prec)
-                if c == 0:
-                    rhs = mp.exp(mp.mpc(0, 1) * mp.pi * (b * d) / 12) * base
-                else:
-                    cc, dd = (c, d) if c > 0 else (-c, -d)
-                    aa = a if c > 0 else -a
-                    r = Fraction(aa + dd, 12 * cc) - dedekind_sum(dd, cc) - Fraction(1, 4)
-                    eps = mp.exp(mp.mpc(0, 1) * mp.pi * r.numerator / r.denominator)
-                    rhs = eps * mp.sqrt(cc * tau + dd) * base
+                if c < 0 or (c == 0 and d < 0):
+                    a, b, c, d = -a, -b, -c, -d
+                tau = rational_point(rng, -0.5, 0.5, 0.4, 1.8)
+                lhs = eta(cm_mobius((a, b, c, d), tau), prec)
+                base = eta(tau, prec)
+                rhs = eta_multiplier((a, b, c, d)) * mp.sqrt(c * cm_mpc(tau) + d) * base
                 assert abs(lhs - rhs) < tol
-            got = eta(rounded(mp.mpc(0, 1), prec), prec)
+            got = eta(CMPoint(0, 1, 1, 1), prec)
             want = eta_direct_series(mp.mpc(0, 1), prec)
             assert abs(got - want) < mp.mpf(2) ** (-prec + 8)
 

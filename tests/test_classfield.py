@@ -72,7 +72,8 @@ class TestSingularValues:
 
     def test_small_levels_bit_identical(self):
         # the eta path at every key of the degree-law sweep, hashed as the
-        # level-71 values are: q^24 from its chain of five products, and the
+        # level-71 values are: each factor's point reduced in integers and
+        # rounded once, q^24 from its chain of five products, and the
         # pentagonal series summed in blocks of isqrt(e_max) + 1 exponents
         digest = hashlib.sha256()
         for key in level_keys():
@@ -81,7 +82,7 @@ class TestSingularValues:
                     sign, man, exp, _ = x._mpf_
                     digest.update(f"{sign} {man} {exp};".encode())
         assert digest.hexdigest() == (
-            "636365f65c0778484385d679e89baaafee5a955888fcbafda5bfece7a5376024"
+            "e739b394e3ca0af9b7d8d5917598cc0375d8908330d6e72e37c850953b018c8f"
         )
 
     def test_classes_pairwise_distinct(self):
@@ -300,7 +301,7 @@ class TestRingClassPolynomial:
         assert result.history[1].startswith("128 bits: accepted -88,1,")
 
     def test_start_above_ceiling_is_refused_before_work(self, evaluate_calls):
-        with pytest.raises(DomainError, match="max_bits 32 is below start_bits 64"):
+        with pytest.raises(DomainError, match="max_bits must be at least 64 bits, got 32"):
             ring_class_polynomial(2, "gamma0", -8, PrecisionPolicy(max_bits=32))
         assert evaluate_calls == []
 

@@ -66,7 +66,7 @@ class TestClassPoly:
                      ["eval", "-n", "2", "--group", "gamma0", "--element", "0,-1,1"]):
             code, out, err = invoke(argv + ["--prec-bits", "10"])
             assert code == 1 and out == ""
-            assert err == "cfq: error: precision must be at least 64 bits, got 10\n"
+            assert err == "cfq: error: precision must be from 64 to 16384 bits, got 10\n"
 
     def test_json_history_and_radius(self):
         code, out, _ = invoke(
@@ -199,6 +199,15 @@ class TestEval:
                                  "--prec-bits", prec])
         assert (code, out) == (1, "")
         assert err.startswith("cfq: error: ")
+
+    def test_precision_above_the_ceiling_names_the_range(self):
+        # both subcommands name the range the user can choose from, not a
+        # ceiling field they never set
+        for argv in (["class-poly", "-n", "2", "--group", "gamma0", "-D", "-8"],
+                     ["eval", "-n", "2", "--group", "gamma0", "--element", "0,-1,1"]):
+            code, out, err = invoke(argv + ["--prec-bits", "20000"])
+            assert (code, out) == (1, "")
+            assert err == "cfq: error: precision must be from 64 to 16384 bits, got 20000\n"
 
     def test_exact_value_prints_no_noise(self):
         # the element fixes 1 + sqrt(-2)/2, where the level-2 principal

@@ -1,9 +1,7 @@
 """Eta engine: Dedekind sums, transformation law, quotients."""
 
-import math
 import random
-from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import mpmath
 import pytest
@@ -11,43 +9,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from conftest import cm_mpc, cpx, eta_direct_series, mobius, random_sl2, rounded
+from conftest import (
+    cm_mobius, cm_mpc, dedekind_sum_by_definition, eta_direct_series, eta_multiplier,
+    random_sl2, rational_point,
+)
 import cfq.eta
-from cfq.elliptic import enumerate_representatives, fixed_point
+from cfq.elliptic import CMPoint, enumerate_representatives, fixed_point
 from cfq.errors import DomainError
-from cfq.eta import EtaQuotientSpec, _ascend, _eta_series, dedekind_sum, eta, eta_quotient
+from cfq.eta import (
+    EtaQuotientSpec, _ascend, _dedekind12, _eta_series, _mp_point, eta, eta_quotient,
+)
 from cfq.hauptmodul import catalog_lookup
 from cfq.numerics import _GUARD, _fixed_series
 from cfq.quadforms import enumerate_class_group
 
 
-def dedekind_sum_by_definition(h: int, k: int) -> Fraction:
-    """Direct summation oracle: s(h,k) = sum ((r/k))((hr/k))."""
-
-    def saw(x: Fraction) -> Fraction:
-        if x.denominator == 1:
-            return Fraction(0)
-        return x - x.numerator // x.denominator - Fraction(1, 2)
-
-    return sum(
-        (saw(Fraction(r, k)) * saw(Fraction(h * r, k)) for r in range(1, k)),
-        Fraction(0),
-    )
-
-
 class TestDedekindSum:
+    """_dedekind12(h, k) = 12k s(h, k), an integer."""
+
     def test_empty_sum(self):
-        assert dedekind_sum(0, 1) == 0
+        assert _dedekind12(0, 1) == 0
 
     def test_small_values(self):
-        assert dedekind_sum(1, 3) == Fraction(1, 18)
-        assert dedekind_sum(2, 3) == Fraction(-1, 18)
+        # s(1, 3) = 1/18 and s(2, 3) = -1/18
+        assert _dedekind12(1, 3) == 2
+        assert _dedekind12(2, 3) == -2
 
     def test_against_definition(self):
         for k in range(1, 26):
-            for h in range(k):
+            for h in range(-k, 2 * k):
                 if gcd(h, k) == 1:
-                    assert dedekind_sum(h, k) == dedekind_sum_by_definition(h, k)
+                    assert _dedekind12(h, k) == 12 * k * dedekind_sum_by_definition(h % k, k)
 
     def test_reciprocity_500_random_pairs(self):
         rng = random.Random(20260808)
@@ -57,16 +49,16 @@ class TestDedekindSum:
             k = rng.randint(1, 4000)
             if gcd(h, k) != 1:
                 continue
-            lhs = dedekind_sum(h, k) + dedekind_sum(k, h)
-            rhs = Fraction(-1, 4) + (
-                Fraction(h, k) + Fraction(k, h) + Fraction(1, h * k)
-            ) / 12
-            assert lhs == rhs
+            # 12hk (s(h, k) + s(k, h)) = -3hk + h^2 + k^2 + 1
+            lhs = h * _dedekind12(h, k) + k * _dedekind12(k, h)
+            assert lhs == h * h + k * k + 1 - 3 * h * k
             done += 1
 
     def test_rejects_common_factor(self):
         with pytest.raises(DomainError):
-            dedekind_sum(2, 4)
+            _dedekind12(2, 4)
+        with pytest.raises(DomainError):
+            _dedekind12(1, 0)
 
 
 PREC = 128
@@ -74,13 +66,13 @@ PREC = 128
 
 class TestEta:
     def test_translation_law(self):
-        t0 = eta(cpx(0, 2, PREC), PREC)
-        t1 = eta(cpx(1, 2, PREC), PREC)
+        t0 = eta(CMPoint(0, 2, 1, 1), PREC)
+        t1 = eta(CMPoint(1, 2, 1, 1), PREC)
         with mp.workprec(PREC + 16):
             assert abs(t1 / t0 - mp.exp(mp.mpc(0, 1) * mp.pi / 12)) < mp.mpf(2) ** (-PREC + 8)
 
     def test_value_at_i_against_direct_series(self):
-        got = eta(cpx(0, 1, PREC), PREC)
+        got = eta(CMPoint(0, 1, 1, 1), PREC)
         with mp.workprec(PREC + 16):
             want = eta_direct_series(mp.mpc(0, 1), PREC)
             assert abs(got - want) < mp.mpf(2) ** (-PREC + 8)
@@ -89,15 +81,21 @@ class TestEta:
             assert abs(got - closed) < mp.mpf(2) ** (-PREC + 8)
 
     def test_inversion_law(self):
+        # tau = 1/2 + 2i and -1/tau = (-2 + 8i)/17
+        tau = CMPoint(1, 4, 2, 1)
+        assert cm_mobius((0, -1, 1, 0), tau) == CMPoint(-2, 8, 17, 1)
+        lhs = eta(CMPoint(-2, 8, 17, 1), PREC)
         with mp.workprec(PREC + 16):
-            tau = mp.mpc(0.5, 2)
-            lhs = eta(rounded(-1 / tau, PREC), PREC)
-            rhs = mp.sqrt(mp.mpc(0, -1) * tau) * eta(rounded(tau, PREC), PREC)
+            rhs = mp.sqrt(mp.mpc(0, -1) * cm_mpc(tau)) * eta(tau, PREC)
             assert abs(lhs - rhs) < mp.mpf(2) ** (-PREC + 10)
 
     def test_rejects_lower_half_plane(self):
         with pytest.raises(DomainError):
-            eta(cpx(0, -1, PREC), PREC)
+            eta(CMPoint(0, -1, 1, 1), PREC)
+
+    def test_rejects_an_inexact_point(self):
+        with pytest.raises(DomainError, match="CMPoint"):
+            eta(mp.mpc(0, 1), PREC)
 
     def test_transformation_law_500_pairs(self):
         rng = random.Random(987654)
@@ -105,18 +103,11 @@ class TestEta:
             tol = mp.mpf(2) ** (-PREC + 12)
             for _ in range(500):
                 a, b, c, d = random_sl2(rng)
-                tau = mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.4, 1.8))
-                lhs = eta(rounded(mobius((a, b, c, d), tau), PREC), PREC)
-                rhs0 = eta(rounded(tau, PREC), PREC)
-                if c == 0:
-                    factor = mp.exp(mp.mpc(0, 1) * mp.pi * (b * d) / 12)
-                    rhs = factor * rhs0
-                else:
-                    cc, dd = (c, d) if c > 0 else (-c, -d)
-                    s = dedekind_sum(dd, cc)
-                    r = Fraction(a * (1 if c > 0 else -1) + dd, 12 * cc) - s - Fraction(1, 4)
-                    eps = mp.exp(mp.mpc(0, 1) * mp.pi * r.numerator / r.denominator)
-                    rhs = eps * mp.sqrt(cc * tau + dd) * rhs0
+                if c < 0 or (c == 0 and d < 0):
+                    a, b, c, d = -a, -b, -c, -d
+                tau = rational_point(rng, -0.5, 0.5, 0.4, 1.8)
+                lhs = eta(cm_mobius((a, b, c, d), tau), PREC)
+                rhs = eta_multiplier((a, b, c, d)) * mp.sqrt(c * cm_mpc(tau) + d) * eta(tau, PREC)
                 assert abs(lhs - rhs) < tol
 
     def test_periodicity_multiplier_chain(self):
@@ -124,21 +115,17 @@ class TestEta:
         with mp.workprec(PREC):
             total = mp.exp(mp.mpc(0, 1) * mp.pi * 24 / 12)
             assert abs(total - 1) < mp.mpf(2) ** (-PREC + 4)
-            re0 = mp.mpf(3) / 10
-            tau0 = mp.mpc(re0, mp.mpf(9) / 10)
-            tau24 = mp.mpc(re0 + 24, mp.mpf(9) / 10)
-        v0 = eta(tau0, PREC)
-        v24 = eta(tau24, PREC)
+        v0 = eta(CMPoint(3, 9, 10, 1), PREC)
+        v24 = eta(CMPoint(243, 9, 10, 1), PREC)
         assert abs(v0 - v24) < mp.mpf(2) ** (-PREC + 10)
 
     def test_doubling_precision_halves_error(self):
         rng = random.Random(13)
         for _ in range(10):
-            tau_re = rng.uniform(-0.5, 0.5)
-            tau_im = rng.uniform(0.3, 2.0)
+            tau = rational_point(rng, -0.5, 0.5, 0.3, 2.0)
             for p in (96, 128, 192):
-                lo = eta(cpx(tau_re, tau_im, p), p)
-                hi = eta(cpx(tau_re, tau_im, 2 * p), 2 * p)
+                lo = eta(tau, p)
+                hi = eta(tau, 2 * p)
                 with mp.workprec(2 * p):
                     assert abs(lo - hi) < mp.mpf(2) ** (-p + 10)
 
@@ -146,13 +133,25 @@ class TestEta:
 class TestEtaQuotient:
     def test_single_factor_equals_eta(self):
         spec = EtaQuotientSpec([(1, 1)])
-        tau = cpx(0.2, 1.1, PREC)
+        tau = CMPoint(2, 11, 10, 1)
         assert eta_quotient(spec, tau, PREC)[0] == eta(tau, PREC)
+
+    def test_factor_at_d_tau(self):
+        # eta(d tau) is the factor eta(tau') at the exact point tau' = d tau
+        rng = random.Random(6)
+        for _ in range(20):
+            tau = rational_point(rng, -0.5, 0.5, 0.3, 1.5)
+            for d in (2, 3, 12):
+                got, _ = eta_quotient(EtaQuotientSpec([(d, 1)]), tau, PREC)
+                moved = CMPoint(d * tau.u, d * tau.v, tau.w, tau.n)
+                assert got == eta(moved, PREC)
+                with mp.workprec(PREC + 16):
+                    want = eta_direct_series(d * cm_mpc(tau), PREC + 16)
+                    assert abs(got - want) <= mp.mpf(2) ** (-PREC + 8) * abs(want)
 
     def test_level2_against_product_oracle(self):
         spec = EtaQuotientSpec([(1, 24), (2, -24)])
-        tau = cpx(0, 3, PREC)
-        got, _ = eta_quotient(spec, tau, PREC)
+        got, _ = eta_quotient(spec, CMPoint(0, 3, 1, 1), PREC)
         with mp.workprec(PREC + 32):
             q = mp.exp(2j * mp.pi * mp.mpc(0, 3))
             prod = mp.mpf(1)
@@ -168,9 +167,8 @@ class TestEtaQuotient:
 
     def test_fricke_fixed_point_value(self):
         spec = EtaQuotientSpec([(1, 24), (2, -24)])
-        with mp.workprec(PREC):
-            tau = mp.mpc(0, 1) / mp.sqrt(2)
-        got, _ = eta_quotient(spec, tau, PREC)
+        # i / sqrt(2) = sqrt(-2) / 2
+        got, _ = eta_quotient(spec, CMPoint(0, 1, 2, 2), PREC)
         assert abs(got - 64) < mp.mpf(2) ** (-PREC + 16)
 
     def test_spec_validation(self):
@@ -184,10 +182,15 @@ class TestEtaQuotient:
 
 @st.composite
 def domain_points(draw):
-    """(x, y, w): a point x + iy of the fundamental domain and a precision w."""
-    x = draw(st.floats(min_value=-0.5, max_value=0.5))
-    y = math.sqrt(1 - x * x) + draw(st.floats(min_value=0, max_value=3))
-    return x, y, draw(st.integers(min_value=64, max_value=1100))
+    """(tau, w): an exact point (u + vi)/t of the fundamental domain and a precision w.
+
+    |u| <= t/2 and v >= sqrt(t^2 - u^2), at most 3 above the unit circle.
+    """
+    t = draw(st.integers(min_value=1, max_value=10**6))
+    u = draw(st.integers(min_value=-(t // 2), max_value=t // 2))
+    v = isqrt(t * t - u * u - 1) + 1
+    v += draw(st.integers(min_value=0, max_value=3 * t))
+    return CMPoint(u, v, t, 1), draw(st.integers(min_value=64, max_value=1100))
 
 
 class TestEtaSeriesKernel:
@@ -201,9 +204,9 @@ class TestEtaSeriesKernel:
         # q^(1/24) taken as exact, 300 bits deeper.  Converting the sum and
         # the product with q^(1/24) round once each, within 4 units of the
         # value together.
-        x, y, w = point
+        point, w = point
         with mp.workprec(w):
-            tau = mp.mpc(x, y)
+            tau = cm_mpc(point)
             value, err = _eta_series(tau)
             q24 = mp.exp(mp.mpc(0, 1) * mp.pi * tau / 12)
         with mp.workprec(w + 300):
@@ -218,10 +221,10 @@ class TestEtaSeriesKernel:
         # summed at the unreduced point
         rng = random.Random(prec)
         for _ in range(12):
-            tau = cpx(rng.uniform(-3, 3), rng.uniform(0.35, 2.5), prec)
+            tau = rational_point(rng, -3, 3, 0.35, 2.5)
             got = eta(tau, prec)
             with mp.workprec(prec + 16):
-                want = eta_direct_series(tau, prec + 16)
+                want = eta_direct_series(cm_mpc(tau), prec + 16)
                 assert abs(got - want) <= mp.mpf(2) ** (-prec + 8) * abs(want)
 
     @pytest.mark.parametrize("prec", [128, 256, 1024])
@@ -242,8 +245,7 @@ class TestEtaSeriesKernel:
         for n in (2, 6, 12, 18, 25):
             spec = catalog_lookup(n, "gamma0").spec
             for alpha in enumerate_representatives(n, -4 * n, enumerate_class_group(-4 * n)):
-                with mp.workprec(prec):
-                    z = cm_mpc(fixed_point(alpha))
+                z = fixed_point(alpha)
                 summed.clear()
                 extra[0] = 0.0
                 value, bound = eta_quotient(spec, z, prec)
@@ -267,22 +269,24 @@ PENTAGONAL = tuple(sorted(k * (3 * k - 1) // 2 for k in range(-60, 61)))
 
 
 class TestAscend:
-    """z -> z + k and z -> -1/(n z) up to n|z|^2 >= 1 - 2^-24, the matrix tracked."""
+    """tau -> tau - k and tau -> -1/(n tau) in integers up to n|tau|^2 >= 1, the matrix tracked."""
 
     @pytest.mark.parametrize("prec", [128, 256, 1024])
     def test_matrix_at_level_1(self, prec):
-        # an SL2(Z) matrix mapping the input to the output, at the deep
-        # level-1 point too
+        # an SL2(Z) matrix mapping the input to the output exactly, at the
+        # deep level-1 point too; the point formed at prec bits is within 6
+        # units of its modulus
         rng = random.Random(prec)
-        points = [cpx(rng.uniform(-3, 3), rng.uniform(0.01, 2), prec) for _ in range(20)]
-        points.append(cpx("0.41421356237", "1e-6", prec))
+        points = [rational_point(rng, -3, 3, 0.01, 2) for _ in range(20)]
+        points.append(CMPoint(41421356237, 100000, 10**11, 1))
         for tau in points:
-            with mp.workprec(prec + _GUARD):
-                out, (a, b, c, d), steps = _ascend(tau, 1)
-            assert a * d - b * c == 1
-            assert abs(out.real) <= 0.5 and out.real**2 + out.imag**2 >= 1 - 2.0**-24
+            out, (a, b, c, d), steps = _ascend(tau, 1)
+            assert a * d - b * c == 1 and cm_mobius((a, b, c, d), tau) == out
+            assert 2 * abs(out.u) <= out.w and out.u**2 + out.v**2 >= out.w**2
+            with mp.workprec(prec):
+                z = _mp_point(out, mp.sqrt(1))
             with mp.workprec(prec + 64):
-                assert abs(mobius((a, b, c, d), tau) - out) <= mp.mpf(2) ** -(prec - 8)
+                assert abs(z - cm_mpc(out)) <= 6 * abs(cm_mpc(out)) * mp.mpf(2) ** -prec
         assert steps > 10
 
     @pytest.mark.parametrize("flips", [1, 2, 5])
@@ -291,14 +295,59 @@ class TestAscend:
         # a translation k != 0: the ascent undoes exactly these steps, and the
         # matrix has determinant 71^flips
         rng = random.Random(flips)
-        with mp.workprec(400):
-            z = start = mp.mpc("0.1", "0.3")
-            for _ in range(flips):
-                z = -1 / (71 * z) + rng.choice([-2, -1, 1, 3])
-        with mp.workprec(160 + _GUARD):
-            out, (a, b, c, d), steps = _ascend(+z, 71)
+        z = start = CMPoint(1, 3, 10, 1)
+        for _ in range(flips):
+            z = cm_mobius((1, rng.choice([-2, -1, 1, 3]), 0, 1), cm_mobius((0, -1, 71, 0), z))
+        out, (a, b, c, d), steps = _ascend(z, 71)
         assert a * d - b * c == 71**flips
         assert steps == 2 * flips and c % 71 == 0
-        with mp.workprec(400):
-            assert abs(out - start) <= mp.mpf(2) ** -150
-            assert abs(mobius((a, b, c, d), z) - out) <= mp.mpf(2) ** -150
+        assert out == start and cm_mobius((a, b, c, d), z) == out
+
+    @pytest.mark.parametrize("n", [1, 71])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_exact_reduction(self, n, data):
+        # Output |Re| <= 1/2 and n|tau|^2 >= 1 exactly, the matrix maps the
+        # input to the output in Q(sqrt(-r)), Im never decreases, and the
+        # mirror image -conj(tau) reduces to the mirror image of the output.
+        # Inputs include points on |Re| = 1/2 and on n|tau|^2 = 1, moved
+        # down by up to three flips and translations.
+        tau = data.draw(_ascent_inputs(n))
+        out, (a, b, c, d), steps = _ascend(tau, n)
+        assert out.n == tau.n
+        assert 2 * abs(out.u) <= out.w
+        assert n * (out.u**2 + out.v**2 * out.n) >= out.w**2
+        assert cm_mobius((a, b, c, d), tau) == out
+        # a flip has determinant n and a translation 1
+        assert a * d - b * c in {n**flips for flips in range(steps + 1)}
+        assert out.v * tau.w >= tau.v * out.w
+        assert steps >= 0 and (steps > 0 or out == tau)
+        mirror = _ascend(CMPoint(-tau.u, tau.v, tau.w, tau.n), n)[0]
+        assert mirror == CMPoint(-out.u, out.v, out.w, out.n)
+
+
+@st.composite
+def _ascent_inputs(draw, n):
+    """An exact point: anywhere, on |Re| = 1/2 or on n|tau|^2 = 1, then moved down.
+
+    On n|tau|^2 = 1: for n = 1, (m^2 - k^2 + 2mk i)/(m^2 + k^2); for n > 1,
+    tau = (2mk n + |k^2 - n m^2| sqrt(-n)) / (n (n m^2 + k^2)), from the
+    rational points of n x^2 + y^2 = 1.
+    """
+    kind = draw(st.sampled_from(["any", "edge", "circle"]))
+    w = draw(st.integers(min_value=1, max_value=10**6))
+    if kind == "any":
+        tau = CMPoint(draw(st.integers(-3 * w, 3 * w)), draw(st.integers(1, 2 * w)), w, 1)
+    elif kind == "edge":
+        tau = CMPoint(draw(st.sampled_from([-w, w])), draw(st.integers(1, 4 * w)), 2 * w, 1)
+    else:
+        m, k = draw(st.integers(1, 500)), draw(st.integers(1, 500))
+        if n == 1:
+            tau = CMPoint(m * m - k * k, 2 * m * k, m * m + k * k, 1)
+        else:
+            tau = CMPoint(2 * m * k * n, abs(k * k - n * m * m), n * (n * m * m + k * k), n)
+        tau = CMPoint(draw(st.sampled_from([-1, 1])) * tau.u, tau.v, tau.w, tau.n)
+    for _ in range(draw(st.integers(0, 3))):
+        shift = draw(st.integers(-3, 3))
+        tau = cm_mobius((0, -1, n, 0), cm_mobius((1, shift, 0, 1), tau))
+    return tau

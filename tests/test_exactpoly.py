@@ -20,7 +20,7 @@ from conftest import (
     rat_mul,
     reference_root_relation,
 )
-from cfq.errors import InvalidModulusError, NonInvertibleError
+from cfq.errors import DomainError, InvalidModulusError, NonInvertibleError
 from cfq.exactpoly import IntPoly, LaurentExpr, verify_root_relation
 
 
@@ -91,6 +91,18 @@ class TestVerifyRootRelation:
             verify_root_relation(LaurentExpr({-1: 1}), H71, IntPoly([0, 0, 1]))
 
 
+class TestLaurentExpr:
+    def test_integer_coefficients(self):
+        expr = LaurentExpr({2: 1, 0: -1, -1: Fraction(-4, 4), 3: 0})
+        assert expr.terms == ((-1, -1), (0, -1), (2, 1))
+        assert all(type(c) is int for _, c in expr.terms)
+
+    @pytest.mark.parametrize("c", [Fraction(1, 2), 0.5, 2.0])
+    def test_non_integer_coefficient_refused(self, c):
+        with pytest.raises(DomainError, match="integers"):
+            LaurentExpr({1: 1, 0: c})
+
+
 coeff = st.integers(min_value=-40, max_value=40)
 smallpoly = st.lists(coeff, min_size=0, max_size=6).map(rat)
 modulus = st.lists(coeff, min_size=2, max_size=6).map(
@@ -151,7 +163,7 @@ def vanishing_modulus(expr, target) -> IntPoly:
 
 laurent = st.dictionaries(
     st.integers(min_value=-4, max_value=4),
-    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    st.integers(min_value=-9, max_value=9),
     min_size=1,
     max_size=4,
 ).map(LaurentExpr)

@@ -13,7 +13,7 @@ from mpmath import mp
 
 import cfq.hauptmodul
 from conftest import (
-    H284, cm_mpc, cpx, eta_direct_series, level_keys, mobius, random_gamma0, rounded,
+    H284, cm_mobius, cm_mpc, eta_direct_series, level_keys, random_gamma0, rational_point,
 )
 from cfq.classfield import ring_class_polynomial
 from cfq.elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
@@ -36,7 +36,7 @@ from cfq.hauptmodul import (
     _theta_numerator,
     evaluate,
 )
-from cfq.numerics import _GUARD, _fixed_series, _powers
+from cfq.numerics import _fixed_series, _powers
 from cfq.quadforms import enumerate_class_group
 
 
@@ -255,83 +255,75 @@ class TestThetaQuotient:
             assert abs(c) <= bound <= a * math.sqrt(m + v)
 
 
-def _ascent(tau, n, prec):
-    """The point `_ascend` reaches at prec + _GUARD bits, the way evaluate runs it."""
-    with mp.workprec(prec + _GUARD):
-        return _ascend(mp.mpc(tau), n)[0]
+def _im_at_least(z: CMPoint, tau: CMPoint) -> bool:
+    """Im(z) >= Im(tau), exactly, for two points of one radicand."""
+    return z.v * tau.w >= tau.v * z.w
 
 
 class TestFrickeReduce:
-    """The ascents that theta-quotient entries take: under z -> z + k and
-    z -> -1/(n z), then through SL2(Z) and a coset of Gamma0(n) when that
-    stops low."""
+    """The ascents that theta-quotient entries take, in integers: under
+    tau -> tau - k and tau -> -1/(n tau), then through SL2(Z) and a coset of
+    Gamma0(n) when that stops low."""
 
     def test_fixed_point_is_stable(self):
         for n in (2, 5, 71):
-            with mp.workprec(160):
-                tau = mp.mpc(0, 1) / mp.sqrt(n)
-            out = _ascent(tau, n, 160)
-            assert abs(out - tau) < mp.mpf(2) ** -140
+            # i / sqrt(n) = sqrt(-n) / n
+            tau = CMPoint(0, 1, n, n)
+            assert _ascend(tau, n)[0] == tau
 
     def test_translation_then_stable(self):
         n = 5
-        with mp.workprec(160):
-            tau = 3 + mp.mpc(0, 1) / mp.sqrt(n)
-            want = mp.mpc(0, 1) / mp.sqrt(n)
-        out = _ascent(tau, n, 160)
-        assert abs(out - want) < mp.mpf(2) ** -140
+        out, gamma, steps = _ascend(CMPoint(15, 1, 5, n), n)
+        assert out == CMPoint(0, 1, 5, n) and gamma == (1, -3, 0, 1) and steps == 1
 
     def test_monotone_ascent_from_deep_point(self):
-        with mp.workprec(192):
-            tau = (-71 + mp.sqrt(71) * mp.mpc(0, 1)) / 2556
-        out = _ascent(tau, 71, 192)
-        assert out.imag > tau.imag
+        tau = CMPoint(-71, 1, 2556, 71)
+        out = _ascend(tau, 71)[0]
+        assert _im_at_least(out, tau) and out != tau
 
     def test_output_window(self):
         rng = random.Random(5150)
         n = 7
-        with mp.workprec(160):
-            for _ in range(40):
-                tau = mp.mpc(rng.uniform(-3, 3), rng.uniform(0.01, 2))
-                out = _ascent(tau, n, 160)
-                assert out.imag >= tau.imag - mp.mpf(2) ** -100
-                assert abs(out.real) <= 0.5 + mp.mpf(2) ** -20
-                assert n * (out.real**2 + out.imag**2) >= 1 - mp.mpf(2) ** -20
+        for _ in range(40):
+            tau = rational_point(rng, -3, 3, 0.01, 2)
+            out = _ascend(tau, n)[0]
+            assert _im_at_least(out, tau)
+            assert 2 * abs(out.u) <= out.w
+            assert n * (out.u**2 + out.v**2) >= out.w**2
 
     @pytest.mark.parametrize("n", [23, 47, 71])
     def test_orbit_point_high_enough(self, n):
         # every point, however low, reaches Im >= sqrt(3)/(2n) in its orbit
         # under Gamma0(n) and the Fricke flip, which bounds |q| and the
-        # number of terms
+        # number of terms: 4 n^2 Im^2 >= 3, exactly
         rng = random.Random(7100 + n)
-        with mp.workprec(160):
-            for _ in range(40):
-                tau = mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.6))
-                z = mobius(random_gamma0(rng, n), tau)
-                point, rho = _fricke_ascent(z, n)
-                assert 2 * n * point.imag >= mp.sqrt(3) * (1 - mp.mpf(2) ** -20)
-                assert abs(point.real) <= 0.5 + mp.mpf(2) ** -20
-                assert rho >= 4 * abs(complex(z)) / float(z.imag)
+        for _ in range(40):
+            tau = rational_point(rng, -0.5, 0.5, 0.8, 1.6)
+            z = cm_mobius(random_gamma0(rng, n), tau)
+            point = _fricke_ascent(z, n)
+            assert 4 * n * n * point.v**2 >= 3 * point.w**2
+            assert 2 * abs(point.u) <= point.w
+            assert _im_at_least(point, z)
 
     @pytest.mark.parametrize("prec", [128, 256, 448])
-    def test_deep_level71_point_charges_its_steps(self, prec):
+    def test_deep_level71_point_within_bound(self, prec):
         # an element of Gamma0(71), z -> z / (71 k z + 1) then z -> z + m
         # twice, moves the C = 2 representative to 6e-11 above the real
-        # axis; the Fricke ascent undoes it in 9 steps, each of which the
-        # error estimate charges, and the value is that of the representative
+        # axis; the Fricke ascent undoes it in more than 2 steps, and the
+        # value is that of the representative, within the documented bound
+        # of the oracle series summed there 256 bits deeper
         alpha = EllipticElement(71, 1, -36, 2)
         tau = fixed_point(alpha)
-        with mp.workprec(700):
-            z = cm_mpc(tau)
-            for m, k in ((2, 3), (-1, 2)):
-                z = mobius((1, m, 0, 1), mobius((1, 0, 71 * k, 1), z))
-            assert z.imag < 1e-10
-        with mp.workprec(prec + _GUARD):
-            _point, _gamma, steps = _ascend(mp.mpc(z), 71)
+        z = tau
+        for m, k in ((2, 3), (-1, 2)):
+            z = cm_mobius((1, m, 0, 1), cm_mobius((1, 0, 71 * k, 1), z))
+        with mp.workprec(64):
+            assert cm_mpc(z).imag < 1e-10
+        _point, _gamma, steps = _ascend(z, 71)
         assert steps > 2
         got = evaluate(catalog_lookup(71, "fricke"), z, prec)
-        ref = _reference_sum(tau)
-        with mp.workprec(REF_PREC):
+        ref = _series_reference(tau, prec + 256)
+        with mp.workprec(prec + 256):
             assert abs(got - ref) <= mp.mpf(2) ** (ERROR_BITS - prec) * max(1, abs(ref))
 
 
@@ -341,16 +333,14 @@ PREC = 160
 class TestEvaluate:
     def test_fricke_sym_level2_fixed_point(self):
         entry = catalog_lookup(2, "fricke")
-        with mp.workprec(PREC):
-            tau = mp.mpc(0, 1) / mp.sqrt(2)
-        value = evaluate(entry, tau, PREC)
+        # i / sqrt(2) = sqrt(-2) / 2
+        value = evaluate(entry, CMPoint(0, 1, 2, 2), PREC)
         assert abs(value - 152) < mp.mpf(2) ** (-PREC + 24)
 
     def test_eta_quotient_normalized_expansion(self):
         # at tau = 4i the shifted level-2 entry equals q^-1 + 276 q + O(q^2)
         entry = catalog_lookup(2, "gamma0")
-        tau = cpx(0, 4, PREC)
-        value = evaluate(entry, tau, PREC)
+        value = evaluate(entry, CMPoint(0, 4, 1, 1), PREC)
         with mp.workprec(PREC + 16):
             q = mp.exp(-8 * mp.pi)
             assert abs(value - (1 / q + 276 * q)) < 3000 * q * q
@@ -377,15 +367,19 @@ class TestEvaluate:
         assert abs(value - 984) < mp.mpf(2) ** (-PREC + 40)
 
     def test_rejects_lower_half_plane(self):
+        # a point below the axis is no CMPoint, and evaluate takes no other
         entry = catalog_lookup(2, "gamma0")
         with pytest.raises(DomainError):
-            evaluate(entry, cpx(0, -1, PREC), PREC)
+            evaluate(entry, CMPoint(0, -1, 1, 1), PREC)
+        with pytest.raises(DomainError, match="CMPoint"):
+            evaluate(entry, mp.mpc(0, -1), PREC)
 
     def test_qseries_rejects_lower_half_plane(self):
-        # the level-71 theta quotient: the Fricke ascent refuses the point
-        # before any term is summed
+        # the level-71 theta quotient: refused before any term is summed
         with pytest.raises(DomainError, match="upper half plane"):
-            evaluate(catalog_lookup(71, "fricke"), cpx("0.1", "-0.2", PREC), PREC)
+            evaluate(catalog_lookup(71, "fricke"), CMPoint(1, -2, 10, 1), PREC)
+        with pytest.raises(DomainError, match="CMPoint"):
+            evaluate(catalog_lookup(71, "fricke"), mp.mpc("0.1", "0.2"), PREC)
 
 
 # The level-71 series of tests/data/fricke_71.qseries, 3,600 coefficients
@@ -549,18 +543,15 @@ LEVEL1_POINTS = {
     "i": CMPoint(0, 1, 1, 1),
     "rho": CMPoint(-1, 1, 2, 3),
     # 1e-6 above the real axis: the reduction takes many steps
-    "deep": cpx("0.41421356237", "1e-6", 600),
+    "deep": CMPoint(41421356237, 100000, 10**11, 1),
 }
 KLEINJ_PREC = 448 + 256
 
 
 @functools.cache
 def _kleinj_reference(point):
-    tau = LEVEL1_POINTS[point]
     with mp.workprec(KLEINJ_PREC):
-        if isinstance(tau, CMPoint):
-            tau = cm_mpc(tau)
-        return 1728 * mp.kleinj(tau) - 744
+        return 1728 * mp.kleinj(cm_mpc(LEVEL1_POINTS[point])) - 744
 
 
 def _check_documented_bound(entry, tau, prec):
@@ -623,28 +614,76 @@ class TestDocumentedBound:
             _check_documented_bound(entry, fixed_point(alpha), prec)
 
 
-    @pytest.mark.parametrize("im", ["1e-3", "1e-6", "3e-8"])
+    @pytest.mark.parametrize("im", ["1e-3", "1e-6", "3e-8", "1e-9"])
     @pytest.mark.parametrize("level,group", [(2, "gamma0"), (2, "fricke"), (1, "gamma0")])
     def test_near_the_real_axis(self, level, group, im):
         # values far beyond the range of a double, where the bound is relative;
-        # the reference is a 256-bit-deeper evaluation of the same given tau
+        # the reference is a 256-bit-deeper evaluation of the same exact tau
         entry = catalog_lookup(level, group)
-        tau = cpx("0.3", im, 600)
+        tau = _above_three_tenths(im)
         got = evaluate(entry, tau, 128)
         ref = evaluate(entry, tau, 128 + 256)
         with mp.workprec(128 + 256):
             assert abs(got - ref) <= mp.mpf(2) ** (ERROR_BITS - 128) * max(1, abs(ref))
 
+    @pytest.mark.parametrize("prec", [64, 128, 256])
+    @pytest.mark.parametrize("level,group", [(1, "gamma0"), (12, "gamma0"), (71, "fricke")])
+    def test_random_rational_points(self, level, group, prec):
+        # exact points with |Re| <= 3, high enough for the unreduced series,
+        # checked against those series summed at the point itself, and far
+        # lower, against an evaluation 256 bits deeper
+        entry = catalog_lookup(level, group)
+        rng = random.Random(1000 * level + prec)
+        for high in (True, False):
+            for _ in range(6):
+                tau = rational_point(rng, -3, 3, *((0.3, 1.5) if high else (1e-4, 0.3)))
+                got = evaluate(entry, tau, prec)
+                if not high:
+                    ref = evaluate(entry, tau, prec + 256)
+                elif level == 71:
+                    with mp.workprec(prec + 256):
+                        ref = _theta_reference(entry, cm_mpc(tau), prec + 256)
+                else:
+                    ref = _eta_reference(entry, tau, prec + 256)
+                with mp.workprec(prec + 256):
+                    bound = mp.mpf(2) ** (ERROR_BITS - prec) * max(1, abs(ref))
+                    assert abs(got - ref) <= bound
+
+    @pytest.mark.parametrize("prec", [64, 128, 448])
+    @pytest.mark.parametrize("level,group", [(1, "gamma0"), (12, "gamma0"), (71, "fricke")])
+    def test_a_millionth_above_the_axis(self, level, group, prec):
+        # i / 10^6 against an evaluation 256 bits deeper; at level 1 also
+        # against j(10^6 i) - 744 = 1/q + O(q), q = e^(-2 pi 10^6), as the
+        # terms past 1/q are below 2^-(10^7)
+        entry = catalog_lookup(level, group)
+        tau = CMPoint(0, 1, 10**6, 1)
+        got = evaluate(entry, tau, prec)
+        refs = [evaluate(entry, tau, prec + 256)]
+        if level == 1:
+            with mp.workprec(prec + 256 + 32):
+                refs.append(mp.exp(2 * mp.pi * 10**6))
+        with mp.workprec(prec + 256):
+            for ref in refs:
+                assert abs(got - ref) <= mp.mpf(2) ** (ERROR_BITS - prec) * max(1, abs(ref))
+
     def test_ill_conditioned_point_refused(self):
-        # d log t / d tau grows like Im(tau)^-2: at 1e-9 the 48 guard bits
-        # cannot keep the error within the bound, so no value is returned
+        # The reduced points lie about 10^38 high: the exp that gives
+        # q^(1/24) there, at 128 + 96 bits, has an argument rounded by about
+        # 2^-224 10^38 = 2^-98, which moves the value by more than the 2^-128
+        # asked for, so no value is returned
         with pytest.raises(ConvergenceError, match="exceeds the bound"):
-            evaluate(catalog_lookup(2, "gamma0"), cpx("0.3", "1e-9", 600), 128)
+            evaluate(catalog_lookup(2, "gamma0"), _above_three_tenths("1e-40"), 128)
+        # the theta quotient sums at 128 + 48 bits: i / 10^40 flips to
+        # 10^40 i / 71, and exp(2 pi i tau) there is as uncertain
+        with pytest.raises(ConvergenceError, match="exceeds the bound"):
+            evaluate(catalog_lookup(71, "fricke"), CMPoint(0, 1, 10**40, 1), 128)
 
 
-def _evaluate_at(entry, z, prec):
-    # extra input bits keep the point rounding below the comparison tolerance
-    return evaluate(entry, rounded(z, prec + 32), prec)
+def _above_three_tenths(im: str) -> CMPoint:
+    """The exact point 3/10 + i im, for im = "<m>e-<k>"."""
+    m, k = im.split("e-")
+    w = 10 ** int(k)
+    return CMPoint(3 * w // 10, int(m), w, 1)
 
 
 class TestCatalogValidation:
@@ -657,11 +696,11 @@ class TestCatalogValidation:
         tol = mp.mpf(2) ** (-PREC + 16)
         with mp.workprec(PREC + 32):
             for _ in range(20):
-                tau = mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.6))
-                base = _evaluate_at(entry, tau, PREC)
+                tau = rational_point(rng, -0.5, 0.5, 0.8, 1.6)
+                base = evaluate(entry, tau, PREC)
                 for _ in range(5):
                     gamma = random_gamma0(rng, n)
-                    moved = _evaluate_at(entry, mobius(gamma, tau), PREC)
+                    moved = evaluate(entry, cm_mobius(gamma, tau), PREC)
                     assert abs(moved - base) < tol * max(1, abs(base))
 
     @pytest.mark.parametrize("n", sorted(GAMMA0_LEVELS - {1}))
@@ -671,12 +710,12 @@ class TestCatalogValidation:
         tol = mp.mpf(2) ** (-PREC + 16)
         with mp.workprec(PREC + 32):
             for _ in range(8):
-                tau = mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.6))
-                base = _evaluate_at(entry, tau, PREC)
-                wtau = -1 / (n * tau)
-                assert abs(_evaluate_at(entry, wtau, PREC) - base) < tol * max(1, abs(base))
+                tau = rational_point(rng, -0.5, 0.5, 0.8, 1.6)
+                base = evaluate(entry, tau, PREC)
+                wtau = cm_mobius((0, -1, n, 0), tau)
+                assert abs(evaluate(entry, wtau, PREC) - base) < tol * max(1, abs(base))
                 gamma = random_gamma0(rng, n)
-                moved = _evaluate_at(entry, mobius(gamma, tau), PREC)
+                moved = evaluate(entry, cm_mobius(gamma, tau), PREC)
                 assert abs(moved - base) < tol * max(1, abs(base))
 
     @pytest.mark.parametrize("n", [23, 47, 71])
@@ -691,15 +730,16 @@ class TestCatalogValidation:
         tol = mp.mpf(2) ** (-PREC + 16)
         with mp.workprec(PREC + 32):
             for _ in range(3):
-                tau = mp.mpc(rng.uniform(-0.45, 0.45),
-                             rng.uniform(0.35, 0.9) * math.sqrt(3) / (2 * n))
-                point, _rho = _fricke_ascent(tau, n)
-                assert point.imag > 1.1 * tau.imag
-                ref = _theta_reference(entry, tau, PREC + 64)
-                moved = [tau, -1 / (n * tau)] + [mobius(random_gamma0(rng, n), tau)
-                                                 for _ in range(2)]
+                low = math.sqrt(3) / (2 * n)
+                tau = rational_point(rng, -0.45, 0.45, 0.35 * low, 0.9 * low)
+                point = _fricke_ascent(tau, n)
+                assert 10 * point.v * tau.w > 11 * tau.v * point.w
+                with mp.workprec(PREC + 64):
+                    ref = _theta_reference(entry, cm_mpc(tau), PREC + 64)
+                moved = [tau, cm_mobius((0, -1, n, 0), tau)] + [
+                    cm_mobius(random_gamma0(rng, n), tau) for _ in range(2)]
                 for z in moved:
-                    assert abs(_evaluate_at(entry, z, PREC) - ref) < tol * max(1, abs(ref))
+                    assert abs(evaluate(entry, z, PREC) - ref) < tol * max(1, abs(ref))
 
     @pytest.mark.parametrize("n", sorted(GAMMA0_LEVELS - {1}))
     def test_fricke_sym_product_identity(self, n):
@@ -712,7 +752,7 @@ class TestCatalogValidation:
         tol = mp.mpf(2) ** (-PREC + 16)
         with mp.workprec(PREC + 32):
             for _ in range(20):
-                tau = mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.7, 1.8))
-                t1, _ = eta_quotient(entry.spec, rounded(tau, PREC), PREC)
-                t2, _ = eta_quotient(entry.spec, rounded(-1 / (n * tau), PREC), PREC)
+                tau = rational_point(rng, -0.5, 0.5, 0.7, 1.8)
+                t1, _ = eta_quotient(entry.spec, tau, PREC)
+                t2, _ = eta_quotient(entry.spec, cm_mobius((0, -1, n, 0), tau), PREC)
                 assert abs(t1 * t2 - kappa) < tol * kappa

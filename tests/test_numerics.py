@@ -11,7 +11,7 @@ import mpmath
 from mpmath import mp
 
 from conftest import H284, WEBER, cpx, rounded
-from cfq.elliptic import EllipticElement, fixed_point
+from cfq.elliptic import CMPoint, EllipticElement, fixed_point
 from cfq.errors import DomainError, RoundingFailureError
 from cfq.eta import EtaQuotientSpec, eta, eta_quotient
 from cfq.exactpoly import IntPoly, LaurentExpr, verify_root_relation
@@ -329,6 +329,14 @@ class TestPrecisionPolicy:
         with pytest.raises(DomainError):
             PrecisionPolicy(max_bits=32)
 
+    @pytest.mark.parametrize("start", [10, 20000])
+    def test_refusal_names_the_range(self, start):
+        with pytest.raises(DomainError) as exc:
+            PrecisionPolicy(start_bits=start)
+        assert str(exc.value) == f"precision must be from 64 to 16384 bits, got {start}"
+        with pytest.raises(DomainError, match="from 64 to 128 bits, got 256"):
+            PrecisionPolicy(start_bits=256, max_bits=128)
+
 
 class TestCertifyIntPoly:
     def test_exact_roots(self):
@@ -435,8 +443,9 @@ def _assert_rounded(value, prec):
 class TestPrecisionContract:
     """Each value-returning function rounds its result to the prec it is given.
 
-    Inputs carry more bits than the requested precision, so a function that
-    forgot to round would return them.
+    Inputs carry more bits than the requested precision, or are exact points
+    evaluated at a higher working precision, so a function that forgot to
+    round would return those bits.
     """
 
     @pytest.mark.parametrize("prec", PRECS)
@@ -447,13 +456,13 @@ class TestPrecisionContract:
 
     @pytest.mark.parametrize("prec", PRECS)
     def test_evaluate_at_complex_point(self, prec):
-        tau = cpx("0.1", "1.3", 2 * prec)
+        tau = CMPoint(1, 13, 10, 1)
         for level, group in [(2, "gamma0"), (2, "fricke"), (1, "gamma0")]:
             _assert_rounded(evaluate(catalog_lookup(level, group), tau, prec), prec)
 
     @pytest.mark.parametrize("prec", PRECS)
     def test_eta_and_eta_quotient(self, prec):
-        tau = cpx("0.1", "1.3", 2 * prec)
+        tau = CMPoint(1, 13, 10, 1)
         _assert_rounded(eta(tau, prec), prec)
         _assert_rounded(eta_quotient(EtaQuotientSpec([(1, 6), (5, -6)]), tau, prec)[0], prec)
 
