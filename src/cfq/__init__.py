@@ -28,7 +28,6 @@ from .errors import (
     CfqError,
     ConvergenceError,
     DomainError,
-    EscalationFailureError,
     InvalidModulusError,
     NoConstructionError,
     NonInvertibleError,

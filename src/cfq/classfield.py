@@ -11,13 +11,12 @@ has a real value and gets an imaginary part of exactly 0.
 `ring_class_polynomial` multiplies out the monic polynomial with those roots
 and rounds it to integers with a proof: each value is within the documented
 bound of `evaluate` (2^(ERROR_BITS - prec) * max(1, |t|)), so each computed
-coefficient lies in a ball around the true integer one, and the round is
+coefficient lies in a ball around the true integer one, and the result is
 accepted when every ball contains exactly one integer (`certify_int_poly`).
-The first round runs at the policy's start, by default the 64-bit floor;
-a round that fails doubles the working precision, up to the policy's
-ceiling.  With the default policy every catalog key that computes, the
-level-71 polynomials and the degree-law sweep, is accepted in its first,
-64-bit round.
+There is one round, at the policy's start, by default the 64-bit floor; a
+refused round raises `RoundingFailureError` with the residual and the
+tolerance.  Every catalog key that computes is accepted at 64 bits with a
+margin of about 2^49, since its coefficients are small.
 The Galois side of the theory is realized combinatorially:
 `galois_permutation` translates the class list by a fixed class through form
 composition.
@@ -31,7 +30,7 @@ import mpmath
 from mpmath import mp
 
 from .elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
-from .errors import DomainError, EscalationFailureError, RoundingFailureError
+from .errors import DomainError
 from .exactpoly import IntPoly
 from .hauptmodul import ERROR_BITS, catalog_lookup, evaluate, value_text
 from .numerics import PrecisionPolicy, certify_int_poly
@@ -65,8 +64,8 @@ class SingularValueSet:
 class ClassPolyResult:
     """Accepted integer class polynomial with its rounding diagnostics.
 
-    `r_max` is the largest coefficient radius of the accepted round and
-    `history` has one line per round, the accepted one last.
+    `residual` is the largest distance of a computed coefficient from its
+    integer and `r_max` the largest coefficient radius; their sum is below 1/2.
     """
 
     poly: IntPoly
@@ -74,7 +73,6 @@ class ClassPolyResult:
     prec_bits: int
     points: SingularValueSet
     r_max: mpmath.mpf
-    history: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
         points = []
@@ -97,26 +95,12 @@ class ClassPolyResult:
             "residual": mpmath.nstr(self.residual, 10),
             "r_max": mpmath.nstr(self.r_max, 10),
             "prec_bits": self.prec_bits,
-            "history": list(self.history),
             "points": points,
         }
 
 
-def singular_values(
-    n: int,
-    group: str,
-    disc: int,
-    prec: int,
-    *,
-    spec=None,
-    class_group: ClassGroup | None = None,
-    reps: list[EllipticElement] | None = None,
-) -> SingularValueSet:
+def singular_values(n: int, group: str, disc: int, prec: int) -> SingularValueSet:
     """Evaluate the catalog principal modulus at every class representative.
-
-    `spec`, `class_group` and `reps` let a caller that evaluates the same
-    (level, group, disc) at several precisions look each of them up once;
-    any left out is computed here.
 
     A class whose inverse comes earlier in the list reuses the inverse's
     value, conjugated, when the two representatives are mirror images: the
@@ -126,13 +110,9 @@ def singular_values(
     and whose representative is its own mirror image (2A = 0 mod C) has a
     real value, and reports it with an imaginary part of exactly 0.
     """
-    if spec is None:
-        spec = catalog_lookup(n, group)
-    cg = class_group if class_group is not None else enumerate_class_group(disc)
-    if cg.disc != disc:
-        raise DomainError(f"class group of discriminant {cg.disc} given for discriminant {disc}")
-    if reps is None:
-        reps = enumerate_representatives(n, disc, cg)
+    spec = catalog_lookup(n, group)
+    cg = enumerate_class_group(disc)
+    reps = enumerate_representatives(n, disc, cg)
     entries = []
     for i, (cls, alpha) in enumerate(zip(cg.classes, reps)):
         tau = fixed_point(alpha)
@@ -153,52 +133,19 @@ def singular_values(
     return SingularValueSet(n, group, disc, tuple(entries), prec, cg)
 
 
-def ring_class_polynomial(
-    n: int,
-    group: str,
-    disc: int,
-    policy: PrecisionPolicy | None = None,
-) -> ClassPolyResult:
-    """Class polynomial under the escalation contract.
+def ring_class_polynomial(n: int, group: str, disc: int,
+                          policy: PrecisionPolicy | None = None) -> ClassPolyResult:
+    """Class polynomial from one certified round at policy.start_bits, by default 64.
 
-    Evaluates one value per class at policy.start_bits, by default the
-    64-bit floor, and accepts the first round whose coefficient balls each
-    contain exactly one integer; otherwise the precision doubles, up to
-    policy.max_bits.  The catalog entry, the class group and the
-    representatives are computed once, before the first round.
+    A refused round raises `RoundingFailureError` from `certify_int_poly`.
     """
-    policy = policy or PrecisionPolicy()
-    cg = enumerate_class_group(disc)
-    prec = policy.start_bits
-    spec = catalog_lookup(n, group)
-    reps = enumerate_representatives(n, disc, cg)
-    history: list[str] = []
-    while prec <= policy.max_bits:
-        try:
-            vals = singular_values(n, group, disc, prec, spec=spec, class_group=cg, reps=reps)
-            # each value is within 2^(ERROR_BITS - prec) max(1, |t|) of t,
-            # so within 2^(ERROR_BITS + 1 - prec) max(1, |value|)
-            poly, residual, r_max = certify_int_poly(
-                vals.values(), ERROR_BITS + 1 - prec, prec
-            )
-        except RoundingFailureError as exc:
-            history.append(
-                f"{prec} bits: rounding failed, residual {mpmath.nstr(exc.residual, 10)}"
-                f" not below {mpmath.nstr(exc.tol, 10)}"
-            )
-            prec *= 2
-            continue
-        assert poly.is_monic() and poly.degree == cg.class_number
-        history.append(
-            f"{prec} bits: accepted {poly.text()}, residual "
-            f"{mpmath.nstr(residual, 10)} + radius {mpmath.nstr(r_max, 10)} < 1/2"
-        )
-        return ClassPolyResult(poly, residual, prec, vals, r_max, tuple(history))
-    raise EscalationFailureError(
-        f"no certified integer polynomial up to {policy.max_bits} bits for "
-        f"(level {n}, {group}, disc {disc})",
-        history,
-    )
+    prec = (policy or PrecisionPolicy()).start_bits
+    vals = singular_values(n, group, disc, prec)
+    # each value is within 2^(ERROR_BITS - prec) max(1, |t|) of t,
+    # so within 2^(ERROR_BITS + 1 - prec) max(1, |value|)
+    poly, residual, r_max = certify_int_poly(vals.values(), ERROR_BITS + 1 - prec, prec)
+    assert poly.is_monic() and poly.degree == vals.class_group.class_number
+    return ClassPolyResult(poly, residual, prec, vals, r_max)
 
 
 def galois_permutation(beta: IdealClass, values: SingularValueSet) -> tuple[int, ...]:

@@ -8,9 +8,9 @@ Subcommands:
   verify       built-in level-71 verification suite (--paper71)
   catalog      list all genus-zero catalog entries
 
-Exit codes: 0 success, 1 domain or parse error, 2 precision-escalation
-failure.  JSON output uses canonical (sorted) key order with all
-floating-point quantities rendered as decimal strings.
+Exit codes: 0 success, 1 domain, parse or rounding error.  JSON output
+uses canonical (sorted) key order with all floating-point quantities
+rendered as decimal strings.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ import sys
 
 from .classfield import ring_class_polynomial
 from .elliptic import EllipticElement, enumerate_representatives, fixed_point, order_of
-from .errors import CfqError, EscalationFailureError
+from .errors import CfqError
 from .exactpoly import IntPoly, LaurentExpr, verify_root_relation
 from .hauptmodul import catalog_entries, catalog_lookup, evaluate, value_text
-from .numerics import MIN_PREC_BITS, PrecisionPolicy
+from .numerics import MAX_PREC_BITS, MIN_PREC_BITS, PrecisionPolicy
 from .quadforms import enumerate_class_group
 
 __all__ = ["main", "run", "verify_level71"]
@@ -67,9 +67,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("class-poly", help="class polynomial for (level, group, disc)")
     common(p, level=True, group=True, disc=True,
-           prec=f"precision of the first round in bits, from {MIN_PREC_BITS} to "
-                f"{PrecisionPolicy.max_bits} (default: {MIN_PREC_BITS}); a round "
-                f"that fails doubles it")
+           prec=f"precision of the round in bits, from {MIN_PREC_BITS} to "
+                f"{MAX_PREC_BITS} (default: {MIN_PREC_BITS})")
 
     p = sub.add_parser("class-group", help="reduced forms and composition table")
     common(p, disc=True)
@@ -80,7 +79,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("eval", help="principal modulus value at one element")
     common(p, level=True, group=True,
            prec=f"working precision in bits, from {MIN_PREC_BITS} to "
-                f"{PrecisionPolicy.max_bits} (default: 256)")
+                f"{MAX_PREC_BITS} (default: 256)")
     p.add_argument("--element", required=True, metavar="A,B,C",
                    help="elliptic element as 'A,B,C' (or 'A,B,C@n') at the given level")
 
@@ -99,14 +98,9 @@ def _emit_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _policy(prec_bits: int | None) -> PrecisionPolicy:
-    if prec_bits is None:
-        return PrecisionPolicy()
-    return PrecisionPolicy(start_bits=prec_bits)
-
-
 def _cmd_class_poly(args, out) -> int:
-    result = ring_class_polynomial(args.level, args.group, args.disc, _policy(args.prec_bits))
+    policy = PrecisionPolicy() if args.prec_bits is None else PrecisionPolicy(args.prec_bits)
+    result = ring_class_polynomial(args.level, args.group, args.disc, policy)
     if args.json:
         out.write(_emit_json(result.to_json_dict()) + "\n")
     else:
@@ -164,7 +158,7 @@ def _cmd_reps(args, out) -> int:
 
 def _cmd_eval(args, out) -> int:
     prec = 256 if args.prec_bits is None else args.prec_bits
-    PrecisionPolicy(start_bits=prec)  # the range class-poly allows for its first round
+    PrecisionPolicy(start_bits=prec)  # the range class-poly allows for its round
     alpha = EllipticElement.from_text(args.element, args.level)
     spec = catalog_lookup(args.level, args.group)
     value_re, value_im = value_text(evaluate(spec, fixed_point(alpha), prec), prec)
@@ -249,11 +243,6 @@ def run(argv, out=None, err=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args, out)
-    except EscalationFailureError as exc:
-        err.write(f"cfq: escalation failure: {exc}\n")
-        for line in exc.history:
-            err.write(f"  {line}\n")
-        return 2
     except CfqError as exc:
         err.write(f"cfq: error: {exc}\n")
         return 1

@@ -37,10 +37,3 @@ class NotGenusZeroError(DomainError):
 class NoConstructionError(DomainError):
     """A listed genus-zero (level, group) whose principal modulus the catalog cannot build."""
 
-
-class EscalationFailureError(CfqError):
-    """Precision escalation hit its ceiling without a stable result."""
-
-    def __init__(self, message, history=()):
-        self.history = tuple(history)
-        super().__init__(message)

@@ -60,7 +60,7 @@ from mpmath import mp
 from mpmath.libmp import from_rational, round_nearest
 
 from .elliptic import CMPoint
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .numerics import _GUARD, _fixed_series, _powers, _to_fixed
 
 __all__ = [
@@ -258,8 +258,16 @@ def _eta_mpc(tau: CMPoint, root) -> tuple[mpmath.mpc, float]:
 
 
 def eta(tau: CMPoint, prec: int) -> mpmath.mpc:
-    """Dedekind eta at tau, relative error at most 2^(-prec+8), rounded to prec bits."""
-    return eta_quotient(EtaQuotientSpec([(1, 1)]), tau, prec)[0]
+    """Dedekind eta at tau, relative error at most 2^(8 - prec), rounded to prec bits.
+
+    Raises ConvergenceError, instead of returning, where the bound of
+    `eta_quotient` exceeds 2^8 units of 2^-prec.
+    """
+    value, err = eta_quotient(EtaQuotientSpec([(1, 1)]), tau, prec)
+    if not err <= 2.0**8:
+        raise ConvergenceError(f"error estimate {err:.3g} * 2^-{prec} exceeds "
+                               f"the bound 2^(8 - {prec}) at this point")
+    return value
 
 
 def eta_quotient(spec: EtaQuotientSpec, tau: CMPoint, prec: int) -> tuple[mpmath.mpc, float]:

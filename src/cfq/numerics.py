@@ -51,11 +51,13 @@ from .exactpoly import IntPoly
 # guard bits above the requested precision, for eta and for evaluate
 _GUARD = 48
 
-# the lowest working precision any request may ask for
+# the range of working precisions a request may ask for
 MIN_PREC_BITS = 64
+MAX_PREC_BITS = 16384
 
 __all__ = [
     "MIN_PREC_BITS",
+    "MAX_PREC_BITS",
     "PrecisionPolicy",
     "certify_int_poly",
 ]
@@ -63,24 +65,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
-    """Escalation contract for assembling integer polynomials.
+    """The working precision of a class polynomial's one round.
 
-    Start at `start_bits`, by default the 64-bit floor, and accept the first
-    round whose every coefficient ball, built from the error bound of each
-    root, contains exactly one integer (`certify_int_poly`); otherwise double
-    the precision, up to `max_bits`.
+    `start_bits`, by default the 64-bit floor, from MIN_PREC_BITS to
+    MAX_PREC_BITS; the round's values are evaluated at it and the rounding
+    is certified once (`certify_int_poly`).
     """
 
     start_bits: int = MIN_PREC_BITS
-    max_bits: int = 16384
 
     def __post_init__(self):
-        if self.max_bits < MIN_PREC_BITS:
-            raise DomainError(
-                f"max_bits must be at least {MIN_PREC_BITS} bits, got {self.max_bits}"
-            )
-        if not MIN_PREC_BITS <= self.start_bits <= self.max_bits:
-            raise DomainError(f"precision must be from {MIN_PREC_BITS} to {self.max_bits} "
+        if not MIN_PREC_BITS <= self.start_bits <= MAX_PREC_BITS:
+            raise DomainError(f"precision must be from {MIN_PREC_BITS} to {MAX_PREC_BITS} "
                               f"bits, got {self.start_bits}")
 
 

@@ -10,8 +10,10 @@ from itertools import zip_longest
 from math import gcd
 
 import mpmath
+import pytest
 from mpmath import mp
 
+import cfq.classfield
 from cfq.elliptic import CMPoint
 from cfq.errors import InvalidModulusError, NonInvertibleError
 from cfq.exactpoly import IntPoly
@@ -26,6 +28,20 @@ WEBER = IntPoly([-1, -1, 1, 1, 1, -1, -2, 1])     # x^7-2x^6-x^5+x^4+x^3+x^2-x-1
 
 # discriminants whose class groups the tests compose in full
 GROUP_DISCS = [-71, -284, -8, -20, -24]
+
+
+@pytest.fixture
+def certify_calls(monkeypatch):
+    """The precision of each certify_int_poly call ring_class_polynomial makes."""
+    calls = []
+    original = cfq.classfield.certify_int_poly
+
+    def recording(values, radius_log2, prec):
+        calls.append(prec)
+        return original(values, radius_log2, prec)
+
+    monkeypatch.setattr(cfq.classfield, "certify_int_poly", recording)
+    return calls
 
 
 def cpx(re, im, prec) -> mpmath.mpc:

@@ -7,6 +7,7 @@ import pytest
 from mpmath import mp
 
 import cfq.classfield
+import cfq.elliptic
 import cfq.quadforms
 
 from conftest import GROUP_DISCS, H71, H284, level_keys, rat, rat_gcd
@@ -17,7 +18,7 @@ from cfq.classfield import (
     singular_values,
 )
 from cfq.elliptic import EllipticElement, enumerate_representatives, fixed_point
-from cfq.errors import DomainError, EscalationFailureError, RoundingFailureError
+from cfq.errors import DomainError, RoundingFailureError
 from cfq.exactpoly import IntPoly
 from cfq.hauptmodul import ERROR_BITS, catalog_lookup, evaluate
 from cfq.numerics import PrecisionPolicy, certify_int_poly
@@ -39,15 +40,6 @@ class TestSingularValues:
         with mp.workprec(256):
             prod = mp.fprod(vals.values())
             assert abs(prod - 11) < mp.mpf(2) ** -64
-
-    def test_class_group_of_other_disc_refused(self):
-        # named at once, with or without representatives
-        cg = enumerate_class_group(-284)
-        with pytest.raises(DomainError, match=r"-284.*-71"):
-            singular_values(71, "fricke", -71, 64, class_group=cg)
-        reps = enumerate_representatives(71, -284, cg)
-        with pytest.raises(DomainError, match=r"-284.*-71"):
-            singular_values(71, "fricke", -71, 64, class_group=cg, reps=reps)
 
     def test_level2_value(self):
         vals = singular_values(2, "gamma0", -8, 128)
@@ -143,7 +135,7 @@ class TestInversePairs:
         direct = evaluate(catalog_lookup(71, "fricke"), tau, 256)
         assert value.real._mpf_ == direct.real._mpf_ and direct.imag != 0
 
-    def test_non_mirror_representative_is_evaluated(self, evaluate_calls):
+    def test_non_mirror_representative_is_evaluated(self, evaluate_calls, monkeypatch):
         cg = enumerate_class_group(-71)
         reps = enumerate_representatives(71, -71, cg)
         k = next(i for i in range(7) if cg.inverse_idx(i) < i)
@@ -160,7 +152,9 @@ class TestInversePairs:
             if reduce_form(el.primitive_form()) == cg.classes[k].rep
         )
         mixed = reps[:k] + [other] + reps[k + 1:]
-        vals = singular_values(71, "fricke", -71, 256, class_group=cg, reps=mixed)
+        monkeypatch.setattr(cfq.classfield, "enumerate_representatives",
+                            lambda n, disc, group: mixed)
+        vals = singular_values(71, "fricke", -71, 256)
         assert len(evaluate_calls) == 5
         assert vals.entries[k][1] == other
         direct = evaluate(catalog_lookup(71, "fricke"), fixed_point(other), 256)
@@ -253,16 +247,12 @@ class TestRingClassPolynomial:
             enumerate_class_group=1, catalog_lookup=1, singular_values=1
         )
 
-    def test_one_certified_round(self):
+    def test_one_certified_round(self, certify_calls):
         for disc, published in [(-71, H71), (-284, H284)]:
+            certify_calls.clear()
             result = ring_class_polynomial(71, "fricke", disc)
             assert result.poly == published
-            assert result.prec_bits == 64
-            assert result.history == (
-                f"64 bits: accepted {published.text()}, residual "
-                f"{mp.nstr(result.residual, 10)} + radius "
-                f"{mp.nstr(result.r_max, 10)} < 1/2",
-            )
+            assert result.prec_bits == 64 and certify_calls == [64]
             # about 2^(14 - prec) for both discriminants
             assert 0 < result.r_max < mp.mpf(2) ** (16 - result.prec_bits)
             assert result.residual + result.r_max < mp.mpf(0.5)
@@ -270,63 +260,49 @@ class TestRingClassPolynomial:
     @pytest.mark.parametrize(
         "key", level_keys() + [(71, "fricke", -71), (71, "fricke", -284)]
     )
-    def test_catalog_key_certified_in_one_round(self, key):
-        # every catalog key that computes is accepted in its first round at
+    def test_catalog_key_certified_in_one_round(self, key, certify_calls):
+        # every catalog key that computes is certified in its one round at
         # the 64-bit floor, with the polynomial of a 128-bit start
         result = ring_class_polynomial(*key)
-        assert result.prec_bits == 64 and len(result.history) == 1
+        assert result.prec_bits == 64 and certify_calls == [64]
         assert result.poly.degree == enumerate_class_group(key[2]).class_number
         high = ring_class_polynomial(*key, PrecisionPolicy(start_bits=128))
         assert high.prec_bits == 128 and result.poly == high.poly
 
-    def test_history_keeps_failed_rounds(self, monkeypatch):
-        import cfq.classfield
+    def test_refused_round_raises(self, monkeypatch):
+        # the one round's RoundingFailureError reaches the caller unchanged,
+        # after one certification and one class-group enumeration
+        calls = Counter()
+        enumerate_original = cfq.classfield.enumerate_class_group
 
-        rounds = []
-        original = cfq.classfield.certify_int_poly
-
-        def refuse_first(values, radius_log2, prec):
-            rounds.append(prec)
-            if len(rounds) == 1:
-                raise RoundingFailureError(mp.mpf(0.25), mp.mpf(0.125))
-            return original(values, radius_log2, prec)
-
-        monkeypatch.setattr(cfq.classfield, "certify_int_poly", refuse_first)
-        result = ring_class_polynomial(2, "gamma0", -8)
-        assert rounds == [64, 128] and result.prec_bits == 128
-        assert len(result.history) == 2
-        assert result.history[0] == (
-            "64 bits: rounding failed, residual 0.25 not below 0.125"
-        )
-        assert result.history[1].startswith("128 bits: accepted -88,1,")
-
-    def test_start_above_ceiling_is_refused_before_work(self, evaluate_calls):
-        with pytest.raises(DomainError, match="max_bits must be at least 64 bits, got 32"):
-            ring_class_polynomial(2, "gamma0", -8, PrecisionPolicy(max_bits=32))
-        assert evaluate_calls == []
-
-    def test_escalation_failure_reports_history(self, monkeypatch):
-        # level 71 computes at any precision now, so every round is refused
-        import cfq.classfield
+        def counted_enumerate(disc):
+            calls["enumerate_class_group"] += 1
+            return enumerate_original(disc)
 
         def refuse(values, radius_log2, prec):
+            calls["certify_int_poly"] += 1
             raise RoundingFailureError(mp.mpf(0.25), mp.mpf(0.125))
 
+        for module in (cfq.classfield, cfq.elliptic, cfq.quadforms):
+            monkeypatch.setattr(module, "enumerate_class_group", counted_enumerate)
         monkeypatch.setattr(cfq.classfield, "certify_int_poly", refuse)
-        policy = PrecisionPolicy(start_bits=640, max_bits=1280)
-        with pytest.raises(EscalationFailureError, match="up to 1280 bits") as exc:
-            ring_class_polynomial(71, "fricke", -71, policy)
-        assert exc.value.history == tuple(
-            f"{bits} bits: rounding failed, residual 0.25 not below 0.125" for bits in (640, 1280)
-        )
+        with pytest.raises(RoundingFailureError) as exc:
+            ring_class_polynomial(71, "fricke", -71)
+        assert (exc.value.residual, exc.value.tol) == (0.25, 0.125)
+        assert calls == Counter(enumerate_class_group=1, certify_int_poly=1)
+
+    def test_start_above_ceiling_is_refused_before_work(self, evaluate_calls):
+        with pytest.raises(DomainError, match="from 64 to 16384 bits, got 20000"):
+            ring_class_polynomial(2, "gamma0", -8, PrecisionPolicy(start_bits=20000))
+        assert evaluate_calls == []
 
     @pytest.mark.parametrize("key", sorted(THETA_POLYS), ids=lambda k: "%d-%s%d" % k)
-    def test_theta_quotient_polynomials(self, key):
+    def test_theta_quotient_polynomials(self, key, certify_calls):
         # the other two theta-quotient levels: one 64-bit round, the
         # polynomial of a 128-bit start, degree the class number
         result = ring_class_polynomial(*key)
         assert result.poly == IntPoly(THETA_POLYS[key])
-        assert result.prec_bits == 64 and len(result.history) == 1
+        assert result.prec_bits == 64 and certify_calls == [64]
         assert result.poly.degree == enumerate_class_group(key[2]).class_number
         high = ring_class_polynomial(*key, PrecisionPolicy(start_bits=128))
         assert high.poly == result.poly
@@ -346,8 +322,9 @@ class TestRingClassPolynomial:
         assert len(obj["points"]) == 7
         assert all(isinstance(p["value_re"], str) for p in obj["points"])
         assert obj["r_max"] == mp.nstr(result.r_max, 10)
-        assert obj["history"] == list(result.history)
         assert obj["prec_bits"] == 64
+        assert set(obj) == {"level", "group", "disc", "class_number", "poly",
+                            "residual", "r_max", "prec_bits", "points"}
 
 
 class TestGaloisPermutation:

@@ -44,21 +44,17 @@ class TestClassPoly:
         assert code == 1
         assert "genus" in err
 
-    def test_escalation_failure_exit_code(self, monkeypatch):
-        # every round refused: the rounds at 8192 and 16384 bits fail
+    def test_rounding_failure_exit_code(self, monkeypatch):
+        # a refused round is a domain-style error: exit 1, stdout empty
         import cfq.classfield
 
         def refuse(values, radius_log2, prec):
             raise RoundingFailureError(0.25, 0.125)
 
         monkeypatch.setattr(cfq.classfield, "certify_int_poly", refuse)
-        code, _, err = invoke(
-            ["class-poly", "-n", "2", "--group", "gamma0", "-D", "-8",
-             "--prec-bits", "8192"]
-        )
-        assert code == 2
-        assert "escalation" in err
-        assert "  16384 bits: rounding failed" in err
+        code, out, err = invoke(["class-poly", "-n", "2", "--group", "gamma0", "-D", "-8"])
+        assert code == 1 and out == ""
+        assert err == "cfq: error: rounding residual 0.25 exceeds tolerance 0.125\n"
 
     def test_precision_below_64_bits_refused(self):
         # the same failure as `cfq eval --prec-bits 10`, not a silent 64
@@ -68,13 +64,17 @@ class TestClassPoly:
             assert code == 1 and out == ""
             assert err == "cfq: error: precision must be from 64 to 16384 bits, got 10\n"
 
-    def test_json_history_and_radius(self):
-        code, out, _ = invoke(
-            ["class-poly", "-n", "71", "--group", "fricke", "-D", "-71", "--json"]
-        )
+    def test_json_history_and_radius(self, certify_calls):
+        # one certified round at 64 bits, the published polynomial, and the
+        # same polynomial from a 128-bit start
+        argv = ["class-poly", "-n", "71", "--group", "fricke", "-D", "-71", "--json"]
+        code, out, _ = invoke(argv)
         obj = json.loads(out)
-        assert obj["prec_bits"] == 64 and len(obj["history"]) == 1
-        assert obj["history"][0].startswith("64 bits: accepted 1,0,-2,-3,1,5,4,1,")
+        assert code == 0 and obj["prec_bits"] == 64 and certify_calls == [64]
+        assert obj["poly"] == ["1", "0", "-2", "-3", "1", "5", "4", "1"]
+        code, out, _ = invoke(argv + ["--prec-bits", "128"])
+        high = json.loads(out)
+        assert code == 0 and high["prec_bits"] == 128 and high["poly"] == obj["poly"]
         # about 2^(14 - prec)
         assert 0 < float(obj["r_max"]) < 2.0 ** (16 - obj["prec_bits"])
 

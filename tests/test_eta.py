@@ -15,7 +15,7 @@ from conftest import (
 )
 import cfq.eta
 from cfq.elliptic import CMPoint, enumerate_representatives, fixed_point
-from cfq.errors import DomainError
+from cfq.errors import ConvergenceError, DomainError
 from cfq.eta import (
     EtaQuotientSpec, _ascend, _dedekind12, _eta_series, _mp_point, eta, eta_quotient,
 )
@@ -96,6 +96,23 @@ class TestEta:
     def test_rejects_an_inexact_point(self):
         with pytest.raises(DomainError, match="CMPoint"):
             eta(mp.mpc(0, 1), PREC)
+
+    def test_refuses_where_its_bound_is_lost(self):
+        # 10^-40 above the axis the estimate is about 1.5e26 units of
+        # 2^-128, far above the 2^8 that eta documents
+        tau = CMPoint(0, 1, 10**40, 1)
+        assert eta_quotient(EtaQuotientSpec([(1, 1)]), tau, PREC)[1] > 2.0**8
+        with pytest.raises(ConvergenceError, match=r"bound 2\^\(8 - 128\)"):
+            eta(tau, PREC)
+
+    def test_returns_at_ordinary_points(self):
+        # the quotient's own value wherever its estimate is within 2^8 units
+        rng = random.Random(2718)
+        for _ in range(20):
+            tau = rational_point(rng, -2, 2, 0.05, 2.0)
+            value, err = eta_quotient(EtaQuotientSpec([(1, 1)]), tau, PREC)
+            assert err <= 2.0**8
+            assert eta(tau, PREC) == value
 
     def test_transformation_law_500_pairs(self):
         rng = random.Random(987654)

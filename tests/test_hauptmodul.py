@@ -548,10 +548,35 @@ LEVEL1_POINTS = {
 KLEINJ_PREC = 448 + 256
 
 
+def _sl2z_image(tau):
+    """A matrix of SL2(Z) and tau's image under it, with |Re| <= 1/2 and |image| >= 1.
+
+    Found on x = Re and y2 = Im^2 as fractions: x -> x - k with k the nearest
+    integer, and (x, y2) -> (-x, y2) / (x^2 + y2) for tau -> -1/tau.
+    """
+    x, y2 = Fraction(tau.u, tau.w), Fraction(tau.n * tau.v**2, tau.w**2)
+    a, b, c, d = 1, 0, 0, 1
+    while True:
+        k = round(x)
+        x, a, b = x - k, a - k * c, b - k * d
+        norm = x * x + y2
+        if norm >= 1:
+            return (a, b, c, d), (x, y2)
+        x, y2 = -x / norm, y2 / norm**2
+        a, b, c, d = -c, -d, a, b
+
+
 @functools.cache
-def _kleinj_reference(point):
+def _kleinj_reference(tau):
+    """j(tau) - 744 from mpmath's kleinj, only where Im(tau) >= 1/2.
+
+    kleinj loses all accuracy close to the real axis: at i 10^-6 it returns
+    about 3.7e1763, against j - 744 = e^(2 pi 10^6) + O(e^(-2 pi 10^6)).
+    """
+    if 4 * tau.n * tau.v**2 < tau.w**2:
+        raise ValueError(f"kleinj is no reference below Im 1/2, at {tau}")
     with mp.workprec(KLEINJ_PREC):
-        return 1728 * mp.kleinj(cm_mpc(LEVEL1_POINTS[point])) - 744
+        return 1728 * mp.kleinj(cm_mpc(tau)) - 744
 
 
 def _check_documented_bound(entry, tau, prec):
@@ -597,13 +622,28 @@ class TestDocumentedBound:
     @pytest.mark.parametrize("prec", [128, 256, 448])
     @pytest.mark.parametrize("point", sorted(LEVEL1_POINTS))
     def test_level1_against_kleinj(self, point, prec):
-        # j - 744 from mpmath's theta-function kleinj at the unreduced point,
-        # an oracle that shares no code with the eta path
+        # j - 744 from mpmath's theta-function kleinj, an oracle that shares
+        # no code with the eta path, at the point's image under SL2(Z); the
+        # matrix is checked exactly, and the image has Im >= sqrt(3)/2
         tau = LEVEL1_POINTS[point]
+        (a, b, c, d), (x, y2) = _sl2z_image(tau)
+        image = cm_mobius((a, b, c, d), tau)
+        assert a * d - b * c == 1
+        assert (Fraction(image.u, image.w), Fraction(image.n * image.v**2, image.w**2)) == (x, y2)
+        assert abs(x) <= Fraction(1, 2) and x * x + y2 >= 1
         got = evaluate(catalog_lookup(1, "gamma0"), tau, prec)
-        ref = _kleinj_reference(point)
+        ref = _kleinj_reference(image)
         with mp.workprec(KLEINJ_PREC):
             assert abs(got - ref) <= mp.mpf(2) ** (ERROR_BITS - prec) * max(1, abs(ref))
+
+    def test_kleinj_reference_refuses_low_points(self):
+        # the deep point itself, and Im just below 1/2; at i/2, on the
+        # boundary, it gives j(2i) - 744 = 66^3 - 744
+        for tau in (LEVEL1_POINTS["deep"], CMPoint(0, 499, 1000, 1)):
+            with pytest.raises(ValueError, match="below Im 1/2"):
+                _kleinj_reference(tau)
+        with mp.workprec(KLEINJ_PREC):
+            assert abs(_kleinj_reference(CMPoint(0, 1, 2, 1)) - (66**3 - 744)) < mp.mpf(2) ** -600
 
     @pytest.mark.parametrize("prec", [128, 256])
     @pytest.mark.parametrize("key", level_keys(), ids=lambda k: "%d-%s%d" % k)

@@ -17,6 +17,7 @@ from cfq.eta import EtaQuotientSpec, eta, eta_quotient
 from cfq.exactpoly import IntPoly, LaurentExpr, verify_root_relation
 from cfq.hauptmodul import catalog_lookup, evaluate
 from cfq.numerics import (
+    MAX_PREC_BITS,
     MIN_PREC_BITS,
     PrecisionPolicy,
     _coefficient_radius,
@@ -324,18 +325,16 @@ class TestPrecisionPolicy:
         with pytest.raises(DomainError):
             PrecisionPolicy(start_bits=32)
         with pytest.raises(DomainError):
-            PrecisionPolicy(start_bits=256, max_bits=128)
-        # the default start against a ceiling below it
-        with pytest.raises(DomainError):
-            PrecisionPolicy(max_bits=32)
+            PrecisionPolicy(start_bits=MAX_PREC_BITS + 1)
+        # both ends of the range are allowed
+        for bits in (MIN_PREC_BITS, MAX_PREC_BITS):
+            assert PrecisionPolicy(start_bits=bits).start_bits == bits
 
     @pytest.mark.parametrize("start", [10, 20000])
     def test_refusal_names_the_range(self, start):
         with pytest.raises(DomainError) as exc:
             PrecisionPolicy(start_bits=start)
         assert str(exc.value) == f"precision must be from 64 to 16384 bits, got {start}"
-        with pytest.raises(DomainError, match="from 64 to 128 bits, got 256"):
-            PrecisionPolicy(start_bits=256, max_bits=128)
 
 
 class TestCertifyIntPoly:
