@@ -5,9 +5,9 @@ Every point is exact, tau = (u + v*sqrt(-r))/w with integers v, w > 0 (a
 by tracked SL2(Z) steps (`_ascend` with n = 1, the ascent the Fricke groups
 of `cfq.hauptmodul` take with n = N): translations and tau -> -1/tau until
 |Re| <= 1/2 and |tau| >= 1 exactly, as `cfq.quadforms.reduce_form` does for
-forms.  Only the reduced point is formed in mpmath, so the pentagonal
-series is only ever summed where |q| <= exp(-pi*sqrt(3)), and a handful of
-terms suffice at any precision.  The transformation multiplier is computed
+forms.  Only the reduced point is evaluated, so the pentagonal series is
+only ever summed where |q| <= exp(-pi*sqrt(3)), and a handful of terms
+suffice at any precision.  The transformation multiplier is computed
 exactly as a root of unity through Dedekind sums, in integers.
 
 For gamma = [[a, b], [c, d]] with c > 0:
@@ -18,50 +18,43 @@ For gamma = [[a, b], [c, d]] with c > 0:
 with the principal square root; c = 0 gives the pure translation factor
 exp(pi*i*b/12).
 
-Error model.  At working precision W, every mpmath operation (arithmetic,
-sqrt, exp) is assumed to return its result on its rounded inputs with
-relative error at most u = 2^(1-W): mpmath rounds arithmetic correctly and
-evaluates sqrt and exp to within an ulp.  `eta_quotient` propagates these
-errors to first order through the evaluation it returns, from each
-factor's reduced point, its matrix's c and the exponents its series
-summed.  The constants 0.3, 1.01 and 0.99 below hold for
-Im(tau) >= sqrt(3)/2, with room for the rounding of the point:
+Error model.  Every step after the exact point is in integers with a
+proven bound, a factor a `numerics.Ball` at the scale 2^w the caller gives
+`eta_quotient`.  The multiplier exp(-pi i k/12), k mod 24 in -12 .. 11, is
+the exact translation of the reduced point z by -k, so no root is rounded:
 
-  * the reduced point, rounded once to the working precision
-    (`_mp_point`): within 6 units of |tau|, whatever steps led to it, and
-    |d log eta / d tau| = (pi/12) |E2(tau)| <= 0.3 there;
-  * the pentagonal series, a proven fixed-point bound: one exp gives
-    q^(1/24), and q = (q^(1/24))^24 is formed in integers at scale 2^W by
-    five truncated products, q^2, q^3, q^6, q^12, q^24.  The kernel's
-    product lemma (`numerics._fixed_series`) adds the errors along this
-    addition chain, so q is within sqrt(2) 23 of (q^(1/24))^24.  The series
-    is summed by the kernel in blocks of isqrt(e_max) + 1 exponents, and
-    its rounding bound is charged as it states it for the exponents summed;
-    the series has derivative below 1.01 and modulus above 0.99.  The
-    number of terms is fixed from Im(tau) before summing
-    (`_pentagonal_count`): the first exponent e with |q|^e <= 2^-(W+1), so
-    the terms left out, whose exponents are distinct integers >= e, sum to
-    below 2^-W;
-  * the multiplier exp(pi*i*r), an exact 24th root of unity (12r is an
-    integer) rounded once, from a per-precision table; the square root of
-    c*tau + d, formed from the same integers as the point, and the integer
-    powers of the quotient, counted operation by operation.
+  * q^(1/24) exp(-pi i k/12) = exp(pi i (z - k)/12) from
+    `numerics._exp_i_pi`, whose radius holds the argument's error and the
+    exp's; a relative error e in it moves eta(z) = q^(1/24) S(q) by at most
+    |E2(z)| e <= 1.15 e, as S is summed at its 24th power:
+    d log eta / d log q^(1/24) = E2(z), |E2| <= 1.146 where Im(z) >= sqrt(3)/2;
+  * q = (q^(1/24))^24 in integers at scale 2^w from five truncated
+    products, q^2, q^3, q^6, q^12, q^24, within sqrt(2) 23 by the kernel's
+    product lemma (`numerics._fixed_series`), and the pentagonal series S
+    summed by the kernel in blocks of isqrt(e_max) + 1 exponents, its
+    rounding bound charged as the kernel states it; S has derivative below
+    1.01 and modulus above 0.99.  The terms are counted from Im(z) before
+    summing (`_pentagonal_count`): the first exponent e left out has
+    |q|^e <= 2^-(w+1), so the tail is below 2^-w;
+  * c tau + d from the integers of tau (`_cm_ball`), its principal square
+    root, the products and the one quotient are `numerics` ball operations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from math import gcd, isqrt
 
 import mpmath
-from mpmath import mp
-from mpmath.libmp import from_rational, round_nearest
 
 from .elliptic import CMPoint
 from .errors import ConvergenceError, DomainError
-from .numerics import _GUARD, _fixed_series, _powers, _to_fixed
+from .numerics import (
+    _GUARD, Ball, _csqrt, _div, _exp_i_pi, _fixed, _fixed_series, _mul, _normal, _pow, _powers,
+    _root, _to_mpc,
+)
 
 __all__ = [
     "EtaQuotientSpec",
@@ -140,15 +133,11 @@ def _ascend(tau: CMPoint, n: int) -> tuple[CMPoint, tuple[int, int, int, int], i
         steps += 1
 
 
-def _mp_point(tau: CMPoint, root) -> mpmath.mpc:
-    """tau at the working precision, given root = sqrt(tau.n) rounded once.
-
-    u/w and v/w are rounded once each and v/w times root once more, so the
-    result is within 6 units of |tau|, 2 units of its result an operation.
-    """
-    prec = mp.prec
-    return mp.mpc(mp.make_mpf(from_rational(tau.u, tau.w, prec, round_nearest)),
-                  mp.make_mpf(from_rational(tau.v, tau.w, prec, round_nearest)) * root)
+def _imag(z: CMPoint) -> float:
+    """Im(z) as a double; ConvergenceError above 2^900, far past where any bound is met."""
+    if z.v.bit_length() > z.w.bit_length() + 890:
+        raise ConvergenceError("the point lies too far above the real axis")
+    return z.v / z.w * math.sqrt(z.n)
 
 
 def _pentagonal_exponent(j: int) -> int:
@@ -177,41 +166,6 @@ def _pentagonal_count(y: float, w: int) -> int:
     return n
 
 
-def _eta_series(tau) -> tuple[mpmath.mpc, float]:
-    """q^(1/24) times the pentagonal series at a point of the fundamental domain.
-
-    Returns the value and the series' error in units of 2^-w, w the working
-    precision: the kernel's bounds for the exponents it summed, and the tail.
-    The truncated q^(1/24) is within sqrt(2), and its 24th power moves that
-    by 24 |q^(1/24)|^23 sqrt(2) < 1.  The chain that forms the 24th power
-    adds sqrt(2) 23, charged as 1.5 * 23: q^3 is within sqrt(2) 2, and each
-    squaring doubles the error and adds sqrt(2).  The series has derivative
-    below 1.01 where |q| <= e^(-pi sqrt(3)), and the tail is below 1.
-    """
-    w = mp.prec
-    q24 = mp.exp(mp.mpc(0, 1) * mp.pi * tau / 12)
-    # q^2 and q^3 along the powers' step-1 chain, then q^6, q^12 and q^24
-    *_, qr, qi = _powers((_to_fixed(q24.real, w), _to_fixed(q24.imag, w)), 3, w)
-    for _ in range(3):
-        qr, qi = (qr * qr - qi * qi) >> w, (2 * qr * qi) >> w
-    q = (qr, qi)
-    exps, signs = _pentagonal(_pentagonal_count(float(tau.imag), w))
-    powers = _powers(q, isqrt(exps[-1]) + 1, w)
-    sr, si, sum_err = _fixed_series(q, exps, signs, 0, w, powers)
-    return (q24 * mp.mpc(mp.ldexp(sr, -w), mp.ldexp(si, -w)),
-            sum_err + 1 + 1.01 * (1.5 * 23 + 1))
-
-
-@lru_cache(maxsize=8)
-def _roots_of_unity(prec: int) -> tuple[mpmath.mpc, ...]:
-    """exp(2 pi i k / 24) for k = 0 .. 23, each rounded once to prec bits."""
-    with mp.workprec(prec + 16):
-        roots = [mp.mpc(mp.cospi(mp.mpf(k) / 12), mp.sinpi(mp.mpf(k) / 12))
-                 for k in range(24)]
-    with mp.workprec(prec):
-        return tuple(+z for z in roots)
-
-
 def _multiplier(gamma) -> tuple[int, tuple[int, int]]:
     """Factor data for eta(gamma tau) = eps * (c tau + d)^(1/2) eta(tau).
 
@@ -229,64 +183,63 @@ def _multiplier(gamma) -> tuple[int, tuple[int, int]]:
     return (k - 3) % 24, (c, d)
 
 
-def _eta_mpc(tau: CMPoint, root) -> tuple[mpmath.mpc, float]:
-    """eta at tau and its relative error, at the working precision w.
-
-    root is sqrt(tau.n) rounded once.  The error, in units of 2^-w, follows
-    the module's error model through this evaluation's own point and series.
-    """
-    point, gamma, _steps = _ascend(tau, 1)
-    xr = _mp_point(point, root)
-    value, series_err = _eta_series(xr)
+def _eta_ball(tau: CMPoint, w: int) -> Ball:
+    """eta at tau as a ball at scale 2^w (the module's error model)."""
+    z, gamma, _steps = _ascend(tau, 1)
     k, (c, d) = _multiplier(gamma)
-    # dividing by eps is multiplying by its conjugate, the root of index -k
-    value *= _roots_of_unity(mp.prec)[-k % 24]
-    # Everything up to q^(1/24) = exp(pi i xr / 12) acts as an error in the
-    # point: the point's rounding within 6|xr|, the argument's roundings
-    # within 8|xr| and the exp's within 8, as 12/pi times its relative 2
-    # units.  The series has modulus above 0.99; the conversion of the sum,
-    # the product with q^(1/24), the root of unity and the product with it
-    # round once each.
-    err = 0.3 * (14 * abs(complex(xr)) + 8) + series_err / 0.99 + 8
+    exps, signs = _pentagonal(_pentagonal_count(_imag(z), w))
+    q24 = _exp_i_pi(z.u - (k - 24 * (k >= 12)) * z.w, z.v, 12 * z.w, z.n, w)
+    # q^3 along the powers' chain, then q^6, q^12 and q^24; the truncated
+    # q^(1/24), within sqrt(2), moves q by 24 |q^(1/24)|^23 sqrt(2) < 1
+    *_, qr, qi = _powers(_fixed(q24, w), 3, w)
+    for _ in range(3):
+        qr, qi = (qr * qr - qi * qi) >> w, (2 * qr * qi) >> w
+    q = (qr, qi)
+    sr, si, bound = _fixed_series(q, exps, signs, 0, w, _powers(q, isqrt(exps[-1]) + 1, w))
+    series = _normal(sr, si, -w, (bound + 1 + 1.01 * (1.5 * 23 + 1)) / 0.99, w)
+    value = _mul(q24._replace(rad=1.15 * q24.rad), series, w)
     if c:
-        # c tau + d from the same integers, within 6 units of itself; its
-        # square root halves that, and the sqrt and the division round once
-        # each
-        value /= mp.sqrt(_mp_point(CMPoint(c * tau.u + d * tau.w, c * tau.v, tau.w, tau.n), root))
-        err += 7
-    return value, err
+        # c tau + d = (c u + d t + c v sqrt(-n)) / t
+        value = _div(value, _csqrt(_cm_ball(c * tau.u + d * tau.w, c * tau.v, tau.w, tau.n, w),
+                                   w), w)
+    return value
+
+
+def _cm_ball(p: int, s: int, t: int, n: int, w: int) -> Ball:
+    """(p + s sqrt(-n)) / t for integers s, t > 0, as a ball at scale 2^w.
+
+    At 2^b, b = w + 2 + max(0, len(t) - len(p^2 + s^2 n) // 2), the value is
+    above 2^(w + 3/2); its real part is floored within 1, its imaginary part
+    within s/t + 1 <= |value| / sqrt(n) + 1: within 1 unit of 2^-w.
+    """
+    b = w + 2 + max(0, t.bit_length() - (p * p + s * s * n).bit_length() // 2)
+    return _normal((p << b) // t, (s * _root(n, b)) // t, -b, 1.0, w)
 
 
 def eta(tau: CMPoint, prec: int) -> mpmath.mpc:
     """Dedekind eta at tau, relative error at most 2^(8 - prec), rounded to prec bits.
 
-    Raises ConvergenceError, instead of returning, where the bound of
-    `eta_quotient` exceeds 2^8 units of 2^-prec.
+    Raises ConvergenceError, instead of returning, where the radius of
+    `eta_quotient` at prec + 48 bits and the final rounding exceed 2^8 units.
     """
-    value, err = eta_quotient(EtaQuotientSpec([(1, 1)]), tau, prec)
-    if not err <= 2.0**8:
+    value = eta_quotient(EtaQuotientSpec([(1, 1)]), tau, prec + _GUARD)
+    if not (err := value.rad / 2.0**_GUARD + 1) <= 2.0**8:
         raise ConvergenceError(f"error estimate {err:.3g} * 2^-{prec} exceeds "
                                f"the bound 2^(8 - {prec}) at this point")
-    return value
+    return _to_mpc(value, prec)
 
 
-def eta_quotient(spec: EtaQuotientSpec, tau: CMPoint, prec: int) -> tuple[mpmath.mpc, float]:
-    """prod eta(d*tau)^r_d rounded to prec bits, and a bound on its relative error.
+def eta_quotient(spec: EtaQuotientSpec, tau: CMPoint, w: int) -> Ball:
+    """prod eta(d*tau)^r_d as a ball at the working scale 2^w (the module's error model).
 
-    The bound is in units of 2^-prec and follows the error model in the
-    module docstring through each factor's own evaluation; the factor
-    d*tau is the exact point (d u + d v sqrt(-n))/w.
+    The factors, at the exact points d*tau, of positive and of negative
+    exponent are multiplied out apart and divided once.
     """
     if not isinstance(tau, CMPoint):
         raise DomainError(f"eta needs an exact CMPoint, got {tau!r}")
-    with mp.workprec(prec + _GUARD):
-        root = mp.sqrt(tau.n)
-        value = mp.mpc(1)
-        err = 2.0**_GUARD  # the final rounding to prec bits
-        for d, r in spec.terms:
-            factor, factor_err = _eta_mpc(CMPoint(d * tau.u, d * tau.v, tau.w, tau.n), root)
-            value *= factor ** r
-            # x^r takes at most 2 log2|r| + 1 operations, then one product
-            err += abs(r) * factor_err + 2 * (2 * abs(r).bit_length() + 2)
-    with mp.workprec(prec):
-        return +value, err / 2.0**_GUARD
+    parts = {}
+    for d, r in spec.terms:
+        p = _pow(_eta_ball(CMPoint(d * tau.u, d * tau.v, tau.w, tau.n), w), abs(r), w)
+        parts[r > 0] = _mul(parts[r > 0], p, w) if (r > 0) in parts else p
+    num = parts.get(True, Ball(1, 0, 0, 0.0))
+    return _div(num, parts[False], w) if False in parts else num

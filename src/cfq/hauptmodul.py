@@ -20,14 +20,13 @@ The other Fricke levels of the genus-zero list have no construction here;
     |evaluate(spec, tau, prec) - t(tau)| <= 2^(ERROR_BITS - prec) * max(1, |t(tau)|),
 
 ERROR_BITS = 3, for tau an exact point (u + v sqrt(-n))/w, a `CMPoint`.  It
-works at prec + 48 bits, estimates the error of the unrounded value and
-raises ConvergenceError, instead of returning, when the estimate exceeds
-2^(ERROR_BITS - 1 - prec) * max(1, |value|); the final rounding then keeps
-the sum within the bound.  The estimate rests on one stated assumption, the
-operation-error model of `cfq.eta` at the working precision, which also
-prices the cancellation between the terms of sum_e c_e t^e.  Eta-quotient
-entries are valid at every point because eta reduces each factor's point
-in integers, and `eta_quotient` returns its error bound with its value.
+works in integers at the scale 2^(prec + 48), with a proven bound on the
+error of the unrounded value (`numerics.Ball`), and raises
+ConvergenceError, instead of returning, when the bound exceeds
+2^(ERROR_BITS - 1 - prec) * max(1, |value|); the one rounding to an `mpc`
+at prec bits then keeps the sum within the bound.  An eta-quotient entry
+sums c_e t^e on the ball `eta_quotient` returns, which prices the
+cancellation between the terms (`numerics._sum`).
 
 A theta quotient is evaluated at a point of tau's orbit under Gamma0(N)
 and the Fricke flip tau -> -1/(N tau) with Im >= sqrt(3)/(2N), found in
@@ -48,9 +47,9 @@ pairs with p1 + N p2 = e number at most e/N + 1, and as -N is a fundamental
 discriminant, the representation counts of its classes sum to
 2 sum_(d|e) (-N/d), so r_Q(e) <= 2 d(e) <= 4 sqrt(e) for every form and
 |c_e| <= A sqrt(e), A = 4 sum |s_Q| / m.  The remaining parts of the
-estimate are the error in q, from the one rounding of the exact point and
-the exp, carried through the derivative of each series, and the rounding of
-the last operations.
+bound are the error in q, from `numerics._exp_i_pi`, carried through the
+derivative of each series, and the roundings of the pole, the quotient and
+the shift, formed in integers as (c_(v-1) + q acc) / (q D) + shift.
 """
 
 from __future__ import annotations
@@ -67,10 +66,12 @@ from mpmath import mp
 from .elliptic import CMPoint
 from .errors import ConvergenceError, DomainError, NoConstructionError, NotGenusZeroError
 from .eta import (
-    EtaQuotientSpec, _ascend, _mp_point, _pentagonal, _pentagonal_exponent, eta_quotient,
+    EtaQuotientSpec, _ascend, _imag, _pentagonal, _pentagonal_exponent, eta_quotient,
 )
 from .exactpoly import LaurentExpr
-from .numerics import _GUARD, _fixed_series, _powers, _to_fixed
+from .numerics import (
+    _GUARD, Ball, _div, _fcomplex, _fixed, _fixed_series, _exp_i_pi, _mul, _powers, _sum, _to_mpc,
+)
 
 __all__ = [
     "EtaQuotientHaupt",
@@ -226,30 +227,25 @@ def evaluate(spec, tau: CMPoint, prec: int) -> mpmath.mpc:
     """Value of a principal modulus at the exact point tau, rounded to prec bits.
 
     The result is within 2^(ERROR_BITS - prec) * max(1, |t(tau)|) of the
-    true value, under the assumption stated in the module docstring; where
-    the error estimate cannot meet that, ConvergenceError is raised instead.
+    true value (module docstring); where the error bound cannot meet that,
+    ConvergenceError is raised instead.
     """
     if not isinstance(tau, CMPoint):
         raise DomainError(f"evaluation needs an exact CMPoint, got {tau!r}")
     wp = prec + _GUARD
-    with mp.workprec(wp):
-        # Errors in units of 2^-wp * max(1, |value|), 2 units of its result
-        # per operation (the model of cfq.eta).
-        if isinstance(spec, EtaQuotientHaupt):
-            value, err = _laurent_sum(spec.laurent, *eta_quotient(spec.spec, tau, wp))
-        elif isinstance(spec, ThetaQuotientHaupt):
-            value, err = _evaluate_theta(spec, tau, prec)
-        else:
-            raise DomainError(f"unknown principal-modulus description {spec!r}")
+    if isinstance(spec, EtaQuotientHaupt):
+        value = _laurent_sum(spec.laurent, eta_quotient(spec.spec, tau, wp), wp)
+    elif isinstance(spec, ThetaQuotientHaupt):
+        value = _evaluate_theta(spec, tau, prec)
+    else:
+        raise DomainError(f"unknown principal-modulus description {spec!r}")
     # in units of 2^-prec * max(1, |value|); the final rounding adds 1
-    err /= 2.0**_GUARD
-    if not err <= 2.0 ** (ERROR_BITS - 1):
+    if not (err := value.rad / 2.0**_GUARD) <= 2.0 ** (ERROR_BITS - 1):
         raise ConvergenceError(
             f"error estimate {err:.3g} * 2^-{prec} * max(1, |t|) exceeds the "
             f"bound 2^({ERROR_BITS - 1} - {prec}) * max(1, |t|) at this point"
         )
-    with mp.workprec(prec):
-        return +value
+    return _to_mpc(value, prec)
 
 
 def value_digits(prec: int) -> int:
@@ -276,50 +272,24 @@ def value_text(value: mpmath.mpc, prec: int) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
-def _laurent_sum(laurent: LaurentExpr, t, t_err: float) -> tuple[mpmath.mpc, float]:
-    """sum_e c_e t^e, and its error in units of 2^-wp max(1, |value|).
+def _laurent_sum(laurent: LaurentExpr, t: Ball, w: int) -> Ball:
+    """sum_e c_e t^e, its radius in units of 2^-w max(1, |value|).
 
-    t is within t_err units of |t|, an error that passes e-fold into each
-    term c_e t^e whatever cancels between them.  Each operation rounds
-    within 2 units of its result (the model of cfq.eta): t^k takes k - 1
-    products, a division by it or a product with c_e != 1 one more, and
-    each partial sum one; the constant, exact, is added last.
+    t^k from k - 1 products, c t^k exact and c / t^k from one quotient: each
+    term's radius holds t's k-fold, and `numerics._sum` weighs the terms.
     """
-    if t == 0 and laurent.min_exponent() < 0:
+    if not (t.re or t.im) and laurent.min_exponent() < 0:
         raise DomainError("eta quotient vanished at the evaluation point")
-    powers = [1, t]
+    powers = [Ball(1, 0, 0, 0.0), t]
     terms = []
-    for e, c in sorted(laurent.terms, key=lambda term: term[0] == 0):
+    for e, c in laurent.terms:
         k = abs(e)
         while len(powers) <= k:
-            powers.append(powers[-1] * t)
-        if e < 0:
-            term = c / powers[k]
-        else:
-            term = powers[k] if c == 1 else c * powers[k]
-        terms.append((k, k - 1 + (e < 0 or c != 1) if k else 0, term))
-    value, partials = terms[0][2], []
-    for _k, _ops, term in terms[1:]:
-        value += term
-        partials.append(value)
-    modulus = abs(value)
-    scale = max(1, modulus)
-    slope = rounding = 0.0
-    for k, ops, term in terms:
-        if k:
-            r = _rel(term, scale)
-            slope += k * r
-            rounding += 2 * ops * r
-    for partial in partials[:-1]:
-        rounding += 2 * _rel(partial, scale)
-    if partials:
-        rounding += 2 * float(modulus / scale)
-    return value, t_err * slope + rounding
-
-
-def _rel(x, scale) -> float:
-    """|x| / scale in double precision, for a scale >= 1 of any size."""
-    return float(abs(x) / scale)
+            powers.append(_mul(powers[-1], t, w))
+        p = powers[k]
+        terms.append(_div(Ball(c, 0, 0, 0.0), p, w) if e < 0
+                     else Ball(c * p.re, c * p.im, p.exp, p.rad))
+    return _sum(terms, w)
 
 
 def _fricke_ascent(tau: CMPoint, n: int) -> CMPoint:
@@ -422,50 +392,26 @@ def _cutoff(ell: float, target: float, growth) -> tuple[int, float]:
     return k, tail
 
 
-def _sum_series(q, powers, table, size: int, coeff_bits: int, wp: int,
-                w: int) -> tuple[mpmath.mpc, float]:
-    """The kernel's sum of a table's terms below size, and its error but q's.
-
-    q and powers are the point and its powers at the scale 2^w; table is
-    (exponents, coefficients); the error is in units of 2^-wp.  The
-    kernel's bound, 1.5 * 2^b * sum_j e_j plus 1.5 per giant step, counts
-    twice, the second time for the truncation of q (each q^e moves by at
-    most sqrt(2) e 2^-w), and the conversion of the sum rounds once more.
-    """
-    cut = bisect_left(table[0], size)
-    sr, si, bound = _fixed_series(q, table[0][:cut], table[1][:cut], coeff_bits, w, powers)
-    value = mp.mpc(mp.ldexp(sr, -w), mp.ldexp(si, -w))
-    return value, bound * 2.0 ** (wp + 1 - w) + 2 * abs(complex(value))
-
-
 def _coeff_bits(a: float, top: int) -> int:
     """Bits of the numerator's bound A sqrt(e) over the exponents below top."""
     return math.ceil(a * (isqrt(top) + 1)).bit_length()
 
 
-def _evaluate_theta(spec: ThetaQuotientHaupt, tau: CMPoint,
-                    prec: int) -> tuple[mpmath.mpc, float]:
-    """The quotient at tau and its error bound in units of 2^-(prec+guard) max(1, |value|).
-
-    Runs at the working precision evaluate sets (prec + guard).
-    """
+def _evaluate_theta(spec: ThetaQuotientHaupt, tau: CMPoint, prec: int) -> Ball:
+    """The quotient at tau, its radius in units of 2^-(prec+guard) max(1, |value|)."""
     n, wp = spec.level, prec + _GUARD
     v = (n + 1) // 24
-    zc = _mp_point(_fricke_ascent(tau, n), mp.sqrt(tau.n))
-    q = mp.exp(2j * mp.pi * zc)
+    z = _fricke_ascent(tau, n)
     # -ln|q|, shaded down so that no bound below is shaded down with it
-    ell = 2 * math.pi * float(zc.imag) * (1 - 2.0**-40)
+    ell = 2 * math.pi * _imag(z) * (1 - 2.0**-40)
     r = math.exp(-ell)
-    # The point is within 6 units of |zc| (`_mp_point`), and the exp
-    # argument rounds 8 units of |zc| more; exp adds 2 units of q.  A
-    # relative error eps_q in q moves a series by eps_q sum_e e |c_e| |q|^e,
+    # A relative error eps_q in q moves a series by eps_q sum_e e |c_e| |q|^e,
     # which is below A (sqrt(s1 s2) + sqrt(v) s1) for the numerator, as
     # sum e^(3/2) r^e <= sqrt(s1 s2) by Cauchy-Schwarz, and s2/N + s1 for D,
     # with s1 = sum e r^e = r/(1-r)^2 and s2 = sum e^2 r^e = r(1+r)/(1-r)^3.
-    eps_q = 2 * math.pi * 14 * abs(complex(zc)) + 2
     one_r = -math.expm1(-ell)
     s1, s2 = r / one_r**2, r * (1 + r) / one_r**3
-    to_units = (prec + _GUARD) * math.log(2)
+    to_units = wp * math.log(2)
 
     # D: its terms stop where their tail is below 2^-(prec + 8), which
     # leaves room for |D| down to 2^-4 or so; sampling finds |D| > 0.05 at
@@ -473,18 +419,28 @@ def _evaluate_theta(spec: ThetaQuotientHaupt, tau: CMPoint,
     size, tail = _cutoff(ell, -(prec + 8) * math.log(2), lambda k: (1 / n, 1.0))
     a = 4 * sum(abs(s) for _, s in spec.forms) / spec.divisor
     # One scale and one set of powers for both series, with room for the
-    # numerator's coefficients and exponent sums up to twice D's cutoff K
-    # (its own cutoff lies near K).  m products build the powers, and each
-    # series then costs a block per m exponents, about 3 products' worth of
-    # work for these sparse series: m = isqrt(6K) balances the two, and
-    # timed best among isqrt(cK), c = 1 .. 16, at 64 bits (flat at 256).
+    # numerator's coefficients and exponent sums up to twice D's cutoff K;
+    # m = isqrt(6K) powers balance the blocks of these sparse series (timed
+    # best among isqrt(cK), c = 1 .. 16, at 64 bits, flat at 256).
     room = 2 * size
     w = wp + _coeff_bits(a, room + v) + 2 * room.bit_length()
-    qw = (_to_fixed(q.real, w), _to_fixed(q.imag, w))
+    q = _exp_i_pi(2 * z.u, 2 * z.v, z.w, z.n, w)
+    # q's error enters below through each series' derivative
+    eps_q, q = q.rad * 2.0 ** (wp - w), q._replace(rad=0.0)
+    qw = _fixed(q, w)
     powers = _powers(qw, isqrt(6 * size), w)
-    den, den_err = _sum_series(qw, powers, _eta_product(n, _pow2_size(size)), size, 0, wp, w)
+
+    def kernel(table, size, coeff_bits):
+        # the sum below size and its error but q's, in units of 2^-wp: the kernel's
+        # bound counts twice, once more for q's truncation (q^e moves sqrt(2) e)
+        cut = bisect_left(table[0], size)
+        sr, si, bound = _fixed_series(qw, table[0][:cut], table[1][:cut], coeff_bits, w, powers)
+        return Ball(sr, si, -w, 0.0), bound * 2.0 ** (wp + 1 - w)
+
+    den, den_err = kernel(_eta_product(n, _pow2_size(size)), size, 0)
     den_err += math.exp(min(tail + to_units, 709.0)) + eps_q * (s2 / n + s1)
-    den_low = abs(complex(den)) - den_err * 2.0**-wp
+    den_c = _fcomplex(den)
+    den_low = abs(den_c) - den_err * 2.0**-wp
     if not den_low > 0:
         raise ConvergenceError("the eta product is lost in its own error at this point")
 
@@ -496,23 +452,23 @@ def _evaluate_theta(spec: ThetaQuotientHaupt, tau: CMPoint,
     target = (ERROR_BITS - 2 - prec) * math.log(2) + math.log(den_low)
     size, tail = _cutoff(ell, target, growth)
     lead, *table = _theta_numerator(spec, _pow2_size(size))
-    acc, acc_err = _sum_series(qw, powers, table, size, _coeff_bits(a, size + v), wp, w)
-    num = lead / q + acc
-    quotient = num / den
-    value = quotient + spec.shift if spec.shift else quotient
-
-    # The pole, the numerator, the quotient and the value grow like 1/q, past
-    # the range of a double high up, so the rest of the estimate is carried
-    # times |q|, from doubles of bounded quantities.  The pole, the sum, the
-    # quotient and the shift round once each; the pole carries q's error.
-    qf = complex(q)
-    q_num = lead + qf * complex(acc)
-    q_quotient = q_num / complex(den)
-    q_value = q_quotient + spec.shift * qf
-    num_err = (abs(qf) * (acc_err + eps_q * a * (math.sqrt(s1 * s2) + math.sqrt(v) * s1)
-                          + math.exp(min(tail + to_units, 709.0)))
-               + (eps_q + 2) * abs(lead) + 2 * abs(q_num))
-    err = (num_err + abs(q_quotient) * den_err) / den_low + 2 * abs(q_quotient)
+    acc, acc_err = kernel(table, size, _coeff_bits(a, size + v))
+    # t = (lead/q + acc) / D + shift, formed as (lead + q acc) / (q D) + shift,
+    # so that only the last quotient grows like 1/q
+    q_num = _sum([Ball(lead, 0, 0, 0.0), _mul(q, acc, w)], w)
+    value = _div(q_num._replace(rad=0.0), _mul(q, den, w), w)
     if spec.shift:
-        err += 2 * abs(q_value)
-    return value, err / max(abs(qf), abs(q_value))
+        value = _sum([value, Ball(spec.shift, 0, 0, 0.0)], w)
+
+    # The estimate is carried times |q| (no smaller than 5e-324 where it
+    # underflows), from doubles of bounded quantities: q t = q_num / D +
+    # shift q.  The pole carries q's error; the roundings of q_num, of the
+    # quotient and of the shift are their balls' radii.
+    qf, q_num_c = _fcomplex(q), _fcomplex(q_num)
+    q_quotient = q_num_c / den_c
+    q_value = q_quotient + spec.shift * qf
+    num_err = (max(abs(qf), 5e-324) * (acc_err + math.exp(min(tail + to_units, 709.0))
+                                       + eps_q * a * (math.sqrt(s1 * s2) + math.sqrt(v) * s1))
+               + eps_q * abs(lead) + q_num.rad * 2.0 ** (wp - w) * max(1.0, abs(q_num_c)))
+    err = (num_err + abs(q_quotient) * den_err) / den_low
+    return value._replace(rad=err / max(abs(qf), abs(q_value)) + value.rad * 2.0 ** (wp - w))

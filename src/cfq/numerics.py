@@ -1,8 +1,8 @@
-"""Certified integer polynomials from complex roots, and the series kernel.
+"""Certified integer polynomials, the series kernel and fixed-point arithmetic.
 
-Values are plain `mpmath.mpc` numbers, and every function takes the working
-precision in bits as an explicit `prec` argument.  Between the values and
-the accepted polynomial all arithmetic is exact, in integers.
+Every function takes its precision in bits as an argument, and no mpmath
+arithmetic is done: values are `mpmath.mpc` numbers only where they are
+returned (`_to_mpc`) or certified, and all arithmetic is in integers.
 
 `certify_int_poly` turns roots known within radii into an integer
 polynomial with a proof (after Enge, Math. Comp. 78, 2009).  Each value v_i
@@ -22,8 +22,8 @@ R_max around a value within 1/2 - R_max of an integer holds that integer
 and no other; the comparison residual + R_max < 1/2 is made in integers.
 
 `_fixed_series` is the one series-summation loop of the package: the eta
-pentagonal series and the two series of a theta quotient are all summed by
-it, in integers at scale 2^w, with a proven bound on its rounding.  Every
+pentagonal series, the two series of a theta quotient and the Taylor
+series of exp are all summed by it, in integers at scale 2^w, with a proven bound on its rounding.  Every
 series is cut into blocks of m exponents (rectangular splitting): the
 caller builds the powers q^0 .. q^(m-1) and q^m once (`_powers`) and
 chooses m, each block is an exact integer dot product with them, and
@@ -32,18 +32,29 @@ the theta quotient sums its two series against one set, so that a dense
 series of K terms takes about m + K/m full products instead of K.  The
 proof of the bound holds for any m and is in the `_fixed_series`
 docstring.
+
+A `Ball` (re + i im) 2^exp is within rad units of 2^-w of its modulus, w
+the scale of the operations that made it, each leaving |re + i im| >= 2^w,
+so a truncation is below sqrt(2) units, charged 1.5.  Radii add: to first
+order, and the second-order terms fit in the 0.08 each 1.5 leaves while
+radii are below 2^(w-5), far above what callers accept.  pi, ln 2, sqrt(n)
+and exp carry proven bounds (Brent and Zimmermann, Modern Computer
+Arithmetic, 2010, ch. 4).
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 from operator import le, mul
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp, round_ceiling
+from mpmath.libmp import from_man_exp, round_ceiling, round_nearest
 
 from .errors import DomainError, RoundingFailureError
 from .exactpoly import IntPoly
@@ -162,12 +173,212 @@ def _expand(roots: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
     return re, im
 
 
-def _to_fixed(x: mpmath.mpf, w: int) -> int:
-    """x * 2^w truncated toward zero: within 1 of it."""
-    sign, man, exp, _bc = x._mpf_
-    shift = exp + w
-    n = man << shift if shift >= 0 else man >> -shift
-    return -n if sign else n
+class Ball(NamedTuple):
+    """(re + i im) 2^exp, within rad units of 2^-w of its modulus (module docstring)."""
+
+    re: int
+    im: int
+    exp: int
+    rad: float
+
+
+def _bits(z: Ball) -> int:
+    return max(abs(z.re), abs(z.im)).bit_length()
+
+
+def _normal(x: int, y: int, e: int, rad: float, w: int) -> Ball:
+    """(x + i y) 2^e with its larger part w + 1 bits long; a shift down adds 1.5."""
+    if (s := max(abs(x), abs(y)).bit_length() - w - 1) > 0:
+        return Ball(x >> s, y >> s, e + s, rad + 1.5)
+    return Ball(x << -s, y << -s, e + s, rad)
+
+
+def _mul(a: Ball, b: Ball, w: int) -> Ball:
+    return _normal(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re,
+                   a.exp + b.exp, a.rad + b.rad, w)
+
+
+def _pow(z: Ball, r: int, w: int) -> Ball:
+    """z^r for r >= 1 by repeated squaring."""
+    out = z if r & 1 else None
+    while r := r >> 1:
+        z = _mul(z, z, w)
+        if r & 1:
+            out = z if out is None else _mul(out, z, w)
+    return out
+
+
+def _div(a: Ball, b: Ball, w: int) -> Ball:
+    """a conj(b) / |b|^2 shifted so that |a / b| 2^s >= 2^(w + 1/2), both parts floored once."""
+    d = b.re * b.re + b.im * b.im
+    x, y = a.re * b.re + a.im * b.im, a.im * b.re - a.re * b.im
+    s = w + 2 + _bits(b) - _bits(a)
+    if s >= 0:
+        x, y = (x << s) // d, (y << s) // d
+    else:
+        x, y = x // (d << -s), y // (d << -s)
+    return Ball(x, y, a.exp - b.exp - s, a.rad + b.rad + 1.5)
+
+
+def _csqrt(z: Ball, w: int) -> Ball:
+    """The principal square root of a nonzero z; the radius halves and gains 3.
+
+    X + iY, the mantissa shifted up to |X + iY| >= 2^(2w+1) and an even
+    exponent: for X >= 0, Re = sqrt((|X + iY| + X)/2) >= |root| / sqrt(2)
+    comes from two isqrt within 1.001, Im = Y / (2 Re) from one floor within
+    1.001 sqrt(2) + 1, for X < 0 the other way round; |root| >= 2^w.
+    """
+    t = 2 * w + 2 - _bits(z)
+    t += (z.exp - t) & 1
+    x, y = z.re << t, z.im << t
+    big = isqrt((isqrt(x * x + y * y) + abs(x)) >> 1)
+    re, im = (big, y // (2 * big)) if x >= 0 else (abs(y) // (2 * big), big if y >= 0 else -big)
+    return Ball(re, im, (z.exp - t) >> 1, z.rad / 2 + 3)
+
+
+def _sum(terms, w: int) -> Ball:
+    """The sum of balls, its radius in units of 2^-w max(1, |sum|).
+
+    Each term is moved to the exponent e = max(top, 0) - w - 1 (2^(top - 1)
+    <= its largest), exactly or by a truncation within sqrt(2) 2^e, charged
+    1.5, and its radius weighted by |term| / max(1, |sum|), cancelled or not.
+    """
+    top = max((t.exp + _bits(t) for t in terms if t.re or t.im), default=0)
+    e = max(top, 0) - w - 1
+    x = y = shifted = 0
+    for t in filter(_bits, terms):
+        s = t.exp - e
+        if s >= 0:
+            x, y = x + (t.re << s), y + (t.im << s)
+        else:
+            x, y = x + (t.re >> -s), y + (t.im >> -s)
+            shifted += 1
+    total = _mag(Ball(x, y, e, 0.0))
+    scale = total if _ratio(total, (1.0, 0)) >= 1 else (1.0, 0)
+    rad = sum(t.rad * _ratio(_mag(t), scale) for t in terms if t.rad)
+    if shifted:
+        rad += 1.5 * shifted * _ratio((1.0, max(top, 0) - 1), scale)
+    return Ball(x, y, e, rad)
+
+
+def _mag(z: Ball) -> tuple[float, int]:
+    """|z| = f 2^k as (f, k), f a double below 2^65 within 2^-50 of its value."""
+    s = max(_bits(z) - 64, 0)
+    return math.hypot(z.re >> s, z.im >> s), z.exp + s
+
+
+def _ratio(a: tuple[float, int], b: tuple[float, int]) -> float:
+    """a / b for two `_mag` pairs, b nonzero, rounded up by 1 + 2^-40; inf past 2^960."""
+    k = a[1] - b[1]
+    return math.ldexp(a[0] / b[0] * (1 + 2.0**-40), k) if k < 900 or not a[0] else math.inf
+
+
+def _fcomplex(z: Ball) -> complex:
+    """z as a complex double, 0 below the range of one; |z| must be below 2^1000."""
+    s = max(_bits(z) - 64, 0)
+    return complex(math.ldexp(z.re >> s, z.exp + s), math.ldexp(z.im >> s, z.exp + s))
+
+
+def _fixed(z: Ball, w: int) -> tuple[int, int]:
+    """The parts of z at scale 2^w, each truncated within 1."""
+    return (z.re << s, z.im << s) if (s := z.exp + w) >= 0 else (z.re >> -s, z.im >> -s)
+
+
+def _to_mpc(z: Ball, prec: int) -> mpmath.mpc:
+    """z, each part rounded to the nearest prec-bit number: the one step into mpmath."""
+    return mp.make_mpc((from_man_exp(z.re, z.exp, prec, round_nearest),
+                        from_man_exp(z.im, z.exp, prec, round_nearest)))
+
+
+def _arctan_inv(x: int, s: int, sign: int) -> int:
+    """arctan(1/x) 2^s (sign -1) or artanh(1/x) 2^s (sign 1), x >= 3, within 1.35 (n + 2).
+
+    Each of the n < s powers 2^s / x^(2k+1) is floored from the one before,
+    each term once more, and the tail is below 1; len(w) + 5 guard bits
+    cover 20 such bounds.
+    """
+    power = (1 << s) // x
+    total, k, x2 = power, 1, x * x
+    while power:
+        power //= x2
+        total += (sign if k % 2 else 1) * (power // (2 * k + 1))
+        k += 1
+    return total
+
+
+@lru_cache(maxsize=64)
+def _pi(w: int) -> int:
+    """pi 2^w within 2, by Machin's formula pi = 16 arctan(1/5) - 4 arctan(1/239)."""
+    s = w + w.bit_length() + 5
+    return (16 * _arctan_inv(5, s, -1) - 4 * _arctan_inv(239, s, -1)) >> (s - w)
+
+
+@lru_cache(maxsize=64)
+def _ln2(w: int) -> int:
+    """ln 2 * 2^w within 2, as 2 artanh(1/3)."""
+    return (2 * _arctan_inv(3, w + w.bit_length() + 5, 1)) >> (w.bit_length() + 5)
+
+
+@lru_cache(maxsize=64)
+def _root(n: int, w: int) -> int:
+    """sqrt(n) 2^w truncated, within 1."""
+    return isqrt(n << 2 * w)
+
+
+@lru_cache(maxsize=64)
+def _exp_plan(w: int) -> tuple[int, int, tuple[int, ...]]:
+    """(j, g, c) for `_exp` at scale 2^w: the argument over 2^j, g guard bits, c_i = n!/i!.
+
+    j = isqrt(w) timed best at w = 1072; n is the least with |z|^(n+1)/(n+1)!
+    <= 2^-(w+j+25), |z| <= 4.1 2^-j, and n! < 2^704 at every scale used.
+    """
+    j = max(4, isqrt(w))
+    n = 1
+    while (n + 1) * (j - 2.04) + math.lgamma(n + 2) / math.log(2) < w + j + 25:
+        n += 1
+    coeffs = [1]
+    for i in range(n, 0, -1):
+        coeffs.append(coeffs[-1] * i)
+    return j, j + (2 * n * (n + 1) + 8).bit_length() + 3, tuple(reversed(coeffs))
+
+
+def _exp(x: int, y: int, w: int) -> Ball:
+    """exp((x + i y) 2^-w) for integers x, y with |y| <= 4 * 2^w, as a ball at scale 2^w.
+
+    At s = w + g bits, x = k ln 2 + r, 0 <= r < ln 2, comes out as 2^k (r
+    within 2|k| units).  z = (r + i y) / 2^j, truncated within sqrt(2), has
+    |exp(z)| >= 1; n!^-1 sum (n!/i!) z^i is summed by the kernel and divided
+    by n! >= 2^(b-1) with one floor, within bound 2^(1-b) + 1 + 1.01 sqrt(2)
+    and the tail 1.  Each of the j squarings, modulus in [1, 2), doubles the
+    relative error and adds sqrt(2): 2^j (bound 2^(1-b) + 5.5) units of
+    2^-s, below 1/8 unit of 2^-w; the shift down to 2^w adds 1.5.
+    """
+    if abs(y) > 4 << w:
+        raise DomainError("exp needs |Im| <= 4")
+    j, g, coeffs = _exp_plan(w)
+    s, n, b = w + g, len(coeffs) - 1, coeffs[0].bit_length()
+    x, ln2 = x << g, _ln2(s)
+    k = x // ln2
+    z = ((x - k * ln2) >> j, (y << g) >> j)
+    sr, si, bound = _fixed_series(z, range(n + 1), coeffs, b, s, _powers(z, isqrt(n) + 1, s))
+    sr, si = sr // coeffs[0], si // coeffs[0]
+    for _ in range(j):
+        sr, si = ((sr + si) * (sr - si)) >> s, (sr * si) >> (s - 1)
+    rad = math.ldexp(math.ldexp(bound, 1 - b) + 5.5, j - g) + math.ldexp(abs(k), 1 - g)
+    return _normal(sr, si, k - s, rad, w)
+
+
+def _exp_i_pi(u: int, v: int, t: int, n: int, w: int) -> Ball:
+    """exp(pi i (u + v sqrt(-n)) / t) as a ball at scale 2^w, for integers t, n > 0.
+
+    The argument, from pi within 2 and sqrt(n) within 1 by one floor a part,
+    is within d = (2 sqrt(n) + pi) |v| / t + 2 |u| / t + 2 units, which moves
+    the value by a relative |e^d - 1| <= d e^(d 2^-w).
+    """
+    pi, root = _pi(w), _root(n, w)
+    z = _exp(-((pi * root * v) // (t << w)), (pi * u) // t, w)
+    d = (2 * math.sqrt(n) + 3.15) * (abs(v) / t) + 2 * abs(u) / t + 2
+    return z._replace(rad=z.rad + d * math.exp(min(math.ldexp(d, -w), 700.0)))
 
 
 def _powers(q, m: int, w: int) -> tuple[list[int], list[int], int, int]:

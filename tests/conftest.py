@@ -12,6 +12,7 @@ from math import gcd
 import mpmath
 import pytest
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 import cfq.classfield
 from cfq.elliptic import CMPoint
@@ -54,6 +55,11 @@ def rounded(z, prec) -> mpmath.mpc:
     """The complex number z rounded to prec bits."""
     with mp.workprec(prec):
         return +z
+
+
+def ball_mpc(z) -> mpmath.mpc:
+    """A `numerics.Ball`'s value (re + i im) 2^exp exactly, whatever the working precision."""
+    return mp.make_mpc((from_man_exp(z.re, z.exp), from_man_exp(z.im, z.exp)))
 
 
 def cm_mpc(tau) -> mpmath.mpc:

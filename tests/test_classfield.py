@@ -64,9 +64,10 @@ class TestSingularValues:
 
     def test_small_levels_bit_identical(self):
         # the eta path at every key of the degree-law sweep, hashed as the
-        # level-71 values are: each factor's point reduced in integers and
-        # rounded once, q^24 from its chain of five products, and the
-        # pentagonal series summed in blocks of isqrt(e_max) + 1 exponents
+        # level-71 values are: each factor's point reduced in integers,
+        # q^(1/24) from the fixed-point exp, q^24 from its chain of five
+        # products, the pentagonal series summed in blocks of
+        # isqrt(e_max) + 1 exponents, and each value rounded once
         digest = hashlib.sha256()
         for key in level_keys():
             for value in singular_values(*key, 256).values():
@@ -74,7 +75,7 @@ class TestSingularValues:
                     sign, man, exp, _ = x._mpf_
                     digest.update(f"{sign} {man} {exp};".encode())
         assert digest.hexdigest() == (
-            "e739b394e3ca0af9b7d8d5917598cc0375d8908330d6e72e37c850953b018c8f"
+            "2a81e0434fc9f294bc68d6ae7d1f002dd6678ac9b4eb4f2d7f14c99bad7c9be2"
         )
 
     def test_classes_pairwise_distinct(self):
@@ -125,15 +126,28 @@ class TestInversePairs:
                 assert _same_bits(value, evaluate(spec, tau, prec)), i
         assert conjugated == 3
 
-    def test_self_mirror_class_is_exactly_real(self):
+    def test_self_mirror_class_is_exactly_real(self, monkeypatch):
         # the principal class of disc -71 is its own inverse, and its
         # representative (A, C) = (1, 2) its own mirror image: 2A = 0 mod C
+        tiny = mp.mpf(2) ** -300
+        evaluated = []
+
+        def off_axis(spec, tau, prec):
+            # the value moved off the real axis by far less than evaluate's
+            # bound, so only singular_values' self-mirror branch makes it real
+            value = evaluate(spec, tau, prec)
+            evaluated.append(tau)
+            with mp.workprec(prec + 64):
+                return mp.mpc(value.real, value.imag + tiny)
+
+        monkeypatch.setattr(cfq.classfield, "evaluate", off_axis)
         vals = singular_values(71, "fricke", -71, 256)
         cls, alpha, tau, value = vals.entries[0]
         assert cls.rep == QuadForm(1, 1, 18) and (2 * alpha.A) % alpha.C == 0
-        assert value.imag == 0
-        direct = evaluate(catalog_lookup(71, "fricke"), tau, 256)
-        assert value.real._mpf_ == direct.real._mpf_ and direct.imag != 0
+        spec = catalog_lookup(71, "fricke")
+        assert evaluated[0] == tau and off_axis(spec, tau, 256).imag != 0
+        direct = evaluate(spec, tau, 256)
+        assert value.imag == 0 and value.real._mpf_ == direct.real._mpf_
 
     def test_non_mirror_representative_is_evaluated(self, evaluate_calls, monkeypatch):
         cg = enumerate_class_group(-71)

@@ -10,17 +10,17 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from conftest import (
-    cm_mobius, cm_mpc, dedekind_sum_by_definition, eta_direct_series, eta_multiplier,
+    ball_mpc, cm_mobius, cm_mpc, dedekind_sum_by_definition, eta_direct_series, eta_multiplier,
     random_sl2, rational_point,
 )
 import cfq.eta
 from cfq.elliptic import CMPoint, enumerate_representatives, fixed_point
 from cfq.errors import ConvergenceError, DomainError
 from cfq.eta import (
-    EtaQuotientSpec, _ascend, _dedekind12, _eta_series, _mp_point, eta, eta_quotient,
+    EtaQuotientSpec, _ascend, _cm_ball, _dedekind12, _eta_ball, eta, eta_quotient,
 )
 from cfq.hauptmodul import catalog_lookup
-from cfq.numerics import _GUARD, _fixed_series
+from cfq.numerics import _GUARD, _fixed_series, _to_mpc
 from cfq.quadforms import enumerate_class_group
 
 
@@ -62,6 +62,13 @@ class TestDedekindSum:
 
 
 PREC = 128
+# the working scale eta and evaluate give eta_quotient at PREC
+W = PREC + _GUARD
+
+
+def _quotient(spec, tau, prec=PREC):
+    """eta_quotient at the working scale of prec, rounded to prec bits as eta rounds."""
+    return _to_mpc(eta_quotient(spec, tau, prec + _GUARD), prec)
 
 
 class TestEta:
@@ -98,10 +105,10 @@ class TestEta:
             eta(mp.mpc(0, 1), PREC)
 
     def test_refuses_where_its_bound_is_lost(self):
-        # 10^-40 above the axis the estimate is about 1.5e26 units of
+        # 10^-40 above the axis the estimate is about 1.8e25 units of
         # 2^-128, far above the 2^8 that eta documents
         tau = CMPoint(0, 1, 10**40, 1)
-        assert eta_quotient(EtaQuotientSpec([(1, 1)]), tau, PREC)[1] > 2.0**8
+        assert eta_quotient(EtaQuotientSpec([(1, 1)]), tau, W).rad / 2.0**_GUARD > 2.0**8
         with pytest.raises(ConvergenceError, match=r"bound 2\^\(8 - 128\)"):
             eta(tau, PREC)
 
@@ -110,9 +117,9 @@ class TestEta:
         rng = random.Random(2718)
         for _ in range(20):
             tau = rational_point(rng, -2, 2, 0.05, 2.0)
-            value, err = eta_quotient(EtaQuotientSpec([(1, 1)]), tau, PREC)
-            assert err <= 2.0**8
-            assert eta(tau, PREC) == value
+            value = eta_quotient(EtaQuotientSpec([(1, 1)]), tau, W)
+            assert value.rad / 2.0**_GUARD + 1 <= 2.0**8
+            assert eta(tau, PREC) == _to_mpc(value, PREC)
 
     def test_transformation_law_500_pairs(self):
         rng = random.Random(987654)
@@ -151,7 +158,7 @@ class TestEtaQuotient:
     def test_single_factor_equals_eta(self):
         spec = EtaQuotientSpec([(1, 1)])
         tau = CMPoint(2, 11, 10, 1)
-        assert eta_quotient(spec, tau, PREC)[0] == eta(tau, PREC)
+        assert _quotient(spec, tau) == eta(tau, PREC)
 
     def test_factor_at_d_tau(self):
         # eta(d tau) is the factor eta(tau') at the exact point tau' = d tau
@@ -159,7 +166,7 @@ class TestEtaQuotient:
         for _ in range(20):
             tau = rational_point(rng, -0.5, 0.5, 0.3, 1.5)
             for d in (2, 3, 12):
-                got, _ = eta_quotient(EtaQuotientSpec([(d, 1)]), tau, PREC)
+                got = _quotient(EtaQuotientSpec([(d, 1)]), tau)
                 moved = CMPoint(d * tau.u, d * tau.v, tau.w, tau.n)
                 assert got == eta(moved, PREC)
                 with mp.workprec(PREC + 16):
@@ -168,7 +175,7 @@ class TestEtaQuotient:
 
     def test_level2_against_product_oracle(self):
         spec = EtaQuotientSpec([(1, 24), (2, -24)])
-        got, _ = eta_quotient(spec, CMPoint(0, 3, 1, 1), PREC)
+        got = _quotient(spec, CMPoint(0, 3, 1, 1))
         with mp.workprec(PREC + 32):
             q = mp.exp(2j * mp.pi * mp.mpc(0, 3))
             prod = mp.mpf(1)
@@ -185,7 +192,7 @@ class TestEtaQuotient:
     def test_fricke_fixed_point_value(self):
         spec = EtaQuotientSpec([(1, 24), (2, -24)])
         # i / sqrt(2) = sqrt(-2) / 2
-        got, _ = eta_quotient(spec, CMPoint(0, 1, 2, 2), PREC)
+        got = _quotient(spec, CMPoint(0, 1, 2, 2))
         assert abs(got - 64) < mp.mpf(2) ** (-PREC + 16)
 
     def test_spec_validation(self):
@@ -216,21 +223,18 @@ class TestEtaSeriesKernel:
     @settings(max_examples=100, deadline=None)
     @given(point=domain_points())
     def test_series_within_stated_bound(self, point):
-        # The bound covers q = (q^(1/24))^24 from its chain, the blocked
-        # pentagonal sum and the tail, against the series at the same
-        # q^(1/24) taken as exact, 300 bits deeper.  Converting the sum and
-        # the product with q^(1/24) round once each, within 4 units of the
-        # value together.
+        # The radius covers q^(1/24) from the exp, q = (q^(1/24))^24 from its
+        # chain, the blocked pentagonal sum, the tail and the product, against
+        # q^(1/24) times the series, 300 bits deeper; the point is reduced,
+        # so its multiplier is 1
         point, w = point
-        with mp.workprec(w):
-            tau = cm_mpc(point)
-            value, err = _eta_series(tau)
-            q24 = mp.exp(mp.mpc(0, 1) * mp.pi * tau / 12)
+        value = _eta_ball(point, w)
         with mp.workprec(w + 300):
+            q24 = mp.exp(mp.mpc(0, 1) * mp.pi * cm_mpc(point) / 12)
             q = q24**24
             series = mp.fsum((-1) ** k * q ** (k * (3 * k - 1) // 2) for k in range(-60, 61))
-            slack = err * abs(q24) + 4 * abs(value)
-            assert abs(value - q24 * series) <= slack * mp.mpf(2) ** -w
+            got = ball_mpc(value)
+            assert abs(got - q24 * series) <= value.rad * abs(got) * mp.mpf(2) ** -w
 
     @pytest.mark.parametrize("prec", [128, 256, 1056])
     def test_against_direct_series(self, prec):
@@ -265,7 +269,7 @@ class TestEtaSeriesKernel:
                 z = fixed_point(alpha)
                 summed.clear()
                 extra[0] = 0.0
-                value, bound = eta_quotient(spec, z, prec)
+                value = eta_quotient(spec, z, prec + _GUARD)
                 assert len(summed) == len(spec.terms)
                 for (qr, qi), exponents, w in summed:
                     left_out = PENTAGONAL[len(exponents)]
@@ -274,11 +278,40 @@ class TestEtaSeriesKernel:
                         q = mp.hypot(qr, qi) * mp.mpf(2) ** -w
                         assert q ** left_out <= mp.mpf(2) ** -(w + 1)
                 extra[0] = 2.0**60
-                again, inflated = eta_quotient(spec, z, prec)
-                charged = sum(abs(r) for _, r in spec.terms) * 2.0 ** (60 - _GUARD) / 0.99
-                assert again == value and inflated == pytest.approx(bound + charged, rel=1e-9)
+                again = eta_quotient(spec, z, prec + _GUARD)
+                charged = sum(abs(r) for _, r in spec.terms) * 2.0**60 / 0.99
+                assert again[:3] == value[:3]
+                assert again.rad == pytest.approx(value.rad + charged, rel=1e-9)
                 checked += 1
         assert checked >= 5
+
+
+@st.composite
+def quotient_cases(draw):
+    """(spec, tau, w): eta alone or a catalog quotient, at an exact point high enough for
+    the unreduced series, and a working scale of evaluate."""
+    w = draw(st.sampled_from([112, 304, 1072]))
+    t = draw(st.integers(min_value=1, max_value=10**6))
+    tau = CMPoint(draw(st.integers(-3 * t, 3 * t)), draw(st.integers(3 * t // 10 + 1, 2 * t)),
+                  t, 1)
+    n = draw(st.sampled_from([0, 2, 6, 12, 25]))
+    spec = EtaQuotientSpec([(1, 1)]) if not n else catalog_lookup(n, "gamma0").spec
+    return spec, tau, w
+
+
+class TestEtaQuotientBall:
+    """eta_quotient's radius against the unreduced series, 300 bits deeper."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=quotient_cases())
+    def test_value_within_radius(self, case):
+        spec, tau, w = case
+        value = eta_quotient(spec, tau, w)
+        with mp.workprec(w + 300):
+            z = cm_mpc(tau)
+            want = mp.fprod(eta_direct_series(d * z, w + 300) ** r for d, r in spec.terms)
+            got = ball_mpc(value)
+            assert abs(got - want) <= value.rad * abs(got) * mp.mpf(2) ** -w
 
 
 # exponents of prod (1 - q^k) = sum (-1)^k q^(k(3k-1)/2), in increasing order
@@ -291,8 +324,8 @@ class TestAscend:
     @pytest.mark.parametrize("prec", [128, 256, 1024])
     def test_matrix_at_level_1(self, prec):
         # an SL2(Z) matrix mapping the input to the output exactly, at the
-        # deep level-1 point too; the point formed at prec bits is within 6
-        # units of its modulus
+        # deep level-1 point too; the point formed as a ball at scale 2^prec
+        # is within its radius
         rng = random.Random(prec)
         points = [rational_point(rng, -3, 3, 0.01, 2) for _ in range(20)]
         points.append(CMPoint(41421356237, 100000, 10**11, 1))
@@ -300,10 +333,10 @@ class TestAscend:
             out, (a, b, c, d), steps = _ascend(tau, 1)
             assert a * d - b * c == 1 and cm_mobius((a, b, c, d), tau) == out
             assert 2 * abs(out.u) <= out.w and out.u**2 + out.v**2 >= out.w**2
-            with mp.workprec(prec):
-                z = _mp_point(out, mp.sqrt(1))
+            z = _cm_ball(out.u, out.v, out.w, out.n, prec)
             with mp.workprec(prec + 64):
-                assert abs(z - cm_mpc(out)) <= 6 * abs(cm_mpc(out)) * mp.mpf(2) ** -prec
+                got = ball_mpc(z)
+                assert abs(got - cm_mpc(out)) <= z.rad * abs(got) * mp.mpf(2) ** -prec
         assert steps > 10
 
     @pytest.mark.parametrize("flips", [1, 2, 5])

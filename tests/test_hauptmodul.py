@@ -8,12 +8,16 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 import cfq.hauptmodul
 from conftest import (
-    H284, cm_mobius, cm_mpc, eta_direct_series, level_keys, random_gamma0, rational_point,
+    H284, ball_mpc, cm_mobius, cm_mpc, eta_direct_series, level_keys, random_gamma0,
+    rational_point,
 )
 from cfq.classfield import ring_class_polynomial
 from cfq.elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
@@ -30,13 +34,14 @@ from cfq.hauptmodul import (
     catalog_lookup,
     _cutoff,
     _eta_product,
+    _evaluate_theta,
     _fricke_ascent,
     _laurent_sum,
     _log_tail,
     _theta_numerator,
     evaluate,
 )
-from cfq.numerics import _fixed_series, _powers
+from cfq.numerics import _GUARD, Ball, _fixed_series, _powers, _to_mpc
 from cfq.quadforms import enumerate_class_group
 
 
@@ -78,9 +83,9 @@ class TestCatalog:
 
     def test_vanishing_quotient_refused_under_a_negative_exponent(self):
         with pytest.raises(DomainError, match="vanished"):
-            _laurent_sum(LaurentExpr({1: 1, -1: 4096}), mp.mpc(0), 1.0)
-        value, _err = _laurent_sum(LaurentExpr({1: 1, 0: 24}), mp.mpc(0), 1.0)
-        assert value == 24
+            _laurent_sum(LaurentExpr({1: 1, -1: 4096}), Ball(0, 0, 0, 1.0), 112)
+        value = _laurent_sum(LaurentExpr({1: 1, 0: 24}), Ball(0, 0, 0, 1.0), 112)
+        assert _to_mpc(value, 64) == 24
 
     def test_not_genus_zero(self):
         with pytest.raises(NotGenusZeroError, match="11"):
@@ -708,15 +713,88 @@ class TestDocumentedBound:
 
     def test_ill_conditioned_point_refused(self):
         # The reduced points lie about 10^38 high: the exp that gives
-        # q^(1/24) there, at 128 + 96 bits, has an argument rounded by about
-        # 2^-224 10^38 = 2^-98, which moves the value by more than the 2^-128
-        # asked for, so no value is returned
+        # q^(1/24) there, at 128 + 48 bits, has an argument formed from pi
+        # and sqrt(n) within about 2^-176 10^38 = 2^-50, which moves the value
+        # by more than the 2^-128 asked for, so no value is returned
         with pytest.raises(ConvergenceError, match="exceeds the bound"):
             evaluate(catalog_lookup(2, "gamma0"), _above_three_tenths("1e-40"), 128)
-        # the theta quotient sums at 128 + 48 bits: i / 10^40 flips to
-        # 10^40 i / 71, and exp(2 pi i tau) there is as uncertain
+        # the theta quotient: i / 10^40 flips to 10^40 i / 71, and
+        # exp(2 pi i tau) there is as uncertain
         with pytest.raises(ConvergenceError, match="exceeds the bound"):
             evaluate(catalog_lookup(71, "fricke"), CMPoint(0, 1, 10**40, 1), 128)
+        # 10^-20 above the axis the estimates, about 1e5 and 200 units, are
+        # far smaller, and still above the 2^2 units evaluate may return with
+        for entry, tau in ((catalog_lookup(2, "gamma0"), _above_three_tenths("1e-20")),
+                           (catalog_lookup(71, "fricke"), CMPoint(0, 1, 10**20, 1))):
+            with pytest.raises(ConvergenceError, match="exceeds the bound"):
+                evaluate(entry, tau, 128)
+
+
+class TestFixedPointValues:
+    """evaluate's two kinds in integers, against mpmath 300 bits deeper."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_theta_within_radius(self, data):
+        # the radius of the theta quotient, in units of 2^-w max(1, |t|) at
+        # w = prec + 48, against the quotient summed at the point itself
+        w = data.draw(st.sampled_from([112, 304, 1072]))
+        entry = catalog_lookup(data.draw(st.sampled_from([23, 47, 71])), "fricke")
+        t = data.draw(st.integers(min_value=1, max_value=10**6))
+        tau = CMPoint(data.draw(st.integers(-3 * t, 3 * t)),
+                      data.draw(st.integers(3 * t // 10 + 1, 3 * t // 2)), t, 1)
+        value = _evaluate_theta(entry, tau, w - _GUARD)
+        with mp.workprec(w + 300):
+            want = _theta_reference(entry, cm_mpc(tau), w + 300)
+            got = ball_mpc(value)
+            assert abs(got - want) <= value.rad * max(1, abs(got)) * mp.mpf(2) ** -w
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_laurent_sum_within_radius(self, data):
+        # every catalog Laurent polynomial at an exact t of any size, with a
+        # radius of its own that passes into each power
+        w = data.draw(st.sampled_from([112, 304, 1072]))
+        key = data.draw(st.sampled_from([(1, "gamma0"), (2, "gamma0"), (2, "fricke"),
+                                         (25, "fricke")]))
+        laurent = catalog_lookup(*key).laurent
+        bits = data.draw(st.integers(w + 1, w + 4))
+        x = data.draw(st.integers(-(1 << bits) + 1, (1 << bits) - 1))
+        y = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+        t = Ball(x, y, data.draw(st.integers(-w - 40, 40 - w)),
+                 data.draw(st.sampled_from([0.0, 3.0, 1e6])))
+        value = _laurent_sum(laurent, t, w)
+        with mp.workprec(w + 300):
+            # t moved by its whole radius, in the direction that moves its
+            # highest power most
+            exact = ball_mpc(t) * (1 + t.rad * mp.mpf(2) ** -w)
+            want = mp.fsum(int(c) * exact**e for e, c in laurent.terms)
+            got = ball_mpc(value)
+            assert abs(got - want) <= value.rad * max(1, abs(got)) * mp.mpf(2) ** -w
+
+    @pytest.mark.parametrize("level,group,disc", [(1, "gamma0", -4), (12, "gamma0", -48),
+                                                  (25, "fricke", -100), (71, "fricke", -284)])
+    def test_evaluate_does_no_mpmath_arithmetic(self, level, group, disc, monkeypatch):
+        # with mpmath's exp, sqrt and its complex and real arithmetic made to
+        # raise, every point of the key still evaluates, at a precision no
+        # other test caches anything for, and to the bits it has without them
+        entry = catalog_lookup(level, group)
+        points = [fixed_point(alpha) for alpha in
+                  enumerate_representatives(level, disc, enumerate_class_group(disc))]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("mpmath arithmetic inside evaluate")
+
+        monkeypatch.setattr(mp, "exp", refuse)
+        monkeypatch.setattr(mp, "sqrt", refuse)
+        for cls in (mpmath.mpc, mpmath.mpf):
+            for op in ("__mul__", "__truediv__", "__add__", "__sub__", "__pow__"):
+                monkeypatch.setattr(cls, op, refuse)
+        got = [evaluate(entry, tau, 136) for tau in points]
+        monkeypatch.undo()
+        want = [evaluate(entry, tau, 136) for tau in points]
+        assert [(z.real._mpf_, z.imag._mpf_) for z in got] == \
+            [(z.real._mpf_, z.imag._mpf_) for z in want]
 
 
 def _above_three_tenths(im: str) -> CMPoint:
@@ -793,6 +871,7 @@ class TestCatalogValidation:
         with mp.workprec(PREC + 32):
             for _ in range(20):
                 tau = rational_point(rng, -0.5, 0.5, 0.7, 1.8)
-                t1, _ = eta_quotient(entry.spec, tau, PREC)
-                t2, _ = eta_quotient(entry.spec, cm_mobius((0, -1, n, 0), tau), PREC)
+                t1 = _to_mpc(eta_quotient(entry.spec, tau, PREC + _GUARD), PREC)
+                t2 = _to_mpc(eta_quotient(entry.spec, cm_mobius((0, -1, n, 0), tau), PREC + _GUARD),
+                             PREC)
                 assert abs(t1 * t2 - kappa) < tol * kappa

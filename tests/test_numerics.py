@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import mpmath
 from mpmath import mp
 
-from conftest import H284, WEBER, cpx, rounded
+from conftest import H284, WEBER, ball_mpc, cpx, rounded
 from cfq.elliptic import CMPoint, EllipticElement, fixed_point
 from cfq.errors import DomainError, RoundingFailureError
 from cfq.eta import EtaQuotientSpec, eta, eta_quotient
@@ -18,13 +18,24 @@ from cfq.exactpoly import IntPoly, LaurentExpr, verify_root_relation
 from cfq.hauptmodul import catalog_lookup, evaluate
 from cfq.numerics import (
     MAX_PREC_BITS,
+    _bits,
     MIN_PREC_BITS,
+    Ball,
     PrecisionPolicy,
     _coefficient_radius,
+    _csqrt,
+    _div,
+    _exp,
+    _exp_i_pi,
     _expand,
     _fixed_series,
+    _ln2,
+    _mul,
     _nearest,
+    _pi,
     _powers,
+    _root,
+    _sum,
     certify_int_poly,
 )
 
@@ -461,9 +472,12 @@ class TestPrecisionContract:
 
     @pytest.mark.parametrize("prec", PRECS)
     def test_eta_and_eta_quotient(self, prec):
+        # eta_quotient returns a ball at the working scale it is given: its
+        # mantissa is cut to that scale, a few bits above it at most
         tau = CMPoint(1, 13, 10, 1)
         _assert_rounded(eta(tau, prec), prec)
-        _assert_rounded(eta_quotient(EtaQuotientSpec([(1, 6), (5, -6)]), tau, prec)[0], prec)
+        value = eta_quotient(EtaQuotientSpec([(1, 6), (5, -6)]), tau, prec)
+        assert prec < max(abs(value.re), abs(value.im)).bit_length() <= prec + 4
 
     @pytest.mark.parametrize("prec", PRECS)
     def test_find_roots_and_certify(self, prec):
@@ -473,3 +487,122 @@ class TestPrecisionContract:
         assert poly == H284
         _assert_rounded(mp.mpc(residual), prec)
         assert mp.ldexp(r_max, prec + 8) == int(mp.ldexp(r_max, prec + 8))
+
+
+# the working scales of evaluate at 64, 256 and 1024 bits
+SCALES = st.sampled_from([112, 304, 1072])
+
+
+@st.composite
+def exact_balls(draw, w):
+    """A nonzero exact ball at scale 2^w: a mantissa of w + 1 to w + 4 bits, any exponent.
+
+    Real, imaginary, negative real and general mantissas all occur.
+    """
+    bits = draw(st.integers(w + 1, w + 4))
+    big = draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) * draw(st.sampled_from([-1, 1]))
+    small = draw(st.one_of(st.just(0), st.integers(-(1 << bits) + 1, (1 << bits) - 1)))
+    x, y = (big, small) if draw(st.booleans()) else (small, big)
+    return Ball(x, y, draw(st.integers(-3 * w, 3 * w)), 0.0)
+
+
+def _assert_within(ball, ref, w, scale=None):
+    """|ball - ref| <= rad 2^-w |ball|, or rad 2^-w max(1, |ball|) for a sum, 300 bits deeper."""
+    with mp.workprec(w + 300):
+        got = ball_mpc(ball)
+        size = abs(got) if scale is None else max(1, abs(got))
+        assert abs(got - ref) <= ball.rad * size * mp.mpf(2) ** -w
+
+
+class TestFixedPoint:
+    """The fixed-point primitives of eta and evaluate, against mpmath 300 bits deeper."""
+
+    @pytest.mark.parametrize("w", [64, 112, 304, 1072, 4144])
+    def test_pi_and_ln2_within_2(self, w):
+        with mp.workprec(w + 300):
+            assert abs(_pi(w) - mp.pi * 2**w) < 2
+            assert abs(_ln2(w) - mp.ln2 * 2**w) < 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(w=SCALES, n=st.integers(1, 10**12))
+    def test_root_truncated(self, w, n):
+        r = _root(n, w)
+        assert r * r <= n << (2 * w) < (r + 1) ** 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_exp_over_its_whole_reduction_range(self, data):
+        # real parts of every size from 2^-w up to -2^40 and 2^20, so the
+        # power of two taken out runs from about -1.6e12 to 1.5e6 through 0,
+        # and imaginary parts over all of [-4, 4]
+        w = data.draw(SCALES)
+        size = data.draw(st.integers(-w, 40))
+        x = (1 << (w + size)) | data.draw(st.integers(0, (1 << (w + size)) - 1))
+        if size > 20 or data.draw(st.booleans()):
+            x = -x
+        y = data.draw(st.integers(-(4 << w), 4 << w))
+        z = _exp(x, y, w)
+        with mp.workprec(w + 360):
+            ref = mp.exp(mp.mpc(x, y) / mp.mpf(2) ** w)
+        _assert_within(z, ref, w)
+
+    def test_exp_refuses_a_wide_imaginary_part(self):
+        with pytest.raises(DomainError, match="Im"):
+            _exp(0, (4 << 112) + 1, 112)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_exp_i_pi_of_an_exact_point(self, data):
+        # exp(pi i (u + v sqrt(-n))/t) with the argument's own error in the
+        # radius; v < 0 gives a growing exponential
+        w = data.draw(SCALES)
+        t = data.draw(st.integers(1, 10**6))
+        u = data.draw(st.integers(-t, t))
+        v = data.draw(st.integers(-10 * t, 10**4 * t))
+        n = data.draw(st.integers(1, 1000))
+        z = _exp_i_pi(u, v, t, n, w)
+        with mp.workprec(w + 360):
+            ref = mp.exp(mp.pi * mp.mpc(0, 1) * (u + v * mp.sqrt(-n)) / t)
+        _assert_within(z, ref, w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_principal_square_root(self, data):
+        w = data.draw(SCALES)
+        z = data.draw(exact_balls(w))
+        root = _csqrt(z, w)
+        assert root.rad == 3 and root.re >= 0
+        with mp.workprec(w + 300):
+            _assert_within(root, mp.sqrt(ball_mpc(z)), w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_product_and_quotient(self, data):
+        # the quotient also of mantissas of other lengths than a ball's
+        w = data.draw(SCALES)
+        a, b = data.draw(exact_balls(w)), data.draw(exact_balls(w))
+        if data.draw(st.booleans()):
+            a = a._replace(re=a.re >> data.draw(st.integers(0, w)), im=a.im << 3)
+        quotient = _div(a, b, w)
+        assert quotient.rad == 1.5 and _bits(quotient) > w
+        with mp.workprec(w + 300):
+            _assert_within(quotient, ball_mpc(a) / ball_mpc(b), w)
+            b = b._replace(rad=0.0)
+            _assert_within(_mul(b, b, w), ball_mpc(b) ** 2, w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_sum_within_radius_of_max_1_and_sum(self, data):
+        # terms of any size with radii, near cancellation included: the
+        # sum's radius is relative to max(1, |sum|)
+        w = data.draw(SCALES)
+        terms = data.draw(st.lists(exact_balls(w), min_size=1, max_size=5))
+        if data.draw(st.booleans()):
+            t = terms[0]
+            terms.append(Ball(-t.re, -t.im + data.draw(st.integers(-9, 9)), t.exp, 0.0))
+        terms = [t._replace(rad=data.draw(st.sampled_from([0.0, 1.5, 1000.0]))) for t in terms]
+        total = _sum(terms, w)
+        with mp.workprec(w + 300):
+            # the worst case of each term's radius, all in one direction
+            ref = mp.fsum(ball_mpc(t) * (1 + t.rad * mp.mpf(2) ** -w) for t in terms)
+            _assert_within(total, ref, w, scale="max(1, |sum|)")
