@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import fzero, mpf_neg
 
 from .elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
 from .errors import DomainError
@@ -120,15 +121,14 @@ def singular_values(n: int, group: str, disc: int, prec: int) -> SingularValueSe
         mirror = reps[j]
         mirrored = mirror.C == alpha.C and (alpha.A + mirror.A) % alpha.C == 0
         if j < i and mirrored:
-            # conjugating outside workprec would round to mpmath's global 53 bits
-            with mp.workprec(prec):
-                value = mp.conj(entries[j][3])
+            # the exact conjugate, built from the parts, with no rounding
+            value = entries[j][3]
+            value = mp.make_mpc((value.real._mpf_, mpf_neg(value.imag._mpf_)))
         else:
             value = evaluate(spec, tau, prec)
             if j == i and mirrored:
                 # its own mirror image: t(tau) = conj(t(tau)) is real
-                with mp.workprec(prec):
-                    value = mp.mpc(value.real, 0)
+                value = mp.make_mpc((value.real._mpf_, fzero))
         entries.append((cls, alpha, tau, value))
     return SingularValueSet(n, group, disc, tuple(entries), prec, cg)
 

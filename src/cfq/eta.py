@@ -153,15 +153,10 @@ def _pentagonal(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             tuple(-1 if (j + 1) // 2 % 2 else 1 for j in range(n)))
 
 
-def _pentagonal_count(y: float, w: int) -> int:
-    """Terms of the pentagonal series summed at Im(tau) = y, scale 2^w.
-
-    The first n whose exponent e_n, the first one left out, has
-    |q|^e_n = e^(-2 pi y e_n) <= 2^-(w+1).
-    """
-    need = (w + 1) * math.log(2) / (2 * math.pi * y)
-    n = 1
-    while _pentagonal_exponent(n) < need:
+def _pentagonal_count(size: float) -> int:
+    """The number of exponents of the pentagonal series below size."""
+    n = 0
+    while _pentagonal_exponent(n) < size:
         n += 1
     return n
 
@@ -187,7 +182,9 @@ def _eta_ball(tau: CMPoint, w: int) -> Ball:
     """eta at tau as a ball at scale 2^w (the module's error model)."""
     z, gamma, _steps = _ascend(tau, 1)
     k, (c, d) = _multiplier(gamma)
-    exps, signs = _pentagonal(_pentagonal_count(_imag(z), w))
+    # the first exponent left out, e, has |q|^e = e^(-2 pi Im(z) e) <= 2^-(w+1)
+    size = (w + 1) * math.log(2) / (2 * math.pi * _imag(z))
+    exps, signs = _pentagonal(_pentagonal_count(size))
     q24 = _exp_i_pi(z.u - (k - 24 * (k >= 12)) * z.w, z.v, 12 * z.w, z.n, w)
     # q^3 along the powers' chain, then q^6, q^12 and q^24; the truncated
     # q^(1/24), within sqrt(2), moves q by 24 |q^(1/24)|^23 sqrt(2) < 1

@@ -31,25 +31,28 @@ cancellation between the terms (`numerics._sum`).
 A theta quotient is evaluated at a point of tau's orbit under Gamma0(N)
 and the Fricke flip tau -> -1/(N tau) with Im >= sqrt(3)/(2N), found in
 integers, so |q| <= exp(-pi sqrt(3)/N) (`_fricke_ascent`).
-There eta(tau) eta(N tau) = q^v D(q), v = (N + 1)/24 and
-D = prod (1 - q^n)(1 - q^(Nn)), and f = sum_(e >= v-1) c_e q^e, so
+There eta(tau) eta(N tau) = q^v D, v = (N + 1)/24 and D = S(q) S(q^N),
+S = prod (1 - q^n) = sum_k (-1)^k q^(k(3k-1)/2) Euler's pentagonal series,
+and f = sum_(e >= v-1) c_e q^e, so
 
     t = (c_(v-1)/q + sum_(e >= v) c_e q^(e-v)) / D + shift.
 
-Both series have integer coefficients and are summed by
-`numerics._fixed_series` against one set of powers of q, built once per
-point at one scale, and the kernel's proven rounding bound is charged in
-full: D over the exponents p1 + N p2 of pairs of pentagonal exponents, the
-numerator over its nonzero c_e, which come from lattice enumeration and
-are cached per process.  Each stops at the first exponent whose tail bound
-meets its target, fixed before it is summed.  The tails are proven: the
-pairs with p1 + N p2 = e number at most e/N + 1, and as -N is a fundamental
-discriminant, the representation counts of its classes sum to
-2 sum_(d|e) (-N/d), so r_Q(e) <= 2 d(e) <= 4 sqrt(e) for every form and
-|c_e| <= A sqrt(e), A = 4 sum |s_Q| / m.  The remaining parts of the
-bound are the error in q, from `numerics._exp_i_pi`, carried through the
-derivative of each series, and the roundings of the pole, the quotient and
-the shift, formed in integers as (c_(v-1) + q acc) / (q D) + shift.
+The three series have integer coefficients (the c_e from lattice
+enumeration, cached per process) and are summed by `numerics._fixed_series`
+against one set of powers of q, built once per point at one scale.  Each
+stops at the first exponent K whose tail bound meets its target, fixed
+before it is summed, and is a `numerics.Ball` whose radius holds twice the
+kernel's proven rounding bound (once more for q's truncation), the tail,
+and the error in q from `numerics._exp_i_pi` through the derivative.  The
+tails are proven: S has coefficients 0 and +-1, so each factor's tail is
+below sum_(e >= K) |q|^e; and as -N is a fundamental discriminant, the
+representation counts of its classes sum to 2 sum_(d|e) (-N/d), so
+r_Q(e) <= 2 d(e) <= 4 sqrt(e) for every form and |c_e| <= A sqrt(e),
+A = 4 sum |s_Q| / m.  From there the value is a chain of Ball operations,
+(c_(v-1) + q acc) / (q D) + shift, and every error term is a radius: the
+pole carries q's error, the q of q acc and of q D cancel exactly and carry
+none, and ConvergenceError is raised unless D's radius is below 2^(w-5),
+the Ball premise.
 """
 
 from __future__ import annotations
@@ -65,12 +68,11 @@ from mpmath import mp
 
 from .elliptic import CMPoint
 from .errors import ConvergenceError, DomainError, NoConstructionError, NotGenusZeroError
-from .eta import (
-    EtaQuotientSpec, _ascend, _imag, _pentagonal, _pentagonal_exponent, eta_quotient,
-)
+from .eta import EtaQuotientSpec, _ascend, _imag, _pentagonal, _pentagonal_count, eta_quotient
 from .exactpoly import LaurentExpr
 from .numerics import (
-    _GUARD, Ball, _div, _fcomplex, _fixed, _fixed_series, _exp_i_pi, _mul, _powers, _sum, _to_mpc,
+    _GUARD, Ball, _div, _fixed, _fixed_series, _exp_i_pi, _mag, _mul, _powers, _ratio, _sum,
+    _to_mpc,
 )
 
 __all__ = [
@@ -353,22 +355,6 @@ def _theta_numerator(spec: ThetaQuotientHaupt, size: int):
     return coeffs[v - 1], tuple(e for e, _ in kept), tuple(k for _, k in kept)
 
 
-@cache
-def _eta_product(n: int, size: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Exponents below size, nondecreasing, and signs of prod (1 - q^k)(1 - q^(nk)).
-
-    One term per pair of pentagonal exponents p1 + n p2, from `eta`'s table.
-    """
-    count = 1
-    while _pentagonal_exponent(count) < size:
-        count += 1
-    exps, signs = _pentagonal(count)
-    pairs = sorted((e1 + n * e2, s1 * s2)
-                   for e2, s2 in zip(exps, signs) if n * e2 < size
-                   for e1, s1 in zip(exps, signs) if e1 + n * e2 < size)
-    return tuple(e for e, _ in pairs), tuple(s for _, s in pairs)
-
-
 def _log_tail(ell: float, k: int, alpha: float, beta: float) -> float:
     """ln of sum_(e >= k) (alpha e + beta) r^e, r = e^-ell, in closed form.
 
@@ -397,6 +383,13 @@ def _coeff_bits(a: float, top: int) -> int:
     return math.ceil(a * (isqrt(top) + 1)).bit_length()
 
 
+def _relative(z: Ball, err: float) -> Ball:
+    """z with the radius err / |z|: an error of err units of 2^-w made relative to z."""
+    if not (z.re or z.im):
+        raise ConvergenceError("a sum of the theta quotient vanished at this point")
+    return z._replace(rad=_ratio((err, 0), _mag(z)))
+
+
 def _evaluate_theta(spec: ThetaQuotientHaupt, tau: CMPoint, prec: int) -> Ball:
     """The quotient at tau, its radius in units of 2^-(prec+guard) max(1, |value|)."""
     n, wp = spec.level, prec + _GUARD
@@ -406,42 +399,39 @@ def _evaluate_theta(spec: ThetaQuotientHaupt, tau: CMPoint, prec: int) -> Ball:
     ell = 2 * math.pi * _imag(z) * (1 - 2.0**-40)
     r = math.exp(-ell)
     # A relative error eps_q in q moves a series by eps_q sum_e e |c_e| |q|^e,
-    # which is below A (sqrt(s1 s2) + sqrt(v) s1) for the numerator, as
-    # sum e^(3/2) r^e <= sqrt(s1 s2) by Cauchy-Schwarz, and s2/N + s1 for D,
-    # with s1 = sum e r^e = r/(1-r)^2 and s2 = sum e^2 r^e = r(1+r)/(1-r)^3.
+    # which is below s1 = sum e r^e = r/(1-r)^2 for each pentagonal factor
+    # and A (sqrt(s1 s2) + sqrt(v) s1) for the numerator, as sum e^(3/2) r^e
+    # <= sqrt(s1 s2) by Cauchy-Schwarz, s2 = sum e^2 r^e = r(1+r)/(1-r)^3.
     one_r = -math.expm1(-ell)
     s1, s2 = r / one_r**2, r * (1 + r) / one_r**3
-    to_units = wp * math.log(2)
 
-    # D: its terms stop where their tail is below 2^-(prec + 8), which
-    # leaves room for |D| down to 2^-4 or so; sampling finds |D| > 0.05 at
-    # every point the ascent reaches (the bound does not assume it)
-    size, tail = _cutoff(ell, -(prec + 8) * math.log(2), lambda k: (1 / n, 1.0))
+    # S(q) and S(q^N) stop below K, their tails below 2^-(prec + 8), room
+    # for |D| down to 2^-4 or so; sampling finds |D| > 0.05 wherever the
+    # ascent ends (the bound does not assume it)
+    size, tail = _cutoff(ell, -(prec + 8) * math.log(2), lambda k: (0, 1))
     a = 4 * sum(abs(s) for _, s in spec.forms) / spec.divisor
-    # One scale and one set of powers for both series, with room for the
-    # numerator's coefficients and exponent sums up to twice D's cutoff K;
+    # One scale and one set of powers for the three series, with room for
+    # the numerator's coefficients and exponent sums up to twice K;
     # m = isqrt(6K) powers balance the blocks of these sparse series (timed
     # best among isqrt(cK), c = 1 .. 16, at 64 bits, flat at 256).
     room = 2 * size
     w = wp + _coeff_bits(a, room + v) + 2 * room.bit_length()
     q = _exp_i_pi(2 * z.u, 2 * z.v, z.w, z.n, w)
-    # q's error enters below through each series' derivative
-    eps_q, q = q.rad * 2.0 ** (wp - w), q._replace(rad=0.0)
     qw = _fixed(q, w)
     powers = _powers(qw, isqrt(6 * size), w)
 
-    def kernel(table, size, coeff_bits):
-        # the sum below size and its error but q's, in units of 2^-wp: the kernel's
-        # bound counts twice, once more for q's truncation (q^e moves sqrt(2) e)
-        cut = bisect_left(table[0], size)
-        sr, si, bound = _fixed_series(qw, table[0][:cut], table[1][:cut], coeff_bits, w, powers)
-        return Ball(sr, si, -w, 0.0), bound * 2.0 ** (wp + 1 - w)
+    def series(exps, coeffs, coeff_bits, tail, slope):
+        # the kernel's bound twice, once more for q's truncation (q^e moves
+        # sqrt(2) e), the tail and q's error through the derivative, in 2^-w
+        sr, si, bound = _fixed_series(qw, exps, coeffs, coeff_bits, w, powers)
+        err = 2 * bound + math.exp(tail + w * math.log(2)) + q.rad * slope
+        return _relative(Ball(sr, si, -w, 0.0), err)
 
-    den, den_err = kernel(_eta_product(n, _pow2_size(size)), size, 0)
-    den_err += math.exp(min(tail + to_units, 709.0)) + eps_q * (s2 / n + s1)
-    den_c = _fcomplex(den)
-    den_low = abs(den_c) - den_err * 2.0**-wp
-    if not den_low > 0:
+    exps, signs = _pentagonal(_pentagonal_count(size))
+    high, high_signs = _pentagonal(_pentagonal_count(-(-size // n)))
+    den = _mul(series(exps, signs, 0, tail, s1),
+               series([n * e for e in high], high_signs, 0, tail, s1), w)
+    if not math.ldexp(den.rad, 5 - w) < 1:
         raise ConvergenceError("the eta product is lost in its own error at this point")
 
     # The numerator: its tail from the shifted exponent k, with
@@ -449,26 +439,20 @@ def _evaluate_theta(spec: ThetaQuotientHaupt, tau: CMPoint, prec: int) -> Ball:
     def growth(k):
         return a / math.sqrt(k + v), a * v / math.sqrt(k + v)
 
-    target = (ERROR_BITS - 2 - prec) * math.log(2) + math.log(den_low)
-    size, tail = _cutoff(ell, target, growth)
-    lead, *table = _theta_numerator(spec, _pow2_size(size))
-    acc, acc_err = kernel(table, size, _coeff_bits(a, size + v))
+    den_low = math.ldexp(*_mag(den)) * (1 - math.ldexp(den.rad, -w))
+    size, tail = _cutoff(ell, (ERROR_BITS - 2 - prec) * math.log(2) + math.log(den_low), growth)
+    lead, exps, coeffs = _theta_numerator(spec, _pow2_size(size))
+    cut = bisect_left(exps, size)
+    acc = series(exps[:cut], coeffs[:cut], _coeff_bits(a, size + v), tail,
+                 a * (math.sqrt(s1 * s2) + math.sqrt(v) * s1))
     # t = (lead/q + acc) / D + shift, formed as (lead + q acc) / (q D) + shift,
-    # so that only the last quotient grows like 1/q
-    q_num = _sum([Ball(lead, 0, 0, 0.0), _mul(q, acc, w)], w)
-    value = _div(q_num._replace(rad=0.0), _mul(q, den, w), w)
-    if spec.shift:
-        value = _sum([value, Ball(spec.shift, 0, 0, 0.0)], w)
-
-    # The estimate is carried times |q| (no smaller than 5e-324 where it
-    # underflows), from doubles of bounded quantities: q t = q_num / D +
-    # shift q.  The pole carries q's error; the roundings of q_num, of the
-    # quotient and of the shift are their balls' radii.
-    qf, q_num_c = _fcomplex(q), _fcomplex(q_num)
-    q_quotient = q_num_c / den_c
-    q_value = q_quotient + spec.shift * qf
-    num_err = (max(abs(qf), 5e-324) * (acc_err + math.exp(min(tail + to_units, 709.0))
-                                       + eps_q * a * (math.sqrt(s1 * s2) + math.sqrt(v) * s1))
-               + eps_q * abs(lead) + q_num.rad * 2.0 ** (wp - w) * max(1.0, abs(q_num_c)))
-    err = (num_err + abs(q_quotient) * den_err) / den_low
-    return value._replace(rad=err / max(abs(qf), abs(q_value)) + value.rad * 2.0 ** (wp - w))
+    # so that only the last quotient grows like 1/q.  The pole carries q's
+    # error; the q of q acc and of q D cancel exactly, and carry none.
+    exact_q = q._replace(rad=0.0)
+    q_num = _sum([Ball(lead, 0, 0, q.rad), _mul(exact_q, acc, w)], w)
+    # from _sum's units of max(1, |q_num|) to the modulus, as _div needs
+    q_num = _relative(q_num, q_num.rad * max(1.0, math.ldexp(*_mag(q_num))))
+    value = _div(q_num, _mul(exact_q, den, w), w)
+    # the shift, 0 or not, puts the radius in units of max(1, |value|)
+    value = _sum([value, Ball(spec.shift, 0, 0, 0.0)], w)
+    return value._replace(rad=value.rad * 2.0 ** (wp - w))

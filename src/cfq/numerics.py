@@ -22,13 +22,13 @@ R_max around a value within 1/2 - R_max of an integer holds that integer
 and no other; the comparison residual + R_max < 1/2 is made in integers.
 
 `_fixed_series` is the one series-summation loop of the package: the eta
-pentagonal series, the two series of a theta quotient and the Taylor
+pentagonal series, the three series of a theta quotient and the Taylor
 series of exp are all summed by it, in integers at scale 2^w, with a proven bound on its rounding.  Every
 series is cut into blocks of m exponents (rectangular splitting): the
 caller builds the powers q^0 .. q^(m-1) and q^m once (`_powers`) and
 chooses m, each block is an exact integer dot product with them, and
 Horner's rule in q^m joins the blocks.  Eta takes m = isqrt(e_max) + 1;
-the theta quotient sums its two series against one set, so that a dense
+the theta quotient sums its three series against one set, so that a dense
 series of K terms takes about m + K/m full products instead of K.  The
 proof of the bound holds for any m and is in the `_fixed_series`
 docstring.
@@ -273,12 +273,6 @@ def _ratio(a: tuple[float, int], b: tuple[float, int]) -> float:
     return math.ldexp(a[0] / b[0] * (1 + 2.0**-40), k) if k < 900 or not a[0] else math.inf
 
 
-def _fcomplex(z: Ball) -> complex:
-    """z as a complex double, 0 below the range of one; |z| must be below 2^1000."""
-    s = max(_bits(z) - 64, 0)
-    return complex(math.ldexp(z.re >> s, z.exp + s), math.ldexp(z.im >> s, z.exp + s))
-
-
 def _fixed(z: Ball, w: int) -> tuple[int, int]:
     """The parts of z at scale 2^w, each truncated within 1."""
     return (z.re << s, z.im << s) if (s := z.exp + w) >= 0 else (z.re >> -s, z.im >> -s)
@@ -435,7 +429,10 @@ def _fixed_series(q, exponents, coeffs, coeff_bits: int, w: int,
     term of block k thus carries sqrt(2) 2^b (max(0, i - 1) + k (m - 1))
     <= sqrt(2) 2^b e, and the sum is within sqrt(2) 2^b sum_j e_j +
     sqrt(2) (giant steps).  The bound returned, 1.5 * 2^b * sum_j e_j +
-    1.5 * (giant steps), covers it.
+    1.5 * (giant steps), covers it.  It is a double, so 2^b sum_j e_j must
+    stay below 2^1022, which no caller comes near: exp's n! stays below
+    2^704 and the theta numerator's b below 16 up to MAX_PREC_BITS, both
+    pinned by tests.
     """
     n = len(exponents)
     if not n:

@@ -22,7 +22,7 @@ from conftest import (
 from cfq.classfield import ring_class_polynomial
 from cfq.elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
 from cfq.errors import ConvergenceError, DomainError, NoConstructionError, NotGenusZeroError
-from cfq.eta import EtaQuotientSpec, _ascend
+from cfq.eta import EtaQuotientSpec, _ascend, _pentagonal
 from cfq.exactpoly import IntPoly, LaurentExpr
 from cfq.hauptmodul import (
     ERROR_BITS,
@@ -33,7 +33,6 @@ from cfq.hauptmodul import (
     catalog_entries,
     catalog_lookup,
     _cutoff,
-    _eta_product,
     _evaluate_theta,
     _fricke_ascent,
     _laurent_sum,
@@ -41,7 +40,7 @@ from cfq.hauptmodul import (
     _theta_numerator,
     evaluate,
 )
-from cfq.numerics import _GUARD, Ball, _fixed_series, _powers, _to_mpc
+from cfq.numerics import MAX_PREC_BITS, _GUARD, Ball, _fixed_series, _powers, _to_mpc
 from cfq.quadforms import enumerate_class_group
 
 
@@ -442,8 +441,8 @@ class TestQSeriesKernel:
         "alpha,prec", LEVEL71_CASES, ids=[f"{a.text()}@{p}" for a, p in LEVEL71_CASES]
     )
     def test_summed_coefficients_within_scale(self, alpha, prec, monkeypatch):
-        # the kernel is told |c| <= 2^b: b = 0 for the signs of the eta
-        # product, and the proven |c_e| <= 4 sqrt(e) for the numerator
+        # the kernel is told |c| <= 2^b: b = 0 for the signs of the two
+        # pentagonal factors, and the proven |c_e| <= 4 sqrt(e) for the numerator
         seen = []
 
         def recording(q, exponents, coeffs, coeff_bits, w, powers):
@@ -452,8 +451,9 @@ class TestQSeriesKernel:
 
         monkeypatch.setattr(cfq.hauptmodul, "_fixed_series", recording)
         evaluate(catalog_lookup(71, "fricke"), fixed_point(alpha), prec)
-        (signs, zero), (coeffs, b) = seen
-        assert zero == 0 and set(signs) == {-1, 1}
+        (signs, zero), (high_signs, high_zero), (coeffs, b) = seen
+        assert zero == high_zero == 0 and set(signs) == {-1, 1}
+        assert set(high_signs) <= {-1, 1}
         assert max(map(abs, coeffs)) <= 2**b
 
 
@@ -461,7 +461,8 @@ class TestQSeriesKernel:
     def test_sums_exponents_below_kstar(self, prec, monkeypatch):
         # Each series stops at its K*, the least exponent whose closed-form
         # tail bound meets the target fixed before the series is summed:
-        # the summed exponents are exactly the table's below K*
+        # the summed exponents are exactly the table's below K*.  The two
+        # pentagonal factors S(q) and S(q^71) share one K*.
         cutoffs, sums = [], []
 
         def recording_cutoff(ell, target, growth):
@@ -478,15 +479,17 @@ class TestQSeriesKernel:
         entry = catalog_lookup(71, "fricke")
         tau = fixed_point(enumerate_representatives(71, -71, enumerate_class_group(-71))[0])
         evaluate(entry, tau, prec)
-        tables = [_eta_product(71, 1 << 14)[0], _theta_numerator(entry, 1 << 14)[1]]
-        assert len(cutoffs) == len(sums) == 2
-        for (ell, target, growth, k), summed, table in zip(cutoffs, sums, tables):
+        pentagonal = _pentagonal(1 << 8)[0]
+        tables = [pentagonal, [71 * e for e in pentagonal], _theta_numerator(entry, 1 << 14)[1]]
+        assert len(cutoffs) == 2 and len(sums) == 3
+        for (ell, target, growth, k), summed, table in zip(cutoffs[:1] * 2 + cutoffs[1:], sums,
+                                                           tables):
             assert _log_tail(ell, k, *growth(k)) <= target < _log_tail(ell, k - 1, *growth(k - 1))
             assert summed == tuple(e for e in table if e < k)
 
     @pytest.mark.parametrize("prec", [64, 256, 1024])
     def test_powers_built_once_per_point(self, prec, monkeypatch):
-        # one set of powers of q per evaluation, at one scale, and both
+        # one set of powers of q per evaluation, at one scale, and all three
         # series are summed against that same set
         built, used = [], []
 
@@ -505,10 +508,31 @@ class TestQSeriesKernel:
             built.clear()
             used.clear()
             evaluate(entry, fixed_point(alpha), prec)
-            assert len(built) == 1 and len(used) == 2
+            assert len(built) == 1 and len(used) == 3
             (q, m, w), = built
             assert m >= 1 and all(u[0] == q and u[1] == w for u in used)
-            assert used[0][2] is used[1][2] and len(used[0][2][0]) == m
+            assert used[0][2] is used[1][2] is used[2][2] and len(used[0][2][0]) == m
+
+    def test_scale_at_the_precision_ceiling(self, monkeypatch):
+        # the lowest point the ascent leaves, Im = sqrt(3)/142, at the
+        # ceiling: the three series, the longest any request sums, have
+        # coefficient bounds and exponent sums far inside the double that
+        # carries the kernel's bound, and the scale is at most 64 bits
+        # above prec + guard (the range test_numerics checks exp's plan on)
+        seen = []
+
+        def recording(q, exponents, coeffs, coeff_bits, w, powers):
+            seen.append((coeff_bits, w, sum(exponents)))
+            return _fixed_series(q, exponents, coeffs, coeff_bits, w, powers)
+
+        monkeypatch.setattr(cfq.hauptmodul, "_fixed_series", recording)
+        tau = CMPoint(71, 1, 142, 3)
+        assert _fricke_ascent(tau, 71) == tau
+        evaluate(catalog_lookup(71, "fricke"), tau, MAX_PREC_BITS)
+        assert len(seen) == 3
+        for coeff_bits, w, total in seen:
+            assert coeff_bits <= 16 and total < 2**40
+            assert MAX_PREC_BITS + _GUARD < w <= MAX_PREC_BITS + _GUARD + 64
 
 
 def _series_reference(tau, prec):
@@ -730,6 +754,12 @@ class TestDocumentedBound:
                 evaluate(entry, tau, 128)
 
 
+# T71 within 5e-10 of a zero, at 29/142 + 0.0233565126 i (Newton's method on
+# _theta_reference, rounded to ten decimals), and |T71| = 0.262 at a point
+# 0.018 above the axis
+SMALL_VALUES = [CMPoint(2042253521, 233565126, 10**10, 1), CMPoint(-1364444, 8779, 487038, 1)]
+
+
 class TestFixedPointValues:
     """evaluate's two kinds in integers, against mpmath 300 bits deeper."""
 
@@ -747,6 +777,21 @@ class TestFixedPointValues:
         with mp.workprec(w + 300):
             want = _theta_reference(entry, cm_mpc(tau), w + 300)
             got = ball_mpc(value)
+            assert abs(got - want) <= value.rad * max(1, abs(got)) * mp.mpf(2) ** -w
+
+    @pytest.mark.parametrize("w", [112, 304, 1072])
+    @pytest.mark.parametrize("tau", SMALL_VALUES, ids=["zero", "quarter"])
+    def test_theta_where_the_value_is_small(self, tau, w):
+        # |t| < 1, where lead + q acc cancels: the radius, in units of
+        # 2^-w max(1, |t|), holds the quotient summed at the point itself
+        # and stays within what evaluate accepts
+        entry = catalog_lookup(71, "fricke")
+        value = _evaluate_theta(entry, tau, w - _GUARD)
+        assert value.rad <= 2.0 ** (ERROR_BITS - 1 + _GUARD)
+        with mp.workprec(w + 300):
+            want = _theta_reference(entry, cm_mpc(tau), w + 300)
+            got = ball_mpc(value)
+            assert abs(want) < 1e-9 or 0.25 < abs(want) < 0.27
             assert abs(got - want) <= value.rad * max(1, abs(got)) * mp.mpf(2) ** -w
 
     @settings(max_examples=200, deadline=None)

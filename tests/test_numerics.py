@@ -18,6 +18,7 @@ from cfq.exactpoly import IntPoly, LaurentExpr, verify_root_relation
 from cfq.hauptmodul import catalog_lookup, evaluate
 from cfq.numerics import (
     MAX_PREC_BITS,
+    _GUARD,
     _bits,
     MIN_PREC_BITS,
     Ball,
@@ -27,6 +28,7 @@ from cfq.numerics import (
     _div,
     _exp,
     _exp_i_pi,
+    _exp_plan,
     _expand,
     _fixed_series,
     _ln2,
@@ -545,6 +547,17 @@ class TestFixedPoint:
         with mp.workprec(w + 360):
             ref = mp.exp(mp.mpc(x, y) / mp.mpf(2) ** w)
         _assert_within(z, ref, w)
+
+    def test_exp_plan_bound_fits_a_double(self):
+        # _fixed_series returns its bound 1.5 2^b sum(e) as a double; exp
+        # sums n + 1 terms with b = len(n!), at every scale from the floor
+        # to the ceiling, and 64 bits past it for the theta quotient's scale
+        # (test_hauptmodul's test_scale_at_the_precision_ceiling)
+        for w in range(MIN_PREC_BITS + _GUARD, MAX_PREC_BITS + _GUARD + 65):
+            _j, _g, coeffs = _exp_plan(w)
+            n = len(coeffs) - 1
+            assert coeffs[0] < 2**1023
+            assert coeffs[0].bit_length() + (n * (n + 1)).bit_length() < 1023
 
     def test_exp_refuses_a_wide_imaginary_part(self):
         with pytest.raises(DomainError, match="Im"):
