@@ -140,25 +140,20 @@ def _imag(z: CMPoint) -> float:
     return z.v / z.w * math.sqrt(z.n)
 
 
-def _pentagonal_exponent(j: int) -> int:
-    """The j-th exponent, in increasing order, of prod (1 - q^k) = sum (-1)^k q^(k(3k-1)/2)."""
-    k = (j + 1) // 2
-    return k * (3 * k - 1) // 2 if j % 2 else k * (3 * k + 1) // 2
-
-
 @cache
 def _pentagonal(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The first n exponents of the pentagonal series and their signs."""
-    return (tuple(map(_pentagonal_exponent, range(n))),
-            tuple(-1 if (j + 1) // 2 % 2 else 1 for j in range(n)))
+    """The first n exponents, in increasing order, of prod (1 - q^j) = sum (-1)^k q^(k(3k-1)/2).
+
+    The k run 0, 1, -1, 2, -2, ...; the second tuple holds the signs (-1)^k.
+    """
+    ks = [(j + 1) // 2 if j % 2 else -(j // 2) for j in range(n)]
+    return tuple(k * (3 * k - 1) // 2 for k in ks), tuple(-1 if k % 2 else 1 for k in ks)
 
 
 def _pentagonal_count(size: float) -> int:
-    """The number of exponents of the pentagonal series below size."""
-    n = 0
-    while _pentagonal_exponent(n) < size:
-        n += 1
-    return n
+    """The number of those exponents below size > 0: 0, and k(3k -+ 1)/2 for 6k -+ 1 <= r."""
+    r = isqrt(24 * math.ceil(size) - 23)
+    return 1 + (r + 1) // 6 + (r - 1) // 6
 
 
 def _multiplier(gamma) -> tuple[int, tuple[int, int]]:

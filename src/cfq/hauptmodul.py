@@ -52,7 +52,9 @@ A = 4 sum |s_Q| / m.  From there the value is a chain of Ball operations,
 (c_(v-1) + q acc) / (q D) + shift, and every error term is a radius: the
 pole carries q's error, the q of q acc and of q D cancel exactly and carry
 none, and ConvergenceError is raised unless D's radius is below 2^(w-5),
-the Ball premise.
+the Ball premise.  The numerator c_(v-1) + q acc cancels to nothing where
+t = shift, so its error and acc's stay absolute and join the radius after
+the quotient, divided by |q D| or |D| and by max(1, |t|).
 """
 
 from __future__ import annotations
@@ -421,38 +423,41 @@ def _evaluate_theta(spec: ThetaQuotientHaupt, tau: CMPoint, prec: int) -> Ball:
     powers = _powers(qw, isqrt(6 * size), w)
 
     def series(exps, coeffs, coeff_bits, tail, slope):
-        # the kernel's bound twice, once more for q's truncation (q^e moves
-        # sqrt(2) e), the tail and q's error through the derivative, in 2^-w
+        # the sum and its error in units of 2^-w: the kernel's bound twice,
+        # once more for q's truncation (q^e moves sqrt(2) e), the tail and
+        # q's error through the derivative
         sr, si, bound = _fixed_series(qw, exps, coeffs, coeff_bits, w, powers)
-        err = 2 * bound + math.exp(tail + w * math.log(2)) + q.rad * slope
-        return _relative(Ball(sr, si, -w, 0.0), err)
+        return Ball(sr, si, -w, 0.0), 2 * bound + math.exp(tail + w * math.log(2)) + q.rad * slope
 
     exps, signs = _pentagonal(_pentagonal_count(size))
-    high, high_signs = _pentagonal(_pentagonal_count(-(-size // n)))
-    den = _mul(series(exps, signs, 0, tail, s1),
-               series([n * e for e in high], high_signs, 0, tail, s1), w)
+    cut = bisect_left(exps, -(-size // n))
+    den = _mul(_relative(*series(exps, signs, 0, tail, s1)),
+               _relative(*series([n * e for e in exps[:cut]], signs[:cut], 0, tail, s1)), w)
     if not math.ldexp(den.rad, 5 - w) < 1:
         raise ConvergenceError("the eta product is lost in its own error at this point")
 
     # The numerator: its tail from the shifted exponent k, with
     # sqrt(e + v) <= (e + v) / sqrt(k + v), is below 2^(ERROR_BITS-2-prec) |D|
-    def growth(k):
-        return a / math.sqrt(k + v), a * v / math.sqrt(k + v)
-
     den_low = math.ldexp(*_mag(den)) * (1 - math.ldexp(den.rad, -w))
-    size, tail = _cutoff(ell, (ERROR_BITS - 2 - prec) * math.log(2) + math.log(den_low), growth)
+    size, tail = _cutoff(ell, (ERROR_BITS - 2 - prec) * math.log(2) + math.log(den_low),
+                         lambda k: (a / math.sqrt(k + v), a * v / math.sqrt(k + v)))
     lead, exps, coeffs = _theta_numerator(spec, _pow2_size(size))
     cut = bisect_left(exps, size)
-    acc = series(exps[:cut], coeffs[:cut], _coeff_bits(a, size + v), tail,
-                 a * (math.sqrt(s1 * s2) + math.sqrt(v) * s1))
+    acc, acc_err = series(exps[:cut], coeffs[:cut], _coeff_bits(a, size + v), tail,
+                          a * (math.sqrt(s1 * s2) + math.sqrt(v) * s1))
     # t = (lead/q + acc) / D + shift, formed as (lead + q acc) / (q D) + shift,
     # so that only the last quotient grows like 1/q.  The pole carries q's
     # error; the q of q acc and of q D cancel exactly, and carry none.
     exact_q = q._replace(rad=0.0)
     q_num = _sum([Ball(lead, 0, 0, q.rad), _mul(exact_q, acc, w)], w)
-    # from _sum's units of max(1, |q_num|) to the modulus, as _div needs
-    q_num = _relative(q_num, q_num.rad * max(1.0, math.ldexp(*_mag(q_num))))
-    value = _div(q_num, _mul(exact_q, den, w), w)
     # the shift, 0 or not, puts the radius in units of max(1, |value|)
-    value = _sum([value, Ball(spec.shift, 0, 0, 0.0)], w)
-    return value._replace(rad=value.rad * 2.0 ** (wp - w))
+    value = _sum([_div(q_num._replace(rad=0.0), _mul(exact_q, den, w), w),
+                  Ball(spec.shift, 0, 0, 0.0)], w)
+    # q_num's error stays absolute, as q_num cancels to nothing where t =
+    # shift: it enters over |q D| max(1, |value|), and acc's over |D| max(1, |value|)
+    scale = m if _ratio(m := _mag(value), (1.0, 0)) >= 1 else (1.0, 0)
+    under, (qf, qk) = (den_low * scale[0], scale[1]), _mag(q)
+    num_err = q_num.rad * max(1.0, math.ldexp(*_mag(q_num)))
+    rad = (value.rad + _ratio((acc_err, 0), under)
+           + _ratio((num_err, 0), (under[0] * qf, under[1] + qk)))
+    return value._replace(rad=rad * 2.0 ** (wp - w))

@@ -40,7 +40,9 @@ from cfq.hauptmodul import (
     _theta_numerator,
     evaluate,
 )
-from cfq.numerics import MAX_PREC_BITS, _GUARD, Ball, _fixed_series, _powers, _to_mpc
+from cfq.numerics import (
+    MAX_PREC_BITS, _GUARD, Ball, _exp_i_pi, _fixed_series, _powers, _to_mpc,
+)
 from cfq.quadforms import enumerate_class_group
 
 
@@ -531,7 +533,7 @@ class TestQSeriesKernel:
         evaluate(catalog_lookup(71, "fricke"), tau, MAX_PREC_BITS)
         assert len(seen) == 3
         for coeff_bits, w, total in seen:
-            assert coeff_bits <= 16 and total < 2**40
+            assert coeff_bits < 16 and total < 2**40
             assert MAX_PREC_BITS + _GUARD < w <= MAX_PREC_BITS + _GUARD + 64
 
 
@@ -754,10 +756,12 @@ class TestDocumentedBound:
                 evaluate(entry, tau, 128)
 
 
-# T71 within 5e-10 of a zero, at 29/142 + 0.0233565126 i (Newton's method on
-# _theta_reference, rounded to ten decimals), and |T71| = 0.262 at a point
-# 0.018 above the axis
-SMALL_VALUES = [CMPoint(2042253521, 233565126, 10**10, 1), CMPoint(-1364444, 8779, 487038, 1)]
+# T71 = 0 at (29 + sqrt(-11))/142, a root of 71 x^2 - 29 x + 3 (class number
+# 1, found by Newton's method on _theta_reference), where lead + q acc cancels
+# to rounding noise; within 5e-10 of that zero at the point rounded to ten
+# decimals; and |T71| = 0.262 at a point 0.018 above the axis
+SMALL_VALUES = [CMPoint(29, 1, 142, 11), CMPoint(2042253521, 233565126, 10**10, 1),
+                CMPoint(-1364444, 8779, 487038, 1)]
 
 
 class TestFixedPointValues:
@@ -780,7 +784,7 @@ class TestFixedPointValues:
             assert abs(got - want) <= value.rad * max(1, abs(got)) * mp.mpf(2) ** -w
 
     @pytest.mark.parametrize("w", [112, 304, 1072])
-    @pytest.mark.parametrize("tau", SMALL_VALUES, ids=["zero", "quarter"])
+    @pytest.mark.parametrize("tau", SMALL_VALUES, ids=["exact-zero", "zero", "quarter"])
     def test_theta_where_the_value_is_small(self, tau, w):
         # |t| < 1, where lead + q acc cancels: the radius, in units of
         # 2^-w max(1, |t|), holds the quotient summed at the point itself
@@ -792,6 +796,29 @@ class TestFixedPointValues:
             want = _theta_reference(entry, cm_mpc(tau), w + 300)
             got = ball_mpc(value)
             assert abs(want) < 1e-9 or 0.25 < abs(want) < 0.27
+            assert abs(got - want) <= value.rad * max(1, abs(got)) * mp.mpf(2) ** -w
+
+    @pytest.mark.parametrize("w", [112, 304])
+    @pytest.mark.parametrize("tau", SMALL_VALUES, ids=["exact-zero", "zero", "quarter"])
+    def test_theta_with_q_off_by_its_radius(self, tau, w, monkeypatch):
+        # q moved by 2^-(w - 56) of itself, with its radius grown to match:
+        # the error of the pole, of both factors of D and of acc is then far
+        # above the tails, and the radius still holds the quotient summed at
+        # the point itself, also where lead + q acc cancels
+        shift = w - 56
+
+        def moved(*args):
+            q = _exp_i_pi(*args)
+            rad = 1.01 * (q.rad + 2.0 ** (args[-1] - shift)) + 2
+            return Ball(q.re + (q.re >> shift), q.im + (q.im >> shift), q.exp, rad)
+
+        monkeypatch.setattr(cfq.hauptmodul, "_exp_i_pi", moved)
+        entry = catalog_lookup(71, "fricke")
+        value = _evaluate_theta(entry, tau, w - _GUARD)
+        with mp.workprec(w + 300):
+            want = _theta_reference(entry, cm_mpc(tau), w + 300)
+            got = ball_mpc(value)
+            assert abs(got - want) > mp.mpf(2) ** (-shift - 8)
             assert abs(got - want) <= value.rad * max(1, abs(got)) * mp.mpf(2) ** -w
 
     @settings(max_examples=200, deadline=None)
