@@ -158,7 +158,6 @@ def _cmd_reps(args, out) -> int:
 
 def _cmd_eval(args, out) -> int:
     prec = 256 if args.prec_bits is None else args.prec_bits
-    PrecisionPolicy(start_bits=prec)  # the range class-poly allows for its round
     alpha = EllipticElement.from_text(args.element, args.level)
     spec = catalog_lookup(args.level, args.group)
     value_re, value_im = value_text(evaluate(spec, fixed_point(alpha), prec), prec)

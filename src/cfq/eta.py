@@ -52,8 +52,8 @@ import mpmath
 from .elliptic import CMPoint
 from .errors import ConvergenceError, DomainError
 from .numerics import (
-    _GUARD, Ball, _csqrt, _div, _exp_i_pi, _fixed, _fixed_series, _mul, _normal, _pow, _powers,
-    _root, _to_mpc,
+    _GUARD, Ball, _check_prec, _csqrt, _div, _exp_i_pi, _fixed, _fixed_series, _mul, _normal,
+    _pow, _powers, _root, _to_mpc,
 )
 
 __all__ = [
@@ -134,10 +134,15 @@ def _ascend(tau: CMPoint, n: int) -> tuple[CMPoint, tuple[int, int, int, int], i
 
 
 def _imag(z: CMPoint) -> float:
-    """Im(z) as a double; ConvergenceError above 2^900, far past where any bound is met."""
-    if z.v.bit_length() > z.w.bit_length() + 890:
+    """Im(z) = sqrt(v^2 n / w^2) as a double; ConvergenceError above 2^500, far past any bound.
+
+    An argument 2 pi Im within units of 2^-w moves q by a relative Im 2^-w
+    or so, past evaluate's bound at every precision from about Im = 2^56 on.
+    """
+    square, w2 = z.v * z.v * z.n, z.w * z.w
+    if square.bit_length() > w2.bit_length() + 1000:
         raise ConvergenceError("the point lies too far above the real axis")
-    return z.v / z.w * math.sqrt(z.n)
+    return math.sqrt(square / w2)
 
 
 @cache
@@ -211,9 +216,11 @@ def _cm_ball(p: int, s: int, t: int, n: int, w: int) -> Ball:
 def eta(tau: CMPoint, prec: int) -> mpmath.mpc:
     """Dedekind eta at tau, relative error at most 2^(8 - prec), rounded to prec bits.
 
-    Raises ConvergenceError, instead of returning, where the radius of
+    DomainError unless prec is an integer from 64 to 16384.  Raises
+    ConvergenceError, instead of returning, where the radius of
     `eta_quotient` at prec + 48 bits and the final rounding exceed 2^8 units.
     """
+    _check_prec(prec)
     value = eta_quotient(EtaQuotientSpec([(1, 1)]), tau, prec + _GUARD)
     if not (err := value.rad / 2.0**_GUARD + 1) <= 2.0**8:
         raise ConvergenceError(f"error estimate {err:.3g} * 2^-{prec} exceeds "

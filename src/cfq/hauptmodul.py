@@ -33,28 +33,25 @@ and the Fricke flip tau -> -1/(N tau) with Im >= sqrt(3)/(2N), found in
 integers, so |q| <= exp(-pi sqrt(3)/N) (`_fricke_ascent`).
 There eta(tau) eta(N tau) = q^v D, v = (N + 1)/24 and D = S(q) S(q^N),
 S = prod (1 - q^n) = sum_k (-1)^k q^(k(3k-1)/2) Euler's pentagonal series,
-and f = sum_(e >= v-1) c_e q^e, so
-
-    t = (c_(v-1)/q + sum_(e >= v) c_e q^(e-v)) / D + shift.
-
-The three series have integer coefficients (the c_e from lattice
-enumeration, cached per process) and are summed by `numerics._fixed_series`
-against one set of powers of q, built once per point at one scale.  Each
-stops at the first exponent K whose tail bound meets its target, fixed
-before it is summed, and is a `numerics.Ball` whose radius holds twice the
-kernel's proven rounding bound (once more for q's truncation), the tail,
-and the error in q from `numerics._exp_i_pi` through the derivative.  The
-tails are proven: S has coefficients 0 and +-1, so each factor's tail is
-below sum_(e >= K) |q|^e; and as -N is a fundamental discriminant, the
-representation counts of its classes sum to 2 sum_(d|e) (-N/d), so
-r_Q(e) <= 2 d(e) <= 4 sqrt(e) for every form and |c_e| <= A sqrt(e),
-A = 4 sum |s_Q| / m.  From there the value is a chain of Ball operations,
-(c_(v-1) + q acc) / (q D) + shift, and every error term is a radius: the
-pole carries q's error, the q of q acc and of q D cancel exactly and carry
-none, and ConvergenceError is raised unless D's radius is below 2^(w-5),
-the Ball premise.  The numerator c_(v-1) + q acc cancels to nothing where
-t = shift, so its error and acc's stay absolute and join the radius after
-the quotient, divided by |q D| or |D| and by max(1, |t|).
+and f = sum_(e >= v-1) c_e q^e, so t = N / (q D) + shift with the one
+series N = sum_(e >= v-1) c_e q^(e-v+1).  The three series have integer
+coefficients (the c_e from lattice enumeration, cached per process) and
+are summed by `numerics._fixed_series` against one set of powers of q,
+built once per point at one scale.  Each stops at the first exponent K
+whose tail bound meets its target, fixed before it is summed, and carries
+twice the kernel's proven rounding bound (once more for q's truncation),
+the tail, and the error in q from `numerics._exp_i_pi` through the
+derivative.  The tails are proven: S has coefficients 0 and +-1, so each
+factor's tail is below sum_(e >= K) |q|^e; and as -N is a fundamental
+discriminant, the representation counts of its classes sum to
+2 sum_(d|e) (-N/d), so r_Q(e) <= 2 d(e) <= 4 sqrt(e) for every form and
+|c_e| <= A sqrt(e) for e >= 1, A = 4 sum |s_Q| / m.  (At level 23, v = 1
+and N's term at q^0 is theta's constant, sum s_Q / m = 1: exact in the
+kernel, with no derivative, below its 2^b, and in no tail, as tails start
+at k >= 1.)  The value is then a chain of Ball operations: q's radius is
+the pole's error, ConvergenceError is raised unless D's radius is below
+2^(w-5), the Ball premise, and N's error stays absolute, as N cancels to
+nothing where t = shift, and joins the radius once, over |q D| max(1, |t|).
 """
 
 from __future__ import annotations
@@ -73,8 +70,8 @@ from .errors import ConvergenceError, DomainError, NoConstructionError, NotGenus
 from .eta import EtaQuotientSpec, _ascend, _imag, _pentagonal, _pentagonal_count, eta_quotient
 from .exactpoly import LaurentExpr
 from .numerics import (
-    _GUARD, Ball, _div, _fixed, _fixed_series, _exp_i_pi, _mag, _mul, _powers, _ratio, _sum,
-    _to_mpc,
+    _GUARD, Ball, _check_prec, _div, _fixed, _fixed_series, _exp_i_pi, _mag, _mul, _powers,
+    _ratio, _sum, _to_mpc,
 )
 
 __all__ = [
@@ -232,8 +229,9 @@ def evaluate(spec, tau: CMPoint, prec: int) -> mpmath.mpc:
 
     The result is within 2^(ERROR_BITS - prec) * max(1, |t(tau)|) of the
     true value (module docstring); where the error bound cannot meet that,
-    ConvergenceError is raised instead.
+    ConvergenceError is raised instead; DomainError unless prec is an integer from 64 to 16384.
     """
+    _check_prec(prec)
     if not isinstance(tau, CMPoint):
         raise DomainError(f"evaluation needs an exact CMPoint, got {tau!r}")
     wp = prec + _GUARD
@@ -320,22 +318,17 @@ def _fricke_ascent(tau: CMPoint, n: int) -> CMPoint:
     return point
 
 
-def _pow2_size(needed: int) -> int:
-    """The size a per-process table is built at: a power of two >= needed, at least 1024."""
-    return max(1024, 1 << (needed - 1).bit_length())
-
-
 @cache
 def _theta_numerator(spec: ThetaQuotientHaupt, size: int):
-    """(c_(v-1), exponents, coefficients) of sum_Q s_Q theta_Q / m.
+    """(exponents, coefficients) of N = q^(1-v) sum_Q s_Q theta_Q / m.
 
-    The nonzero c_e for v <= e < v + size, at the exponents e - v, the
-    theta series by lattice enumeration: for each y, the x with
-    a x^2 + b x y + c y^2 < v + size lie between the roots, whose
-    discriminant is 4 a (v + size) - N y^2.
+    The nonzero c_e for v - 1 <= e < v - 1 + size, at the exponents
+    e - v + 1, the theta series by lattice enumeration: for each y, the x
+    with a x^2 + b x y + c y^2 < v - 1 + size lie between the roots, whose
+    discriminant is 4 a (v - 1 + size) - N y^2.
     """
     n, v = spec.level, (spec.level + 1) // 24
-    top = v + size
+    top = v - 1 + size
     counts = [0] * top
     for (a, b, c), s in spec.forms:
         ymax = isqrt(4 * a * top // n) + 1
@@ -353,8 +346,8 @@ def _theta_numerator(spec: ThetaQuotientHaupt, size: int):
     coeffs = [k // spec.divisor for k in counts]
     if any(coeffs[: v - 1]) or not coeffs[v - 1]:
         raise DomainError(f"theta numerator of level {n} does not have order {v - 1}")
-    kept = [(e - v, k) for e, k in enumerate(coeffs[v:], start=v) if k]
-    return coeffs[v - 1], tuple(e for e, _ in kept), tuple(k for _, k in kept)
+    kept = [(e - v + 1, k) for e, k in enumerate(coeffs[v - 1:], start=v - 1) if k]
+    return tuple(e for e, _ in kept), tuple(k for _, k in kept)
 
 
 def _log_tail(ell: float, k: int, alpha: float, beta: float) -> float:
@@ -402,7 +395,7 @@ def _evaluate_theta(spec: ThetaQuotientHaupt, tau: CMPoint, prec: int) -> Ball:
     r = math.exp(-ell)
     # A relative error eps_q in q moves a series by eps_q sum_e e |c_e| |q|^e,
     # which is below s1 = sum e r^e = r/(1-r)^2 for each pentagonal factor
-    # and A (sqrt(s1 s2) + sqrt(v) s1) for the numerator, as sum e^(3/2) r^e
+    # and A (sqrt(s1 s2) + sqrt(v - 1) s1) for N, as sum e^(3/2) r^e
     # <= sqrt(s1 s2) by Cauchy-Schwarz, s2 = sum e^2 r^e = r(1+r)/(1-r)^3.
     one_r = -math.expm1(-ell)
     s1, s2 = r / one_r**2, r * (1 + r) / one_r**3
@@ -436,28 +429,22 @@ def _evaluate_theta(spec: ThetaQuotientHaupt, tau: CMPoint, prec: int) -> Ball:
     if not math.ldexp(den.rad, 5 - w) < 1:
         raise ConvergenceError("the eta product is lost in its own error at this point")
 
-    # The numerator: its tail from the shifted exponent k, with
-    # sqrt(e + v) <= (e + v) / sqrt(k + v), is below 2^(ERROR_BITS-2-prec) |D|
+    # N: its tail from exponent k, with sqrt(e + v - 1) <= (e + v - 1) /
+    # sqrt(k + v - 1), is below 2^(ERROR_BITS-2-prec) |q D|, |q| from its
+    # integers as r underflows a double at high points; its table is cached
+    # at a power of two >= K, at least 1024
     den_low = math.ldexp(*_mag(den)) * (1 - math.ldexp(den.rad, -w))
-    size, tail = _cutoff(ell, (ERROR_BITS - 2 - prec) * math.log(2) + math.log(den_low),
-                         lambda k: (a / math.sqrt(k + v), a * v / math.sqrt(k + v)))
-    lead, exps, coeffs = _theta_numerator(spec, _pow2_size(size))
+    qf, qk = _mag(q)
+    size, tail = _cutoff(ell, (ERROR_BITS - 2 - prec + qk) * math.log(2) + math.log(den_low * qf),
+                         lambda k: (a / math.sqrt(k + v - 1), a * (v - 1) / math.sqrt(k + v - 1)))
+    exps, coeffs = _theta_numerator(spec, max(1024, 1 << (size - 1).bit_length()))
     cut = bisect_left(exps, size)
-    acc, acc_err = series(exps[:cut], coeffs[:cut], _coeff_bits(a, size + v), tail,
-                          a * (math.sqrt(s1 * s2) + math.sqrt(v) * s1))
-    # t = (lead/q + acc) / D + shift, formed as (lead + q acc) / (q D) + shift,
-    # so that only the last quotient grows like 1/q.  The pole carries q's
-    # error; the q of q acc and of q D cancel exactly, and carry none.
-    exact_q = q._replace(rad=0.0)
-    q_num = _sum([Ball(lead, 0, 0, q.rad), _mul(exact_q, acc, w)], w)
-    # the shift, 0 or not, puts the radius in units of max(1, |value|)
-    value = _sum([_div(q_num._replace(rad=0.0), _mul(exact_q, den, w), w),
-                  Ball(spec.shift, 0, 0, 0.0)], w)
-    # q_num's error stays absolute, as q_num cancels to nothing where t =
-    # shift: it enters over |q D| max(1, |value|), and acc's over |D| max(1, |value|)
-    scale = m if _ratio(m := _mag(value), (1.0, 0)) >= 1 else (1.0, 0)
-    under, (qf, qk) = (den_low * scale[0], scale[1]), _mag(q)
-    num_err = q_num.rad * max(1.0, math.ldexp(*_mag(q_num)))
-    rad = (value.rad + _ratio((acc_err, 0), under)
-           + _ratio((num_err, 0), (under[0] * qf, under[1] + qk)))
+    num, num_err = series(exps[:cut], coeffs[:cut], _coeff_bits(a, size + v - 1), tail,
+                          a * (math.sqrt(s1 * s2) + math.sqrt(v - 1) * s1))
+    # t = N / (q D) + shift, q's radius the pole's error; the shift, 0 or
+    # not, gives units of max(1, |value|), and N's error, absolute as N
+    # cancels where t = shift, enters once, over |q D| max(1, |value|)
+    value = _sum([_div(num, _mul(q, den, w), w), Ball(spec.shift, 0, 0, 0.0)], w)
+    sf, sk = m if _ratio(m := _mag(value), (1.0, 0)) >= 1 else (1.0, 0)
+    rad = value.rad + _ratio((num_err, 0), (den_low * qf * sf, qk + sk))
     return value._replace(rad=rad * 2.0 ** (wp - w))

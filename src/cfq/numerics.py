@@ -86,9 +86,14 @@ class PrecisionPolicy:
     start_bits: int = MIN_PREC_BITS
 
     def __post_init__(self):
-        if not MIN_PREC_BITS <= self.start_bits <= MAX_PREC_BITS:
-            raise DomainError(f"precision must be from {MIN_PREC_BITS} to {MAX_PREC_BITS} "
-                              f"bits, got {self.start_bits}")
+        _check_prec(self.start_bits)
+
+
+def _check_prec(prec) -> None:
+    """DomainError unless prec is an integer from MIN_PREC_BITS to MAX_PREC_BITS."""
+    if not (isinstance(prec, int) and MIN_PREC_BITS <= prec <= MAX_PREC_BITS):
+        raise DomainError(f"precision must be from {MIN_PREC_BITS} to {MAX_PREC_BITS} "
+                          f"bits, got {prec!r}")
 
 
 def certify_int_poly(
@@ -367,11 +372,12 @@ def _exp_i_pi(u: int, v: int, t: int, n: int, w: int) -> Ball:
 
     The argument, from pi within 2 and sqrt(n) within 1 by one floor a part,
     is within d = (2 sqrt(n) + pi) |v| / t + 2 |u| / t + 2 units, which moves
-    the value by a relative |e^d - 1| <= d e^(d 2^-w).
+    the value by a relative |e^d - 1| <= d e^(d 2^-w); |v| sqrt(n) / t is
+    taken from v^2 n / t^2, which fits a double where callers checked Im.
     """
     pi, root = _pi(w), _root(n, w)
     z = _exp(-((pi * root * v) // (t << w)), (pi * u) // t, w)
-    d = (2 * math.sqrt(n) + 3.15) * (abs(v) / t) + 2 * abs(u) / t + 2
+    d = 2 * math.sqrt(v * v * n / (t * t)) + 3.15 * (abs(v) / t) + 2 * abs(u) / t + 2
     return z._replace(rad=z.rad + d * math.exp(min(math.ldexp(d, -w), 700.0)))
 
 

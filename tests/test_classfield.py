@@ -313,13 +313,15 @@ class TestRingClassPolynomial:
     @pytest.mark.parametrize("key", sorted(THETA_POLYS), ids=lambda k: "%d-%s%d" % k)
     def test_theta_quotient_polynomials(self, key, certify_calls):
         # the other two theta-quotient levels: one 64-bit round, the
-        # polynomial of a 128-bit start, degree the class number
+        # polynomial of a 128-bit and of a 1024-bit start, degree the class
+        # number
         result = ring_class_polynomial(*key)
         assert result.poly == IntPoly(THETA_POLYS[key])
         assert result.prec_bits == 64 and certify_calls == [64]
         assert result.poly.degree == enumerate_class_group(key[2]).class_number
-        high = ring_class_polynomial(*key, PrecisionPolicy(start_bits=128))
-        assert high.poly == result.poly
+        for bits in (128, 1024):
+            high = ring_class_polynomial(*key, PrecisionPolicy(start_bits=bits))
+            assert high.poly == result.poly
 
     def test_level71_past_the_old_data_ceiling(self):
         # the coefficient file supported 354 bits at most; the theta

@@ -104,6 +104,15 @@ class TestEta:
         with pytest.raises(DomainError, match="CMPoint"):
             eta(mp.mpc(0, 1), PREC)
 
+    @pytest.mark.parametrize("prec", [-5, 0, 63, 16385, 64.0])
+    def test_precision_out_of_range_refused(self, prec):
+        with pytest.raises(DomainError, match="precision must be from 64 to 16384 bits"):
+            eta(CMPoint(0, 1, 1, 1), prec)
+
+    def test_radicand_past_a_double(self):
+        # i with n = 10^400, past the largest double
+        assert eta(CMPoint(0, 1, 10**200, 10**400), PREC) == eta(CMPoint(0, 1, 1, 1), PREC)
+
     def test_refuses_where_its_bound_is_lost(self):
         # 10^-40 above the axis the estimate is about 1.8e25 units of
         # 2^-128, far above the 2^8 that eta documents

@@ -247,18 +247,17 @@ class TestThetaQuotient:
         # the coefficient bound its tails rest on, 2 d(e) sum |s_Q| / m <= A sqrt(e)
         entry = catalog_lookup(n, "fricke")
         v = (n + 1) // 24
-        counts = _theta_numerator_counts(entry, v + 2048)
-        want = {e - v: k // entry.divisor for e, k in enumerate(counts) if e >= v and k}
-        lead, exps, coeffs = _theta_numerator(entry, 2048)
-        assert lead == counts[v - 1] // entry.divisor
-        assert dict(zip(exps, coeffs)) == want
+        counts = _theta_numerator_counts(entry, v - 1 + 2048)
+        want = {e - v + 1: k // entry.divisor for e, k in enumerate(counts) if e >= v - 1 and k}
+        exps, coeffs = _theta_numerator(entry, 2048)
+        assert exps[0] == 0 and dict(zip(exps, coeffs)) == want
         small = _theta_numerator(entry, 1024)
-        assert small[1] == exps[: len(small[1])] and small[2] == coeffs[: len(small[2])]
+        assert small[0] == exps[: len(small[0])] and small[1] == coeffs[: len(small[1])]
         weight = sum(abs(s) for _, s in entry.forms)
         a = 4 * weight / entry.divisor
-        for m, c in zip(exps, coeffs):
-            bound = 2 * weight * _divisors(m + v) / entry.divisor
-            assert abs(c) <= bound <= a * math.sqrt(m + v)
+        for m, c in zip(exps[1:], coeffs[1:]):
+            bound = 2 * weight * _divisors(m + v - 1) / entry.divisor
+            assert abs(c) <= bound <= a * math.sqrt(m + v - 1)
 
 
 def _im_at_least(z: CMPoint, tau: CMPoint) -> bool:
@@ -380,6 +379,25 @@ class TestEvaluate:
         with pytest.raises(DomainError, match="CMPoint"):
             evaluate(entry, mp.mpc(0, -1), PREC)
 
+    @pytest.mark.parametrize("prec", [-5, 0, 63, 16385, 64.0])
+    def test_precision_out_of_range_refused(self, prec):
+        # the range of a class polynomial's round, integers only, refused
+        # before any work: at -5 mpmath's final rounding never returned
+        with pytest.raises(DomainError, match="precision must be from 64 to 16384 bits"):
+            evaluate(catalog_lookup(12, "gamma0"), CMPoint(0, 1, 1, 1), prec)
+
+    @pytest.mark.parametrize("key", [(12, "gamma0"), (2, "fricke"), (71, "fricke")],
+                             ids=lambda k: "%d-%s" % k)
+    def test_radicand_past_a_double(self, key):
+        # i written as sqrt(-10^400) / 10^200, n past the largest double:
+        # the bits of i itself; and 10^1000 i, past the 2^500 that Im may
+        # reach, is refused
+        entry = catalog_lookup(*key)
+        assert (evaluate(entry, CMPoint(0, 1, 10**200, 10**400), 64)
+                == evaluate(entry, CMPoint(0, 1, 1, 1), 64))
+        with pytest.raises(ConvergenceError, match="too far above"):
+            evaluate(entry, CMPoint(0, 1, 1, 10**2000), 64)
+
     def test_qseries_rejects_lower_half_plane(self):
         # the level-71 theta quotient: refused before any term is summed
         with pytest.raises(DomainError, match="upper half plane"):
@@ -482,7 +500,7 @@ class TestQSeriesKernel:
         tau = fixed_point(enumerate_representatives(71, -71, enumerate_class_group(-71))[0])
         evaluate(entry, tau, prec)
         pentagonal = _pentagonal(1 << 8)[0]
-        tables = [pentagonal, [71 * e for e in pentagonal], _theta_numerator(entry, 1 << 14)[1]]
+        tables = [pentagonal, [71 * e for e in pentagonal], _theta_numerator(entry, 1 << 14)[0]]
         assert len(cutoffs) == 2 and len(sums) == 3
         for (ell, target, growth, k), summed, table in zip(cutoffs[:1] * 2 + cutoffs[1:], sums,
                                                            tables):
@@ -757,8 +775,8 @@ class TestDocumentedBound:
 
 
 # T71 = 0 at (29 + sqrt(-11))/142, a root of 71 x^2 - 29 x + 3 (class number
-# 1, found by Newton's method on _theta_reference), where lead + q acc cancels
-# to rounding noise; within 5e-10 of that zero at the point rounded to ten
+# 1, found by Newton's method on _theta_reference), where the numerator N
+# cancels to rounding noise; within 5e-10 of that zero at the point rounded to ten
 # decimals; and |T71| = 0.262 at a point 0.018 above the axis
 SMALL_VALUES = [CMPoint(29, 1, 142, 11), CMPoint(2042253521, 233565126, 10**10, 1),
                 CMPoint(-1364444, 8779, 487038, 1)]
@@ -786,7 +804,7 @@ class TestFixedPointValues:
     @pytest.mark.parametrize("w", [112, 304, 1072])
     @pytest.mark.parametrize("tau", SMALL_VALUES, ids=["exact-zero", "zero", "quarter"])
     def test_theta_where_the_value_is_small(self, tau, w):
-        # |t| < 1, where lead + q acc cancels: the radius, in units of
+        # |t| < 1, where the numerator N cancels: the radius, in units of
         # 2^-w max(1, |t|), holds the quotient summed at the point itself
         # and stays within what evaluate accepts
         entry = catalog_lookup(71, "fricke")
@@ -802,9 +820,9 @@ class TestFixedPointValues:
     @pytest.mark.parametrize("tau", SMALL_VALUES, ids=["exact-zero", "zero", "quarter"])
     def test_theta_with_q_off_by_its_radius(self, tau, w, monkeypatch):
         # q moved by 2^-(w - 56) of itself, with its radius grown to match:
-        # the error of the pole, of both factors of D and of acc is then far
+        # the error of the pole, of both factors of D and of N is then far
         # above the tails, and the radius still holds the quotient summed at
-        # the point itself, also where lead + q acc cancels
+        # the point itself, also where N cancels
         shift = w - 56
 
         def moved(*args):
