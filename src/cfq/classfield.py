@@ -4,15 +4,17 @@
 point per ideal class.  Every catalog q-expansion has rational coefficients,
 so t(1 - conj(tau)) = conj(t(tau)); when the representatives of a class and
 of its inverse fix such a mirror pair of points (up to a translation), only
-the first is evaluated and the second gets the exact conjugate, so a class
-group with few ambiguous classes costs about half its h evaluations.  A
-class that is its own inverse, at a point that is its own mirror image,
-has a real value and gets an imaginary part of exactly 0.
+the first is evaluated and the second gets the exact conjugate, the same
+`numerics.Ball` with its imaginary part negated, so a class group with few
+ambiguous classes costs about half its h evaluations.  A class that is its
+own inverse, at a point that is its own mirror image, has a real value and
+gets an imaginary part of exactly 0.
 `ring_class_polynomial` multiplies out the monic polynomial with those roots
 and rounds it to integers with a proof: each value is within the documented
 bound of `evaluate` (2^(ERROR_BITS - prec) * max(1, |t|)), so each computed
 coefficient lies in a ball around the true integer one, and the result is
-accepted when every ball contains exactly one integer (`certify_int_poly`).
+accepted when every ball contains exactly one integer (`certify_int_poly`);
+its residual and largest radius are exact dyadic fractions.
 There is one round, at the policy's start, by default the 64-bit floor; a
 refused round raises `RoundingFailureError` with the residual and the
 tolerance.  Every catalog key that computes is accepted at 64 bits with a
@@ -25,16 +27,13 @@ composition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import mpmath
-from mpmath import mp
-from mpmath.libmp import fzero, mpf_neg
+from fractions import Fraction
 
 from .elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
 from .errors import DomainError
 from .exactpoly import IntPoly
 from .hauptmodul import ERROR_BITS, catalog_lookup, evaluate, value_text
-from .numerics import PrecisionPolicy, certify_int_poly
+from .numerics import Ball, PrecisionPolicy, _decimal, certify_int_poly
 from .quadforms import ClassGroup, IdealClass, compose, enumerate_class_group
 
 __all__ = [
@@ -53,11 +52,11 @@ class SingularValueSet:
     n: int
     group: str
     disc: int
-    entries: tuple[tuple[IdealClass, EllipticElement, CMPoint, mpmath.mpc], ...]
+    entries: tuple[tuple[IdealClass, EllipticElement, CMPoint, Ball], ...]
     prec: int
     class_group: ClassGroup
 
-    def values(self) -> list[mpmath.mpc]:
+    def values(self) -> list[Ball]:
         return [entry[3] for entry in self.entries]
 
 
@@ -66,14 +65,15 @@ class ClassPolyResult:
     """Accepted integer class polynomial with its rounding diagnostics.
 
     `residual` is the largest distance of a computed coefficient from its
-    integer and `r_max` the largest coefficient radius; their sum is below 1/2.
+    integer and `r_max` the largest coefficient radius, both exact dyadic
+    fractions; their sum is below 1/2.
     """
 
     poly: IntPoly
-    residual: mpmath.mpf
+    residual: Fraction
     prec_bits: int
     points: SingularValueSet
-    r_max: mpmath.mpf
+    r_max: Fraction
 
     def to_json_dict(self) -> dict:
         points = []
@@ -93,8 +93,8 @@ class ClassPolyResult:
             "disc": self.points.disc,
             "class_number": self.points.class_group.class_number,
             "poly": [str(c) for c in self.poly.coeffs],
-            "residual": mpmath.nstr(self.residual, 10),
-            "r_max": mpmath.nstr(self.r_max, 10),
+            "residual": _decimal(self.residual, 10),
+            "r_max": _decimal(self.r_max, 10),
             "prec_bits": self.prec_bits,
             "points": points,
         }
@@ -121,14 +121,14 @@ def singular_values(n: int, group: str, disc: int, prec: int) -> SingularValueSe
         mirror = reps[j]
         mirrored = mirror.C == alpha.C and (alpha.A + mirror.A) % alpha.C == 0
         if j < i and mirrored:
-            # the exact conjugate, built from the parts, with no rounding
+            # the exact conjugate, with no rounding
             value = entries[j][3]
-            value = mp.make_mpc((value.real._mpf_, mpf_neg(value.imag._mpf_)))
+            value = value._replace(im=-value.im)
         else:
             value = evaluate(spec, tau, prec)
             if j == i and mirrored:
                 # its own mirror image: t(tau) = conj(t(tau)) is real
-                value = mp.make_mpc((value.real._mpf_, fzero))
+                value = value._replace(im=0)
         entries.append((cls, alpha, tau, value))
     return SingularValueSet(n, group, disc, tuple(entries), prec, cg)
 

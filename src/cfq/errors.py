@@ -23,7 +23,8 @@ class RoundingFailureError(CfqError):
     def __init__(self, residual, tol):
         self.residual = residual
         self.tol = tol
-        super().__init__(f"rounding residual {residual} exceeds tolerance {tol}")
+        super().__init__(f"rounding residual {float(residual):.10g} exceeds tolerance "
+                         f"{float(tol):.10g}")
 
 
 class ConvergenceError(CfqError):

@@ -1,4 +1,4 @@
-"""Dedekind eta: exact multiplier system and arbitrary-precision evaluation.
+"""Dedekind eta quotients: exact multiplier system and arbitrary-precision evaluation.
 
 Every point is exact, tau = (u + v*sqrt(-r))/w with integers v, w > 0 (a
 `CMPoint`), and is moved into the standard fundamental domain in integers
@@ -47,18 +47,14 @@ from dataclasses import dataclass
 from functools import cache
 from math import gcd, isqrt
 
-import mpmath
-
 from .elliptic import CMPoint
 from .errors import ConvergenceError, DomainError
 from .numerics import (
-    _GUARD, Ball, _check_prec, _csqrt, _div, _exp_i_pi, _fixed, _fixed_series, _mul, _normal,
-    _pow, _powers, _root, _to_mpc,
+    Ball, _csqrt, _div, _exp_i_pi, _fixed, _fixed_series, _mul, _normal, _pow, _powers, _root,
 )
 
 __all__ = [
     "EtaQuotientSpec",
-    "eta",
     "eta_quotient",
 ]
 
@@ -99,7 +95,7 @@ def _ascend(tau: CMPoint, n: int) -> tuple[CMPoint, tuple[int, int, int, int], i
     """Move tau up under tau -> tau - k and tau -> -1/(n tau) until n|tau|^2 >= 1.
 
     Exact, in integers, with tau = (p + s sqrt(-r))/q.  A translation is
-    p -= kq, k the nearest integer to Re(tau), ties to even as in mp.nint,
+    p -= kq, k the nearest integer to Re(tau), ties to even as in round(),
     so that mirror images -conj(tau) stay mirror images.  The flip is
     (p, s, q) -> (-p, s, n (p^2 + s^2 r)/q), an exact division while q
     divides n (p^2 + s^2 r): tau is first scaled so that q divides
@@ -211,21 +207,6 @@ def _cm_ball(p: int, s: int, t: int, n: int, w: int) -> Ball:
     """
     b = w + 2 + max(0, t.bit_length() - (p * p + s * s * n).bit_length() // 2)
     return _normal((p << b) // t, (s * _root(n, b)) // t, -b, 1.0, w)
-
-
-def eta(tau: CMPoint, prec: int) -> mpmath.mpc:
-    """Dedekind eta at tau, relative error at most 2^(8 - prec), rounded to prec bits.
-
-    DomainError unless prec is an integer from 64 to 16384.  Raises
-    ConvergenceError, instead of returning, where the radius of
-    `eta_quotient` at prec + 48 bits and the final rounding exceed 2^8 units.
-    """
-    _check_prec(prec)
-    value = eta_quotient(EtaQuotientSpec([(1, 1)]), tau, prec + _GUARD)
-    if not (err := value.rad / 2.0**_GUARD + 1) <= 2.0**8:
-        raise ConvergenceError(f"error estimate {err:.3g} * 2^-{prec} exceeds "
-                               f"the bound 2^(8 - {prec}) at this point")
-    return _to_mpc(value, prec)
 
 
 def eta_quotient(spec: EtaQuotientSpec, tau: CMPoint, w: int) -> Ball:

@@ -15,18 +15,18 @@ Two kinds of entry, each normalized so the q-expansion is q^-1 + 0 + O(q):
 The other Fricke levels of the genus-zero list have no construction here;
 `catalog_lookup` raises NoConstructionError for them.
 
-`evaluate(spec, tau, prec)` returns t(tau) rounded to prec bits with
+`evaluate(spec, tau, prec)` returns t(tau) as a `numerics.Ball` whose two
+parts are rounded to prec bits, with
 
     |evaluate(spec, tau, prec) - t(tau)| <= 2^(ERROR_BITS - prec) * max(1, |t(tau)|),
 
 ERROR_BITS = 3, for tau an exact point (u + v sqrt(-n))/w, a `CMPoint`.  It
 works in integers at the scale 2^(prec + 48), with a proven bound on the
-error of the unrounded value (`numerics.Ball`), and raises
-ConvergenceError, instead of returning, when the bound exceeds
-2^(ERROR_BITS - 1 - prec) * max(1, |value|); the one rounding to an `mpc`
-at prec bits then keeps the sum within the bound.  An eta-quotient entry
-sums c_e t^e on the ball `eta_quotient` returns, which prices the
-cancellation between the terms (`numerics._sum`).
+error of the unrounded value, and raises ConvergenceError, instead of
+returning, when the bound exceeds 2^(ERROR_BITS - 1 - prec) * max(1, |value|);
+the one rounding of each part to prec bits then keeps the sum within the
+bound.  An eta-quotient entry sums c_e t^e on the ball `eta_quotient`
+returns, which prices the cancellation between the terms (`numerics._sum`).
 
 A theta quotient is evaluated at a point of tau's orbit under Gamma0(N)
 and the Fricke flip tau -> -1/(N tau) with Im >= sqrt(3)/(2N), found in
@@ -59,19 +59,17 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from math import isqrt
-
-import mpmath
-from mpmath import mp
 
 from .elliptic import CMPoint
 from .errors import ConvergenceError, DomainError, NoConstructionError, NotGenusZeroError
 from .eta import EtaQuotientSpec, _ascend, _imag, _pentagonal, _pentagonal_count, eta_quotient
 from .exactpoly import LaurentExpr
 from .numerics import (
-    _GUARD, Ball, _check_prec, _div, _fixed, _fixed_series, _exp_i_pi, _mag, _mul, _powers,
-    _ratio, _sum, _to_mpc,
+    _GUARD, Ball, _check_prec, _decimal, _div, _fixed, _fixed_series, _exp_i_pi, _mag, _mul,
+    _powers, _ratio, _round, _sum,
 )
 
 __all__ = [
@@ -224,12 +222,14 @@ def catalog_entries() -> list[dict]:
     return out
 
 
-def evaluate(spec, tau: CMPoint, prec: int) -> mpmath.mpc:
-    """Value of a principal modulus at the exact point tau, rounded to prec bits.
+def evaluate(spec, tau: CMPoint, prec: int) -> Ball:
+    """Value of a principal modulus at the exact point tau, each part rounded to prec bits.
 
     The result is within 2^(ERROR_BITS - prec) * max(1, |t(tau)|) of the
-    true value (module docstring); where the error bound cannot meet that,
-    ConvergenceError is raised instead; DomainError unless prec is an integer from 64 to 16384.
+    true value (module docstring), and its radius is the proven bound in
+    units of 2^-prec * max(1, |value|); where that bound cannot meet
+    2^ERROR_BITS, ConvergenceError is raised instead.  DomainError unless
+    prec is an integer from 64 to 16384.
     """
     _check_prec(prec)
     if not isinstance(tau, CMPoint):
@@ -247,7 +247,7 @@ def evaluate(spec, tau: CMPoint, prec: int) -> mpmath.mpc:
             f"error estimate {err:.3g} * 2^-{prec} * max(1, |t|) exceeds the "
             f"bound 2^({ERROR_BITS - 1} - {prec}) * max(1, |t|) at this point"
         )
-    return _to_mpc(value, prec)
+    return _round(value, prec, err + 1)
 
 
 def value_digits(prec: int) -> int:
@@ -255,22 +255,30 @@ def value_digits(prec: int) -> int:
     return math.floor((prec - ERROR_BITS) * math.log10(2))
 
 
-def value_text(value: mpmath.mpc, prec: int) -> tuple[str, str]:
+def value_text(value: Ball, prec: int) -> tuple[str, str]:
     """The real and imaginary parts of an `evaluate` result at prec bits as text.
 
     Each part x gets floor(log10(|x| / bound)) significant digits, at most
     value_digits(prec), where bound = 2^(ERROR_BITS - prec) * max(1, |value|)
-    is evaluate's bound; a part at or below the bound prints as 0.0.
+    is evaluate's bound; a part at or below the bound prints as 0.0.  The
+    digit count is exact: (|x| / bound)^2 is a rational number.
     """
-    with mp.workprec(53):
-        bound = mpmath.ldexp(max(1, abs(value)), ERROR_BITS - prec)
-        parts = []
-        for x in (value.real, value.imag):
-            if abs(x) <= bound:
-                parts.append("0.0")
-                continue
-            digits = int(mpmath.floor(mpmath.log10(abs(x) / bound)))
-            parts.append(mpmath.nstr(x, max(1, min(digits, value_digits(prec)))))
+    scale = Fraction(2) ** value.exp
+    bound2 = (Fraction(2) ** (2 * (ERROR_BITS - prec))
+              * max(1, (value.re**2 + value.im**2) * scale**2))
+    parts = []
+    for x in (value.re, value.im):
+        # (|x| / bound)^2 >= 100^digits
+        ratio2 = x * x * scale**2 / bound2
+        if ratio2 <= 1:
+            parts.append("0.0")
+            continue
+        digits = (ratio2.numerator.bit_length() - ratio2.denominator.bit_length()) * 3 // 20
+        while 100 ** (digits + 1) <= ratio2:
+            digits += 1
+        while 100**digits > ratio2:
+            digits -= 1
+        parts.append(_decimal(x * scale, max(1, min(digits, value_digits(prec)))))
     return parts[0], parts[1]
 
 

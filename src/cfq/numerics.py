@@ -1,8 +1,9 @@
 """Certified integer polynomials, the series kernel and fixed-point arithmetic.
 
-Every function takes its precision in bits as an argument, and no mpmath
-arithmetic is done: values are `mpmath.mpc` numbers only where they are
-returned (`_to_mpc`) or certified, and all arithmetic is in integers.
+Every function takes its precision in bits as an argument, and all
+arithmetic is in integers: values are `Ball`s, the residual and the radius
+of a certified rounding exact dyadic `Fraction`s, and `_decimal` prints a
+rational number from its integers.
 
 `certify_int_poly` turns roots known within radii into an integer
 polynomial with a proof (after Enge, Math. Comp. 78, 2009).  Each value v_i
@@ -47,14 +48,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 from operator import le, mul
 from typing import NamedTuple
-
-import mpmath
-from mpmath import mp
-from mpmath.libmp import from_man_exp, round_ceiling, round_nearest
 
 from .errors import DomainError, RoundingFailureError
 from .exactpoly import IntPoly
@@ -96,23 +94,21 @@ def _check_prec(prec) -> None:
                           f"bits, got {prec!r}")
 
 
-def certify_int_poly(
-    values, radius_log2: int, prec: int
-) -> tuple[IntPoly, mpmath.mpf, mpmath.mpf]:
-    """The integer polynomial prod(x - t_i), given v_i within eps_i of t_i.
+def certify_int_poly(values, radius_log2: int, prec: int) -> tuple[IntPoly, Fraction, Fraction]:
+    """The integer polynomial prod(x - t_i), given `Ball`s v_i within eps_i of t_i.
 
-    eps_i = 2^radius_log2 * max(1, |values[i]|).  Returns (poly, residual,
-    R_max): the largest complex distance from a coefficient of prod(x - V_i)
-    to its rounded value, rounded up to prec bits, and the largest
-    coefficient radius (module docstring), both exact binary fractions.
-    Raises RoundingFailureError unless residual + R_max < 1/2, so that every
-    coefficient ball contains exactly one integer; the comparison is made
-    in integers, on the exact residual.
+    eps_i = 2^radius_log2 * max(1, |values[i]|); the balls' radii are not
+    read.  Returns (poly, residual, R_max): the largest complex distance
+    from a coefficient of prod(x - V_i) to its rounded value, rounded up to
+    prec bits, and the largest coefficient radius (module docstring), both
+    exact dyadic fractions.  Raises RoundingFailureError unless
+    residual + R_max < 1/2, so that every coefficient ball contains exactly
+    one integer; the comparison is made in integers, on the exact residual.
     """
     if not values:
         raise DomainError("need at least one root")
     s, h = prec + 8, len(values)
-    roots = [(_nearest(v.real, s), _nearest(v.imag, s)) for v in values]
+    roots = [(_nearest(v.re, v.exp + s), _nearest(v.im, v.exp + s)) for v in values]
     # coefficient k of prod(x - V_i 2^s) carries the scale 2^(s(h-k))
     re, im = _expand(roots)
     rounded, dist2 = [], 0
@@ -127,12 +123,12 @@ def certify_int_poly(
     residual = _isqrt_up(dist2)
     # residual + R_max < 1/2, both sides at the scale 2^(sh)
     tol = ((1 << (s - 1)) - r_max) << (s * (h - 1))
-    residual_mpf = mp.make_mpf(from_man_exp(residual, -s * h, prec, round_ceiling))
+    # the residual rounded up to prec bits
+    cut = max(residual.bit_length() - prec, 0)
+    residual_up = Fraction(_shift_up(residual, -cut) << cut, 1 << s * h)
     if tol <= 0 or dist2 >= tol * tol:
-        raise RoundingFailureError(
-            residual_mpf, mp.make_mpf(from_man_exp(tol, -s * h)))
-    return (IntPoly(rounded + [1]), residual_mpf,
-            mp.make_mpf(from_man_exp(r_max, -s)))
+        raise RoundingFailureError(residual_up, Fraction(tol, 1 << s * h))
+    return IntPoly(rounded + [1]), residual_up, Fraction(r_max, 1 << s)
 
 
 def _coefficient_radius(roots, radius_log2: int, s: int) -> int:
@@ -149,12 +145,12 @@ def _coefficient_radius(roots, radius_log2: int, s: int) -> int:
     return max(_shift_up(upper[k] - base[k], -s * (h - k - 1)) for k in range(h))
 
 
-def _nearest(x: mpmath.mpf, s: int) -> int:
-    """x * 2^s rounded to the nearest integer, ties away from zero."""
-    sign, man, exp, _bc = x._mpf_
-    shift = exp + s
-    n = man << shift if shift >= 0 else ((man >> (-shift - 1)) + 1) >> 1
-    return -n if sign else n
+def _nearest(x: int, shift: int) -> int:
+    """x * 2^shift rounded to the nearest integer, ties away from zero."""
+    if shift >= 0:
+        return x << shift
+    n = ((abs(x) >> (-shift - 1)) + 1) >> 1
+    return -n if x < 0 else n
 
 
 def _isqrt_up(n: int) -> int:
@@ -283,10 +279,60 @@ def _fixed(z: Ball, w: int) -> tuple[int, int]:
     return (z.re << s, z.im << s) if (s := z.exp + w) >= 0 else (z.re >> -s, z.im >> -s)
 
 
-def _to_mpc(z: Ball, prec: int) -> mpmath.mpc:
-    """z, each part rounded to the nearest prec-bit number: the one step into mpmath."""
-    return mp.make_mpc((from_man_exp(z.re, z.exp, prec, round_nearest),
-                        from_man_exp(z.im, z.exp, prec, round_nearest)))
+def _round(z: Ball, prec: int, rad: float) -> Ball:
+    """z with each part rounded to the nearest prec-bit number, ties to even, and radius rad."""
+    parts = []
+    for x in (z.re, z.im):
+        cut = abs(x).bit_length() - prec
+        if cut <= 0:
+            parts.append((x, z.exp))
+            continue
+        n, rest = divmod(abs(x), 1 << cut)
+        n += rest > 1 << (cut - 1) or (rest == 1 << (cut - 1) and n & 1)
+        parts.append((-n if x < 0 else n, z.exp + cut))
+    (x, ex), (y, ey) = parts
+    e = min(ex, ey)
+    return Ball(x << (ex - e), y << (ey - e), e, rad)
+
+
+def _decimal(x: Fraction, n: int) -> str:
+    """x with n significant digits, rounded half up, as a decimal literal.
+
+    With k the decimal exponent of the leading digit, x prints in fixed
+    point when min(-(n // 3), -5) < k < n and as d.ddd e+-k otherwise,
+    trailing zeros stripped down to one digit after the point; 0 is 0.0.
+    """
+    if not x:
+        return "0.0"
+    sign, a, b = "-" if x < 0 else "", abs(x.numerator), x.denominator
+
+    def at_least(k):
+        # 10^k <= a / b
+        return 10**k * b <= a if k >= 0 else b <= a * 10**-k
+
+    k = math.floor((a.bit_length() - b.bit_length()) * math.log10(2))
+    while at_least(k + 1):
+        k += 1
+    while not at_least(k):
+        k -= 1
+    j = k - n + 1
+    num, den = (a, b * 10**j) if j >= 0 else (a * 10**-j, b)
+    m = (2 * num + den) // (2 * den)
+    if m == 10**n:
+        m, k = m // 10, k + 1
+    digits, split = _digit_string(m, n), 1
+    if min(-(n // 3), -5) < k < n:
+        digits, split, k = ("0" * -k + digits, 1, 0) if k < 0 else (digits, k + 1, 0)
+    text = (digits[:split] + "." + digits[split:]).rstrip("0")
+    return sign + text + ("0" if text.endswith(".") else "") + (f"e{k:+d}" if k else "")
+
+
+def _digit_string(m: int, n: int) -> str:
+    """The n decimal digits of 0 <= m < 10^n, zero-padded, past str()'s digit limit too."""
+    if n <= 1000:
+        return str(m).zfill(n)
+    hi, lo = divmod(m, 10 ** (n // 2))
+    return _digit_string(hi, n - n // 2) + _digit_string(lo, n // 2)
 
 
 def _arctan_inv(x: int, s: int, sign: int) -> int:

@@ -18,7 +18,9 @@ import cfq.classfield
 from cfq.elliptic import CMPoint
 from cfq.errors import InvalidModulusError, NonInvertibleError
 from cfq.exactpoly import IntPoly
-from cfq.hauptmodul import GAMMA0_LEVELS
+from cfq.eta import EtaQuotientSpec, eta_quotient
+from cfq.hauptmodul import GAMMA0_LEVELS, evaluate
+from cfq.numerics import _GUARD, Ball
 from cfq.quadforms import _extgcd
 
 # published degree-7 polynomials for the Hilbert class field of Q(sqrt(-71)),
@@ -45,21 +47,47 @@ def certify_calls(monkeypatch):
     return calls
 
 
-def cpx(re, im, prec) -> mpmath.mpc:
-    """re + i*im, parsed and rounded at prec bits."""
+def cpx(re, im, prec) -> Ball:
+    """re + i*im, parsed and rounded at prec bits, as a ball of radius 0."""
     with mp.workprec(prec):
-        return mp.mpc(re, im)
+        return mpc_ball(mp.mpc(re, im))
 
 
-def rounded(z, prec) -> mpmath.mpc:
-    """The complex number z rounded to prec bits."""
+def rounded(z, prec) -> Ball:
+    """The complex number z rounded to prec bits, as a ball of radius 0."""
     with mp.workprec(prec):
-        return +z
+        return mpc_ball(+z)
 
 
 def ball_mpc(z) -> mpmath.mpc:
     """A `numerics.Ball`'s value (re + i im) 2^exp exactly, whatever the working precision."""
     return mp.make_mpc((from_man_exp(z.re, z.exp), from_man_exp(z.im, z.exp)))
+
+
+def mpc_ball(z) -> Ball:
+    """The mpc z exactly, as a `numerics.Ball` of radius 0."""
+    parts = [(-man if sign else man, exp) for sign, man, exp, _ in z._mpc_]
+    e = min((exp for man, exp in parts if man), default=0)
+    x, y = (man << (exp - e) if man else 0 for man, exp in parts)
+    return Ball(x, y, e, 0.0)
+
+
+def mpf_parts(x: int, exp: int) -> tuple[int, int, int]:
+    """(sign, odd mantissa, exponent) of x 2^exp, and (0, 0, 0) for 0: an mpf's own parts."""
+    if not x:
+        return 0, 0, 0
+    zeros = (x & -x).bit_length() - 1
+    return int(x < 0), abs(x) >> zeros, exp + zeros
+
+
+def eta_mpc(tau, prec) -> mpmath.mpc:
+    """Dedekind eta at tau: the one-factor `eta_quotient` at the working scale of prec, exactly."""
+    return ball_mpc(eta_quotient(EtaQuotientSpec([(1, 1)]), tau, prec + _GUARD))
+
+
+def evaluate_mpc(spec, tau, prec) -> mpmath.mpc:
+    """`hauptmodul.evaluate` at tau as an mpc, exactly."""
+    return ball_mpc(evaluate(spec, tau, prec))
 
 
 def cm_mpc(tau) -> mpmath.mpc:

@@ -2,6 +2,7 @@
 
 import hashlib
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
@@ -10,7 +11,9 @@ import cfq.classfield
 import cfq.elliptic
 import cfq.quadforms
 
-from conftest import GROUP_DISCS, H71, H284, level_keys, rat, rat_gcd
+from conftest import (
+    GROUP_DISCS, H71, H284, ball_mpc, level_keys, mpc_ball, mpf_parts, rat, rat_divmod, rat_gcd,
+)
 from cfq.classfield import (
     SingularValueSet,
     galois_permutation,
@@ -20,7 +23,7 @@ from cfq.classfield import (
 from cfq.elliptic import EllipticElement, enumerate_representatives, fixed_point
 from cfq.errors import DomainError, RoundingFailureError
 from cfq.exactpoly import IntPoly
-from cfq.hauptmodul import ERROR_BITS, catalog_lookup, evaluate
+from cfq.hauptmodul import ERROR_BITS, _kappa, catalog_lookup, evaluate
 from cfq.numerics import PrecisionPolicy, certify_int_poly
 from cfq.quadforms import IdealClass, QuadForm, compose, enumerate_class_group, reduce_form
 
@@ -31,14 +34,14 @@ class TestSingularValues:
         assert len(vals.entries) == 7
         # degree-6 coefficient of the published polynomial is 4
         with mp.workprec(256):
-            total = sum(vals.values())
+            total = sum(ball_mpc(v) for v in vals.values())
             assert abs(total + 4) < mp.mpf(2) ** -64
 
     def test_disc_284_root_product(self):
         vals = singular_values(71, "fricke", -284, 256)
         # constant term -11 at odd degree 7: product of roots is +11
         with mp.workprec(256):
-            prod = mp.fprod(vals.values())
+            prod = mp.fprod(ball_mpc(v) for v in vals.values())
             assert abs(prod - 11) < mp.mpf(2) ** -64
 
     def test_level2_value(self):
@@ -46,7 +49,7 @@ class TestSingularValues:
         assert len(vals.entries) == 1
         # eta fixed-point identity gives 64 for the raw quotient; the catalog
         # normalization adds the constant shift 24
-        assert abs(vals.values()[0] - 88) < mp.mpf(2) ** -96
+        assert abs(ball_mpc(vals.values()[0]) - 88) < mp.mpf(2) ** -96
 
     def test_level71_values_bit_identical(self):
         # sha256 over sign, mantissa and exponent of the real and imaginary
@@ -55,8 +58,8 @@ class TestSingularValues:
         digest = hashlib.sha256()
         for disc in (-71, -284):
             for value in singular_values(71, "fricke", disc, 256).values():
-                for x in (value.real, value.imag):
-                    sign, man, exp, _ = x._mpf_
+                for x in (value.re, value.im):
+                    sign, man, exp = mpf_parts(x, value.exp)
                     digest.update(f"{sign} {man} {exp};".encode())
         assert digest.hexdigest() == (
             "4e72a00208de8b1816a6fdf439e81954bb21250451d2b1b4e4c32615ccfedd81"
@@ -71,8 +74,8 @@ class TestSingularValues:
         digest = hashlib.sha256()
         for key in level_keys():
             for value in singular_values(*key, 256).values():
-                for x in (value.real, value.imag):
-                    sign, man, exp, _ = x._mpf_
+                for x in (value.re, value.im):
+                    sign, man, exp = mpf_parts(x, value.exp)
                     digest.update(f"{sign} {man} {exp};".encode())
         assert digest.hexdigest() == (
             "2a81e0434fc9f294bc68d6ae7d1f002dd6678ac9b4eb4f2d7f14c99bad7c9be2"
@@ -85,7 +88,7 @@ class TestSingularValues:
 
 
 def _same_bits(x, y) -> bool:
-    return x.real._mpf_ == y.real._mpf_ and x.imag._mpf_ == y.imag._mpf_
+    return all(mpf_parts(a, x.exp) == mpf_parts(b, y.exp) for a, b in zip(x[:2], y[:2]))
 
 
 @pytest.fixture
@@ -135,19 +138,19 @@ class TestInversePairs:
         def off_axis(spec, tau, prec):
             # the value moved off the real axis by far less than evaluate's
             # bound, so only singular_values' self-mirror branch makes it real
-            value = evaluate(spec, tau, prec)
+            value = ball_mpc(evaluate(spec, tau, prec))
             evaluated.append(tau)
             with mp.workprec(prec + 64):
-                return mp.mpc(value.real, value.imag + tiny)
+                return mpc_ball(mp.mpc(value.real, value.imag + tiny))
 
         monkeypatch.setattr(cfq.classfield, "evaluate", off_axis)
         vals = singular_values(71, "fricke", -71, 256)
         cls, alpha, tau, value = vals.entries[0]
         assert cls.rep == QuadForm(1, 1, 18) and (2 * alpha.A) % alpha.C == 0
         spec = catalog_lookup(71, "fricke")
-        assert evaluated[0] == tau and off_axis(spec, tau, 256).imag != 0
+        assert evaluated[0] == tau and off_axis(spec, tau, 256).im != 0
         direct = evaluate(spec, tau, 256)
-        assert value.imag == 0 and value.real._mpf_ == direct.real._mpf_
+        assert value.im == 0 and mpf_parts(value.re, value.exp) == mpf_parts(direct.re, direct.exp)
 
     def test_non_mirror_representative_is_evaluated(self, evaluate_calls, monkeypatch):
         cg = enumerate_class_group(-71)
@@ -174,7 +177,7 @@ class TestInversePairs:
         direct = evaluate(catalog_lookup(71, "fricke"), fixed_point(other), 256)
         assert _same_bits(vals.values()[k], direct)
         poly, residual, _ = certify_int_poly(vals.values(), ERROR_BITS + 1 - 256, 256)
-        assert poly == H71 and residual < mp.mpf(2) ** -32
+        assert poly == H71 and residual < 2.0**-32
 
 
 # class polynomials of the theta quotients of levels 47 and 23
@@ -191,12 +194,12 @@ class TestRingClassPolynomial:
         result = ring_class_polynomial(71, "fricke", -71)
         assert result.poly == H71
         assert result.prec_bits <= 512
-        assert result.residual < mp.mpf(2) ** -32
+        assert result.residual < 2.0**-32
 
     def test_disc_284(self):
         result = ring_class_polynomial(71, "fricke", -284)
         assert result.poly == H284
-        assert result.residual < mp.mpf(2) ** -32
+        assert result.residual < 2.0**-32
 
     def test_level2_disc8(self):
         result = ring_class_polynomial(2, "gamma0", -8)
@@ -224,12 +227,12 @@ class TestRingClassPolynomial:
         shallow = evaluate(entry, fixed_point(EllipticElement(71, 1, -36, 2)), 160)
         deep = evaluate(entry, fixed_point(EllipticElement(71, 1, -2, 36)), 160)
         with mp.workprec(160):
-            assert abs(shallow - deep) < mp.mpf(2) ** -32
+            assert abs(ball_mpc(shallow) - ball_mpc(deep)) < mp.mpf(2) ** -32
         # substituting the conjugate value leaves the rounded polynomial alone
         vals = singular_values(71, "fricke", -71, 160)
         swapped = [deep] + vals.values()[1:]
         poly, residual, _ = certify_int_poly(swapped, ERROR_BITS + 1 - 160, 160)
-        assert poly == H71 and residual < mp.mpf(2) ** -32
+        assert poly == H71 and residual < 2.0**-32
 
     def test_lookups_once_per_request(self, monkeypatch):
         import cfq.classfield
@@ -268,8 +271,8 @@ class TestRingClassPolynomial:
             assert result.poly == published
             assert result.prec_bits == 64 and certify_calls == [64]
             # about 2^(14 - prec) for both discriminants
-            assert 0 < result.r_max < mp.mpf(2) ** (16 - result.prec_bits)
-            assert result.residual + result.r_max < mp.mpf(0.5)
+            assert 0 < result.r_max < Fraction(2) ** (16 - result.prec_bits)
+            assert result.residual + result.r_max < Fraction(1, 2)
 
     @pytest.mark.parametrize(
         "key", level_keys() + [(71, "fricke", -71), (71, "fricke", -284)]
@@ -295,7 +298,7 @@ class TestRingClassPolynomial:
 
         def refuse(values, radius_log2, prec):
             calls["certify_int_poly"] += 1
-            raise RoundingFailureError(mp.mpf(0.25), mp.mpf(0.125))
+            raise RoundingFailureError(Fraction(1, 4), Fraction(1, 8))
 
         for module in (cfq.classfield, cfq.elliptic, cfq.quadforms):
             monkeypatch.setattr(module, "enumerate_class_group", counted_enumerate)
@@ -309,6 +312,23 @@ class TestRingClassPolynomial:
         with pytest.raises(DomainError, match="from 64 to 16384 bits, got 20000"):
             ring_class_polynomial(2, "gamma0", -8, PrecisionPolicy(start_bits=20000))
         assert evaluate_calls == []
+
+    @pytest.mark.parametrize("key", [k for k in level_keys() if k[0] > 1],
+                             ids=lambda k: "%d-%s%d" % k)
+    def test_eta_key_divides_its_closed_form(self, key):
+        # Exact, with no evaluation: the eta quotient T of a level-N entry
+        # has T(-1/(N tau)) = kappa / T(tau), and each point is fixed by an
+        # element of the Fricke coset, so T^2 = kappa there.  A gamma0 value
+        # t = T + r_1 then has (t - r_1)^2 = kappa and a fricke-sym value
+        # t = T + kappa/T + r_1 has (t - r_1)^2 = 4 kappa, r_1 the exponent
+        # of eta(tau), so the certified H divides that quadratic.
+        n, group, _disc = key
+        terms = catalog_lookup(n, group).spec.terms
+        r1, kappa = dict(terms)[1], _kappa(n, terms)
+        quadratic = rat([r1 * r1 - (4 if group == "fricke" else 1) * kappa, -2 * r1, 1])
+        poly = ring_class_polynomial(*key).poly
+        assert 1 <= poly.degree <= 2
+        assert rat_divmod(quadratic, rat(poly.coeffs))[1] == ()
 
     @pytest.mark.parametrize("key", sorted(THETA_POLYS), ids=lambda k: "%d-%s%d" % k)
     def test_theta_quotient_polynomials(self, key, certify_calls):
@@ -337,7 +357,10 @@ class TestRingClassPolynomial:
         assert obj["poly"] == [str(c) for c in H284.coeffs]
         assert len(obj["points"]) == 7
         assert all(isinstance(p["value_re"], str) for p in obj["points"])
-        assert obj["r_max"] == mp.nstr(result.r_max, 10)
+        with mp.workprec(256):
+            for name in ("residual", "r_max"):
+                x = getattr(result, name)
+                assert obj[name] == mp.nstr(mp.mpf(x.numerator) / x.denominator, 10)
         assert obj["prec_bits"] == 64
         assert set(obj) == {"level", "group", "disc", "class_number", "poly",
                             "residual", "r_max", "prec_bits", "points"}

@@ -2,11 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
 
-from conftest import level_keys
+from conftest import ball_mpc, level_keys
 from cfq.classfield import singular_values
 from cfq.cli import run
 from cfq.errors import RoundingFailureError
@@ -93,7 +97,7 @@ class TestClassPoly:
         digits = value_digits(64)
         assert code == 0 and digits == 18
         points = json.loads(out)["points"]
-        exact = singular_values(71, "fricke", -71, 256).values()
+        exact = [ball_mpc(v) for v in singular_values(71, "fricke", -71, 256).values()]
         shortened = 0
         with mpmath.mp.workprec(256):
             for point, value in zip(points, exact):
@@ -269,3 +273,28 @@ class TestParsing:
         code, out, _ = invoke(argv + ["--data-dir", "x"])
         assert code == 1 and out == ""
         assert "unrecognized arguments: --data-dir x" in capsys.readouterr().err
+
+
+# run in a fresh interpreter: the package and every command it is asked for
+# on the standard library alone
+STANDARD_LIBRARY_ONLY = """
+import io, sys
+import cfq
+from cfq import cli
+cfq.ring_class_polynomial(12, "gamma0", -48)
+for argv in (["verify", "--paper71"],
+             ["class-poly", "-n", "71", "--group", "fricke", "-D", "-284", "--json"],
+             ["eval", "-n", "2", "--group", "gamma0", "--element", "0,-1,1"]):
+    assert cli.run(argv, out=io.StringIO()) == 0, argv
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "mpmath")
+assert "mpmath" not in sys.modules, loaded[:5]
+"""
+
+
+def test_no_mpmath_loaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", STANDARD_LIBRARY_ONLY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

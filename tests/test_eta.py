@@ -10,17 +10,17 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from conftest import (
-    ball_mpc, cm_mobius, cm_mpc, dedekind_sum_by_definition, eta_direct_series, eta_multiplier,
-    random_sl2, rational_point,
+    ball_mpc, cm_mobius, cm_mpc, dedekind_sum_by_definition, eta_direct_series, eta_mpc,
+    eta_multiplier, random_sl2, rational_point,
 )
 import cfq.eta
 from cfq.elliptic import CMPoint, enumerate_representatives, fixed_point
 from cfq.errors import ConvergenceError, DomainError
 from cfq.eta import (
-    EtaQuotientSpec, _ascend, _cm_ball, _dedekind12, _eta_ball, eta, eta_quotient,
+    EtaQuotientSpec, _ascend, _cm_ball, _dedekind12, _eta_ball, eta_quotient,
 )
-from cfq.hauptmodul import catalog_lookup
-from cfq.numerics import _GUARD, _fixed_series, _to_mpc
+from cfq.hauptmodul import catalog_lookup, evaluate
+from cfq.numerics import _GUARD, _fixed_series
 from cfq.quadforms import enumerate_class_group
 
 
@@ -62,24 +62,25 @@ class TestDedekindSum:
 
 
 PREC = 128
-# the working scale eta and evaluate give eta_quotient at PREC
+# the working scale evaluate gives eta_quotient at PREC
 W = PREC + _GUARD
+ETA = EtaQuotientSpec([(1, 1)])
 
 
 def _quotient(spec, tau, prec=PREC):
-    """eta_quotient at the working scale of prec, rounded to prec bits as eta rounds."""
-    return _to_mpc(eta_quotient(spec, tau, prec + _GUARD), prec)
+    """eta_quotient at the working scale of prec, exactly."""
+    return ball_mpc(eta_quotient(spec, tau, prec + _GUARD))
 
 
 class TestEta:
     def test_translation_law(self):
-        t0 = eta(CMPoint(0, 2, 1, 1), PREC)
-        t1 = eta(CMPoint(1, 2, 1, 1), PREC)
+        t0 = eta_mpc(CMPoint(0, 2, 1, 1), PREC)
+        t1 = eta_mpc(CMPoint(1, 2, 1, 1), PREC)
         with mp.workprec(PREC + 16):
             assert abs(t1 / t0 - mp.exp(mp.mpc(0, 1) * mp.pi / 12)) < mp.mpf(2) ** (-PREC + 8)
 
     def test_value_at_i_against_direct_series(self):
-        got = eta(CMPoint(0, 1, 1, 1), PREC)
+        got = eta_mpc(CMPoint(0, 1, 1, 1), PREC)
         with mp.workprec(PREC + 16):
             want = eta_direct_series(mp.mpc(0, 1), PREC)
             assert abs(got - want) < mp.mpf(2) ** (-PREC + 8)
@@ -91,44 +92,50 @@ class TestEta:
         # tau = 1/2 + 2i and -1/tau = (-2 + 8i)/17
         tau = CMPoint(1, 4, 2, 1)
         assert cm_mobius((0, -1, 1, 0), tau) == CMPoint(-2, 8, 17, 1)
-        lhs = eta(CMPoint(-2, 8, 17, 1), PREC)
+        lhs = eta_mpc(CMPoint(-2, 8, 17, 1), PREC)
         with mp.workprec(PREC + 16):
-            rhs = mp.sqrt(mp.mpc(0, -1) * cm_mpc(tau)) * eta(tau, PREC)
+            rhs = mp.sqrt(mp.mpc(0, -1) * cm_mpc(tau)) * eta_mpc(tau, PREC)
             assert abs(lhs - rhs) < mp.mpf(2) ** (-PREC + 10)
 
     def test_rejects_lower_half_plane(self):
         with pytest.raises(DomainError):
-            eta(CMPoint(0, -1, 1, 1), PREC)
+            eta_quotient(ETA, CMPoint(0, -1, 1, 1), W)
 
     def test_rejects_an_inexact_point(self):
         with pytest.raises(DomainError, match="CMPoint"):
-            eta(mp.mpc(0, 1), PREC)
+            eta_quotient(ETA, mp.mpc(0, 1), W)
 
     @pytest.mark.parametrize("prec", [-5, 0, 63, 16385, 64.0])
     def test_precision_out_of_range_refused(self, prec):
+        # eta is reached through evaluate's eta-quotient entries, and the one
+        # at level 1 refuses a precision outside the range before any factor
         with pytest.raises(DomainError, match="precision must be from 64 to 16384 bits"):
-            eta(CMPoint(0, 1, 1, 1), prec)
+            evaluate(catalog_lookup(1, "gamma0"), CMPoint(0, 1, 1, 1), prec)
 
     def test_radicand_past_a_double(self):
         # i with n = 10^400, past the largest double
-        assert eta(CMPoint(0, 1, 10**200, 10**400), PREC) == eta(CMPoint(0, 1, 1, 1), PREC)
+        assert (eta_mpc(CMPoint(0, 1, 10**200, 10**400), PREC)
+                == eta_mpc(CMPoint(0, 1, 1, 1), PREC))
 
     def test_refuses_where_its_bound_is_lost(self):
         # 10^-40 above the axis the estimate is about 1.8e25 units of
-        # 2^-128, far above the 2^8 that eta documents
+        # 2^-128, far above 2^8, and the level-1 entry built on eta refuses
         tau = CMPoint(0, 1, 10**40, 1)
-        assert eta_quotient(EtaQuotientSpec([(1, 1)]), tau, W).rad / 2.0**_GUARD > 2.0**8
-        with pytest.raises(ConvergenceError, match=r"bound 2\^\(8 - 128\)"):
-            eta(tau, PREC)
+        assert eta_quotient(ETA, tau, W).rad / 2.0**_GUARD > 2.0**8
+        with pytest.raises(ConvergenceError, match=r"exceeds the bound 2\^\(2 - 128\)"):
+            evaluate(catalog_lookup(1, "gamma0"), tau, PREC)
 
     def test_returns_at_ordinary_points(self):
-        # the quotient's own value wherever its estimate is within 2^8 units
+        # wherever the estimate is within 2^8 units, the value is within
+        # 2^(8 - PREC) of the series summed at the unreduced point
         rng = random.Random(2718)
         for _ in range(20):
             tau = rational_point(rng, -2, 2, 0.05, 2.0)
-            value = eta_quotient(EtaQuotientSpec([(1, 1)]), tau, W)
+            value = eta_quotient(ETA, tau, W)
             assert value.rad / 2.0**_GUARD + 1 <= 2.0**8
-            assert eta(tau, PREC) == _to_mpc(value, PREC)
+            with mp.workprec(PREC + 32):
+                want = eta_direct_series(cm_mpc(tau), PREC + 32)
+                assert abs(ball_mpc(value) - want) <= mp.mpf(2) ** (8 - PREC) * abs(want)
 
     def test_transformation_law_500_pairs(self):
         rng = random.Random(987654)
@@ -139,8 +146,9 @@ class TestEta:
                 if c < 0 or (c == 0 and d < 0):
                     a, b, c, d = -a, -b, -c, -d
                 tau = rational_point(rng, -0.5, 0.5, 0.4, 1.8)
-                lhs = eta(cm_mobius((a, b, c, d), tau), PREC)
-                rhs = eta_multiplier((a, b, c, d)) * mp.sqrt(c * cm_mpc(tau) + d) * eta(tau, PREC)
+                lhs = eta_mpc(cm_mobius((a, b, c, d), tau), PREC)
+                rhs = (eta_multiplier((a, b, c, d)) * mp.sqrt(c * cm_mpc(tau) + d)
+                       * eta_mpc(tau, PREC))
                 assert abs(lhs - rhs) < tol
 
     def test_periodicity_multiplier_chain(self):
@@ -148,8 +156,8 @@ class TestEta:
         with mp.workprec(PREC):
             total = mp.exp(mp.mpc(0, 1) * mp.pi * 24 / 12)
             assert abs(total - 1) < mp.mpf(2) ** (-PREC + 4)
-        v0 = eta(CMPoint(3, 9, 10, 1), PREC)
-        v24 = eta(CMPoint(243, 9, 10, 1), PREC)
+        v0 = eta_mpc(CMPoint(3, 9, 10, 1), PREC)
+        v24 = eta_mpc(CMPoint(243, 9, 10, 1), PREC)
         assert abs(v0 - v24) < mp.mpf(2) ** (-PREC + 10)
 
     def test_doubling_precision_halves_error(self):
@@ -157,17 +165,19 @@ class TestEta:
         for _ in range(10):
             tau = rational_point(rng, -0.5, 0.5, 0.3, 2.0)
             for p in (96, 128, 192):
-                lo = eta(tau, p)
-                hi = eta(tau, 2 * p)
+                lo = eta_mpc(tau, p)
+                hi = eta_mpc(tau, 2 * p)
                 with mp.workprec(2 * p):
                     assert abs(lo - hi) < mp.mpf(2) ** (-p + 10)
 
 
 class TestEtaQuotient:
     def test_single_factor_equals_eta(self):
-        spec = EtaQuotientSpec([(1, 1)])
         tau = CMPoint(2, 11, 10, 1)
-        assert _quotient(spec, tau) == eta(tau, PREC)
+        got = _quotient(ETA, tau)
+        with mp.workprec(PREC + 16):
+            want = eta_direct_series(cm_mpc(tau), PREC + 16)
+            assert abs(got - want) <= mp.mpf(2) ** (-PREC + 8) * abs(want)
 
     def test_factor_at_d_tau(self):
         # eta(d tau) is the factor eta(tau') at the exact point tau' = d tau
@@ -177,7 +187,7 @@ class TestEtaQuotient:
             for d in (2, 3, 12):
                 got = _quotient(EtaQuotientSpec([(d, 1)]), tau)
                 moved = CMPoint(d * tau.u, d * tau.v, tau.w, tau.n)
-                assert got == eta(moved, PREC)
+                assert got == eta_mpc(moved, PREC)
                 with mp.workprec(PREC + 16):
                     want = eta_direct_series(d * cm_mpc(tau), PREC + 16)
                     assert abs(got - want) <= mp.mpf(2) ** (-PREC + 8) * abs(want)
@@ -252,7 +262,7 @@ class TestEtaSeriesKernel:
         rng = random.Random(prec)
         for _ in range(12):
             tau = rational_point(rng, -3, 3, 0.35, 2.5)
-            got = eta(tau, prec)
+            got = eta_mpc(tau, prec)
             with mp.workprec(prec + 16):
                 want = eta_direct_series(cm_mpc(tau), prec + 16)
                 assert abs(got - want) <= mp.mpf(2) ** (-prec + 8) * abs(want)

@@ -16,8 +16,8 @@ from mpmath import mp
 
 import cfq.hauptmodul
 from conftest import (
-    H284, ball_mpc, cm_mobius, cm_mpc, eta_direct_series, level_keys, random_gamma0,
-    rational_point,
+    H284, ball_mpc, cm_mobius, cm_mpc, eta_direct_series, evaluate_mpc, level_keys,
+    random_gamma0, rational_point,
 )
 from cfq.classfield import ring_class_polynomial
 from cfq.elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
@@ -41,7 +41,7 @@ from cfq.hauptmodul import (
     evaluate,
 )
 from cfq.numerics import (
-    MAX_PREC_BITS, _GUARD, Ball, _exp_i_pi, _fixed_series, _powers, _to_mpc,
+    MAX_PREC_BITS, _GUARD, Ball, _exp_i_pi, _fixed_series, _powers,
 )
 from cfq.quadforms import enumerate_class_group
 
@@ -86,7 +86,7 @@ class TestCatalog:
         with pytest.raises(DomainError, match="vanished"):
             _laurent_sum(LaurentExpr({1: 1, -1: 4096}), Ball(0, 0, 0, 1.0), 112)
         value = _laurent_sum(LaurentExpr({1: 1, 0: 24}), Ball(0, 0, 0, 1.0), 112)
-        assert _to_mpc(value, 64) == 24
+        assert ball_mpc(value) == 24
 
     def test_not_genus_zero(self):
         with pytest.raises(NotGenusZeroError, match="11"):
@@ -326,7 +326,7 @@ class TestFrickeReduce:
             assert cm_mpc(z).imag < 1e-10
         _point, _gamma, steps = _ascend(z, 71)
         assert steps > 2
-        got = evaluate(catalog_lookup(71, "fricke"), z, prec)
+        got = evaluate_mpc(catalog_lookup(71, "fricke"), z, prec)
         ref = _series_reference(tau, prec + 256)
         with mp.workprec(prec + 256):
             assert abs(got - ref) <= mp.mpf(2) ** (ERROR_BITS - prec) * max(1, abs(ref))
@@ -339,20 +339,20 @@ class TestEvaluate:
     def test_fricke_sym_level2_fixed_point(self):
         entry = catalog_lookup(2, "fricke")
         # i / sqrt(2) = sqrt(-2) / 2
-        value = evaluate(entry, CMPoint(0, 1, 2, 2), PREC)
+        value = evaluate_mpc(entry, CMPoint(0, 1, 2, 2), PREC)
         assert abs(value - 152) < mp.mpf(2) ** (-PREC + 24)
 
     def test_eta_quotient_normalized_expansion(self):
         # at tau = 4i the shifted level-2 entry equals q^-1 + 276 q + O(q^2)
         entry = catalog_lookup(2, "gamma0")
-        value = evaluate(entry, CMPoint(0, 4, 1, 1), PREC)
+        value = evaluate_mpc(entry, CMPoint(0, 4, 1, 1), PREC)
         with mp.workprec(PREC + 16):
             q = mp.exp(-8 * mp.pi)
             assert abs(value - (1 / q + 276 * q)) < 3000 * q * q
 
     def test_qseries_71A_at_fricke_point(self):
         entry = catalog_lookup(71, "fricke")
-        value = evaluate(entry, fixed_point(EllipticElement(71, 0, -1, 1)), 128)
+        value = evaluate_mpc(entry, fixed_point(EllipticElement(71, 0, -1, 1)), 128)
         with mp.workprec(160):
             acc = mp.mpc(0)
             for c in reversed(H284.coeffs):
@@ -361,30 +361,30 @@ class TestEvaluate:
 
     def test_qseries_invariance_at_conjugate_points(self):
         entry = catalog_lookup(71, "fricke")
-        v_small = evaluate(entry, fixed_point(EllipticElement(71, 1, -36, 2)), 128)
-        v_deep = evaluate(entry, fixed_point(EllipticElement(71, 1, -2, 36)), 128)
+        v_small = evaluate_mpc(entry, fixed_point(EllipticElement(71, 1, -36, 2)), 128)
+        v_deep = evaluate_mpc(entry, fixed_point(EllipticElement(71, 1, -2, 36)), 128)
         with mp.workprec(128):
             assert abs(v_small - v_deep) < mp.mpf(2) ** -32
 
     def test_level1_series_at_i(self):
         entry = catalog_lookup(1, "gamma0")
-        value = evaluate(entry, CMPoint(0, 1, 1, 1), PREC)
+        value = evaluate_mpc(entry, CMPoint(0, 1, 1, 1), PREC)
         assert abs(value - 984) < mp.mpf(2) ** (-PREC + 40)
 
     def test_rejects_lower_half_plane(self):
         # a point below the axis is no CMPoint, and evaluate takes no other
         entry = catalog_lookup(2, "gamma0")
         with pytest.raises(DomainError):
-            evaluate(entry, CMPoint(0, -1, 1, 1), PREC)
+            evaluate_mpc(entry, CMPoint(0, -1, 1, 1), PREC)
         with pytest.raises(DomainError, match="CMPoint"):
-            evaluate(entry, mp.mpc(0, -1), PREC)
+            evaluate_mpc(entry, mp.mpc(0, -1), PREC)
 
     @pytest.mark.parametrize("prec", [-5, 0, 63, 16385, 64.0])
     def test_precision_out_of_range_refused(self, prec):
         # the range of a class polynomial's round, integers only, refused
-        # before any work: at -5 mpmath's final rounding never returned
+        # before any work
         with pytest.raises(DomainError, match="precision must be from 64 to 16384 bits"):
-            evaluate(catalog_lookup(12, "gamma0"), CMPoint(0, 1, 1, 1), prec)
+            evaluate_mpc(catalog_lookup(12, "gamma0"), CMPoint(0, 1, 1, 1), prec)
 
     @pytest.mark.parametrize("key", [(12, "gamma0"), (2, "fricke"), (71, "fricke")],
                              ids=lambda k: "%d-%s" % k)
@@ -393,17 +393,17 @@ class TestEvaluate:
         # the bits of i itself; and 10^1000 i, past the 2^500 that Im may
         # reach, is refused
         entry = catalog_lookup(*key)
-        assert (evaluate(entry, CMPoint(0, 1, 10**200, 10**400), 64)
-                == evaluate(entry, CMPoint(0, 1, 1, 1), 64))
+        assert (evaluate_mpc(entry, CMPoint(0, 1, 10**200, 10**400), 64)
+                == evaluate_mpc(entry, CMPoint(0, 1, 1, 1), 64))
         with pytest.raises(ConvergenceError, match="too far above"):
-            evaluate(entry, CMPoint(0, 1, 1, 10**2000), 64)
+            evaluate_mpc(entry, CMPoint(0, 1, 1, 10**2000), 64)
 
     def test_qseries_rejects_lower_half_plane(self):
         # the level-71 theta quotient: refused before any term is summed
         with pytest.raises(DomainError, match="upper half plane"):
-            evaluate(catalog_lookup(71, "fricke"), CMPoint(1, -2, 10, 1), PREC)
+            evaluate_mpc(catalog_lookup(71, "fricke"), CMPoint(1, -2, 10, 1), PREC)
         with pytest.raises(DomainError, match="CMPoint"):
-            evaluate(catalog_lookup(71, "fricke"), mp.mpc("0.1", "0.2"), PREC)
+            evaluate_mpc(catalog_lookup(71, "fricke"), mp.mpc("0.1", "0.2"), PREC)
 
 
 # The level-71 series of tests/data/fricke_71.qseries, 3,600 coefficients
@@ -439,7 +439,7 @@ def _reference_sum(tau):
 
 
 def _check_against_reference(tau, prec):
-    got = evaluate(catalog_lookup(71, "fricke"), tau, prec)
+    got = evaluate_mpc(catalog_lookup(71, "fricke"), tau, prec)
     ref = _reference_sum(tau)
     with mp.workprec(REF_PREC):
         assert abs(got - ref) <= mp.mpf(2) ** -(prec - 8) * max(1, abs(ref))
@@ -470,7 +470,7 @@ class TestQSeriesKernel:
             return _fixed_series(q, exponents, coeffs, coeff_bits, w, powers)
 
         monkeypatch.setattr(cfq.hauptmodul, "_fixed_series", recording)
-        evaluate(catalog_lookup(71, "fricke"), fixed_point(alpha), prec)
+        evaluate_mpc(catalog_lookup(71, "fricke"), fixed_point(alpha), prec)
         (signs, zero), (high_signs, high_zero), (coeffs, b) = seen
         assert zero == high_zero == 0 and set(signs) == {-1, 1}
         assert set(high_signs) <= {-1, 1}
@@ -498,7 +498,7 @@ class TestQSeriesKernel:
         monkeypatch.setattr(cfq.hauptmodul, "_fixed_series", recording_series)
         entry = catalog_lookup(71, "fricke")
         tau = fixed_point(enumerate_representatives(71, -71, enumerate_class_group(-71))[0])
-        evaluate(entry, tau, prec)
+        evaluate_mpc(entry, tau, prec)
         pentagonal = _pentagonal(1 << 8)[0]
         tables = [pentagonal, [71 * e for e in pentagonal], _theta_numerator(entry, 1 << 14)[0]]
         assert len(cutoffs) == 2 and len(sums) == 3
@@ -527,7 +527,7 @@ class TestQSeriesKernel:
         for alpha in LEVEL71_POINTS:
             built.clear()
             used.clear()
-            evaluate(entry, fixed_point(alpha), prec)
+            evaluate_mpc(entry, fixed_point(alpha), prec)
             assert len(built) == 1 and len(used) == 3
             (q, m, w), = built
             assert m >= 1 and all(u[0] == q and u[1] == w for u in used)
@@ -548,7 +548,7 @@ class TestQSeriesKernel:
         monkeypatch.setattr(cfq.hauptmodul, "_fixed_series", recording)
         tau = CMPoint(71, 1, 142, 3)
         assert _fricke_ascent(tau, 71) == tau
-        evaluate(catalog_lookup(71, "fricke"), tau, MAX_PREC_BITS)
+        evaluate_mpc(catalog_lookup(71, "fricke"), tau, MAX_PREC_BITS)
         assert len(seen) == 3
         for coeff_bits, w, total in seen:
             assert coeff_bits < 16 and total < 2**40
@@ -629,7 +629,7 @@ def _kleinj_reference(tau):
 
 
 def _check_documented_bound(entry, tau, prec):
-    got = evaluate(entry, tau, prec)
+    got = evaluate_mpc(entry, tau, prec)
     if isinstance(entry, ThetaQuotientHaupt):
         assert entry.level == 71
         ref = _series_reference(tau, prec + 256)
@@ -657,8 +657,8 @@ class TestDocumentedBound:
         # evaluation 256 bits deeper
         entry = catalog_lookup(71, "fricke")
         tau = fixed_point(alpha)
-        got = evaluate(entry, tau, prec)
-        ref = evaluate(entry, tau, prec + 256)
+        got = evaluate_mpc(entry, tau, prec)
+        ref = evaluate_mpc(entry, tau, prec + 256)
         with mp.workprec(prec + 256):
             assert abs(got - ref) <= mp.mpf(2) ** (ERROR_BITS - prec) * max(1, abs(ref))
 
@@ -680,7 +680,7 @@ class TestDocumentedBound:
         assert a * d - b * c == 1
         assert (Fraction(image.u, image.w), Fraction(image.n * image.v**2, image.w**2)) == (x, y2)
         assert abs(x) <= Fraction(1, 2) and x * x + y2 >= 1
-        got = evaluate(catalog_lookup(1, "gamma0"), tau, prec)
+        got = evaluate_mpc(catalog_lookup(1, "gamma0"), tau, prec)
         ref = _kleinj_reference(image)
         with mp.workprec(KLEINJ_PREC):
             assert abs(got - ref) <= mp.mpf(2) ** (ERROR_BITS - prec) * max(1, abs(ref))
@@ -710,8 +710,8 @@ class TestDocumentedBound:
         # the reference is a 256-bit-deeper evaluation of the same exact tau
         entry = catalog_lookup(level, group)
         tau = _above_three_tenths(im)
-        got = evaluate(entry, tau, 128)
-        ref = evaluate(entry, tau, 128 + 256)
+        got = evaluate_mpc(entry, tau, 128)
+        ref = evaluate_mpc(entry, tau, 128 + 256)
         with mp.workprec(128 + 256):
             assert abs(got - ref) <= mp.mpf(2) ** (ERROR_BITS - 128) * max(1, abs(ref))
 
@@ -726,9 +726,9 @@ class TestDocumentedBound:
         for high in (True, False):
             for _ in range(6):
                 tau = rational_point(rng, -3, 3, *((0.3, 1.5) if high else (1e-4, 0.3)))
-                got = evaluate(entry, tau, prec)
+                got = evaluate_mpc(entry, tau, prec)
                 if not high:
-                    ref = evaluate(entry, tau, prec + 256)
+                    ref = evaluate_mpc(entry, tau, prec + 256)
                 elif level == 71:
                     with mp.workprec(prec + 256):
                         ref = _theta_reference(entry, cm_mpc(tau), prec + 256)
@@ -746,8 +746,8 @@ class TestDocumentedBound:
         # terms past 1/q are below 2^-(10^7)
         entry = catalog_lookup(level, group)
         tau = CMPoint(0, 1, 10**6, 1)
-        got = evaluate(entry, tau, prec)
-        refs = [evaluate(entry, tau, prec + 256)]
+        got = evaluate_mpc(entry, tau, prec)
+        refs = [evaluate_mpc(entry, tau, prec + 256)]
         if level == 1:
             with mp.workprec(prec + 256 + 32):
                 refs.append(mp.exp(2 * mp.pi * 10**6))
@@ -761,17 +761,17 @@ class TestDocumentedBound:
         # and sqrt(n) within about 2^-176 10^38 = 2^-50, which moves the value
         # by more than the 2^-128 asked for, so no value is returned
         with pytest.raises(ConvergenceError, match="exceeds the bound"):
-            evaluate(catalog_lookup(2, "gamma0"), _above_three_tenths("1e-40"), 128)
+            evaluate_mpc(catalog_lookup(2, "gamma0"), _above_three_tenths("1e-40"), 128)
         # the theta quotient: i / 10^40 flips to 10^40 i / 71, and
         # exp(2 pi i tau) there is as uncertain
         with pytest.raises(ConvergenceError, match="exceeds the bound"):
-            evaluate(catalog_lookup(71, "fricke"), CMPoint(0, 1, 10**40, 1), 128)
+            evaluate_mpc(catalog_lookup(71, "fricke"), CMPoint(0, 1, 10**40, 1), 128)
         # 10^-20 above the axis the estimates, about 1e5 and 200 units, are
         # far smaller, and still above the 2^2 units evaluate may return with
         for entry, tau in ((catalog_lookup(2, "gamma0"), _above_three_tenths("1e-20")),
                            (catalog_lookup(71, "fricke"), CMPoint(0, 1, 10**20, 1))):
             with pytest.raises(ConvergenceError, match="exceeds the bound"):
-                evaluate(entry, tau, 128)
+                evaluate_mpc(entry, tau, 128)
 
 
 # T71 = 0 at (29 + sqrt(-11))/142, a root of 71 x^2 - 29 x + 3 (class number
@@ -817,12 +817,15 @@ class TestFixedPointValues:
             assert abs(got - want) <= value.rad * max(1, abs(got)) * mp.mpf(2) ** -w
 
     @pytest.mark.parametrize("w", [112, 304])
-    @pytest.mark.parametrize("tau", SMALL_VALUES, ids=["exact-zero", "zero", "quarter"])
+    @pytest.mark.parametrize("tau", SMALL_VALUES + [CMPoint(3, 51, 10, 1)],
+                             ids=["exact-zero", "zero", "quarter", "high"])
     def test_theta_with_q_off_by_its_radius(self, tau, w, monkeypatch):
         # q moved by 2^-(w - 56) of itself, with its radius grown to match:
         # the error of the pole, of both factors of D and of N is then far
         # above the tails, and the radius still holds the quotient summed at
-        # the point itself, also where N cancels
+        # the point itself, also where N cancels.  At 3/10 + 5.1 i, |t| ~
+        # 1/|q| and N's error over |q D| is far below the pole's, so only
+        # q's radius in the pole covers the move.
         shift = w - 56
 
         def moved(*args):
@@ -883,8 +886,7 @@ class TestFixedPointValues:
         got = [evaluate(entry, tau, 136) for tau in points]
         monkeypatch.undo()
         want = [evaluate(entry, tau, 136) for tau in points]
-        assert [(z.real._mpf_, z.imag._mpf_) for z in got] == \
-            [(z.real._mpf_, z.imag._mpf_) for z in want]
+        assert got == want
 
 
 def _above_three_tenths(im: str) -> CMPoint:
@@ -905,10 +907,10 @@ class TestCatalogValidation:
         with mp.workprec(PREC + 32):
             for _ in range(20):
                 tau = rational_point(rng, -0.5, 0.5, 0.8, 1.6)
-                base = evaluate(entry, tau, PREC)
+                base = evaluate_mpc(entry, tau, PREC)
                 for _ in range(5):
                     gamma = random_gamma0(rng, n)
-                    moved = evaluate(entry, cm_mobius(gamma, tau), PREC)
+                    moved = evaluate_mpc(entry, cm_mobius(gamma, tau), PREC)
                     assert abs(moved - base) < tol * max(1, abs(base))
 
     @pytest.mark.parametrize("n", sorted(GAMMA0_LEVELS - {1}))
@@ -919,11 +921,11 @@ class TestCatalogValidation:
         with mp.workprec(PREC + 32):
             for _ in range(8):
                 tau = rational_point(rng, -0.5, 0.5, 0.8, 1.6)
-                base = evaluate(entry, tau, PREC)
+                base = evaluate_mpc(entry, tau, PREC)
                 wtau = cm_mobius((0, -1, n, 0), tau)
-                assert abs(evaluate(entry, wtau, PREC) - base) < tol * max(1, abs(base))
+                assert abs(evaluate_mpc(entry, wtau, PREC) - base) < tol * max(1, abs(base))
                 gamma = random_gamma0(rng, n)
-                moved = evaluate(entry, cm_mobius(gamma, tau), PREC)
+                moved = evaluate_mpc(entry, cm_mobius(gamma, tau), PREC)
                 assert abs(moved - base) < tol * max(1, abs(base))
 
     @pytest.mark.parametrize("n", [23, 47, 71])
@@ -947,7 +949,7 @@ class TestCatalogValidation:
                 moved = [tau, cm_mobius((0, -1, n, 0), tau)] + [
                     cm_mobius(random_gamma0(rng, n), tau) for _ in range(2)]
                 for z in moved:
-                    assert abs(evaluate(entry, z, PREC) - ref) < tol * max(1, abs(ref))
+                    assert abs(evaluate_mpc(entry, z, PREC) - ref) < tol * max(1, abs(ref))
 
     @pytest.mark.parametrize("n", sorted(GAMMA0_LEVELS - {1}))
     def test_fricke_sym_product_identity(self, n):
@@ -961,7 +963,7 @@ class TestCatalogValidation:
         with mp.workprec(PREC + 32):
             for _ in range(20):
                 tau = rational_point(rng, -0.5, 0.5, 0.7, 1.8)
-                t1 = _to_mpc(eta_quotient(entry.spec, tau, PREC + _GUARD), PREC)
-                t2 = _to_mpc(eta_quotient(entry.spec, cm_mobius((0, -1, n, 0), tau), PREC + _GUARD),
-                             PREC)
+                t1 = ball_mpc(eta_quotient(entry.spec, tau, PREC + _GUARD))
+                t2 = ball_mpc(eta_quotient(entry.spec, cm_mobius((0, -1, n, 0), tau),
+                                           PREC + _GUARD))
                 assert abs(t1 * t2 - kappa) < tol * kappa

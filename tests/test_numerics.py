@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -10,10 +11,10 @@ from hypothesis import strategies as st
 import mpmath
 from mpmath import mp
 
-from conftest import H284, WEBER, ball_mpc, cpx, rounded
+from conftest import H284, WEBER, ball_mpc, cpx, mpc_ball, rounded
 from cfq.elliptic import CMPoint, EllipticElement, fixed_point
 from cfq.errors import DomainError, RoundingFailureError
-from cfq.eta import EtaQuotientSpec, eta, eta_quotient
+from cfq.eta import EtaQuotientSpec, eta_quotient
 from cfq.exactpoly import IntPoly, LaurentExpr, verify_root_relation
 from cfq.hauptmodul import catalog_lookup, evaluate
 from cfq.numerics import (
@@ -240,7 +241,7 @@ class TestPolyFromRoots:
     def test_conjugate_pair(self):
         poly, residual, _ = certify_int_poly([cpx(0, 1, 128), cpx(0, -1, 128)], -120, 128)
         assert poly == IntPoly([1, 0, 1])
-        assert residual < mp.mpf(2) ** -120
+        assert residual < 2.0**-120
 
     def test_conjugation_closed_imag_bound(self):
         # exact conjugate pairs and real roots: every imaginary part of the
@@ -253,21 +254,21 @@ class TestPolyFromRoots:
             for _ in range(rng.randint(0, 3)):
                 with mp.workprec(prec):
                     z = mp.mpc(rng.uniform(-9, 9), rng.uniform(-9, 9)) / 3
-                    roots += [z, mp.conj(z)]
+                    roots += [mpc_ball(z), mpc_ball(mp.conj(z))]
             roots += [cpx(rng.uniform(-9, 9), 0, prec) for _ in range(rng.randint(1, 2))]
-            _re, im = _expand([(_nearest(v.real, s), _nearest(v.imag, s)) for v in roots])
+            _re, im = _expand([(_nearest(v.re, v.exp + s), _nearest(v.im, v.exp + s))
+                               for v in roots])
             assert im == [0] * len(im)
         # and the residual of +-i sqrt(2) is the real part's distance alone:
         # its roots lie on the grid, so the constant term is exactly Y^2
         with mp.workprec(prec):
             y = mp.sqrt(2)
-            roots = [mp.mpc(0, y), mp.mpc(0, -y)]
+            roots = [mpc_ball(mp.mpc(0, y)), mpc_ball(mp.mpc(0, -y))]
         big = int(mp.ldexp(y, s))
         assert mp.ldexp(big, -s) == y
         poly, residual, _ = certify_int_poly(roots, -120, prec)
         assert poly == IntPoly([2, 0, 1])
-        with mp.workprec(4 * prec):
-            assert residual == abs(mp.ldexp(big * big, -2 * s) - 2)
+        assert residual == abs(Fraction(big * big, 1 << 2 * s) - 2)
 
 
 class TestRoundToIntPoly:
@@ -278,12 +279,12 @@ class TestRoundToIntPoly:
         roots = [cpx("1.0000000001", 0, 128), cpx("2.0000000001", 0, 128)]
         poly, residual, _ = certify_int_poly(roots, -100, 128)
         assert poly == IntPoly([2, -3, 1])
-        assert mp.mpf("2.9e-10") < residual < mp.mpf("3.1e-10")
+        assert Fraction("2.9e-10") < residual < Fraction("3.1e-10")
 
     def test_failure_carries_residual(self):
         with pytest.raises(RoundingFailureError) as exc:
             certify_int_poly([cpx(0.5, 0, 128)], -120, 128)
-        assert exc.value.residual == mp.mpf("0.5")
+        assert exc.value.residual == Fraction(1, 2)
 
     def test_rejects_bad_tolerance(self):
         # a radius as large as the roots leaves no tolerance: 1/2 - R_max < 0
@@ -315,9 +316,9 @@ class TestFindRoots:
     def test_roots_then_reassembly(self):
         prec = 160
         roots = polyroots(H284, prec)
-        poly, residual, _ = certify_int_poly(roots, -100, prec)
+        poly, residual, _ = certify_int_poly([mpc_ball(r) for r in roots], -100, prec)
         assert poly == H284
-        assert residual < mp.mpf(2) ** (-prec // 2)
+        assert residual < 2.0 ** (-prec // 2)
         # successful rounding implies the integer polynomial nearly vanishes
         # at every input root
         norm = max(abs(c) for c in poly.coeffs)
@@ -359,7 +360,7 @@ class TestCertifyIntPoly:
         # the x coefficient of (x + 1 + e)(x + 2 + 2e)(x + 3 + 3e)^2 -
         # (x + 1)(x + 2)(x + 3)^2 is 117e to first order, e = 2^-120; the
         # grid of 2^-136 the roots are rounded to adds 2^-136 to each e
-        assert mp.mpf(2) ** -120 * 117 < r_max < mp.mpf(2) ** -120 * 125
+        assert 117 * 2.0**-120 < r_max < 125 * 2.0**-120
 
     def test_rejects_ball_holding_two_integers(self):
         # the computed coefficients are exact integers, but with the roots 1
@@ -374,7 +375,7 @@ class TestCertifyIntPoly:
         # because the ball around -3.2 then reaches -3.6, nearer to -4
         roots = [cpx("3.2", 0, 64)]
         poly, residual, r_max = certify_int_poly(roots, -5, 64)
-        assert poly == IntPoly([-3, 1]) and residual + r_max < mp.mpf(0.5)
+        assert poly == IntPoly([-3, 1]) and residual + r_max < Fraction(1, 2)
         with pytest.raises(RoundingFailureError):
             certify_int_poly(roots, -3, 64)
 
@@ -388,7 +389,7 @@ class TestCertifyIntPoly:
         for _ in range(30):
             values = [cpx(rng.uniform(-40, 40), rng.uniform(-40, 40), prec)
                       for _ in range(rng.randint(1, 8))]
-            roots = [(_nearest(v.real, s), _nearest(v.imag, s)) for v in values]
+            roots = [(_nearest(v.re, v.exp + s), _nearest(v.im, v.exp + s)) for v in values]
             h = len(roots)
             r_max = mp.ldexp(_coefficient_radius(roots, radius_log2, s), -s)
             with mp.workprec(4 * prec):
@@ -396,7 +397,7 @@ class TestCertifyIntPoly:
                             for k, (x, y) in enumerate(zip(*_expand(roots)))]
                 true_roots = [
                     v + mp.ldexp(max(1, abs(v)), radius_log2) * mp.expj(rng.uniform(0, 7))
-                    for v in values
+                    for v in map(ball_mpc, values)
                 ]
                 exact = _product(true_roots)
                 slack = max(abs(c - e) / r_max for c, e in zip(computed, exact))
@@ -432,8 +433,9 @@ class TestCertifyIntPoly:
                         for k in range(len(want) + len(f) - 1)]
             assert poly == IntPoly(want)
             with mp.workprec(4 * prec):
-                distance = max(abs(c - n) for c, n in zip(_product(values), want))
-            assert residual <= r_max and distance <= r_max
+                distance = max(abs(c - n) for c, n in zip(_product(map(ball_mpc, values)), want))
+                assert distance <= mp.mpf(r_max.numerator) / r_max.denominator
+            assert residual <= r_max
 
 
 def _product(roots) -> list:
@@ -464,20 +466,19 @@ class TestPrecisionContract:
     def test_evaluate_level71(self, prec):
         # the C = 2 point: the shipped data supports 448 bits there
         tau = fixed_point(EllipticElement(71, 1, -36, 2))
-        _assert_rounded(evaluate(catalog_lookup(71, "fricke"), tau, prec), prec)
+        _assert_rounded(ball_mpc(evaluate(catalog_lookup(71, "fricke"), tau, prec)), prec)
 
     @pytest.mark.parametrize("prec", PRECS)
     def test_evaluate_at_complex_point(self, prec):
         tau = CMPoint(1, 13, 10, 1)
         for level, group in [(2, "gamma0"), (2, "fricke"), (1, "gamma0")]:
-            _assert_rounded(evaluate(catalog_lookup(level, group), tau, prec), prec)
+            _assert_rounded(ball_mpc(evaluate(catalog_lookup(level, group), tau, prec)), prec)
 
     @pytest.mark.parametrize("prec", PRECS)
     def test_eta_and_eta_quotient(self, prec):
         # eta_quotient returns a ball at the working scale it is given: its
         # mantissa is cut to that scale, a few bits above it at most
         tau = CMPoint(1, 13, 10, 1)
-        _assert_rounded(eta(tau, prec), prec)
         value = eta_quotient(EtaQuotientSpec([(1, 6), (5, -6)]), tau, prec)
         assert prec < max(abs(value.re), abs(value.im)).bit_length() <= prec + 4
 
@@ -485,10 +486,11 @@ class TestPrecisionContract:
     def test_find_roots_and_certify(self, prec):
         # an integer polynomial, a residual rounded up to prec bits and a
         # radius on the grid of 2^-(prec + 8)
-        poly, residual, r_max = certify_int_poly(polyroots(H284, prec), 40 - prec, prec)
+        roots = [mpc_ball(r) for r in polyroots(H284, prec)]
+        poly, residual, r_max = certify_int_poly(roots, 40 - prec, prec)
         assert poly == H284
-        _assert_rounded(mp.mpc(residual), prec)
-        assert mp.ldexp(r_max, prec + 8) == int(mp.ldexp(r_max, prec + 8))
+        assert residual.numerator.bit_length() <= prec
+        assert (r_max * 2 ** (prec + 8)).denominator == 1
 
 
 # the working scales of evaluate at 64, 256 and 1024 bits
