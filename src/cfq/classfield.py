@@ -32,8 +32,8 @@ from fractions import Fraction
 from .elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
 from .errors import DomainError
 from .exactpoly import IntPoly
-from .hauptmodul import ERROR_BITS, catalog_lookup, evaluate, value_text
-from .numerics import Ball, PrecisionPolicy, _decimal, certify_int_poly
+from .hauptmodul import ERROR_BITS, catalog_lookup, evaluate
+from .numerics import Ball, PrecisionPolicy, certify_int_poly
 from .quadforms import ClassGroup, IdealClass, compose, enumerate_class_group
 
 __all__ = [
@@ -74,30 +74,6 @@ class ClassPolyResult:
     prec_bits: int
     points: SingularValueSet
     r_max: Fraction
-
-    def to_json_dict(self) -> dict:
-        points = []
-        for cls, alpha, _tau, value in self.points.entries:
-            value_re, value_im = value_text(value, self.prec_bits)
-            points.append(
-                {
-                    "class": cls.rep.text(),
-                    "element": alpha.text(),
-                    "value_re": value_re,
-                    "value_im": value_im,
-                }
-            )
-        return {
-            "level": self.points.n,
-            "group": self.points.group,
-            "disc": self.points.disc,
-            "class_number": self.points.class_group.class_number,
-            "poly": [str(c) for c in self.poly.coeffs],
-            "residual": _decimal(self.residual, 10),
-            "r_max": _decimal(self.r_max, 10),
-            "prec_bits": self.prec_bits,
-            "points": points,
-        }
 
 
 def singular_values(n: int, group: str, disc: int, prec: int) -> SingularValueSet:

@@ -8,24 +8,31 @@ Subcommands:
   verify       built-in level-71 verification suite (--paper71)
   catalog      list all genus-zero catalog entries
 
-Exit codes: 0 success, 1 domain, parse or rounding error.  JSON output
-uses canonical (sorted) key order with all floating-point quantities
-rendered as decimal strings.
+Each subcommand builds one JSON object and its text lines, and prints the
+lines or, with --json, the object in canonical (sorted) key order, every
+number that is not an integer a decimal string, rounded half up.  No other
+module of cfq turns results into text.
+
+Exit codes: 0 success, 1 domain, parse or rounding error or a failed
+verification check.
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
+import math
 import sys
+from fractions import Fraction
 
-from .classfield import ring_class_polynomial
+from .classfield import ClassPolyResult, ring_class_polynomial
 from .elliptic import EllipticElement, enumerate_representatives, fixed_point, order_of
 from .errors import CfqError
 from .exactpoly import IntPoly, LaurentExpr, verify_root_relation
-from .hauptmodul import catalog_entries, catalog_lookup, evaluate, value_text
-from .numerics import MAX_PREC_BITS, MIN_PREC_BITS, PrecisionPolicy
+from .hauptmodul import ERROR_BITS, catalog_entries, catalog_lookup, evaluate
+from .numerics import MAX_PREC_BITS, MIN_PREC_BITS, Ball, PrecisionPolicy
 from .quadforms import enumerate_class_group
 
 __all__ = ["main", "run", "verify_level71"]
@@ -94,87 +101,113 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+def _decimal(x: Fraction, n: int) -> str:
+    """x with n significant digits, rounded half up, as a decimal literal.
+
+    With k the decimal exponent of the leading digit, x prints in fixed
+    point when min(-(n // 3), -5) < k < n and as d.ddd e+-k otherwise,
+    trailing zeros stripped down to one digit after the point; 0 is 0.0.
+    """
+    if not x:
+        return "0.0"
+    context = decimal.Context(n, decimal.ROUND_HALF_UP, decimal.MIN_EMIN, decimal.MAX_EMAX)
+    quotient = context.divide(x.numerator, x.denominator)
+    sign, digits, _ = quotient.as_tuple()
+    digits, split, k = "".join(map(str, digits)), 1, quotient.adjusted()
+    if min(-(n // 3), -5) < k < n:
+        digits, split, k = ("0" * -k + digits, 1, 0) if k < 0 else (digits, k + 1, 0)
+    text = (digits[:split] + "." + digits[split:]).rstrip("0")
+    return "-" * sign + text + ("0" if text.endswith(".") else "") + (f"e{k:+d}" if k else "")
 
 
-def _cmd_class_poly(args, out) -> int:
+def value_digits(prec: int) -> int:
+    """Significant decimal digits of a value that evaluate's bound supports at prec bits."""
+    return math.floor((prec - ERROR_BITS) * math.log10(2))
+
+
+def value_text(value: Ball, prec: int) -> tuple[str, str]:
+    """The real and imaginary parts of an `evaluate` result at prec bits as text.
+
+    Each part x gets floor(log10(|x| / bound)) significant digits, at most
+    value_digits(prec), where bound = 2^(ERROR_BITS - prec) * max(1, |value|)
+    is evaluate's bound; a part at or below the bound prints as 0.0.  The
+    digit count is exact: (|x| / bound)^2 is a rational number.
+    """
+    scale = Fraction(2) ** value.exp
+    bound2 = (Fraction(2) ** (2 * (ERROR_BITS - prec))
+              * max(1, (value.re**2 + value.im**2) * scale**2))
+    parts = []
+    for x in (value.re, value.im):
+        # (|x| / bound)^2 >= 100^digits
+        ratio2 = x * x * scale**2 / bound2
+        if ratio2 <= 1:
+            parts.append("0.0")
+            continue
+        digits = (ratio2.numerator.bit_length() - ratio2.denominator.bit_length()) * 3 // 20
+        while 100 ** (digits + 1) <= ratio2:
+            digits += 1
+        while 100**digits > ratio2:
+            digits -= 1
+        parts.append(_decimal(x * scale, max(1, min(digits, value_digits(prec)))))
+    return parts[0], parts[1]
+
+
+def _class_poly_json(result: ClassPolyResult) -> dict:
+    points = []
+    for cls, alpha, _tau, value in result.points.entries:
+        value_re, value_im = value_text(value, result.prec_bits)
+        points.append({"class": cls.rep.text(), "element": alpha.text(),
+                       "value_re": value_re, "value_im": value_im})
+    return {
+        "level": result.points.n,
+        "group": result.points.group,
+        "disc": result.points.disc,
+        "class_number": result.points.class_group.class_number,
+        "poly": [str(c) for c in result.poly.coeffs],
+        "residual": _decimal(result.residual, 10),
+        "r_max": _decimal(result.r_max, 10),
+        "prec_bits": result.prec_bits,
+        "points": points,
+    }
+
+
+def _cmd_class_poly(args):
     policy = PrecisionPolicy() if args.prec_bits is None else PrecisionPolicy(args.prec_bits)
     result = ring_class_polynomial(args.level, args.group, args.disc, policy)
-    if args.json:
-        out.write(_emit_json(result.to_json_dict()) + "\n")
-    else:
-        out.write(result.poly.text() + "\n")
-    return 0
+    # the text prints no value, so it skips their decimal digits
+    return _class_poly_json(result) if args.json else None, [result.poly.text()]
 
 
-def _cmd_class_group(args, out) -> int:
+def _cmd_class_group(args):
     cg = enumerate_class_group(args.disc)
-    if args.json:
-        obj = {
-            "disc": cg.disc,
-            "class_number": cg.class_number,
-            "classes": [cls.rep.text() for cls in cg.classes],
-            "table": [list(row) for row in cg.table],
-        }
-        out.write(_emit_json(obj) + "\n")
-    else:
-        for cls in cg.classes:
-            out.write(cls.rep.text() + "\n")
-        out.write(f"h = {cg.class_number}\n")
-        for row in cg.table:
-            out.write(" ".join(str(k) for k in row) + "\n")
-    return 0
+    classes = [cls.rep.text() for cls in cg.classes]
+    obj = {"disc": cg.disc, "class_number": cg.class_number, "classes": classes,
+           "table": [list(row) for row in cg.table]}
+    return obj, [*classes, f"h = {cg.class_number}",
+                 *(" ".join(str(k) for k in row) for row in cg.table)]
 
 
-def _cmd_reps(args, out) -> int:
-    reps_list = []
+def _cmd_reps(args):
     cg = enumerate_class_group(args.disc)
+    reps = []
     for cls, alpha in zip(cg.classes, enumerate_representatives(args.level, args.disc, cg)):
         tau = fixed_point(alpha)
-        reps_list.append((cls, alpha, tau))
-    if args.json:
-        obj = {
-            "level": args.level,
-            "disc": args.disc,
-            "representatives": [
-                {
-                    "class": cls.rep.text(),
-                    "element": alpha.text(),
-                    "tau": f"({tau.u}+{tau.v}*sqrt(-{tau.n}))/{tau.w}",
-                }
-                for cls, alpha, tau in reps_list
-            ],
-        }
-        out.write(_emit_json(obj) + "\n")
-    else:
-        for cls, alpha, tau in reps_list:
-            out.write(
-                f"{alpha.text()}@{args.level}  class {cls.rep.text()}  "
-                f"tau=({tau.u}+{tau.v}*sqrt(-{tau.n}))/{tau.w}\n"
-            )
-    return 0
+        reps.append({"class": cls.rep.text(), "element": alpha.text(),
+                     "tau": f"({tau.u}+{tau.v}*sqrt(-{tau.n}))/{tau.w}"})
+    obj = {"level": args.level, "disc": args.disc, "representatives": reps}
+    return obj, [f"{r['element']}@{args.level}  class {r['class']}  tau={r['tau']}"
+                 for r in reps]
 
 
-def _cmd_eval(args, out) -> int:
+def _cmd_eval(args):
     prec = 256 if args.prec_bits is None else args.prec_bits
     alpha = EllipticElement.from_text(args.element, args.level)
     spec = catalog_lookup(args.level, args.group)
     value_re, value_im = value_text(evaluate(spec, fixed_point(alpha), prec), prec)
-    if args.json:
-        obj = {
-            "level": args.level,
-            "group": args.group,
-            "element": alpha.text(),
-            "disc": order_of(alpha),
-            "prec_bits": prec,
-            "value_re": value_re,
-            "value_im": value_im,
-        }
-        out.write(_emit_json(obj) + "\n")
-    else:
-        out.write(f"{value_re} {value_im}\n")
-    return 0
+    obj = {"level": args.level, "group": args.group, "element": alpha.text(),
+           "disc": order_of(alpha), "prec_bits": prec,
+           "value_re": value_re, "value_im": value_im}
+    return obj, [f"{value_re} {value_im}"]
 
 
 def verify_level71() -> list[tuple[str, bool]]:
@@ -199,26 +232,16 @@ def verify_level71() -> list[tuple[str, bool]]:
     return checks
 
 
-def _cmd_verify(args, out) -> int:
+def _cmd_verify(args):
     if not args.paper71:
         raise CfqError("nothing to verify: pass --paper71")
     checks = verify_level71()
-    if args.json:
-        out.write(_emit_json({name: ok for name, ok in checks}) + "\n")
-    else:
-        for name, ok in checks:
-            out.write(f"{'PASS' if ok else 'FAIL'} {name}\n")
-    return 0 if all(ok for _, ok in checks) else 1
+    return dict(checks), [f"{'PASS' if ok else 'FAIL'} {name}" for name, ok in checks]
 
 
-def _cmd_catalog(args, out) -> int:
+def _cmd_catalog(args):
     entries = catalog_entries()
-    if args.json:
-        out.write(_emit_json(entries) + "\n")
-    else:
-        for e in entries:
-            out.write(f"{e['group']:7s} {e['level']:3d}  {e['kind']}\n")
-    return 0
+    return entries, [f"{e['group']:7s} {e['level']:3d}  {e['kind']}" for e in entries]
 
 
 _COMMANDS = {
@@ -241,11 +264,21 @@ def run(argv, out=None, err=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args, out)
+        obj, lines = _COMMANDS[args.command](args)
     except CfqError as exc:
         err.write(f"cfq: error: {exc}\n")
         return 1
+    if args.json:
+        out.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    else:
+        out.writelines(line + "\n" for line in lines)
+    # verify's object maps each check to its outcome
+    return int(args.command == "verify" and not all(obj.values()))
 
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -203,7 +203,9 @@ def _cm_ball(p: int, s: int, t: int, n: int, w: int) -> Ball:
 
     At 2^b, b = w + 2 + max(0, len(t) - len(p^2 + s^2 n) // 2), the value is
     above 2^(w + 3/2); its real part is floored within 1, its imaginary part
-    within s/t + 1 <= |value| / sqrt(n) + 1: within 1 unit of 2^-w.
+    within s/t + 1 <= |value| / sqrt(n) + 1: within 1 unit of 2^-w.  The
+    shift to w + 1 bits adds 1.5, and a floor of a floor is one floor, so
+    only sqrt(n)'s truncation can carry the error past that 1.5 alone.
     """
     b = w + 2 + max(0, t.bit_length() - (p * p + s * s * n).bit_length() // 2)
     return _normal((p << b) // t, (s * _root(n, b)) // t, -b, 1.0, w)

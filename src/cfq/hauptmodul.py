@@ -59,7 +59,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from math import isqrt
 
@@ -68,7 +67,7 @@ from .errors import ConvergenceError, DomainError, NoConstructionError, NotGenus
 from .eta import EtaQuotientSpec, _ascend, _imag, _pentagonal, _pentagonal_count, eta_quotient
 from .exactpoly import LaurentExpr
 from .numerics import (
-    _GUARD, Ball, _check_prec, _decimal, _div, _fixed, _fixed_series, _exp_i_pi, _mag, _mul,
+    _GUARD, Ball, _check_prec, _div, _fixed, _fixed_series, _exp_i_pi, _mag, _mul,
     _powers, _ratio, _round, _sum,
 )
 
@@ -80,8 +79,6 @@ __all__ = [
     "catalog_lookup",
     "catalog_entries",
     "evaluate",
-    "value_digits",
-    "value_text",
     "ERROR_BITS",
 ]
 
@@ -248,38 +245,6 @@ def evaluate(spec, tau: CMPoint, prec: int) -> Ball:
             f"bound 2^({ERROR_BITS - 1} - {prec}) * max(1, |t|) at this point"
         )
     return _round(value, prec, err + 1)
-
-
-def value_digits(prec: int) -> int:
-    """Significant decimal digits of a value that evaluate's bound supports at prec bits."""
-    return math.floor((prec - ERROR_BITS) * math.log10(2))
-
-
-def value_text(value: Ball, prec: int) -> tuple[str, str]:
-    """The real and imaginary parts of an `evaluate` result at prec bits as text.
-
-    Each part x gets floor(log10(|x| / bound)) significant digits, at most
-    value_digits(prec), where bound = 2^(ERROR_BITS - prec) * max(1, |value|)
-    is evaluate's bound; a part at or below the bound prints as 0.0.  The
-    digit count is exact: (|x| / bound)^2 is a rational number.
-    """
-    scale = Fraction(2) ** value.exp
-    bound2 = (Fraction(2) ** (2 * (ERROR_BITS - prec))
-              * max(1, (value.re**2 + value.im**2) * scale**2))
-    parts = []
-    for x in (value.re, value.im):
-        # (|x| / bound)^2 >= 100^digits
-        ratio2 = x * x * scale**2 / bound2
-        if ratio2 <= 1:
-            parts.append("0.0")
-            continue
-        digits = (ratio2.numerator.bit_length() - ratio2.denominator.bit_length()) * 3 // 20
-        while 100 ** (digits + 1) <= ratio2:
-            digits += 1
-        while 100**digits > ratio2:
-            digits -= 1
-        parts.append(_decimal(x * scale, max(1, min(digits, value_digits(prec)))))
-    return parts[0], parts[1]
 
 
 def _laurent_sum(laurent: LaurentExpr, t: Ball, w: int) -> Ball:

@@ -20,6 +20,7 @@ from cfq.classfield import (
     ring_class_polynomial,
     singular_values,
 )
+from cfq.cli import _class_poly_json
 from cfq.elliptic import EllipticElement, enumerate_representatives, fixed_point
 from cfq.errors import DomainError, RoundingFailureError
 from cfq.exactpoly import IntPoly
@@ -351,7 +352,7 @@ class TestRingClassPolynomial:
 
     def test_json_payload(self):
         result = ring_class_polynomial(71, "fricke", -284)
-        obj = result.to_json_dict()
+        obj = _class_poly_json(result)
         assert obj["level"] == 71 and obj["disc"] == -284
         assert obj["class_number"] == 7
         assert obj["poly"] == [str(c) for c in H284.coeffs]

@@ -3,8 +3,11 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -12,9 +15,10 @@ import pytest
 
 from conftest import ball_mpc, level_keys
 from cfq.classfield import singular_values
-from cfq.cli import run
+from cfq.cli import _decimal, run, value_digits
 from cfq.errors import RoundingFailureError
-from cfq.hauptmodul import ERROR_BITS, value_digits
+from cfq.exactpoly import IntPoly
+from cfq.hauptmodul import ERROR_BITS
 
 
 def invoke(argv):
@@ -232,6 +236,23 @@ class TestVerify:
         code, _, err = invoke(["verify"])
         assert code == 1
 
+    def test_failed_check_exits_1(self, monkeypatch):
+        # x * H71 is not the class polynomial, but still has the root that
+        # the Weber relation names: exactly one check fails
+        import cfq.cli
+
+        wrong = IntPoly((0,) + cfq.cli.MINPOLY_DISC_71.coeffs)
+        monkeypatch.setattr(cfq.cli, "MINPOLY_DISC_71", wrong)
+        code, out, _ = invoke(["verify", "--paper71"])
+        lines = out.splitlines()
+        assert code == 1 and len(lines) == 4
+        assert [line for line in lines if not line.startswith("PASS ")] == [
+            "FAIL class polynomial disc -71"]
+        code, out, _ = invoke(["verify", "--paper71", "--json"])
+        obj = json.loads(out)
+        assert code == 1 and len(obj) == 4
+        assert [name for name, ok in obj.items() if not ok] == ["class polynomial disc -71"]
+
 
 class TestCatalog:
     def test_inventory(self):
@@ -250,6 +271,99 @@ class TestCatalog:
         code, out, _ = invoke(["catalog", "--json"])
         obj = json.loads(out)
         assert json.dumps(obj, indent=2, sort_keys=True) + "\n" == out
+
+
+def _leading(x: Fraction) -> int:
+    """k with 10^k <= |x| < 10^(k+1), by integer comparisons."""
+    a, b = abs(x.numerator), x.denominator
+    k = (a.bit_length() - b.bit_length()) * 3 // 10
+    while (10**(k + 1) * b <= a) if k >= -1 else (b <= a * 10**(-k - 1)):
+        k += 1
+    while (10**k * b > a) if k >= 0 else (b > a * 10**-k):
+        k -= 1
+    return k
+
+
+@contextmanager
+def _no_digit_limit():
+    # Fraction(text) converts the digits with int(), which refuses more
+    # than 4,300 by default
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def check_decimal(x: Fraction, n: int) -> str:
+    """_decimal(x, n), checked against x exactly: the value, the digits and the layout."""
+    text = _decimal(x, n)
+    if not x:
+        assert text == "0.0"
+        return text
+    with _no_digit_limit():
+        y = Fraction(text)
+    # within half a unit of the n-th digit, ties away from zero
+    half = Fraction(10) ** (_leading(x) - n + 1) / 2
+    assert abs(y - x) <= half, (x, n, text)
+    assert abs(y - x) < half or abs(y) > abs(x), (x, n, text)
+    mantissa, _, _ = text.partition("e")
+    digits = mantissa.lstrip("-").replace(".", "").lstrip("0")
+    assert len(digits) <= n or set(digits[n:]) == {"0"}
+    # trailing zeros stripped down to one digit after the point
+    assert "." in mantissa and (mantissa.endswith(".0") or not mantissa.endswith("0"))
+    # fixed point exactly for min(-(n // 3), -5) < k < n, k the printed exponent
+    fixed = min(-(n // 3), -5) < _leading(y) < n
+    assert ("e" not in text) == fixed, (x, n, text)
+    return text
+
+
+class TestDecimal:
+    """The decimal printer of every number the CLI shows, against exact rationals."""
+
+    def test_ties_round_away_from_zero(self):
+        assert check_decimal(Fraction(1, 8), 2) == "0.13"
+        assert check_decimal(Fraction(-1, 8), 2) == "-0.13"
+        assert check_decimal(Fraction(5, 2), 1) == "3.0"
+        assert check_decimal(Fraction(0), 10) == "0.0"
+
+    def test_carry_into_a_new_digit(self):
+        assert check_decimal(Fraction(9995, 10000), 3) == "1.0"
+        assert check_decimal(Fraction(-99995, 10), 4) == "-1.0e+4"
+        assert check_decimal(Fraction(99995, 10**10), 4) == "1.0e-5"
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 18, 30])
+    def test_both_sides_of_each_layout_switch(self, n):
+        low = min(-(n // 3), -5)
+        for k in (n - 1, n, low, low + 1):
+            for lead in (1, 7, -3):
+                text = check_decimal(Fraction(lead * 10**(k + 40) + 12345, 10**40), n)
+                assert ("e" in text) == (k in (n, low))
+
+    @pytest.mark.parametrize("n", [1, 3, 10, 17, 18, 50, 300])
+    def test_random_fractions(self, n):
+        rng = random.Random(n)
+        for _ in range(400):
+            x = Fraction(rng.randrange(-10**rng.randrange(1, 60), 10**rng.randrange(1, 60)),
+                         rng.randrange(1, 10**rng.randrange(1, 60)))
+            check_decimal(x, n)
+            check_decimal(x * Fraction(10) ** rng.randrange(-40, 40), n)
+
+    def test_past_the_str_digit_limit(self):
+        # 4,929 digits, the most a 16384-bit value prints
+        n = 4929
+        assert check_decimal(Fraction(1, 3), n) == "0." + "3" * n
+        assert check_decimal(Fraction(-2, 3), n) == "-0." + "6" * (n - 1) + "7"
+        rng = random.Random(n)
+        x = Fraction(rng.getrandbits(16384) | 1 << 16383, 1 << 16384)
+        assert len(check_decimal(x, n)) == n + 2
+
+    def test_near_the_smallest_residual(self):
+        # 2^-16384 is about 10^-4932
+        assert check_decimal(Fraction(1, 1 << 16384), 10) == "8.405257858e-4933"
+        check_decimal(Fraction(-3, 10**4932 + 1), 10)
+        check_decimal(Fraction(10**4940 - 1, 10**9872), 4929)
 
 
 class TestParsing:
@@ -291,10 +405,26 @@ assert "mpmath" not in sys.modules, loaded[:5]
 """
 
 
-def test_no_mpmath_loaded():
+def _python(*argv):
+    """A fresh interpreter on argv, importing cfq from this checkout's src/."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", STANDARD_LIBRARY_ONLY], env=env,
+    return subprocess.run([sys.executable, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_no_mpmath_loaded():
+    done = _python("-c", STANDARD_LIBRARY_ONLY)
     assert done.returncode == 0, done.stderr
+
+
+def test_python_m_runs_the_command():
+    # `python -m cfq.cli` is the `cfq` entry point, exit code included
+    done = _python("-m", "cfq.cli", "verify", "--paper71")
+    lines = done.stdout.splitlines()
+    assert done.returncode == 0 and len(lines) == 4
+    assert all(line.startswith("PASS ") for line in lines)
+    done = _python("-m", "cfq.cli", "frobnicate")
+    assert done.returncode == 1 and done.stdout == ""
+    assert "invalid choice" in done.stderr

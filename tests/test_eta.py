@@ -358,6 +358,19 @@ class TestAscend:
                 assert abs(got - cm_mpc(out)) <= z.rad * abs(got) * mp.mpf(2) ** -prec
         assert steps > 10
 
+    @pytest.mark.parametrize("p, s, t, w", [(1055946471, 1432572419579, 2019766045369, 189),
+                                            (-1610964187, 1346393184131, 1896013997463, 70)])
+    def test_cm_ball_past_the_shift_charge(self, p, s, t, w):
+        # (p + s sqrt(-2)) / t of modulus near 1 and mostly imaginary, with
+        # both parts' floors and sqrt(2)'s truncation near a whole unit: the
+        # error passes the 1.5 units the shift down to w + 1 bits charges,
+        # and only the 1-unit radius covers it
+        z = _cm_ball(p, s, t, 2, w)
+        with mp.workprec(w + 300):
+            got = ball_mpc(z)
+            err = abs(got - mpmath.mpc(p, s * mpmath.sqrt(2)) / t) / abs(got) * mp.mpf(2) ** w
+        assert 1.51 < err <= z.rad == 2.5
+
     @pytest.mark.parametrize("flips", [1, 2, 5])
     def test_matrix_at_level_71(self, flips):
         # a point of the window moved down by `flips` flips, each followed by

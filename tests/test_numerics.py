@@ -561,6 +561,29 @@ class TestFixedPoint:
             assert coeffs[0] < 2**1023
             assert coeffs[0].bit_length() + (n * (n + 1)).bit_length() < 1023
 
+    @pytest.mark.parametrize("w", [112, 113, 139, 421, 1072, 4112, 8112])
+    def test_exp_guard_terms_below_an_eighth(self, w):
+        # the plan's guard bits keep the charged error of the series and the
+        # squarings below 1/8 unit of 2^-w, besides the shift's 1.5 and
+        # ln 2's 2|k|: 0.068 at w = 112, 0.093 at 421 and 0.092 at 4112
+        j, g, _ = _exp_plan(w)
+        for x, y in ((1, 3 << w), (-(37 << w) // 10, -(1 << w)), (5 << w, 0)):
+            z = _exp(x, y, w)
+            k = (x << g) // _ln2(w + g)
+            assert z.rad - 1.5 - math.ldexp(abs(k), 1 - g) < 1 / 8
+
+    @pytest.mark.parametrize("w", [709, 958])
+    def test_exp_where_ln2_dominates(self, w):
+        # exp(-2^60): x = k ln 2 + r takes |k| = 1.7e18 copies of ln 2 2^s,
+        # floored by 0.995 units at these scales and charged 2 units each,
+        # so the error is half the radius; 4 guard bits fewer make it 8 times
+        x = -(1 << (w + 60))
+        z = _exp(x, 0, w)
+        with mp.workprec(w + 300):
+            got = ball_mpc(z)
+            err = abs(got - mp.exp(mp.mpf(x) / mp.mpf(2) ** w)) / abs(got) * mp.mpf(2) ** w
+        assert 0.49 * z.rad < err <= 0.5 * z.rad
+
     def test_exp_refuses_a_wide_imaginary_part(self):
         with pytest.raises(DomainError, match="Im"):
             _exp(0, (4 << 112) + 1, 112)

@@ -1,4 +1,4 @@
-"""The bytes `cfq class-poly --json` and `cfq eval` print, pinned for every key that computes."""
+"""The bytes every `cfq` subcommand prints, pinned: class-poly and eval for every key that computes."""
 
 import hashlib
 import io
@@ -62,3 +62,47 @@ def test_class_poly_json_at_the_ceiling():
     assert obj["poly"] == ["7", "11", "6", "1"]
     assert "e-" in obj["residual"] and len(obj["residual"].split("e")[0]) <= 11
     assert 0 <= float(obj["residual"]) + float(obj["r_max"]) < 0.5
+
+
+def _key_argvs():
+    # class-poly text and eval --json at each representative, default precisions
+    for n, group, disc in KEYS:
+        key = ["-n", str(n), "--group", group]
+        yield ["class-poly", *key, "-D", str(disc)]
+        obj = json.loads(_run(["class-poly", *key, "-D", str(disc), "--json"]))
+        for point in obj["points"]:
+            yield ["eval", *key, "--element", point["element"], "--json"]
+
+
+def _both(argvs):
+    # each command as text and as JSON
+    return [argv + fmt for argv in argvs for fmt in ([], ["--json"])]
+
+
+# sha256 over the output of each command in order, every one exiting 0
+COMMAND_PINS = {
+    "keys": (_key_argvs, 122,
+             "54930f6762bad3cb0ce720559fd1a8be0aa8bb14366a467d11d7be3577dbe2c2"),
+    # h = 30 for -3692
+    "class-group": (lambda: _both([["class-group", "-D", str(d)]
+                                   for d in (-3, -4, -284, -3692)]), 8,
+                    "ca433ab04dc27788419492bd37e63714d929bf44eb1aabd66b2967903c57dc1e"),
+    "reps": (lambda: _both([["reps", "-n", str(n), "-D", str(d)]
+                            for n, d in ((71, -71), (71, -284), (2, -8), (3, -3))]), 8,
+             "5f04ac6b26aa291da93fd70db19b8d1a3f6a9c334f3cddea792caa30ff41d404"),
+    "catalog": (lambda: _both([["catalog"]]), 2,
+                "34069cfe8ce727b21b1ac9c2fe5f8582e9c400e4e541e3b14e70ae65a002b011"),
+    "verify": (lambda: _both([["verify", "--paper71"]]), 2,
+               "c8c6d2738f1d9a4ff5263784721c5daf66d5cbf7a594ca28419bb7239f263e11"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_PINS))
+def test_subcommand_bytes_pinned(name):
+    argvs, count, pin = COMMAND_PINS[name]
+    argvs = list(argvs())
+    assert len(argvs) == count
+    digest = hashlib.sha256()
+    for argv in argvs:
+        digest.update(_run(argv).encode())
+    assert digest.hexdigest() == pin
