@@ -15,6 +15,7 @@ from itertools import count
 from math import gcd
 
 from .errors import DomainError
+from .exactpoly import _integers
 from .quadforms import ClassGroup, QuadForm, enumerate_class_group, reduce_form
 
 __all__ = [
@@ -88,6 +89,10 @@ class CMPoint:
     n: int
 
     def __init__(self, u: int, v: int, w: int, n: int):
+        # ints, which every caller in the package passes, skip the check: it
+        # would double the cost of a point
+        if {type(u), type(v), type(w), type(n)} != {int}:
+            u, v, w, n = _integers((u, v, w, n), "CM point coordinates")
         if w == 0 or v == 0:
             raise DomainError("CM point requires v != 0 and w != 0")
         if n < 1:

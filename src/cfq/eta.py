@@ -49,6 +49,7 @@ from math import gcd, isqrt
 
 from .elliptic import CMPoint
 from .errors import ConvergenceError, DomainError
+from .exactpoly import _integers
 from .numerics import (
     Ball, _csqrt, _div, _exp_i_pi, _fixed, _fixed_series, _mul, _normal, _pow, _powers, _root,
 )
@@ -66,7 +67,7 @@ class EtaQuotientSpec:
     terms: tuple[tuple[int, int], ...]
 
     def __init__(self, terms):
-        terms = tuple((int(d), int(r)) for d, r in terms)
+        terms = tuple(_integers(term, "eta quotient scales and exponents") for term in terms)
         if not terms:
             raise DomainError("eta quotient needs at least one factor")
         for d, r in terms:

@@ -1,9 +1,10 @@
 """Exact univariate polynomials over the integers and exact root relations.
 
 Arbitrary-magnitude integers are Python ints, the coefficients of an
-`IntPoly` and of a `LaurentExpr` alike; a `LaurentExpr` refuses a
-non-integer coefficient.  Polynomials are dense, lowest degree first, with
-a nonzero leading coefficient unless zero.
+`IntPoly` and of a `LaurentExpr` alike; both refuse a non-integer, a value
+whose denominator is not 1 (`_integers`), rather than truncate it.
+Polynomials are dense, lowest degree first, with a nonzero leading
+coefficient unless zero.
 
 `verify_root_relation` works in integers only: it makes the modulus monic by
 scaling the variable, and carries one common denominator.  There is no
@@ -24,6 +25,14 @@ __all__ = [
 ]
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """values as ints; DomainError unless each is an integer, its denominator 1."""
+    values = tuple(values)
+    if any(getattr(c, "denominator", None) != 1 for c in values):
+        raise DomainError(f"{what} must be integers, got {values}")
+    return tuple(map(int, values))
+
+
 def _strip(coeffs: tuple) -> tuple:
     end = len(coeffs)
     while end > 0 and coeffs[end - 1] == 0:
@@ -38,7 +47,7 @@ class IntPoly:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int]):
-        object.__setattr__(self, "coeffs", _strip(tuple(int(c) for c in coeffs)))
+        object.__setattr__(self, "coeffs", _strip(_integers(coeffs, "polynomial coefficients")))
 
     @property
     def degree(self) -> int:
@@ -66,9 +75,9 @@ class LaurentExpr:
     terms: tuple[tuple[int, int], ...]
 
     def __init__(self, terms: Mapping[int, int]):
-        if any(getattr(c, "denominator", None) != 1 for c in terms.values()):
-            raise DomainError(f"Laurent coefficients must be integers, got {dict(terms)}")
-        cleaned = tuple(sorted((int(e), int(c)) for e, c in terms.items() if c != 0))
+        pairs = zip(_integers(terms, "Laurent exponents"),
+                    _integers(terms.values(), "Laurent coefficients"))
+        cleaned = tuple(sorted((e, c) for e, c in pairs if c))
         object.__setattr__(self, "terms", cleaned)
 
     def min_exponent(self) -> int:

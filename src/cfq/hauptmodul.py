@@ -12,8 +12,12 @@ Two kinds of entry, each normalized so the q-expansion is q^-1 + 0 + O(q):
     f = sum_Q s_Q theta_Q / m and theta_Q(tau) = sum_(x,y) q^Q(x,y) is the
     theta series of a form Q of discriminant -N.
 
-The other Fricke levels of the genus-zero list have no construction here;
-`catalog_lookup` raises NoConstructionError for them.
+The catalog is one table, `_CATALOG`, built once at import: each
+genus-zero (level, group) key maps to its kind (eta-quotient, fricke-sym,
+theta-quotient or none) and its entry.  `catalog_lookup` returns the key's
+one shared, immutable entry, or raises NoConstructionError for the other 20
+Fricke levels of the genus-zero list, which have no construction here;
+`catalog_entries`, `GAMMA0_LEVELS` and `FRICKE_LEVELS` read the same table.
 
 `evaluate(spec, tau, prec)` returns t(tau) as a `numerics.Ball` whose two
 parts are rounded to prec bits, with
@@ -85,12 +89,6 @@ __all__ = [
 # evaluate(spec, tau, prec) is within 2^(ERROR_BITS - prec) * max(1, |t(tau)|)
 ERROR_BITS = 3
 
-GAMMA0_LEVELS = frozenset([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 25])
-FRICKE_LEVELS = frozenset(
-    list(range(2, 22)) + list(range(23, 28))
-    + [29, 31, 32, 35, 36, 39, 41, 47, 49, 50, 59, 71]
-)
-
 # Hauptmodul eta quotients for the genus-zero congruence levels > 1.  Each is
 # the unique choice whose exponents satisfy r(N/d) = -r(d), which forces
 # t(-1/(N tau)) = kappa / t(tau) with kappa = prod (N/d)^(r_d/2).
@@ -109,17 +107,6 @@ _ETA_TABLE: dict[int, tuple[tuple[int, int], ...]] = {
     16: ((1, 2), (2, -1), (8, 1), (16, -2)),
     18: ((1, 2), (2, -1), (3, -1), (6, 1), (9, 1), (18, -2)),
     25: ((1, 1), (25, -1)),
-}
-
-# Fricke principal moduli of prime levels N = 23 mod 24 as theta quotients:
-# (((a, b, c), s_Q), ...), m, shift for sum_Q s_Q theta_Q / (m eta(tau)
-# eta(N tau)) + shift.  eta(tau) eta(N tau) is a weight-1 cusp form with
-# character (-N/.), no zero in the upper half plane and order (N + 1)/24 at
-# both cusps; each numerator has order one less at infinity.
-_THETA_TABLE: dict[int, tuple[tuple[tuple[tuple[int, int, int], int], ...], int, int]] = {
-    23: ((((1, 1, 6), 1),), 1, -3),
-    47: ((((1, 1, 12), 1), ((2, 1, 6), -1)), 2, 0),
-    71: ((((2, 1, 9), 1), ((3, 1, 6), -1)), 2, 0),
 }
 
 
@@ -166,57 +153,65 @@ def _kappa(n: int, terms) -> int:
     return root
 
 
-# (quotient, Laurent coefficients) of each congruence-group entry: t + r_1,
-# as t = q^-1 - r_1 + O(q).  Level 1 is j - 744 in the level-2 quotient h,
-# from j = (h + 256)^3 / h^2, the 2B relation of Conway and Norton,
-# "Monstrous Moonshine" (1979).
-_GAMMA0_ENTRIES = {
-    1: (_ETA_TABLE[2], {1: 1, 0: 24, -1: 196608, -2: 16777216}),
-    **{n: (terms, {1: 1, 0: dict(terms)[1]}) for n, terms in _ETA_TABLE.items()},
+def _eta_entry(n: int, terms, *tail: int) -> EtaQuotientHaupt:
+    """t + r_1 + tail[0]/t + tail[1]/t^2 + ..., t the eta quotient `terms`."""
+    coeffs = (1, dict(terms)[1], *tail)
+    return EtaQuotientHaupt(n, EtaQuotientSpec(terms),
+                            LaurentExpr({1 - k: c for k, c in enumerate(coeffs)}))
+
+
+# The catalog, built once at import: (level, group) -> (kind, entry), the
+# entry None for a genus-zero level with no construction here.  An eta
+# entry is t + r_1, as t = q^-1 - r_1 + O(q); level 1 is j - 744 in the
+# level-2 quotient h, from j = (h + 256)^3 / h^2, the 2B relation of Conway
+# and Norton, "Monstrous Moonshine" (1979).  A theta entry's eta(tau)
+# eta(N tau) is a weight-1 cusp form with character (-N/.), no zero in the
+# upper half plane and order (N + 1)/24 at both cusps; each numerator has
+# order one less at infinity.
+_CATALOG = {
+    (1, "gamma0"): ("eta-quotient", _eta_entry(1, _ETA_TABLE[2], 196608, 16777216)),
+    **{(n, "gamma0"): ("eta-quotient", _eta_entry(n, terms)) for n, terms in _ETA_TABLE.items()},
+    **{(n, "fricke"): ("fricke-sym", _eta_entry(n, terms, _kappa(n, terms)))
+       for n, terms in _ETA_TABLE.items()},
+    (23, "fricke"): ("theta-quotient", ThetaQuotientHaupt(23, (((1, 1, 6), 1),), 1, -3)),
+    (47, "fricke"): ("theta-quotient",
+                     ThetaQuotientHaupt(47, (((1, 1, 12), 1), ((2, 1, 6), -1)), 2, 0)),
+    (71, "fricke"): ("theta-quotient",
+                     ThetaQuotientHaupt(71, (((2, 1, 9), 1), ((3, 1, 6), -1)), 2, 0)),
+    **{(n, "fricke"): ("none", None)
+       for n in (11, 14, 15, 17, 19, 20, 21, 24, 26, 27, 29, 31, 32, 35, 36, 39, 41, 49, 50, 59)},
 }
+_GROUPS = {"gamma0": "congruence group", "fricke": "Fricke group"}
+GAMMA0_LEVELS = frozenset(n for n, group in _CATALOG if group == "gamma0")
+FRICKE_LEVELS = frozenset(n for n, group in _CATALOG if group == "fricke")
 
 
 def catalog_lookup(n: int, group: str):
-    """The principal-modulus description for (level, group).
+    """The principal-modulus description for (level, group), one shared instance per key.
 
     group is "gamma0" or "fricke".  Levels outside the genus-zero lists raise
-    NotGenusZeroError; listed Fricke levels without a construction raise
+    NotGenusZeroError; listed levels without a construction raise
     NoConstructionError.
     """
-    if group == "gamma0":
-        if n not in GAMMA0_LEVELS:
-            raise NotGenusZeroError(
-                f"level {n} is not in the genus-zero list for the congruence group"
-            )
-        terms, laurent = _GAMMA0_ENTRIES[n]
-    elif group == "fricke":
-        if n not in FRICKE_LEVELS:
-            raise NotGenusZeroError(
-                f"level {n} is not in the genus-zero list for the Fricke group"
-            )
-        if n in _THETA_TABLE:
-            return ThetaQuotientHaupt(n, *_THETA_TABLE[n])
-        if n not in _ETA_TABLE:
-            raise NoConstructionError(
-                f"level {n} of the Fricke group is genus zero, but the catalog "
-                f"has no construction of its principal modulus"
-            )
-        terms = _ETA_TABLE[n]
-        laurent = {1: 1, 0: dict(terms)[1], -1: _kappa(n, terms)}
-    else:
+    if group not in _GROUPS:
         raise DomainError(f"unknown group {group!r}")
-    return EtaQuotientHaupt(n, EtaQuotientSpec(terms), LaurentExpr(laurent))
+    if (n, group) not in _CATALOG:
+        raise NotGenusZeroError(
+            f"level {n} is not in the genus-zero list for the {_GROUPS[group]}"
+        )
+    _kind, entry = _CATALOG[n, group]
+    if entry is None:
+        raise NoConstructionError(
+            f"level {n} of the {_GROUPS[group]} is genus zero, but the catalog "
+            f"has no construction of its principal modulus"
+        )
+    return entry
 
 
 def catalog_entries() -> list[dict]:
     """Inventory of all catalog keys with the kind of their construction."""
-    out = [{"level": n, "group": "gamma0", "kind": "eta-quotient"}
-           for n in sorted(GAMMA0_LEVELS)]
-    for n in sorted(FRICKE_LEVELS):
-        kind = ("fricke-sym" if n in _ETA_TABLE
-                else "theta-quotient" if n in _THETA_TABLE else "none")
-        out.append({"level": n, "group": "fricke", "kind": kind})
-    return out
+    return [{"level": n, "group": group, "kind": _CATALOG[n, group][0]}
+            for wanted in _GROUPS for n, group in sorted(_CATALOG) if group == wanted]
 
 
 def evaluate(spec, tau: CMPoint, prec: int) -> Ball:

@@ -1,5 +1,7 @@
 """Elliptic elements, fixed points, orders, and class representatives."""
 
+from fractions import Fraction
+
 import pytest
 
 from cfq.elliptic import (
@@ -67,6 +69,13 @@ class TestFixedPoint:
         assert (tau.u, tau.v, tau.w) == (2, 1, 3)
         with pytest.raises(DomainError):
             CMPoint(1, -1, 2, 5)
+
+    @pytest.mark.parametrize("coords", [(0.5, 1, 1, 1), (0, 1, 1.0, 1), (0, 1, 1, "5")])
+    def test_refuses_non_integers(self, coords):
+        # a DomainError, so a CfqError, not the TypeError of gcd
+        with pytest.raises(DomainError, match="integers"):
+            CMPoint(*coords)
+        assert CMPoint(Fraction(8, 2), 2, 6, 5) == CMPoint(2, 1, 3, 5)
 
 
 class TestOrderOf:

@@ -1,6 +1,7 @@
 """Eta engine: Dedekind sums, transformation law, quotients."""
 
 import random
+from fractions import Fraction
 from math import gcd, isqrt
 
 import mpmath
@@ -221,6 +222,13 @@ class TestEtaQuotient:
             EtaQuotientSpec([(1, 0)])
         with pytest.raises(DomainError):
             EtaQuotientSpec([(0, 3)])
+
+    @pytest.mark.parametrize("terms", [[(1.5, 2)], [(2, 24.9)], [(2, "24")]])
+    def test_spec_refuses_non_integers(self, terms):
+        # refused, not truncated to ((1, 2),) or ((2, 24),)
+        with pytest.raises(DomainError, match="integers"):
+            EtaQuotientSpec(terms)
+        assert EtaQuotientSpec([(Fraction(2), 24)]).terms == ((2, 24),)
 
 
 @st.composite

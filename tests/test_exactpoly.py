@@ -209,6 +209,14 @@ class TestIntPoly:
         assert IntPoly(map(int, H71.text().split(","))) == H71
         assert H71.text() == "1,0,-2,-3,1,5,4,1"
 
+    def test_refuses_non_integers(self):
+        # refused, not truncated to (0, 1); integral Fractions are integers
+        with pytest.raises(DomainError, match="integers"):
+            IntPoly([0.5, 1.9])
+        assert IntPoly([Fraction(6, 2), 1]) == IntPoly([3, 1])
+        with pytest.raises(DomainError, match="exponents must be integers"):
+            LaurentExpr({1.5: 1})
+
     def test_leading_zeros_stripped(self):
         assert IntPoly([1, 2, 0, 0]) == IntPoly([1, 2])
         assert IntPoly([0, 0, 0]).is_zero()

@@ -2,6 +2,7 @@
 
 import builtins
 import functools
+import hashlib
 import io
 import math
 import random
@@ -20,6 +21,7 @@ from conftest import (
     random_gamma0, rational_point,
 )
 from cfq.classfield import ring_class_polynomial
+from cfq.cli import run
 from cfq.elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
 from cfq.errors import ConvergenceError, DomainError, NoConstructionError, NotGenusZeroError
 from cfq.eta import EtaQuotientSpec, _ascend, _pentagonal
@@ -44,6 +46,12 @@ from cfq.numerics import (
     MAX_PREC_BITS, _GUARD, Ball, _exp_i_pi, _fixed_series, _powers,
 )
 from cfq.quadforms import enumerate_class_group
+
+# The genus-zero Fricke levels with no construction in the catalog.
+NONE_LEVELS = frozenset([11, 14, 15, 17, 19, 20, 21, 24, 26, 27, 29, 31, 32, 35, 36, 39, 41,
+                         49, 50, 59])
+# sha256 over the reprs of the 32 entries that compute, one a line
+CATALOG_DIGEST = "3570ca0ad618a20cdb43bc27d88e200e2c6b130c9c48b3363ccc68a27a5a6cb5"
 
 
 class TestCatalog:
@@ -133,6 +141,56 @@ class TestCatalog:
                     catalog_lookup(e["level"], e["group"])
             else:
                 catalog_lookup(e["level"], e["group"])
+
+    def test_catalog_pinned(self):
+        # every entry that computes, by its repr, in inventory order; pinned
+        # before the catalog became one table
+        entries = catalog_entries()
+        none = {(e["level"], e["group"]) for e in entries if e["kind"] == "none"}
+        assert none == {(n, "fricke") for n in NONE_LEVELS}
+        computing = [(e["level"], e["group"]) for e in entries if e["kind"] != "none"]
+        assert len(computing) == 32
+        text = "\n".join(repr(catalog_lookup(*key)) for key in computing)
+        assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_DIGEST
+
+    def test_catalog_refusals_pinned(self):
+        none = ("level {} of the Fricke group is genus zero, but the catalog has no "
+                "construction of its principal modulus")
+        cases = [((n, "fricke"), NoConstructionError, none.format(n)) for n in sorted(NONE_LEVELS)]
+        cases += [
+            ((11, "gamma0"), NotGenusZeroError,
+             "level 11 is not in the genus-zero list for the congruence group"),
+            ((22, "fricke"), NotGenusZeroError,
+             "level 22 is not in the genus-zero list for the Fricke group"),
+            ((72, "fricke"), NotGenusZeroError,
+             "level 72 is not in the genus-zero list for the Fricke group"),
+            ((2, "gamma1"), DomainError, "unknown group 'gamma1'"),
+        ]
+        for key, error, message in cases:
+            with pytest.raises(DomainError) as exc:
+                catalog_lookup(*key)
+            assert type(exc.value) is error and str(exc.value) == message
+
+    def test_catalog_is_one_table(self):
+        # each kind has one type, every key that computes gives one shared
+        # entry, and each key without a construction exits 1 from the CLI
+        types = {"eta-quotient": EtaQuotientHaupt, "fricke-sym": EtaQuotientHaupt,
+                 "theta-quotient": ThetaQuotientHaupt, "none": NoConstructionError}
+        counts = dict.fromkeys(types, 0)
+        for e in catalog_entries():
+            key, kind = (e["level"], e["group"]), e["kind"]
+            counts[kind] += 1
+            if kind == "none":
+                with pytest.raises(types[kind]):
+                    catalog_lookup(*key)
+                out, err = io.StringIO(), io.StringIO()
+                argv = ["class-poly", "-n", str(key[0]), "--group", key[1], "-D", str(-4 * key[0])]
+                assert run(argv, out=out, err=err) == 1
+                assert "no construction" in err.getvalue() and not out.getvalue()
+            else:
+                assert type(catalog_lookup(*key)) is types[kind]
+                assert catalog_lookup(*key) is catalog_lookup(*key)
+        assert counts == {"eta-quotient": 15, "fricke-sym": 14, "theta-quotient": 3, "none": 20}
 
     @pytest.mark.parametrize("level,form", [(70, (2, 1, 9)), (71, (2, 1, 8))])
     def test_theta_quotient_refuses_a_bad_table(self, level, form):
