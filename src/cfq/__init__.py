@@ -22,7 +22,6 @@ from .elliptic import (
     EllipticElement,
     enumerate_representatives,
     fixed_point,
-    order_of,
 )
 from .errors import (
     CfqError,

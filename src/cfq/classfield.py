@@ -53,7 +53,6 @@ class SingularValueSet:
     group: str
     disc: int
     entries: tuple[tuple[IdealClass, EllipticElement, CMPoint, Ball], ...]
-    prec: int
     class_group: ClassGroup
 
     def values(self) -> list[Ball]:
@@ -106,7 +105,7 @@ def singular_values(n: int, group: str, disc: int, prec: int) -> SingularValueSe
                 # its own mirror image: t(tau) = conj(t(tau)) is real
                 value = value._replace(im=0)
         entries.append((cls, alpha, tau, value))
-    return SingularValueSet(n, group, disc, tuple(entries), prec, cg)
+    return SingularValueSet(n, group, disc, tuple(entries), cg)
 
 
 def ring_class_polynomial(n: int, group: str, disc: int,

@@ -10,8 +10,10 @@ Subcommands:
 
 Each subcommand builds one JSON object and its text lines, and prints the
 lines or, with --json, the object in canonical (sorted) key order, every
-number that is not an integer a decimal string, rounded half up.  No other
-module of cfq turns results into text.
+number that is not an integer a decimal string, rounded half up.  Each part
+of a value gets the significant digits that evaluate's bound supports,
+counted by one exact decimal division.  No other module of cfq turns
+results into text.
 
 Exit codes: 0 success, 1 domain, parse or rounding error or a failed
 verification check.
@@ -28,14 +30,14 @@ import sys
 from fractions import Fraction
 
 from .classfield import ClassPolyResult, ring_class_polynomial
-from .elliptic import EllipticElement, enumerate_representatives, fixed_point, order_of
+from .elliptic import EllipticElement, enumerate_representatives, fixed_point
 from .errors import CfqError
 from .exactpoly import IntPoly, LaurentExpr, verify_root_relation
 from .hauptmodul import ERROR_BITS, catalog_entries, catalog_lookup, evaluate
 from .numerics import MAX_PREC_BITS, MIN_PREC_BITS, Ball, PrecisionPolicy
 from .quadforms import enumerate_class_group
 
-__all__ = ["main", "run", "verify_level71"]
+__all__ = ["main", "run"]
 
 # published degree-7 generators for the Hilbert class field of Q(sqrt(-71)),
 # lowest degree first
@@ -61,7 +63,7 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, level=False, group=False, disc=False, prec=None):
+    def common(p, level=False, group=False, disc=False, prec=None, prec_what=None):
         if level:
             p.add_argument("-n", "--level", type=int, required=True)
         if group:
@@ -69,13 +71,14 @@ def _build_parser() -> _Parser:
         if disc:
             p.add_argument("-D", "--disc", type=int, required=True)
         if prec:
-            p.add_argument("--prec-bits", type=int, default=None, help=prec)
+            p.add_argument("--prec-bits", type=int, default=prec,
+                           help=f"{prec_what} in bits, from {MIN_PREC_BITS} to "
+                                f"{MAX_PREC_BITS} (default: %(default)s)")
         p.add_argument("--json", action="store_true", help="emit JSON")
 
     p = sub.add_parser("class-poly", help="class polynomial for (level, group, disc)")
     common(p, level=True, group=True, disc=True,
-           prec=f"precision of the round in bits, from {MIN_PREC_BITS} to "
-                f"{MAX_PREC_BITS} (default: {MIN_PREC_BITS})")
+           prec=MIN_PREC_BITS, prec_what="precision of the round")
 
     p = sub.add_parser("class-group", help="reduced forms and composition table")
     common(p, disc=True)
@@ -84,9 +87,7 @@ def _build_parser() -> _Parser:
     common(p, level=True, disc=True)
 
     p = sub.add_parser("eval", help="principal modulus value at one element")
-    common(p, level=True, group=True,
-           prec=f"working precision in bits, from {MIN_PREC_BITS} to "
-                f"{MAX_PREC_BITS} (default: 256)")
+    common(p, level=True, group=True, prec=256, prec_what="working precision")
     p.add_argument("--element", required=True, metavar="A,B,C",
                    help="elliptic element as 'A,B,C' (or 'A,B,C@n') at the given level")
 
@@ -136,20 +137,18 @@ def value_text(value: Ball, prec: int) -> tuple[str, str]:
     scale = Fraction(2) ** value.exp
     bound2 = (Fraction(2) ** (2 * (ERROR_BITS - prec))
               * max(1, (value.re**2 + value.im**2) * scale**2))
-    parts = []
-    for x in (value.re, value.im):
-        # (|x| / bound)^2 >= 100^digits
+
+    def part(x: int) -> str:
+        # (|x| / bound)^2 >= 100^digits; rounded down to one digit, the
+        # quotient keeps the decimal exponent of its leading digit
         ratio2 = x * x * scale**2 / bound2
         if ratio2 <= 1:
-            parts.append("0.0")
-            continue
-        digits = (ratio2.numerator.bit_length() - ratio2.denominator.bit_length()) * 3 // 20
-        while 100 ** (digits + 1) <= ratio2:
-            digits += 1
-        while 100**digits > ratio2:
-            digits -= 1
-        parts.append(_decimal(x * scale, max(1, min(digits, value_digits(prec)))))
-    return parts[0], parts[1]
+            return "0.0"
+        context = decimal.Context(1, decimal.ROUND_FLOOR, decimal.MIN_EMIN, decimal.MAX_EMAX)
+        digits = context.divide(ratio2.numerator, ratio2.denominator).adjusted() // 2
+        return _decimal(x * scale, max(1, min(digits, value_digits(prec))))
+
+    return part(value.re), part(value.im)
 
 
 def _class_poly_json(result: ClassPolyResult) -> dict:
@@ -172,8 +171,8 @@ def _class_poly_json(result: ClassPolyResult) -> dict:
 
 
 def _cmd_class_poly(args):
-    policy = PrecisionPolicy() if args.prec_bits is None else PrecisionPolicy(args.prec_bits)
-    result = ring_class_polynomial(args.level, args.group, args.disc, policy)
+    result = ring_class_polynomial(args.level, args.group, args.disc,
+                                   PrecisionPolicy(args.prec_bits))
     # the text prints no value, so it skips their decimal digits
     return _class_poly_json(result) if args.json else None, [result.poly.text()]
 
@@ -200,43 +199,31 @@ def _cmd_reps(args):
 
 
 def _cmd_eval(args):
-    prec = 256 if args.prec_bits is None else args.prec_bits
+    prec = args.prec_bits
     alpha = EllipticElement.from_text(args.element, args.level)
     spec = catalog_lookup(args.level, args.group)
     value_re, value_im = value_text(evaluate(spec, fixed_point(alpha), prec), prec)
     obj = {"level": args.level, "group": args.group, "element": alpha.text(),
-           "disc": order_of(alpha), "prec_bits": prec,
+           "disc": alpha.disc, "prec_bits": prec,
            "value_re": value_re, "value_im": value_im}
     return obj, [f"{value_re} {value_im}"]
-
-
-def verify_level71() -> list[tuple[str, bool]]:
-    """The four level-71 checks; exact arithmetic for the root relations."""
-    checks: list[tuple[str, bool]] = []
-    r71 = ring_class_polynomial(71, "fricke", -71)
-    checks.append(("class polynomial disc -71", r71.poly == MINPOLY_DISC_71))
-    r284 = ring_class_polynomial(71, "fricke", -284)
-    checks.append(("class polynomial disc -284", r284.poly == MINPOLY_DISC_284))
-    checks.append(
-        (
-            "beta^2-1-beta^-1 is a root of the disc -284 polynomial",
-            verify_root_relation(RELATION_DISC_284, MINPOLY_DISC_284, WEBER_MINPOLY_71),
-        )
-    )
-    checks.append(
-        (
-            "-beta^6+3beta^5-2beta^4+1 is a root of the disc -71 polynomial",
-            verify_root_relation(RELATION_DISC_71, MINPOLY_DISC_71, WEBER_MINPOLY_71),
-        )
-    )
-    return checks
 
 
 def _cmd_verify(args):
     if not args.paper71:
         raise CfqError("nothing to verify: pass --paper71")
-    checks = verify_level71()
-    return dict(checks), [f"{'PASS' if ok else 'FAIL'} {name}" for name, ok in checks]
+    # exact arithmetic for the root relations
+    checks = {
+        "class polynomial disc -71":
+            ring_class_polynomial(71, "fricke", -71).poly == MINPOLY_DISC_71,
+        "class polynomial disc -284":
+            ring_class_polynomial(71, "fricke", -284).poly == MINPOLY_DISC_284,
+        "beta^2-1-beta^-1 is a root of the disc -284 polynomial":
+            verify_root_relation(RELATION_DISC_284, MINPOLY_DISC_284, WEBER_MINPOLY_71),
+        "-beta^6+3beta^5-2beta^4+1 is a root of the disc -71 polynomial":
+            verify_root_relation(RELATION_DISC_71, MINPOLY_DISC_71, WEBER_MINPOLY_71),
+    }
+    return checks, [f"{'PASS' if ok else 'FAIL'} {name}" for name, ok in checks.items()]
 
 
 def _cmd_catalog(args):

@@ -1,11 +1,12 @@
 """Order-2 elliptic elements of the Fricke group outside Gamma0(n).
 
 An element is stored as the integer triple (A, B, C) with n*A^2 + B*C = -1,
-B < 0, C > 0; it fixes the CM point (n*A + sqrt(-n))/(n*C), whose
-imaginary quadratic order has discriminant -n exactly when B and C are both
-even (forcing n = 3 mod 4) and -4n otherwise.  The primitive quadratic form
-attached to an element places it in an ideal class of that discriminant,
-and one representative of minimal C is produced for every class.
+B < 0, C > 0; it fixes the CM point (n*A + sqrt(-n))/(n*C).  The element's
+`disc`, the discriminant of that point's imaginary quadratic order, is -n
+exactly when B and C are both even (forcing n = 3 mod 4) and -4n otherwise.
+The primitive quadratic form attached to an element places it in an ideal
+class of that discriminant, and one representative of minimal C is produced
+for every class.
 """
 
 from __future__ import annotations
@@ -22,14 +23,13 @@ __all__ = [
     "EllipticElement",
     "CMPoint",
     "fixed_point",
-    "order_of",
     "enumerate_representatives",
 ]
 
 
 @dataclass(frozen=True)
 class EllipticElement:
-    """Trace-zero coset element sqrt(n) * [[A, B/n], [C, -A]], det 1."""
+    """Trace-zero coset element sqrt(n) * [[A, B/n], [C, -A]], det 1; n, A, B, C are integers."""
 
     n: int
     A: int
@@ -37,6 +37,11 @@ class EllipticElement:
     C: int
 
     def __post_init__(self):
+        # ints, which every caller in the package passes, skip the check
+        if not (type(self.n) is type(self.A) is type(self.B) is type(self.C) is int):
+            values = _integers((self.n, self.A, self.B, self.C), "element entries")
+            for name, value in zip(("n", "A", "B", "C"), values):
+                object.__setattr__(self, name, value)
         if self.n < 1:
             raise DomainError("level must be positive")
         if self.n * self.A**2 + self.B * self.C != -1:
@@ -46,14 +51,19 @@ class EllipticElement:
         if not (self.B < 0 < self.C):
             raise DomainError("normalization requires B < 0 and C > 0")
 
+    @property
+    def disc(self) -> int:
+        """The discriminant of the fixed point's order: -n when B and C are both even, else -4n."""
+        return -self.n if self.B % 2 == 0 and self.C % 2 == 0 else -4 * self.n
+
     def form(self) -> QuadForm:
         """The homogeneous quadratic form n*C x^2 - 2n*A xy - B y^2."""
         return QuadForm(self.n * self.C, -2 * self.n * self.A, -self.B)
 
     def primitive_form(self) -> QuadForm:
-        """The primitive form attached to the element (half the form if even)."""
+        """The primitive form attached to the element (half the form for disc -n)."""
         f = self.form()
-        if self.B % 2 == 0 and self.C % 2 == 0:
+        if self.disc == -self.n:
             return QuadForm(f.a // 2, f.b // 2, f.c // 2)
         return f
 
@@ -91,7 +101,7 @@ class CMPoint:
     def __init__(self, u: int, v: int, w: int, n: int):
         # ints, which every caller in the package passes, skip the check: it
         # would double the cost of a point
-        if {type(u), type(v), type(w), type(n)} != {int}:
+        if not (type(u) is type(v) is type(w) is type(n) is int):
             u, v, w, n = _integers((u, v, w, n), "CM point coordinates")
         if w == 0 or v == 0:
             raise DomainError("CM point requires v != 0 and w != 0")
@@ -120,15 +130,6 @@ def fixed_point(alpha: EllipticElement) -> CMPoint:
     return tau
 
 
-def order_of(alpha: EllipticElement) -> int:
-    """Discriminant of the order of the fixed point: -n when B and C are both even, otherwise -4n."""
-    if alpha.B % 2 == 0 and alpha.C % 2 == 0:
-        if alpha.n % 4 != 3:
-            raise DomainError("internal invariant violated: even B, C force n = 3 mod 4")
-        return -alpha.n
-    return -4 * alpha.n
-
-
 def enumerate_representatives(
     n: int, disc: int, group: ClassGroup | None = None
 ) -> list[EllipticElement]:
@@ -148,11 +149,7 @@ def enumerate_representatives(
     (Dirichlet), so it holds a split prime p coprime to 2n, and the scan
     finds an element of the class by C = p, or 2p for disc -n.
     """
-    if disc == -4 * n:
-        half = False
-    elif disc == -n and n % 4 == 3:
-        half = True
-    else:
+    if disc != -4 * n and not (disc == -n and n % 4 == 3):
         raise DomainError(f"disc {disc} invalid for level {n}")
     if group is not None and group.disc != disc:
         raise DomainError(f"class group of discriminant {group.disc} given for discriminant {disc}")
@@ -168,8 +165,7 @@ def enumerate_representatives(
                 continue
             b = -(1 + n * a0 * a0) // c
             alpha = EllipticElement(n, a0, b, c)
-            even = b % 2 == 0 and c % 2 == 0
-            if even != half:
+            if alpha.disc != disc:
                 continue
             k = targets.pop(reduce_form(alpha.primitive_form()), None)
             if k is not None:

@@ -12,6 +12,7 @@ from functools import cached_property
 from math import gcd, isqrt
 
 from .errors import DomainError
+from .exactpoly import _integers
 
 __all__ = [
     "QuadForm",
@@ -25,11 +26,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadForm:
-    """a*x^2 + b*x*y + c*y^2 with integer coefficients."""
+    """a*x^2 + b*x*y + c*y^2 with integer coefficients; a non-integer is refused."""
 
     a: int
     b: int
     c: int
+
+    def __post_init__(self):
+        # ints, which every caller in the package passes, skip the check
+        if not (type(self.a) is type(self.b) is type(self.c) is int):
+            for name, value in zip("abc", _integers((self.a, self.b, self.c), "form coefficients")):
+                object.__setattr__(self, name, value)
 
     @property
     def disc(self) -> int:
@@ -186,6 +193,8 @@ class ClassGroup:
 
 def enumerate_class_group(d: int) -> ClassGroup:
     """Enumerate reduced primitive forms of discriminant d and their group."""
+    if type(d) is not int:
+        (d,) = _integers((d,), "discriminants")
     if d >= 0 or d % 4 not in (0, 1):
         raise DomainError(f"{d} is not a negative discriminant")
     forms = []

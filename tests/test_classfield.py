@@ -344,6 +344,11 @@ class TestRingClassPolynomial:
             high = ring_class_polynomial(*key, PrecisionPolicy(start_bits=bits))
             assert high.poly == result.poly
 
+    @pytest.mark.parametrize("disc", [-284.0, Fraction(-569, 2)])
+    def test_non_integer_disc_refused(self, disc):
+        with pytest.raises(DomainError, match="integers"):
+            ring_class_polynomial(71, "fricke", disc)
+
     def test_level71_past_the_old_data_ceiling(self):
         # the coefficient file supported 354 bits at most; the theta
         # quotient has no such ceiling
@@ -426,7 +431,7 @@ class TestGaloisPermutation:
     def test_matches_table_column(self, disc):
         # the permutation only reads the value set's class group
         cg = enumerate_class_group(disc)
-        vals = SingularValueSet(0, "fricke", disc, (), 64, cg)
+        vals = SingularValueSet(0, "fricke", disc, (), cg)
         for j, beta in enumerate(cg.classes):
             column = cg.inverse_idx(j)
             assert galois_permutation(beta, vals) == tuple(row[column] for row in cg.table)

@@ -9,7 +9,6 @@ from cfq.elliptic import (
     EllipticElement,
     enumerate_representatives,
     fixed_point,
-    order_of,
 )
 from cfq.errors import DomainError
 from cfq.hauptmodul import FRICKE_LEVELS, GAMMA0_LEVELS
@@ -41,6 +40,18 @@ class TestEllipticElement:
             EllipticElement.from_text("1,-36,2@71", 5)
         with pytest.raises(DomainError):
             EllipticElement.from_text("1,-36,2")
+
+    def test_level_must_be_positive(self):
+        with pytest.raises(DomainError, match="level must be positive"):
+            EllipticElement(0, 0, -1, 1)
+
+    @pytest.mark.parametrize("entries", [(71.0, 0, -1, 1), (71, 0, -1, 1.0), (71, "0", -1, 1)])
+    def test_refuses_non_integers(self, entries):
+        # a DomainError, so a CfqError; an integral Fraction is stored as an int
+        with pytest.raises(DomainError, match="integers"):
+            EllipticElement(*entries)
+        el = EllipticElement(Fraction(142, 2), 0, -1, 1)
+        assert el == EllipticElement(71, 0, -1, 1) and type(el.n) is int
 
     @pytest.mark.parametrize("text", ["x,-1,1", "0,-1,1@", "0,-1,1@x", "0,,1", "0,-1"])
     def test_malformed_text_refused(self, text):
@@ -77,16 +88,44 @@ class TestFixedPoint:
             CMPoint(*coords)
         assert CMPoint(Fraction(8, 2), 2, 6, 5) == CMPoint(2, 1, 3, 5)
 
+    @pytest.mark.parametrize("coords,message", [
+        ((1, 0, 2, 5), "v != 0 and w != 0"),
+        ((1, 1, 0, 5), "v != 0 and w != 0"),
+        ((1, 1, 2, 0), "level must be positive"),
+    ])
+    def test_refuses_degenerate_points(self, coords, message):
+        with pytest.raises(DomainError, match=message):
+            CMPoint(*coords)
+
+    def test_negative_w_normalized(self):
+        # (1 - sqrt(-5)) / -2 is stored with w > 0
+        tau = CMPoint(1, -1, -2, 5)
+        assert (tau.u, tau.v, tau.w, tau.n) == (-1, 1, 2, 5)
+
 
 class TestOrderOf:
     def test_fricke_involution_order(self):
-        assert order_of(EllipticElement(71, 0, -1, 1)) == -284
+        assert EllipticElement(71, 0, -1, 1).disc == -284
 
     def test_even_case(self):
-        assert order_of(EllipticElement(71, 1, -2, 36)) == -71
+        assert EllipticElement(71, 1, -2, 36).disc == -71
 
     def test_parity_rule(self):
-        assert order_of(EllipticElement(71, 1, -36, 2)) == -71
+        assert EllipticElement(71, 1, -36, 2).disc == -71
+
+    def test_even_entries_force_level_3_mod_4(self):
+        # n A^2 + B C = -1 with B and C even makes A odd and n = 3 mod 4,
+        # so disc -n is a discriminant: every such element with n <= 200
+        # and C <= 60
+        even = []
+        for n in range(1, 201):
+            for c in range(2, 61, 2):
+                for a in range(c):
+                    b, r = divmod(-(1 + n * a * a), c)
+                    if r == 0 and b % 2 == 0:
+                        even.append(EllipticElement(n, a, b, c))
+        assert len(even) == 1198
+        assert all(el.n % 4 == 3 and el.disc == -el.n for el in even)
 
 
 class TestConjugacy:
@@ -99,11 +138,11 @@ class TestConjugacy:
 
     def test_distinct_discriminants(self):
         a, b = EllipticElement(71, 0, -1, 1), EllipticElement(71, 1, -36, 2)
-        assert order_of(a) != order_of(b)
+        assert a.disc != b.disc
 
     def test_same_class_different_c(self):
         a, b = EllipticElement(71, 1, -2, 36), EllipticElement(71, 1, -36, 2)
-        assert order_of(a) == order_of(b)
+        assert a.disc == b.disc
         assert a.primitive_form() != b.primitive_form()
         assert reduce_form(a.primitive_form()) == reduce_form(b.primitive_form())
 
@@ -132,7 +171,7 @@ class TestEnumerateRepresentatives:
         reps = enumerate_representatives(n, disc, cg)
         assert len(reps) == cg.class_number
         for i, el in enumerate(reps):
-            assert order_of(el) == disc
+            assert el.disc == disc
             assert reduce_form(el.primitive_form()) == cg.classes[i].rep
             for j in range(i):
                 assert reduce_form(reps[j].primitive_form()) != reduce_form(el.primitive_form())

@@ -86,6 +86,13 @@ class TestVerifyRootRelation:
     def test_wrong_relation_is_false(self):
         assert not verify_root_relation(LaurentExpr({2: 1, 0: -1}), H284, WEBER)
 
+    @pytest.mark.parametrize("modulus,message", [
+        (IntPoly([]), "zero polynomial"), (IntPoly([5]), "degree at least 1"),
+    ])
+    def test_modulus_of_degree_below_one_refused(self, modulus, message):
+        with pytest.raises(InvalidModulusError, match=message):
+            verify_root_relation(LaurentExpr({1: 1}), H71, modulus)
+
     def test_negative_power_needs_nonzero_constant(self):
         with pytest.raises(NonInvertibleError):
             verify_root_relation(LaurentExpr({-1: 1}), H71, IntPoly([0, 0, 1]))

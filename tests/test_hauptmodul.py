@@ -39,6 +39,7 @@ from cfq.hauptmodul import (
     _fricke_ascent,
     _laurent_sum,
     _log_tail,
+    _relative,
     _theta_numerator,
     evaluate,
 )
@@ -197,6 +198,18 @@ class TestCatalog:
         with pytest.raises(DomainError):
             ThetaQuotientHaupt(level, ((form, 1),), 2, 0)
 
+    @pytest.mark.parametrize("entry,message", [
+        # one theta series has odd coefficients, so halving it leaves Z
+        (ThetaQuotientHaupt(23, (((1, 1, 6), 1),), 2, 0), "non-integer coefficients"),
+        # theta's constant term 1 sits below the order v - 1 = 1 of level 47
+        (ThetaQuotientHaupt(47, (((1, 1, 12), 1),), 1, 0), "does not have order 1"),
+    ])
+    def test_theta_numerator_refuses_a_bad_table(self, entry, message):
+        with pytest.raises(DomainError, match=message):
+            _theta_numerator(entry, 40)
+        with pytest.raises(DomainError, match=message):
+            evaluate(entry, CMPoint(0, 1, 1, 1), 64)
+
 
 def _theta_counts(form, top) -> list[int]:
     """r_Q(e) for e < top, from the box |x| <= sqrt(4c top/d), |y| <= sqrt(4a top/d).
@@ -316,6 +329,11 @@ class TestThetaQuotient:
         for m, c in zip(exps[1:], coeffs[1:]):
             bound = 2 * weight * _divisors(m + v - 1) / entry.divisor
             assert abs(c) <= bound <= a * math.sqrt(m + v - 1)
+
+    def test_vanishing_sum_refused(self):
+        # an error made relative to a sum needs the sum to be nonzero
+        with pytest.raises(ConvergenceError, match="vanished"):
+            _relative(Ball(0, 0, 5, 0.0), 1.0)
 
 
 def _im_at_least(z: CMPoint, tau: CMPoint) -> bool:
@@ -455,6 +473,10 @@ class TestEvaluate:
                 == evaluate_mpc(entry, CMPoint(0, 1, 1, 1), 64))
         with pytest.raises(ConvergenceError, match="too far above"):
             evaluate_mpc(entry, CMPoint(0, 1, 1, 10**2000), 64)
+
+    def test_unknown_entry_refused(self):
+        with pytest.raises(DomainError, match="unknown principal-modulus description"):
+            evaluate(EtaQuotientSpec([(1, 24)]), CMPoint(0, 1, 1, 1), 64)
 
     def test_qseries_rejects_lower_half_plane(self):
         # the level-71 theta quotient: refused before any term is summed

@@ -1,6 +1,7 @@
 """Quadratic forms: reduction, composition, class groups."""
 
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -34,6 +35,22 @@ def moved(f: QuadForm, m) -> QuadForm:
 
     b = 2 * f.a * p * q + f.b * (p * s + q * r) + 2 * f.c * r * s
     return QuadForm(value(p, r), b, value(q, s))
+
+
+class TestQuadForm:
+    @pytest.mark.parametrize("form", [(2, 3, 5), (3, -1, 3), (4, -4, 5), (2, 1, 1)])
+    def test_not_reduced(self, form):
+        # b outside (-a, a], b < 0 when a = c, b = -a, and a > c
+        assert not QuadForm(*form).is_reduced()
+        assert QuadForm(3, 1, 3).is_reduced() and QuadForm(4, 4, 5).is_reduced()
+
+    @pytest.mark.parametrize("coeffs", [(1.5, 1, 6), (1, 1.0, 6), (1, 1, "6")])
+    def test_refuses_non_integers(self, coeffs):
+        # a DomainError, so a CfqError; an integral Fraction is stored as an int
+        with pytest.raises(DomainError, match="integers"):
+            QuadForm(*coeffs)
+        f = QuadForm(Fraction(4, 2), 1, 3)
+        assert f == QuadForm(2, 1, 3) and type(f.a) is int
 
 
 class TestReduce:
@@ -203,6 +220,18 @@ class TestEnumerate:
         for bad in [QuadForm(2, 2, 36), QuadForm(4, 2, 18), QuadForm(6, 2, 12),
                     QuadForm(6, -2, 12), QuadForm(8, 6, 10)]:
             assert bad not in reps
+
+    @pytest.mark.parametrize("d", [5, 0, -2])
+    def test_refuses_non_discriminants(self, d):
+        with pytest.raises(DomainError, match="not a negative discriminant"):
+            enumerate_class_group(d)
+
+    @pytest.mark.parametrize("d", [-23.0, -23.5, "-23"])
+    def test_refuses_non_integers(self, d):
+        # a DomainError, not the TypeError of range
+        with pytest.raises(DomainError, match="integers"):
+            enumerate_class_group(d)
+        assert enumerate_class_group(Fraction(-23)) == enumerate_class_group(-23)
 
     def test_disc_8(self):
         cg = enumerate_class_group(-8)
