@@ -13,7 +13,6 @@ polynomials.  No part of it reads a data file.
 from .classfield import (
     ClassPolyResult,
     SingularValueSet,
-    galois_permutation,
     ring_class_polynomial,
     singular_values,
 )

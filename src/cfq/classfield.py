@@ -1,4 +1,4 @@
-"""End-to-end pipeline: singular values, class polynomials, Galois action.
+"""End-to-end pipeline: singular values and class polynomials.
 
 `singular_values` evaluates a catalog principal modulus at one elliptic fixed
 point per ideal class.  Every catalog q-expansion has rational coefficients,
@@ -19,9 +19,6 @@ There is one round, at the policy's start, by default the 64-bit floor; a
 refused round raises `RoundingFailureError` with the residual and the
 tolerance.  Every catalog key that computes is accepted at 64 bits with a
 margin of about 2^49, since its coefficients are small.
-The Galois side of the theory is realized combinatorially:
-`galois_permutation` translates the class list by a fixed class through form
-composition.
 """
 
 from __future__ import annotations
@@ -30,18 +27,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
-from .errors import DomainError
-from .exactpoly import IntPoly
+from .exactpoly import IntPoly, _integers
 from .hauptmodul import ERROR_BITS, catalog_lookup, evaluate
 from .numerics import Ball, PrecisionPolicy, certify_int_poly
-from .quadforms import ClassGroup, IdealClass, compose, enumerate_class_group
+from .quadforms import ClassGroup, IdealClass, enumerate_class_group
 
 __all__ = [
     "SingularValueSet",
     "ClassPolyResult",
     "singular_values",
     "ring_class_polynomial",
-    "galois_permutation",
 ]
 
 
@@ -86,6 +81,8 @@ def singular_values(n: int, group: str, disc: int, prec: int) -> SingularValueSe
     and whose representative is its own mirror image (2A = 0 mod C) has a
     real value, and reports it with an imaginary part of exactly 0.
     """
+    if type(n) is not int:
+        (n,) = _integers((n,), "levels")
     spec = catalog_lookup(n, group)
     cg = enumerate_class_group(disc)
     reps = enumerate_representatives(n, disc, cg)
@@ -121,14 +118,3 @@ def ring_class_polynomial(n: int, group: str, disc: int,
     poly, residual, r_max = certify_int_poly(vals.values(), ERROR_BITS + 1 - prec, prec)
     assert poly.is_monic() and poly.degree == vals.class_group.class_number
     return ClassPolyResult(poly, residual, prec, vals, r_max)
-
-
-def galois_permutation(beta: IdealClass, values: SingularValueSet) -> tuple[int, ...]:
-    """Index permutation sending each class [a] to [a] * [beta]^-1."""
-    if beta.disc != values.disc:
-        raise DomainError(
-            f"class discriminant {beta.disc} does not match value set {values.disc}"
-        )
-    cg = values.class_group
-    inverse = beta.inverse()
-    return tuple(cg.index_of(compose(cls, inverse)) for cls in cg.classes)

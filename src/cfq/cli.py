@@ -12,8 +12,9 @@ Each subcommand builds one JSON object and its text lines, and prints the
 lines or, with --json, the object in canonical (sorted) key order, every
 number that is not an integer a decimal string, rounded half up.  Each part
 of a value gets the significant digits that evaluate's bound supports,
-counted by one exact decimal division.  No other module of cfq turns
-results into text.
+counted by one exact decimal division.  Forms, elements and polynomials
+print as their integers joined by commas, the way eval's --element reads
+them.  No other module of cfq reads or writes text.
 
 Exit codes: 0 success, 1 domain, parse or rounding error or a failed
 verification check.
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 from .classfield import ClassPolyResult, ring_class_polynomial
 from .elliptic import EllipticElement, enumerate_representatives, fixed_point
-from .errors import CfqError
+from .errors import CfqError, DomainError
 from .exactpoly import IntPoly, LaurentExpr, verify_root_relation
 from .hauptmodul import ERROR_BITS, catalog_entries, catalog_lookup, evaluate
 from .numerics import MAX_PREC_BITS, MIN_PREC_BITS, Ball, PrecisionPolicy
@@ -151,11 +152,16 @@ def value_text(value: Ball, prec: int) -> tuple[str, str]:
     return part(value.re), part(value.im)
 
 
+def _commas(*integers: int) -> str:
+    return ",".join(map(str, integers))
+
+
 def _class_poly_json(result: ClassPolyResult) -> dict:
     points = []
     for cls, alpha, _tau, value in result.points.entries:
         value_re, value_im = value_text(value, result.prec_bits)
-        points.append({"class": cls.rep.text(), "element": alpha.text(),
+        points.append({"class": _commas(cls.rep.a, cls.rep.b, cls.rep.c),
+                       "element": _commas(alpha.A, alpha.B, alpha.C),
                        "value_re": value_re, "value_im": value_im})
     return {
         "level": result.points.n,
@@ -174,12 +180,12 @@ def _cmd_class_poly(args):
     result = ring_class_polynomial(args.level, args.group, args.disc,
                                    PrecisionPolicy(args.prec_bits))
     # the text prints no value, so it skips their decimal digits
-    return _class_poly_json(result) if args.json else None, [result.poly.text()]
+    return _class_poly_json(result) if args.json else None, [_commas(*result.poly.coeffs)]
 
 
 def _cmd_class_group(args):
     cg = enumerate_class_group(args.disc)
-    classes = [cls.rep.text() for cls in cg.classes]
+    classes = [_commas(cls.rep.a, cls.rep.b, cls.rep.c) for cls in cg.classes]
     obj = {"disc": cg.disc, "class_number": cg.class_number, "classes": classes,
            "table": [list(row) for row in cg.table]}
     return obj, [*classes, f"h = {cg.class_number}",
@@ -191,7 +197,8 @@ def _cmd_reps(args):
     reps = []
     for cls, alpha in zip(cg.classes, enumerate_representatives(args.level, args.disc, cg)):
         tau = fixed_point(alpha)
-        reps.append({"class": cls.rep.text(), "element": alpha.text(),
+        reps.append({"class": _commas(cls.rep.a, cls.rep.b, cls.rep.c),
+                     "element": _commas(alpha.A, alpha.B, alpha.C),
                      "tau": f"({tau.u}+{tau.v}*sqrt(-{tau.n}))/{tau.w}"})
     obj = {"level": args.level, "disc": args.disc, "representatives": reps}
     return obj, [f"{r['element']}@{args.level}  class {r['class']}  tau={r['tau']}"
@@ -199,11 +206,23 @@ def _cmd_reps(args):
 
 
 def _cmd_eval(args):
-    prec = args.prec_bits
-    alpha = EllipticElement.from_text(args.element, args.level)
-    spec = catalog_lookup(args.level, args.group)
+    prec, n, text = args.prec_bits, args.level, args.element
+    # 'A,B,C', or 'A,B,C@n' with n the level given
+    body, at, level_text = text.partition("@")
+    parts = body.split(",")
+    if len(parts) != 3:
+        raise DomainError(f"expected 'A,B,C', got {text!r}")
+    try:
+        a, b, c = map(int, parts)
+        level = int(level_text) if at else n
+    except ValueError:
+        raise DomainError(f"expected integers 'A,B,C' or 'A,B,C@n', got {text!r}") from None
+    if level != n:
+        raise DomainError(f"level {level} in {text!r} conflicts with {n}")
+    alpha = EllipticElement(n, a, b, c)
+    spec = catalog_lookup(n, args.group)
     value_re, value_im = value_text(evaluate(spec, fixed_point(alpha), prec), prec)
-    obj = {"level": args.level, "group": args.group, "element": alpha.text(),
+    obj = {"level": n, "group": args.group, "element": _commas(a, b, c),
            "disc": alpha.disc, "prec_bits": prec,
            "value_re": value_re, "value_im": value_im}
     return obj, [f"{value_re} {value_im}"]

@@ -67,27 +67,6 @@ class EllipticElement:
             return QuadForm(f.a // 2, f.b // 2, f.c // 2)
         return f
 
-    def text(self) -> str:
-        return f"{self.A},{self.B},{self.C}"
-
-    @classmethod
-    def from_text(cls, s: str, n: int | None = None) -> EllipticElement:
-        """Parse 'A,B,C' (level given separately) or 'A,B,C@n'."""
-        body, at, level_text = s.partition("@")
-        parts = body.split(",")
-        if len(parts) != 3:
-            raise DomainError(f"expected 'A,B,C', got {s!r}")
-        try:
-            a, b, c = (int(p) for p in parts)
-            level = int(level_text) if at else n
-        except ValueError:
-            raise DomainError(f"expected integers 'A,B,C' or 'A,B,C@n', got {s!r}") from None
-        if at and n is not None and n != level:
-            raise DomainError(f"level {level} in {s!r} conflicts with {n}")
-        if level is None:
-            raise DomainError(f"no level in {s!r} and none supplied")
-        return cls(level, a, b, c)
-
 
 @dataclass(frozen=True)
 class CMPoint:
@@ -121,11 +100,11 @@ class CMPoint:
 def fixed_point(alpha: EllipticElement) -> CMPoint:
     """The unique fixed point (n*A + sqrt(-n)) / (n*C) in the upper half plane."""
     tau = CMPoint(alpha.n * alpha.A, 1, alpha.n * alpha.C, alpha.n)
-    # exact zero check of n*C X^2 - 2n*A X - B at tau over Q(sqrt(-n))
-    a, b, c = alpha.n * alpha.C, -2 * alpha.n * alpha.A, -alpha.B
+    # exact zero check of the element's form at (tau, 1) over Q(sqrt(-n))
+    f = alpha.form()
     u, v, w = tau.u, tau.v, tau.w
-    rational = a * (u * u - alpha.n * v * v) + b * u * w + c * w * w
-    irrational = 2 * a * u * v + b * v * w
+    rational = f.a * (u * u - alpha.n * v * v) + f.b * u * w + f.c * w * w
+    irrational = 2 * f.a * u * v + f.b * v * w
     assert rational == 0 and irrational == 0
     return tau
 

@@ -63,10 +63,6 @@ class IntPoly:
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def text(self) -> str:
-        """Comma-separated decimal coefficients, lowest degree first."""
-        return ",".join(str(c) for c in self.coeffs)
-
 
 @dataclass(frozen=True)
 class LaurentExpr:

@@ -63,10 +63,6 @@ class QuadForm:
             return False
         return True
 
-    def text(self) -> str:
-        return f"{self.a},{self.b},{self.c}"
-
-
 
 def _check_pos_def(f: QuadForm) -> None:
     if not f.is_positive_definite():
@@ -181,9 +177,6 @@ class ClassGroup:
     @property
     def class_number(self) -> int:
         return len(self.classes)
-
-    def index_of(self, cls: IdealClass) -> int:
-        return self._index[cls.rep]
 
     def inverse_idx(self, i: int) -> int:
         # the inverse of a reduced (a, b, c) is (a, -b, c), itself reduced

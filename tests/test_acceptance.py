@@ -25,12 +25,12 @@ from conftest import (
     random_sl2,
     rational_point,
 )
-from cfq.classfield import galois_permutation, ring_class_polynomial, singular_values
+from cfq.classfield import ring_class_polynomial
 from cfq.cli import run as cli_run
 from cfq.elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
 from cfq.exactpoly import LaurentExpr, verify_root_relation
 from cfq.hauptmodul import GAMMA0_LEVELS, catalog_lookup
-from cfq.quadforms import enumerate_class_group
+from cfq.quadforms import IdealClass, QuadForm, enumerate_class_group
 
 
 @contextlib.contextmanager
@@ -167,16 +167,23 @@ def test_criterion_8_eta_engine():
 def test_criterion_9_galois_action_structure():
     with report(9, "translation action is a homomorphism; principal acts as identity"):
         for disc in (-71, -284):
-            vals = singular_values(71, "fricke", disc, 128)
-            cg = vals.class_group
-            perms = [galois_permutation(cls, vals) for cls in cg.classes]
-            assert perms[0] == tuple(range(cg.class_number))
-            for i in range(cg.class_number):
-                for j in range(cg.class_number):
-                    composed = tuple(
-                        perms[i][perms[j][k]] for k in range(cg.class_number)
-                    )
+            cg = enumerate_class_group(disc)
+            h = cg.class_number
+            # translation by [beta] sends [a] to [a][beta]^-1: column
+            # inverse_idx(beta) of the Cayley table
+            perms = [tuple(row[cg.inverse_idx(b)] for row in cg.table) for b in range(h)]
+            assert perms[0] == tuple(range(h))
+            for i in range(h):
+                for j in range(h):
+                    composed = tuple(perms[i][perms[j][k]] for k in range(h))
                     assert composed == perms[cg.table[i][j]]
+        # (2, 1, 9) has order 7 in Cl(-71), so its translation is a 7-cycle
+        cg = enumerate_class_group(-71)
+        beta = cg.classes.index(IdealClass(QuadForm(2, 1, 9)))
+        power, order = beta, 1
+        while power != 0:
+            power, order = cg.table[power][beta], order + 1
+        assert order == 7
 
 
 def test_criterion_10_note():

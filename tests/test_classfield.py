@@ -1,6 +1,7 @@
-"""Pipeline tests: singular values, class polynomials, Galois permutations."""
+"""Pipeline tests: singular values and class polynomials."""
 
 import hashlib
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -12,21 +13,16 @@ import cfq.elliptic
 import cfq.quadforms
 
 from conftest import (
-    GROUP_DISCS, H71, H284, ball_mpc, level_keys, mpc_ball, mpf_parts, rat, rat_divmod, rat_gcd,
+    H71, H284, ball_mpc, level_keys, mpc_ball, mpf_parts, rat, rat_divmod, rat_gcd,
 )
-from cfq.classfield import (
-    SingularValueSet,
-    galois_permutation,
-    ring_class_polynomial,
-    singular_values,
-)
+from cfq.classfield import ring_class_polynomial, singular_values
 from cfq.cli import _class_poly_json
 from cfq.elliptic import EllipticElement, enumerate_representatives, fixed_point
 from cfq.errors import DomainError, RoundingFailureError
 from cfq.exactpoly import IntPoly
 from cfq.hauptmodul import ERROR_BITS, _kappa, catalog_lookup, evaluate
 from cfq.numerics import PrecisionPolicy, certify_int_poly
-from cfq.quadforms import IdealClass, QuadForm, compose, enumerate_class_group, reduce_form
+from cfq.quadforms import QuadForm, enumerate_class_group, reduce_form
 
 
 class TestSingularValues:
@@ -349,6 +345,16 @@ class TestRingClassPolynomial:
         with pytest.raises(DomainError, match="integers"):
             ring_class_polynomial(71, "fricke", disc)
 
+    def test_non_integer_level_refused(self):
+        # refused up front, in the level's own words
+        with pytest.raises(DomainError, match="levels must be integers"):
+            ring_class_polynomial(71.0, "fricke", -284)
+
+    def test_integral_fraction_level_is_an_int(self):
+        result = ring_class_polynomial(Fraction(71), "fricke", -284)
+        assert type(result.points.n) is int and result.poly == H284
+        assert json.loads(json.dumps(_class_poly_json(result)))["level"] == 71
+
     def test_level71_past_the_old_data_ceiling(self):
         # the coefficient file supported 354 bits at most; the theta
         # quotient has no such ceiling
@@ -371,67 +377,3 @@ class TestRingClassPolynomial:
         assert set(obj) == {"level", "group", "disc", "class_number", "poly",
                             "residual", "r_max", "prec_bits", "points"}
 
-
-class TestGaloisPermutation:
-    def test_principal_is_identity(self):
-        vals = singular_values(71, "fricke", -71, 128)
-        principal = IdealClass(QuadForm(1, 1, 18))
-        assert galois_permutation(principal, vals) == tuple(range(7))
-
-    def test_nonprincipal_is_seven_cycle(self):
-        vals = singular_values(71, "fricke", -71, 128)
-        beta = IdealClass(QuadForm(2, 1, 9))
-        perm = galois_permutation(beta, vals)
-        seen, k = set(), 0
-        for _ in range(7):
-            seen.add(k)
-            k = perm[k]
-        assert len(seen) == 7 and k == 0
-
-    @pytest.mark.parametrize("disc", [-71, -284])
-    def test_homomorphism(self, disc):
-        vals = singular_values(71, "fricke", disc, 128)
-        cg = vals.class_group
-        perms = [galois_permutation(cls, vals) for cls in cg.classes]
-        for i, beta1 in enumerate(cg.classes):
-            for j, beta2 in enumerate(cg.classes):
-                composed = tuple(perms[i][perms[j][k]] for k in range(cg.class_number))
-                both = perms[cg.table[i][j]]
-                assert composed == both
-
-    def test_permuted_values_same_multiset(self):
-        vals = singular_values(71, "fricke", -284, 128)
-        beta = vals.class_group.classes[3]
-        perm = galois_permutation(beta, vals)
-        original = sorted(str(v) for v in vals.values())
-        permuted = sorted(str(vals.values()[perm[k]]) for k in range(7))
-        assert original == permuted
-
-    def test_disc_mismatch(self):
-        vals = singular_values(71, "fricke", -71, 128)
-        with pytest.raises(DomainError):
-            galois_permutation(IdealClass(QuadForm(1, 0, 71)), vals)
-
-    def test_one_composition_per_class(self, monkeypatch):
-        # h compositions for one permutation, and the Cayley table unread
-        vals = singular_values(71, "fricke", -71, 64)
-        calls = []
-
-        def counting(f, g):
-            calls.append((f, g))
-            return compose(f, g)
-
-        monkeypatch.setattr(cfq.classfield, "compose", counting)
-        monkeypatch.setattr(cfq.quadforms, "compose", counting)
-        galois_permutation(vals.class_group.classes[2], vals)
-        assert len(calls) == 7
-        assert "table" not in vars(vals.class_group)
-
-    @pytest.mark.parametrize("disc", GROUP_DISCS)
-    def test_matches_table_column(self, disc):
-        # the permutation only reads the value set's class group
-        cg = enumerate_class_group(disc)
-        vals = SingularValueSet(0, "fricke", disc, (), cg)
-        for j, beta in enumerate(cg.classes):
-            column = cg.inverse_idx(j)
-            assert galois_permutation(beta, vals) == tuple(row[column] for row in cg.table)

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, JSON round trips, exit codes."""
 
+import hashlib
 import io
 import json
 import os
@@ -15,10 +16,11 @@ import pytest
 
 from conftest import ball_mpc, level_keys
 from cfq.classfield import singular_values
-from cfq.cli import _decimal, run, value_digits
+from cfq.cli import _decimal, run, value_digits, value_text
+from cfq.elliptic import EllipticElement, fixed_point
 from cfq.errors import RoundingFailureError
 from cfq.exactpoly import IntPoly
-from cfq.hauptmodul import ERROR_BITS
+from cfq.hauptmodul import ERROR_BITS, catalog_lookup, evaluate
 
 
 def invoke(argv):
@@ -191,6 +193,41 @@ class TestEval:
         )
         assert (code, out) == (1, "")
         assert err.startswith("cfq: error: ") and repr(element) in err
+
+    def test_text_roundtrip(self):
+        code, out, _ = invoke(["eval", "-n", "71", "--group", "fricke",
+                               "--element", "1,-36,2", "--json"])
+        obj = json.loads(out)
+        assert code == 0 and obj["element"] == "1,-36,2"
+        value = evaluate(catalog_lookup(71, "fricke"), fixed_point(EllipticElement(71, 1, -36, 2)), 256)
+        assert (obj["value_re"], obj["value_im"]) == value_text(value, 256)
+
+    def test_text_with_level_suffix(self):
+        def run_eval(n, element):
+            return invoke(["eval", "-n", n, "--group", "fricke", "--element", element])
+
+        assert run_eval("71", "1,-36,2@71") == run_eval("71", "1,-36,2")
+        assert run_eval("5", "0,-1,1@5") == run_eval("5", "0,-1,1")
+        assert run_eval("5", "0,-1,1")[0] == 0
+        code, out, err = run_eval("5", "1,-36,2@71")
+        assert (code, out) == (1, "") and "conflicts with 5" in err
+
+    @pytest.mark.parametrize("text", ["x,-1,1", "0,-1,1@", "0,-1,1@x", "0,,1", "0,-1"])
+    def test_malformed_text_refused(self, text):
+        code, out, err = invoke(["eval", "-n", "71", "--group", "fricke", "--element", text])
+        assert (code, out) == (1, "") and "got" in err
+
+    def test_element_text_refusals_pinned(self):
+        # the exit code and stderr of each --element text
+        cases = ["x,-1,1", "0,-1,1@", "0,-1,1@x", "0,,1", "0,-1", "1,-36,2@5", "1,-36,2@071",
+                 "1,-36,2@71", "1,-36,3", "0,-1,1,2", " 1,-36,2", "1,-36,2@ 71"]
+        digest = hashlib.sha256()
+        for text in cases:
+            code, _, err = invoke(["eval", "-n", "71", "--group", "fricke", "--element", text,
+                                   "--prec-bits", "64"])
+            digest.update(f"{text!r} {code} {err!r}\n".encode())
+        assert digest.hexdigest() == (
+            "f598ff40720629978c4ea88ee6493269cf33065293c654ff8fc141b640982c18")
 
     def test_json(self):
         code, out, _ = invoke(

@@ -28,19 +28,6 @@ class TestEllipticElement:
         for el in (EllipticElement(71, 0, -1, 1), EllipticElement(71, 5, -222, 8)):
             assert el.n * el.A**2 + el.B * el.C == -1
 
-    def test_text_roundtrip(self):
-        el = EllipticElement.from_text("1,-36,2", 71)
-        assert el == EllipticElement(71, 1, -36, 2)
-        assert el.text() == "1,-36,2"
-
-    def test_text_with_level_suffix(self):
-        assert EllipticElement.from_text("1,-36,2@71") == EllipticElement(71, 1, -36, 2)
-        assert EllipticElement.from_text("0,-1,1@5", 5) == EllipticElement(5, 0, -1, 1)
-        with pytest.raises(DomainError):
-            EllipticElement.from_text("1,-36,2@71", 5)
-        with pytest.raises(DomainError):
-            EllipticElement.from_text("1,-36,2")
-
     def test_level_must_be_positive(self):
         with pytest.raises(DomainError, match="level must be positive"):
             EllipticElement(0, 0, -1, 1)
@@ -52,11 +39,6 @@ class TestEllipticElement:
             EllipticElement(*entries)
         el = EllipticElement(Fraction(142, 2), 0, -1, 1)
         assert el == EllipticElement(71, 0, -1, 1) and type(el.n) is int
-
-    @pytest.mark.parametrize("text", ["x,-1,1", "0,-1,1@", "0,-1,1@x", "0,,1", "0,-1"])
-    def test_malformed_text_refused(self, text):
-        with pytest.raises(DomainError, match="got"):
-            EllipticElement.from_text(text, 71)
 
 
 class TestFixedPoint:
@@ -182,9 +164,9 @@ class TestEnumerateRepresentatives:
         n, disc = 1318, -5272
         cg = enumerate_class_group(disc)
         reps = enumerate_representatives(n, disc, cg)
-        assert [el.text() for el in reps] == [
-            "0,-1,1", "330,-217141,661", "7,-3799,17", "10,-7753,17", "6,-2063,23",
-            "17,-16561,23", "22,-21997,29", "7,-2227,29", "25,-19157,43", "18,-9931,43",
+        assert [(el.A, el.B, el.C) for el in reps] == [
+            (0, -1, 1), (330, -217141, 661), (7, -3799, 17), (10, -7753, 17), (6, -2063, 23),
+            (17, -16561, 23), (22, -21997, 29), (7, -2227, 29), (25, -19157, 43), (18, -9931, 43),
         ]
         # every element with C <= 661; n is even, so B and C are odd and
         # the form of each is primitive of discriminant -4n

@@ -529,7 +529,7 @@ class TestQSeriesKernel:
     """The theta quotient's fixed-point sums against the oracle series."""
 
     @pytest.mark.parametrize(
-        "alpha,prec", LEVEL71_CASES, ids=[f"{a.text()}@{p}" for a, p in LEVEL71_CASES]
+        "alpha,prec", LEVEL71_CASES, ids=[f"{a.A},{a.B},{a.C}@{p}" for a, p in LEVEL71_CASES]
     )
     def test_level71_representatives(self, alpha, prec):
         # the Fricke flip leaves the point alone (71|tau|^2 = -B/C >= 1), so
@@ -538,7 +538,7 @@ class TestQSeriesKernel:
         _check_against_reference(fixed_point(alpha), prec)
 
     @pytest.mark.parametrize(
-        "alpha,prec", LEVEL71_CASES, ids=[f"{a.text()}@{p}" for a, p in LEVEL71_CASES]
+        "alpha,prec", LEVEL71_CASES, ids=[f"{a.A},{a.B},{a.C}@{p}" for a, p in LEVEL71_CASES]
     )
     def test_summed_coefficients_within_scale(self, alpha, prec, monkeypatch):
         # the kernel is told |c| <= 2^b: b = 0 for the signs of the two
@@ -724,13 +724,13 @@ class TestDocumentedBound:
     """|evaluate - t(tau)| <= 2^(ERROR_BITS - prec) max(1, |t(tau)|)."""
 
     @pytest.mark.parametrize(
-        "alpha,prec", LEVEL71_CASES, ids=[f"{a.text()}@{p}" for a, p in LEVEL71_CASES]
+        "alpha,prec", LEVEL71_CASES, ids=[f"{a.A},{a.B},{a.C}@{p}" for a, p in LEVEL71_CASES]
     )
     def test_level71_representatives(self, alpha, prec):
         _check_documented_bound(catalog_lookup(71, "fricke"), fixed_point(alpha), prec)
 
     @pytest.mark.parametrize(
-        "alpha,prec", LEVEL71_DEEP, ids=[f"{a.text()}@{p}" for a, p in LEVEL71_DEEP]
+        "alpha,prec", LEVEL71_DEEP, ids=[f"{a.A},{a.B},{a.C}@{p}" for a, p in LEVEL71_DEEP]
     )
     def test_level71_beyond_the_oracle(self, alpha, prec):
         # precisions the 3,600 coefficients never reached, against an

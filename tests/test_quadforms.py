@@ -278,7 +278,7 @@ class TestEnumerate:
     def test_inverse_idx_matches_inverse_class(self, d):
         cg = enumerate_class_group(d)
         for i, cls in enumerate(cg.classes):
-            assert cg.inverse_idx(i) == cg.index_of(cls.inverse())
+            assert cg.inverse_idx(i) == cg.classes.index(cls.inverse())
 
     def test_imprimitive_rejected_loudly(self):
         with pytest.raises(DomainError):
