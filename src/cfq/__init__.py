@@ -50,7 +50,6 @@ from .hauptmodul import (
 from .numerics import PrecisionPolicy
 from .quadforms import (
     ClassGroup,
-    IdealClass,
     QuadForm,
     compose,
     enumerate_class_group,

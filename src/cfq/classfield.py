@@ -30,7 +30,7 @@ from .elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed
 from .exactpoly import IntPoly, _integers
 from .hauptmodul import ERROR_BITS, catalog_lookup, evaluate
 from .numerics import Ball, PrecisionPolicy, certify_int_poly
-from .quadforms import ClassGroup, IdealClass, enumerate_class_group
+from .quadforms import ClassGroup, QuadForm, enumerate_class_group
 
 __all__ = [
     "SingularValueSet",
@@ -42,12 +42,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SingularValueSet:
-    """One principal-modulus value per ideal class of one discriminant."""
+    """One principal-modulus value per class of one discriminant.
+
+    Each entry is (the class's reduced form, its elliptic element, the
+    element's fixed point, the value there).
+    """
 
     n: int
     group: str
     disc: int
-    entries: tuple[tuple[IdealClass, EllipticElement, CMPoint, Ball], ...]
+    entries: tuple[tuple[QuadForm, EllipticElement, CMPoint, Ball], ...]
     class_group: ClassGroup
 
     def values(self) -> list[Ball]:
@@ -87,7 +91,7 @@ def singular_values(n: int, group: str, disc: int, prec: int) -> SingularValueSe
     cg = enumerate_class_group(disc)
     reps = enumerate_representatives(n, disc, cg)
     entries = []
-    for i, (cls, alpha) in enumerate(zip(cg.classes, reps)):
+    for i, (form, alpha) in enumerate(zip(cg.classes, reps)):
         tau = fixed_point(alpha)
         j = cg.inverse_idx(i)
         mirror = reps[j]
@@ -101,7 +105,7 @@ def singular_values(n: int, group: str, disc: int, prec: int) -> SingularValueSe
             if j == i and mirrored:
                 # its own mirror image: t(tau) = conj(t(tau)) is real
                 value = value._replace(im=0)
-        entries.append((cls, alpha, tau, value))
+        entries.append((form, alpha, tau, value))
     return SingularValueSet(n, group, disc, tuple(entries), cg)
 
 

@@ -158,9 +158,9 @@ def _commas(*integers: int) -> str:
 
 def _class_poly_json(result: ClassPolyResult) -> dict:
     points = []
-    for cls, alpha, _tau, value in result.points.entries:
+    for f, alpha, _tau, value in result.points.entries:
         value_re, value_im = value_text(value, result.prec_bits)
-        points.append({"class": _commas(cls.rep.a, cls.rep.b, cls.rep.c),
+        points.append({"class": _commas(f.a, f.b, f.c),
                        "element": _commas(alpha.A, alpha.B, alpha.C),
                        "value_re": value_re, "value_im": value_im})
     return {
@@ -185,7 +185,7 @@ def _cmd_class_poly(args):
 
 def _cmd_class_group(args):
     cg = enumerate_class_group(args.disc)
-    classes = [_commas(cls.rep.a, cls.rep.b, cls.rep.c) for cls in cg.classes]
+    classes = [_commas(f.a, f.b, f.c) for f in cg.classes]
     obj = {"disc": cg.disc, "class_number": cg.class_number, "classes": classes,
            "table": [list(row) for row in cg.table]}
     return obj, [*classes, f"h = {cg.class_number}",
@@ -195,9 +195,9 @@ def _cmd_class_group(args):
 def _cmd_reps(args):
     cg = enumerate_class_group(args.disc)
     reps = []
-    for cls, alpha in zip(cg.classes, enumerate_representatives(args.level, args.disc, cg)):
+    for f, alpha in zip(cg.classes, enumerate_representatives(args.level, args.disc, cg)):
         tau = fixed_point(alpha)
-        reps.append({"class": _commas(cls.rep.a, cls.rep.b, cls.rep.c),
+        reps.append({"class": _commas(f.a, f.b, f.c),
                      "element": _commas(alpha.A, alpha.B, alpha.C),
                      "tau": f"({tau.u}+{tau.v}*sqrt(-{tau.n}))/{tau.w}"})
     obj = {"level": args.level, "disc": args.disc, "representatives": reps}

@@ -134,7 +134,7 @@ def enumerate_representatives(
         raise DomainError(f"class group of discriminant {group.disc} given for discriminant {disc}")
     cg = group if group is not None else enumerate_class_group(disc)
     # reduced form -> class index, for the classes still without an element
-    targets = {cls.rep: k for k, cls in enumerate(cg.classes)}
+    targets = {f: k for k, f in enumerate(cg.classes)}
     found: dict[int, EllipticElement] = {}
     for c in count(1):
         if not targets:

@@ -1,8 +1,10 @@
 """Positive definite binary quadratic forms and their class groups.
 
-Covers Gauss reduction to the unique reduced form of an SL2(Z) class,
-Dirichlet composition of ideal classes by extended gcd, and brute-force
-class group enumeration (the Cayley table is composed only when first read).
+A class of Cl(d) is its unique reduced primitive form (Gauss), and every
+class in the package is that form.  Covers Gauss reduction to the reduced
+form of an SL2(Z) class, Dirichlet composition of primitive forms by extended
+gcd, and brute-force class group enumeration (the Cayley table is composed
+only when first read).
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from .exactpoly import _integers
 
 __all__ = [
     "QuadForm",
-    "IdealClass",
     "ClassGroup",
     "reduce_form",
     "compose",
@@ -87,26 +88,6 @@ def reduce_form(f: QuadForm) -> QuadForm:
     return g
 
 
-@dataclass(frozen=True)
-class IdealClass:
-    """An ideal class, represented by its unique reduced primitive form."""
-
-    rep: QuadForm
-
-    def __init__(self, form: QuadForm):
-        _check_pos_def(form)
-        if not form.is_primitive():
-            raise DomainError(f"form {form} is imprimitive (content {form.content})")
-        object.__setattr__(self, "rep", reduce_form(form))
-
-    @property
-    def disc(self) -> int:
-        return self.rep.disc
-
-    def inverse(self) -> IdealClass:
-        return IdealClass(self.rep.inverse())
-
-
 def principal_form(d: int) -> QuadForm:
     """The reduced representative of the unit class of discriminant d."""
     b = d & 1
@@ -128,19 +109,25 @@ def _extgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_u, old_v
 
 
-def compose(f: IdealClass, g: IdealClass) -> IdealClass:
-    """Product of two ideal classes by Dirichlet composition.
+def compose(f: QuadForm, g: QuadForm) -> QuadForm:
+    """The reduced form of the product of two primitive positive definite
+    forms of one discriminant, by Dirichlet composition.
 
-    With e = gcd(a1, a2, (b1 + b2)/2) = u a1 + v a2 + w (b1 + b2)/2, the
+    The forms need not be reduced.  With
+    e = gcd(a1, a2, (b1 + b2)/2) = u a1 + v a2 + w (b1 + b2)/2, the
     composite is (a1 a2 / e^2, B, .) with
     B = (u a1 b2 + v a2 b1 + w (b1 b2 + d)/2) / e mod 2 a1 a2 / e^2
     (Cohen, A Course in Computational Algebraic Number Theory, 5.4).
     """
+    for form in (f, g):
+        _check_pos_def(form)
+        if not form.is_primitive():
+            raise DomainError(f"form {form} is imprimitive (content {form.content})")
     if f.disc != g.disc:
         raise DomainError(f"discriminant mismatch: {f.disc} vs {g.disc}")
     d = f.disc
-    a1, b1 = f.rep.a, f.rep.b
-    a2, b2 = g.rep.a, g.rep.b
+    a1, b1 = f.a, f.b
+    a2, b2 = g.a, g.b
     h, x, y = _extgcd(a1, a2)
     e, z, w = _extgcd(h, (b1 + b2) // 2)
     u, v = z * x, z * y
@@ -148,26 +135,27 @@ def compose(f: IdealClass, g: IdealClass) -> IdealClass:
     bb = (u * a1 * b2 + v * a2 * b1 + w * ((b1 * b2 + d) // 2)) // e % (2 * a3)
     num = bb * bb - d
     assert num % (4 * a3) == 0
-    return IdealClass(QuadForm(a3, bb, num // (4 * a3)))
+    return reduce_form(QuadForm(a3, bb, num // (4 * a3)))
 
 
 @dataclass(frozen=True)
 class ClassGroup:
-    """All ideal classes of one discriminant with their composition table."""
+    """The reduced primitive forms of one discriminant, one per class, with
+    their composition table."""
 
     disc: int
-    classes: tuple[IdealClass, ...]
+    classes: tuple[QuadForm, ...]
 
     @cached_property
     def _index(self) -> dict[QuadForm, int]:
-        return {cls.rep: k for k, cls in enumerate(self.classes)}
+        return {f: k for k, f in enumerate(self.classes)}
 
     @cached_property
     def table(self) -> tuple[tuple[int, ...], ...]:
         """Cayley table by index, built by h^2 compositions on first use."""
         index = self._index
         table = tuple(
-            tuple(index[compose(x, y).rep] for y in self.classes) for x in self.classes
+            tuple(index[compose(x, y)] for y in self.classes) for x in self.classes
         )
         for i in range(len(self.classes)):
             assert table[0][i] == i and table[i][0] == i
@@ -181,7 +169,7 @@ class ClassGroup:
     def inverse_idx(self, i: int) -> int:
         # the inverse of a reduced (a, b, c) is (a, -b, c), itself reduced
         # unless the class is ambiguous, and then the class is its own inverse
-        return self._index.get(self.classes[i].rep.inverse(), i)
+        return self._index.get(self.classes[i].inverse(), i)
 
 
 def enumerate_class_group(d: int) -> ClassGroup:
@@ -207,5 +195,5 @@ def enumerate_class_group(d: int) -> ClassGroup:
                 forms.append(form)
     forms.sort(key=lambda f: (f.a, abs(f.b), 0 if f.b >= 0 else 1))
     assert forms[0] == principal_form(d)
-    return ClassGroup(d, tuple(IdealClass(f) for f in forms))
+    return ClassGroup(d, tuple(forms))
 

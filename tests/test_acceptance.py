@@ -30,7 +30,7 @@ from cfq.cli import run as cli_run
 from cfq.elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
 from cfq.exactpoly import LaurentExpr, verify_root_relation
 from cfq.hauptmodul import GAMMA0_LEVELS, catalog_lookup
-from cfq.quadforms import IdealClass, QuadForm, enumerate_class_group
+from cfq.quadforms import QuadForm, enumerate_class_group
 
 
 @contextlib.contextmanager
@@ -179,7 +179,7 @@ def test_criterion_9_galois_action_structure():
                     assert composed == perms[cg.table[i][j]]
         # (2, 1, 9) has order 7 in Cl(-71), so its translation is a 7-cycle
         cg = enumerate_class_group(-71)
-        beta = cg.classes.index(IdealClass(QuadForm(2, 1, 9)))
+        beta = cg.classes.index(QuadForm(2, 1, 9))
         power, order = beta, 1
         while power != 0:
             power, order = cg.table[power][beta], order + 1

@@ -80,7 +80,7 @@ class TestSingularValues:
 
     def test_classes_pairwise_distinct(self):
         vals = singular_values(71, "fricke", -284, 128)
-        reps = [cls.rep for cls, _, _, _ in vals.entries]
+        reps = [form for form, _, _, _ in vals.entries]
         assert len(set(reps)) == len(reps)
 
 
@@ -142,8 +142,8 @@ class TestInversePairs:
 
         monkeypatch.setattr(cfq.classfield, "evaluate", off_axis)
         vals = singular_values(71, "fricke", -71, 256)
-        cls, alpha, tau, value = vals.entries[0]
-        assert cls.rep == QuadForm(1, 1, 18) and (2 * alpha.A) % alpha.C == 0
+        form, alpha, tau, value = vals.entries[0]
+        assert form == QuadForm(1, 1, 18) and (2 * alpha.A) % alpha.C == 0
         spec = catalog_lookup(71, "fricke")
         assert evaluated[0] == tau and off_axis(spec, tau, 256).im != 0
         direct = evaluate(spec, tau, 256)
@@ -163,7 +163,7 @@ class TestInversePairs:
         )
         other = next(
             el for el in deeper
-            if reduce_form(el.primitive_form()) == cg.classes[k].rep
+            if reduce_form(el.primitive_form()) == cg.classes[k]
         )
         mixed = reps[:k] + [other] + reps[k + 1:]
         monkeypatch.setattr(cfq.classfield, "enumerate_representatives",

@@ -14,6 +14,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
+import cfq
 from conftest import ball_mpc, level_keys
 from cfq.classfield import singular_values
 from cfq.cli import _decimal, run, value_digits, value_text
@@ -164,6 +165,14 @@ class TestReps:
         assert len(lines) == 7
         assert lines[0].startswith("1,-36,2@71")
 
+    def test_element_pastes_into_eval(self):
+        # the first field of each line is an --element that eval accepts
+        _, out, _ = invoke(["reps", "-n", "71", "-D", "-71"])
+        for line in out.splitlines():
+            code, value, _ = invoke(["eval", "-n", "71", "--group", "fricke",
+                                     "--element", line.split()[0]])
+            assert code == 0 and value
+
     def test_json_fields(self):
         code, out, _ = invoke(["reps", "-n", "71", "-D", "-284", "--json"])
         obj = json.loads(out)
@@ -236,6 +245,13 @@ class TestEval:
         obj = json.loads(out)
         assert obj["disc"] == -8
         assert obj["value_re"].startswith("152.0")
+
+    @pytest.mark.parametrize("element,disc", [("1,-36,2", -71), ("0,-1,1", -284)])
+    def test_json_disc(self, element, disc):
+        # -n when B and C are both even, -4n otherwise
+        code, out, _ = invoke(["eval", "-n", "71", "--group", "fricke",
+                               "--element", element, "--json"])
+        assert code == 0 and json.loads(out)["disc"] == disc
 
     @pytest.mark.parametrize("prec", ["40", "20000"])
     def test_precision_out_of_range_refused(self, prec):
@@ -442,11 +458,12 @@ assert "mpmath" not in sys.modules, loaded[:5]
 """
 
 
-def _python(*argv):
-    """A fresh interpreter on argv, importing cfq from this checkout's src/."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+def _python(*argv, **env):
+    """A fresh interpreter on argv, with env set, importing the cfq this
+    process imported: src/ in a checkout, site-packages in an install."""
+    home = Path(cfq.__file__).resolve().parents[1]
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(home), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
 
@@ -465,3 +482,11 @@ def test_python_m_runs_the_command():
     done = _python("-m", "cfq.cli", "frobnicate")
     assert done.returncode == 1 and done.stdout == ""
     assert "invalid choice" in done.stderr
+
+
+def test_same_bytes_under_two_hash_seeds():
+    # no output depends on the order of a set or dict of str keys
+    argv = ["-m", "cfq.cli", "class-poly", "-n", "71", "--group", "fricke", "-D", "-71", "--json"]
+    runs = [_python(*argv, PYTHONHASHSEED=seed) for seed in ("1", "2")]
+    assert [done.returncode for done in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout == invoke(argv[2:])[1]

@@ -154,7 +154,7 @@ class TestEnumerateRepresentatives:
         assert len(reps) == cg.class_number
         for i, el in enumerate(reps):
             assert el.disc == disc
-            assert reduce_form(el.primitive_form()) == cg.classes[i].rep
+            assert reduce_form(el.primitive_form()) == cg.classes[i]
             for j in range(i):
                 assert reduce_form(reps[j].primitive_form()) != reduce_form(el.primitive_form())
 
@@ -176,8 +176,8 @@ class TestEnumerateRepresentatives:
                 if (1 + n * a * a) % c == 0:
                     form = reduce_form(QuadForm(n * c, -2 * n * a, (1 + n * a * a) // c))
                     least.setdefault(form, c)
-        assert [el.C for el in reps] == [least[cls.rep] for cls in cg.classes]
-        assert [reduce_form(el.form()) for el in reps] == [cls.rep for cls in cg.classes]
+        assert [el.C for el in reps] == [least[f] for f in cg.classes]
+        assert [reduce_form(el.form()) for el in reps] == list(cg.classes)
 
     def test_inverse_classes_are_mirror_images(self):
         # singular_values saves an evaluation only on a mirror pair; the

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import GROUP_DISCS, brute_force_class_count, random_sl2
 from cfq.errors import DomainError
 from cfq.quadforms import (
-    IdealClass,
     QuadForm,
     compose,
     enumerate_class_group,
@@ -172,40 +171,39 @@ class TestCompose:
             assert compose(principal, cls) == cls
 
     def test_square_of_2_1_9(self):
-        c = compose(IdealClass(QuadForm(2, 1, 9)), IdealClass(QuadForm(2, 1, 9)))
-        assert c.rep == QuadForm(4, -3, 5)
+        assert compose(QuadForm(2, 1, 9), QuadForm(2, 1, 9)) == QuadForm(4, -3, 5)
 
     def test_inverse_law(self):
         for d in GROUP_DISCS:
             for cls in enumerate_class_group(d).classes:
-                assert compose(cls, cls.inverse()).rep == principal_form(d)
+                assert compose(cls, cls.inverse()) == principal_form(d)
 
     def test_mismatched_discriminants(self):
         with pytest.raises(DomainError):
-            compose(IdealClass(QuadForm(1, 1, 18)), IdealClass(QuadForm(1, 0, 71)))
+            compose(QuadForm(1, 1, 18), QuadForm(1, 0, 71))
 
     @pytest.mark.parametrize("d", SMALL_DISCS)
     def test_matches_ideal_multiplication_oracle(self, d):
         classes = enumerate_class_group(d).classes
         for x in classes:
             for y in classes:
-                assert compose(x, y).rep == ideal_class_product(x.rep, y.rep)
+                assert compose(x, y) == ideal_class_product(x, y)
 
     def test_leading_coefficient_with_many_prime_factors(self):
         # 167# shares a factor with every value of the form at |x|, |y| <= 16,
         # so no small change of basis makes the leading coefficients coprime
         c = 963010433647611687898186332141312887752551666219075736327155813474
-        f = IdealClass(QuadForm(PRIMORIAL_167, 1, c))
-        assert f.rep == QuadForm(PRIMORIAL_167, 1, c) and len(str(-f.disc)) == 133
-        assert compose(f, f).rep == ideal_class_product(f.rep, f.rep)
-        assert compose(f, f.inverse()).rep == principal_form(f.disc)
+        f = QuadForm(PRIMORIAL_167, 1, c)
+        assert reduce_form(f) == f and len(str(-f.disc)) == 133
+        assert compose(f, f) == ideal_class_product(f, f)
+        assert compose(f, f.inverse()) == principal_form(f.disc)
 
 
 class TestEnumerate:
     def test_disc_71(self):
         cg = enumerate_class_group(-71)
         assert cg.class_number == 7
-        assert {c.rep for c in cg.classes} == {
+        assert set(cg.classes) == {
             QuadForm(1, 1, 18),
             QuadForm(2, 1, 9), QuadForm(2, -1, 9),
             QuadForm(3, 1, 6), QuadForm(3, -1, 6),
@@ -215,7 +213,7 @@ class TestEnumerate:
     def test_disc_284_excludes_imprimitive(self):
         cg = enumerate_class_group(-284)
         assert cg.class_number == 7
-        reps = {c.rep for c in cg.classes}
+        reps = set(cg.classes)
         assert QuadForm(1, 0, 71) in reps
         for bad in [QuadForm(2, 2, 36), QuadForm(4, 2, 18), QuadForm(6, 2, 12),
                     QuadForm(6, -2, 12), QuadForm(8, 6, 10)]:
@@ -236,7 +234,7 @@ class TestEnumerate:
     def test_disc_8(self):
         cg = enumerate_class_group(-8)
         assert cg.class_number == 1
-        assert cg.classes[0].rep == QuadForm(1, 0, 2)
+        assert cg.classes[0] == QuadForm(1, 0, 2)
 
     def test_brute_force_oracle_to_400(self):
         for d in range(-3, -401, -1):
@@ -278,11 +276,22 @@ class TestEnumerate:
     def test_inverse_idx_matches_inverse_class(self, d):
         cg = enumerate_class_group(d)
         for i, cls in enumerate(cg.classes):
-            assert cg.inverse_idx(i) == cg.classes.index(cls.inverse())
+            assert cg.inverse_idx(i) == cg.classes.index(reduce_form(cls.inverse()))
 
     def test_imprimitive_rejected_loudly(self):
-        with pytest.raises(DomainError):
-            IdealClass(QuadForm(2, 2, 36))
+        with pytest.raises(DomainError, match="imprimitive"):
+            compose(QuadForm(2, 2, 36), QuadForm(1, 0, 71))
+        # checked before the discriminants are compared
+        with pytest.raises(DomainError, match="imprimitive"):
+            compose(QuadForm(1, 1, 18), QuadForm(2, 2, 36))
+
+    @pytest.mark.parametrize("bad", [QuadForm(-1, 0, -71), QuadForm(1, 17, 1)])
+    def test_not_positive_definite_rejected_loudly(self, bad):
+        # negative definite, and indefinite
+        with pytest.raises(DomainError, match="not positive definite"):
+            compose(bad, QuadForm(1, 0, 71))
+        with pytest.raises(DomainError, match="not positive definite"):
+            compose(QuadForm(1, 0, 71), bad)
 
 
 smallform = st.tuples(
@@ -307,3 +316,15 @@ class TestProperties:
         g = moved(f, random_sl2(random.Random(seed)))
         assert g.disc == f.disc
         assert reduce_form(g) == reduce_form(f)
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.sampled_from(SMALL_DISCS), i=st.integers(min_value=0),
+           j=st.integers(min_value=0), seed=st.integers(min_value=0, max_value=2**32))
+    def test_compose_of_moved_forms_is_compose_of_reduced(self, d, i, j, seed):
+        # compose reads any primitive forms of a class, not only reduced ones
+        classes = enumerate_class_group(d).classes
+        f, g = classes[i % len(classes)], classes[j % len(classes)]
+        rng = random.Random(seed)
+        f2, g2 = moved(f, random_sl2(rng)), moved(g, random_sl2(rng))
+        assert reduce_form(f2) == f and reduce_form(g2) == g
+        assert compose(f2, g2) == compose(f, g)
