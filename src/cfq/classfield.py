@@ -23,11 +23,10 @@ margin of about 2^49, since its coefficients are small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
-from .exactpoly import IntPoly, _integers
+from .exactpoly import IntPoly, _Record, _integers
 from .hauptmodul import ERROR_BITS, catalog_lookup, evaluate
 from .numerics import Ball, PrecisionPolicy, certify_int_poly
 from .quadforms import ClassGroup, QuadForm, enumerate_class_group
@@ -40,26 +39,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SingularValueSet:
+class SingularValueSet(_Record):
     """One principal-modulus value per class of one discriminant.
 
     Each entry is (the class's reduced form, its elliptic element, the
     element's fixed point, the value there).
     """
 
-    n: int
-    group: str
-    disc: int
-    entries: tuple[tuple[QuadForm, EllipticElement, CMPoint, Ball], ...]
-    class_group: ClassGroup
+    __slots__ = ("n", "group", "disc", "entries", "class_group")
+
+    def __init__(self, n: int, group: str, disc: int,
+                 entries: tuple[tuple[QuadForm, EllipticElement, CMPoint, Ball], ...],
+                 class_group: ClassGroup):
+        self._set_fields(n, group, disc, entries, class_group)
 
     def values(self) -> list[Ball]:
         return [entry[3] for entry in self.entries]
 
 
-@dataclass(frozen=True)
-class ClassPolyResult:
+class ClassPolyResult(_Record):
     """Accepted integer class polynomial with its rounding diagnostics.
 
     `residual` is the largest distance of a computed coefficient from its
@@ -67,11 +65,11 @@ class ClassPolyResult:
     fractions; their sum is below 1/2.
     """
 
-    poly: IntPoly
-    residual: Fraction
-    prec_bits: int
-    points: SingularValueSet
-    r_max: Fraction
+    __slots__ = ("poly", "residual", "prec_bits", "points", "r_max")
+
+    def __init__(self, poly: IntPoly, residual: Fraction, prec_bits: int,
+                 points: SingularValueSet, r_max: Fraction):
+        self._set_fields(poly, residual, prec_bits, points, r_max)
 
 
 def singular_values(n: int, group: str, disc: int, prec: int) -> SingularValueSet:

@@ -11,12 +11,11 @@ for every class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from math import gcd
 
 from .errors import DomainError
-from .exactpoly import _integers
+from .exactpoly import _Record, _integers
 from .quadforms import ClassGroup, QuadForm, enumerate_class_group, reduce_form
 
 __all__ = [
@@ -27,29 +26,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EllipticElement:
+class EllipticElement(_Record):
     """Trace-zero coset element sqrt(n) * [[A, B/n], [C, -A]], det 1; n, A, B, C are integers."""
 
-    n: int
-    A: int
-    B: int
-    C: int
+    __slots__ = ("n", "A", "B", "C")
 
-    def __post_init__(self):
+    def __init__(self, n: int, A: int, B: int, C: int):
         # ints, which every caller in the package passes, skip the check
-        if not (type(self.n) is type(self.A) is type(self.B) is type(self.C) is int):
-            values = _integers((self.n, self.A, self.B, self.C), "element entries")
-            for name, value in zip(("n", "A", "B", "C"), values):
-                object.__setattr__(self, name, value)
-        if self.n < 1:
+        if not (type(n) is type(A) is type(B) is type(C) is int):
+            n, A, B, C = _integers((n, A, B, C), "element entries")
+        if n < 1:
             raise DomainError("level must be positive")
-        if self.n * self.A**2 + self.B * self.C != -1:
-            raise DomainError(
-                f"(A,B,C)=({self.A},{self.B},{self.C}) violates n*A^2 + B*C = -1"
-            )
-        if not (self.B < 0 < self.C):
+        if n * A**2 + B * C != -1:
+            raise DomainError(f"(A,B,C)=({A},{B},{C}) violates n*A^2 + B*C = -1")
+        if not (B < 0 < C):
             raise DomainError("normalization requires B < 0 and C > 0")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "C", C)
 
     @property
     def disc(self) -> int:
@@ -68,14 +63,10 @@ class EllipticElement:
         return f
 
 
-@dataclass(frozen=True)
-class CMPoint:
+class CMPoint(_Record):
     """Exact upper-half-plane point (u + v*sqrt(-n)) / w."""
 
-    u: int
-    v: int
-    w: int
-    n: int
+    __slots__ = ("u", "v", "w", "n")
 
     def __init__(self, u: int, v: int, w: int, n: int):
         # ints, which every caller in the package passes, skip the check: it
@@ -134,7 +125,7 @@ def enumerate_representatives(
         raise DomainError(f"class group of discriminant {group.disc} given for discriminant {disc}")
     cg = group if group is not None else enumerate_class_group(disc)
     # reduced form -> class index, for the classes still without an element
-    targets = {f: k for k, f in enumerate(cg.classes)}
+    targets = dict(cg._index)
     found: dict[int, EllipticElement] = {}
     for c in count(1):
         if not targets:

@@ -43,13 +43,12 @@ the exact translation of the reduced point z by -k, so no root is rounded:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from math import gcd, isqrt
 
 from .elliptic import CMPoint
 from .errors import ConvergenceError, DomainError
-from .exactpoly import _integers
+from .exactpoly import _Record, _integers
 from .numerics import (
     Ball, _csqrt, _div, _exp_i_pi, _fixed, _fixed_series, _mul, _normal, _pow, _powers, _root,
 )
@@ -60,11 +59,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EtaQuotientSpec:
+class EtaQuotientSpec(_Record):
     """Product prod_d eta(d*tau)^r_d, stored as ((d, r), ...)."""
 
-    terms: tuple[tuple[int, int], ...]
+    __slots__ = ("terms",)
 
     def __init__(self, terms):
         terms = tuple(_integers(term, "eta quotient scales and exponents") for term in terms)

@@ -13,7 +13,7 @@ rounding anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .errors import DomainError, InvalidModulusError, NonInvertibleError
@@ -33,6 +33,49 @@ def _integers(values, what: str) -> tuple[int, ...]:
     return tuple(map(int, values))
 
 
+class _Record:
+    """The base of the package's value types.  A record's fields are its
+    public `__slots__`, each set once by its class's `__init__`; it equals a
+    record of its type with equal fields, hashes as their tuple, shows as
+    Name(field=value, ...) and refuses assignment, so pickle and copy set
+    every slot through `__setstate__`, private ones (derived state) too."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        get = attrgetter(*cls._fields)  # of one name: the bare value, not its 1-tuple
+        cls._key = get if len(cls._fields) > 1 else staticmethod(lambda record: (get(record),))
+
+    def _set_fields(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __getstate__(self):
+        return {name: getattr(self, name) for name in self.__slots__ if hasattr(self, name)}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+
+
 def _strip(coeffs: tuple) -> tuple:
     end = len(coeffs)
     while end > 0 and coeffs[end - 1] == 0:
@@ -40,11 +83,10 @@ def _strip(coeffs: tuple) -> tuple:
     return coeffs[:end]
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(_Record):
     """Integer polynomial; coefficients lowest degree first."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
         object.__setattr__(self, "coeffs", _strip(_integers(coeffs, "polynomial coefficients")))
@@ -64,11 +106,10 @@ class IntPoly:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
 
-@dataclass(frozen=True)
-class LaurentExpr:
+class LaurentExpr(_Record):
     """Finite expression sum_e c_e * beta^e in one variable, exponents and c_e in Z."""
 
-    terms: tuple[tuple[int, int], ...]
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[int, int]):
         pairs = zip(_integers(terms, "Laurent exponents"),

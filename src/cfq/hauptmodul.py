@@ -62,14 +62,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cache
 from math import isqrt
 
 from .elliptic import CMPoint
 from .errors import ConvergenceError, DomainError, NoConstructionError, NotGenusZeroError
 from .eta import EtaQuotientSpec, _ascend, _imag, _pentagonal, _pentagonal_count, eta_quotient
-from .exactpoly import LaurentExpr
+from .exactpoly import LaurentExpr, _Record
 from .numerics import (
     _GUARD, Ball, _check_prec, _div, _fixed, _fixed_series, _exp_i_pi, _mag, _mul,
     _powers, _ratio, _round, _sum,
@@ -110,39 +109,33 @@ _ETA_TABLE: dict[int, tuple[tuple[int, int], ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class EtaQuotientHaupt:
+class EtaQuotientHaupt(_Record):
     """Principal modulus sum_e c_e t^e, t the eta quotient `spec`, c_e integers."""
 
-    level: int
-    spec: EtaQuotientSpec
-    laurent: LaurentExpr
+    __slots__ = ("level", "spec", "laurent")
 
-    def __post_init__(self):
-        if not self.laurent.terms:
+    def __init__(self, level: int, spec: EtaQuotientSpec, laurent: LaurentExpr):
+        if not laurent.terms:
             raise DomainError("Laurent coefficients must be integers, not all zero")
+        self._set_fields(level, spec, laurent)
 
 
-@dataclass(frozen=True)
-class ThetaQuotientHaupt:
+class ThetaQuotientHaupt(_Record):
     """Principal modulus sum_Q s_Q theta_Q / (divisor eta(tau) eta(N tau)) + shift.
 
     `forms` holds ((a, b, c), s_Q) for forms of discriminant -N, N = `level`
     a prime = 23 mod 24, and `shift` is an integer.
     """
 
-    level: int
-    forms: tuple[tuple[tuple[int, int, int], int], ...]
-    divisor: int
-    shift: int
+    __slots__ = ("level", "forms", "divisor", "shift")
 
-    def __post_init__(self):
-        n = self.level
-        if (n % 24 != 23 or any(n % p == 0 for p in range(2, isqrt(n) + 1))
-                or self.divisor < 1 or not self.forms
-                or any(a < 1 or b * b - 4 * a * c != -n for (a, b, c), _ in self.forms)):
-            raise DomainError(f"no theta quotient of prime level {n} = 23 mod 24 "
-                              f"with forms {self.forms} and divisor {self.divisor}")
+    def __init__(self, level: int, forms: tuple, divisor: int, shift: int):
+        if (level % 24 != 23 or any(level % p == 0 for p in range(2, isqrt(level) + 1))
+                or divisor < 1 or not forms
+                or any(a < 1 or b * b - 4 * a * c != -level for (a, b, c), _ in forms)):
+            raise DomainError(f"no theta quotient of prime level {level} = 23 mod 24 "
+                              f"with forms {forms} and divisor {divisor}")
+        self._set_fields(level, forms, divisor, shift)
 
 
 def _kappa(n: int, terms) -> int:

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -54,7 +53,7 @@ from operator import le, mul
 from typing import NamedTuple
 
 from .errors import DomainError, RoundingFailureError
-from .exactpoly import IntPoly
+from .exactpoly import IntPoly, _Record
 
 # guard bits above the requested precision, for eta and for evaluate
 _GUARD = 48
@@ -71,8 +70,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PrecisionPolicy:
+class PrecisionPolicy(_Record):
     """The working precision of a class polynomial's one round.
 
     `start_bits`, by default the 64-bit floor, from MIN_PREC_BITS to
@@ -80,10 +78,11 @@ class PrecisionPolicy:
     is certified once (`certify_int_poly`).
     """
 
-    start_bits: int = MIN_PREC_BITS
+    __slots__ = ("start_bits",)
 
-    def __post_init__(self):
-        _check_prec(self.start_bits)
+    def __init__(self, start_bits: int = MIN_PREC_BITS):
+        _check_prec(start_bits)
+        object.__setattr__(self, "start_bits", start_bits)
 
 
 def _check_prec(prec) -> None:

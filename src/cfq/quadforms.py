@@ -9,12 +9,10 @@ only when first read).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from math import gcd, isqrt
 
 from .errors import DomainError
-from .exactpoly import _integers
+from .exactpoly import _Record, _integers
 
 __all__ = [
     "QuadForm",
@@ -25,19 +23,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadForm:
+class QuadForm(_Record):
     """a*x^2 + b*x*y + c*y^2 with integer coefficients; a non-integer is refused."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
+    def __init__(self, a: int, b: int, c: int):
         # ints, which every caller in the package passes, skip the check
-        if not (type(self.a) is type(self.b) is type(self.c) is int):
-            for name, value in zip("abc", _integers((self.a, self.b, self.c), "form coefficients")):
-                object.__setattr__(self, name, value)
+        if not (type(a) is type(b) is type(c) is int):
+            a, b, c = _integers((a, b, c), "form coefficients")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     @property
     def disc(self) -> int:
@@ -138,21 +135,23 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
     return reduce_form(QuadForm(a3, bb, num // (4 * a3)))
 
 
-@dataclass(frozen=True)
-class ClassGroup:
+class ClassGroup(_Record):
     """The reduced primitive forms of one discriminant, one per class, with
-    their composition table."""
+    their composition table.  A group is its (disc, classes): the index of
+    each form and the table are derived from them."""
 
-    disc: int
-    classes: tuple[QuadForm, ...]
+    __slots__ = ("disc", "classes", "_index", "_table")
 
-    @cached_property
-    def _index(self) -> dict[QuadForm, int]:
-        return {f: k for k, f in enumerate(self.classes)}
+    def __init__(self, disc: int, classes: tuple[QuadForm, ...]):
+        object.__setattr__(self, "disc", disc)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "_index", {f: k for k, f in enumerate(classes)})
 
-    @cached_property
+    @property
     def table(self) -> tuple[tuple[int, ...], ...]:
         """Cayley table by index, built by h^2 compositions on first use."""
+        if hasattr(self, "_table"):
+            return self._table
         index = self._index
         table = tuple(
             tuple(index[compose(x, y)] for y in self.classes) for x in self.classes
@@ -160,6 +159,7 @@ class ClassGroup:
         for i in range(len(self.classes)):
             assert table[0][i] == i and table[i][0] == i
             assert sorted(table[i]) == list(range(len(self.classes)))
+        object.__setattr__(self, "_table", table)
         return table
 
     @property

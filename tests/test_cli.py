@@ -453,8 +453,10 @@ for argv in (["verify", "--paper71"],
              ["class-poly", "-n", "71", "--group", "fricke", "-D", "-284", "--json"],
              ["eval", "-n", "2", "--group", "gamma0", "--element", "0,-1,1"]):
     assert cli.run(argv, out=io.StringIO()) == 0, argv
-loaded = sorted(name for name in sys.modules if name.split(".")[0] == "mpmath")
-assert "mpmath" not in sys.modules, loaded[:5]
+# no mpmath, and no dataclasses or the inspect it pulls in, which cost start-up time
+loaded = sorted(name for name in sys.modules
+                if name.split(".")[0] in ("mpmath", "dataclasses", "inspect"))
+assert not loaded, loaded[:5]
 """
 
 
