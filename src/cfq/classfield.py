@@ -97,12 +97,12 @@ def singular_values(n: int, group: str, disc: int, prec: int) -> SingularValueSe
         if j < i and mirrored:
             # the exact conjugate, with no rounding
             value = entries[j][3]
-            value = value._replace(im=-value.im)
+            value = Ball(value.re, -value.im, value.exp, value.rad)
         else:
             value = evaluate(spec, tau, prec)
             if j == i and mirrored:
                 # its own mirror image: t(tau) = conj(t(tau)) is real
-                value = value._replace(im=0)
+                value = Ball(value.re, 0, value.exp, value.rad)
         entries.append((form, alpha, tau, value))
     return SingularValueSet(n, group, disc, tuple(entries), cg)
 

@@ -16,7 +16,7 @@ from math import gcd
 
 from .errors import DomainError
 from .exactpoly import _Record, _integers
-from .quadforms import ClassGroup, QuadForm, enumerate_class_group, reduce_form
+from .quadforms import ClassGroup, QuadForm, _reduce, enumerate_class_group
 
 __all__ = [
     "EllipticElement",
@@ -49,7 +49,7 @@ class EllipticElement(_Record):
     @property
     def disc(self) -> int:
         """The discriminant of the fixed point's order: -n when B and C are both even, else -4n."""
-        return -self.n if self.B % 2 == 0 and self.C % 2 == 0 else -4 * self.n
+        return _disc(self.n, self.B, self.C)
 
     def form(self) -> QuadForm:
         """The homogeneous quadratic form n*C x^2 - 2n*A xy - B y^2."""
@@ -57,10 +57,19 @@ class EllipticElement(_Record):
 
     def primitive_form(self) -> QuadForm:
         """The primitive form attached to the element (half the form for disc -n)."""
-        f = self.form()
-        if self.disc == -self.n:
-            return QuadForm(f.a // 2, f.b // 2, f.c // 2)
-        return f
+        return QuadForm(*_primitive(self.n, self.A, self.B, self.C))
+
+
+def _disc(n: int, B: int, C: int) -> int:
+    """`EllipticElement.disc` of the entries n, B, C."""
+    return -n if B % 2 == 0 and C % 2 == 0 else -4 * n
+
+
+def _primitive(n: int, A: int, B: int, C: int) -> tuple[int, int, int]:
+    """The coefficients of `EllipticElement.primitive_form` of the entries."""
+    if _disc(n, B, C) == -n:
+        return n * C // 2, -n * A, -B // 2
+    return n * C, -2 * n * A, -B
 
 
 class CMPoint(_Record):
@@ -124,8 +133,9 @@ def enumerate_representatives(
     if group is not None and group.disc != disc:
         raise DomainError(f"class group of discriminant {group.disc} given for discriminant {disc}")
     cg = group if group is not None else enumerate_class_group(disc)
-    # reduced form -> class index, for the classes still without an element
-    targets = dict(cg._index)
+    # reduced (a, b, c) -> class index, for the classes still without an
+    # element; a candidate is tested on ints, and made an element if it hits
+    targets = {(f.a, f.b, f.c): k for k, f in enumerate(cg.classes)}
     found: dict[int, EllipticElement] = {}
     for c in count(1):
         if not targets:
@@ -134,10 +144,9 @@ def enumerate_representatives(
             if (1 + n * a0 * a0) % c:
                 continue
             b = -(1 + n * a0 * a0) // c
-            alpha = EllipticElement(n, a0, b, c)
-            if alpha.disc != disc:
+            if _disc(n, b, c) != disc:
                 continue
-            k = targets.pop(reduce_form(alpha.primitive_form()), None)
+            k = targets.pop(_reduce(*_primitive(n, a0, b, c)), None)
             if k is not None:
-                found[k] = alpha
+                found[k] = EllipticElement(n, a0, b, c)
     return [found[k] for k in range(cg.class_number)]

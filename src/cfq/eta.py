@@ -189,7 +189,7 @@ def _eta_ball(tau: CMPoint, w: int) -> Ball:
     q = (qr, qi)
     sr, si, bound = _fixed_series(q, exps, signs, 0, w, _powers(q, isqrt(exps[-1]) + 1, w))
     series = _normal(sr, si, -w, (bound + 1 + 1.01 * (1.5 * 23 + 1)) / 0.99, w)
-    value = _mul(q24._replace(rad=1.15 * q24.rad), series, w)
+    value = _mul(Ball(q24.re, q24.im, q24.exp, 1.15 * q24.rad), series, w)
     if c:
         # c tau + d = (c u + d t + c v sqrt(-n)) / t
         value = _div(value, _csqrt(_cm_ball(c * tau.u + d * tau.w, c * tau.v, tau.w, tau.n, w),

@@ -173,14 +173,18 @@ def verify_root_relation(expr: LaurentExpr, target: IntPoly, modulus: IntPoly) -
     # c * a^(pos-e) * m~(0)^(neg-k) times y^e (e >= 0) or u^k (k = -e > 0)
     den = a**pos * mt[0] ** neg
     num = [0] * d
-    for e, c in expr.terms:
-        k = max(0, -e)
-        scale = c * a ** (pos - e) * mt[0] ** (neg - k)
-        power = [1]
-        for _ in range(abs(e)):
-            power = _mulmod(power, y if e > 0 else u, mt)
-        for i, p in enumerate(power):
-            num[i] += scale * p
+    # each side's powers up one chain, its terms taken outward from e = 0
+    terms = expr.terms
+    for side in ([t for t in terms if t[0] >= 0], [t for t in reversed(terms) if t[0] < 0]):
+        power, reached = [1], 0
+        for e, c in side:
+            k = max(0, -e)
+            for _ in range(abs(e) - reached):
+                power = _mulmod(power, y if e > 0 else u, mt)
+            reached = abs(e)
+            scale = c * a ** (pos - e) * mt[0] ** (neg - k)
+            for i, p in enumerate(power):
+                num[i] += scale * p
     acc: list[int] = []
     den_power = 1
     for c in reversed(target.coeffs):

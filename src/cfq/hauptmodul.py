@@ -343,7 +343,7 @@ def _relative(z: Ball, err: float) -> Ball:
     """z with the radius err / |z|: an error of err units of 2^-w made relative to z."""
     if not (z.re or z.im):
         raise ConvergenceError("a sum of the theta quotient vanished at this point")
-    return z._replace(rad=_ratio((err, 0), _mag(z)))
+    return Ball(z.re, z.im, z.exp, _ratio((err, 0), _mag(z)))
 
 
 def _evaluate_theta(spec: ThetaQuotientHaupt, tau: CMPoint, prec: int) -> Ball:
@@ -408,4 +408,4 @@ def _evaluate_theta(spec: ThetaQuotientHaupt, tau: CMPoint, prec: int) -> Ball:
     value = _sum([_div(num, _mul(q, den, w), w), Ball(spec.shift, 0, 0, 0.0)], w)
     sf, sk = m if _ratio(m := _mag(value), (1.0, 0)) >= 1 else (1.0, 0)
     rad = value.rad + _ratio((num_err, 0), (den_low * qf * sf, qk + sk))
-    return value._replace(rad=rad * 2.0 ** (wp - w))
+    return Ball(value.re, value.im, value.exp, rad * 2.0 ** (wp - w))

@@ -7,11 +7,12 @@ of a certified rounding exact dyadic `Fraction`s.
 `certify_int_poly` turns roots known within radii into an integer
 polynomial with a proof (after Enge, Math. Comp. 78, 2009).  Each value v_i
 is rounded once to the nearest V_i on the grid 2^-s, s = prec + 8, so
-|V_i - v_i| < 2^-s, and prod(x - V_i) is multiplied out exactly in
-Gaussian integers.  If each true root t_i lies within
-eps_i = 2^radius_log2 * max(1, |v_i|) of v_i, it lies within
-eps_i' = eps_i + 2^-s of V_i, and every true coefficient lies within R_k of
-the exact one, where R_k is the degree-k coefficient of
+|V_i - v_i| < 2^-s, and prod(x - V_i) is multiplied out exactly: a real
+V_i as a real linear factor, a V_i given with its exact conjugate as one
+real quadratic, any other in Gaussian integers (`_expand`).  If each true
+root t_i lies within eps_i = 2^radius_log2 * max(1, |v_i|) of v_i, it lies
+within eps_i' = eps_i + 2^-s of V_i, and every true coefficient lies within
+R_k of the exact one, where R_k is the degree-k coefficient of
 
     prod(x + |V_i| + eps_i') - prod(x + |V_i|),
 
@@ -29,9 +30,12 @@ caller builds the powers q^0 .. q^(m-1) and q^m once (`_powers`) and
 chooses m, each block is an exact integer dot product with them, and
 Horner's rule in q^m joins the blocks.  Eta takes m = isqrt(e_max) + 1;
 the theta quotient sums its three series against one set, so that a dense
-series of K terms takes about m + K/m full products instead of K.  The
-proof of the bound holds for any m and is in the `_fixed_series`
-docstring.
+series of K terms takes about m + K/m full products instead of K.  Each
+baby power is packed as one integer, its imaginary part in a lane above
+its real part, so a block is one integer sum, read back into its two
+parts exactly once before its giant step.  The proof of the bound holds
+for any m, and the proof that the lanes never carry into each other is
+in the `_fixed_series` docstring.
 
 A `Ball` (re + i im) 2^exp is within rad units of 2^-w of its modulus, w
 the scale of the operations that made it, each leaving |re + i im| >= 2^w,
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -102,6 +107,8 @@ def certify_int_poly(values, radius_log2: int, prec: int) -> tuple[IntPoly, Frac
     exact dyadic fractions.  Raises RoundingFailureError unless
     residual + R_max < 1/2, so that every coefficient ball contains exactly
     one integer; the comparison is made in integers, on the exact residual.
+    The products are exact, the values' by `_expand` and the two of R_max
+    in real integers, so the triple does not depend on the values' order.
     """
     if not values:
         raise DomainError("need at least one root")
@@ -131,15 +138,13 @@ def certify_int_poly(values, radius_log2: int, prec: int) -> tuple[IntPoly, Frac
 
 def _coefficient_radius(roots, radius_log2: int, s: int) -> int:
     """R_max of the module docstring times 2^s, rounded up, for roots V_i 2^s."""
-    hi, perturbed = [], []
+    upper = base = [1]
     for x, y in roots:
         a = _isqrt_up(x * x + y * y)                   # >= |V| 2^s
         # |v| <= |V| + 2^-s, and V is within 2^-s of v
         eps = _shift_up(max(1 << s, a + 1), radius_log2) + 1
-        hi.append((-a, 0))
-        perturbed.append((-a - eps, 0))
+        upper, base = _times_linear(upper, a + eps), _times_linear(base, a)
     h = len(roots)
-    upper, base = _expand(perturbed)[0], _expand(hi)[0]
     return max(_shift_up(upper[k] - base[k], -s * (h - k - 1)) for k in range(h))
 
 
@@ -163,13 +168,35 @@ def _shift_up(n: int, k: int) -> int:
 
 
 def _expand(roots: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
-    """Real and imaginary parts of the coefficients of prod(x - (X + iY)), lowest first."""
-    re, im = [1], [0]
+    """Real and imaginary parts of the coefficients of prod(x - (X + iY)), lowest first.
+
+    A real root is multiplied in as the real factor x - X, and a root whose
+    exact conjugate is also given, with the conjugate, as the one real
+    factor x^2 - 2X x + X^2 + Y^2; only the roots left over are complex
+    factors.  The product is exact, so the grouping changes no coefficient.
+    """
+    re, lone = [1], Counter()
     for x, y in roots:
+        if not y:
+            re = _times_linear(re, -x)
+        elif lone[x, -y]:
+            lone[x, -y] -= 1
+            # times x^2 + b x + c: c'_k = c_(k-2) + b c_(k-1) + c c_k
+            b, c = -2 * x, x * x + y * y
+            re = [e + b * d + c * a for a, d, e in zip(re + [0, 0], [0] + re + [0], [0, 0] + re)]
+        else:
+            lone[x, y] += 1
+    im = [0] * len(re)
+    for x, y in lone.elements():
         # multiply by (x - r): c'_k = c_(k-1) - r c_k
         re, im = ([b - a * x + c * y for a, c, b in zip(re + [0], im + [0], [0] + re)],
                   [d - a * y - c * x for a, c, d in zip(re + [0], im + [0], [0] + im)])
     return re, im
+
+
+def _times_linear(p: list[int], c: int) -> list[int]:
+    """p times x + c, coefficients lowest first."""
+    return [b + c * a for a, b in zip(p + [0], [0] + p)]
 
 
 class Ball(NamedTuple):
@@ -388,23 +415,27 @@ def _exp_i_pi(u: int, v: int, t: int, n: int, w: int) -> Ball:
     pi, root = _pi(w), _root(n, w)
     z = _exp(-((pi * root * v) // (t << w)), (pi * u) // t, w)
     d = 2 * math.sqrt(v * v * n / (t * t)) + 3.15 * (abs(v) / t) + 2 * abs(u) / t + 2
-    return z._replace(rad=z.rad + d * math.exp(min(math.ldexp(d, -w), 700.0)))
+    return Ball(z.re, z.im, z.exp, z.rad + d * math.exp(min(math.ldexp(d, -w), 700.0)))
 
 
-def _powers(q, m: int, w: int) -> tuple[list[int], list[int], int, int]:
-    """(baby_r, baby_i, big_r, big_i): q^0 .. q^(m-1) and Q = q^m at scale 2^w.
+def _powers(q, m: int, w: int) -> tuple[list[int], int, int, int]:
+    """(baby, lane, big_r, big_i): q^0 .. q^(m-1) packed, and Q = q^m, at scale 2^w.
 
     q = (qr, qi) as for `_fixed_series`; each power is the one before times
     q, a truncated product, so q^i is within sqrt(2) (i - 1) of its value
-    for i >= 1 while |q| <= 1 - 2 m 2^-w (the kernel's premise).
+    for i >= 1 while |q| <= 1 - 2 m 2^-w (the kernel's premise).  The baby
+    power x + i y is the one integer x + y 2^lane, lane = w + floor(w/4) +
+    128, so that the kernel sums a block of terms as one dot product; Q,
+    which eta reads alone, is not packed.
     """
     qr, qi = q
-    baby_r, baby_i = [1 << w], [0]
-    for _ in range(m):
-        pr, pi = baby_r[-1], baby_i[-1]
-        baby_r.append((pr * qr - pi * qi) >> w)
-        baby_i.append((pr * qi + pi * qr) >> w)
-    return baby_r, baby_i, baby_r.pop(), baby_i.pop()
+    lane = w + (w >> 2) + 128
+    pr, pi = 1 << w, 0
+    baby = [pr]
+    for _ in range(m - 1):
+        pr, pi = (pr * qr - pi * qi) >> w, (pr * qi + pi * qr) >> w
+        baby.append(pr + (pi << lane))
+    return baby, lane, (pr * qr - pi * qi) >> w, (pr * qi + pi * qr) >> w
 
 
 def _fixed_series(q, exponents, coeffs, coeff_bits: int, w: int,
@@ -449,6 +480,22 @@ def _fixed_series(q, exponents, coeffs, coeff_bits: int, w: int,
     stay below 2^1022, which no caller comes near: exp's n! stays below
     2^704 and the theta numerator's b below 16 up to MAX_PREC_BITS, both
     pinned by tests.
+
+    The dot product is taken on packed powers: with x_i + y_i 2^L for
+    q^i = x_i + i y_i, L the lane of `_powers`, a block's one integer sum
+    is X + Y 2^L, X = sum_i c_i x_i and Y = sum_i c_i y_i exactly.  Under
+    the premise each part is at most 2^w in modulus: q^0 = 2^w, and for
+    1 <= i < m, |q^i| <= 2^w - 2m and its error is below 2m.  So a block of
+    t terms has |X| <= t 2^(b + w) < 2^(L - 1) whenever
+    t < 2^(L - w - 1 - b), and X + 2^(L - 1) lies in [0, 2^L): the low lane
+    never carries into the high one, and its low L bits less 2^(L - 1) give
+    X and the bits above give Y, with no rounding.  A block of more terms
+    raises DomainError.  With L = w + floor(w/4) + 128 a block may hold up
+    to 2^(floor(w/4) + 127 - b) - 1 terms, which no caller comes near: the
+    theta quotient's b stays below 16, and exp's n! and its blocks of
+    isqrt(n) + 1 fit at every scale, pinned by a test.  The packed integer,
+    about 2.25 w bits, costs one product and one sum a term where the two
+    parts cost two of each at w bits.
     """
     n = len(exponents)
     if not n:
@@ -456,24 +503,29 @@ def _fixed_series(q, exponents, coeffs, coeff_bits: int, w: int,
     qr, qi = q
     one = 1 << w
     e_max = exponents[-1]
-    baby_r, baby_i, big_r, big_i = powers
-    m = len(baby_r)
+    baby, lane, big_r, big_i = powers
+    m = len(baby)
     reach = 2 * max(e_max, m)
     if not (exponents[0] >= 0 and reach < one
             and qr * qr + qi * qi <= (one - reach) ** 2):
         raise DomainError("series point or exponents outside the kernel's range")
     if not all(map(le, exponents, exponents[1:])):
         raise DomainError("series exponents must be nondecreasing")
-    local = [e % m for e in exponents]
-    terms_r = list(map(mul, coeffs, map(baby_r.__getitem__, local)))
-    terms_i = list(map(mul, coeffs, map(baby_i.__getitem__, local)))
+    # the most terms a block may hold, t < 2^(lane - w - 1 - b)
+    most = (1 << max(lane - w - 1 - coeff_bits, 0)) - 1
+    terms = list(map(mul, coeffs, map(baby.__getitem__, [e % m for e in exponents])))
+    half, mask = 1 << (lane - 1), (1 << lane) - 1
     top = e_max // m
     acc_r = acc_i = 0
     hi = n
     for k in range(top, -1, -1):
         lo = bisect_left(exponents, k * m, 0, hi)
-        # a giant step; at the top the sum is still 0 and the product exact
-        acc_r, acc_i = (((acc_r * big_r - acc_i * big_i) >> w) + sum(terms_r[lo:hi]),
-                        ((acc_r * big_i + acc_i * big_r) >> w) + sum(terms_i[lo:hi]))
+        if hi - lo > most:
+            raise DomainError("series coefficients too wide for the kernel's lane")
+        # the block's packed sum, its low lane offset by half a lane; then a
+        # giant step, at the top with the sum still 0 and the product exact
+        block = sum(terms[lo:hi], half)
+        acc_r, acc_i = (((acc_r * big_r - acc_i * big_i) >> w) + (block & mask) - half,
+                        ((acc_r * big_i + acc_i * big_r) >> w) + (block >> lane))
         hi = lo
     return acc_r, acc_i, 1.5 * 2.0**coeff_bits * sum(exponents) + 1.5 * top

@@ -70,7 +70,13 @@ def _check_pos_def(f: QuadForm) -> None:
 def reduce_form(f: QuadForm) -> QuadForm:
     """The reduced form SL2(Z)-equivalent to f, by Gauss reduction."""
     _check_pos_def(f)
-    a, b, c = f.a, f.b, f.c
+    g = QuadForm(*_reduce(f.a, f.b, f.c))
+    assert g.is_reduced()
+    return g
+
+
+def _reduce(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """The reduced (a, b, c) of a positive definite form, on ints (`reduce_form`)."""
     while True:
         # translate b into (-a, a], then flip while a > c
         k = (a - b) // (2 * a)
@@ -80,9 +86,7 @@ def reduce_form(f: QuadForm) -> QuadForm:
         a, b, c = c, -b, a
     if a == c and b < 0:
         b = -b
-    g = QuadForm(a, b, c)
-    assert g.is_reduced()
-    return g
+    return a, b, c
 
 
 def principal_form(d: int) -> QuadForm:
@@ -181,7 +185,8 @@ def enumerate_class_group(d: int) -> ClassGroup:
     forms = []
     amax = isqrt(-d // 3)
     for a in range(1, amax + 1):
-        for b in range(-a + 1, a + 1):
+        # b^2 = d mod 4 forces b = d mod 2
+        for b in range(-a + 1 + ((a + 1 + d) & 1), a + 1, 2):
             num = b * b - d
             if num % (4 * a):
                 continue

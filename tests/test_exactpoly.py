@@ -22,7 +22,8 @@ from conftest import (
 )
 from cfq.cli import _commas
 from cfq.errors import DomainError, InvalidModulusError, NonInvertibleError
-from cfq.exactpoly import IntPoly, LaurentExpr, verify_root_relation
+import cfq.exactpoly
+from cfq.exactpoly import IntPoly, LaurentExpr, _mulmod, verify_root_relation
 
 
 def rp(*coeffs):
@@ -30,6 +31,36 @@ def rp(*coeffs):
 
 
 X7 = rp(*[0] * 7, 1)
+
+
+def char_poly(expr, modulus: IntPoly) -> IntPoly:
+    """The characteristic polynomial of expr(beta) on Q[x]/(modulus), denominators cleared.
+
+    Faddeev-LeVerrier on the exact matrix of multiplication by expr(beta) in
+    the basis 1, x, .., x^(d-1); by Cayley-Hamilton expr(beta) is its root.
+    """
+    m = rat(modulus.coeffs)
+    d = modulus.degree
+    x = rp(0, 1)
+    value = ()
+    for e, c in expr.terms:
+        base = x if e >= 0 else polymod_invert(x, m)
+        power = rp(1)
+        for _ in range(abs(e)):
+            power = polymod_reduce(rat_mul(power, base), m)
+        value = rat_add(value, rat(c * y for y in power))
+    columns = [polymod_reduce(rat_mul(value, rp(*[0] * j, 1)), m) for j in range(d)]
+    a = [[columns[j][i] if i < len(columns[j]) else Fraction(0) for j in range(d)]
+         for i in range(d)]
+    coeffs = [Fraction(0)] * d + [Fraction(1)]
+    mk = [[Fraction(0)] * d for _ in range(d)]
+    for k in range(1, d + 1):
+        mk = [[sum(a[i][t] * mk[t][j] for t in range(d)) + (coeffs[d - k + 1] if i == j else 0)
+               for j in range(d)] for i in range(d)]
+        trace = sum(sum(a[i][t] * mk[t][i] for t in range(d)) for i in range(d))
+        coeffs[d - k] = -trace / k
+    scale = lcm(*(c.denominator for c in coeffs))
+    return IntPoly(c * scale for c in coeffs)
 
 
 class TestPolymodReduce:
@@ -86,6 +117,32 @@ class TestVerifyRootRelation:
 
     def test_wrong_relation_is_false(self):
         assert not verify_root_relation(LaurentExpr({2: 1, 0: -1}), H284, WEBER)
+
+    @pytest.mark.parametrize("modulus", [WEBER, IntPoly([3, -1, 0, 2])], ids=["weber", "non-monic"])
+    def test_relation_on_both_chains(self, modulus):
+        # beta^5 + beta^2 - beta^-1 - beta^-3 reads two powers from each
+        # chain; its characteristic polynomial, denominators cleared, holds
+        # and the same with its constant term moved by 1 does not
+        expr = LaurentExpr({5: 1, 2: 1, -1: -1, -3: -1})
+        target = char_poly(expr, modulus)
+        assert verify_root_relation(expr, target, modulus)
+        assert reference_root_relation(expr, target, modulus)
+        false_target = IntPoly([target[0] + 1, *target.coeffs[1:]])
+        assert not verify_root_relation(expr, false_target, modulus)
+        assert not reference_root_relation(expr, false_target, modulus)
+
+    def test_disc_71_powers_take_one_chain(self, monkeypatch):
+        # y, then y^4, y^5 and y^6 up one chain (6 products), then 8 Horner
+        # steps for the degree-7 target
+        calls = []
+
+        def counting(f, g, m):
+            calls.append(1)
+            return _mulmod(f, g, m)
+
+        monkeypatch.setattr(cfq.exactpoly, "_mulmod", counting)
+        assert verify_root_relation(LaurentExpr({6: -1, 5: 3, 4: -2, 0: 1}), H71, WEBER)
+        assert len(calls) == 1 + 6 + 8
 
     @pytest.mark.parametrize("modulus,message", [
         (IntPoly([]), "zero polynomial"), (IntPoly([5]), "degree at least 1"),

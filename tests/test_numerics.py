@@ -1,7 +1,10 @@
 """Polynomial assembly, rounding, and the precision contract."""
 
+import itertools
 import math
 import random
+from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
@@ -11,12 +14,13 @@ from hypothesis import strategies as st
 import mpmath
 from mpmath import mp
 
-from conftest import H284, WEBER, ball_mpc, cpx, mpc_ball, rounded
+from conftest import H71, H284, WEBER, ball_mpc, cpx, mpc_ball, rounded
+from cfq.classfield import singular_values
 from cfq.elliptic import CMPoint, EllipticElement, fixed_point
 from cfq.errors import DomainError, RoundingFailureError
 from cfq.eta import EtaQuotientSpec, eta_quotient
 from cfq.exactpoly import IntPoly, LaurentExpr, verify_root_relation
-from cfq.hauptmodul import catalog_lookup, evaluate
+from cfq.hauptmodul import ERROR_BITS, catalog_lookup, evaluate
 from cfq.numerics import (
     MAX_PREC_BITS,
     _GUARD,
@@ -124,6 +128,65 @@ def assert_within_bound(q, exponents, coeffs, bits, w, powers=None):
     return bound
 
 
+def two_lane_series(q, exponents, coeffs, coeff_bits, w, m):
+    """The kernel's sum on unpacked powers, two dot products a block: its reference.
+
+    The same chain of powers, the same blocks and the same giant steps as
+    `_fixed_series`, with q^i held as the two ints (x_i, y_i).
+    """
+    qr, qi = q
+    baby_r, baby_i = [1 << w], [0]
+    for _ in range(m):
+        pr, pi = baby_r[-1], baby_i[-1]
+        baby_r.append((pr * qr - pi * qi) >> w)
+        baby_i.append((pr * qi + pi * qr) >> w)
+    big_r, big_i = baby_r.pop(), baby_i.pop()
+    if not len(exponents):
+        return 0, 0, 0.0
+    local = [e % m for e in exponents]
+    terms_r = [c * baby_r[i] for c, i in zip(coeffs, local)]
+    terms_i = [c * baby_i[i] for c, i in zip(coeffs, local)]
+    top = exponents[-1] // m
+    acc_r = acc_i = 0
+    hi = len(exponents)
+    for k in range(top, -1, -1):
+        lo = bisect_left(exponents, k * m, 0, hi)
+        acc_r, acc_i = (((acc_r * big_r - acc_i * big_i) >> w) + sum(terms_r[lo:hi]),
+                        ((acc_r * big_i + acc_i * big_r) >> w) + sum(terms_i[lo:hi]))
+        hi = lo
+    return acc_r, acc_i, 1.5 * 2.0**coeff_bits * sum(exponents) + 1.5 * top
+
+
+def lane_room(w, coeff_bits):
+    """Bits a block's term count may take: the lane w + floor(w/4) + 128, less w + 1 + b."""
+    return (w >> 2) + 127 - coeff_bits
+
+
+@st.composite
+def oracle_cases(draw):
+    """(q, exponents, coeffs, coeff_bits, w, m): q inside or on the premise's edge.
+
+    coeff_bits from 0 to 16, the theta numerator's range, or the size of an
+    n! as exp sums, coefficients of either sign up to 2^coeff_bits, and m
+    from 1 to past e_max.
+    """
+    w = draw(st.integers(16, 3000))
+    exponents = sorted(draw(st.lists(st.integers(0, 300), min_size=1, max_size=60)))
+    m = draw(st.integers(1, exponents[-1] + 3))
+    bits = draw(st.one_of(st.integers(0, 16),
+                          st.integers(1, 130).map(lambda n: math.factorial(n).bit_length())))
+    coeffs = draw(st.lists(st.one_of(st.sampled_from([1 << bits, -(1 << bits)]),
+                                     st.integers(-(1 << bits), 1 << bits)),
+                           min_size=len(exponents), max_size=len(exponents)))
+    # |q| = 1 - 2 max(e_max, m) 2^-w exactly or by a floor, at any angle
+    edge = (1 << w) - 2 * max(exponents[-1], m)
+    qr = draw(st.integers(-edge, edge))
+    qi = isqrt(edge * edge - qr * qr) * draw(st.sampled_from([1, -1]))
+    if draw(st.booleans()):
+        qr, qi = qr >> draw(st.integers(0, w)), qi >> draw(st.integers(0, w))
+    return (qr, qi), exponents, coeffs, bits, w, m
+
+
 class TestFixedSeries:
     """The one summation kernel against a plain mpmath sum at the same q."""
 
@@ -200,6 +263,38 @@ class TestFixedSeries:
         with pytest.raises(DomainError):
             _fixed_series(q, exponents, [1] * (e_max + 1), 0, w, _powers(q, m, w))
 
+    @settings(max_examples=300, deadline=None)
+    @given(case=oracle_cases())
+    def test_packed_powers_match_the_two_lane_sum(self, case):
+        # bit for bit, wherever each block's terms fit the lane, and a
+        # DomainError wherever one does not
+        q, exponents, coeffs, bits, w, m = case
+        most = max(Counter(e // m for e in exponents).values())
+        if most.bit_length() <= lane_room(w, bits):
+            assert (_fixed_series(q, exponents, coeffs, bits, w, _powers(q, m, w))
+                    == two_lane_series(q, exponents, coeffs, bits, w, m))
+        else:
+            with pytest.raises(DomainError, match="lane"):
+                _fixed_series(q, exponents, coeffs, bits, w, _powers(q, m, w))
+
+    @pytest.mark.parametrize("w", [16, 64, 112, 1072])
+    @pytest.mark.parametrize("count", [1, 3, 7, 15])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_lane_holds_its_widest_block(self, w, count, sign):
+        # count terms at q^0 = 2^w, each coefficient +-2^b with b the most
+        # the lane admits: the low lane sums to +-count 2^(b + w), within
+        # one bit of its half, and is read back exactly; a lane one bit
+        # narrower would carry.  One bit wider, the kernel refuses
+        bits = lane_room(w, 0) - count.bit_length()
+        exponents, q = [0] * count, ((1 << w) - 2, 0)
+        coeffs = [sign << bits] * count
+        sr, si, _ = _fixed_series(q, exponents, coeffs, bits, w, _powers(q, 1, w))
+        assert (sr, si) == (sign * count << (bits + w), 0)
+        with pytest.raises(DomainError, match="lane"):
+            _fixed_series(q, exponents, coeffs, bits + 1, w, _powers(q, 1, w))
+        with pytest.raises(DomainError, match="lane"):
+            _fixed_series(q, [0] * (count + 1), coeffs + [1], bits, w, _powers(q, 1, w))
+
     def test_sparse_powers_exact_for_q_of_two(self):
         # q = 1/2 has exact powers above 2^-w, so the sum is exact
         w = 128
@@ -231,6 +326,37 @@ class TestFixedSeries:
             _fixed_series(q, range(10), [1] * 10, 0, w, root_powers(q, range(10), w))
 
 
+def gaussian_expand(roots):
+    """`_expand`'s reference: prod(x - (X + iY)), one complex factor a root, lowest first."""
+    re, im = [1], [0]
+    for x, y in roots:
+        re, im = ([b - a * x + c * y for a, c, b in zip(re + [0], im + [0], [0] + re)],
+                  [d - a * y - c * x for a, c, d in zip(re + [0], im + [0], [0] + im)])
+    return re, im
+
+
+@st.composite
+def root_multisets(draw):
+    """Shuffled grid roots: conjugate pairs, real and zero roots, lone complex roots, repeats."""
+    part = st.integers(-(1 << 200), 1 << 200)
+    nonzero = part.filter(bool)
+    roots = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["pair", "real", "zero", "lone", "repeat"]))
+        if kind == "pair":
+            x, y = draw(part), draw(nonzero)
+            roots += [(x, y), (x, -y)]
+        elif kind == "real":
+            roots.append((draw(part), 0))
+        elif kind == "zero":
+            roots.append((0, 0))
+        elif kind == "lone":
+            roots.append((draw(part), draw(nonzero)))
+        elif roots:
+            roots += draw(st.lists(st.sampled_from(roots), min_size=1, max_size=3))
+    return draw(st.permutations(roots))
+
+
 class TestPolyFromRoots:
     """The exact product prod(x - V_i) that certify_int_poly rounds."""
 
@@ -242,6 +368,46 @@ class TestPolyFromRoots:
         poly, residual, _ = certify_int_poly([cpx(0, 1, 128), cpx(0, -1, 128)], -120, 128)
         assert poly == IntPoly([1, 0, 1])
         assert residual < 2.0**-120
+
+    @settings(max_examples=300, deadline=None)
+    @given(roots=root_multisets())
+    def test_expand_matches_the_gaussian_product(self, roots):
+        # real factors and conjugate pairs multiplied as real quadratics
+        # give the coefficients of one complex factor at a time exactly
+        assert _expand(roots) == gaussian_expand(roots)
+
+    @pytest.mark.parametrize("roots", [[], [(0, 0)], [(0, 0)] * 3, [(5, 0), (-7, 0), (5, 0)],
+                                       [(3, 4), (3, 4), (3, -4)], [(3, 4), (3, -4)] * 2,
+                                       [(0, 1), (0, 1)], [(2, 3), (2, -3), (2, 3), (1, 0)]],
+                             ids=["none", "zero", "zeros", "reals", "pair-and-lone",
+                                  "repeated-pair", "lone-repeated", "mixed"])
+    def test_expand_edge_cases(self, roots):
+        assert _expand(roots) == gaussian_expand(roots)
+
+    @pytest.mark.parametrize("disc", [-71, -284])
+    def test_certify_ignores_the_order_of_the_values(self, disc):
+        # the level-71 values, three conjugate pairs and one real value:
+        # every one of the 5,040 orders gives the same certified triple
+        values = singular_values(71, "fricke", disc, 64).values()
+        want = certify_int_poly(values, ERROR_BITS + 1 - 64, 64)
+        for order in itertools.permutations(values):
+            assert certify_int_poly(order, ERROR_BITS + 1 - 64, 64) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(roots=root_multisets().filter(lambda r: 1 <= len(r) <= 5))
+    def test_certify_outcome_ignores_the_order_of_the_values(self, roots):
+        # a certified triple or a refusal, and the refusal's residual and
+        # tolerance, are the same in every order
+        values = [Ball(x, y, -200, 0.0) for x, y in roots]
+
+        def outcome(vals):
+            try:
+                return certify_int_poly(vals, -120, 128)
+            except RoundingFailureError as exc:
+                return exc.args
+
+        want = outcome(values)
+        assert all(outcome(list(order)) == want for order in itertools.permutations(values))
 
     def test_conjugation_closed_imag_bound(self):
         # exact conjugate pairs and real roots: every imaginary part of the
@@ -312,6 +478,19 @@ class TestFindRoots:
                 assert abs(value) < mp.mpf(2) ** -40
         # and the same fact exactly
         assert verify_root_relation(LaurentExpr({2: 1, 0: -1, -1: -1}), H284, WEBER)
+
+    def test_weber_roots_feed_disc71_relation(self):
+        prec = 128
+        roots = polyroots(WEBER, prec)
+        with mp.workprec(prec + 16):
+            for beta in roots:
+                image = -beta**6 + 3 * beta**5 - 2 * beta**4 + 1
+                value = mp.mpc(0)
+                for c in reversed(H71.coeffs):
+                    value = value * image + c
+                assert abs(value) < mp.mpf(2) ** -40
+        # and the same fact exactly
+        assert verify_root_relation(LaurentExpr({6: -1, 5: 3, 4: -2, 0: 1}), H71, WEBER)
 
     def test_roots_then_reassembly(self):
         prec = 160
@@ -560,6 +739,15 @@ class TestFixedPoint:
             n = len(coeffs) - 1
             assert coeffs[0] < 2**1023
             assert coeffs[0].bit_length() + (n * (n + 1)).bit_length() < 1023
+
+    def test_exp_plan_fits_the_kernel_lane(self):
+        # exp sums its n + 1 terms, each below 2^len(n!), in blocks of
+        # isqrt(n) + 1 at scale 2^s, s = w + g: every block fits the packed
+        # lane at every scale, so exp never meets the kernel's DomainError
+        for w in range(MIN_PREC_BITS + _GUARD, MAX_PREC_BITS + _GUARD + 65):
+            _j, g, coeffs = _exp_plan(w)
+            n = len(coeffs) - 1
+            assert (isqrt(n) + 1).bit_length() <= lane_room(w + g, coeffs[0].bit_length())
 
     @pytest.mark.parametrize("w", [112, 113, 139, 421, 1072, 4112, 8112])
     def test_exp_guard_terms_below_an_eighth(self, w):
