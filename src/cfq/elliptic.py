@@ -99,12 +99,14 @@ class CMPoint(_Record):
 
 def fixed_point(alpha: EllipticElement) -> CMPoint:
     """The unique fixed point (n*A + sqrt(-n)) / (n*C) in the upper half plane."""
-    tau = CMPoint(alpha.n * alpha.A, 1, alpha.n * alpha.C, alpha.n)
-    # exact zero check of the element's form at (tau, 1) over Q(sqrt(-n))
-    f = alpha.form()
+    n = alpha.n
+    tau = CMPoint(n * alpha.A, 1, n * alpha.C, n)
+    # exact zero check of the element's form (nC, -2nA, -B) at (tau, 1)
+    # over Q(sqrt(-n)), on the integers
+    a, b, c = n * alpha.C, -2 * n * alpha.A, -alpha.B
     u, v, w = tau.u, tau.v, tau.w
-    rational = f.a * (u * u - alpha.n * v * v) + f.b * u * w + f.c * w * w
-    irrational = 2 * f.a * u * v + f.b * v * w
+    rational = a * (u * u - n * v * v) + b * u * w + c * w * w
+    irrational = 2 * a * u * v + b * v * w
     assert rational == 0 and irrational == 0
     return tau
 

@@ -52,10 +52,37 @@ discriminant, the representation counts of its classes sum to
 |c_e| <= A sqrt(e) for e >= 1, A = 4 sum |s_Q| / m.  (At level 23, v = 1
 and N's term at q^0 is theta's constant, sum s_Q / m = 1: exact in the
 kernel, with no derivative, below its 2^b, and in no tail, as tails start
-at k >= 1.)  The value is then a chain of Ball operations: q's radius is
-the pole's error, ConvergenceError is raised unless D's radius is below
-2^(w-5), the Ball premise, and N's error stays absolute, as N cancels to
-nothing where t = shift, and joins the radius once, over |q D| max(1, |t|).
+at k >= 1.)
+
+The value is then one pass in integers.  D = S(q) S(q^N) is one Gaussian
+product floored at scale 2^w; q D is q's mantissa times D, exact at q's
+own exponent, so that a point far above the axis, where q underflows any
+fixed scale, loses nothing; t - shift = N / (q D) is one Gaussian quotient,
+both parts floored at >= w + 1/2 bits (`numerics._quotient`); and the
+shift is added exactly, or floored once where it falls below the value's
+last bit, |t| > 2^w.  The radius, in units of 2^-w max(1, |t|), is one
+float budget on (mantissa, exponent) pairs, as `numerics._mag` and
+`numerics._ratio` keep them, so no term overflows up to MAX_PREC_BITS:
+
+  * D's relative error r_D = r_1 + r_2 + r_1 r_2 2^-w + 1.5 / |D|: each
+    factor's error over its modulus, and D's floor, within sqrt(2);
+  * q's radius r_q, the pole's error: q D is within g = (r_q + r_D +
+    r_q r_D 2^-w) 2^-w of its value relatively, and ConvergenceError is
+    raised unless (r_q + r_D) 2^-w < 2^-5;
+  * on |N / (q D)|, the quotient's floors, within sqrt(2) units of its
+    last place and so within 2^-w of it, charged 1.5, and q D's error,
+    g / (1 - g) of it;
+  * N's error, absolute, as N cancels to nothing where t = shift, over
+    |q D| (1 - g), a lower bound on the true |q D|;
+  * the shift's floor, below one unit of the value's last place.
+
+The products of two relative errors are carried whole by g and 1 - g.
+The second-order terms of each floor fit in the 1.5 charged for it: D's
+floor adds sqrt(2) (r_1 + r_2 + r_1 r_2 2^-w) 2^-w / |D| < 0.045 / |D| under
+the premise, inside the 0.086 / |D| that 1.5 - sqrt(2) leaves; the
+quotient's is charged on the computed |N / (q D)|, below the exact one by
+at most 2^-w of it, and (1 + g / (1 - g) 2^w) 2^-w < 0.04 of that fits in
+the 0.5 its charge of 1.5 leaves over 1.
 """
 
 from __future__ import annotations
@@ -71,7 +98,7 @@ from .eta import EtaQuotientSpec, _ascend, _imag, _pentagonal, _pentagonal_count
 from .exactpoly import LaurentExpr, _Record
 from .numerics import (
     _GUARD, Ball, _check_prec, _div, _fixed, _fixed_series, _exp_i_pi, _mag, _mul,
-    _powers, _ratio, _round, _sum,
+    _powers, _quotient, _ratio, _round, _sum,
 )
 
 __all__ = [
@@ -339,13 +366,6 @@ def _coeff_bits(a: float, top: int) -> int:
     return math.ceil(a * (isqrt(top) + 1)).bit_length()
 
 
-def _relative(z: Ball, err: float) -> Ball:
-    """z with the radius err / |z|: an error of err units of 2^-w made relative to z."""
-    if not (z.re or z.im):
-        raise ConvergenceError("a sum of the theta quotient vanished at this point")
-    return Ball(z.re, z.im, z.exp, _ratio((err, 0), _mag(z)))
-
-
 def _evaluate_theta(spec: ThetaQuotientHaupt, tau: CMPoint, prec: int) -> Ball:
     """The quotient at tau, its radius in units of 2^-(prec+guard) max(1, |value|)."""
     n, wp = spec.level, prec + _GUARD
@@ -381,31 +401,55 @@ def _evaluate_theta(spec: ThetaQuotientHaupt, tau: CMPoint, prec: int) -> Ball:
         # once more for q's truncation (q^e moves sqrt(2) e), the tail and
         # q's error through the derivative
         sr, si, bound = _fixed_series(qw, exps, coeffs, coeff_bits, w, powers)
-        return Ball(sr, si, -w, 0.0), 2 * bound + math.exp(tail + w * math.log(2)) + q.rad * slope
+        return sr, si, 2 * bound + math.exp(tail + w * math.log(2)) + q.rad * slope
 
     exps, signs = _pentagonal(_pentagonal_count(size))
     cut = bisect_left(exps, -(-size // n))
-    den = _mul(_relative(*series(exps, signs, 0, tail, s1)),
-               _relative(*series([n * e for e in exps[:cut]], signs[:cut], 0, tail, s1)), w)
-    if not math.ldexp(den.rad, 5 - w) < 1:
-        raise ConvergenceError("the eta product is lost in its own error at this point")
+    ar, ai, err_a = series(exps, signs, 0, tail, s1)
+    br, bi, err_b = series([n * e for e in exps[:cut]], signs[:cut], 0, tail, s1)
+    # D = S(q) S(q^N) floored at scale 2^w; its relative error, in units
+    # of 2^-w, from each factor's and from the floor's sqrt(2) (charged 1.5)
+    dr, di = (ar * br - ai * bi) >> w, (ar * bi + ai * br) >> w
+    if not (dr or di):
+        raise ConvergenceError("a sum of the theta quotient vanished at this point")
+    rel_a, rel_b = _ratio((err_a, 0), _mag(ar, ai, -w)), _ratio((err_b, 0), _mag(br, bi, -w))
+    df, dk = _mag(dr, di, -w)
+    rel_d = rel_a + rel_b + math.ldexp(rel_a * rel_b, -w) + _ratio((1.5, 0), (df, dk))
+    if not math.ldexp(q.rad + rel_d, 5 - w) < 1:
+        raise ConvergenceError("the pole q D is lost in its own error at this point")
 
     # N: its tail from exponent k, with sqrt(e + v - 1) <= (e + v - 1) /
     # sqrt(k + v - 1), is below 2^(ERROR_BITS-2-prec) |q D|, |q| from its
     # integers as r underflows a double at high points; its table is cached
     # at a power of two >= K, at least 1024
-    den_low = math.ldexp(*_mag(den)) * (1 - math.ldexp(den.rad, -w))
-    qf, qk = _mag(q)
+    den_low = math.ldexp(df, dk) * (1 - math.ldexp(rel_d, -w))
+    qf, qk = _mag(q.re, q.im, q.exp)
     size, tail = _cutoff(ell, (ERROR_BITS - 2 - prec + qk) * math.log(2) + math.log(den_low * qf),
                          lambda k: (a / math.sqrt(k + v - 1), a * (v - 1) / math.sqrt(k + v - 1)))
     exps, coeffs = _theta_numerator(spec, max(1024, 1 << (size - 1).bit_length()))
     cut = bisect_left(exps, size)
-    num, num_err = series(exps[:cut], coeffs[:cut], _coeff_bits(a, size + v - 1), tail,
-                          a * (math.sqrt(s1 * s2) + math.sqrt(v - 1) * s1))
-    # t = N / (q D) + shift, q's radius the pole's error; the shift, 0 or
-    # not, gives units of max(1, |value|), and N's error, absolute as N
-    # cancels where t = shift, enters once, over |q D| max(1, |value|)
-    value = _sum([_div(num, _mul(q, den, w), w), Ball(spec.shift, 0, 0, 0.0)], w)
-    sf, sk = m if _ratio(m := _mag(value), (1.0, 0)) >= 1 else (1.0, 0)
-    rad = value.rad + _ratio((num_err, 0), (den_low * qf * sf, qk + sk))
-    return Ball(value.re, value.im, value.exp, rad * 2.0 ** (wp - w))
+    nr, ni, err_n = series(exps[:cut], coeffs[:cut], _coeff_bits(a, size + v - 1), tail,
+                           a * (math.sqrt(s1 * s2) + math.sqrt(v - 1) * s1))
+    # t - shift = N / (q D): q D exact at exponent q.exp - w, the quotient
+    # floored once (module docstring), then the shift added exactly, or
+    # floored once where it falls below the value's last bit
+    xr, xi = q.re * dr - q.im * di, q.re * di + q.im * dr
+    x, y, s = _quotient(nr, ni, xr, xi, w)
+    e = -q.exp - s
+    quot, floor = _mag(x, y, e), (0.0, 0)
+    if e <= 0:
+        x += spec.shift << -e
+    elif spec.shift:
+        x += spec.shift >> e
+        floor = (1.0, e + w)
+    value = _mag(x, y, e) if spec.shift else quot
+    big = value if _ratio(value, (1.0, 0)) >= 1 else (1.0, 0)
+    # the budget in units of 2^-w max(1, |t|) (module docstring): on
+    # |N / (q D)| the quotient's floors and q D's error g / (1 - g), N's
+    # absolute error over |q D| (1 - g), and the shift's floor
+    gq, gd = math.ldexp(q.rad, -w), math.ldexp(rel_d, -w)
+    low = 1 - (gq + gd + gq * gd)
+    pole = 1.5 + (q.rad + rel_d + q.rad * gd) / low
+    rad = (_ratio((pole * quot[0], quot[1]), big) + _ratio(floor, big)
+           + _ratio((err_n / low, 0), (qf * df * big[0], qk + dk + big[1])))
+    return Ball(x, y, e, rad * 2.0 ** (wp - w))

@@ -33,9 +33,11 @@ the theta quotient sums its three series against one set, so that a dense
 series of K terms takes about m + K/m full products instead of K.  Each
 baby power is packed as one integer, its imaginary part in a lane above
 its real part, so a block is one integer sum, read back into its two
-parts exactly once before its giant step.  The proof of the bound holds
-for any m, and the proof that the lanes never carry into each other is
-in the `_fixed_series` docstring.
+parts exactly once before its giant step.  Each step of the chain of
+powers and each giant step is one complex product in three integer
+products, which give the same exact integers as four.  The proof of the
+bound holds for any m, and the proof that the lanes never carry into
+each other is in the `_fixed_series` docstring.
 
 A `Ball` (re + i im) 2^exp is within rad units of 2^-w of its modulus, w
 the scale of the operations that made it, each leaving |re + i im| >= 2^w,
@@ -235,15 +237,25 @@ def _pow(z: Ball, r: int, w: int) -> Ball:
 
 
 def _div(a: Ball, b: Ball, w: int) -> Ball:
-    """a conj(b) / |b|^2 shifted so that |a / b| 2^s >= 2^(w + 1/2), both parts floored once."""
-    d = b.re * b.re + b.im * b.im
-    x, y = a.re * b.re + a.im * b.im, a.im * b.re - a.re * b.im
-    s = w + 2 + _bits(b) - _bits(a)
-    if s >= 0:
-        x, y = (x << s) // d, (y << s) // d
-    else:
-        x, y = x // (d << -s), y // (d << -s)
+    """a / b by `_quotient`, both parts floored once."""
+    x, y, s = _quotient(a.re, a.im, b.re, b.im, w)
     return Ball(x, y, a.exp - b.exp - s, a.rad + b.rad + 1.5)
+
+
+def _quotient(ar: int, ai: int, br: int, bi: int, w: int) -> tuple[int, int, int]:
+    """(x, y, s): (a / b) 2^s with both parts floored, |a / b| 2^s >= 2^(w + 1/2), b nonzero.
+
+    a conj(b) / |b|^2 with s = w + 2 + bits(b) - bits(a), bits the length of
+    the larger part: |a| >= 2^(bits(a) - 1) and |b| < 2^(bits(b) + 1/2).  The
+    floors are within sqrt(2) units of the last place, so within
+    |a / b| 2^-w of the quotient.
+    """
+    d = br * br + bi * bi
+    x, y = ar * br + ai * bi, ai * br - ar * bi
+    s = w + 2 + max(abs(br), abs(bi)).bit_length() - max(abs(ar), abs(ai)).bit_length()
+    if s >= 0:
+        return (x << s) // d, (y << s) // d, s
+    return x // (d << -s), y // (d << -s), s
 
 
 def _csqrt(z: Ball, w: int) -> Ball:
@@ -279,18 +291,18 @@ def _sum(terms, w: int) -> Ball:
         else:
             x, y = x + (t.re >> -s), y + (t.im >> -s)
             shifted += 1
-    total = _mag(Ball(x, y, e, 0.0))
+    total = _mag(x, y, e)
     scale = total if _ratio(total, (1.0, 0)) >= 1 else (1.0, 0)
-    rad = sum(t.rad * _ratio(_mag(t), scale) for t in terms if t.rad)
+    rad = sum(t.rad * _ratio(_mag(t.re, t.im, t.exp), scale) for t in terms if t.rad)
     if shifted:
         rad += 1.5 * shifted * _ratio((1.0, max(top, 0) - 1), scale)
     return Ball(x, y, e, rad)
 
 
-def _mag(z: Ball) -> tuple[float, int]:
-    """|z| = f 2^k as (f, k), f a double below 2^65 within 2^-50 of its value."""
-    s = max(_bits(z) - 64, 0)
-    return math.hypot(z.re >> s, z.im >> s), z.exp + s
+def _mag(x: int, y: int, e: int) -> tuple[float, int]:
+    """|x + i y| 2^e = f 2^k as (f, k), f a double below 2^65 within 2^-50 of its value."""
+    s = max(max(abs(x), abs(y)).bit_length() - 64, 0)
+    return math.hypot(x >> s, y >> s), e + s
 
 
 def _ratio(a: tuple[float, int], b: tuple[float, int]) -> float:
@@ -421,21 +433,27 @@ def _exp_i_pi(u: int, v: int, t: int, n: int, w: int) -> Ball:
 def _powers(q, m: int, w: int) -> tuple[list[int], int, int, int]:
     """(baby, lane, big_r, big_i): q^0 .. q^(m-1) packed, and Q = q^m, at scale 2^w.
 
-    q = (qr, qi) as for `_fixed_series`; each power is the one before times
-    q, a truncated product, so q^i is within sqrt(2) (i - 1) of its value
-    for i >= 1 while |q| <= 1 - 2 m 2^-w (the kernel's premise).  The baby
-    power x + i y is the one integer x + y 2^lane, lane = w + floor(w/4) +
-    128, so that the kernel sums a block of terms as one dot product; Q,
-    which eta reads alone, is not packed.
+    q = (qr, qi) as for `_fixed_series`; q^1 is q, and each power above it
+    is the one before times q, a truncated product, so q^i is within
+    sqrt(2) (i - 1) of its value for i >= 1 while |q| <= 1 - 2 m 2^-w (the
+    kernel's premise).  A step from p = pr + i pi takes three products,
+    k = qr (pr + pi), then k - pi (qr + qi) = pr qr - pi qi and
+    k + pr (qi - qr) = pr qi + pi qr: the same exact integers as the four
+    products, floored the same.  The baby power x + i y is the one integer
+    x + y 2^lane, lane = w + floor(w/4) + 128, so that the kernel sums a
+    block of terms as one dot product; Q, which eta reads alone, is not
+    packed.
     """
     qr, qi = q
+    qs, qd = qr + qi, qi - qr
     lane = w + (w >> 2) + 128
-    pr, pi = 1 << w, 0
-    baby = [pr]
+    baby = [1 << w]
+    pr, pi = q
     for _ in range(m - 1):
-        pr, pi = (pr * qr - pi * qi) >> w, (pr * qi + pi * qr) >> w
         baby.append(pr + (pi << lane))
-    return baby, lane, (pr * qr - pi * qi) >> w, (pr * qi + pi * qr) >> w
+        k = qr * (pr + pi)
+        pr, pi = (k - pi * qs) >> w, (k + pr * qd) >> w
+    return baby, lane, pr, pi
 
 
 def _fixed_series(q, exponents, coeffs, coeff_bits: int, w: int,
@@ -468,7 +486,8 @@ def _fixed_series(q, exponents, coeffs, coeff_bits: int, w: int,
     sum_i c_(km+i) q^i is an exact integer dot product, within
     sqrt(2) 2^b sum_i max(0, i - 1) of its true value, b = coeff_bits.
     Horner's rule in Q combines the blocks from the top down, one truncated
-    product per block below the top: a giant step.  The partial sum H above
+    product per block below the top: a giant step, taken in three products
+    as the steps of `_powers` are, exactly.  The partial sum H above
     block k has a true value S of modulus at most 2^b times the number of
     terms it holds, since |q| <= 1, and |Q| <= 2^w by the premise, as
     sqrt(2) (m - 1) < 2m.  So H Q 2^-w is within err(H) + |S| sqrt(2) (m - 1)
@@ -516,6 +535,7 @@ def _fixed_series(q, exponents, coeffs, coeff_bits: int, w: int,
     terms = list(map(mul, coeffs, map(baby.__getitem__, [e % m for e in exponents])))
     half, mask = 1 << (lane - 1), (1 << lane) - 1
     top = e_max // m
+    big_s, big_d = big_r + big_i, big_i - big_r
     acc_r = acc_i = 0
     hi = n
     for k in range(top, -1, -1):
@@ -523,9 +543,11 @@ def _fixed_series(q, exponents, coeffs, coeff_bits: int, w: int,
         if hi - lo > most:
             raise DomainError("series coefficients too wide for the kernel's lane")
         # the block's packed sum, its low lane offset by half a lane; then a
-        # giant step, at the top with the sum still 0 and the product exact
+        # giant step in three products, at the top with the sum still 0 and
+        # the product exact
         block = sum(terms[lo:hi], half)
-        acc_r, acc_i = (((acc_r * big_r - acc_i * big_i) >> w) + (block & mask) - half,
-                        ((acc_r * big_i + acc_i * big_r) >> w) + (block >> lane))
+        t = big_r * (acc_r + acc_i)
+        acc_r, acc_i = (((t - acc_i * big_s) >> w) + (block & mask) - half,
+                        ((t + acc_r * big_d) >> w) + (block >> lane))
         hi = lo
     return acc_r, acc_i, 1.5 * 2.0**coeff_bits * sum(exponents) + 1.5 * top

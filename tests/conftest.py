@@ -301,15 +301,14 @@ def eta_direct_series(tau, prec):
         q24 = mp.exp(mp.mpc(0, 1) * mp.pi * tau / 12)
         q = q24 ** 24
         total = mp.mpc(1)
-        k = 1
+        # t1 = q^(k(3k-1)/2) and t2 = t1 q^k, the next t1 = t2 q^k q^(k+1):
+        # products, not powers, with qk = q^k
+        k, qk, t1 = 1, q, q
         while True:
-            e1 = k * (3 * k - 1) // 2
-            e2 = k * (3 * k + 1) // 2
-            t1 = q ** e1
-            t2 = q ** e2
+            t2 = t1 * qk
             term = t1 + t2
             total = total - term if k % 2 else total + term
             if abs(t1) < mp.mpf(2) ** (-prec - 12):
                 break
-            k += 1
+            k, qk, t1 = k + 1, qk * q, t2 * qk * qk * q
         return q24 * total

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cfq import elliptic
 from cfq.elliptic import (
     CMPoint,
     EllipticElement,
@@ -56,6 +57,21 @@ class TestFixedPoint:
     def test_direct_substitution(self):
         tau = fixed_point(EllipticElement(71, 1, -36, 2))
         assert (tau.u, tau.v, tau.w) == (71, 1, 142)
+
+    def test_zero_of_the_form_checked(self, monkeypatch):
+        # the fixed point is an exact zero of the element's form, and a point
+        # moved off it fails the check
+        el = EllipticElement(71, 1, -36, 2)
+        tau = fixed_point(el)
+        f = el.form()
+        z = Fraction(tau.u, tau.w)
+        # f(x + y sqrt(-n), 1) = 0 in its rational and sqrt(-n) parts
+        y2 = Fraction(tau.v, tau.w) ** 2 * tau.n
+        assert f.a * (z * z - y2) + f.b * z + f.c == 0 and 2 * f.a * z + f.b == 0
+        monkeypatch.setattr(elliptic, "CMPoint",
+                            lambda u, v, w, n: CMPoint(u + 1, v, w, n))
+        with pytest.raises(AssertionError):
+            fixed_point(el)
 
     def test_gcd_normalization(self):
         tau = CMPoint(4, 2, 6, 5)

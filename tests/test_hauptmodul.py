@@ -39,7 +39,6 @@ from cfq.hauptmodul import (
     _fricke_ascent,
     _laurent_sum,
     _log_tail,
-    _relative,
     _theta_numerator,
     evaluate,
 )
@@ -330,10 +329,16 @@ class TestThetaQuotient:
             bound = 2 * weight * _divisors(m + v - 1) / entry.divisor
             assert abs(c) <= bound <= a * math.sqrt(m + v - 1)
 
-    def test_vanishing_sum_refused(self):
-        # an error made relative to a sum needs the sum to be nonzero
+    def test_vanishing_sum_refused(self, monkeypatch):
+        # an error made relative to a sum needs the sum to be nonzero: with
+        # the series kernel returning 0, the eta product D vanishes
+        def vanishing(q, exponents, coeffs, coeff_bits, w, powers):
+            return 0, 0, 1.0
+
+        monkeypatch.setattr(cfq.hauptmodul, "_fixed_series", vanishing)
+        tau = fixed_point(enumerate_representatives(71, -71, enumerate_class_group(-71))[0])
         with pytest.raises(ConvergenceError, match="vanished"):
-            _relative(Ball(0, 0, 5, 0.0), 1.0)
+            _evaluate_theta(catalog_lookup(71, "fricke"), tau, 64)
 
 
 def _im_at_least(z: CMPoint, tau: CMPoint) -> bool:
@@ -862,8 +867,61 @@ SMALL_VALUES = [CMPoint(29, 1, 142, 11), CMPoint(2042253521, 233565126, 10**10, 
                 CMPoint(-1364444, 8779, 487038, 1)]
 
 
+# the six theta keys, and the reference precision of their points: 40 bits
+# below the radius's unit at 4096 bits
+THETA_KEYS = [(n, disc) for n in (23, 47, 71) for disc in (-n, -4 * n)]
+RADIUS_REF_PREC = 4096 + _GUARD + 40
+
+
+@functools.cache
+def _theta_point_reference(level, u, v, w, n):
+    """_theta_reference at (u + v sqrt(-n))/w, 0 <= u < w, or at its mirror image conjugated.
+
+    t(tau + 1) = t(tau), and t(-conj(tau)) = conj(t(tau)) as the
+    coefficients are rational, so a class and its mirror share one sum.
+    """
+    with mp.workprec(RADIUS_REF_PREC):
+        if (-u) % w < u:
+            return mp.conj(_theta_point_reference(level, (-u) % w, v, w, n))
+        return _theta_reference(catalog_lookup(level, "fricke"), cm_mpc(CMPoint(u, v, w, n)),
+                                RADIUS_REF_PREC)
+
+
 class TestFixedPointValues:
     """evaluate's two kinds in integers, against mpmath 300 bits deeper."""
+
+    @pytest.mark.parametrize("key", THETA_KEYS, ids=lambda k: "%d%d" % k)
+    def test_theta_radius_at_the_paper_points(self, key):
+        # every point of the key, the 14 level-71 points among them, at 64
+        # to 4096 bits: the radius, in units of 2^-(prec + 48) max(1, |t|),
+        # holds the quotient summed at the point itself, a test far tighter
+        # than the 2^-(prec - 8) of _check_against_reference
+        n, disc = key
+        entry = catalog_lookup(n, "fricke")
+        for alpha in enumerate_representatives(n, disc, enumerate_class_group(disc)):
+            tau = fixed_point(alpha)
+            want = _theta_point_reference(n, tau.u % tau.w, tau.v, tau.w, tau.n)
+            for prec in (64, 256, 1024, 4096):
+                value = _evaluate_theta(entry, tau, prec)
+                with mp.workprec(RADIUS_REF_PREC):
+                    got = ball_mpc(value)
+                    unit = max(1, abs(got)) * mp.mpf(2) ** -(prec + _GUARD)
+                    assert abs(got - want) <= value.rad * unit, (alpha, prec)
+
+    @pytest.mark.parametrize("prec", [64, 256])
+    def test_theta_shift_below_the_last_bit(self, prec):
+        # at 100 i, |T23| ~ e^(200 pi) ~ 2^906 is far above 2^w: the value's
+        # last bit lies above 1, so its shift -3 is floored once into it,
+        # and the radius still holds the quotient summed at the point itself
+        entry = catalog_lookup(23, "fricke")
+        tau = CMPoint(0, 100, 1, 1)
+        value = _evaluate_theta(entry, tau, prec)
+        assert value.exp > 0
+        w = prec + _GUARD
+        with mp.workprec(w + 300):
+            want = _theta_reference(entry, cm_mpc(tau), w + 300)
+            got = ball_mpc(value)
+            assert abs(got - want) <= value.rad * abs(got) * mp.mpf(2) ** -w
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -921,6 +979,35 @@ class TestFixedPointValues:
             got = ball_mpc(value)
             assert abs(got - want) > mp.mpf(2) ** (-shift - 8)
             assert abs(got - want) <= value.rad * max(1, abs(got)) * mp.mpf(2) ** -w
+
+    @pytest.mark.parametrize("factor", [0, 1], ids=["S(q)", "S(q^N)"])
+    @pytest.mark.parametrize("tau", [SMALL_VALUES[2], CMPoint(3, 51, 10, 1)],
+                             ids=["quarter", "high"])
+    def test_theta_with_a_factor_off_by_its_bound(self, tau, factor, monkeypatch):
+        # one factor of D moved by 2^-56 with its kernel bound grown to
+        # match: the move is beyond all that the unmoved radius holds, as
+        # the budget's other terms are far smaller, and D's relative error
+        # in the radius holds it
+        w = 112
+        calls = []
+
+        def moved(q, exponents, coeffs, coeff_bits, scale, powers):
+            sr, si, bound = _fixed_series(q, exponents, coeffs, coeff_bits, scale, powers)
+            calls.append(scale)
+            if len(calls) == factor + 1:
+                return sr + (1 << (scale - 56)), si, bound + 2.0 ** (scale - 56)
+            return sr, si, bound
+
+        entry = catalog_lookup(71, "fricke")
+        plain = _evaluate_theta(entry, tau, w - _GUARD)
+        monkeypatch.setattr(cfq.hauptmodul, "_fixed_series", moved)
+        value = _evaluate_theta(entry, tau, w - _GUARD)
+        with mp.workprec(w + 300):
+            want = _theta_reference(entry, cm_mpc(tau), w + 300)
+            got = ball_mpc(value)
+            unit = max(1, abs(got)) * mp.mpf(2) ** -w
+            assert abs(got - want) > plain.rad * unit
+            assert abs(got - want) <= value.rad * unit
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

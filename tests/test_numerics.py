@@ -157,6 +157,18 @@ def two_lane_series(q, exponents, coeffs, coeff_bits, w, m):
     return acc_r, acc_i, 1.5 * 2.0**coeff_bits * sum(exponents) + 1.5 * top
 
 
+def four_product_powers(q, m, w):
+    """`_powers` with each step the four-product complex product: its reference."""
+    qr, qi = q
+    lane = w + (w >> 2) + 128
+    pr, pi = 1 << w, 0
+    baby = [pr]
+    for _ in range(m - 1):
+        pr, pi = (pr * qr - pi * qi) >> w, (pr * qi + pi * qr) >> w
+        baby.append(pr + (pi << lane))
+    return baby, lane, (pr * qr - pi * qi) >> w, (pr * qi + pi * qr) >> w
+
+
 def lane_room(w, coeff_bits):
     """Bits a block's term count may take: the lane w + floor(w/4) + 128, less w + 1 + b."""
     return (w >> 2) + 127 - coeff_bits
@@ -276,6 +288,17 @@ class TestFixedSeries:
         else:
             with pytest.raises(DomainError, match="lane"):
                 _fixed_series(q, exponents, coeffs, bits, w, _powers(q, m, w))
+
+    @settings(max_examples=60, deadline=None)
+    @given(w=st.integers(16, 16400), m=st.integers(1, 600), data=st.data())
+    def test_three_product_steps_match_four(self, w, m, data):
+        # q on the unit circle at any angle, or floored inside it: the
+        # three-product steps give the four-product chain bit for bit
+        one = 1 << w
+        qr = data.draw(st.integers(-one, one))
+        qi = isqrt(one * one - qr * qr) * data.draw(st.sampled_from([1, -1]))
+        q = qr >> data.draw(st.integers(0, w)), qi >> data.draw(st.integers(0, w))
+        assert _powers(q, m, w) == four_product_powers(q, m, w)
 
     @pytest.mark.parametrize("w", [16, 64, 112, 1072])
     @pytest.mark.parametrize("count", [1, 3, 7, 15])
