@@ -50,7 +50,8 @@ from .elliptic import CMPoint
 from .errors import ConvergenceError, DomainError
 from .exactpoly import _Record, _integers
 from .numerics import (
-    Ball, _csqrt, _div, _exp_i_pi, _fixed, _fixed_series, _mul, _normal, _pow, _powers, _root,
+    Ball, _SeriesTable, _csqrt, _div, _exp_i_pi, _fixed, _fixed_series, _mul, _normal, _pow,
+    _powers, _root,
 )
 
 __all__ = [
@@ -141,13 +142,16 @@ def _imag(z: CMPoint) -> float:
 
 
 @cache
-def _pentagonal(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The first n exponents, in increasing order, of prod (1 - q^j) = sum (-1)^k q^(k(3k-1)/2).
+def _pentagonal(count: int, scale: int = 1) -> _SeriesTable:
+    """prod (1 - q^(scale j)) = sum (-1)^k q^(scale k(3k-1)/2) to its first count terms.
 
-    The k run 0, 1, -1, 2, -2, ...; the second tuple holds the signs (-1)^k.
+    The k run 0, 1, -1, 2, -2, ..., so the exponents increase; the
+    coefficients are the signs (-1)^k.  One table per (count, scale): the
+    eta factors take scale 1, the theta quotient S(q^N) its level.
     """
-    ks = [(j + 1) // 2 if j % 2 else -(j // 2) for j in range(n)]
-    return tuple(k * (3 * k - 1) // 2 for k in ks), tuple(-1 if k % 2 else 1 for k in ks)
+    ks = [(j + 1) // 2 if j % 2 else -(j // 2) for j in range(count)]
+    return _SeriesTable((scale * (k * (3 * k - 1) // 2) for k in ks),
+                        (-1 if k % 2 else 1 for k in ks))
 
 
 def _pentagonal_count(size: float) -> int:
@@ -179,7 +183,7 @@ def _eta_ball(tau: CMPoint, w: int) -> Ball:
     k, (c, d) = _multiplier(gamma)
     # the first exponent left out, e, has |q|^e = e^(-2 pi Im(z) e) <= 2^-(w+1)
     size = (w + 1) * math.log(2) / (2 * math.pi * _imag(z))
-    exps, signs = _pentagonal(_pentagonal_count(size))
+    table = _pentagonal(_pentagonal_count(size))
     q24 = _exp_i_pi(z.u - (k - 24 * (k >= 12)) * z.w, z.v, 12 * z.w, z.n, w)
     # q^3 along the powers' chain, then q^6, q^12 and q^24; the truncated
     # q^(1/24), within sqrt(2), moves q by 24 |q^(1/24)|^23 sqrt(2) < 1
@@ -187,7 +191,8 @@ def _eta_ball(tau: CMPoint, w: int) -> Ball:
     for _ in range(3):
         qr, qi = (qr * qr - qi * qi) >> w, (2 * qr * qi) >> w
     q = (qr, qi)
-    sr, si, bound = _fixed_series(q, exps, signs, 0, w, _powers(q, isqrt(exps[-1]) + 1, w))
+    sr, si, bound = _fixed_series(q, table, len(table.exps), 0, w,
+                                  _powers(q, isqrt(table.exps[-1]) + 1, w))
     series = _normal(sr, si, -w, (bound + 1 + 1.01 * (1.5 * 23 + 1)) / 0.99, w)
     value = _mul(Ball(q24.re, q24.im, q24.exp, 1.15 * q24.rad), series, w)
     if c:

@@ -146,6 +146,18 @@ def _mulmod(f: list[int], g: list[int], m: list[int]) -> list[int]:
     return out
 
 
+def _times_y(f: list[int], m: list[int]) -> list[int]:
+    """y f reduced modulo the monic y^d + m[d-1] y^(d-1) + ... + m[0], for len(f) <= d.
+
+    The shift up by one degree, then one step of reduction, by c y^d =
+    -c (m[d-1] y^(d-1) + ... + m[0]) for the one coefficient c that reaches
+    y^d: the integers of `_mulmod(f, [0, 1], m)`, without its product.
+    """
+    shifted = [0, *f] + [0] * (len(m) - len(f))
+    c = shifted.pop()
+    return [a - c * b for a, b in zip(shifted, m)] if c else shifted
+
+
 def verify_root_relation(expr: LaurentExpr, target: IntPoly, modulus: IntPoly) -> bool:
     """Decide whether expr(beta) is a root of target, for beta a root of modulus.
 
@@ -167,7 +179,6 @@ def verify_root_relation(expr: LaurentExpr, target: IntPoly, modulus: IntPoly) -
         raise NonInvertibleError(
             "modulus has zero constant term; negative powers are undefined"
         )
-    y = _mulmod([1], [0, 1], mt)
     u = [-c for c in mt[1:]] + [-1]
     # D = a^pos * m~(0)^neg, and c*beta^e*D is the integer
     # c * a^(pos-e) * m~(0)^(neg-k) times y^e (e >= 0) or u^k (k = -e > 0)
@@ -180,7 +191,7 @@ def verify_root_relation(expr: LaurentExpr, target: IntPoly, modulus: IntPoly) -
         for e, c in side:
             k = max(0, -e)
             for _ in range(abs(e) - reached):
-                power = _mulmod(power, y if e > 0 else u, mt)
+                power = _times_y(power, mt) if e > 0 else _mulmod(power, u, mt)
             reached = abs(e)
             scale = c * a ** (pos - e) * mt[0] ** (neg - k)
             for i, p in enumerate(power):

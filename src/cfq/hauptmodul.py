@@ -39,7 +39,9 @@ There eta(tau) eta(N tau) = q^v D, v = (N + 1)/24 and D = S(q) S(q^N),
 S = prod (1 - q^n) = sum_k (-1)^k q^(k(3k-1)/2) Euler's pentagonal series,
 and f = sum_(e >= v-1) c_e q^e, so t = N / (q D) + shift with the one
 series N = sum_(e >= v-1) c_e q^(e-v+1).  The three series have integer
-coefficients (the c_e from lattice enumeration, cached per process) and
+coefficients (the c_e from lattice enumeration), and each is a
+`numerics._SeriesTable` cached per process with the series it holds: N's
+per entry and power-of-two size, S(q)'s and S(q^N)'s per term count.  They
 are summed by `numerics._fixed_series` against one set of powers of q,
 built once per point at one scale.  Each stops at the first exponent K
 whose tail bound meets its target, fixed before it is summed, and carries
@@ -97,8 +99,8 @@ from .errors import ConvergenceError, DomainError, NoConstructionError, NotGenus
 from .eta import EtaQuotientSpec, _ascend, _imag, _pentagonal, _pentagonal_count, eta_quotient
 from .exactpoly import LaurentExpr, _Record
 from .numerics import (
-    _GUARD, Ball, _check_prec, _div, _fixed, _fixed_series, _exp_i_pi, _mag, _mul,
-    _powers, _quotient, _ratio, _round, _sum,
+    _GUARD, Ball, _SeriesTable, _check_prec, _div, _fixed, _fixed_series, _exp_i_pi, _mag,
+    _mul, _powers, _quotient, _ratio, _round, _sum,
 )
 
 __all__ = [
@@ -307,8 +309,8 @@ def _fricke_ascent(tau: CMPoint, n: int) -> CMPoint:
 
 
 @cache
-def _theta_numerator(spec: ThetaQuotientHaupt, size: int):
-    """(exponents, coefficients) of N = q^(1-v) sum_Q s_Q theta_Q / m.
+def _theta_numerator(spec: ThetaQuotientHaupt, size: int) -> _SeriesTable:
+    """N = q^(1-v) sum_Q s_Q theta_Q / m as a `numerics._SeriesTable`.
 
     The nonzero c_e for v - 1 <= e < v - 1 + size, at the exponents
     e - v + 1, the theta series by lattice enumeration: for each y, the x
@@ -335,7 +337,7 @@ def _theta_numerator(spec: ThetaQuotientHaupt, size: int):
     if any(coeffs[: v - 1]) or not coeffs[v - 1]:
         raise DomainError(f"theta numerator of level {n} does not have order {v - 1}")
     kept = [(e - v + 1, k) for e, k in enumerate(coeffs[v - 1:], start=v - 1) if k]
-    return tuple(e for e, _ in kept), tuple(k for _, k in kept)
+    return _SeriesTable((e for e, _ in kept), (k for _, k in kept))
 
 
 def _log_tail(ell: float, k: int, alpha: float, beta: float) -> float:
@@ -396,17 +398,18 @@ def _evaluate_theta(spec: ThetaQuotientHaupt, tau: CMPoint, prec: int) -> Ball:
     qw = _fixed(q, w)
     powers = _powers(qw, isqrt(6 * size), w)
 
-    def series(exps, coeffs, coeff_bits, tail, slope):
-        # the sum and its error in units of 2^-w: the kernel's bound twice,
-        # once more for q's truncation (q^e moves sqrt(2) e), the tail and
-        # q's error through the derivative
-        sr, si, bound = _fixed_series(qw, exps, coeffs, coeff_bits, w, powers)
+    def series(table, count, coeff_bits, tail, slope):
+        # the sum of the table's first count terms and its error in units of
+        # 2^-w: the kernel's bound twice, once more for q's truncation (q^e
+        # moves sqrt(2) e), the tail and q's error through the derivative
+        sr, si, bound = _fixed_series(qw, table, count, coeff_bits, w, powers)
         return sr, si, 2 * bound + math.exp(tail + w * math.log(2)) + q.rad * slope
 
-    exps, signs = _pentagonal(_pentagonal_count(size))
-    cut = bisect_left(exps, -(-size // n))
-    ar, ai, err_a = series(exps, signs, 0, tail, s1)
-    br, bi, err_b = series([n * e for e in exps[:cut]], signs[:cut], 0, tail, s1)
+    # S(q) and S(q^N) to their exponents below K: in q^N, those below K / N
+    low = _pentagonal(_pentagonal_count(size))
+    high = _pentagonal(_pentagonal_count(-(-size // n)), n)
+    ar, ai, err_a = series(low, len(low.exps), 0, tail, s1)
+    br, bi, err_b = series(high, len(high.exps), 0, tail, s1)
     # D = S(q) S(q^N) floored at scale 2^w; its relative error, in units
     # of 2^-w, from each factor's and from the floor's sqrt(2) (charged 1.5)
     dr, di = (ar * br - ai * bi) >> w, (ar * bi + ai * br) >> w
@@ -426,10 +429,9 @@ def _evaluate_theta(spec: ThetaQuotientHaupt, tau: CMPoint, prec: int) -> Ball:
     qf, qk = _mag(q.re, q.im, q.exp)
     size, tail = _cutoff(ell, (ERROR_BITS - 2 - prec + qk) * math.log(2) + math.log(den_low * qf),
                          lambda k: (a / math.sqrt(k + v - 1), a * (v - 1) / math.sqrt(k + v - 1)))
-    exps, coeffs = _theta_numerator(spec, max(1024, 1 << (size - 1).bit_length()))
-    cut = bisect_left(exps, size)
-    nr, ni, err_n = series(exps[:cut], coeffs[:cut], _coeff_bits(a, size + v - 1), tail,
-                           a * (math.sqrt(s1 * s2) + math.sqrt(v - 1) * s1))
+    table = _theta_numerator(spec, max(1024, 1 << (size - 1).bit_length()))
+    nr, ni, err_n = series(table, bisect_left(table.exps, size), _coeff_bits(a, size + v - 1),
+                           tail, a * (math.sqrt(s1 * s2) + math.sqrt(v - 1) * s1))
     # t - shift = N / (q D): q D exact at exponent q.exp - w, the quotient
     # floored once (module docstring), then the shift added exactly, or
     # floored once where it falls below the value's last bit

@@ -7,37 +7,46 @@ of a certified rounding exact dyadic `Fraction`s.
 `certify_int_poly` turns roots known within radii into an integer
 polynomial with a proof (after Enge, Math. Comp. 78, 2009).  Each value v_i
 is rounded once to the nearest V_i on the grid 2^-s, s = prec + 8, so
-|V_i - v_i| < 2^-s, and prod(x - V_i) is multiplied out exactly: a real
-V_i as a real linear factor, a V_i given with its exact conjugate as one
-real quadratic, any other in Gaussian integers (`_expand`).  If each true
+|V_i - v_i| < 2^-s, and the V_i are grouped once (`_group_roots`) into
+real roots, exact conjugate pairs and lone roots.  prod(x - V_i) is
+multiplied out exactly: a real V_i as a real linear factor, a pair as one
+real quadratic, a lone V_i in Gaussian integers (`_expand`).  If each true
 root t_i lies within eps_i = 2^radius_log2 * max(1, |v_i|) of v_i, it lies
 within eps_i' = eps_i + 2^-s of V_i, and every true coefficient lies within
 R_k of the exact one, where R_k is the degree-k coefficient of
 
     prod(x + |V_i| + eps_i') - prod(x + |V_i|),
 
-evaluated in integers with every rounding directed upward.  Each
-coefficient is rounded to the nearest integer and its distance from it,
-imaginary part included, computed exactly.  A coefficient ball of radius
-R_max around a value within 1/2 - R_max of an integer holds that integer
-and no other; the comparison residual + R_max < 1/2 is made in integers.
+evaluated in integers with every rounding directed upward, a pair's two
+equal factors in each product as one real quadratic.  Each coefficient is
+rounded to the nearest integer and its distance from it, imaginary part
+included, computed exactly.  A coefficient ball of radius R_max around a
+value within 1/2 - R_max of an integer holds that integer and no other;
+the comparison residual + R_max < 1/2 is made in integers.
 
 `_fixed_series` is the one series-summation loop of the package: the eta
 pentagonal series, the three series of a theta quotient and the Taylor
-series of exp are all summed by it, in integers at scale 2^w, with a proven bound on its rounding.  Every
-series is cut into blocks of m exponents (rectangular splitting): the
-caller builds the powers q^0 .. q^(m-1) and q^m once (`_powers`) and
-chooses m, each block is an exact integer dot product with them, and
-Horner's rule in q^m joins the blocks.  Eta takes m = isqrt(e_max) + 1;
-the theta quotient sums its three series against one set, so that a dense
-series of K terms takes about m + K/m full products instead of K.  Each
-baby power is packed as one integer, its imaginary part in a lane above
-its real part, so a block is one integer sum, read back into its two
-parts exactly once before its giant step.  Each step of the chain of
-powers and each giant step is one complex product in three integer
-products, which give the same exact integers as four.  The proof of the
-bound holds for any m, and the proof that the lanes never carry into
-each other is in the `_fixed_series` docstring.
+series of exp are all summed by it, in integers at scale 2^w, with a
+proven bound on its rounding.  A series is a `_SeriesTable`: its
+exponents, its coefficients and the prefix sums of its exponents, checked
+once when it is built (one coefficient per exponent, the exponents
+nondecreasing from 0 or above) and cached per process with the series it
+holds, never with a request's key or point.  The kernel sums a table's
+first count terms and checks only what depends on the call: the point's
+premise and the lane of each block.  Every series is cut into blocks of m
+exponents (rectangular splitting): the caller builds the powers
+q^0 .. q^(m-1) and q^m once (`_powers`) and chooses m, each block is an
+exact integer dot product with them, and Horner's rule in q^m joins the
+blocks.  Eta takes m = isqrt(e_max) + 1; the theta quotient sums its three
+series against one set, so that a dense series of K terms takes about
+m + K/m full products instead of K.  Each baby power is packed as one
+integer, its imaginary part in a lane above its real part, so a block is
+one integer sum, read back into its two parts exactly once before its
+giant step.  Each step of the chain of powers and each giant step is one
+complex product in three integer products, which give the same exact
+integers as four.  The proof of the bound holds for any m, and the proof
+that the lanes never carry into each other is in the `_fixed_series`
+docstring.
 
 A `Ball` (re + i im) 2^exp is within rad units of 2^-w of its modulus, w
 the scale of the operations that made it, each leaving |re + i im| >= 2^w,
@@ -55,6 +64,7 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import isqrt
 from operator import le, mul
 from typing import NamedTuple
@@ -115,7 +125,8 @@ def certify_int_poly(values, radius_log2: int, prec: int) -> tuple[IntPoly, Frac
     if not values:
         raise DomainError("need at least one root")
     s, h = prec + 8, len(values)
-    roots = [(_nearest(v.re, v.exp + s), _nearest(v.im, v.exp + s)) for v in values]
+    roots = _group_roots([(_nearest(v.re, v.exp + s), _nearest(v.im, v.exp + s))
+                          for v in values])
     # coefficient k of prod(x - V_i 2^s) carries the scale 2^(s(h-k))
     re, im = _expand(roots)
     rounded, dist2 = [], 0
@@ -139,15 +150,28 @@ def certify_int_poly(values, radius_log2: int, prec: int) -> tuple[IntPoly, Frac
 
 
 def _coefficient_radius(roots, radius_log2: int, s: int) -> int:
-    """R_max of the module docstring times 2^s, rounded up, for roots V_i 2^s."""
+    """R_max of the module docstring times 2^s, rounded up, for `_group_roots` of V_i 2^s.
+
+    A conjugate pair shares |V| and eps, so its two linear factors in each
+    product are one real quadratic (x + c)^2: the same exact integers.
+    """
+    reals, pairs, lone = roots
     upper = base = [1]
-    for x, y in roots:
-        a = _isqrt_up(x * x + y * y)                   # >= |V| 2^s
-        # |v| <= |V| + 2^-s, and V is within 2^-s of v
-        eps = _shift_up(max(1 << s, a + 1), radius_log2) + 1
-        upper, base = _times_linear(upper, a + eps), _times_linear(base, a)
-    h = len(roots)
+    for x, y in pairs:
+        a, b = _radius_terms(x, y, radius_log2, s)
+        upper, base = _times_quadratic(upper, 2 * b, b * b), _times_quadratic(base, 2 * a, a * a)
+    for x, y in [(x, 0) for x in reals] + lone:
+        a, b = _radius_terms(x, y, radius_log2, s)
+        upper, base = _times_linear(upper, b), _times_linear(base, a)
+    h = len(upper) - 1
     return max(_shift_up(upper[k] - base[k], -s * (h - k - 1)) for k in range(h))
+
+
+def _radius_terms(x: int, y: int, radius_log2: int, s: int) -> tuple[int, int]:
+    """(a, a + eps) for the root V 2^s = x + i y: a >= |V| 2^s and eps >= eps_i' 2^s."""
+    a = _isqrt_up(x * x + y * y)
+    # |v| <= |V| + 2^-s, and V is within 2^-s of v
+    return a, a + _shift_up(max(1 << s, a + 1), radius_log2) + 1
 
 
 def _nearest(x: int, shift: int) -> int:
@@ -169,27 +193,37 @@ def _shift_up(n: int, k: int) -> int:
     return n << k if k >= 0 else -(-n >> -k)
 
 
-def _expand(roots: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
-    """Real and imaginary parts of the coefficients of prod(x - (X + iY)), lowest first.
-
-    A real root is multiplied in as the real factor x - X, and a root whose
-    exact conjugate is also given, with the conjugate, as the one real
-    factor x^2 - 2X x + X^2 + Y^2; only the roots left over are complex
-    factors.  The product is exact, so the grouping changes no coefficient.
-    """
-    re, lone = [1], Counter()
+def _group_roots(roots: list[tuple[int, int]]):
+    """(reals, pairs, lone) of the roots X + iY: each real root's X, one (X, Y) of each
+    exact conjugate pair, and the complex roots left over, each once per multiplicity."""
+    reals, pairs, lone = [], [], Counter()
     for x, y in roots:
         if not y:
-            re = _times_linear(re, -x)
+            reals.append(x)
         elif lone[x, -y]:
             lone[x, -y] -= 1
-            # times x^2 + b x + c: c'_k = c_(k-2) + b c_(k-1) + c c_k
-            b, c = -2 * x, x * x + y * y
-            re = [e + b * d + c * a for a, d, e in zip(re + [0, 0], [0] + re + [0], [0, 0] + re)]
+            pairs.append((x, y))
         else:
             lone[x, y] += 1
+    return reals, pairs, list(lone.elements())
+
+
+def _expand(roots) -> tuple[list[int], list[int]]:
+    """Real and imaginary parts of the coefficients of prod(x - (X + iY)), lowest first.
+
+    roots is `_group_roots` of the roots: a real root is multiplied in as
+    the real factor x - X, a conjugate pair as the one real factor
+    x^2 - 2X x + X^2 + Y^2; only the lone roots are complex factors.  The
+    product is exact, so the grouping changes no coefficient.
+    """
+    reals, pairs, lone = roots
+    re = [1]
+    for x in reals:
+        re = _times_linear(re, -x)
+    for x, y in pairs:
+        re = _times_quadratic(re, -2 * x, x * x + y * y)
     im = [0] * len(re)
-    for x, y in lone.elements():
+    for x, y in lone:
         # multiply by (x - r): c'_k = c_(k-1) - r c_k
         re, im = ([b - a * x + c * y for a, c, b in zip(re + [0], im + [0], [0] + re)],
                   [d - a * y - c * x for a, c, d in zip(re + [0], im + [0], [0] + im)])
@@ -199,6 +233,11 @@ def _expand(roots: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
 def _times_linear(p: list[int], c: int) -> list[int]:
     """p times x + c, coefficients lowest first."""
     return [b + c * a for a, b in zip(p + [0], [0] + p)]
+
+
+def _times_quadratic(p: list[int], b: int, c: int) -> list[int]:
+    """p times x^2 + b x + c, coefficients lowest first: c'_k = c_(k-2) + b c_(k-1) + c c_k."""
+    return [e + b * d + c * a for a, d, e in zip(p + [0, 0], [0] + p + [0], [0, 0] + p)]
 
 
 class Ball(NamedTuple):
@@ -368,8 +407,9 @@ def _root(n: int, w: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _exp_plan(w: int) -> tuple[int, int, tuple[int, ...]]:
-    """(j, g, c) for `_exp` at scale 2^w: the argument over 2^j, g guard bits, c_i = n!/i!.
+def _exp_plan(w: int) -> tuple[int, int, _SeriesTable]:
+    """(j, g, table) for `_exp` at scale 2^w: the argument over 2^j, g guard bits, and
+    the series sum_(i <= n) (n!/i!) z^i as a `_SeriesTable`.
 
     j = isqrt(w) timed best at w = 1072; n is the least with |z|^(n+1)/(n+1)!
     <= 2^-(w+j+25), |z| <= 4.1 2^-j, and n! < 2^704 at every scale used.
@@ -381,7 +421,8 @@ def _exp_plan(w: int) -> tuple[int, int, tuple[int, ...]]:
     coeffs = [1]
     for i in range(n, 0, -1):
         coeffs.append(coeffs[-1] * i)
-    return j, j + (2 * n * (n + 1) + 8).bit_length() + 3, tuple(reversed(coeffs))
+    return (j, j + (2 * n * (n + 1) + 8).bit_length() + 3,
+            _SeriesTable(range(n + 1), reversed(coeffs)))
 
 
 def _exp(x: int, y: int, w: int) -> Ball:
@@ -403,13 +444,14 @@ def _exp(x: int, y: int, w: int) -> Ball:
     """
     if abs(y) > 4 << w:
         raise DomainError("exp needs |Im| <= 4")
-    j, g, coeffs = _exp_plan(w)
-    s, n, b = w + g, len(coeffs) - 1, coeffs[0].bit_length()
+    j, g, table = _exp_plan(w)
+    count, factorial = len(table.exps), table.coeffs[0]
+    s, b = w + g, factorial.bit_length()
     x, ln2 = x << g, _ln2(s)
     k = x // ln2
     z = ((x - k * ln2) >> j, (y << g) >> j)
-    sr, si, bound = _fixed_series(z, range(n + 1), coeffs, b, s, _powers(z, isqrt(n) + 1, s))
-    sr, si = sr // coeffs[0], si // coeffs[0]
+    sr, si, bound = _fixed_series(z, table, count, b, s, _powers(z, isqrt(count - 1) + 1, s))
+    sr, si = sr // factorial, si // factorial
     for _ in range(j):
         sr, si = ((sr + si) * (sr - si)) >> s, (sr * si) >> (s - 1)
     rad = math.ldexp(math.ldexp(bound, 1 - b) + 5.5, j - g) + math.ldexp(abs(k), 1 - g)
@@ -456,18 +498,46 @@ def _powers(q, m: int, w: int) -> tuple[list[int], int, int, int]:
     return baby, lane, pr, pi
 
 
-def _fixed_series(q, exponents, coeffs, coeff_bits: int, w: int,
+class _SeriesTable(_Record):
+    """A series sum_j coeffs[j] q^exps[j] as `_fixed_series` sums it, checked once.
+
+    `exps` are nondecreasing integers from e_0 >= 0 and `coeffs` one
+    integer per exponent, both tuples; `sums[k]` = e_0 + ... + e_(k-1), the
+    exponent sum the kernel's bound takes for the first k terms.  A table
+    depends on its series only, so each is built once per process and
+    cached with what it depends on: exp's Taylor coefficients with
+    `_exp_plan`, the pentagonal series and its copies in q^N with
+    `eta._pentagonal`, the theta numerator with `hauptmodul._theta_numerator`.
+    """
+
+    __slots__ = ("exps", "coeffs", "sums")
+
+    def __init__(self, exps, coeffs):
+        exps, coeffs = tuple(exps), tuple(coeffs)
+        if len(exps) != len(coeffs):
+            raise DomainError(f"a series needs one coefficient per exponent, got "
+                              f"{len(coeffs)} for {len(exps)}")
+        if exps and exps[0] < 0:
+            raise DomainError(f"series exponents must be >= 0, got {exps[0]}")
+        if not all(map(le, exps, exps[1:])):
+            raise DomainError("series exponents must be nondecreasing")
+        self._set_fields(exps, coeffs, tuple(accumulate(exps, initial=0)))
+
+
+def _fixed_series(q, table: _SeriesTable, count: int, coeff_bits: int, w: int,
                   powers) -> tuple[int, int, float]:
-    """sum_j coeffs[j] q^exponents[j] in integers at scale 2^w, and its rounding bound.
+    """sum_(j < count) c_j q^e_j of `table` in integers at scale 2^w, and its rounding bound.
 
-    q = (qr + i qi) 2^-w is given by its scaled components (qr, qi).
-    exponents is a nondecreasing sequence of integers >= 0; coeffs is a
-    sequence holding one integer of modulus at most 2^coeff_bits per
-    exponent.  powers is `_powers(q, m, w)` for any m >= 1, and the series
-    is summed in blocks of m exponents against it, so that several series
-    at one q can share one set of powers.  Returns (sr, si, bound) with
+    q = (qr + i qi) 2^-w is given by its scaled components (qr, qi).  The
+    table's first count terms are summed, 0 <= count <= len(table.exps);
+    their exponents are nondecreasing from 0 or above, as every
+    `_SeriesTable` is, and each coefficient has modulus at most
+    2^coeff_bits.  powers is `_powers(q, m, w)` for any m >= 1, and the
+    series is summed in blocks of m exponents against it, so that several
+    series at one q can share one set of powers.  Returns (sr, si, bound)
+    with
 
-        |(sr + i si) 2^-w - sum_j coeffs[j] q^exponents[j]| <= bound 2^-w,
+        |(sr + i si) 2^-w - sum_(j < count) c_j q^e_j| <= bound 2^-w,
 
     the sum taken at q exactly.  The caller adds its truncation tail and the
     error in q.
@@ -476,8 +546,8 @@ def _fixed_series(q, exponents, coeffs, coeff_bits: int, w: int,
     within sqrt(2) of its value.  If approximations of x and y, |x|, |y| <=
     1, are within a and b, their product is within a|y| + b|x| + ab + sqrt(2),
     which is at most a + b + sqrt(2) when |q| + b 2^-w <= 1.  The premise
-    holds because |q| <= 1 - 2 max(e_max, m) 2^-w, which is checked in
-    integers before any term is summed.
+    holds because |q| <= 1 - 2 max(e_max, m) 2^-w, e_max = e_(count-1),
+    which is checked in integers before any term is summed.
 
     Block k holds the exponents km .. km + m - 1 (rectangular splitting,
     Paterson and Stockmeyer 1973).  The baby steps q^0 .. q^(m-1) and
@@ -495,51 +565,51 @@ def _fixed_series(q, exponents, coeffs, coeff_bits: int, w: int,
     term of block k thus carries sqrt(2) 2^b (max(0, i - 1) + k (m - 1))
     <= sqrt(2) 2^b e, and the sum is within sqrt(2) 2^b sum_j e_j +
     sqrt(2) (giant steps).  The bound returned, 1.5 * 2^b * sum_j e_j +
-    1.5 * (giant steps), covers it.  It is a double, so 2^b sum_j e_j must
-    stay below 2^1022, which no caller comes near: exp's n! stays below
-    2^704 and the theta numerator's b below 16 up to MAX_PREC_BITS, both
-    pinned by tests.
+    1.5 * (giant steps), covers it, with sum_j e_j read from
+    `table.sums[count]`.  It is a double, so 2^b sum_j e_j must stay below
+    2^1022, which no caller comes near: exp's n! stays below 2^704 and the
+    theta numerator's b below 16 up to MAX_PREC_BITS, both pinned by tests.
 
     The dot product is taken on packed powers: with x_i + y_i 2^L for
     q^i = x_i + i y_i, L the lane of `_powers`, a block's one integer sum
-    is X + Y 2^L, X = sum_i c_i x_i and Y = sum_i c_i y_i exactly.  Under
-    the premise each part is at most 2^w in modulus: q^0 = 2^w, and for
-    1 <= i < m, |q^i| <= 2^w - 2m and its error is below 2m.  So a block of
-    t terms has |X| <= t 2^(b + w) < 2^(L - 1) whenever
-    t < 2^(L - w - 1 - b), and X + 2^(L - 1) lies in [0, 2^L): the low lane
-    never carries into the high one, and its low L bits less 2^(L - 1) give
-    X and the bits above give Y, with no rounding.  A block of more terms
-    raises DomainError.  With L = w + floor(w/4) + 128 a block may hold up
-    to 2^(floor(w/4) + 127 - b) - 1 terms, which no caller comes near: the
+    is X + Y 2^L, X = sum_i c_i x_i and Y = sum_i c_i y_i exactly.  Each
+    term's packed power is read from the list baby * (top + 1), at index
+    e, which holds q^(e mod m) for every e <= e_max.  Under the premise
+    each part is at most 2^w in modulus: q^0 = 2^w, and for 1 <= i < m,
+    |q^i| <= 2^w - 2m and its error is below 2m.  So a block of t terms has
+    |X| <= t 2^(b + w) < 2^(L - 1) whenever t < 2^(L - w - 1 - b), and
+    X + 2^(L - 1) lies in [0, 2^L): the low lane never carries into the
+    high one, and its low L bits less 2^(L - 1) give X and the bits above
+    give Y, with no rounding.  A block of more terms raises DomainError.
+    With L = w + floor(w/4) + 128 a block may hold up to
+    2^(floor(w/4) + 127 - b) - 1 terms, which no caller comes near: the
     theta quotient's b stays below 16, and exp's n! and its blocks of
     isqrt(n) + 1 fit at every scale, pinned by a test.  The packed integer,
     about 2.25 w bits, costs one product and one sum a term where the two
     parts cost two of each at w bits.
     """
-    n = len(exponents)
-    if not n:
+    if not count:
         return 0, 0, 0.0
+    exps = table.exps
     qr, qi = q
     one = 1 << w
-    e_max = exponents[-1]
+    e_max = exps[count - 1]
     baby, lane, big_r, big_i = powers
     m = len(baby)
     reach = 2 * max(e_max, m)
-    if not (exponents[0] >= 0 and reach < one
-            and qr * qr + qi * qi <= (one - reach) ** 2):
+    if not (reach < one and qr * qr + qi * qi <= (one - reach) ** 2):
         raise DomainError("series point or exponents outside the kernel's range")
-    if not all(map(le, exponents, exponents[1:])):
-        raise DomainError("series exponents must be nondecreasing")
     # the most terms a block may hold, t < 2^(lane - w - 1 - b)
     most = (1 << max(lane - w - 1 - coeff_bits, 0)) - 1
-    terms = list(map(mul, coeffs, map(baby.__getitem__, [e % m for e in exponents])))
-    half, mask = 1 << (lane - 1), (1 << lane) - 1
     top = e_max // m
+    terms = list(map(mul, table.coeffs[:count],
+                     map((baby * (top + 1)).__getitem__, exps[:count])))
+    half, mask = 1 << (lane - 1), (1 << lane) - 1
     big_s, big_d = big_r + big_i, big_i - big_r
     acc_r = acc_i = 0
-    hi = n
+    hi = count
     for k in range(top, -1, -1):
-        lo = bisect_left(exponents, k * m, 0, hi)
+        lo = bisect_left(exps, k * m, 0, hi)
         if hi - lo > most:
             raise DomainError("series coefficients too wide for the kernel's lane")
         # the block's packed sum, its low lane offset by half a lane; then a
@@ -550,4 +620,4 @@ def _fixed_series(q, exponents, coeffs, coeff_bits: int, w: int,
         acc_r, acc_i = (((t - acc_i * big_s) >> w) + (block & mask) - half,
                         ((t + acc_r * big_d) >> w) + (block >> lane))
         hi = lo
-    return acc_r, acc_i, 1.5 * 2.0**coeff_bits * sum(exponents) + 1.5 * top
+    return acc_r, acc_i, 1.5 * 2.0**coeff_bits * table.sums[count] + 1.5 * top

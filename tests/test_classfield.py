@@ -10,6 +10,7 @@ from mpmath import mp
 
 import cfq.classfield
 import cfq.elliptic
+import cfq.eta
 import cfq.quadforms
 
 from conftest import (
@@ -21,7 +22,7 @@ from cfq.elliptic import EllipticElement, enumerate_representatives, fixed_point
 from cfq.errors import DomainError, RoundingFailureError
 from cfq.exactpoly import IntPoly
 from cfq.hauptmodul import ERROR_BITS, _kappa, catalog_lookup, evaluate
-from cfq.numerics import PrecisionPolicy, certify_int_poly
+from cfq.numerics import PrecisionPolicy, _SeriesTable, certify_int_poly
 from cfq.quadforms import QuadForm, enumerate_class_group, reduce_form
 
 
@@ -76,6 +77,20 @@ class TestSingularValues:
                     digest.update(f"{sign} {man} {exp};".encode())
         assert digest.hexdigest() == (
             "2a81e0434fc9f294bc68d6ae7d1f002dd6678ac9b4eb4f2d7f14c99bad7c9be2"
+        )
+
+    def test_radii_bit_identical(self):
+        # the radius of every value of the 39 keys that compute, hashed by
+        # its repr: a changed bound or summation order in any series shows
+        # here even where the rounded values do not move
+        digest = hashlib.sha256()
+        theta_keys = [(71, "fricke", -71), (71, "fricke", -284), (47, "fricke", -47),
+                      (47, "fricke", -188), (23, "fricke", -23), (23, "fricke", -92)]
+        for key in level_keys() + theta_keys:
+            for value in singular_values(*key, 256).values():
+                digest.update(f"{value.rad!r};".encode())
+        assert digest.hexdigest() == (
+            "da470fa9f8036e54a86219f193d4fa2ed104eb7accb0f89f5b5741c7d164d71a"
         )
 
     def test_classes_pairwise_distinct(self):
@@ -187,6 +202,25 @@ THETA_POLYS = {
 
 
 class TestRingClassPolynomial:
+    def test_second_request_builds_no_table(self, monkeypatch):
+        # every series table is cached with the series it holds, and none
+        # with a request's key or point: a repeated request builds none,
+        # and one whose pentagonal tables were dropped builds them again
+        built = []
+        init = _SeriesTable.__init__
+
+        def counting(table, exps, coeffs):
+            built.append(table)
+            init(table, exps, coeffs)
+
+        first = ring_class_polynomial(71, "fricke", -284)
+        monkeypatch.setattr(_SeriesTable, "__init__", counting)
+        assert ring_class_polynomial(71, "fricke", -284) == first
+        assert built == []
+        cfq.eta._pentagonal.cache_clear()
+        assert ring_class_polynomial(71, "fricke", -284) == first
+        assert built and all(set(table.coeffs) <= {-1, 1} for table in built)
+
     def test_disc_71(self):
         result = ring_class_polynomial(71, "fricke", -71)
         assert result.poly == H71

@@ -283,9 +283,9 @@ class TestEtaSeriesKernel:
         # quotient's bound, |r| / 0.99 times per factor.
         summed, extra = [], [0.0]
 
-        def recording(q, exponents, coeffs, coeff_bits, w, powers):
-            sr, si, bound = _fixed_series(q, exponents, coeffs, coeff_bits, w, powers)
-            summed.append((q, exponents, w))
+        def recording(q, table, count, coeff_bits, w, powers):
+            sr, si, bound = _fixed_series(q, table, count, coeff_bits, w, powers)
+            summed.append((q, table.exps[:count], w))
             return sr, si, bound + extra[0]
 
         monkeypatch.setattr(cfq.eta, "_fixed_series", recording)

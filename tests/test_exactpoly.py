@@ -23,7 +23,7 @@ from conftest import (
 from cfq.cli import _commas
 from cfq.errors import DomainError, InvalidModulusError, NonInvertibleError
 import cfq.exactpoly
-from cfq.exactpoly import IntPoly, LaurentExpr, _mulmod, verify_root_relation
+from cfq.exactpoly import IntPoly, LaurentExpr, _mulmod, _times_y, verify_root_relation
 
 
 def rp(*coeffs):
@@ -132,17 +132,22 @@ class TestVerifyRootRelation:
         assert not reference_root_relation(expr, false_target, modulus)
 
     def test_disc_71_powers_take_one_chain(self, monkeypatch):
-        # y, then y^4, y^5 and y^6 up one chain (6 products), then 8 Horner
-        # steps for the degree-7 target
+        # y^4, y^5 and y^6 up one chain of 6 shifts by y, then 8 Horner
+        # products for the degree-7 target
         calls = []
 
         def counting(f, g, m):
-            calls.append(1)
+            calls.append("mulmod")
             return _mulmod(f, g, m)
 
+        def shifting(f, m):
+            calls.append("times_y")
+            return _times_y(f, m)
+
         monkeypatch.setattr(cfq.exactpoly, "_mulmod", counting)
+        monkeypatch.setattr(cfq.exactpoly, "_times_y", shifting)
         assert verify_root_relation(LaurentExpr({6: -1, 5: 3, 4: -2, 0: 1}), H71, WEBER)
-        assert len(calls) == 1 + 6 + 8
+        assert calls == ["times_y"] * 6 + ["mulmod"] * 8
 
     @pytest.mark.parametrize("modulus,message", [
         (IntPoly([]), "zero polynomial"), (IntPoly([5]), "degree at least 1"),
@@ -267,6 +272,21 @@ class TestVerifyRootRelationIntegers:
         false_target = IntPoly([target[0] + shift, *target.coeffs[1:]])
         assert not verify_root_relation(expr, false_target, m)
         assert not reference_root_relation(expr, false_target, m)
+
+
+class TestTimesY:
+    """The shift by y against the full product by y it replaces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), m=st.lists(st.integers(-(2**80), 2**80), min_size=1, max_size=8))
+    def test_matches_the_product_by_y(self, data, m):
+        f = data.draw(st.lists(st.integers(-(2**80), 2**80), max_size=len(m)))
+        assert _times_y(f, m) == _mulmod(f, [0, 1], m)
+
+    @pytest.mark.parametrize("f,m", [([], [5]), ([1], [5]), ([0, 0, 1], [1, 2, 3]),
+                                     ([1, 2, 0], [1, 2, 3]), ([7], [0, 0, 0])])
+    def test_edge_cases(self, f, m):
+        assert _times_y(f, m) == _mulmod(f, [0, 1], m)
 
 
 class TestIntPoly:

@@ -319,10 +319,12 @@ class TestThetaQuotient:
         v = (n + 1) // 24
         counts = _theta_numerator_counts(entry, v - 1 + 2048)
         want = {e - v + 1: k // entry.divisor for e, k in enumerate(counts) if e >= v - 1 and k}
-        exps, coeffs = _theta_numerator(entry, 2048)
+        table = _theta_numerator(entry, 2048)
+        exps, coeffs = table.exps, table.coeffs
         assert exps[0] == 0 and dict(zip(exps, coeffs)) == want
         small = _theta_numerator(entry, 1024)
-        assert small[0] == exps[: len(small[0])] and small[1] == coeffs[: len(small[1])]
+        count = len(small.exps)
+        assert small.exps == exps[:count] and small.coeffs == coeffs[:count]
         weight = sum(abs(s) for _, s in entry.forms)
         a = 4 * weight / entry.divisor
         for m, c in zip(exps[1:], coeffs[1:]):
@@ -332,7 +334,7 @@ class TestThetaQuotient:
     def test_vanishing_sum_refused(self, monkeypatch):
         # an error made relative to a sum needs the sum to be nonzero: with
         # the series kernel returning 0, the eta product D vanishes
-        def vanishing(q, exponents, coeffs, coeff_bits, w, powers):
+        def vanishing(q, table, count, coeff_bits, w, powers):
             return 0, 0, 1.0
 
         monkeypatch.setattr(cfq.hauptmodul, "_fixed_series", vanishing)
@@ -550,9 +552,9 @@ class TestQSeriesKernel:
         # pentagonal factors, and the proven |c_e| <= 4 sqrt(e) for the numerator
         seen = []
 
-        def recording(q, exponents, coeffs, coeff_bits, w, powers):
-            seen.append((coeffs, coeff_bits))
-            return _fixed_series(q, exponents, coeffs, coeff_bits, w, powers)
+        def recording(q, table, count, coeff_bits, w, powers):
+            seen.append((table.coeffs[:count], coeff_bits))
+            return _fixed_series(q, table, count, coeff_bits, w, powers)
 
         monkeypatch.setattr(cfq.hauptmodul, "_fixed_series", recording)
         evaluate_mpc(catalog_lookup(71, "fricke"), fixed_point(alpha), prec)
@@ -575,17 +577,17 @@ class TestQSeriesKernel:
             cutoffs.append((ell, target, growth, k))
             return k, tail
 
-        def recording_series(q, exponents, coeffs, coeff_bits, w, powers):
-            sums.append(tuple(exponents))
-            return _fixed_series(q, exponents, coeffs, coeff_bits, w, powers)
+        def recording_series(q, table, count, coeff_bits, w, powers):
+            sums.append(table.exps[:count])
+            return _fixed_series(q, table, count, coeff_bits, w, powers)
 
         monkeypatch.setattr(cfq.hauptmodul, "_cutoff", recording_cutoff)
         monkeypatch.setattr(cfq.hauptmodul, "_fixed_series", recording_series)
         entry = catalog_lookup(71, "fricke")
         tau = fixed_point(enumerate_representatives(71, -71, enumerate_class_group(-71))[0])
         evaluate_mpc(entry, tau, prec)
-        pentagonal = _pentagonal(1 << 8)[0]
-        tables = [pentagonal, [71 * e for e in pentagonal], _theta_numerator(entry, 1 << 14)[0]]
+        pentagonal = _pentagonal(1 << 8).exps
+        tables = [pentagonal, [71 * e for e in pentagonal], _theta_numerator(entry, 1 << 14).exps]
         assert len(cutoffs) == 2 and len(sums) == 3
         for (ell, target, growth, k), summed, table in zip(cutoffs[:1] * 2 + cutoffs[1:], sums,
                                                            tables):
@@ -602,9 +604,9 @@ class TestQSeriesKernel:
             built.append((q, m, w))
             return _powers(q, m, w)
 
-        def recording_series(q, exponents, coeffs, coeff_bits, w, powers):
+        def recording_series(q, table, count, coeff_bits, w, powers):
             used.append((q, w, powers))
-            return _fixed_series(q, exponents, coeffs, coeff_bits, w, powers)
+            return _fixed_series(q, table, count, coeff_bits, w, powers)
 
         monkeypatch.setattr(cfq.hauptmodul, "_powers", recording_powers)
         monkeypatch.setattr(cfq.hauptmodul, "_fixed_series", recording_series)
@@ -626,9 +628,9 @@ class TestQSeriesKernel:
         # above prec + guard (the range test_numerics checks exp's plan on)
         seen = []
 
-        def recording(q, exponents, coeffs, coeff_bits, w, powers):
-            seen.append((coeff_bits, w, sum(exponents)))
-            return _fixed_series(q, exponents, coeffs, coeff_bits, w, powers)
+        def recording(q, table, count, coeff_bits, w, powers):
+            seen.append((coeff_bits, w, table.sums[count]))
+            return _fixed_series(q, table, count, coeff_bits, w, powers)
 
         monkeypatch.setattr(cfq.hauptmodul, "_fixed_series", recording)
         tau = CMPoint(71, 1, 142, 3)
@@ -991,8 +993,8 @@ class TestFixedPointValues:
         w = 112
         calls = []
 
-        def moved(q, exponents, coeffs, coeff_bits, scale, powers):
-            sr, si, bound = _fixed_series(q, exponents, coeffs, coeff_bits, scale, powers)
+        def moved(q, table, count, coeff_bits, scale, powers):
+            sr, si, bound = _fixed_series(q, table, count, coeff_bits, scale, powers)
             calls.append(scale)
             if len(calls) == factor + 1:
                 return sr + (1 << (scale - 56)), si, bound + 2.0 ** (scale - 56)

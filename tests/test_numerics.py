@@ -28,6 +28,7 @@ from cfq.numerics import (
     MIN_PREC_BITS,
     Ball,
     PrecisionPolicy,
+    _SeriesTable,
     _coefficient_radius,
     _csqrt,
     _div,
@@ -36,6 +37,7 @@ from cfq.numerics import (
     _exp_plan,
     _expand,
     _fixed_series,
+    _group_roots,
     _ln2,
     _mul,
     _nearest,
@@ -106,6 +108,11 @@ def root_powers(q, exponents, w):
     return _powers(q, isqrt(exponents[-1] if len(exponents) else 0) + 1, w)
 
 
+def series_sum(q, exponents, coeffs, bits, w, powers):
+    """`_fixed_series` over all of the table of exponents and coeffs."""
+    return _fixed_series(q, _SeriesTable(exponents, coeffs), len(exponents), bits, w, powers)
+
+
 def assert_within_bound(q, exponents, coeffs, bits, w, powers=None):
     """The kernel's sum is within its returned bound of an mpmath sum at w + 300 bits.
 
@@ -113,7 +120,7 @@ def assert_within_bound(q, exponents, coeffs, bits, w, powers=None):
     """
     if powers is None:
         powers = root_powers(q, exponents, w)
-    sr, si, bound = _fixed_series(q, exponents, coeffs, bits, w, powers)
+    sr, si, bound = series_sum(q, exponents, coeffs, bits, w, powers)
     with mp.workprec(w + 300):
         scale = mp.mpf(2) ** w
         x = mp.mpc(*q) / scale
@@ -206,8 +213,8 @@ class TestFixedSeries:
     @given(case=series_cases())
     def test_within_stated_bound(self, case):
         q, exponents, coeffs, bits, w = case
-        sr, si, bound = _fixed_series(q, exponents, coeffs, bits, w,
-                                      root_powers(q, exponents, w))
+        sr, si, bound = series_sum(q, exponents, coeffs, bits, w,
+                                   root_powers(q, exponents, w))
         with mp.workprec(w + 300):
             scale = mp.mpf(2) ** w
             x = mp.mpc(*q) / scale
@@ -230,8 +237,8 @@ class TestFixedSeries:
         coeffs = [(-1) ** (k * alternating) << bits for k in exponents]
         assert_within_bound(q, exponents, coeffs, bits, w)
         powers = root_powers(q, exponents, w)
-        assert (_fixed_series(q, exponents, coeffs, bits, w, powers)
-                == _fixed_series(q, list(exponents), coeffs, bits, w, powers))
+        assert (series_sum(q, exponents, coeffs, bits, w, powers)
+                == series_sum(q, list(exponents), coeffs, bits, w, powers))
 
     @pytest.mark.parametrize("exponents,giant_steps", [
         # 121 terms in blocks of 51 exponents, blocks 3 .. 48 empty
@@ -250,8 +257,8 @@ class TestFixedSeries:
     def test_range_and_list_agree(self, case):
         q, exponents, coeffs, bits, w = case
         powers = root_powers(q, exponents, w)
-        assert (_fixed_series(q, exponents, coeffs, bits, w, powers)
-                == _fixed_series(q, list(exponents), coeffs, bits, w, powers))
+        assert (series_sum(q, exponents, coeffs, bits, w, powers)
+                == series_sum(q, list(exponents), coeffs, bits, w, powers))
 
     @settings(max_examples=100, deadline=None)
     @given(case=powered_cases())
@@ -270,10 +277,10 @@ class TestFixedSeries:
         exponents = range(e_max + 1)
         edge = (1 << w) - 2 * max(e_max, m)
         q = (edge, 0)
-        _fixed_series(q, exponents, [1] * (e_max + 1), 0, w, _powers(q, m, w))
+        series_sum(q, exponents, [1] * (e_max + 1), 0, w, _powers(q, m, w))
         q = (edge + over, 0)
         with pytest.raises(DomainError):
-            _fixed_series(q, exponents, [1] * (e_max + 1), 0, w, _powers(q, m, w))
+            series_sum(q, exponents, [1] * (e_max + 1), 0, w, _powers(q, m, w))
 
     @settings(max_examples=300, deadline=None)
     @given(case=oracle_cases())
@@ -283,11 +290,11 @@ class TestFixedSeries:
         q, exponents, coeffs, bits, w, m = case
         most = max(Counter(e // m for e in exponents).values())
         if most.bit_length() <= lane_room(w, bits):
-            assert (_fixed_series(q, exponents, coeffs, bits, w, _powers(q, m, w))
+            assert (series_sum(q, exponents, coeffs, bits, w, _powers(q, m, w))
                     == two_lane_series(q, exponents, coeffs, bits, w, m))
         else:
             with pytest.raises(DomainError, match="lane"):
-                _fixed_series(q, exponents, coeffs, bits, w, _powers(q, m, w))
+                series_sum(q, exponents, coeffs, bits, w, _powers(q, m, w))
 
     @settings(max_examples=60, deadline=None)
     @given(w=st.integers(16, 16400), m=st.integers(1, 600), data=st.data())
@@ -311,12 +318,12 @@ class TestFixedSeries:
         bits = lane_room(w, 0) - count.bit_length()
         exponents, q = [0] * count, ((1 << w) - 2, 0)
         coeffs = [sign << bits] * count
-        sr, si, _ = _fixed_series(q, exponents, coeffs, bits, w, _powers(q, 1, w))
+        sr, si, _ = series_sum(q, exponents, coeffs, bits, w, _powers(q, 1, w))
         assert (sr, si) == (sign * count << (bits + w), 0)
         with pytest.raises(DomainError, match="lane"):
-            _fixed_series(q, exponents, coeffs, bits + 1, w, _powers(q, 1, w))
+            series_sum(q, exponents, coeffs, bits + 1, w, _powers(q, 1, w))
         with pytest.raises(DomainError, match="lane"):
-            _fixed_series(q, [0] * (count + 1), coeffs + [1], bits, w, _powers(q, 1, w))
+            series_sum(q, [0] * (count + 1), coeffs + [1], bits, w, _powers(q, 1, w))
 
     def test_sparse_powers_exact_for_q_of_two(self):
         # q = 1/2 has exact powers above 2^-w, so the sum is exact
@@ -324,29 +331,68 @@ class TestFixedSeries:
         exponents = [0, 1, 2, 5, 7, 12, 15, 22, 26, 35, 40]
         coeffs = [1, -1, -1, 1, 1, -1, -1, 1, 1, -1, -1]
         q = (1 << (w - 1), 0)
-        sr, si, _ = _fixed_series(q, exponents, coeffs, 0, w, root_powers(q, exponents, w))
+        sr, si, _ = series_sum(q, exponents, coeffs, 0, w, root_powers(q, exponents, w))
         assert si == 0
         assert sr == sum(c << (w - e) for e, c in zip(exponents, coeffs))
-
-    def test_rejects_decreasing_exponents(self):
-        q = (1 << 62, 0)
-        with pytest.raises(DomainError):
-            _fixed_series(q, [0, 3, 2], [1, 1, 1], 0, 64, root_powers(q, [0, 3, 2], 64))
-
-    @pytest.mark.parametrize("exponents", [range(10, 0, -1), [0, 1, 2, 3, 4, 5, 4]],
-                             ids=["range", "list"])
-    def test_blocked_rejects_decreasing_exponents(self, exponents):
-        # e_max is the last exponent, whichever way the sequence runs
-        q = (1 << 62, 0)
-        with pytest.raises(DomainError):
-            _fixed_series(q, exponents, [1] * len(exponents), 0, 64,
-                          root_powers(q, exponents, 64))
 
     def test_rejects_point_too_near_the_unit_circle(self):
         w = 64
         q = ((1 << w) - 4, 0)
         with pytest.raises(DomainError):
-            _fixed_series(q, range(10), [1] * 10, 0, w, root_powers(q, range(10), w))
+            series_sum(q, range(10), [1] * 10, 0, w, root_powers(q, range(10), w))
+
+
+class TestSeriesTable:
+    """A series table's checks, made once when it is built, and the kernel on its prefixes."""
+
+    def test_rejects_decreasing_exponents(self):
+        with pytest.raises(DomainError, match="nondecreasing"):
+            _SeriesTable([0, 3, 2], [1, 1, 1])
+
+    @pytest.mark.parametrize("exponents", [range(10, 0, -1), [0, 1, 2, 3, 4, 5, 4]],
+                             ids=["range", "list"])
+    def test_blocked_rejects_decreasing_exponents(self, exponents):
+        # whichever way the sequence runs, and with the fall at its end
+        with pytest.raises(DomainError, match="nondecreasing"):
+            _SeriesTable(exponents, [1] * len(exponents))
+
+    @pytest.mark.parametrize("exponents", [[-1, 0, 1], [-3], range(-2, 5)])
+    def test_rejects_a_negative_first_exponent(self, exponents):
+        with pytest.raises(DomainError, match=">= 0"):
+            _SeriesTable(exponents, [1] * len(exponents))
+
+    @pytest.mark.parametrize("exponents,coeffs", [([0, 1, 2], [1, 1]), ([0, 1], [1, 1, 1]),
+                                                  ([], [1]), ([0], [])])
+    def test_rejects_a_length_mismatch(self, exponents, coeffs):
+        with pytest.raises(DomainError, match="one coefficient per exponent"):
+            _SeriesTable(exponents, coeffs)
+
+    @given(exponents=st.lists(st.integers(0, 400), max_size=40).map(sorted))
+    def test_exponent_sums(self, exponents):
+        table = _SeriesTable(iter(exponents), [1] * len(exponents))
+        assert table.exps == tuple(exponents) and table.coeffs == (1,) * len(exponents)
+        assert table.sums == tuple(sum(exponents[:k]) for k in range(len(exponents) + 1))
+        with pytest.raises(AttributeError):
+            table.exps = ()
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=oracle_cases())
+    def test_every_prefix_matches_the_two_lane_sum(self, case):
+        # the kernel on (table, count) sums the first count terms: the
+        # two-lane reference on those terms alone, bit for bit and with the
+        # same bound, for every count from 0 to the table's length
+        q, exponents, coeffs, bits, w, m = case
+        table, powers = _SeriesTable(exponents, coeffs), _powers(q, m, w)
+        for count in range(len(exponents) + 1):
+            head = exponents[:count]
+            # no terms fit any lane, as none need one
+            most = max(Counter(e // m for e in head).values(), default=0)
+            if most.bit_length() <= max(lane_room(w, bits), 0):
+                assert (_fixed_series(q, table, count, bits, w, powers)
+                        == two_lane_series(q, head, coeffs[:count], bits, w, m))
+            else:
+                with pytest.raises(DomainError, match="lane"):
+                    _fixed_series(q, table, count, bits, w, powers)
 
 
 def gaussian_expand(roots):
@@ -356,6 +402,19 @@ def gaussian_expand(roots):
         re, im = ([b - a * x + c * y for a, c, b in zip(re + [0], im + [0], [0] + re)],
                   [d - a * y - c * x for a, c, d in zip(re + [0], im + [0], [0] + im)])
     return re, im
+
+
+def linear_coefficient_radius(roots, radius_log2, s):
+    """`_coefficient_radius`'s reference: one linear factor a root in each product."""
+    upper = base = [1]
+    for x, y in roots:
+        a = isqrt(x * x + y * y)
+        a += a * a < x * x + y * y
+        eps = -(-max(1 << s, a + 1) >> -radius_log2) + 1
+        upper = [d + (a + eps) * c for c, d in zip(upper + [0], [0] + upper)]
+        base = [d + a * c for c, d in zip(base + [0], [0] + base)]
+    h = len(roots)
+    return max(-(-(upper[k] - base[k]) >> s * (h - k - 1)) for k in range(h))
 
 
 @st.composite
@@ -397,7 +456,16 @@ class TestPolyFromRoots:
     def test_expand_matches_the_gaussian_product(self, roots):
         # real factors and conjugate pairs multiplied as real quadratics
         # give the coefficients of one complex factor at a time exactly
-        assert _expand(roots) == gaussian_expand(roots)
+        assert _expand(_group_roots(roots)) == gaussian_expand(roots)
+
+    @settings(max_examples=300, deadline=None)
+    @given(roots=root_multisets().filter(bool), radius_log2=st.integers(-300, -1),
+           s=st.integers(8, 260))
+    def test_radius_matches_the_linear_products(self, roots, radius_log2, s):
+        # each conjugate pair's two linear factors as one real quadratic,
+        # in both products, give the same R_max to the last bit
+        assert (_coefficient_radius(_group_roots(roots), radius_log2, s)
+                == linear_coefficient_radius(roots, radius_log2, s))
 
     @pytest.mark.parametrize("roots", [[], [(0, 0)], [(0, 0)] * 3, [(5, 0), (-7, 0), (5, 0)],
                                        [(3, 4), (3, 4), (3, -4)], [(3, 4), (3, -4)] * 2,
@@ -405,7 +473,7 @@ class TestPolyFromRoots:
                              ids=["none", "zero", "zeros", "reals", "pair-and-lone",
                                   "repeated-pair", "lone-repeated", "mixed"])
     def test_expand_edge_cases(self, roots):
-        assert _expand(roots) == gaussian_expand(roots)
+        assert _expand(_group_roots(roots)) == gaussian_expand(roots)
 
     @pytest.mark.parametrize("disc", [-71, -284])
     def test_certify_ignores_the_order_of_the_values(self, disc):
@@ -445,8 +513,8 @@ class TestPolyFromRoots:
                     z = mp.mpc(rng.uniform(-9, 9), rng.uniform(-9, 9)) / 3
                     roots += [mpc_ball(z), mpc_ball(mp.conj(z))]
             roots += [cpx(rng.uniform(-9, 9), 0, prec) for _ in range(rng.randint(1, 2))]
-            _re, im = _expand([(_nearest(v.re, v.exp + s), _nearest(v.im, v.exp + s))
-                               for v in roots])
+            _re, im = _expand(_group_roots([(_nearest(v.re, v.exp + s),
+                                             _nearest(v.im, v.exp + s)) for v in roots]))
             assert im == [0] * len(im)
         # and the residual of +-i sqrt(2) is the real part's distance alone:
         # its roots lie on the grid, so the constant term is exactly Y^2
@@ -593,10 +661,10 @@ class TestCertifyIntPoly:
                       for _ in range(rng.randint(1, 8))]
             roots = [(_nearest(v.re, v.exp + s), _nearest(v.im, v.exp + s)) for v in values]
             h = len(roots)
-            r_max = mp.ldexp(_coefficient_radius(roots, radius_log2, s), -s)
+            r_max = mp.ldexp(_coefficient_radius(_group_roots(roots), radius_log2, s), -s)
             with mp.workprec(4 * prec):
                 computed = [mp.mpc(mp.ldexp(x, -s * (h - k)), mp.ldexp(y, -s * (h - k)))
-                            for k, (x, y) in enumerate(zip(*_expand(roots)))]
+                            for k, (x, y) in enumerate(zip(*_expand(_group_roots(roots))))]
                 true_roots = [
                     v + mp.ldexp(max(1, abs(v)), radius_log2) * mp.expj(rng.uniform(0, 7))
                     for v in map(ball_mpc, values)
@@ -758,8 +826,8 @@ class TestFixedPoint:
         # to the ceiling, and 64 bits past it for the theta quotient's scale
         # (test_hauptmodul's test_scale_at_the_precision_ceiling)
         for w in range(MIN_PREC_BITS + _GUARD, MAX_PREC_BITS + _GUARD + 65):
-            _j, _g, coeffs = _exp_plan(w)
-            n = len(coeffs) - 1
+            _j, _g, table = _exp_plan(w)
+            coeffs, n = table.coeffs, len(table.coeffs) - 1
             assert coeffs[0] < 2**1023
             assert coeffs[0].bit_length() + (n * (n + 1)).bit_length() < 1023
 
@@ -768,8 +836,8 @@ class TestFixedPoint:
         # isqrt(n) + 1 at scale 2^s, s = w + g: every block fits the packed
         # lane at every scale, so exp never meets the kernel's DomainError
         for w in range(MIN_PREC_BITS + _GUARD, MAX_PREC_BITS + _GUARD + 65):
-            _j, g, coeffs = _exp_plan(w)
-            n = len(coeffs) - 1
+            _j, g, table = _exp_plan(w)
+            coeffs, n = table.coeffs, len(table.coeffs) - 1
             assert (isqrt(n) + 1).bit_length() <= lane_room(w + g, coeffs[0].bit_length())
 
     @pytest.mark.parametrize("w", [112, 113, 139, 421, 1072, 4112, 8112])
