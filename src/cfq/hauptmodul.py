@@ -3,14 +3,17 @@
 Two kinds of entry, each normalized so the q-expansion is q^-1 + 0 + O(q):
 
   * `EtaQuotientHaupt`: sum_e c_e t^e, integer c_e, t an eta quotient:
-    t + shift for a genus-zero congruence level, t + shift + kappa/t for its
-    Fricke group, and j - 744 = h + 24 + 196608/h + 16777216/h^2 in the
-    level-2 quotient h for level 1 (built-in tables, validated by the test
-    suite rather than trusted);
-  * `ThetaQuotientHaupt`: f / (eta(tau) eta(N tau)) + shift for the Fricke
-    group of a prime level N = 23 mod 24 (71, 47 and 23), where
-    f = sum_Q s_Q theta_Q / m and theta_Q(tau) = sum_(x,y) q^Q(x,y) is the
-    theta series of a form Q of discriminant -N.
+    t + r_1 for a genus-zero congruence level, t = q^-1 - r_1 + O(q),
+    t + r_1 + kappa/t for its Fricke group, and j - 744 = h + 24 +
+    196608/h + 16777216/h^2 in the level-2 quotient h for level 1
+    (built-in tables, validated by the test suite rather than trusted);
+  * `ThetaQuotientHaupt`: sum_Q s_Q theta_Q / (2 eta(tau) eta(N tau)) for
+    the Fricke group of a prime level N = 23 mod 24 (71, 47 and 23), where
+    theta_Q(tau) = sum_(x,y) q^Q(x,y) is the theta series of a form Q of
+    discriminant -N and the s_Q are integers.  Level 23's, theta_(1,1,6) /
+    (eta(tau) eta(23 tau)) - 3, takes this shape through the classical
+    identity 2 eta(tau) eta(23 tau) = theta_(1,1,6) - theta_(2,1,3), with
+    s_(1,1,6) = -1 and s_(2,1,3) = 3.
 
 The catalog is one table, `_CATALOG`, built once at import: each
 genus-zero (level, group) key maps to its kind (eta-quotient, fricke-sym,
@@ -37,9 +40,9 @@ and the Fricke flip tau -> -1/(N tau) with Im >= sqrt(3)/(2N), found in
 integers, so |q| <= exp(-pi sqrt(3)/N) (`_fricke_ascent`).
 There eta(tau) eta(N tau) = q^v D, v = (N + 1)/24 and D = S(q) S(q^N),
 S = prod (1 - q^n) = sum_k (-1)^k q^(k(3k-1)/2) Euler's pentagonal series,
-and f = sum_(e >= v-1) c_e q^e, so t = N / (q D) + shift with the one
-series N = sum_(e >= v-1) c_e q^(e-v+1).  The three series have integer
-coefficients (the c_e from lattice enumeration), and each is a
+and f = sum_Q s_Q theta_Q / 2 = sum_(e >= v-1) c_e q^e, so t = N / (q D)
+with the one series N = sum_(e >= v-1) c_e q^(e-v+1).  The three series
+have integer coefficients (the c_e from lattice enumeration), and each is a
 `numerics._SeriesTable` cached per process with the series it holds: N's
 per entry and power-of-two size, S(q)'s and S(q^N)'s per term count.  They
 are summed by `numerics._fixed_series` against one set of powers of q,
@@ -51,20 +54,19 @@ derivative.  The tails are proven: S has coefficients 0 and +-1, so each
 factor's tail is below sum_(e >= K) |q|^e; and as -N is a fundamental
 discriminant, the representation counts of its classes sum to
 2 sum_(d|e) (-N/d), so r_Q(e) <= 2 d(e) <= 4 sqrt(e) for every form and
-|c_e| <= A sqrt(e) for e >= 1, A = 4 sum |s_Q| / m.  (At level 23, v = 1
-and N's term at q^0 is theta's constant, sum s_Q / m = 1: exact in the
-kernel, with no derivative, below its 2^b, and in no tail, as tails start
-at k >= 1.)
+|c_e| <= A sqrt(e) for e >= 1, A = 2 sum |s_Q|.  (At level 23, v = 1 and
+N's term at q^0 is theta's constant, sum s_Q / 2 = 1: exact in the kernel,
+with no derivative, below its 2^b, and in no tail, as tails start at
+k >= 1.)
 
 The value is then one pass in integers.  D = S(q) S(q^N) is one Gaussian
 product floored at scale 2^w; q D is q's mantissa times D, exact at q's
 own exponent, so that a point far above the axis, where q underflows any
-fixed scale, loses nothing; t - shift = N / (q D) is one Gaussian quotient,
-both parts floored at >= w + 1/2 bits (`numerics._quotient`); and the
-shift is added exactly, or floored once where it falls below the value's
-last bit, |t| > 2^w.  The radius, in units of 2^-w max(1, |t|), is one
-float budget on (mantissa, exponent) pairs, as `numerics._mag` and
-`numerics._ratio` keep them, so no term overflows up to MAX_PREC_BITS:
+fixed scale, loses nothing; and t = N / (q D) is one Gaussian quotient,
+both parts floored at >= w + 1/2 bits (`numerics._quotient`).  The radius,
+in units of 2^-w max(1, |t|), is one float budget on (mantissa, exponent)
+pairs, as `numerics._mag` and `numerics._ratio` keep them, so no term
+overflows up to MAX_PREC_BITS:
 
   * D's relative error r_D = r_1 + r_2 + r_1 r_2 2^-w + 1.5 / |D|: each
     factor's error over its modulus, and D's floor, within sqrt(2);
@@ -74,9 +76,8 @@ float budget on (mantissa, exponent) pairs, as `numerics._mag` and
   * on |N / (q D)|, the quotient's floors, within sqrt(2) units of its
     last place and so within 2^-w of it, charged 1.5, and q D's error,
     g / (1 - g) of it;
-  * N's error, absolute, as N cancels to nothing where t = shift, over
-    |q D| (1 - g), a lower bound on the true |q D|;
-  * the shift's floor, below one unit of the value's last place.
+  * N's error, absolute, as N cancels to nothing where t = 0, over
+    |q D| (1 - g), a lower bound on the true |q D|.
 
 The products of two relative errors are carried whole by g and 1 - g.
 The second-order terms of each floor fit in the 1.5 charged for it: D's
@@ -84,7 +85,10 @@ floor adds sqrt(2) (r_1 + r_2 + r_1 r_2 2^-w) 2^-w / |D| < 0.045 / |D| under
 the premise, inside the 0.086 / |D| that 1.5 - sqrt(2) leaves; the
 quotient's is charged on the computed |N / (q D)|, below the exact one by
 at most 2^-w of it, and (1 + g / (1 - g) 2^w) 2^-w < 0.04 of that fits in
-the 0.5 its charge of 1.5 leaves over 1.
+the 0.5 its charge of 1.5 leaves over 1.  D's floor and the quotient's
+floors are held by proof alone: the series' scale w exceeds wp = prec + 48
+by 20-30 bits, so each comes to about 2^-70 units of 2^-prec, below the
+last bit of a radius near 1, and no input makes either one matter.
 """
 
 from __future__ import annotations
@@ -97,7 +101,7 @@ from math import isqrt
 from .elliptic import CMPoint
 from .errors import ConvergenceError, DomainError, NoConstructionError, NotGenusZeroError
 from .eta import EtaQuotientSpec, _ascend, _imag, _pentagonal, _pentagonal_count, eta_quotient
-from .exactpoly import LaurentExpr, _Record
+from .exactpoly import LaurentExpr, _Record, _integers
 from .numerics import (
     _GUARD, Ball, _SeriesTable, _check_prec, _div, _fixed, _fixed_series, _exp_i_pi, _mag,
     _mul, _powers, _quotient, _ratio, _round, _sum,
@@ -144,27 +148,31 @@ class EtaQuotientHaupt(_Record):
     __slots__ = ("level", "spec", "laurent")
 
     def __init__(self, level: int, spec: EtaQuotientSpec, laurent: LaurentExpr):
+        (level,) = _integers((level,), "the level")
         if not laurent.terms:
             raise DomainError("Laurent coefficients must be integers, not all zero")
         self._set_fields(level, spec, laurent)
 
 
 class ThetaQuotientHaupt(_Record):
-    """Principal modulus sum_Q s_Q theta_Q / (divisor eta(tau) eta(N tau)) + shift.
+    """Principal modulus sum_Q s_Q theta_Q / (2 eta(tau) eta(N tau)).
 
     `forms` holds ((a, b, c), s_Q) for forms of discriminant -N, N = `level`
-    a prime = 23 mod 24, and `shift` is an integer.
+    a prime = 23 mod 24, and integer weights s_Q.
     """
 
-    __slots__ = ("level", "forms", "divisor", "shift")
+    __slots__ = ("level", "forms")
 
-    def __init__(self, level: int, forms: tuple, divisor: int, shift: int):
-        if (level % 24 != 23 or any(level % p == 0 for p in range(2, isqrt(level) + 1))
-                or divisor < 1 or not forms
-                or any(a < 1 or b * b - 4 * a * c != -level for (a, b, c), _ in forms)):
+    def __init__(self, level: int, forms: tuple):
+        level, *weights = _integers((level, *(s for _, s in forms)), "the level and the weights")
+        forms = tuple(zip((_integers(form, "form coefficients") for form, _ in forms), weights))
+        if (level < 23 or level % 24 != 23 or not forms
+                or any(level % p == 0 for p in range(2, isqrt(level) + 1))
+                or any(len(f) != 3 or f[0] < 1 or f[1] ** 2 - 4 * f[0] * f[2] != -level
+                       for f, _ in forms)):
             raise DomainError(f"no theta quotient of prime level {level} = 23 mod 24 "
-                              f"with forms {forms} and divisor {divisor}")
-        self._set_fields(level, forms, divisor, shift)
+                              f"with forms {forms}")
+        self._set_fields(level, forms)
 
 
 def _kappa(n: int, terms) -> int:
@@ -195,11 +203,9 @@ _CATALOG = {
     **{(n, "gamma0"): ("eta-quotient", _eta_entry(n, terms)) for n, terms in _ETA_TABLE.items()},
     **{(n, "fricke"): ("fricke-sym", _eta_entry(n, terms, _kappa(n, terms)))
        for n, terms in _ETA_TABLE.items()},
-    (23, "fricke"): ("theta-quotient", ThetaQuotientHaupt(23, (((1, 1, 6), 1),), 1, -3)),
-    (47, "fricke"): ("theta-quotient",
-                     ThetaQuotientHaupt(47, (((1, 1, 12), 1), ((2, 1, 6), -1)), 2, 0)),
-    (71, "fricke"): ("theta-quotient",
-                     ThetaQuotientHaupt(71, (((2, 1, 9), 1), ((3, 1, 6), -1)), 2, 0)),
+    (23, "fricke"): ("theta-quotient", ThetaQuotientHaupt(23, (((1, 1, 6), -1), ((2, 1, 3), 3)))),
+    (47, "fricke"): ("theta-quotient", ThetaQuotientHaupt(47, (((1, 1, 12), 1), ((2, 1, 6), -1)))),
+    (71, "fricke"): ("theta-quotient", ThetaQuotientHaupt(71, (((2, 1, 9), 1), ((3, 1, 6), -1)))),
     **{(n, "fricke"): ("none", None)
        for n in (11, 14, 15, 17, 19, 20, 21, 24, 26, 27, 29, 31, 32, 35, 36, 39, 41, 49, 50, 59)},
 }
@@ -310,7 +316,7 @@ def _fricke_ascent(tau: CMPoint, n: int) -> CMPoint:
 
 @cache
 def _theta_numerator(spec: ThetaQuotientHaupt, size: int) -> _SeriesTable:
-    """N = q^(1-v) sum_Q s_Q theta_Q / m as a `numerics._SeriesTable`.
+    """N = q^(1-v) sum_Q s_Q theta_Q / 2 as a `numerics._SeriesTable`.
 
     The nonzero c_e for v - 1 <= e < v - 1 + size, at the exponents
     e - v + 1, the theta series by lattice enumeration: for each y, the x
@@ -331,9 +337,9 @@ def _theta_numerator(spec: ThetaQuotientHaupt, size: int) -> _SeriesTable:
                 e = a * x * x + b * x * y + c * y * y
                 if e < top:
                     counts[e] += s
-    if any(k % spec.divisor for k in counts):
+    if any(k % 2 for k in counts):
         raise DomainError(f"theta numerator of level {n} has non-integer coefficients")
-    coeffs = [k // spec.divisor for k in counts]
+    coeffs = [k // 2 for k in counts]
     if any(coeffs[: v - 1]) or not coeffs[v - 1]:
         raise DomainError(f"theta numerator of level {n} does not have order {v - 1}")
     kept = [(e - v + 1, k) for e, k in enumerate(coeffs[v - 1:], start=v - 1) if k]
@@ -387,7 +393,7 @@ def _evaluate_theta(spec: ThetaQuotientHaupt, tau: CMPoint, prec: int) -> Ball:
     # for |D| down to 2^-4 or so; sampling finds |D| > 0.05 wherever the
     # ascent ends (the bound does not assume it)
     size, tail = _cutoff(ell, -(prec + 8) * math.log(2), lambda k: (0, 1))
-    a = 4 * sum(abs(s) for _, s in spec.forms) / spec.divisor
+    a = 2 * sum(abs(s) for _, s in spec.forms)
     # One scale and one set of powers for the three series, with room for
     # the numerator's coefficients and exponent sums up to twice K;
     # m = isqrt(6K) powers balance the blocks of these sparse series (timed
@@ -432,26 +438,19 @@ def _evaluate_theta(spec: ThetaQuotientHaupt, tau: CMPoint, prec: int) -> Ball:
     table = _theta_numerator(spec, max(1024, 1 << (size - 1).bit_length()))
     nr, ni, err_n = series(table, bisect_left(table.exps, size), _coeff_bits(a, size + v - 1),
                            tail, a * (math.sqrt(s1 * s2) + math.sqrt(v - 1) * s1))
-    # t - shift = N / (q D): q D exact at exponent q.exp - w, the quotient
-    # floored once (module docstring), then the shift added exactly, or
-    # floored once where it falls below the value's last bit
+    # t = N / (q D), q D exact at exponent q.exp - w, the quotient floored once
     xr, xi = q.re * dr - q.im * di, q.re * di + q.im * dr
     x, y, s = _quotient(nr, ni, xr, xi, w)
     e = -q.exp - s
-    quot, floor = _mag(x, y, e), (0.0, 0)
-    if e <= 0:
-        x += spec.shift << -e
-    elif spec.shift:
-        x += spec.shift >> e
-        floor = (1.0, e + w)
-    value = _mag(x, y, e) if spec.shift else quot
+    value = _mag(x, y, e)
     big = value if _ratio(value, (1.0, 0)) >= 1 else (1.0, 0)
-    # the budget in units of 2^-w max(1, |t|) (module docstring): on
-    # |N / (q D)| the quotient's floors and q D's error g / (1 - g), N's
-    # absolute error over |q D| (1 - g), and the shift's floor
+    # the budget in units of 2^-w max(1, |t|) (module docstring): on |t| the
+    # quotient's floors and q D's error g / (1 - g), and N's absolute error
+    # over |q D| (1 - g); the floors of D and of the quotient are held by
+    # proof alone, as w exceeds wp by 20-30 bits
     gq, gd = math.ldexp(q.rad, -w), math.ldexp(rel_d, -w)
     low = 1 - (gq + gd + gq * gd)
     pole = 1.5 + (q.rad + rel_d + q.rad * gd) / low
-    rad = (_ratio((pole * quot[0], quot[1]), big) + _ratio(floor, big)
+    rad = (_ratio((pole * value[0], value[1]), big)
            + _ratio((err_n / low, 0), (qf * df * big[0], qk + dk + big[1])))
     return Ball(x, y, e, rad * 2.0 ** (wp - w))

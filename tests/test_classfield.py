@@ -90,7 +90,7 @@ class TestSingularValues:
             for value in singular_values(*key, 256).values():
                 digest.update(f"{value.rad!r};".encode())
         assert digest.hexdigest() == (
-            "da470fa9f8036e54a86219f193d4fa2ed104eb7accb0f89f5b5741c7d164d71a"
+            "17a7d93956705f83bd6757c4ce4d3ff9bf77bb8c746a76f4c6413708193b4905"
         )
 
     def test_classes_pairwise_distinct(self):

@@ -20,7 +20,7 @@ from conftest import (
     H284, ball_mpc, cm_mobius, cm_mpc, eta_direct_series, evaluate_mpc, level_keys,
     random_gamma0, rational_point,
 )
-from cfq.classfield import ring_class_polynomial
+from cfq.classfield import ring_class_polynomial, singular_values
 from cfq.cli import run
 from cfq.elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
 from cfq.errors import ConvergenceError, DomainError, NoConstructionError, NotGenusZeroError
@@ -51,7 +51,7 @@ from cfq.quadforms import enumerate_class_group
 NONE_LEVELS = frozenset([11, 14, 15, 17, 19, 20, 21, 24, 26, 27, 29, 31, 32, 35, 36, 39, 41,
                          49, 50, 59])
 # sha256 over the reprs of the 32 entries that compute, one a line
-CATALOG_DIGEST = "3570ca0ad618a20cdb43bc27d88e200e2c6b130c9c48b3363ccc68a27a5a6cb5"
+CATALOG_DIGEST = "238fd5881d23f0db89f556d556b531e6c1f4492f7d77b5b9e0917a65e4868667"
 
 
 class TestCatalog:
@@ -104,7 +104,7 @@ class TestCatalog:
 
     def test_level71_is_theta_quotient(self):
         entry = catalog_lookup(71, "fricke")
-        assert entry == ThetaQuotientHaupt(71, (((2, 1, 9), 1), ((3, 1, 6), -1)), 2, 0)
+        assert entry == ThetaQuotientHaupt(71, (((2, 1, 9), 1), ((3, 1, 6), -1)))
 
     def test_no_construction(self):
         with pytest.raises(NoConstructionError, match="no construction") as exc:
@@ -192,16 +192,45 @@ class TestCatalog:
                 assert catalog_lookup(*key) is catalog_lookup(*key)
         assert counts == {"eta-quotient": 15, "fricke-sym": 14, "theta-quotient": 3, "none": 20}
 
-    @pytest.mark.parametrize("level,form", [(70, (2, 1, 9)), (71, (2, 1, 8))])
+    @pytest.mark.parametrize("level,form", [(70, (2, 1, 9)), (71, (2, 1, 8)), (-1, (2, 1, 9)),
+                                            (71, (2, 1))])
     def test_theta_quotient_refuses_a_bad_table(self, level, form):
         with pytest.raises(DomainError):
-            ThetaQuotientHaupt(level, ((form, 1),), 2, 0)
+            ThetaQuotientHaupt(level, ((form, 1),))
+
+    @pytest.mark.parametrize("level,forms", [
+        (71.0, (((2, 1, 9), 1), ((3, 1, 6), -1))),
+        (71, (((2, 1, 9), 0.5), ((3, 1, 6), -1))),
+        (71, (((2.0, 1, 9), 1), ((3, 1, 6), -1))),
+    ], ids=["level", "weight", "form"])
+    def test_theta_quotient_needs_integers(self, level, forms):
+        # refused when built, not by isqrt or by the evaluator's bit
+        # operations later
+        with pytest.raises(DomainError, match="must be integers"):
+            ThetaQuotientHaupt(level, forms)
+
+    @pytest.mark.parametrize("level", ["2", 2.0])
+    def test_eta_quotient_level_must_be_an_integer(self, level):
+        entry = catalog_lookup(2, "gamma0")
+        with pytest.raises(DomainError, match="must be integers"):
+            EtaQuotientHaupt(level, entry.spec, entry.laurent)
+
+    def test_integral_fractions_are_taken_as_ints(self):
+        theta = ThetaQuotientHaupt(Fraction(71), (((2, 1, Fraction(9)), Fraction(2, 2)),
+                                                  ((3, 1, 6), -1)))
+        assert theta == catalog_lookup(71, "fricke")
+        assert type(theta.level) is int and type(theta.forms[0][0][2]) is int
+        assert type(theta.forms[0][1]) is int
+        entry = catalog_lookup(2, "gamma0")
+        eta = EtaQuotientHaupt(Fraction(2), entry.spec, entry.laurent)
+        assert eta == entry and type(eta.level) is int
 
     @pytest.mark.parametrize("entry,message", [
         # one theta series has odd coefficients, so halving it leaves Z
-        (ThetaQuotientHaupt(23, (((1, 1, 6), 1),), 2, 0), "non-integer coefficients"),
-        # theta's constant term 1 sits below the order v - 1 = 1 of level 47
-        (ThetaQuotientHaupt(47, (((1, 1, 12), 1),), 1, 0), "does not have order 1"),
+        (ThetaQuotientHaupt(23, (((1, 1, 6), 1),)), "non-integer coefficients"),
+        # twice theta, halved, has its constant term 1 below the order
+        # v - 1 = 1 of level 47
+        (ThetaQuotientHaupt(47, (((1, 1, 12), 2),)), "does not have order 1"),
     ])
     def test_theta_numerator_refuses_a_bad_table(self, entry, message):
         with pytest.raises(DomainError, match=message):
@@ -229,7 +258,7 @@ def _theta_counts(form, top) -> list[int]:
 
 
 def _theta_numerator_counts(entry, top) -> list[int]:
-    """sum_Q s_Q r_Q(e) for e < top: the numerator times its divisor."""
+    """sum_Q s_Q r_Q(e) for e < top: twice the numerator."""
     out = [0] * top
     for form, s in entry.forms:
         out = [o + s * r for o, r in zip(out, _theta_counts(form, top))]
@@ -265,8 +294,8 @@ def _theta_reference(entry, tau, prec):
         for _ in range(top):
             powers.append(powers[-1] * q)
         num = mp.fsum(k * powers[e] for e, k in enumerate(_theta_numerator_counts(entry, top)))
-        den = entry.divisor * eta_direct_series(tau, prec) * eta_direct_series(n * tau, prec)
-        return num / den + entry.shift
+        den = 2 * eta_direct_series(tau, prec) * eta_direct_series(n * tau, prec)
+        return num / den
 
 
 def _divisors(e) -> int:
@@ -291,15 +320,29 @@ class TestThetaQuotient:
         assert top == 3600 and counts[:2] == [0, 0]
         assert [2 * c for c in prod] == counts[2:]
 
+    def test_level23_numerator_is_theta_less_three_eta_products(self):
+        # (3 theta_(2,1,3) - theta_(1,1,6)) / 2 = theta_(1,1,6) - 3 q S(q) S(q^23),
+        # S(q) = prod (1 - q^k), through 2,048 terms: the catalog's level-23
+        # entry is theta_(1,1,6) / (eta(tau) eta(23 tau)) - 3.  Both sides
+        # are weight-1 forms on Gamma0(23) with character (-23/.), and the
+        # Sturm bound for weight 1 on Gamma0(23) is [SL2(Z) : Gamma0(23)] / 12
+        # = 24 / 12 = 2, so agreeing to q^2 already proves them equal
+        top = 2048
+        counts = _theta_numerator_counts(catalog_lookup(23, "fricke"), top)
+        assert all(k % 2 == 0 for k in counts)
+        theta = _theta_counts((1, 1, 6), top)
+        eta = [0, *_eta_product_dense(23, top - 1)]
+        assert [k // 2 for k in counts] == [t - 3 * d for t, d in zip(theta, eta)]
+
     @pytest.mark.parametrize("n", [23, 47, 71])
     def test_expansion_starts_with_the_pole(self, n):
         # q^-1 + 0 + O(q), integer coefficients: the numerator's counts are
-        # divisible by the divisor, and it vanishes to order v - 1 at q = 0
+        # even, and it vanishes to order v - 1 at q = 0
         entry = catalog_lookup(n, "fricke")
         v, top = (n + 1) // 24, 400
         counts = _theta_numerator_counts(entry, top)
-        assert all(k % entry.divisor == 0 for k in counts)
-        num = [k // entry.divisor for k in counts]
+        assert all(k % 2 == 0 for k in counts)
+        num = [k // 2 for k in counts]
         assert not any(num[: v - 1]) and num[v - 1] == 1
         # num / D by long division, D = 1 + O(q)
         d = _eta_product_dense(n, top)
@@ -308,17 +351,17 @@ class TestThetaQuotient:
         for _ in range(8):
             quotient.append(rest[0])
             rest = [r - rest[0] * x for r, x in zip(rest, d)][1:]
-        # t = q^-1 (quotient) + shift
-        assert quotient[0] == 1 and quotient[1] + entry.shift == 0
+        # t = q^-1 (quotient)
+        assert quotient[0] == 1 and quotient[1] == 0
 
     @pytest.mark.parametrize("n", [23, 47, 71])
     def test_numerator_matches_lattice_counts(self, n):
         # the evaluator's cached table, at two sizes, against a box scan; and
-        # the coefficient bound its tails rest on, 2 d(e) sum |s_Q| / m <= A sqrt(e)
+        # the coefficient bound its tails rest on, d(e) sum |s_Q| <= A sqrt(e)
         entry = catalog_lookup(n, "fricke")
         v = (n + 1) // 24
         counts = _theta_numerator_counts(entry, v - 1 + 2048)
-        want = {e - v + 1: k // entry.divisor for e, k in enumerate(counts) if e >= v - 1 and k}
+        want = {e - v + 1: k // 2 for e, k in enumerate(counts) if e >= v - 1 and k}
         table = _theta_numerator(entry, 2048)
         exps, coeffs = table.exps, table.coeffs
         assert exps[0] == 0 and dict(zip(exps, coeffs)) == want
@@ -326,9 +369,9 @@ class TestThetaQuotient:
         count = len(small.exps)
         assert small.exps == exps[:count] and small.coeffs == coeffs[:count]
         weight = sum(abs(s) for _, s in entry.forms)
-        a = 4 * weight / entry.divisor
+        a = 2 * weight
         for m, c in zip(exps[1:], coeffs[1:]):
-            bound = 2 * weight * _divisors(m + v - 1) / entry.divisor
+            bound = weight * _divisors(m + v - 1)
             assert abs(c) <= bound <= a * math.sqrt(m + v - 1)
 
     def test_vanishing_sum_refused(self, monkeypatch):
@@ -911,10 +954,10 @@ class TestFixedPointValues:
                     assert abs(got - want) <= value.rad * unit, (alpha, prec)
 
     @pytest.mark.parametrize("prec", [64, 256])
-    def test_theta_shift_below_the_last_bit(self, prec):
+    def test_theta_value_above_the_last_bit(self, prec):
         # at 100 i, |T23| ~ e^(200 pi) ~ 2^906 is far above 2^w: the value's
-        # last bit lies above 1, so its shift -3 is floored once into it,
-        # and the radius still holds the quotient summed at the point itself
+        # last bit lies above 1, q underflows any fixed scale, and the radius
+        # still holds the quotient summed at the point itself
         entry = catalog_lookup(23, "fricke")
         tau = CMPoint(0, 100, 1, 1)
         value = _evaluate_theta(entry, tau, prec)
@@ -1056,6 +1099,42 @@ class TestFixedPointValues:
         monkeypatch.undo()
         want = [evaluate(entry, tau, 136) for tau in points]
         assert got == want
+
+
+def _exact(z: Ball) -> tuple[Fraction, Fraction]:
+    """A `numerics.Ball`'s two parts as exact rationals."""
+    scale = Fraction(2) ** z.exp
+    return z.re * scale, z.im * scale
+
+
+class TestEtaClosedForm:
+    """Every eta value of the degree-law sweep against its closed form, in
+    exact rationals.  Each point is fixed by an element W gamma of the
+    Fricke coset, and t(W z) = kappa / t(z), so t^2 = kappa there: a gamma0
+    value t + r_1 is r_1 +- sqrt(kappa), a fricke-sym value t + r_1 + kappa / t
+    is r_1 +- 2 sqrt(kappa), and at level 1, j(i) - 744 = 984."""
+
+    @pytest.mark.parametrize("prec", [64, 1024, 4096])
+    def test_eta_values_within_radius_of_the_closed_form(self, prec):
+        points = 0
+        for n, group, disc in level_keys():
+            if n == 1:
+                r_1, c2 = Fraction(984), 0
+            else:
+                r_1 = Fraction(dict(catalog_lookup(n, group).laurent.terms)[0])
+                kappa = int(dict(catalog_lookup(n, "fricke").laurent.terms)[-1])
+                c2 = kappa if group == "gamma0" else 4 * kappa
+            for value in singular_values(n, group, disc, prec).values():
+                points += 1
+                re, im = _exact(value)
+                x = re - r_1
+                # |value - (r_1 +- c)| <= rad 2^-prec max(1, |value|), c^2 = c2,
+                # squared: x^2 + c2 + im^2 - bound^2 <= 2 |x| c, the sign of c
+                # taken as x's
+                bound2 = (Fraction(value.rad) / 2**prec) ** 2 * max(1, re * re + im * im)
+                lhs = x * x + c2 + im * im - bound2
+                assert lhs <= 0 or lhs * lhs <= 4 * x * x * c2, (n, group, disc)
+        assert points == 53
 
 
 def _above_three_tenths(im: str) -> CMPoint:

@@ -50,8 +50,7 @@ RECORDS = [
     (IntPoly, lambda: IntPoly([1, 0, 1]), ("coeffs",)),
     (LaurentExpr, lambda: LaurentExpr({1: 1, 0: 24, -1: 5}), ("terms",)),
     (EtaQuotientHaupt, lambda: catalog_lookup(2, "gamma0"), ("level", "spec", "laurent")),
-    (ThetaQuotientHaupt, lambda: catalog_lookup(71, "fricke"),
-     ("level", "forms", "divisor", "shift")),
+    (ThetaQuotientHaupt, lambda: catalog_lookup(71, "fricke"), ("level", "forms")),
     (PrecisionPolicy, PrecisionPolicy, ("start_bits",)),
     (SingularValueSet, lambda: _result().points,
      ("n", "group", "disc", "entries", "class_group")),
@@ -130,7 +129,7 @@ def test_reprs_pinned():
         "EtaQuotientHaupt(level=2, spec=EtaQuotientSpec(terms=((1, 24), (2, -24))), "
         "laurent=LaurentExpr(terms=((0, 24), (1, 1))))")
     assert repr(catalog_lookup(71, "fricke")) == (
-        "ThetaQuotientHaupt(level=71, forms=(((2, 1, 9), 1), ((3, 1, 6), -1)), divisor=2, shift=0)")
+        "ThetaQuotientHaupt(level=71, forms=(((2, 1, 9), 1), ((3, 1, 6), -1)))")
     assert repr(PrecisionPolicy()) == f"PrecisionPolicy(start_bits={MIN_PREC_BITS})"
 
 
