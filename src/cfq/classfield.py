@@ -28,7 +28,7 @@ from fractions import Fraction
 from .elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
 from .exactpoly import IntPoly, _Record, _integers
 from .hauptmodul import ERROR_BITS, catalog_lookup, evaluate
-from .numerics import Ball, PrecisionPolicy, certify_int_poly
+from .numerics import Ball, PrecisionPolicy, _lowest, certify_int_poly
 from .quadforms import ClassGroup, QuadForm, enumerate_class_group
 
 __all__ = [
@@ -81,7 +81,9 @@ def singular_values(n: int, group: str, disc: int, prec: int) -> SingularValueSe
     1 - conj(tau) up to an integer translation.  Any other pair of
     representatives is evaluated directly.  A class that is its own inverse
     and whose representative is its own mirror image (2A = 0 mod C) has a
-    real value, and reports it with an imaginary part of exactly 0.
+    real value, and reports it with an imaginary part of exactly 0.  Every
+    value is in lowest terms, as `evaluate` returns it: at least one part
+    odd, and zero as (0, 0, 0).
     """
     if type(n) is not int:
         (n,) = _integers((n,), "levels")
@@ -102,7 +104,7 @@ def singular_values(n: int, group: str, disc: int, prec: int) -> SingularValueSe
             value = evaluate(spec, tau, prec)
             if j == i and mirrored:
                 # its own mirror image: t(tau) = conj(t(tau)) is real
-                value = Ball(value.re, 0, value.exp, value.rad)
+                value = _lowest(value.re, 0, value.exp, value.rad)
         entries.append((form, alpha, tau, value))
     return SingularValueSet(n, group, disc, tuple(entries), cg)
 

@@ -187,12 +187,11 @@ def _eta_ball(tau: CMPoint, w: int) -> Ball:
     q24 = _exp_i_pi(z.u - (k - 24 * (k >= 12)) * z.w, z.v, 12 * z.w, z.n, w)
     # q^3 along the powers' chain, then q^6, q^12 and q^24; the truncated
     # q^(1/24), within sqrt(2), moves q by 24 |q^(1/24)|^23 sqrt(2) < 1
-    *_, qr, qi = _powers(_fixed(q24, w), 3, w)
+    qr, qi = _powers(_fixed(q24, w), 3, w)[4:]
     for _ in range(3):
         qr, qi = (qr * qr - qi * qi) >> w, (2 * qr * qi) >> w
-    q = (qr, qi)
-    sr, si, bound = _fixed_series(q, table, len(table.exps), 0, w,
-                                  _powers(q, isqrt(table.exps[-1]) + 1, w))
+    sr, si, bound = _fixed_series(table, len(table.exps),
+                                  _powers((qr, qi), isqrt(table.exps[-1]) + 1, w))
     series = _normal(sr, si, -w, (bound + 1 + 1.01 * (1.5 * 23 + 1)) / 0.99, w)
     value = _mul(Ball(q24.re, q24.im, q24.exp, 1.15 * q24.rad), series, w)
     if c:

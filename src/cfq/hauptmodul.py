@@ -46,18 +46,21 @@ have integer coefficients (the c_e from lattice enumeration), and each is a
 `numerics._SeriesTable` cached per process with the series it holds: N's
 per entry and power-of-two size, S(q)'s and S(q^N)'s per term count.  They
 are summed by `numerics._fixed_series` against one set of powers of q,
-built once per point at one scale.  Each stops at the first exponent K
-whose tail bound meets its target, fixed before it is summed, and carries
-twice the kernel's proven rounding bound (once more for q's truncation),
-the tail, and the error in q from `numerics._exp_i_pi` through the
-derivative.  The tails are proven: S has coefficients 0 and +-1, so each
-factor's tail is below sum_(e >= K) |q|^e; and as -N is a fundamental
-discriminant, the representation counts of its classes sum to
-2 sum_(d|e) (-N/d), so r_Q(e) <= 2 d(e) <= 4 sqrt(e) for every form and
-|c_e| <= A sqrt(e) for e >= 1, A = 2 sum |s_Q|.  (At level 23, v = 1 and
-N's term at q^0 is theta's constant, sum s_Q / 2 = 1: exact in the kernel,
-with no derivative, below its 2^b, and in no tail, as tails start at
-k >= 1.)
+built once per point at one scale, which the powers carry.  Each stops at
+the first exponent K whose tail bound meets its target, fixed before it is
+summed, and carries twice the kernel's proven rounding bound (once more for
+q's truncation), the tail, and the error in q from `numerics._exp_i_pi`
+through the derivative.  The kernel's bound takes each table's own
+coefficient bound over the terms summed: 0 for S, and for N the largest
+|c_e| below K, which is at most A sqrt(e); that proven ceiling
+(`_coeff_bits`) only sizes the scale.  The tails are proven: S has
+coefficients 0 and +-1, so each factor's tail is below sum_(e >= K) |q|^e;
+and as -N is a fundamental discriminant, the representation counts of its
+classes sum to 2 sum_(d|e) (-N/d), so r_Q(e) <= 2 d(e) <= 4 sqrt(e) for
+every form and |c_e| <= A sqrt(e) for e >= 1, A = 2 sum |s_Q|.  (At level
+23, v = 1 and N's term at q^0 is theta's constant, sum s_Q / 2 = 1: exact
+in the kernel, with no derivative, below its 2^b, and in no tail, as tails
+start at k >= 1.)
 
 The value is then one pass in integers.  D = S(q) S(q^N) is one Gaussian
 product floored at scale 2^w; q D is q's mantissa times D, exact at q's
@@ -248,7 +251,8 @@ def evaluate(spec, tau: CMPoint, prec: int) -> Ball:
     The result is within 2^(ERROR_BITS - prec) * max(1, |t(tau)|) of the
     true value (module docstring), and its radius is the proven bound in
     units of 2^-prec * max(1, |value|); where that bound cannot meet
-    2^ERROR_BITS, ConvergenceError is raised instead.  DomainError unless
+    2^ERROR_BITS, ConvergenceError is raised instead.  The value is in
+    lowest terms, a part odd or zero as (0, 0, 0).  DomainError unless
     prec is an integer from 64 to 16384.
     """
     _check_prec(prec)
@@ -395,27 +399,28 @@ def _evaluate_theta(spec: ThetaQuotientHaupt, tau: CMPoint, prec: int) -> Ball:
     size, tail = _cutoff(ell, -(prec + 8) * math.log(2), lambda k: (0, 1))
     a = 2 * sum(abs(s) for _, s in spec.forms)
     # One scale and one set of powers for the three series, with room for
-    # the numerator's coefficients and exponent sums up to twice K;
-    # m = isqrt(6K) powers balance the blocks of these sparse series (timed
-    # best among isqrt(cK), c = 1 .. 16, at 64 bits, flat at 256).
+    # the numerator's coefficients, at most A sqrt(e), and exponent sums up
+    # to twice K; m = isqrt(6K) powers balance the blocks of these sparse
+    # series (timed best among isqrt(cK), c = 1 .. 16, at 64 bits, flat at
+    # 256).
     room = 2 * size
     w = wp + _coeff_bits(a, room + v) + 2 * room.bit_length()
     q = _exp_i_pi(2 * z.u, 2 * z.v, z.w, z.n, w)
-    qw = _fixed(q, w)
-    powers = _powers(qw, isqrt(6 * size), w)
+    powers = _powers(_fixed(q, w), isqrt(6 * size), w)
 
-    def series(table, count, coeff_bits, tail, slope):
+    def series(table, count, tail, slope):
         # the sum of the table's first count terms and its error in units of
         # 2^-w: the kernel's bound twice, once more for q's truncation (q^e
-        # moves sqrt(2) e), the tail and q's error through the derivative
-        sr, si, bound = _fixed_series(qw, table, count, coeff_bits, w, powers)
+        # moves sqrt(2) e), the tail and q's error through the derivative;
+        # the kernel takes each table's own coefficient bound
+        sr, si, bound = _fixed_series(table, count, powers)
         return sr, si, 2 * bound + math.exp(tail + w * math.log(2)) + q.rad * slope
 
     # S(q) and S(q^N) to their exponents below K: in q^N, those below K / N
     low = _pentagonal(_pentagonal_count(size))
     high = _pentagonal(_pentagonal_count(-(-size // n)), n)
-    ar, ai, err_a = series(low, len(low.exps), 0, tail, s1)
-    br, bi, err_b = series(high, len(high.exps), 0, tail, s1)
+    ar, ai, err_a = series(low, len(low.exps), tail, s1)
+    br, bi, err_b = series(high, len(high.exps), tail, s1)
     # D = S(q) S(q^N) floored at scale 2^w; its relative error, in units
     # of 2^-w, from each factor's and from the floor's sqrt(2) (charged 1.5)
     dr, di = (ar * br - ai * bi) >> w, (ar * bi + ai * br) >> w
@@ -436,8 +441,8 @@ def _evaluate_theta(spec: ThetaQuotientHaupt, tau: CMPoint, prec: int) -> Ball:
     size, tail = _cutoff(ell, (ERROR_BITS - 2 - prec + qk) * math.log(2) + math.log(den_low * qf),
                          lambda k: (a / math.sqrt(k + v - 1), a * (v - 1) / math.sqrt(k + v - 1)))
     table = _theta_numerator(spec, max(1024, 1 << (size - 1).bit_length()))
-    nr, ni, err_n = series(table, bisect_left(table.exps, size), _coeff_bits(a, size + v - 1),
-                           tail, a * (math.sqrt(s1 * s2) + math.sqrt(v - 1) * s1))
+    nr, ni, err_n = series(table, bisect_left(table.exps, size), tail,
+                           a * (math.sqrt(s1 * s2) + math.sqrt(v - 1) * s1))
     # t = N / (q D), q D exact at exponent q.exp - w, the quotient floored once
     xr, xi = q.re * dr - q.im * di, q.re * di + q.im * dr
     x, y, s = _quotient(nr, ni, xr, xi, w)

@@ -28,16 +28,20 @@ the comparison residual + R_max < 1/2 is made in integers.
 pentagonal series, the three series of a theta quotient and the Taylor
 series of exp are all summed by it, in integers at scale 2^w, with a
 proven bound on its rounding.  A series is a `_SeriesTable`: its
-exponents, its coefficients and the prefix sums of its exponents, checked
-once when it is built (one coefficient per exponent, the exponents
+exponents, its coefficients, and per prefix the sum of its exponents and
+the least b with every coefficient |c| <= 2^b, checked and computed once
+when it is built (one coefficient per exponent, the exponents
 nondecreasing from 0 or above) and cached per process with the series it
-holds, never with a request's key or point.  The kernel sums a table's
-first count terms and checks only what depends on the call: the point's
-premise and the lane of each block.  Every series is cut into blocks of m
-exponents (rectangular splitting): the caller builds the powers
-q^0 .. q^(m-1) and q^m once (`_powers`) and chooses m, each block is an
-exact integer dot product with them, and Horner's rule in q^m joins the
-blocks.  Eta takes m = isqrt(e_max) + 1; the theta quotient sums its three
+holds, never with a request's key or point.  The kernel takes a table, a
+count and a set of powers, and nothing else: it sums the table's first
+count terms, reads the point and the scale from the powers and the
+coefficient bound from the table, so no caller states any of them, and
+checks only what depends on the call: the count, the point's premise and
+the lane of each block.  Every series is cut into blocks of m exponents
+(rectangular splitting): the caller builds the powers q^0 .. q^(m-1) and
+q^m once (`_powers`) and chooses m, each block is an exact integer dot
+product with them, and Horner's rule in q^m joins the blocks.  Eta takes
+m = isqrt(e_max) + 1; the theta quotient sums its three
 series against one set, so that a dense series of K terms takes about
 m + K/m full products instead of K.  Each baby power is packed as one
 integer, its imaginary part in a lane above its real part, so a block is
@@ -356,7 +360,11 @@ def _fixed(z: Ball, w: int) -> tuple[int, int]:
 
 
 def _round(z: Ball, prec: int, rad: float) -> Ball:
-    """z with each part rounded to the nearest prec-bit number, ties to even, and radius rad."""
+    """z with each part rounded to the nearest prec-bit number, ties to even, and radius rad.
+
+    The result is in lowest terms (`_lowest`), so that one value has one
+    (re, im, exp) whatever exponent z carried.
+    """
     parts = []
     for x in (z.re, z.im):
         cut = abs(x).bit_length() - prec
@@ -368,7 +376,15 @@ def _round(z: Ball, prec: int, rad: float) -> Ball:
         parts.append((-n if x < 0 else n, z.exp + cut))
     (x, ex), (y, ey) = parts
     e = min(ex, ey)
-    return Ball(x << (ex - e), y << (ey - e), e, rad)
+    return _lowest(x << (ex - e), y << (ey - e), e, rad)
+
+
+def _lowest(x: int, y: int, e: int, rad: float) -> Ball:
+    """(x + i y) 2^e in lowest terms: at least one part odd, and zero as (0, 0, 0)."""
+    if not (x or y):
+        return Ball(0, 0, 0, rad)
+    zeros = ((x | y) & -(x | y)).bit_length() - 1
+    return Ball(x >> zeros, y >> zeros, e + zeros, rad)
 
 
 def _arctan_inv(x: int, s: int, sign: int) -> int:
@@ -430,27 +446,27 @@ def _exp(x: int, y: int, w: int) -> Ball:
 
     At s = w + g bits, x = k ln 2 + r, 0 <= r < ln 2, comes out as 2^k (r
     within 2|k| units).  z = (r + i y) / 2^j, truncated within sqrt(2), has
-    |exp(z)| >= 1; n!^-1 sum (n!/i!) z^i is summed by the kernel and divided
-    by n! >= 2^(b-1) with one floor, within bound 2^(1-b) + 1 + 1.01 sqrt(2)
-    and the tail 1.  Each of the j squarings, modulus in [1, 2), doubles the
-    relative error and adds sqrt(2): 2^j (bound 2^(1-b) + 5.5) units of
-    2^-s, below 1/8 unit of 2^-w; the shift down to 2^w adds 1.5.  That
-    bound is a worst case no test reaches: before the shift, the errors of
-    3,000 random arguments at w = 112 to 1072 stayed below 1/75 of it, and
-    the shift's truncation, below sqrt(2), is charged 1.5.  Tests pin the
-    guard bits through the bound itself, 0.07 to 0.093 unit, and through
-    ln 2's 2|k|, which exp(-2^60) reaches to half, as ln 2 is floored
-    within 1.
+    |exp(z)| >= 1; n!^-1 sum (n!/i!) z^i is summed by the kernel and
+    divided by n! > 2^(b-1), b the table's coefficient bound, with one
+    floor, within bound 2^(1-b) + 1 + 1.01 sqrt(2) and the tail 1.  Each of
+    the j squarings, modulus in [1, 2), doubles the relative error and adds
+    sqrt(2): 2^j (bound 2^(1-b) + 5.5) units of 2^-s, below 1/8 unit of
+    2^-w; the shift down to 2^w adds 1.5.  That bound is a worst case no
+    test reaches: before the shift, the errors of 3,000 random arguments at
+    w = 112 to 1072 stayed below 1/75 of it, and the shift's truncation,
+    below sqrt(2), is charged 1.5.  Tests pin the guard bits through the
+    bound itself, 0.07 to 0.093 unit, and through ln 2's 2|k|, which
+    exp(-2^60) reaches to half, as ln 2 is floored within 1.
     """
     if abs(y) > 4 << w:
         raise DomainError("exp needs |Im| <= 4")
     j, g, table = _exp_plan(w)
-    count, factorial = len(table.exps), table.coeffs[0]
-    s, b = w + g, factorial.bit_length()
+    count, factorial, b = len(table.exps), table.coeffs[0], table.bits[-1]
+    s = w + g
     x, ln2 = x << g, _ln2(s)
     k = x // ln2
     z = ((x - k * ln2) >> j, (y << g) >> j)
-    sr, si, bound = _fixed_series(z, table, count, b, s, _powers(z, isqrt(count - 1) + 1, s))
+    sr, si, bound = _fixed_series(table, count, _powers(z, isqrt(count - 1) + 1, s))
     sr, si = sr // factorial, si // factorial
     for _ in range(j):
         sr, si = ((sr + si) * (sr - si)) >> s, (sr * si) >> (s - 1)
@@ -472,10 +488,12 @@ def _exp_i_pi(u: int, v: int, t: int, n: int, w: int) -> Ball:
     return Ball(z.re, z.im, z.exp, z.rad + d * math.exp(min(math.ldexp(d, -w), 700.0)))
 
 
-def _powers(q, m: int, w: int) -> tuple[list[int], int, int, int]:
-    """(baby, lane, big_r, big_i): q^0 .. q^(m-1) packed, and Q = q^m, at scale 2^w.
+def _powers(q, m: int, w: int) -> tuple[tuple[int, int], int, list[int], int, int, int]:
+    """(q, w, baby, lane, big_r, big_i): q^0 .. q^(m-1) packed, and Q = q^m, at scale 2^w.
 
-    q = (qr, qi) as for `_fixed_series`; q^1 is q, and each power above it
+    q = (qr + i qi) 2^-w is given by its scaled parts (qr, qi), and the
+    tuple starts with the q and the w it was built from, which the kernel
+    reads as its point and its scale.  q^1 is q, and each power above it
     is the one before times q, a truncated product, so q^i is within
     sqrt(2) (i - 1) of its value for i >= 1 while |q| <= 1 - 2 m 2^-w (the
     kernel's premise).  A step from p = pr + i pi takes three products,
@@ -495,22 +513,24 @@ def _powers(q, m: int, w: int) -> tuple[list[int], int, int, int]:
         baby.append(pr + (pi << lane))
         k = qr * (pr + pi)
         pr, pi = (k - pi * qs) >> w, (k + pr * qd) >> w
-    return baby, lane, pr, pi
+    return q, w, baby, lane, pr, pi
 
 
 class _SeriesTable(_Record):
     """A series sum_j coeffs[j] q^exps[j] as `_fixed_series` sums it, checked once.
 
     `exps` are nondecreasing integers from e_0 >= 0 and `coeffs` one
-    integer per exponent, both tuples; `sums[k]` = e_0 + ... + e_(k-1), the
-    exponent sum the kernel's bound takes for the first k terms.  A table
+    integer per exponent, both tuples.  For the first k terms, `sums[k]` =
+    e_0 + ... + e_(k-1) is the exponent sum the kernel's bound takes, and
+    `bits[k]` the least b >= 0 with |c_j| <= 2^b for every j < k, the
+    coefficient bound its bound and its lane room take.  A table
     depends on its series only, so each is built once per process and
     cached with what it depends on: exp's Taylor coefficients with
     `_exp_plan`, the pentagonal series and its copies in q^N with
     `eta._pentagonal`, the theta numerator with `hauptmodul._theta_numerator`.
     """
 
-    __slots__ = ("exps", "coeffs", "sums")
+    __slots__ = ("exps", "coeffs", "sums", "bits")
 
     def __init__(self, exps, coeffs):
         exps, coeffs = tuple(exps), tuple(coeffs)
@@ -521,21 +541,23 @@ class _SeriesTable(_Record):
             raise DomainError(f"series exponents must be >= 0, got {exps[0]}")
         if not all(map(le, exps, exps[1:])):
             raise DomainError("series exponents must be nondecreasing")
-        self._set_fields(exps, coeffs, tuple(accumulate(exps, initial=0)))
+        self._set_fields(exps, coeffs, tuple(accumulate(exps, initial=0)),
+                         tuple(accumulate((max(abs(c) - 1, 0).bit_length() for c in coeffs),
+                                          max, initial=0)))
 
 
-def _fixed_series(q, table: _SeriesTable, count: int, coeff_bits: int, w: int,
-                  powers) -> tuple[int, int, float]:
+def _fixed_series(table: _SeriesTable, count: int, powers) -> tuple[int, int, float]:
     """sum_(j < count) c_j q^e_j of `table` in integers at scale 2^w, and its rounding bound.
 
-    q = (qr + i qi) 2^-w is given by its scaled components (qr, qi).  The
-    table's first count terms are summed, 0 <= count <= len(table.exps);
-    their exponents are nondecreasing from 0 or above, as every
-    `_SeriesTable` is, and each coefficient has modulus at most
-    2^coeff_bits.  powers is `_powers(q, m, w)` for any m >= 1, and the
-    series is summed in blocks of m exponents against it, so that several
-    series at one q can share one set of powers.  Returns (sr, si, bound)
-    with
+    powers is `_powers(q, m, w)` for any m >= 1, and it names the point
+    q = (qr + i qi) 2^-w and the scale 2^w; the series is summed in blocks
+    of m exponents against it, so that several series at one q can share
+    one set of powers.  The table's first count terms are summed, and a
+    count outside 0 .. len(table.exps) raises DomainError.  Their exponents
+    are nondecreasing from 0 or above, as every `_SeriesTable` is, and each
+    coefficient has modulus at most 2^b, b = table.bits[count], which the
+    table computed from the coefficients themselves.  Returns (sr, si,
+    bound) with
 
         |(sr + i si) 2^-w - sum_(j < count) c_j q^e_j| <= bound 2^-w,
 
@@ -554,7 +576,7 @@ def _fixed_series(q, table: _SeriesTable, count: int, coeff_bits: int, w: int,
     Q = q^m are one chain with step 1, so q^i is within sqrt(2) (i - 1) for
     i >= 1 and Q within sqrt(2) (m - 1).  Each block sum
     sum_i c_(km+i) q^i is an exact integer dot product, within
-    sqrt(2) 2^b sum_i max(0, i - 1) of its true value, b = coeff_bits.
+    sqrt(2) 2^b sum_i max(0, i - 1) of its true value.
     Horner's rule in Q combines the blocks from the top down, one truncated
     product per block below the top: a giant step, taken in three products
     as the steps of `_powers` are, exactly.  The partial sum H above
@@ -567,7 +589,7 @@ def _fixed_series(q, table: _SeriesTable, count: int, coeff_bits: int, w: int,
     sqrt(2) (giant steps).  The bound returned, 1.5 * 2^b * sum_j e_j +
     1.5 * (giant steps), covers it, with sum_j e_j read from
     `table.sums[count]`.  It is a double, so 2^b sum_j e_j must stay below
-    2^1022, which no caller comes near: exp's n! stays below 2^704 and the
+    2^1022, which no table comes near: exp's n! stays below 2^704 and the
     theta numerator's b below 16 up to MAX_PREC_BITS, both pinned by tests.
 
     The dot product is taken on packed powers: with x_i + y_i 2^L for
@@ -582,25 +604,26 @@ def _fixed_series(q, table: _SeriesTable, count: int, coeff_bits: int, w: int,
     high one, and its low L bits less 2^(L - 1) give X and the bits above
     give Y, with no rounding.  A block of more terms raises DomainError.
     With L = w + floor(w/4) + 128 a block may hold up to
-    2^(floor(w/4) + 127 - b) - 1 terms, which no caller comes near: the
+    2^(floor(w/4) + 127 - b) - 1 terms, which no table comes near: the
     theta quotient's b stays below 16, and exp's n! and its blocks of
     isqrt(n) + 1 fit at every scale, pinned by a test.  The packed integer,
     about 2.25 w bits, costs one product and one sum a term where the two
     parts cost two of each at w bits.
     """
+    exps = table.exps
+    if not 0 <= count <= len(exps):
+        raise DomainError(f"a table of {len(exps)} terms has no first {count}")
     if not count:
         return 0, 0, 0.0
-    exps = table.exps
-    qr, qi = q
-    one = 1 << w
+    (qr, qi), w, baby, lane, big_r, big_i = powers
+    one, b = 1 << w, table.bits[count]
     e_max = exps[count - 1]
-    baby, lane, big_r, big_i = powers
     m = len(baby)
     reach = 2 * max(e_max, m)
     if not (reach < one and qr * qr + qi * qi <= (one - reach) ** 2):
         raise DomainError("series point or exponents outside the kernel's range")
     # the most terms a block may hold, t < 2^(lane - w - 1 - b)
-    most = (1 << max(lane - w - 1 - coeff_bits, 0)) - 1
+    most = (1 << max(lane - w - 1 - b, 0)) - 1
     top = e_max // m
     terms = list(map(mul, table.coeffs[:count],
                      map((baby * (top + 1)).__getitem__, exps[:count])))
@@ -620,4 +643,4 @@ def _fixed_series(q, table: _SeriesTable, count: int, coeff_bits: int, w: int,
         acc_r, acc_i = (((t - acc_i * big_s) >> w) + (block & mask) - half,
                         ((t + acc_r * big_d) >> w) + (block >> lane))
         hi = lo
-    return acc_r, acc_i, 1.5 * 2.0**coeff_bits * table.sums[count] + 1.5 * top
+    return acc_r, acc_i, 1.5 * 2.0**b * table.sums[count] + 1.5 * top

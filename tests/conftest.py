@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from math import gcd
 
 import mpmath
@@ -78,6 +78,14 @@ def mpf_parts(x: int, exp: int) -> tuple[int, int, int]:
         return 0, 0, 0
     zeros = (x & -x).bit_length() - 1
     return int(x < 0), abs(x) >> zeros, exp + zeros
+
+
+def assert_bits_bound_the_coefficients(table) -> None:
+    """table.bits[k] is the least b >= 0 with |c_j| <= 2^b for every j < k, for each k."""
+    assert len(table.bits) == len(table.coeffs) + 1
+    for k, (top, b) in enumerate(zip(accumulate(map(abs, table.coeffs), max, initial=0),
+                                     table.bits)):
+        assert b >= 0 and top <= 2**b and (b == 0 or top > 2 ** (b - 1)), k
 
 
 def eta_mpc(tau, prec) -> mpmath.mpc:

@@ -26,6 +26,11 @@ from cfq.numerics import PrecisionPolicy, _SeriesTable, certify_int_poly
 from cfq.quadforms import QuadForm, enumerate_class_group, reduce_form
 
 
+# the six keys of the theta quotients, levels 71, 47 and 23
+THETA_KEYS = [(71, "fricke", -71), (71, "fricke", -284), (47, "fricke", -47),
+              (47, "fricke", -188), (23, "fricke", -23), (23, "fricke", -92)]
+
+
 class TestSingularValues:
     def test_disc_71_root_sum(self):
         vals = singular_values(71, "fricke", -71, 256)
@@ -84,14 +89,22 @@ class TestSingularValues:
         # its repr: a changed bound or summation order in any series shows
         # here even where the rounded values do not move
         digest = hashlib.sha256()
-        theta_keys = [(71, "fricke", -71), (71, "fricke", -284), (47, "fricke", -47),
-                      (47, "fricke", -188), (23, "fricke", -23), (23, "fricke", -92)]
-        for key in level_keys() + theta_keys:
+        for key in level_keys() + THETA_KEYS:
             for value in singular_values(*key, 256).values():
                 digest.update(f"{value.rad!r};".encode())
         assert digest.hexdigest() == (
-            "17a7d93956705f83bd6757c4ce4d3ff9bf77bb8c746a76f4c6413708193b4905"
+            "33065250df5aa48a64e1bab278952c8aca18a3ced61faedb9311ac74f1cfb0ed"
         )
+
+    @pytest.mark.parametrize("prec", [64, 256])
+    def test_values_in_lowest_terms(self, prec):
+        # one value, one (re, im, exp): a part odd, or zero as (0, 0, 0); a
+        # real value, a self-mirror class's among them, keeps at most prec
+        # bits, where an imaginary part rounded away once left it wider
+        for key in level_keys() + THETA_KEYS:
+            for value in singular_values(*key, prec).values():
+                assert (value.re | value.im) & 1 or value[:3] == (0, 0, 0), key
+                assert value.im or abs(value.re).bit_length() <= prec, key
 
     def test_classes_pairwise_distinct(self):
         vals = singular_values(71, "fricke", -284, 128)

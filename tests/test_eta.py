@@ -283,9 +283,9 @@ class TestEtaSeriesKernel:
         # quotient's bound, |r| / 0.99 times per factor.
         summed, extra = [], [0.0]
 
-        def recording(q, table, count, coeff_bits, w, powers):
-            sr, si, bound = _fixed_series(q, table, count, coeff_bits, w, powers)
-            summed.append((q, table.exps[:count], w))
+        def recording(table, count, powers):
+            sr, si, bound = _fixed_series(table, count, powers)
+            summed.append((powers[0], table.exps[:count], powers[1]))
             return sr, si, bound + extra[0]
 
         monkeypatch.setattr(cfq.eta, "_fixed_series", recording)

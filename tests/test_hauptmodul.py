@@ -17,8 +17,8 @@ from mpmath import mp
 
 import cfq.hauptmodul
 from conftest import (
-    H284, ball_mpc, cm_mobius, cm_mpc, eta_direct_series, evaluate_mpc, level_keys,
-    random_gamma0, rational_point,
+    H284, assert_bits_bound_the_coefficients, ball_mpc, cm_mobius, cm_mpc, eta_direct_series,
+    evaluate_mpc, level_keys, random_gamma0, rational_point,
 )
 from cfq.classfield import ring_class_polynomial, singular_values
 from cfq.cli import run
@@ -34,6 +34,7 @@ from cfq.hauptmodul import (
     ThetaQuotientHaupt,
     catalog_entries,
     catalog_lookup,
+    _coeff_bits,
     _cutoff,
     _evaluate_theta,
     _fricke_ascent,
@@ -43,7 +44,7 @@ from cfq.hauptmodul import (
     evaluate,
 )
 from cfq.numerics import (
-    MAX_PREC_BITS, _GUARD, Ball, _exp_i_pi, _fixed_series, _powers,
+    MAX_PREC_BITS, _GUARD, Ball, _exp_i_pi, _exp_plan, _fixed_series, _powers,
 )
 from cfq.quadforms import enumerate_class_group
 
@@ -377,7 +378,7 @@ class TestThetaQuotient:
     def test_vanishing_sum_refused(self, monkeypatch):
         # an error made relative to a sum needs the sum to be nonzero: with
         # the series kernel returning 0, the eta product D vanishes
-        def vanishing(q, table, count, coeff_bits, w, powers):
+        def vanishing(table, count, powers):
             return 0, 0, 1.0
 
         monkeypatch.setattr(cfq.hauptmodul, "_fixed_series", vanishing)
@@ -591,21 +592,23 @@ class TestQSeriesKernel:
         "alpha,prec", LEVEL71_CASES, ids=[f"{a.A},{a.B},{a.C}@{p}" for a, p in LEVEL71_CASES]
     )
     def test_summed_coefficients_within_scale(self, alpha, prec, monkeypatch):
-        # the kernel is told |c| <= 2^b: b = 0 for the signs of the two
-        # pentagonal factors, and the proven |c_e| <= 4 sqrt(e) for the numerator
+        # the kernel's bound takes each table's own b over the terms summed:
+        # 0 for the signs of the two pentagonal factors, and for the
+        # numerator at most the proven A sqrt(e) ceiling that sizes the
+        # scale, so a theta radius is never above that ceiling's
         seen = []
 
-        def recording(q, table, count, coeff_bits, w, powers):
-            seen.append((table.coeffs[:count], coeff_bits))
-            return _fixed_series(q, table, count, coeff_bits, w, powers)
+        def recording(table, count, powers):
+            seen.append((table, count))
+            return _fixed_series(table, count, powers)
 
         monkeypatch.setattr(cfq.hauptmodul, "_fixed_series", recording)
-        evaluate_mpc(catalog_lookup(71, "fricke"), fixed_point(alpha), prec)
-        (signs, zero), (high_signs, high_zero), (coeffs, b) = seen
-        assert zero == high_zero == 0 and set(signs) == {-1, 1}
-        assert set(high_signs) <= {-1, 1}
-        assert max(map(abs, coeffs)) <= 2**b
-
+        entry = catalog_lookup(71, "fricke")
+        evaluate_mpc(entry, fixed_point(alpha), prec)
+        (low, low_count), (high, high_count), (table, count) = seen
+        assert low.bits[low_count] == high.bits[high_count] == 0
+        a, v = 2 * sum(abs(s) for _, s in entry.forms), (71 + 1) // 24
+        assert table.bits[count] <= _coeff_bits(a, table.exps[count - 1] + v)
 
     @pytest.mark.parametrize("prec", [128, 256, 448])
     def test_sums_exponents_below_kstar(self, prec, monkeypatch):
@@ -620,9 +623,9 @@ class TestQSeriesKernel:
             cutoffs.append((ell, target, growth, k))
             return k, tail
 
-        def recording_series(q, table, count, coeff_bits, w, powers):
+        def recording_series(table, count, powers):
             sums.append(table.exps[:count])
-            return _fixed_series(q, table, count, coeff_bits, w, powers)
+            return _fixed_series(table, count, powers)
 
         monkeypatch.setattr(cfq.hauptmodul, "_cutoff", recording_cutoff)
         monkeypatch.setattr(cfq.hauptmodul, "_fixed_series", recording_series)
@@ -639,17 +642,17 @@ class TestQSeriesKernel:
 
     @pytest.mark.parametrize("prec", [64, 256, 1024])
     def test_powers_built_once_per_point(self, prec, monkeypatch):
-        # one set of powers of q per evaluation, at one scale, and all three
-        # series are summed against that same set
+        # one set of powers of q per evaluation, and all three series are
+        # summed against that same set, which names their point and scale
         built, used = [], []
 
         def recording_powers(q, m, w):
-            built.append((q, m, w))
-            return _powers(q, m, w)
+            built.append((m, _powers(q, m, w)))
+            return built[-1][1]
 
-        def recording_series(q, table, count, coeff_bits, w, powers):
-            used.append((q, w, powers))
-            return _fixed_series(q, table, count, coeff_bits, w, powers)
+        def recording_series(table, count, powers):
+            used.append(powers)
+            return _fixed_series(table, count, powers)
 
         monkeypatch.setattr(cfq.hauptmodul, "_powers", recording_powers)
         monkeypatch.setattr(cfq.hauptmodul, "_fixed_series", recording_series)
@@ -659,30 +662,31 @@ class TestQSeriesKernel:
             used.clear()
             evaluate_mpc(entry, fixed_point(alpha), prec)
             assert len(built) == 1 and len(used) == 3
-            (q, m, w), = built
-            assert m >= 1 and all(u[0] == q and u[1] == w for u in used)
-            assert used[0][2] is used[1][2] is used[2][2] and len(used[0][2][0]) == m
+            (m, powers), = built
+            assert m >= 1 and used[0] is used[1] is used[2] is powers and len(powers[2]) == m
 
     def test_scale_at_the_precision_ceiling(self, monkeypatch):
         # the lowest point the ascent leaves, Im = sqrt(3)/142, at the
         # ceiling: the three series, the longest any request sums, have
         # coefficient bounds and exponent sums far inside the double that
         # carries the kernel's bound, and the scale is at most 64 bits
-        # above prec + guard (the range test_numerics checks exp's plan on)
+        # above prec + guard (the range test_numerics checks exp's plan on);
+        # exp's table at that scale bounds its coefficients
         seen = []
 
-        def recording(q, table, count, coeff_bits, w, powers):
-            seen.append((coeff_bits, w, table.sums[count]))
-            return _fixed_series(q, table, count, coeff_bits, w, powers)
+        def recording(table, count, powers):
+            seen.append((table.bits[count], powers[1], table.sums[count]))
+            return _fixed_series(table, count, powers)
 
         monkeypatch.setattr(cfq.hauptmodul, "_fixed_series", recording)
         tau = CMPoint(71, 1, 142, 3)
         assert _fricke_ascent(tau, 71) == tau
         evaluate_mpc(catalog_lookup(71, "fricke"), tau, MAX_PREC_BITS)
         assert len(seen) == 3
-        for coeff_bits, w, total in seen:
-            assert coeff_bits < 16 and total < 2**40
+        for bits, w, total in seen:
+            assert bits < 16 and total < 2**40
             assert MAX_PREC_BITS + _GUARD < w <= MAX_PREC_BITS + _GUARD + 64
+        assert_bits_bound_the_coefficients(_exp_plan(w)[2])
 
 
 def _series_reference(tau, prec):
@@ -1036,8 +1040,9 @@ class TestFixedPointValues:
         w = 112
         calls = []
 
-        def moved(q, table, count, coeff_bits, scale, powers):
-            sr, si, bound = _fixed_series(q, table, count, coeff_bits, scale, powers)
+        def moved(table, count, powers):
+            sr, si, bound = _fixed_series(table, count, powers)
+            scale = powers[1]
             calls.append(scale)
             if len(calls) == factor + 1:
                 return sr + (1 << (scale - 56)), si, bound + 2.0 ** (scale - 56)

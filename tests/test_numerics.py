@@ -14,13 +14,15 @@ from hypothesis import strategies as st
 import mpmath
 from mpmath import mp
 
-from conftest import H71, H284, WEBER, ball_mpc, cpx, mpc_ball, rounded
+from conftest import (
+    H71, H284, WEBER, assert_bits_bound_the_coefficients, ball_mpc, cpx, mpc_ball, rounded,
+)
 from cfq.classfield import singular_values
 from cfq.elliptic import CMPoint, EllipticElement, fixed_point
 from cfq.errors import DomainError, RoundingFailureError
-from cfq.eta import EtaQuotientSpec, eta_quotient
+from cfq.eta import EtaQuotientSpec, _pentagonal, eta_quotient
 from cfq.exactpoly import IntPoly, LaurentExpr, verify_root_relation
-from cfq.hauptmodul import ERROR_BITS, catalog_lookup, evaluate
+from cfq.hauptmodul import ERROR_BITS, _theta_numerator, catalog_lookup, evaluate
 from cfq.numerics import (
     MAX_PREC_BITS,
     _GUARD,
@@ -44,6 +46,7 @@ from cfq.numerics import (
     _pi,
     _powers,
     _root,
+    _round,
     _sum,
     certify_int_poly,
 )
@@ -68,9 +71,14 @@ def series_points(draw):
     return tuple(q), w
 
 
+def least_bits(coeffs) -> int:
+    """The least b >= 0 with |c| <= 2^b for every c in coeffs: a table's bits[len(coeffs)]."""
+    return max((max(abs(c) - 1, 0).bit_length() for c in coeffs), default=0)
+
+
 @st.composite
 def series_cases(draw):
-    """(q, exponents, coeffs, coeff_bits, w): |q| <= 0.95, dense or sparse exponents."""
+    """(q, exponents, coeffs, w): |q| <= 0.95, dense or sparse exponents."""
     q, w = draw(series_points())
     if draw(st.booleans()):
         start = draw(st.integers(min_value=0, max_value=5))
@@ -79,28 +87,26 @@ def series_cases(draw):
         exponents = sorted(draw(st.lists(st.integers(min_value=0, max_value=400), max_size=40)))
     coeffs = draw(st.lists(st.integers(min_value=-(2**64), max_value=2**64),
                            min_size=len(exponents), max_size=len(exponents)))
-    bits = max((abs(c).bit_length() for c in coeffs), default=0)
-    return q, exponents, coeffs, bits, w
+    return q, exponents, coeffs, w
 
 
 @st.composite
 def long_series_cases(draw):
-    """(q, exponents, coeffs, coeff_bits, w): dense ranges of up to 1,200 terms."""
+    """(q, exponents, coeffs, w): dense ranges of up to 1,200 terms."""
     q, w = draw(series_points())
     start = draw(st.integers(min_value=0, max_value=5))
     exponents = range(start, start + draw(st.integers(min_value=100, max_value=1200)))
     coeffs = draw(st.lists(st.integers(min_value=-(2**90), max_value=2**90),
                            min_size=len(exponents), max_size=len(exponents)))
-    bits = max(abs(c).bit_length() for c in coeffs)
-    return q, exponents, coeffs, bits, w
+    return q, exponents, coeffs, w
 
 
 @st.composite
 def powered_cases(draw):
-    """(q, exponents, coeffs, coeff_bits, w, m): a series and a block size m in [1, e_max]."""
-    q, exponents, coeffs, bits, w = draw(series_cases())
+    """(q, exponents, coeffs, w, m): a series and a block size m in [1, e_max]."""
+    q, exponents, coeffs, w = draw(series_cases())
     assume(len(exponents) and exponents[-1] >= 1)
-    return q, exponents, coeffs, bits, w, draw(st.integers(1, exponents[-1]))
+    return q, exponents, coeffs, w, draw(st.integers(1, exponents[-1]))
 
 
 def root_powers(q, exponents, w):
@@ -108,19 +114,19 @@ def root_powers(q, exponents, w):
     return _powers(q, isqrt(exponents[-1] if len(exponents) else 0) + 1, w)
 
 
-def series_sum(q, exponents, coeffs, bits, w, powers):
+def series_sum(exponents, coeffs, powers):
     """`_fixed_series` over all of the table of exponents and coeffs."""
-    return _fixed_series(q, _SeriesTable(exponents, coeffs), len(exponents), bits, w, powers)
+    return _fixed_series(_SeriesTable(exponents, coeffs), len(exponents), powers)
 
 
-def assert_within_bound(q, exponents, coeffs, bits, w, powers=None):
+def assert_within_bound(q, exponents, coeffs, w, powers=None):
     """The kernel's sum is within its returned bound of an mpmath sum at w + 300 bits.
 
     Without given powers, the blocks hold isqrt(e_max) + 1 exponents.
     """
     if powers is None:
         powers = root_powers(q, exponents, w)
-    sr, si, bound = series_sum(q, exponents, coeffs, bits, w, powers)
+    sr, si, bound = series_sum(exponents, coeffs, powers)
     with mp.workprec(w + 300):
         scale = mp.mpf(2) ** w
         x = mp.mpc(*q) / scale
@@ -135,11 +141,12 @@ def assert_within_bound(q, exponents, coeffs, bits, w, powers=None):
     return bound
 
 
-def two_lane_series(q, exponents, coeffs, coeff_bits, w, m):
+def two_lane_series(q, exponents, coeffs, w, m):
     """The kernel's sum on unpacked powers, two dot products a block: its reference.
 
     The same chain of powers, the same blocks and the same giant steps as
-    `_fixed_series`, with q^i held as the two ints (x_i, y_i).
+    `_fixed_series`, with q^i held as the two ints (x_i, y_i), and the
+    bound's b from the coefficients summed.
     """
     qr, qi = q
     baby_r, baby_i = [1 << w], [0]
@@ -161,7 +168,7 @@ def two_lane_series(q, exponents, coeffs, coeff_bits, w, m):
         acc_r, acc_i = (((acc_r * big_r - acc_i * big_i) >> w) + sum(terms_r[lo:hi]),
                         ((acc_r * big_i + acc_i * big_r) >> w) + sum(terms_i[lo:hi]))
         hi = lo
-    return acc_r, acc_i, 1.5 * 2.0**coeff_bits * sum(exponents) + 1.5 * top
+    return acc_r, acc_i, 1.5 * 2.0**least_bits(coeffs) * sum(exponents) + 1.5 * top
 
 
 def four_product_powers(q, m, w):
@@ -173,7 +180,7 @@ def four_product_powers(q, m, w):
     for _ in range(m - 1):
         pr, pi = (pr * qr - pi * qi) >> w, (pr * qi + pi * qr) >> w
         baby.append(pr + (pi << lane))
-    return baby, lane, (pr * qr - pi * qi) >> w, (pr * qi + pi * qr) >> w
+    return q, w, baby, lane, (pr * qr - pi * qi) >> w, (pr * qi + pi * qr) >> w
 
 
 def lane_room(w, coeff_bits):
@@ -183,11 +190,11 @@ def lane_room(w, coeff_bits):
 
 @st.composite
 def oracle_cases(draw):
-    """(q, exponents, coeffs, coeff_bits, w, m): q inside or on the premise's edge.
+    """(q, exponents, coeffs, w, m): q inside or on the premise's edge.
 
-    coeff_bits from 0 to 16, the theta numerator's range, or the size of an
-    n! as exp sums, coefficients of either sign up to 2^coeff_bits, and m
-    from 1 to past e_max.
+    Coefficients of either sign up to 2^b, b from 0 to 16, the theta
+    numerator's range, or the size of an n! as exp sums, and m from 1 to
+    past e_max.
     """
     w = draw(st.integers(16, 3000))
     exponents = sorted(draw(st.lists(st.integers(0, 300), min_size=1, max_size=60)))
@@ -203,7 +210,7 @@ def oracle_cases(draw):
     qi = isqrt(edge * edge - qr * qr) * draw(st.sampled_from([1, -1]))
     if draw(st.booleans()):
         qr, qi = qr >> draw(st.integers(0, w)), qi >> draw(st.integers(0, w))
-    return (qr, qi), exponents, coeffs, bits, w, m
+    return (qr, qi), exponents, coeffs, w, m
 
 
 class TestFixedSeries:
@@ -212,9 +219,8 @@ class TestFixedSeries:
     @settings(max_examples=200, deadline=None)
     @given(case=series_cases())
     def test_within_stated_bound(self, case):
-        q, exponents, coeffs, bits, w = case
-        sr, si, bound = series_sum(q, exponents, coeffs, bits, w,
-                                   root_powers(q, exponents, w))
+        q, exponents, coeffs, w = case
+        sr, si, bound = series_sum(exponents, coeffs, root_powers(q, exponents, w))
         with mp.workprec(w + 300):
             scale = mp.mpf(2) ** w
             x = mp.mpc(*q) / scale
@@ -235,10 +241,10 @@ class TestFixedSeries:
         q = tuple(int(0.911 * f(1.0) * 2**52) << (w - 52) for f in (math.cos, math.sin))
         exponents = range(1600)
         coeffs = [(-1) ** (k * alternating) << bits for k in exponents]
-        assert_within_bound(q, exponents, coeffs, bits, w)
+        bound = assert_within_bound(q, exponents, coeffs, w)
+        assert bound == 1.5 * 2**bits * sum(exponents) + 1.5 * (1599 // 40)
         powers = root_powers(q, exponents, w)
-        assert (series_sum(q, exponents, coeffs, bits, w, powers)
-                == series_sum(q, list(exponents), coeffs, bits, w, powers))
+        assert series_sum(exponents, coeffs, powers) == series_sum(list(exponents), coeffs, powers)
 
     @pytest.mark.parametrize("exponents,giant_steps", [
         # 121 terms in blocks of 51 exponents, blocks 3 .. 48 empty
@@ -248,26 +254,26 @@ class TestFixedSeries:
         w = 192
         q = (int(0.9 * 2**52) << (w - 52), int(0.3 * 2**52) << (w - 52))
         coeffs = [(-1) ** k * (k + 1) for k in range(len(exponents))]
-        bits = len(exponents).bit_length()
-        bound = assert_within_bound(q, exponents, coeffs, bits, w)
-        assert bound == 1.5 * 2**bits * sum(exponents) + 1.5 * giant_steps
+        # |c| <= 121 <= 2^7
+        bound = assert_within_bound(q, exponents, coeffs, w)
+        assert bound == 1.5 * 2**7 * sum(exponents) + 1.5 * giant_steps
 
     @settings(max_examples=50, deadline=None)
     @given(case=series_cases())
     def test_range_and_list_agree(self, case):
-        q, exponents, coeffs, bits, w = case
+        q, exponents, coeffs, w = case
         powers = root_powers(q, exponents, w)
-        assert (series_sum(q, exponents, coeffs, bits, w, powers)
-                == series_sum(q, list(exponents), coeffs, bits, w, powers))
+        assert series_sum(exponents, coeffs, powers) == series_sum(list(exponents), coeffs, powers)
 
     @settings(max_examples=100, deadline=None)
     @given(case=powered_cases())
     def test_given_powers_within_stated_bound(self, case):
         # any block size: the sum against powers built once is within the
         # bound, which counts one giant step per block below the top
-        q, exponents, coeffs, bits, w, m = case
-        bound = assert_within_bound(q, exponents, coeffs, bits, w, _powers(q, m, w))
-        assert bound == 1.5 * 2**bits * sum(exponents) + 1.5 * (exponents[-1] // m)
+        q, exponents, coeffs, w, m = case
+        bound = assert_within_bound(q, exponents, coeffs, w, _powers(q, m, w))
+        assert bound == (1.5 * 2**least_bits(coeffs) * sum(exponents)
+                         + 1.5 * (exponents[-1] // m))
 
     @settings(max_examples=50, deadline=None)
     @given(e_max=st.integers(1, 300), m=st.integers(1, 600), over=st.integers(1, 4),
@@ -276,25 +282,23 @@ class TestFixedSeries:
         # |q| <= 1 - 2 max(e_max, m) 2^-w holds on the edge and fails past it
         exponents = range(e_max + 1)
         edge = (1 << w) - 2 * max(e_max, m)
-        q = (edge, 0)
-        series_sum(q, exponents, [1] * (e_max + 1), 0, w, _powers(q, m, w))
-        q = (edge + over, 0)
+        series_sum(exponents, [1] * (e_max + 1), _powers((edge, 0), m, w))
         with pytest.raises(DomainError):
-            series_sum(q, exponents, [1] * (e_max + 1), 0, w, _powers(q, m, w))
+            series_sum(exponents, [1] * (e_max + 1), _powers((edge + over, 0), m, w))
 
     @settings(max_examples=300, deadline=None)
     @given(case=oracle_cases())
     def test_packed_powers_match_the_two_lane_sum(self, case):
         # bit for bit, wherever each block's terms fit the lane, and a
         # DomainError wherever one does not
-        q, exponents, coeffs, bits, w, m = case
+        q, exponents, coeffs, w, m = case
         most = max(Counter(e // m for e in exponents).values())
-        if most.bit_length() <= lane_room(w, bits):
-            assert (series_sum(q, exponents, coeffs, bits, w, _powers(q, m, w))
-                    == two_lane_series(q, exponents, coeffs, bits, w, m))
+        if most.bit_length() <= lane_room(w, least_bits(coeffs)):
+            assert (series_sum(exponents, coeffs, _powers(q, m, w))
+                    == two_lane_series(q, exponents, coeffs, w, m))
         else:
             with pytest.raises(DomainError, match="lane"):
-                series_sum(q, exponents, coeffs, bits, w, _powers(q, m, w))
+                series_sum(exponents, coeffs, _powers(q, m, w))
 
     @settings(max_examples=60, deadline=None)
     @given(w=st.integers(16, 16400), m=st.integers(1, 600), data=st.data())
@@ -314,16 +318,19 @@ class TestFixedSeries:
         # count terms at q^0 = 2^w, each coefficient +-2^b with b the most
         # the lane admits: the low lane sums to +-count 2^(b + w), within
         # one bit of its half, and is read back exactly; a lane one bit
-        # narrower would carry.  One bit wider, the kernel refuses
+        # narrower would carry.  With one coefficient past 2^b, so that the
+        # table's bound is one bit wider, or one term more, the kernel refuses
         bits = lane_room(w, 0) - count.bit_length()
-        exponents, q = [0] * count, ((1 << w) - 2, 0)
+        exponents, powers = [0] * count, _powers(((1 << w) - 2, 0), 1, w)
         coeffs = [sign << bits] * count
-        sr, si, _ = series_sum(q, exponents, coeffs, bits, w, _powers(q, 1, w))
+        sr, si, _ = series_sum(exponents, coeffs, powers)
         assert (sr, si) == (sign * count << (bits + w), 0)
+        wide = coeffs[1:] + [sign * ((1 << bits) + 1)]
+        assert _SeriesTable(exponents, wide).bits[count] == bits + 1
         with pytest.raises(DomainError, match="lane"):
-            series_sum(q, exponents, coeffs, bits + 1, w, _powers(q, 1, w))
+            series_sum(exponents, wide, powers)
         with pytest.raises(DomainError, match="lane"):
-            series_sum(q, [0] * (count + 1), coeffs + [1], bits, w, _powers(q, 1, w))
+            series_sum([0] * (count + 1), coeffs + [1], powers)
 
     def test_sparse_powers_exact_for_q_of_two(self):
         # q = 1/2 has exact powers above 2^-w, so the sum is exact
@@ -331,7 +338,7 @@ class TestFixedSeries:
         exponents = [0, 1, 2, 5, 7, 12, 15, 22, 26, 35, 40]
         coeffs = [1, -1, -1, 1, 1, -1, -1, 1, 1, -1, -1]
         q = (1 << (w - 1), 0)
-        sr, si, _ = series_sum(q, exponents, coeffs, 0, w, root_powers(q, exponents, w))
+        sr, si, _ = series_sum(exponents, coeffs, root_powers(q, exponents, w))
         assert si == 0
         assert sr == sum(c << (w - e) for e, c in zip(exponents, coeffs))
 
@@ -339,7 +346,7 @@ class TestFixedSeries:
         w = 64
         q = ((1 << w) - 4, 0)
         with pytest.raises(DomainError):
-            series_sum(q, range(10), [1] * 10, 0, w, root_powers(q, range(10), w))
+            series_sum(range(10), [1] * 10, root_powers(q, range(10), w))
 
 
 class TestSeriesTable:
@@ -375,24 +382,62 @@ class TestSeriesTable:
         with pytest.raises(AttributeError):
             table.exps = ()
 
+    @given(coeffs=st.lists(st.one_of(st.integers(-(2**80), 2**80),
+                                     st.integers(0, 90).map(lambda b: 1 << b)), max_size=40))
+    def test_coefficient_bits(self, coeffs):
+        # the bound of every prefix, powers of two and zeros included
+        table = _SeriesTable(range(len(coeffs)), (c * (-1) ** i for i, c in enumerate(coeffs)))
+        assert_bits_bound_the_coefficients(table)
+        assert table.bits == tuple(least_bits(coeffs[:k]) for k in range(len(coeffs) + 1))
+
+    @pytest.mark.parametrize("scale", [1, 23, 47, 71])
+    def test_pentagonal_tables_bound_their_coefficients(self, scale):
+        # the signs of S(q) and S(q^N): b = 0 throughout
+        table = _pentagonal(300, scale)
+        assert_bits_bound_the_coefficients(table)
+        assert set(table.bits) == {0}
+
+    @pytest.mark.parametrize("size", [1024, 1 << 14])
+    @pytest.mark.parametrize("n", [23, 47, 71])
+    def test_theta_tables_bound_their_coefficients(self, n, size):
+        assert_bits_bound_the_coefficients(_theta_numerator(catalog_lookup(n, "fricke"), size))
+
+    @pytest.mark.parametrize("w", [112, 1072])
+    def test_exp_plan_tables_bound_their_coefficients(self, w):
+        # the scale of the ceiling's theta request is checked where it is
+        # found (test_hauptmodul's test_scale_at_the_precision_ceiling)
+        table = _exp_plan(w)[2]
+        assert_bits_bound_the_coefficients(table)
+        assert table.bits[-1] == table.coeffs[0].bit_length()
+
+    @pytest.mark.parametrize("count", [-1, 5, 40])
+    def test_count_outside_the_table_refused(self, count):
+        # a 4-term table has first counts 0 to 4 only: past its end, or
+        # below 0, where a slice would quietly drop terms
+        table = _SeriesTable(range(4), [1, 2, 3, 4])
+        powers = _powers((1 << 63, 0), 2, 64)
+        with pytest.raises(DomainError, match="no first"):
+            _fixed_series(table, count, powers)
+        assert _fixed_series(table, 0, powers) == (0, 0, 0.0)
+
     @settings(max_examples=100, deadline=None)
     @given(case=oracle_cases())
     def test_every_prefix_matches_the_two_lane_sum(self, case):
         # the kernel on (table, count) sums the first count terms: the
         # two-lane reference on those terms alone, bit for bit and with the
         # same bound, for every count from 0 to the table's length
-        q, exponents, coeffs, bits, w, m = case
+        q, exponents, coeffs, w, m = case
         table, powers = _SeriesTable(exponents, coeffs), _powers(q, m, w)
         for count in range(len(exponents) + 1):
             head = exponents[:count]
             # no terms fit any lane, as none need one
             most = max(Counter(e // m for e in head).values(), default=0)
-            if most.bit_length() <= max(lane_room(w, bits), 0):
-                assert (_fixed_series(q, table, count, bits, w, powers)
-                        == two_lane_series(q, head, coeffs[:count], bits, w, m))
+            if most.bit_length() <= max(lane_room(w, least_bits(coeffs[:count])), 0):
+                assert (_fixed_series(table, count, powers)
+                        == two_lane_series(q, head, coeffs[:count], w, m))
             else:
                 with pytest.raises(DomainError, match="lane"):
-                    _fixed_series(q, table, count, bits, w, powers)
+                    _fixed_series(table, count, powers)
 
 
 def gaussian_expand(roots):
@@ -822,23 +867,24 @@ class TestFixedPoint:
 
     def test_exp_plan_bound_fits_a_double(self):
         # _fixed_series returns its bound 1.5 2^b sum(e) as a double; exp
-        # sums n + 1 terms with b = len(n!), at every scale from the floor
-        # to the ceiling, and 64 bits past it for the theta quotient's scale
-        # (test_hauptmodul's test_scale_at_the_precision_ceiling)
+        # sums n + 1 terms with b its table's bound, len(n!), at every scale
+        # from the floor to the ceiling, and 64 bits past it for the theta
+        # quotient's scale (test_hauptmodul's test_scale_at_the_precision_ceiling)
         for w in range(MIN_PREC_BITS + _GUARD, MAX_PREC_BITS + _GUARD + 65):
             _j, _g, table = _exp_plan(w)
-            coeffs, n = table.coeffs, len(table.coeffs) - 1
-            assert coeffs[0] < 2**1023
-            assert coeffs[0].bit_length() + (n * (n + 1)).bit_length() < 1023
+            n = len(table.coeffs) - 1
+            assert table.coeffs[0] < 2**1023
+            assert table.bits[-1] + (n * (n + 1)).bit_length() < 1023
 
     def test_exp_plan_fits_the_kernel_lane(self):
-        # exp sums its n + 1 terms, each below 2^len(n!), in blocks of
-        # isqrt(n) + 1 at scale 2^s, s = w + g: every block fits the packed
-        # lane at every scale, so exp never meets the kernel's DomainError
+        # exp sums its n + 1 terms, each at most 2^b, b its table's bound,
+        # in blocks of isqrt(n) + 1 at scale 2^s, s = w + g: every block
+        # fits the packed lane at every scale, so exp never meets the
+        # kernel's DomainError
         for w in range(MIN_PREC_BITS + _GUARD, MAX_PREC_BITS + _GUARD + 65):
             _j, g, table = _exp_plan(w)
-            coeffs, n = table.coeffs, len(table.coeffs) - 1
-            assert (isqrt(n) + 1).bit_length() <= lane_room(w + g, coeffs[0].bit_length())
+            n = len(table.coeffs) - 1
+            assert (isqrt(n) + 1).bit_length() <= lane_room(w + g, table.bits[-1])
 
     @pytest.mark.parametrize("w", [112, 113, 139, 421, 1072, 4112, 8112])
     def test_exp_guard_terms_below_an_eighth(self, w):
@@ -923,3 +969,20 @@ class TestFixedPoint:
             # the worst case of each term's radius, all in one direction
             ref = mp.fsum(ball_mpc(t) * (1 + t.rad * mp.mpf(2) ** -w) for t in terms)
             _assert_within(total, ref, w, scale="max(1, |sum|)")
+
+    def test_round_in_lowest_terms(self):
+        # one value, one (re, im, exp): the same value at two exponents, a
+        # real part rounded from 141 bits, and zero
+        assert (_round(Ball(3, 0, -10, 0.0), 64, 1.0) == _round(Ball(6, 0, -11, 0.0), 64, 1.0)
+                == Ball(3, 0, -10, 1.0))
+        assert _round(Ball((1 << 140) + 12345, 0, -200, 0.0), 64, 1.0) == Ball(1, 0, -60, 1.0)
+        assert _round(Ball(0, 0, -50, 0.0), 64, 2.0) == Ball(0, 0, 0, 2.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.integers(-(2**200), 2**200), y=st.integers(-(2**200), 2**200),
+           e=st.integers(-400, 400), shift=st.integers(0, 80), prec=st.integers(64, 160))
+    def test_round_same_for_every_form_of_a_value(self, x, y, e, shift, prec):
+        # a part odd, and zero as (0, 0, 0), whatever exponent the value had
+        got = _round(Ball(x << shift, y << shift, e - shift, 0.0), prec, 1.0)
+        assert got == _round(Ball(x, y, e, 0.0), prec, 1.0)
+        assert (got.re | got.im) & 1 or got == Ball(0, 0, 0, 1.0)
