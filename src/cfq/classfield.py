@@ -26,6 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .elliptic import CMPoint, EllipticElement, enumerate_representatives, fixed_point
+from .errors import DomainError
 from .exactpoly import IntPoly, _Record, _integers
 from .hauptmodul import ERROR_BITS, catalog_lookup, evaluate
 from .numerics import Ball, PrecisionPolicy, _lowest, certify_int_poly
@@ -113,9 +114,14 @@ def ring_class_polynomial(n: int, group: str, disc: int,
                           policy: PrecisionPolicy | None = None) -> ClassPolyResult:
     """Class polynomial from one certified round at policy.start_bits, by default 64.
 
-    A refused round raises `RoundingFailureError` from `certify_int_poly`.
+    A refused round raises `RoundingFailureError` from `certify_int_poly`,
+    and a policy that is not a `PrecisionPolicy` `DomainError`.
     """
-    prec = (policy or PrecisionPolicy()).start_bits
+    if policy is None:
+        policy = PrecisionPolicy()
+    elif not isinstance(policy, PrecisionPolicy):
+        raise DomainError(f"the policy must be a PrecisionPolicy, got {policy!r}")
+    prec = policy.start_bits
     vals = singular_values(n, group, disc, prec)
     # each value is within 2^(ERROR_BITS - prec) max(1, |t|) of t,
     # so within 2^(ERROR_BITS + 1 - prec) max(1, |value|)

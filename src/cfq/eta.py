@@ -21,13 +21,19 @@ exp(pi*i*b/12).
 Error model.  Every step after the exact point is in integers with a
 proven bound, a factor a `numerics.Ball` at the scale 2^w the caller gives
 `eta_quotient`.  The multiplier exp(-pi i k/12), k mod 24 in -12 .. 11, is
-the exact translation of the reduced point z by -k, so no root is rounded:
+the exact translation of the reduced point z by -k, so no root is rounded.
+eta(z) = q^(1/24) S(q), and q and S(q) depend on z mod 1 alone: the factors
+of one quotient that reduce to one point mod 1 share them, computed once
+from the q^(1/24) of the first factor there.
 
   * q^(1/24) exp(-pi i k/12) = exp(pi i (z - k)/12) from
-    `numerics._exp_i_pi`, whose radius holds the argument's error and the
-    exp's; a relative error e in it moves eta(z) = q^(1/24) S(q) by at most
-    |E2(z)| e <= 1.15 e, as S is summed at its 24th power:
-    d log eta / d log q^(1/24) = E2(z), |E2| <= 1.146 where Im(z) >= sqrt(3)/2;
+    `numerics._exp_i_pi`, one per factor, whose radius holds the argument's
+    error and the exp's.  A relative error e in it moves eta(z) by at most
+    |E2(z)| e, as d log eta / d log q^(1/24) = E2(z) = 1 - 24 sum sigma(j) q^j.
+    The 1 is the factor's own q^(1/24), charged e on the factor.  E2 - 1 is
+    S's share through q, |E2 - 1| <= 24 sum sigma(j) |q|^j < 0.106 where
+    Im(z) >= sqrt(3)/2, charged 0.15 e_0 on the shared S(q), e_0 the radius
+    of the q^(1/24) that q was built from;
   * q = (q^(1/24))^24 in integers at scale 2^w from five truncated
     products, q^2, q^3, q^6, q^12, q^24, within sqrt(2) 23 by the kernel's
     product lemma (`numerics._fixed_series`), and the pentagonal series S
@@ -50,8 +56,8 @@ from .elliptic import CMPoint
 from .errors import ConvergenceError, DomainError
 from .exactpoly import _Record, _integers
 from .numerics import (
-    Ball, _SeriesTable, _csqrt, _div, _exp_i_pi, _fixed, _fixed_series, _mul, _normal, _pow,
-    _powers, _root,
+    MAX_PREC_BITS, MIN_PREC_BITS, _GUARD, Ball, _SeriesTable, _csqrt, _div, _exp_i_pi, _fixed,
+    _fixed_series, _mul, _normal, _pow, _powers, _root,
 )
 
 __all__ = [
@@ -177,14 +183,41 @@ def _multiplier(gamma) -> tuple[int, tuple[int, int]]:
     return (k - 3) % 24, (c, d)
 
 
-def _eta_ball(tau: CMPoint, w: int) -> Ball:
-    """eta at tau as a ball at scale 2^w (the module's error model)."""
+def _eta_ball(tau: CMPoint, w: int, series: dict) -> Ball:
+    """eta at tau as a ball at scale 2^w (the module's error model).
+
+    `series` maps each reduced point mod 1 met so far in one quotient to its
+    S(q) (`_pentagonal_ball`): the first factor there sums q, its chain and
+    S(q) from its own q^(1/24), and the factors after it take that ball as
+    it is.  E2's charge is split: the factor's own q^(1/24) carries 1 times
+    its radius, and the shared S(q) 0.15 times the radius of the q^(1/24)
+    it was summed from.
+    """
     z, gamma, _steps = _ascend(tau, 1)
     k, (c, d) = _multiplier(gamma)
-    # the first exponent left out, e, has |q|^e = e^(-2 pi Im(z) e) <= 2^-(w+1)
-    size = (w + 1) * math.log(2) / (2 * math.pi * _imag(z))
-    table = _pentagonal(_pentagonal_count(size))
+    # refused here, before any exp, if too far above the real axis
+    im = _imag(z)
     q24 = _exp_i_pi(z.u - (k - 24 * (k >= 12)) * z.w, z.v, 12 * z.w, z.n, w)
+    point = (z.u % z.w, z.v, z.w, z.n)
+    if point not in series:
+        series[point] = _pentagonal_ball(q24, im, w)
+    value = _mul(q24, series[point], w)
+    if c:
+        # c tau + d = (c u + d t + c v sqrt(-n)) / t
+        value = _div(value, _csqrt(_cm_ball(c * tau.u + d * tau.w, c * tau.v, tau.w, tau.n, w),
+                                   w), w)
+    return value
+
+
+def _pentagonal_ball(q24: Ball, im: float, w: int) -> Ball:
+    """S(q) at q = q24^24, Im(z) = im, as a ball at scale 2^w (the module's error model).
+
+    Its radius holds the chain's products, the kernel's bound, the tail, and
+    S's share 0.15 of q24's own error, |E2 - 1| <= 0.106 at reduced points.
+    """
+    # the first exponent left out, e, has |q|^e = e^(-2 pi Im(z) e) <= 2^-(w+1)
+    size = (w + 1) * math.log(2) / (2 * math.pi * im)
+    table = _pentagonal(_pentagonal_count(size))
     # q^3 along the powers' chain, then q^6, q^12 and q^24; the truncated
     # q^(1/24), within sqrt(2), moves q by 24 |q^(1/24)|^23 sqrt(2) < 1
     qr, qi = _powers(_fixed(q24, w), 3, w)[4:]
@@ -192,13 +225,7 @@ def _eta_ball(tau: CMPoint, w: int) -> Ball:
         qr, qi = (qr * qr - qi * qi) >> w, (2 * qr * qi) >> w
     sr, si, bound = _fixed_series(table, len(table.exps),
                                   _powers((qr, qi), isqrt(table.exps[-1]) + 1, w))
-    series = _normal(sr, si, -w, (bound + 1 + 1.01 * (1.5 * 23 + 1)) / 0.99, w)
-    value = _mul(Ball(q24.re, q24.im, q24.exp, 1.15 * q24.rad), series, w)
-    if c:
-        # c tau + d = (c u + d t + c v sqrt(-n)) / t
-        value = _div(value, _csqrt(_cm_ball(c * tau.u + d * tau.w, c * tau.v, tau.w, tau.n, w),
-                                   w), w)
-    return value
+    return _normal(sr, si, -w, (bound + 1 + 1.01 * (1.5 * 23 + 1)) / 0.99 + 0.15 * q24.rad, w)
 
 
 def _cm_ball(p: int, s: int, t: int, n: int, w: int) -> Ball:
@@ -217,14 +244,22 @@ def _cm_ball(p: int, s: int, t: int, n: int, w: int) -> Ball:
 def eta_quotient(spec: EtaQuotientSpec, tau: CMPoint, w: int) -> Ball:
     """prod eta(d*tau)^r_d as a ball at the working scale 2^w (the module's error model).
 
-    The factors, at the exact points d*tau, of positive and of negative
-    exponent are multiplied out apart and divided once.
+    w is an integer from MIN_PREC_BITS + _GUARD to MAX_PREC_BITS + _GUARD,
+    the scales `evaluate` works at; any other raises DomainError.  Each
+    factor takes its own ascent, multiplier, q^(1/24) and (c tau + d)^(1/2);
+    q, its chain and S(q) are summed once per reduced point mod 1 of the
+    call, and nothing is kept across calls.  The factors, at the exact
+    points d*tau, of positive and of negative exponent are multiplied out
+    apart and divided once.
     """
     if not isinstance(tau, CMPoint):
         raise DomainError(f"eta needs an exact CMPoint, got {tau!r}")
-    parts = {}
+    if not (type(w) is int and MIN_PREC_BITS + _GUARD <= w <= MAX_PREC_BITS + _GUARD):
+        raise DomainError(f"the working scale must be an integer from {MIN_PREC_BITS + _GUARD} "
+                          f"to {MAX_PREC_BITS + _GUARD}, got {w!r}")
+    series, parts = {}, {}
     for d, r in spec.terms:
-        p = _pow(_eta_ball(CMPoint(d * tau.u, d * tau.v, tau.w, tau.n), w), abs(r), w)
+        p = _pow(_eta_ball(CMPoint(d * tau.u, d * tau.v, tau.w, tau.n), w, series), abs(r), w)
         parts[r > 0] = _mul(parts[r > 0], p, w) if (r > 0) in parts else p
     num = parts.get(True, Ball(1, 0, 0, 0.0))
     return _div(num, parts[False], w) if False in parts else num

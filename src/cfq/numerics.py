@@ -455,8 +455,9 @@ def _exp(x: int, y: int, w: int) -> Ball:
     test reaches: before the shift, the errors of 3,000 random arguments at
     w = 112 to 1072 stayed below 1/75 of it, and the shift's truncation,
     below sqrt(2), is charged 1.5.  Tests pin the guard bits through the
-    bound itself, 0.07 to 0.093 unit, and through ln 2's 2|k|, which
-    exp(-2^60) reaches to half, as ln 2 is floored within 1.
+    bound itself, 0.07 to 0.093 unit, hold it in the radius by growing the
+    kernel's bound, and pin ln 2's 2|k|, which exp(-2^60) reaches to half,
+    as ln 2 is floored within 1.
     """
     if abs(y) > 4 << w:
         raise DomainError("exp needs |Im| <= 4")

@@ -70,9 +70,10 @@ class TestSingularValues:
 
     def test_small_levels_bit_identical(self):
         # the eta path at every key of the degree-law sweep, hashed as the
-        # level-71 values are: each factor's point reduced in integers,
-        # q^(1/24) from the fixed-point exp, q^24 from its chain of five
-        # products, the pentagonal series summed in blocks of
+        # level-71 values are: each factor's point reduced in integers and
+        # its q^(1/24) from the fixed-point exp, then once per reduced point
+        # mod 1, from the first factor's q^(1/24) there, q^24 from its chain
+        # of five products and the pentagonal series summed in blocks of
         # isqrt(e_max) + 1 exponents, and each value rounded once
         digest = hashlib.sha256()
         for key in level_keys():
@@ -81,7 +82,7 @@ class TestSingularValues:
                     sign, man, exp = mpf_parts(x, value.exp)
                     digest.update(f"{sign} {man} {exp};".encode())
         assert digest.hexdigest() == (
-            "2a81e0434fc9f294bc68d6ae7d1f002dd6678ac9b4eb4f2d7f14c99bad7c9be2"
+            "2aaec1c01d295effa3a0aef405f40f6b078fcb148db5feb0de059905976fa06d"
         )
 
     def test_radii_bit_identical(self):
@@ -93,7 +94,7 @@ class TestSingularValues:
             for value in singular_values(*key, 256).values():
                 digest.update(f"{value.rad!r};".encode())
         assert digest.hexdigest() == (
-            "33065250df5aa48a64e1bab278952c8aca18a3ced61faedb9311ac74f1cfb0ed"
+            "30281a385e36fd41b13f4776d2e0e7e2d86d93b1ee662e9122131975710161f6"
         )
 
     @pytest.mark.parametrize("prec", [64, 256])
@@ -355,6 +356,12 @@ class TestRingClassPolynomial:
     def test_start_above_ceiling_is_refused_before_work(self, evaluate_calls):
         with pytest.raises(DomainError, match="from 64 to 16384 bits, got 20000"):
             ring_class_polynomial(2, "gamma0", -8, PrecisionPolicy(start_bits=20000))
+        assert evaluate_calls == []
+
+    @pytest.mark.parametrize("policy", [128, "128", 128.0, {"start_bits": 128}])
+    def test_refuses_a_policy_that_is_not_one(self, policy, evaluate_calls):
+        with pytest.raises(DomainError, match="must be a PrecisionPolicy"):
+            ring_class_polynomial(71, "fricke", -71, policy)
         assert evaluate_calls == []
 
     @pytest.mark.parametrize("key", [k for k in level_keys() if k[0] > 1],

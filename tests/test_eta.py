@@ -21,7 +21,7 @@ from cfq.eta import (
     EtaQuotientSpec, _ascend, _cm_ball, _dedekind12, _eta_ball, eta_quotient,
 )
 from cfq.hauptmodul import catalog_lookup, evaluate
-from cfq.numerics import _GUARD, _fixed_series
+from cfq.numerics import _GUARD, _exp_i_pi, _fixed_series
 from cfq.quadforms import enumerate_class_group
 
 
@@ -112,6 +112,17 @@ class TestEta:
         # at level 1 refuses a precision outside the range before any factor
         with pytest.raises(DomainError, match="precision must be from 64 to 16384 bits"):
             evaluate(catalog_lookup(1, "gamma0"), CMPoint(0, 1, 1, 1), prec)
+
+    @pytest.mark.parametrize("w", [-5, 8, _GUARD + 63, 112.5, _GUARD + 16385, 10**5, True])
+    def test_working_scale_out_of_range_refused(self, w):
+        # the scales evaluate works at, 64 + 48 to 16384 + 48, and no other
+        with pytest.raises(DomainError, match="working scale must be an integer from 112 to 16432"):
+            eta_quotient(EtaQuotientSpec([(1, 24), (2, -24)]), CMPoint(0, 1, 1, 1), w)
+
+    def test_working_scale_at_the_floor(self):
+        # (eta(tau) / eta(2 tau))^24 is 512 at i, as j(i) = (512 + 256)^3 / 512^2
+        got = _quotient(EtaQuotientSpec([(1, 24), (2, -24)]), CMPoint(0, 1, 1, 1), 64)
+        assert abs(got - 512) < mp.mpf(2) ** -50
 
     def test_radicand_past_a_double(self):
         # i with n = 10^400, past the largest double
@@ -244,6 +255,10 @@ def domain_points(draw):
     return CMPoint(u, v, t, 1), draw(st.integers(min_value=64, max_value=1100))
 
 
+# two keys whose factors share reduced points
+SHARING_KEYS = [(12, "gamma0", -48), (18, "fricke", -72)]
+
+
 class TestEtaSeriesKernel:
     """The pentagonal series summed by the fixed-point kernel."""
 
@@ -255,7 +270,7 @@ class TestEtaSeriesKernel:
         # q^(1/24) times the series, 300 bits deeper; the point is reduced,
         # so its multiplier is 1
         point, w = point
-        value = _eta_ball(point, w)
+        value = _eta_ball(point, w, {})
         with mp.workprec(w + 300):
             q24 = mp.exp(mp.mpc(0, 1) * mp.pi * cm_mpc(point) / 12)
             q = q24**24
@@ -277,10 +292,11 @@ class TestEtaSeriesKernel:
 
     @pytest.mark.parametrize("prec", [128, 256, 1024])
     def test_term_count_matches_error_model(self, prec, monkeypatch):
-        # The bound charges each factor's own pentagonal sum: the first
-        # exponent left out lies below the 2^-(w+1) the tail is charged for,
-        # and the kernel's bound for the exponents summed reaches the
-        # quotient's bound, |r| / 0.99 times per factor.
+        # The bound charges one pentagonal sum per distinct reduced point mod
+        # 1, shared by the factors there: the first exponent left out lies
+        # below the 2^-(w+1) the tail is charged for, and the kernel's bound
+        # for the exponents summed reaches the quotient's bound, |r| / 0.99
+        # times per factor.
         summed, extra = [], [0.0]
 
         def recording(table, count, powers):
@@ -297,7 +313,7 @@ class TestEtaSeriesKernel:
                 summed.clear()
                 extra[0] = 0.0
                 value = eta_quotient(spec, z, prec + _GUARD)
-                assert len(summed) == len(spec.terms)
+                assert len(summed) == len(set(_reduced_points(spec, z)))
                 for (qr, qi), exponents, w in summed:
                     left_out = PENTAGONAL[len(exponents)]
                     assert exponents == PENTAGONAL[:len(exponents)]
@@ -311,6 +327,89 @@ class TestEtaSeriesKernel:
                 assert again.rad == pytest.approx(value.rad + charged, rel=1e-9)
                 checked += 1
         assert checked >= 5
+
+    @pytest.mark.parametrize("key", SHARING_KEYS)
+    def test_one_sum_per_reduced_point(self, key, monkeypatch):
+        # Each factor takes one exp of its own; the kernel runs once per
+        # distinct reduced point mod 1, right after the exp of the first
+        # factor there, and never for a later factor at that point.
+        events = []
+
+        def exp(*args):
+            events.append("exp")
+            return _exp_i_pi(*args)
+
+        def kernel(*args):
+            events.append("sum")
+            return _fixed_series(*args)
+
+        monkeypatch.setattr(cfq.eta, "_exp_i_pi", exp)
+        monkeypatch.setattr(cfq.eta, "_fixed_series", kernel)
+        shared = 0
+        for spec, tau in _key_points(*key):
+            events.clear()
+            eta_quotient(spec, tau, W)
+            points = _reduced_points(spec, tau)
+            factor, sums = -1, []
+            for event in events:
+                if event == "exp":
+                    factor += 1
+                else:
+                    sums.append(factor)
+            assert factor == len(points) - 1
+            assert sums == [i for i, p in enumerate(points) if points.index(p) == i]
+            shared += len(points) - len(set(points))
+        assert shared > 0
+
+    @pytest.mark.parametrize("key", SHARING_KEYS)
+    def test_e2_charge_split(self, key, monkeypatch):
+        # d log eta / d log q^(1/24) = E2 = 1 - 24 sum sigma(j) q^j, and
+        # |E2 - 1| < 0.106 wherever Im >= sqrt(3)/2.  So an error e in one
+        # factor's q^(1/24) is charged e on that factor, |r| times, and
+        # 0.15 e on the S(q) summed from it, which every factor at that
+        # reduced point takes, |r| times each.
+        # (the terms from j = 40 on, sigma(j) <= j^2, add below q^30)
+        q = mpmath.exp(-mpmath.pi * mpmath.sqrt(3))
+        sigma = [sum(d for d in range(1, j + 1) if j % d == 0) for j in range(40)]
+        assert 24 * (mp.fsum(sigma[j] * q**j for j in range(1, 40)) + q**30) < 0.106
+        extra, calls, inflated = 2.0**60, [], [-1]
+
+        def exp(*args):
+            z = _exp_i_pi(*args)
+            calls.append(None)
+            return z._replace(rad=z.rad + extra) if len(calls) - 1 == inflated[0] else z
+
+        monkeypatch.setattr(cfq.eta, "_exp_i_pi", exp)
+        for spec, tau in _key_points(*key):
+            points = _reduced_points(spec, tau)
+            inflated[0] = -1
+            value = eta_quotient(spec, tau, W)
+            for f, (_, r) in enumerate(spec.terms):
+                charged = abs(r)
+                if points.index(points[f]) == f:
+                    charged += 0.15 * sum(abs(s) for p, (_, s) in zip(points, spec.terms)
+                                          if p == points[f])
+                calls.clear()
+                inflated[0] = f
+                again = eta_quotient(spec, tau, W)
+                assert again[:3] == value[:3]
+                assert again.rad == pytest.approx(value.rad + charged * extra, rel=1e-9)
+
+
+def _key_points(n, group, disc):
+    """(spec, tau): the key's eta quotient at each of its class representatives' points."""
+    spec = catalog_lookup(n, group).spec
+    for alpha in enumerate_representatives(n, disc, enumerate_class_group(disc)):
+        yield spec, fixed_point(alpha)
+
+
+def _reduced_points(spec, tau):
+    """Each factor's SL2(Z)-reduced point mod 1, as (u mod w, v, w), in the spec's order."""
+    points = []
+    for d, _ in spec.terms:
+        z = _ascend(CMPoint(d * tau.u, d * tau.v, tau.w, tau.n), 1)[0]
+        points.append((z.u % z.w, z.v, z.w))
+    return points
 
 
 @st.composite

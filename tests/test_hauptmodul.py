@@ -1029,6 +1029,36 @@ class TestFixedPointValues:
             assert abs(got - want) > mp.mpf(2) ** (-shift - 8)
             assert abs(got - want) <= value.rad * max(1, abs(got)) * mp.mpf(2) ** -w
 
+    @pytest.mark.parametrize("prec", [64, 1024])
+    def test_theta_charges_the_kernel_bound_twice(self, prec, monkeypatch):
+        # A series' error in units of 2^-w holds its kernel bound twice: once
+        # for the sum's own floors and once for q's truncation, as q^e moves
+        # sqrt(2) e, the kernel's per-exponent charge.  N's error reaches the
+        # radius over |q D| = |N| / |t|, so N's bound grown by extra grows
+        # the radius by 2 extra |t| / (|N| max(1, |t|)) units of 2^-wp.
+        entry = catalog_lookup(71, "fricke")
+        tau = fixed_point(EllipticElement(71, 1, -36, 2))
+        sums, extra = [], [0.0]
+
+        def grown(table, count, powers):
+            sr, si, bound = _fixed_series(table, count, powers)
+            sums.append((sr, si))
+            # the third series is N, after S(q) and S(q^N)
+            return sr, si, bound + (extra[0] if len(sums) == 3 else 0.0)
+
+        monkeypatch.setattr(cfq.hauptmodul, "_fixed_series", grown)
+        value = _evaluate_theta(entry, tau, prec)
+        wp = prec + _GUARD
+        with mp.workprec(64):
+            n_mag = mp.hypot(*sums[2])
+            extra[0] = float(n_mag * mp.mpf(2) ** -wp * value.rad)
+            t = abs(ball_mpc(value))
+            want = float(2 * extra[0] * mp.mpf(2) ** wp * t / (n_mag * max(1, t)))
+        sums.clear()
+        again = _evaluate_theta(entry, tau, prec)
+        assert again[:3] == value[:3]
+        assert again.rad - value.rad == pytest.approx(want, rel=1e-9)
+
     @pytest.mark.parametrize("factor", [0, 1], ids=["S(q)", "S(q^N)"])
     @pytest.mark.parametrize("tau", [SMALL_VALUES[2], CMPoint(3, 51, 10, 1)],
                              ids=["quarter", "high"])

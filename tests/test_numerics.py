@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import mpmath
 from mpmath import mp
 
+import cfq.numerics
 from conftest import (
     H71, H284, WEBER, assert_bits_bound_the_coefficients, ball_mpc, cpx, mpc_ball, rounded,
 )
@@ -896,6 +897,31 @@ class TestFixedPoint:
             z = _exp(x, y, w)
             k = (x << g) // _ln2(w + g)
             assert z.rad - 1.5 - math.ldexp(abs(k), 1 - g) < 1 / 8
+
+    @pytest.mark.parametrize("w", [112, 421, 4112])
+    def test_exp_charges_the_series_bound(self, w, monkeypatch):
+        # The kernel's bound, in units of 2^-s over n! > 2^(b-1), is doubled
+        # by each of the j squarings with their sqrt(2) each, 5.5 at most
+        # in all, and shifted down g bits: grown by extra, it grows the
+        # radius by extra 2^(1 - b + j - g), and the squarings alone charge
+        # 5.5 2^(j - g) besides the shift's 1.5 and ln 2's 2|k|
+        j, g, table = _exp_plan(w)
+        b = table.bits[-1]
+        extra = [0.0]
+
+        def grown(*args):
+            sr, si, bound = _fixed_series(*args)
+            return sr, si, bound + extra[0]
+
+        monkeypatch.setattr(cfq.numerics, "_fixed_series", grown)
+        x, y = -(37 << w) // 10, -(1 << w)
+        value = _exp(x, y, w)
+        k = (x << g) // _ln2(w + g)
+        assert value.rad - 1.5 - math.ldexp(abs(k), 1 - g) >= math.ldexp(5.5, j - g) * (1 - 1e-9)
+        extra[0] = math.ldexp(1.0, b + g - j)
+        again = _exp(x, y, w)
+        assert again[:3] == value[:3]
+        assert again.rad - value.rad == pytest.approx(2.0, rel=1e-9)
 
     @pytest.mark.parametrize("w", [709, 958])
     def test_exp_where_ln2_dominates(self, w):
