@@ -21,19 +21,25 @@ exp(pi*i*b/12).
 Error model.  Every step after the exact point is in integers with a
 proven bound, a factor a `numerics.Ball` at the scale 2^w the caller gives
 `eta_quotient`.  The multiplier exp(-pi i k/12), k mod 24 in -12 .. 11, is
-the exact translation of the reduced point z by -k, so no root is rounded.
-eta(z) = q^(1/24) S(q), and q and S(q) depend on z mod 1 alone: the factors
-of one quotient that reduce to one point mod 1 share them, computed once
-from the q^(1/24) of the first factor there.
+the exact translation of the reduced point z by -k: z - k = (z mod 1) + a
+for an integer a.  eta(z) = q^(1/24) S(q), and q and S(q) depend on z mod 1
+alone: the factors of one quotient that reduce to one point mod 1 share
+them, and the q^(1/24) of the first factor there, computed once.
 
-  * q^(1/24) exp(-pi i k/12) = exp(pi i (z - k)/12) from
-    `numerics._exp_i_pi`, one per factor, whose radius holds the argument's
-    error and the exp's.  A relative error e in it moves eta(z) by at most
+  * the first factor at a point takes q^(1/24) exp(-pi i k/12) =
+    exp(pi i (z - k)/12) from `numerics._exp_i_pi`, the one exp of the
+    point, whose radius holds the argument's error and the exp's; a later
+    factor there, of offset a against the first one's a_0, takes that ball
+    times zeta^b = exp(pi i b/12), b = a - a_0 mod 24 in -12 .. 11, and
+    that ball itself where b = 0.  zeta^b is `numerics._zeta24`, the same
+    exp at the exact argument pi i b/12, cached per process by (b, w)
+    alone; the product carries both radii and its truncation's 1.5.  A
+    relative error e in a factor's q^(1/24) moves eta(z) by at most
     |E2(z)| e, as d log eta / d log q^(1/24) = E2(z) = 1 - 24 sum sigma(j) q^j.
     The 1 is the factor's own q^(1/24), charged e on the factor.  E2 - 1 is
     S's share through q, |E2 - 1| <= 24 sum sigma(j) |q|^j < 0.106 where
     Im(z) >= sqrt(3)/2, charged 0.15 e_0 on the shared S(q), e_0 the radius
-    of the q^(1/24) that q was built from;
+    of the first factor's q^(1/24), which q was built from;
   * q = (q^(1/24))^24 in integers at scale 2^w from five truncated
     products, q^2, q^3, q^6, q^12, q^24, within sqrt(2) 23 by the kernel's
     product lemma (`numerics._fixed_series`), and the pentagonal series S
@@ -57,7 +63,7 @@ from .errors import ConvergenceError, DomainError
 from .exactpoly import _Record, _integers
 from .numerics import (
     MAX_PREC_BITS, MIN_PREC_BITS, _GUARD, Ball, _SeriesTable, _csqrt, _div, _exp_i_pi, _fixed,
-    _fixed_series, _mul, _normal, _pow, _powers, _root,
+    _fixed_series, _mul, _normal, _pow, _powers, _root, _zeta24,
 )
 
 __all__ = [
@@ -186,22 +192,28 @@ def _multiplier(gamma) -> tuple[int, tuple[int, int]]:
 def _eta_ball(tau: CMPoint, w: int, series: dict) -> Ball:
     """eta at tau as a ball at scale 2^w (the module's error model).
 
-    `series` maps each reduced point mod 1 met so far in one quotient to its
-    S(q) (`_pentagonal_ball`): the first factor there sums q, its chain and
-    S(q) from its own q^(1/24), and the factors after it take that ball as
-    it is.  E2's charge is split: the factor's own q^(1/24) carries 1 times
-    its radius, and the shared S(q) 0.15 times the radius of the q^(1/24)
-    it was summed from.
+    `series` maps each reduced point mod 1 met so far in one quotient to
+    the first factor's q^(1/24) there, its offset a_0 and S(q)
+    (`_pentagonal_ball`): the first factor takes the point's one exp and
+    sums q, its chain and S(q) from it, and each factor after it takes that
+    q^(1/24) times the cached zeta^b, and S(q) as it is.  E2's charge is
+    split: each factor's q^(1/24) carries 1 times its radius, and the
+    shared S(q) 0.15 times the radius of the first factor's.
     """
     z, gamma, _steps = _ascend(tau, 1)
     k, (c, d) = _multiplier(gamma)
     # refused here, before any exp, if too far above the real axis
     im = _imag(z)
-    q24 = _exp_i_pi(z.u - (k - 24 * (k >= 12)) * z.w, z.v, 12 * z.w, z.n, w)
-    point = (z.u % z.w, z.v, z.w, z.n)
+    # z - k = (z mod 1) + a
+    u, a = z.u % z.w, z.u // z.w - (k - 24 * (k >= 12))
+    point = (u, z.v, z.w, z.n)
     if point not in series:
-        series[point] = _pentagonal_ball(q24, im, w)
-    value = _mul(q24, series[point], w)
+        q24 = _exp_i_pi(u + a * z.w, z.v, 12 * z.w, z.n, w)
+        series[point] = q24, a, _pentagonal_ball(q24, im, w)
+    q24, a0, s = series[point]
+    if b := (a - a0 + 12) % 24 - 12:
+        q24 = _mul(q24, _zeta24(b, w), w)
+    value = _mul(q24, s, w)
     if c:
         # c tau + d = (c u + d t + c v sqrt(-n)) / t
         value = _div(value, _csqrt(_cm_ball(c * tau.u + d * tau.w, c * tau.v, tau.w, tau.n, w),
@@ -245,13 +257,16 @@ def eta_quotient(spec: EtaQuotientSpec, tau: CMPoint, w: int) -> Ball:
     """prod eta(d*tau)^r_d as a ball at the working scale 2^w (the module's error model).
 
     w is an integer from MIN_PREC_BITS + _GUARD to MAX_PREC_BITS + _GUARD,
-    the scales `evaluate` works at; any other raises DomainError.  Each
-    factor takes its own ascent, multiplier, q^(1/24) and (c tau + d)^(1/2);
-    q, its chain and S(q) are summed once per reduced point mod 1 of the
-    call, and nothing is kept across calls.  The factors, at the exact
-    points d*tau, of positive and of negative exponent are multiplied out
-    apart and divided once.
+    the scales `evaluate` works at; any other raises DomainError, as does
+    a spec that is not an `EtaQuotientSpec`.  Each factor takes its own
+    ascent, multiplier and (c tau + d)^(1/2); the exp of q^(1/24), q, its
+    chain and S(q) are taken once per reduced point mod 1 of the call, and
+    nothing is kept across calls but the roots zeta^b.  The factors, at the
+    exact points d*tau, of positive and of negative exponent are multiplied
+    out apart and divided once.
     """
+    if not isinstance(spec, EtaQuotientSpec):
+        raise DomainError(f"eta_quotient needs an EtaQuotientSpec, got {spec!r}")
     if not isinstance(tau, CMPoint):
         raise DomainError(f"eta needs an exact CMPoint, got {tau!r}")
     if not (type(w) is int and MIN_PREC_BITS + _GUARD <= w <= MAX_PREC_BITS + _GUARD):

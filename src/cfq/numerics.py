@@ -489,6 +489,13 @@ def _exp_i_pi(u: int, v: int, t: int, n: int, w: int) -> Ball:
     return Ball(z.re, z.im, z.exp, z.rad + d * math.exp(min(math.ldexp(d, -w), 700.0)))
 
 
+@lru_cache(maxsize=64)
+def _zeta24(b: int, w: int) -> Ball:
+    """exp(pi i b / 12), -12 <= b <= 11, as a ball at scale 2^w: `_exp_i_pi` at an exact
+    argument, |Im| <= pi, with its proven radius."""
+    return _exp_i_pi(b, 0, 12, 1, w)
+
+
 def _powers(q, m: int, w: int) -> tuple[tuple[int, int], int, list[int], int, int, int]:
     """(q, w, baby, lane, big_r, big_i): q^0 .. q^(m-1) packed, and Q = q^m, at scale 2^w.
 

@@ -70,11 +70,12 @@ class TestSingularValues:
 
     def test_small_levels_bit_identical(self):
         # the eta path at every key of the degree-law sweep, hashed as the
-        # level-71 values are: each factor's point reduced in integers and
-        # its q^(1/24) from the fixed-point exp, then once per reduced point
-        # mod 1, from the first factor's q^(1/24) there, q^24 from its chain
-        # of five products and the pentagonal series summed in blocks of
-        # isqrt(e_max) + 1 exponents, and each value rounded once
+        # level-71 values are: each factor's point reduced in integers;
+        # once per reduced point mod 1, from its first factor, q^(1/24) from
+        # the fixed-point exp, q^24 from its chain of five
+        # products and the pentagonal series summed in blocks of
+        # isqrt(e_max) + 1 exponents; each later factor's q^(1/24) that one
+        # times a cached 24th root of unity; and each value rounded once
         digest = hashlib.sha256()
         for key in level_keys():
             for value in singular_values(*key, 256).values():
@@ -82,7 +83,7 @@ class TestSingularValues:
                     sign, man, exp = mpf_parts(x, value.exp)
                     digest.update(f"{sign} {man} {exp};".encode())
         assert digest.hexdigest() == (
-            "2aaec1c01d295effa3a0aef405f40f6b078fcb148db5feb0de059905976fa06d"
+            "3fd2c37d5092d7c17e7c54fa5350e454c6b1d5a3d86f1157f7227936b98f41dc"
         )
 
     def test_radii_bit_identical(self):
@@ -94,7 +95,7 @@ class TestSingularValues:
             for value in singular_values(*key, 256).values():
                 digest.update(f"{value.rad!r};".encode())
         assert digest.hexdigest() == (
-            "30281a385e36fd41b13f4776d2e0e7e2d86d93b1ee662e9122131975710161f6"
+            "4696d8b5fec0ed40eaa2f5fbaa4ec7f0079cb2c1029246735460e86ec0e9eecf"
         )
 
     @pytest.mark.parametrize("prec", [64, 256])

@@ -21,7 +21,7 @@ from cfq.eta import (
     EtaQuotientSpec, _ascend, _cm_ball, _dedekind12, _eta_ball, eta_quotient,
 )
 from cfq.hauptmodul import catalog_lookup, evaluate
-from cfq.numerics import _GUARD, _exp_i_pi, _fixed_series
+from cfq.numerics import _GUARD, _exp_i_pi, _fixed_series, _zeta24
 from cfq.quadforms import enumerate_class_group
 
 
@@ -241,6 +241,13 @@ class TestEtaQuotient:
             EtaQuotientSpec(terms)
         assert EtaQuotientSpec([(Fraction(2), 24)]).terms == ((2, 24),)
 
+    @pytest.mark.parametrize("spec", [[(1, 1)], ((1, 1),), None])
+    def test_quotient_refuses_a_spec_that_is_not_one(self, spec):
+        # refused as evaluate refuses an unknown description, not with an
+        # AttributeError on .terms
+        with pytest.raises(DomainError, match="EtaQuotientSpec"):
+            cfq.eta_quotient(spec, CMPoint(0, 1, 1, 1), W)
+
 
 @st.composite
 def domain_points(draw):
@@ -330,19 +337,24 @@ class TestEtaSeriesKernel:
 
     @pytest.mark.parametrize("key", SHARING_KEYS)
     def test_one_sum_per_reduced_point(self, key, monkeypatch):
-        # Each factor takes one exp of its own; the kernel runs once per
-        # distinct reduced point mod 1, right after the exp of the first
-        # factor there, and never for a later factor at that point.
+        # The first factor at each distinct reduced point mod 1 takes one exp
+        # and then one kernel sum; a later factor at that point takes
+        # neither, whatever its multiplier.
         events = []
 
+        def factor(*args):
+            events.append([])
+            return _eta_ball(*args)
+
         def exp(*args):
-            events.append("exp")
+            events[-1].append("exp")
             return _exp_i_pi(*args)
 
         def kernel(*args):
-            events.append("sum")
+            events[-1].append("sum")
             return _fixed_series(*args)
 
+        monkeypatch.setattr(cfq.eta, "_eta_ball", factor)
         monkeypatch.setattr(cfq.eta, "_exp_i_pi", exp)
         monkeypatch.setattr(cfq.eta, "_fixed_series", kernel)
         shared = 0
@@ -350,24 +362,19 @@ class TestEtaSeriesKernel:
             events.clear()
             eta_quotient(spec, tau, W)
             points = _reduced_points(spec, tau)
-            factor, sums = -1, []
-            for event in events:
-                if event == "exp":
-                    factor += 1
-                else:
-                    sums.append(factor)
-            assert factor == len(points) - 1
-            assert sums == [i for i, p in enumerate(points) if points.index(p) == i]
+            assert events == [["exp", "sum"] if points.index(p) == i else []
+                              for i, p in enumerate(points)]
             shared += len(points) - len(set(points))
         assert shared > 0
 
     @pytest.mark.parametrize("key", SHARING_KEYS)
     def test_e2_charge_split(self, key, monkeypatch):
         # d log eta / d log q^(1/24) = E2 = 1 - 24 sum sigma(j) q^j, and
-        # |E2 - 1| < 0.106 wherever Im >= sqrt(3)/2.  So an error e in one
-        # factor's q^(1/24) is charged e on that factor, |r| times, and
-        # 0.15 e on the S(q) summed from it, which every factor at that
-        # reduced point takes, |r| times each.
+        # |E2 - 1| < 0.106 wherever Im >= sqrt(3)/2.  Every factor at a
+        # reduced point takes its q^(1/24) from the point's one exp, and its
+        # S(q) from the sum built on it: an error e in that exp is charged
+        # e through the factor's q^(1/24) and 0.15 e through S(q), 1.15 e
+        # |r| on each factor at the point, and nothing on the others.
         # (the terms from j = 40 on, sigma(j) <= j^2, add below q^30)
         q = mpmath.exp(-mpmath.pi * mpmath.sqrt(3))
         sigma = [sum(d for d in range(1, j + 1) if j % d == 0) for j in range(40)]
@@ -384,16 +391,59 @@ class TestEtaSeriesKernel:
             points = _reduced_points(spec, tau)
             inflated[0] = -1
             value = eta_quotient(spec, tau, W)
-            for f, (_, r) in enumerate(spec.terms):
-                charged = abs(r)
-                if points.index(points[f]) == f:
-                    charged += 0.15 * sum(abs(s) for p, (_, s) in zip(points, spec.terms)
-                                          if p == points[f])
+            for i, point in enumerate(dict.fromkeys(points)):
+                charged = 1.15 * sum(abs(r) for p, (_, r) in zip(points, spec.terms)
+                                     if p == point)
                 calls.clear()
-                inflated[0] = f
+                inflated[0] = i
                 again = eta_quotient(spec, tau, W)
+                assert len(calls) == len(set(points))
                 assert again[:3] == value[:3]
                 assert again.rad == pytest.approx(value.rad + charged * extra, rel=1e-9)
+
+    def test_root_of_unity_charge(self, monkeypatch):
+        # A later factor at a reduced point whose q^(1/24) differs from the
+        # first factor's by exp(pi i b / 12), b != 0 mod 24, takes it as that
+        # one times the cached root: an error e in the root is charged e |r|
+        # on that factor, and nothing on the first factors or where b = 0
+        # (at level 10, where a later factor's b is 0).
+        extra = 2.0**60
+
+        def zeta(b, w):
+            z = _zeta24(b, w)
+            return z._replace(rad=z.rad + extra)
+
+        later = [0, 0]
+        for spec, tau in (case for key in SHARING_KEYS + [(10, "gamma0", -40)]
+                          for case in _key_points(*key)):
+            phases = _phases(spec, tau)
+            points = [p for p, _ in phases]
+            charged = 0
+            for f, ((p, a), (_, r)) in enumerate(zip(phases, spec.terms)):
+                first = points.index(p)
+                if first < f:
+                    rotated = (a - phases[first][1]) % 24 != 0
+                    later[rotated] += 1
+                    charged += abs(r) * rotated
+            value = eta_quotient(spec, tau, W)
+            with monkeypatch.context() as m:
+                m.setattr(cfq.eta, "_zeta24", zeta)
+                again = eta_quotient(spec, tau, W)
+            assert again[:3] == value[:3]
+            assert again.rad == pytest.approx(value.rad + charged * extra, rel=1e-9)
+        assert later[False] > 0 and later[True] > 0
+
+    @pytest.mark.parametrize("w", [112, 1072, 16432])
+    def test_roots_of_unity_within_radius(self, w):
+        # each exp(pi i b / 12) for b in -12 .. 11 at scale 2^w, against the
+        # root 300 bits deeper; one ball per (b, w), kept per process
+        with mp.workprec(w + 300):
+            for b in range(-12, 12):
+                zeta = _zeta24(b, w)
+                assert _zeta24(b, w) is zeta
+                got = ball_mpc(zeta)
+                want = mp.expjpi(mp.mpf(b) / 12)
+                assert abs(got - want) <= zeta.rad * abs(got) * mp.mpf(2) ** -w, b
 
 
 def _key_points(n, group, disc):
@@ -410,6 +460,21 @@ def _reduced_points(spec, tau):
         z = _ascend(CMPoint(d * tau.u, d * tau.v, tau.w, tau.n), 1)[0]
         points.append((z.u % z.w, z.v, z.w))
     return points
+
+
+def _phases(spec, tau):
+    """Each factor's reduced point mod 1 and the a mod 24 with q^(1/24) over its multiplier
+    exp(pi i (z mod 1 + a) / 12), the multiplier from the Dedekind sum by its definition."""
+    phases = []
+    for (d, _), point in zip(spec.terms, _reduced_points(spec, tau)):
+        z, (a, b, c, e), _ = _ascend(CMPoint(d * tau.u, d * tau.v, tau.w, tau.n), 1)
+        if c < 0 or (c == 0 and e < 0):
+            a, b, c, e = -a, -b, -c, -e
+        k = 12 * (Fraction(b, 12) if c == 0 else Fraction(a + e, 12 * c)
+                  - dedekind_sum_by_definition(e, c) - Fraction(1, 4))
+        assert k.denominator == 1
+        phases.append((point, (z.u // z.w - int(k)) % 24))
+    return phases
 
 
 @st.composite
