@@ -24,7 +24,10 @@ proven bound, a factor a `numerics.Ball` at the scale 2^w the caller gives
 the exact translation of the reduced point z by -k: z - k = (z mod 1) + a
 for an integer a.  eta(z) = q^(1/24) S(q), and q and S(q) depend on z mod 1
 alone: the factors of one quotient that reduce to one point mod 1 share
-them, and the q^(1/24) of the first factor there, computed once.
+them, and the q^(1/24) of the first factor there, computed once.  A
+factor's ball is its q^(1/24) over its (c tau + d)^(1/2), and S(q) enters
+the quotient once per point, as S^R, R the sum of the exponents r of the
+factors there; where R = 0, S^0 = 1 exactly and no series is summed.
 
   * the first factor at a point takes q^(1/24) exp(-pi i k/12) =
     exp(pi i (z - k)/12) from `numerics._exp_i_pi`, the one exp of the
@@ -36,10 +39,12 @@ them, and the q^(1/24) of the first factor there, computed once.
     alone; the product carries both radii and its truncation's 1.5.  A
     relative error e in a factor's q^(1/24) moves eta(z) by at most
     |E2(z)| e, as d log eta / d log q^(1/24) = E2(z) = 1 - 24 sum sigma(j) q^j.
-    The 1 is the factor's own q^(1/24), charged e on the factor.  E2 - 1 is
-    S's share through q, |E2 - 1| <= 24 sum sigma(j) |q|^j < 0.106 where
-    Im(z) >= sqrt(3)/2, charged 0.15 e_0 on the shared S(q), e_0 the radius
-    of the first factor's q^(1/24), which q was built from;
+    The 1 is the factor's own q^(1/24), charged e on the factor, |r| times
+    through its power.  E2 - 1 is S's share through q, |E2 - 1| <=
+    24 sum sigma(j) |q|^j < 0.106 where Im(z) >= sqrt(3)/2, charged 0.15 e_0
+    on S(q), e_0 the radius of the first factor's q^(1/24), which q was
+    built from: |R| times through S^|R|, and not at all where R = 0, as
+    S^0 does not depend on q;
   * q = (q^(1/24))^24 in integers at scale 2^w from five truncated
     products, q^2, q^3, q^6, q^12, q^24, within sqrt(2) 23 by the kernel's
     product lemma (`numerics._fixed_series`), and the pentagonal series S
@@ -189,16 +194,18 @@ def _multiplier(gamma) -> tuple[int, tuple[int, int]]:
     return (k - 3) % 24, (c, d)
 
 
-def _eta_ball(tau: CMPoint, w: int, series: dict) -> Ball:
-    """eta at tau as a ball at scale 2^w (the module's error model).
+def _eta_ball(tau: CMPoint, r: int, w: int, series: dict) -> Ball:
+    """eta at tau over S(q) as a ball at scale 2^w, r its exponent (the module's error model).
 
+    The ball is the factor's q^(1/24) exp(-pi i k/12) over its
+    (c tau + d)^(1/2); S(q) enters the quotient once per point, as S^R.
     `series` maps each reduced point mod 1 met so far in one quotient to
-    the first factor's q^(1/24) there, its offset a_0 and S(q)
-    (`_pentagonal_ball`): the first factor takes the point's one exp and
-    sums q, its chain and S(q) from it, and each factor after it takes that
-    q^(1/24) times the cached zeta^b, and S(q) as it is.  E2's charge is
-    split: each factor's q^(1/24) carries 1 times its radius, and the
-    shared S(q) 0.15 times the radius of the first factor's.
+    the first factor's q^(1/24) there, its offset a_0, Im(z) and R, the sum
+    of the exponents r of the factors there: the first factor takes the
+    point's one exp, and each factor after it that q^(1/24) times the
+    cached zeta^b.  E2's charge is split: each factor's q^(1/24) carries 1
+    times its radius, and S^R, in `eta_quotient`, 0.15 |R| times the first
+    factor's.
     """
     z, gamma, _steps = _ascend(tau, 1)
     k, (c, d) = _multiplier(gamma)
@@ -207,18 +214,19 @@ def _eta_ball(tau: CMPoint, w: int, series: dict) -> Ball:
     # z - k = (z mod 1) + a
     u, a = z.u % z.w, z.u // z.w - (k - 24 * (k >= 12))
     point = (u, z.v, z.w, z.n)
-    if point not in series:
+    if point in series:
+        q24, a0, im, total = series[point]
+        series[point] = q24, a0, im, total + r
+        if b := (a - a0 + 12) % 24 - 12:
+            q24 = _mul(q24, _zeta24(b, w), w)
+    else:
         q24 = _exp_i_pi(u + a * z.w, z.v, 12 * z.w, z.n, w)
-        series[point] = q24, a, _pentagonal_ball(q24, im, w)
-    q24, a0, s = series[point]
-    if b := (a - a0 + 12) % 24 - 12:
-        q24 = _mul(q24, _zeta24(b, w), w)
-    value = _mul(q24, s, w)
+        series[point] = q24, a, im, r
     if c:
         # c tau + d = (c u + d t + c v sqrt(-n)) / t
-        value = _div(value, _csqrt(_cm_ball(c * tau.u + d * tau.w, c * tau.v, tau.w, tau.n, w),
-                                   w), w)
-    return value
+        return _div(q24, _csqrt(_cm_ball(c * tau.u + d * tau.w, c * tau.v, tau.w, tau.n, w), w),
+                    w)
+    return q24
 
 
 def _pentagonal_ball(q24: Ball, im: float, w: int) -> Ball:
@@ -226,6 +234,8 @@ def _pentagonal_ball(q24: Ball, im: float, w: int) -> Ball:
 
     Its radius holds the chain's products, the kernel's bound, the tail, and
     S's share 0.15 of q24's own error, |E2 - 1| <= 0.106 at reduced points.
+    `eta_quotient` takes it once per point whose exponents sum to R != 0,
+    raised to |R|, and never where R = 0.
     """
     # the first exponent left out, e, has |q|^e = e^(-2 pi Im(z) e) <= 2^-(w+1)
     size = (w + 1) * math.log(2) / (2 * math.pi * im)
@@ -259,11 +269,12 @@ def eta_quotient(spec: EtaQuotientSpec, tau: CMPoint, w: int) -> Ball:
     w is an integer from MIN_PREC_BITS + _GUARD to MAX_PREC_BITS + _GUARD,
     the scales `evaluate` works at; any other raises DomainError, as does
     a spec that is not an `EtaQuotientSpec`.  Each factor takes its own
-    ascent, multiplier and (c tau + d)^(1/2); the exp of q^(1/24), q, its
-    chain and S(q) are taken once per reduced point mod 1 of the call, and
-    nothing is kept across calls but the roots zeta^b.  The factors, at the
-    exact points d*tau, of positive and of negative exponent are multiplied
-    out apart and divided once.
+    ascent, multiplier and (c tau + d)^(1/2); the exp of q^(1/24) is taken
+    once per reduced point mod 1 of the call, and q, its chain and S(q)
+    once per such point whose exponents sum to R != 0, which enters as
+    S^R; nothing is kept across calls but the roots zeta^b.  The factors,
+    at the exact points d*tau, and the S^R, of positive and of negative
+    exponent, are multiplied out apart and divided once.
     """
     if not isinstance(spec, EtaQuotientSpec):
         raise DomainError(f"eta_quotient needs an EtaQuotientSpec, got {spec!r}")
@@ -273,8 +284,13 @@ def eta_quotient(spec: EtaQuotientSpec, tau: CMPoint, w: int) -> Ball:
         raise DomainError(f"the working scale must be an integer from {MIN_PREC_BITS + _GUARD} "
                           f"to {MAX_PREC_BITS + _GUARD}, got {w!r}")
     series, parts = {}, {}
-    for d, r in spec.terms:
-        p = _pow(_eta_ball(CMPoint(d * tau.u, d * tau.v, tau.w, tau.n), w, series), abs(r), w)
+    factors = [(_eta_ball(CMPoint(d * tau.u, d * tau.v, tau.w, tau.n), r, w, series), r)
+               for d, r in spec.terms]
+    # S^0 = 1 exactly: a point whose exponents cancel sums no series
+    factors += [(_pentagonal_ball(q24, im, w), total)
+                for q24, _a0, im, total in series.values() if total]
+    for ball, r in factors:
+        p = _pow(ball, abs(r), w)
         parts[r > 0] = _mul(parts[r > 0], p, w) if (r > 0) in parts else p
     num = parts.get(True, Ball(1, 0, 0, 0.0))
     return _div(num, parts[False], w) if False in parts else num

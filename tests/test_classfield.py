@@ -72,10 +72,11 @@ class TestSingularValues:
         # the eta path at every key of the degree-law sweep, hashed as the
         # level-71 values are: each factor's point reduced in integers;
         # once per reduced point mod 1, from its first factor, q^(1/24) from
-        # the fixed-point exp, q^24 from its chain of five
-        # products and the pentagonal series summed in blocks of
-        # isqrt(e_max) + 1 exponents; each later factor's q^(1/24) that one
-        # times a cached 24th root of unity; and each value rounded once
+        # the fixed-point exp; each later factor's q^(1/24) that one times a
+        # cached 24th root of unity; where the exponents there sum to R != 0,
+        # q^24 from its chain of five products and the pentagonal series
+        # summed in blocks of isqrt(e_max) + 1 exponents, raised to |R|; and
+        # each value rounded once
         digest = hashlib.sha256()
         for key in level_keys():
             for value in singular_values(*key, 256).values():
@@ -83,7 +84,7 @@ class TestSingularValues:
                     sign, man, exp = mpf_parts(x, value.exp)
                     digest.update(f"{sign} {man} {exp};".encode())
         assert digest.hexdigest() == (
-            "3fd2c37d5092d7c17e7c54fa5350e454c6b1d5a3d86f1157f7227936b98f41dc"
+            "77f9e0c02a3b5b5ed5894b96d669a291981ff18569fa384c5dd73045bd22b242"
         )
 
     def test_radii_bit_identical(self):
@@ -95,7 +96,7 @@ class TestSingularValues:
             for value in singular_values(*key, 256).values():
                 digest.update(f"{value.rad!r};".encode())
         assert digest.hexdigest() == (
-            "4696d8b5fec0ed40eaa2f5fbaa4ec7f0079cb2c1029246735460e86ec0e9eecf"
+            "4f6b9cb9f39a1d8502f9bf0d32e7ee7132f45da4173a9c81c99454af2750ce4d"
         )
 
     @pytest.mark.parametrize("prec", [64, 256])

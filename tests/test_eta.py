@@ -12,13 +12,14 @@ from mpmath import mp
 
 from conftest import (
     ball_mpc, cm_mobius, cm_mpc, dedekind_sum_by_definition, eta_direct_series, eta_mpc,
-    eta_multiplier, random_sl2, rational_point,
+    eta_multiplier, level_keys, random_sl2, rational_point,
 )
 import cfq.eta
+from cfq.classfield import singular_values
 from cfq.elliptic import CMPoint, enumerate_representatives, fixed_point
 from cfq.errors import ConvergenceError, DomainError
 from cfq.eta import (
-    EtaQuotientSpec, _ascend, _cm_ball, _dedekind12, _eta_ball, eta_quotient,
+    EtaQuotientSpec, _ascend, _cm_ball, _dedekind12, _eta_ball, _pentagonal_ball, eta_quotient,
 )
 from cfq.hauptmodul import catalog_lookup, evaluate
 from cfq.numerics import _GUARD, _exp_i_pi, _fixed_series, _zeta24
@@ -262,8 +263,11 @@ def domain_points(draw):
     return CMPoint(u, v, t, 1), draw(st.integers(min_value=64, max_value=1100))
 
 
-# two keys whose factors share reduced points
+# two keys whose factors share reduced points, each with exponents summing to 0
 SHARING_KEYS = [(12, "gamma0", -48), (18, "fricke", -72)]
+# the two keys of the sweep with a shared point and points whose exponents do
+# not cancel: level 8's second class, exponents 4, -2 + 2 and -4 at three points
+SUMMING_KEYS = [(8, "gamma0", -32), (8, "fricke", -32)]
 
 
 class TestEtaSeriesKernel:
@@ -272,18 +276,25 @@ class TestEtaSeriesKernel:
     @settings(max_examples=100, deadline=None)
     @given(point=domain_points())
     def test_series_within_stated_bound(self, point):
-        # The radius covers q^(1/24) from the exp, q = (q^(1/24))^24 from its
-        # chain, the blocked pentagonal sum, the tail and the product, against
-        # q^(1/24) times the series, 300 bits deeper; the point is reduced,
-        # so its multiplier is 1
+        # At a reduced point the factor's ball is its q^(1/24) from the exp,
+        # and `_pentagonal_ball` sums S(q) from it: the radius covers q =
+        # (q^(1/24))^24 from its chain, the blocked pentagonal sum, the tail
+        # and q^(1/24)'s own error through E2 - 1, against the series at the
+        # exact q, 300 bits deeper
         point, w = point
-        value = _eta_ball(point, w, {})
+        series = {}
+        factor = _eta_ball(point, 1, w, series)
+        ((q24, _, im, total),) = series.values()
+        assert factor is q24 and total == 1
+        value = _pentagonal_ball(q24, im, w)
         with mp.workprec(w + 300):
-            q24 = mp.exp(mp.mpc(0, 1) * mp.pi * cm_mpc(point) / 12)
-            q = q24**24
-            series = mp.fsum((-1) ** k * q ** (k * (3 * k - 1) // 2) for k in range(-60, 61))
+            want = mp.exp(mp.mpc(0, 1) * mp.pi * cm_mpc(point) / 12)
+            got = ball_mpc(factor)
+            assert abs(got - want) <= factor.rad * abs(got) * mp.mpf(2) ** -w
+            q = want**24
+            want = mp.fsum((-1) ** k * q ** (k * (3 * k - 1) // 2) for k in range(-60, 61))
             got = ball_mpc(value)
-            assert abs(got - q24 * series) <= value.rad * abs(got) * mp.mpf(2) ** -w
+            assert abs(got - want) <= value.rad * abs(got) * mp.mpf(2) ** -w
 
     @pytest.mark.parametrize("prec", [128, 256, 1056])
     def test_against_direct_series(self, prec):
@@ -300,10 +311,10 @@ class TestEtaSeriesKernel:
     @pytest.mark.parametrize("prec", [128, 256, 1024])
     def test_term_count_matches_error_model(self, prec, monkeypatch):
         # The bound charges one pentagonal sum per distinct reduced point mod
-        # 1, shared by the factors there: the first exponent left out lies
-        # below the 2^-(w+1) the tail is charged for, and the kernel's bound
-        # for the exponents summed reaches the quotient's bound, |r| / 0.99
-        # times per factor.
+        # 1 whose factors' exponents sum to R != 0, and none where R = 0: the
+        # first exponent left out lies below the 2^-(w+1) the tail is charged
+        # for, and the kernel's bound for the exponents summed reaches the
+        # quotient's bound |R| / 0.99 times, through S^|R|.
         summed, extra = [], [0.0]
 
         def recording(table, count, powers):
@@ -312,15 +323,14 @@ class TestEtaSeriesKernel:
             return sr, si, bound + extra[0]
 
         monkeypatch.setattr(cfq.eta, "_fixed_series", recording)
-        checked = 0
-        for n in (2, 6, 12, 18, 25):
-            spec = catalog_lookup(n, "gamma0").spec
-            for alpha in enumerate_representatives(n, -4 * n, enumerate_class_group(-4 * n)):
-                z = fixed_point(alpha)
+        checked = [0, 0]
+        for n in (1, 2, 6, 8, 12, 18, 25):
+            for spec, z in _key_points(n, "gamma0", -4 * n):
+                sums = [total for total in _exponent_sums(spec, z).values() if total]
                 summed.clear()
                 extra[0] = 0.0
                 value = eta_quotient(spec, z, prec + _GUARD)
-                assert len(summed) == len(set(_reduced_points(spec, z)))
+                assert len(summed) == len(sums)
                 for (qr, qi), exponents, w in summed:
                     left_out = PENTAGONAL[len(exponents)]
                     assert exponents == PENTAGONAL[:len(exponents)]
@@ -329,52 +339,83 @@ class TestEtaSeriesKernel:
                         assert q ** left_out <= mp.mpf(2) ** -(w + 1)
                 extra[0] = 2.0**60
                 again = eta_quotient(spec, z, prec + _GUARD)
-                charged = sum(abs(r) for _, r in spec.terms) * 2.0**60 / 0.99
+                charged = sum(abs(total) for total in sums) * 2.0**60 / 0.99
                 assert again[:3] == value[:3]
                 assert again.rad == pytest.approx(value.rad + charged, rel=1e-9)
-                checked += 1
-        assert checked >= 5
+                checked[bool(sums)] += 1
+        assert checked[False] >= 5 and checked[True] >= 2
 
-    @pytest.mark.parametrize("key", SHARING_KEYS)
+    @pytest.mark.parametrize("key", SUMMING_KEYS)
     def test_one_sum_per_reduced_point(self, key, monkeypatch):
-        # The first factor at each distinct reduced point mod 1 takes one exp
-        # and then one kernel sum; a later factor at that point takes
-        # neither, whatever its multiplier.
+        # The first factor at each distinct reduced point mod 1 takes one
+        # exp, and a later factor at that point none, whatever its
+        # multiplier; after the factors, each point whose exponents sum to
+        # R != 0 takes one kernel sum, in the order the points were met, and
+        # a point with R = 0 none.
         events = []
 
         def factor(*args):
-            events.append([])
+            events.append("factor")
             return _eta_ball(*args)
 
         def exp(*args):
-            events[-1].append("exp")
+            events.append("exp")
             return _exp_i_pi(*args)
 
         def kernel(*args):
-            events[-1].append("sum")
+            events.append("sum")
             return _fixed_series(*args)
 
         monkeypatch.setattr(cfq.eta, "_eta_ball", factor)
         monkeypatch.setattr(cfq.eta, "_exp_i_pi", exp)
         monkeypatch.setattr(cfq.eta, "_fixed_series", kernel)
-        shared = 0
+        shared = cancelled = 0
         for spec, tau in _key_points(*key):
             events.clear()
             eta_quotient(spec, tau, W)
             points = _reduced_points(spec, tau)
-            assert events == [["exp", "sum"] if points.index(p) == i else []
-                              for i, p in enumerate(points)]
-            shared += len(points) - len(set(points))
-        assert shared > 0
+            sums = _exponent_sums(spec, tau)
+            want = [e for i, p in enumerate(points)
+                    for e in (["factor", "exp"] if points.index(p) == i else ["factor"])]
+            assert events == want + ["sum" for total in sums.values() if total]
+            shared += len(points) - len(sums)
+            cancelled += sum(total == 0 for total in sums.values())
+        assert shared > 0 and cancelled > 0
 
     @pytest.mark.parametrize("key", SHARING_KEYS)
+    def test_no_sum_where_exponents_cancel(self, key, monkeypatch):
+        # at every point of these keys the exponents of the factors there sum
+        # to 0, so S(q)^0 = 1 and no kernel sum runs at all
+        sums = []
+        monkeypatch.setattr(cfq.eta, "_fixed_series", lambda *args: sums.append(args))
+        for spec, tau in _key_points(*key):
+            assert set(_exponent_sums(spec, tau).values()) == {0}
+            eta_quotient(spec, tau, W)
+        assert sums == []
+
+    def test_exps_and_sums_per_pass(self, monkeypatch):
+        # a pass over the degree-law sweep at 256 bits takes one exp per
+        # distinct reduced point of a call, 88, and one pentagonal sum per
+        # point with R != 0: level 1's two points and level 8's four
+        calls = {"_exp_i_pi": 0, "_pentagonal_ball": 0}
+        for name in calls:
+            def counted(*args, name=name, original=getattr(cfq.eta, name)):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(cfq.eta, name, counted)
+        for key in level_keys():
+            singular_values(*key, 256)
+        assert calls == {"_exp_i_pi": 88, "_pentagonal_ball": 6}
+
+    @pytest.mark.parametrize("key", SUMMING_KEYS)
     def test_e2_charge_split(self, key, monkeypatch):
         # d log eta / d log q^(1/24) = E2 = 1 - 24 sum sigma(j) q^j, and
         # |E2 - 1| < 0.106 wherever Im >= sqrt(3)/2.  Every factor at a
-        # reduced point takes its q^(1/24) from the point's one exp, and its
-        # S(q) from the sum built on it: an error e in that exp is charged
-        # e through the factor's q^(1/24) and 0.15 e through S(q), 1.15 e
-        # |r| on each factor at the point, and nothing on the others.
+        # reduced point takes its q^(1/24) from the point's one exp, and S(q)
+        # enters once per point as S^R, summed from that exp: an error e in
+        # the exp is charged e |r| on each factor at the point through its
+        # q^(1/24), 0.15 e |R| through S^|R|, nothing where R = 0, and
+        # nothing on the other points.
         # (the terms from j = 40 on, sigma(j) <= j^2, add below q^30)
         q = mpmath.exp(-mpmath.pi * mpmath.sqrt(3))
         sigma = [sum(d for d in range(1, j + 1) if j % d == 0) for j in range(40)]
@@ -387,19 +428,23 @@ class TestEtaSeriesKernel:
             return z._replace(rad=z.rad + extra) if len(calls) - 1 == inflated[0] else z
 
         monkeypatch.setattr(cfq.eta, "_exp_i_pi", exp)
+        seen = set()
         for spec, tau in _key_points(*key):
             points = _reduced_points(spec, tau)
+            sums = _exponent_sums(spec, tau)
             inflated[0] = -1
             value = eta_quotient(spec, tau, W)
-            for i, point in enumerate(dict.fromkeys(points)):
-                charged = 1.15 * sum(abs(r) for p, (_, r) in zip(points, spec.terms)
-                                     if p == point)
+            for i, (point, total) in enumerate(sums.items()):
+                charged = sum(abs(r) for p, (_, r) in zip(points, spec.terms) if p == point)
+                charged += 0.15 * abs(total)
+                seen.add(total == 0)
                 calls.clear()
                 inflated[0] = i
                 again = eta_quotient(spec, tau, W)
-                assert len(calls) == len(set(points))
+                assert len(calls) == len(sums)
                 assert again[:3] == value[:3]
                 assert again.rad == pytest.approx(value.rad + charged * extra, rel=1e-9)
+        assert seen == {False, True}
 
     def test_root_of_unity_charge(self, monkeypatch):
         # A later factor at a reduced point whose q^(1/24) differs from the
@@ -460,6 +505,15 @@ def _reduced_points(spec, tau):
         z = _ascend(CMPoint(d * tau.u, d * tau.v, tau.w, tau.n), 1)[0]
         points.append((z.u % z.w, z.v, z.w))
     return points
+
+
+def _exponent_sums(spec, tau):
+    """R for each distinct reduced point mod 1, the sum of the exponents of the factors there,
+    in the order the factors first meet the points."""
+    sums = {}
+    for point, (_, r) in zip(_reduced_points(spec, tau), spec.terms):
+        sums[point] = sums.get(point, 0) + r
+    return sums
 
 
 def _phases(spec, tau):
